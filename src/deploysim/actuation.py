@@ -13,6 +13,7 @@ constant rate.  A jammed door keeps the rod motion but never swings.
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import ContractViolationError, ParameterError
 from .mechanism import MechanismParams, required_acceleration, tangential_force
@@ -178,22 +179,53 @@ def halt_carrier(carrier: CarrierState) -> CarrierState:
     return replace(carrier, pushing=False, retracting=False, stalled=False)
 
 
+class CarrierDrive(NamedTuple):
+    """Carrier figures that stay fixed for a whole mission."""
+
+    rack_speed: float       # m/s, no-load
+    load_per_kg: float      # N/kg: friction plus the sizing acceleration
+    drive_force: float      # N, effective tangential force at the pinion
+
+
+def carrier_drive(servo: ServoSpec, params: MechanismParams,
+                  faults: FaultPlan) -> CarrierDrive:
+    """The go/no-go figures of `step_carrier`, computed once.
+
+    The load includes the sizing acceleration so the stall boundary
+    sits exactly at the computed payload limit.
+    """
+    mu_eff = params.friction_coefficient * faults.surface_friction_scale
+    accel = required_acceleration(params.stroke, 0.0,
+                                  params.deployment_time_budget)
+    return CarrierDrive(
+        rack_speed=rack_speed(servo, params.pinion_pitch_diameter),
+        load_per_kg=mu_eff * params.gravity + accel,
+        drive_force=tangential_force(params.servo_stall_torque,
+                                     params.pinion_pitch_diameter,
+                                     params.drivetrain_efficiency))
+
+
 def step_carrier(carrier: CarrierState, servo: ServoSpec, payload_mass: float,
                  params: MechanismParams, faults: FaultPlan, dt: float,
-                 powered: bool = True) -> tuple[CarrierState, float, float]:
+                 powered: bool = True,
+                 drive: CarrierDrive | None = None,
+                 ) -> tuple[CarrierState, float, float]:
     """Advance the carrier one step.
 
     Returns (state, payload displacement gained this step in m, current
     draw in A).  Idle or unpowered carriers draw nothing and do not
     move.  Extension against a load the servo cannot overcome holds the
-    rack still at stall current.
+    rack still at stall current.  `drive` is
+    `carrier_drive(servo, params, faults)`, which a caller stepping many
+    times passes in so it is not computed again on every step.
     """
     if not carrier.pushing or not powered:
         return carrier, 0.0, 0.0
     if payload_mass < 0.0 or not math.isfinite(payload_mass):
         raise ParameterError(f"payload_mass must be >= 0, got {payload_mass!r}")
-
-    speed = rack_speed(servo, params.pinion_pitch_diameter)
+    if drive is None:
+        drive = carrier_drive(servo, params, faults)
+    speed = drive.rack_speed
 
     if carrier.retracting:
         extension = carrier.rack_extension - speed * dt
@@ -204,17 +236,9 @@ def step_carrier(carrier: CarrierState, servo: ServoSpec, payload_mass: float,
             new = replace(carrier, rack_extension=extension)
         return new, 0.0, servo.running_current_max
 
-    # Extending against the payload: static go/no-go force check.  The
-    # load includes the sizing acceleration so the stall boundary sits
-    # exactly at the computed payload limit.
-    mu_eff = params.friction_coefficient * faults.surface_friction_scale
-    accel = required_acceleration(params.stroke, 0.0,
-                                  params.deployment_time_budget)
-    load = payload_mass * (mu_eff * params.gravity + accel)
-    drive = tangential_force(params.servo_stall_torque,
-                             params.pinion_pitch_diameter,
-                             params.drivetrain_efficiency)
-    if drive < load:
+    # Extending against the payload: static go/no-go force check.
+    load = payload_mass * drive.load_per_kg
+    if drive.drive_force < load:
         if not carrier.stalled:
             carrier = replace(carrier, stalled=True)
         return carrier, 0.0, servo.stall_current
@@ -271,12 +295,12 @@ def drain_battery(battery: BatteryState, current: float, dt: float,
         return battery
     if (faults.battery_fail_time is not None
             and now >= faults.battery_fail_time):
-        return replace(battery, voltage=0.0, failed=True)
-    if current < 0.0 or not math.isfinite(current):
+        return BatteryState(0.0, battery.charge, True)
+    if not 0.0 <= current < math.inf:   # also rejects NaN
         raise ParameterError(f"current must be >= 0, got {current!r}")
     if current == 0.0:
         return battery
     charge = battery.charge - current * dt
     if charge <= 0.0:
-        return replace(battery, charge=0.0, voltage=0.0, failed=True)
-    return replace(battery, charge=charge)
+        return BatteryState(0.0, 0.0, True)
+    return BatteryState(battery.voltage, charge, False)

@@ -9,6 +9,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ContractViolationError, DomainError, ParameterError
 
@@ -19,7 +20,9 @@ MOLAR_MASS_AIR = 0.0289644      # kg/mol
 STANDARD_GRAVITY = 9.80665      # m/s^2
 MODEL_CEILING = 11000.0         # m, top of the linear-lapse band
 
-_TIME_EPS = 1e-9                # s, slack for float tick arithmetic
+# s, slack for float arithmetic on the shared logical clock.  Single
+# source for every module that compares tick times.
+TIME_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,7 @@ class AtmosphereModel:
             raise ParameterError("lapse_rate drives temperature below zero "
                                  "inside the model band")
 
-    @property
+    @cached_property
     def exponent(self) -> float:
         """g*M / (R*L), the exponent of the barometric formula."""
         return (STANDARD_GRAVITY * MOLAR_MASS_AIR
@@ -51,7 +54,7 @@ class AtmosphereModel:
 
 def _check_altitude(altitude: float) -> float:
     altitude = float(altitude)
-    if not math.isfinite(altitude) or not 0.0 <= altitude <= MODEL_CEILING:
+    if not 0.0 <= altitude <= MODEL_CEILING:    # also rejects NaN
         raise DomainError(f"altitude {altitude!r} outside model band "
                           f"[0, {MODEL_CEILING}] m")
     return altitude
@@ -71,9 +74,17 @@ def pressure_at_altitude(model: AtmosphereModel, altitude: float) -> float:
 
 
 def density_at_altitude(model: AtmosphereModel, altitude: float) -> float:
-    """Air density in kg/m^3 from the ideal gas law."""
-    pressure = pressure_at_altitude(model, altitude)
-    temperature = temperature_at_altitude(model, altitude)
+    """Air density in kg/m^3 from the ideal gas law.
+
+    Called on every tick of a mission, so it checks the altitude once
+    and inlines the pressure and temperature formulas, with the same
+    operations in the same order as those functions.
+    """
+    altitude = _check_altitude(altitude)
+    lapse = model.lapse_rate
+    base = 1.0 - lapse * altitude / model.sea_level_temperature
+    pressure = model.sea_level_pressure * base ** model.exponent
+    temperature = model.sea_level_temperature - lapse * altitude
     return pressure * MOLAR_MASS_AIR / (GAS_CONSTANT * temperature)
 
 
@@ -90,6 +101,11 @@ def altitude_from_pressure(model: AtmosphereModel, pressure: float) -> float:
         raise DomainError(
             f"pressure {pressure!r} Pa outside model band "
             f"[{min_pressure(model):.1f}, {model.sea_level_pressure}]")
+    return _altitude_in_band(model, pressure)
+
+
+def _altitude_in_band(model: AtmosphereModel, pressure: float) -> float:
+    """The inverse for a pressure already inside the model band."""
     ratio = pressure / model.sea_level_pressure
     return (model.sea_level_temperature / model.lapse_rate) * (
         1.0 - ratio ** (1.0 / model.exponent))
@@ -123,7 +139,8 @@ class Barometer:
     pressure, drawn from the stdlib Mersenne Twister (`random.Random`,
     `normalvariate`), so a given seed reproduces the same stream on any
     platform.  Latency is a fixed delay: a reading emitted at time t
-    reflects the true altitude at t - latency.
+    reflects the true altitude at t - latency.  The truth buffer holds
+    the ticks of one sample period plus the latency.
     """
 
     def __init__(self, spec: BarometerSpec, model: AtmosphereModel) -> None:
@@ -131,8 +148,11 @@ class Barometer:
         self.model = model
         self._rng = random.Random(spec.seed)
         self._period = 1.0 / spec.sample_rate
+        self._latency = spec.latency
         self._next_index = 0            # index of the next sample to emit
-        self._truth: deque = deque()    # (time, altitude) back to t - latency
+        self._next_time = 0.0           # _next_index * _period
+        # (time, altitude) since the last reading, back to t - latency
+        self._truth: deque = deque()
         self._last_time = -math.inf
         self._min_pressure = min_pressure(model)
 
@@ -146,31 +166,35 @@ class Barometer:
                 f"barometer time went backwards: {tick_time} < "
                 f"{self._last_time}")
         self._last_time = tick_time
-
-        # Keep truth[0] as the newest entry at or before t - latency.
         truth = self._truth
         truth.append((tick_time, true_altitude))
-        target = tick_time - self.spec.latency + _TIME_EPS
-        while len(truth) > 1 and truth[1][0] <= target:
-            truth.popleft()
-
-        if tick_time + _TIME_EPS < self._next_index * self._period:
+        if tick_time + TIME_EPS < self._next_time:
             return None
         self._next_index += 1
+        self._next_time = self._next_index * self._period
+
+        # Keep truth[0] as the newest entry at or before t - latency.
+        # Times only grow, so trimming here, once per reading, leaves
+        # what trimming on every tick would.
+        target = tick_time - self._latency + TIME_EPS
+        while len(truth) > 1 and truth[1][0] <= target:
+            truth.popleft()
 
         # Oldest retained entry is the truth from `latency` seconds ago
         # (or the earliest available while the buffer is still filling).
         delayed_altitude = truth[0][1]
-        pressure = pressure_at_altitude(self.model, delayed_altitude)
+        model = self.model
+        pressure = pressure_at_altitude(model, delayed_altitude)
         sigma = self.spec.pressure_noise_sigma
         if sigma > 0.0:
             pressure += self._rng.normalvariate(0.0, sigma)
         quantum = self.spec.quantization
         if quantum > 0.0:
             pressure = round(pressure / quantum) * quantum
-        # Clamp into the invertible band before converting back.
-        if pressure > self.model.sea_level_pressure:
-            pressure = self.model.sea_level_pressure
+        # Clamp into the invertible band, which makes a range check on
+        # the inverse redundant.
+        if pressure > model.sea_level_pressure:
+            pressure = model.sea_level_pressure
         elif pressure < self._min_pressure:
             pressure = self._min_pressure
-        return pressure, altitude_from_pressure(self.model, pressure)
+        return pressure, _altitude_in_band(model, pressure)

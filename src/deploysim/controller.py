@@ -18,14 +18,13 @@ from typing import NamedTuple
 
 from .actuation import (BatteryState, CarrierState, DoorState, ServoSpec,
                         ejection_complete, rack_speed)
+from .atmosphere import TIME_EPS
 from .errors import ParameterError
 from .flight import FlightState
 from .mechanism import MechanismParams
 
 # Settle time between the door reading open and the first push.
 STABILIZE_DWELL_S = 2.0
-
-_TIME_EPS = 1e-9
 
 
 class DeployPhase(enum.Enum):
@@ -46,6 +45,17 @@ PHASE_ORDER = {phase: index for index, phase in enumerate(DeployPhase)}
 _PUSH_INDEX = {DeployPhase.PUSH_1: 1, DeployPhase.PUSH_2: 2,
                DeployPhase.PUSH_3: 3}
 _NEXT_PUSH = {1: DeployPhase.PUSH_2, 2: DeployPhase.PUSH_3}
+
+# Phases compared on every logic tick, bound once: attribute access on
+# an Enum class is slow on Python 3.11 (see flight.py).
+_SAFE_HOLD = DeployPhase.SAFE_HOLD
+_EJECTED = DeployPhase.EJECTED
+_LOCKED = DeployPhase.LOCKED
+_AWAIT_WINDOW = DeployPhase.AWAIT_WINDOW
+_UNLOCKING = DeployPhase.UNLOCKING
+_DOOR_OPEN_WAIT = DeployPhase.DOOR_OPEN_WAIT
+_STABILIZE_DELAY = DeployPhase.STABILIZE_DELAY
+
 MAX_PUSHES = 3
 
 
@@ -228,12 +238,12 @@ class DeploymentController:
         SafeHold and Ejected are absorbing; neither ever emits.
         """
         phase = self.phase
-        if phase is DeployPhase.SAFE_HOLD or phase is DeployPhase.EJECTED:
+        if phase is _SAFE_HOLD or phase is _EJECTED:
             return []
 
-        if phase is DeployPhase.LOCKED:
+        if phase is _LOCKED:
             # Arming happens on the first logic tick after power-up.
-            self.phase = DeployPhase.AWAIT_WINDOW
+            self.phase = _AWAIT_WINDOW
             return []
 
         if battery.failed:
@@ -244,12 +254,12 @@ class DeploymentController:
             return []
         trigger = self.trigger
 
-        if phase is DeployPhase.AWAIT_WINDOW:
+        if phase is _AWAIT_WINDOW:
             armed = self.apogee_seen or not trigger.arm_after_apogee
             if self.apogee_seen and altitude < trigger.deploy_floor:
                 return self._hold(SafeHoldReason.WINDOW_MISSED)
             if armed and trigger.deploy_floor <= altitude <= trigger.deploy_ceiling:
-                self.phase = DeployPhase.UNLOCKING
+                self.phase = _UNLOCKING
                 self.unlock_time = now
                 self.unlocks_sent += 1
                 return [Command("unlock", altitude)]
@@ -259,23 +269,23 @@ class DeploymentController:
         if altitude < trigger.deploy_floor:
             return self._hold(SafeHoldReason.FLOOR_BREACHED)
 
-        if phase is DeployPhase.UNLOCKING:
+        if phase is _UNLOCKING:
             if not door.locked:
-                self.phase = DeployPhase.DOOR_OPEN_WAIT
-            elif now - self.unlock_time >= trigger.door_open_timeout - _TIME_EPS:
+                self.phase = _DOOR_OPEN_WAIT
+            elif now - self.unlock_time >= trigger.door_open_timeout - TIME_EPS:
                 return self._hold(SafeHoldReason.DOOR_TIMEOUT)
             return []
 
-        if phase is DeployPhase.DOOR_OPEN_WAIT:
+        if phase is _DOOR_OPEN_WAIT:
             if door.open:
-                self.phase = DeployPhase.STABILIZE_DELAY
+                self.phase = _STABILIZE_DELAY
                 self.door_open_seen = now
-            elif now - self.unlock_time >= trigger.door_open_timeout - _TIME_EPS:
+            elif now - self.unlock_time >= trigger.door_open_timeout - TIME_EPS:
                 return self._hold(SafeHoldReason.DOOR_TIMEOUT)
             return []
 
-        if phase is DeployPhase.STABILIZE_DELAY:
-            if now - self.door_open_seen >= STABILIZE_DWELL_S - _TIME_EPS:
+        if phase is _STABILIZE_DELAY:
+            if now - self.door_open_seen >= STABILIZE_DWELL_S - TIME_EPS:
                 self.phase = DeployPhase.PUSH_1
                 self._push_phase_start = now
                 self.pushes_sent = 1
@@ -286,7 +296,7 @@ class DeploymentController:
         push_index = _PUSH_INDEX[phase]
         if ejection_complete(carrier, carrier.payload_displacement,
                              self.mechanism):
-            self.phase = DeployPhase.EJECTED
+            self.phase = _EJECTED
             return []
         if carrier.push_count >= push_index and not carrier.pushing:
             if push_index < MAX_PUSHES:
@@ -296,13 +306,13 @@ class DeploymentController:
                 return [Command("push", float(push_index + 1))]
             # All pushes spent without ejection: give up, stay safe.
             return self._hold(SafeHoldReason.PUSHES_EXHAUSTED)
-        if now - self._push_phase_start >= self.push_timeout - _TIME_EPS:
+        if now - self._push_phase_start >= self.push_timeout - TIME_EPS:
             return self._hold(SafeHoldReason.PUSH_TIMEOUT)
         return []
 
     def phase_label(self) -> str:
         """Phase name for telemetry; SafeHold carries its reason."""
-        if (self.phase is DeployPhase.SAFE_HOLD
+        if (self.phase is _SAFE_HOLD
                 and self.safe_hold_reason is not None):
             return f"SafeHold({self.safe_hold_reason.value})"
         return self.phase.value

@@ -7,7 +7,7 @@ drift second order in dt, which the test suite audits.
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from .atmosphere import AtmosphereModel, density_at_altitude
@@ -29,6 +29,20 @@ class PayloadState(enum.Enum):
     FREE_FALL = "FreeFall"
     PARACHUTE_DESCENT = "ParachuteDescent"
     LANDED = "Landed"
+
+
+# Members compared on every tick, bound once.  On Python 3.11 an
+# attribute of an Enum class is looked up through the slow path that
+# EnumType.__getattr__ imposes, about ten times the cost of a global.
+_PRELAUNCH = FlightPhase.PRELAUNCH
+_BOOST = FlightPhase.BOOST
+_COAST = FlightPhase.COAST
+_DROGUE_DESCENT = FlightPhase.DROGUE_DESCENT
+_LANDED = FlightPhase.LANDED
+_STOWED = PayloadState.STOWED
+_FREE_FALL = PayloadState.FREE_FALL
+_PARACHUTE_DESCENT = PayloadState.PARACHUTE_DESCENT
+_PAYLOAD_LANDED = PayloadState.LANDED
 
 
 @dataclass(frozen=True)
@@ -85,26 +99,26 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
                  atmosphere: AtmosphereModel) -> FlightState:
     """Advance the vehicle one step.  Landed states pass through."""
     phase = state.phase
-    if phase is FlightPhase.LANDED:
+    if phase is _LANDED:
         return state
-    if dt <= 0.0 or not math.isfinite(dt):
+    if not 0.0 < dt < math.inf:     # also rejects NaN
         raise ParameterError(f"dt must be > 0, got {dt!r}")
 
-    if phase is FlightPhase.PRELAUNCH:
+    if phase is _PRELAUNCH:
         # Ignition on the first step; unpowered specs go straight to coast.
-        phase = FlightPhase.BOOST if spec.avg_thrust > 0.0 else FlightPhase.COAST
+        phase = _BOOST if spec.avg_thrust > 0.0 else _COAST
 
     mass = state.mass
     propellant = state.propellant
     thrust = 0.0
-    if phase is FlightPhase.BOOST:
+    if phase is _BOOST:
         burned = min(spec.propellant_mass / spec.burn_time * dt, propellant)
         mass -= burned
         propellant -= burned
         thrust = spec.avg_thrust
 
     drag_area = (spec.drogue_drag_area
-                 if phase is FlightPhase.DROGUE_DESCENT
+                 if phase is _DROGUE_DESCENT
                  else spec.drag_area_coast)
     velocity = state.velocity
     drag = 0.0
@@ -118,18 +132,17 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
     altitude = state.altitude + velocity * dt
     time = state.time + dt
 
-    if phase is FlightPhase.BOOST and propellant <= 0.0:
+    if phase is _BOOST and propellant <= 0.0:
         propellant = 0.0
-        phase = FlightPhase.COAST
-    if phase is FlightPhase.COAST and velocity <= 0.0:
-        phase = FlightPhase.DROGUE_DESCENT
-    if altitude <= 0.0 and phase is not FlightPhase.PRELAUNCH:
+        phase = _COAST
+    if phase is _COAST and velocity <= 0.0:
+        phase = _DROGUE_DESCENT
+    if altitude <= 0.0 and phase is not _PRELAUNCH:
         altitude = 0.0
         velocity = 0.0
-        phase = FlightPhase.LANDED
+        phase = _LANDED
 
-    return FlightState(time=time, altitude=altitude, velocity=velocity,
-                       mass=mass, propellant=propellant, phase=phase)
+    return FlightState(time, altitude, velocity, mass, propellant, phase)
 
 
 def detect_apogee(history: Iterable[FlightState]) -> tuple[float, float]:
@@ -164,31 +177,46 @@ class PayloadBody:
                 raise ParameterError(f"{name} must be >= 0, got {value!r}")
 
 
+def _moved(body: PayloadBody, state: PayloadState, altitude: float,
+           velocity: float) -> PayloadBody:
+    """A copy of `body` with a new motion state.
+
+    The copied fields were validated when `body` was built, so this
+    skips `__post_init__`, which `replace()` would run on every tick.
+    """
+    moved = object.__new__(PayloadBody)
+    moved.mass = body.mass
+    moved.parachute_drag_area = body.parachute_drag_area
+    moved.parachute_open_altitude_loss = body.parachute_open_altitude_loss
+    moved.state = state
+    moved.altitude = altitude
+    moved.velocity = velocity
+    return moved
+
+
 def release_payload(body: PayloadBody, altitude: float,
                     velocity: float) -> PayloadBody:
     """Hand the stowed payload its own state vector at ejection."""
-    if body.state is not PayloadState.STOWED:
+    if body.state is not _STOWED:
         raise ContractViolationError("payload already released")
-    return replace(body, state=PayloadState.FREE_FALL,
-                   altitude=altitude, velocity=velocity)
+    return _moved(body, _FREE_FALL, altitude, velocity)
 
 
 def step_payload(body: PayloadBody, dt: float, ejection_altitude: float,
                  atmosphere: AtmosphereModel) -> PayloadBody:
     """Advance a released payload one step.  Landed passes through."""
     state = body.state
-    if state is PayloadState.STOWED:
+    if state is _STOWED:
         raise ContractViolationError("cannot step a stowed payload; it moves "
                                      "with the vehicle until ejection")
-    if state is PayloadState.LANDED:
+    if state is _PAYLOAD_LANDED:
         return body
     if body.altitude <= 0.0:
-        return replace(body, altitude=0.0, velocity=0.0,
-                       state=PayloadState.LANDED)
+        return _moved(body, _PAYLOAD_LANDED, 0.0, 0.0)
 
     velocity = body.velocity
     accel = -GRAVITY
-    if state is PayloadState.PARACHUTE_DESCENT and velocity != 0.0:
+    if state is _PARACHUTE_DESCENT and velocity != 0.0:
         rho = density_at_altitude(atmosphere, body.altitude)
         drag = 0.5 * rho * velocity * velocity * body.parachute_drag_area
         accel -= math.copysign(drag, velocity) / body.mass
@@ -196,12 +224,11 @@ def step_payload(body: PayloadBody, dt: float, ejection_altitude: float,
     altitude = body.altitude + velocity * dt
 
     if altitude <= 0.0:
-        return replace(body, altitude=0.0, velocity=0.0,
-                       state=PayloadState.LANDED)
-    if (state is PayloadState.FREE_FALL
+        return _moved(body, _PAYLOAD_LANDED, 0.0, 0.0)
+    if (state is _FREE_FALL
             and ejection_altitude - altitude >= body.parachute_open_altitude_loss):
-        state = PayloadState.PARACHUTE_DESCENT
-    return replace(body, altitude=altitude, velocity=velocity, state=state)
+        state = _PARACHUTE_DESCENT
+    return _moved(body, state, altitude, velocity)
 
 
 def terminal_speed(mass: float, drag_area: float, rho: float) -> float:

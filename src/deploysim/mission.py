@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .actuation import (BatteryState, CarrierState, DoorState, begin_push,
-                        command_unlock, drain_battery, halt_carrier,
-                        step_carrier, step_door)
+                        carrier_drive, command_unlock, drain_battery,
+                        halt_carrier, step_carrier, step_door)
 from .atmosphere import Barometer
 from .controller import (DeploymentController, DeployPhase, TaskSchedule,
                          TELEMETRY_COLUMNS, TELEMETRY_SCHEMA, TelemetryRecord,
@@ -98,7 +98,9 @@ def run_mission(scenario: Scenario,
     stroke = mechanism.stroke
     fail_time = faults.battery_fail_time
 
+    # TaskSchedule validates dt once for the whole run.
     schedule = TaskSchedule(dt)
+    drive = carrier_drive(servo, mechanism, faults)
     controller = DeploymentController(trigger, mechanism, servo)
     barometer = Barometer(scenario.barometer, atmosphere)
     vehicle = initial_state(vehicle_spec, scenario.payload.mass)
@@ -122,11 +124,18 @@ def run_mission(scenario: Scenario,
     energy = 0.0
     peak_current = 0.0
     charge_drawn = 0.0
+    # Members compared on every tick, bound once: attribute access on an
+    # Enum class is slow on Python 3.11 (see flight.py).
+    safe_hold = DeployPhase.SAFE_HOLD
+    payload_landed = PayloadState.LANDED
+    vehicle_landed = FlightPhase.LANDED
 
     for tick in range(n_ticks):
         now = tick * dt
 
-        # Scheduled battery failure applies from the top of the tick.
+        # Scheduled battery failure applies from the top of the tick, so
+        # the controller sees it on this tick.  The only check of it:
+        # drain_battery below gets no fault plan.
         if fail_time is not None and not battery.failed and now >= fail_time:
             battery = replace(battery, voltage=0.0, failed=True)
 
@@ -155,7 +164,7 @@ def run_mission(scenario: Scenario,
                         unlock_active = True
                     else:
                         carrier = begin_push(carrier, door.open)
-                if (controller.phase is DeployPhase.SAFE_HOLD
+                if (controller.phase is safe_hold
                         and not safe_hold_logged):
                     safe_hold_logged = True
                     events.append(Event(
@@ -166,7 +175,7 @@ def run_mission(scenario: Scenario,
 
         # Safing de-energizes the actuators: the lock rod and the rack
         # hold position.  The door itself is passive and keeps swinging.
-        if controller.phase is DeployPhase.SAFE_HOLD:
+        if controller.phase is safe_hold:
             unlock_active = False
             carrier = halt_carrier(carrier)
 
@@ -186,7 +195,7 @@ def run_mission(scenario: Scenario,
         if carrier.pushing:
             carrier, _, servo_current = step_carrier(
                 carrier, servo, aboard_mass, mechanism, faults, dt,
-                powered=not battery.failed)
+                powered=not battery.failed, drive=drive)
             current += servo_current
             if (not payload_released
                     and carrier.payload_displacement >= stroke):
@@ -203,7 +212,7 @@ def run_mission(scenario: Scenario,
         total_current = current + quiescent
         pre_charge = battery.charge
         pre_voltage = battery.voltage
-        battery = drain_battery(battery, total_current, dt, now, faults)
+        battery = drain_battery(battery, total_current, dt)
         delivered = pre_charge - battery.charge
         if delivered > 0.0:
             charge_drawn += delivered
@@ -211,7 +220,7 @@ def run_mission(scenario: Scenario,
             if total_current > peak_current:
                 peak_current = total_current
 
-        if payload_released and payload.state is not PayloadState.LANDED:
+        if payload_released and payload.state is not payload_landed:
             previous = payload.state
             payload = step_payload(payload, dt, eject_altitude, atmosphere)
             if payload.state is not previous:
@@ -245,16 +254,16 @@ def run_mission(scenario: Scenario,
             if vehicle.phase is FlightPhase.DROGUE_DESCENT:
                 events.append(Event(vehicle.time, "apogee_truth",
                                     vehicle.altitude))
-            elif vehicle.phase is FlightPhase.LANDED:
+            elif vehicle.phase is vehicle_landed:
                 events.append(Event(vehicle.time, "vehicle_landed", 0.0))
 
         # Terminal conditions.
-        if payload.state is PayloadState.LANDED:
+        if payload.state is payload_landed:
             break
-        if vehicle.phase is FlightPhase.LANDED and not payload_released:
+        if vehicle.phase is vehicle_landed and not payload_released:
             break
         if stop_at_verdict and (payload_released
-                                or controller.phase is DeployPhase.SAFE_HOLD):
+                                or controller.phase is safe_hold):
             break
 
     if payload_released:

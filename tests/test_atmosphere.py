@@ -56,6 +56,31 @@ def test_density_follows_ideal_gas():
     assert rho == pytest.approx(1.225, abs=1e-3)
 
 
+def test_density_is_bit_identical_to_the_component_formulas():
+    # density_at_altitude inlines pressure and temperature; it must
+    # reproduce their composition exactly, band edges included.
+    grid = [0.0, 11000.0, 1e-9, 10999.999999]
+    grid += [h * 137.5 for h in range(81)]
+    for h in grid:
+        expected = (pressure_at_altitude(MODEL, h) * 0.0289644
+                    / (8.31432 * temperature_at_altitude(MODEL, h)))
+        assert density_at_altitude(MODEL, h) == expected, h
+    other = AtmosphereModel(sea_level_pressure=95000.0,
+                            sea_level_temperature=300.0, lapse_rate=0.008)
+    for h in grid:
+        expected = (pressure_at_altitude(other, h) * 0.0289644
+                    / (8.31432 * temperature_at_altitude(other, h)))
+        assert density_at_altitude(other, h) == expected, h
+
+
+def test_density_rejects_what_pressure_rejects():
+    for bad in (-1.0, 11000.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            density_at_altitude(MODEL, bad)
+    assert density_at_altitude(MODEL, 300) == density_at_altitude(MODEL,
+                                                                  300.0)
+
+
 def test_pressure_is_strictly_decreasing():
     rng = random.Random(11)
     for _ in range(300):

@@ -76,6 +76,16 @@ def test_run_scenario_file(tmp_path, capsys):
     assert "outcome=Timeout" in capsys.readouterr().out
 
 
+def test_run_flight_above_model_band_is_config_error(tmp_path, capsys):
+    deck = tmp_path / "high.scn"
+    deck.write_text("vehicle.avg_thrust = 20000.0\nvehicle.burn_time = 6.0\n",
+                    encoding="utf-8")
+    code = main(["run", "--scenario", str(deck),
+                 "--out", str(tmp_path / "o")])
+    assert code == 64
+    assert "outside model band" in capsys.readouterr().err
+
+
 def test_run_fault_injection_exit_code(tmp_path, capsys):
     code = main(["run", "--scenario", "altair_nominal",
                  "--fault", "door_jam", "--out", str(tmp_path / "o")])

@@ -6,6 +6,7 @@ integrator at dt = 1 ms must land within 0.1% of it.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -237,6 +238,30 @@ def test_payload_lands_and_stays_landed():
     assert body.altitude == 0.0
     again = step_payload(body, 0.001, 30.0, MODEL)
     assert again is body
+
+
+def test_step_payload_returns_a_new_body_equal_to_replace():
+    body = release_payload(tumbling(chute=0.45, loss=5.0), 400.0, -20.0)
+    for _ in range(2000):
+        before = replace(body)
+        stepped = step_payload(body, 0.001, 400.0, MODEL)
+        assert body == before           # the input is left untouched
+        assert stepped is not body
+        assert stepped == replace(body, state=stepped.state,
+                                  altitude=stepped.altitude,
+                                  velocity=stepped.velocity)
+        body = stepped
+    assert body.state is PayloadState.PARACHUTE_DESCENT
+    landed = step_payload(replace(body, altitude=0.0), 0.001, 400.0, MODEL)
+    assert landed == replace(body, state=PayloadState.LANDED, altitude=0.0,
+                             velocity=0.0)
+
+
+def test_step_vehicle_rejects_bad_dt():
+    state = initial_state(DRAG_FREE)
+    for bad in (0.0, -0.001, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            step_vehicle(DRAG_FREE, state, bad, MODEL)
 
 
 def test_free_fall_is_drag_free():

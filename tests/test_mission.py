@@ -25,7 +25,7 @@ from deploysim import (
     sweep,
     verdict_lines,
 )
-from deploysim.errors import ScenarioError
+from deploysim.errors import DomainError, ScenarioError
 
 NOMINAL = bundled_scenario("altair_nominal")
 
@@ -293,6 +293,15 @@ def test_verdict_lines_round_trip(nominal_result):
     assert float(fields["deploy_altitude_m"]) == pytest.approx(325.69,
                                                                abs=0.01)
     assert float(fields["energy_used_j"]) > 0.0
+
+
+def test_flight_above_the_model_band_raises_mid_mission():
+    # The tick loop checks each altitude once; a vehicle that climbs
+    # past 11 km must still stop the run with DomainError.
+    high = scenario_with(NOMINAL, {"vehicle.avg_thrust": 20000.0,
+                                   "vehicle.burn_time": 6.0})
+    with pytest.raises(DomainError, match="outside model band"):
+        run_mission(high)
 
 
 def test_exit_code_table_is_total():
