@@ -9,25 +9,21 @@ reproduce byte-identical telemetry.
 
 from .actuation import (BatteryState, CarrierState, DoorSpec, DoorState,
                         FaultPlan, NO_FAULTS, ServoSpec, begin_push,
-                        command_unlock,
-                        drain_battery, ejection_complete, halt_carrier,
-                        rack_speed,
-                        step_carrier, step_door)
+                        command_unlock, drain_battery, halt_carrier,
+                        rack_speed, step_carrier, step_door)
 from .atmosphere import (AtmosphereModel, Barometer, BarometerSpec,
                          altitude_from_pressure, density_at_altitude,
-                         min_pressure, pressure_at_altitude,
-                         temperature_at_altitude)
+                         pressure_at_altitude, temperature_at_altitude)
 from .controller import (Command, DeploymentController, DeployPhase,
                          STABILIZE_DWELL_S, SafeHoldReason, TELEMETRY_COLUMNS,
                          TELEMETRY_SCHEMA, TaskSchedule, TelemetryRecord,
-                         TriggerConfig, make_telemetry_record, scheduler_tick)
-from .errors import (ApogeeNotFoundError, ContractViolationError,
-                     DeploySimError, DomainError, ParameterError,
-                     ScenarioError, SingularConfigurationError)
+                         TriggerConfig, make_telemetry_record)
+from .errors import (ContractViolationError, DeploySimError, DomainError,
+                     ParameterError, ScenarioError,
+                     SingularConfigurationError)
 from .flight import (FlightPhase, FlightState, PayloadBody, PayloadState,
-                     VehicleSpec, detect_apogee, initial_state,
-                     release_payload, step_payload, step_vehicle,
-                     terminal_speed)
+                     VehicleSpec, initial_state, release_payload,
+                     step_payload, step_vehicle, terminal_speed)
 from .mechanism import (MechanismParams, SizingReport, friction_force,
                         max_payload_mass, required_acceleration,
                         sizing_report, tangential_force)
@@ -42,7 +38,7 @@ from .scenario import (Scenario, build_scenario, bundled_scenario,
 __version__ = "1.0.0"
 
 __all__ = [
-    "AtmosphereModel", "ApogeeNotFoundError", "Barometer", "BarometerSpec",
+    "AtmosphereModel", "Barometer", "BarometerSpec",
     "BatteryState", "COMMANDS_SCHEMA", "COMMAND_COLUMNS", "CONFIG_ERROR_EXIT",
     "CarrierState", "Command", "CommandLogEntry", "ContractViolationError",
     "DeploySimError", "DeployPhase", "DeploymentController", "DomainError",
@@ -54,13 +50,13 @@ __all__ = [
     "TELEMETRY_COLUMNS", "TELEMETRY_SCHEMA", "TaskSchedule", "TelemetryRecord",
     "TriggerConfig", "VehicleSpec", "altitude_from_pressure", "begin_push",
     "build_scenario", "bundled_scenario", "command_unlock",
-    "density_at_altitude", "detect_apogee", "drain_battery", "halt_carrier",
-    "ejection_complete", "friction_force", "initial_state", "list_bundled",
+    "density_at_altitude", "drain_battery", "halt_carrier",
+    "friction_force", "initial_state", "list_bundled",
     "load_scenario", "make_telemetry_record", "max_payload_mass",
-    "min_pressure", "parse_scenario_text", "pressure_at_altitude",
+    "parse_scenario_text", "pressure_at_altitude",
     "rack_speed", "release_payload", "render_commands_csv",
     "render_telemetry_csv", "required_acceleration", "run_mission",
-    "scenario_with", "scheduler_tick", "sizing_report", "step_carrier",
+    "scenario_with", "sizing_report", "step_carrier",
     "step_door", "step_payload", "step_vehicle", "sweep", "tangential_force",
     "temperature_at_altitude", "terminal_speed", "verdict_lines",
 ]

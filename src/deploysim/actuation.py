@@ -16,30 +16,27 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import ContractViolationError, ParameterError
-from .mechanism import MechanismParams, required_acceleration, tangential_force
+from .mechanism import (GRAVITY, MechanismParams, required_acceleration,
+                        tangential_force)
 
 
 @dataclass(frozen=True)
 class ServoSpec:
-    """Drive servo datasheet figures (6 V column)."""
+    """Drive servo datasheet figures (6 V column).  The stall torque
+    that sets the drive force is `MechanismParams.servo_stall_torque`."""
 
-    stall_torque: float = 0.98          # N*m
     rated_speed: float = 1.0            # rev/s (60 RPM)
-    running_current_min: float = 0.5    # A
     running_current_max: float = 0.9    # A
     stall_current: float = 2.0          # A
-    operating_voltage: float = 6.0      # V
 
     def __post_init__(self) -> None:
-        for name in ("stall_torque", "rated_speed", "stall_current",
-                     "operating_voltage"):
+        for name in ("rated_speed", "stall_current"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
                 raise ParameterError(f"{name} must be > 0, got {value!r}")
-        if not (0.0 <= self.running_current_min
-                <= self.running_current_max <= self.stall_current):
-            raise ParameterError("running currents must satisfy 0 <= min <= "
-                                 "max <= stall_current")
+        if not 0.0 <= self.running_current_max <= self.stall_current:
+            raise ParameterError("running current must satisfy 0 <= "
+                                 "running_current_max <= stall_current")
 
 
 def rack_speed(servo: ServoSpec, pitch_diameter: float) -> float:
@@ -105,8 +102,7 @@ NO_FAULTS = FaultPlan()
 
 @dataclass(slots=True)
 class DoorState:
-    locked: bool = True
-    rod_extended: bool = True
+    locked: bool = True         # the lock rod is extended
     rod_travel: float = 1.0     # fraction of lock-rod travel remaining
     angle: float = 0.0          # rad
     open: bool = False
@@ -132,24 +128,23 @@ class BatteryState:
 
 
 def command_unlock(door: DoorState, battery: BatteryState, spec: DoorSpec,
-                   dt: float, faults: FaultPlan = NO_FAULTS) -> DoorState:
+                   dt: float) -> DoorState:
     """Step the lock-rod retraction.  No-op on a dead battery or once
     the rod is already retracted.  A door jam does not stop the rod."""
-    if battery.failed or not door.rod_extended:
+    if battery.failed or not door.locked:
         return door
     travel = door.rod_travel - dt / spec.rod_travel_time
     if travel <= 0.0:
-        return replace(door, rod_travel=0.0, rod_extended=False, locked=False)
+        return replace(door, rod_travel=0.0, locked=False)
     return replace(door, rod_travel=travel)
 
 
-def step_door(door: DoorState, spec: DoorSpec, drag_torque_proxy: float,
-              dt: float, faults: FaultPlan = NO_FAULTS) -> DoorState:
+def step_door(door: DoorState, spec: DoorSpec, dt: float,
+              faults: FaultPlan = NO_FAULTS) -> DoorState:
     """Swing the door toward full open at a constant rate.
 
-    `drag_torque_proxy` is accepted for interface stability; the
-    constant-rate model does not use it.  The door is unpowered, so it
-    keeps opening even after a battery failure.
+    The door is unpowered, so it keeps opening even after a battery
+    failure.
     """
     if door.locked or faults.door_jam or door.angle >= spec.max_open:
         return door
@@ -199,7 +194,7 @@ def carrier_drive(servo: ServoSpec, params: MechanismParams,
                                   params.deployment_time_budget)
     return CarrierDrive(
         rack_speed=rack_speed(servo, params.pinion_pitch_diameter),
-        load_per_kg=mu_eff * params.gravity + accel,
+        load_per_kg=mu_eff * GRAVITY + accel,
         drive_force=tangential_force(params.servo_stall_torque,
                                      params.pinion_pitch_diameter,
                                      params.drivetrain_efficiency))
@@ -207,8 +202,7 @@ def carrier_drive(servo: ServoSpec, params: MechanismParams,
 
 def step_carrier(carrier: CarrierState, servo: ServoSpec, payload_mass: float,
                  params: MechanismParams, faults: FaultPlan, dt: float,
-                 powered: bool = True,
-                 drive: CarrierDrive | None = None,
+                 drive: CarrierDrive, powered: bool = True,
                  ) -> tuple[CarrierState, float, float]:
     """Advance the carrier one step.
 
@@ -216,15 +210,12 @@ def step_carrier(carrier: CarrierState, servo: ServoSpec, payload_mass: float,
     draw in A).  Idle or unpowered carriers draw nothing and do not
     move.  Extension against a load the servo cannot overcome holds the
     rack still at stall current.  `drive` is
-    `carrier_drive(servo, params, faults)`, which a caller stepping many
-    times passes in so it is not computed again on every step.
+    `carrier_drive(servo, params, faults)`, computed once per mission.
     """
     if not carrier.pushing or not powered:
         return carrier, 0.0, 0.0
     if payload_mass < 0.0 or not math.isfinite(payload_mass):
         raise ParameterError(f"payload_mass must be >= 0, got {payload_mass!r}")
-    if drive is None:
-        drive = carrier_drive(servo, params, faults)
     speed = drive.rack_speed
 
     if carrier.retracting:
@@ -277,25 +268,16 @@ def step_carrier(carrier: CarrierState, servo: ServoSpec, payload_mass: float,
     return new, transmitted, servo.running_current_max
 
 
-def ejection_complete(carrier: CarrierState, cumulative_displacement: float,
-                      params: MechanismParams) -> bool:
-    """True once the payload has been pushed the full stroke."""
-    return cumulative_displacement >= params.stroke
+def drain_battery(battery: BatteryState, current: float,
+                  dt: float) -> BatteryState:
+    """Coulomb-count the pack.
 
-
-def drain_battery(battery: BatteryState, current: float, dt: float,
-                  now: float = 0.0,
-                  faults: FaultPlan = NO_FAULTS) -> BatteryState:
-    """Coulomb-count the pack and apply scheduled failures.
-
-    Voltage steps to zero when the charge runs out or the failure time
-    passes; a failed pack stays failed.
+    Voltage steps to zero when the charge runs out; a failed pack stays
+    failed.  The scheduled failure of the fault plan is applied by the
+    mission loop.
     """
     if battery.failed:
         return battery
-    if (faults.battery_fail_time is not None
-            and now >= faults.battery_fail_time):
-        return BatteryState(0.0, battery.charge, True)
     if not 0.0 <= current < math.inf:   # also rejects NaN
         raise ParameterError(f"current must be >= 0, got {current!r}")
     if current == 0.0:

@@ -17,7 +17,10 @@ from .errors import ContractViolationError, DomainError, ParameterError
 # module that needs air properties.
 GAS_CONSTANT = 8.31432          # J/(mol*K)
 MOLAR_MASS_AIR = 0.0289644      # kg/mol
-STANDARD_GRAVITY = 9.80665      # m/s^2
+# m/s^2, g0 of the barometric formula.  Flight and sizing use
+# mechanism.GRAVITY = 9.81; the two are kept apart because either
+# change would move every output byte.
+STANDARD_GRAVITY = 9.80665
 MODEL_CEILING = 11000.0         # m, top of the linear-lapse band
 
 # s, slack for float arithmetic on the shared logical clock.  Single
@@ -50,6 +53,11 @@ class AtmosphereModel:
         """g*M / (R*L), the exponent of the barometric formula."""
         return (STANDARD_GRAVITY * MOLAR_MASS_AIR
                 / (GAS_CONSTANT * self.lapse_rate))
+
+    @cached_property
+    def min_pressure(self) -> float:
+        """Pressure at the top of the model band; lower is out of range."""
+        return pressure_at_altitude(self, MODEL_CEILING)
 
 
 def _check_altitude(altitude: float) -> float:
@@ -88,19 +96,14 @@ def density_at_altitude(model: AtmosphereModel, altitude: float) -> float:
     return pressure * MOLAR_MASS_AIR / (GAS_CONSTANT * temperature)
 
 
-def min_pressure(model: AtmosphereModel) -> float:
-    """Pressure at the top of the model band; lower is out of range."""
-    return pressure_at_altitude(model, MODEL_CEILING)
-
-
 def altitude_from_pressure(model: AtmosphereModel, pressure: float) -> float:
     """Invert the barometric formula.  Exact closed form, no iteration."""
     pressure = float(pressure)
     if (not math.isfinite(pressure)
-            or not min_pressure(model) <= pressure <= model.sea_level_pressure):
+            or not model.min_pressure <= pressure <= model.sea_level_pressure):
         raise DomainError(
             f"pressure {pressure!r} Pa outside model band "
-            f"[{min_pressure(model):.1f}, {model.sea_level_pressure}]")
+            f"[{model.min_pressure:.1f}, {model.sea_level_pressure}]")
     return _altitude_in_band(model, pressure)
 
 
@@ -154,7 +157,6 @@ class Barometer:
         # (time, altitude) since the last reading, back to t - latency
         self._truth: deque = deque()
         self._last_time = -math.inf
-        self._min_pressure = min_pressure(model)
 
     def sample(self, true_altitude: float, tick_time: float):
         """Feed one tick of truth; get (pressure, altitude) or None.
@@ -195,6 +197,6 @@ class Barometer:
         # the inverse redundant.
         if pressure > model.sea_level_pressure:
             pressure = model.sea_level_pressure
-        elif pressure < self._min_pressure:
-            pressure = self._min_pressure
+        elif pressure < model.min_pressure:
+            pressure = model.min_pressure
         return pressure, _altitude_in_band(model, pressure)

@@ -88,7 +88,7 @@ def _out_dir(args) -> Path:
 def _cmd_sizing(args) -> int:
     overrides = {name: getattr(args, name) for name in (
         "servo_stall_torque", "pinion_pitch_diameter", "drivetrain_efficiency",
-        "friction_coefficient", "stroke", "deployment_time_budget", "gravity")
+        "friction_coefficient", "stroke", "deployment_time_budget")
         if getattr(args, name) is not None}
     params = MechanismParams(**overrides)
     report = sizing_report(params)
@@ -180,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     sizing.add_argument("--stroke", dest="stroke", type=float, help="m")
     sizing.add_argument("--time-budget", dest="deployment_time_budget",
                         type=float, help="s")
-    sizing.add_argument("--gravity", dest="gravity", type=float, help="m/s^2")
     sizing.add_argument("--machine", action="store_true",
                         help="key=value output only")
     sizing.set_defaults(func=_cmd_sizing)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .actuation import (BatteryState, CarrierState, DoorState, ServoSpec,
-                        ejection_complete, rack_speed)
+                        rack_speed)
 from .atmosphere import TIME_EPS
 from .errors import ParameterError
 from .flight import FlightState
@@ -40,8 +40,6 @@ class DeployPhase(enum.Enum):
     SAFE_HOLD = "SafeHold"
 
 
-# Nominal progression order; used by tests to assert monotonicity.
-PHASE_ORDER = {phase: index for index, phase in enumerate(DeployPhase)}
 _PUSH_INDEX = {DeployPhase.PUSH_1: 1, DeployPhase.PUSH_2: 2,
                DeployPhase.PUSH_3: 3}
 _NEXT_PUSH = {1: DeployPhase.PUSH_2, 2: DeployPhase.PUSH_3}
@@ -122,30 +120,19 @@ DEFAULT_TASKS = (
 )
 
 
-def _lcm(values):
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out
-
-
 class TaskSchedule:
-    """Fixed-priority rate table on the logical clock.
+    """The fixed-priority rate table `DEFAULT_TASKS` on the logical clock.
 
     Priority is listed order; tasks due on the same tick run in that
     order, each to completion.  dt must divide every task period
     exactly, which keeps due-ness pure integer arithmetic.
     """
 
-    def __init__(self, dt: float, tasks=DEFAULT_TASKS) -> None:
+    def __init__(self, dt: float) -> None:
         if not math.isfinite(dt) or dt <= 0.0:
             raise ParameterError(f"dt must be > 0, got {dt!r}")
-        self.dt = dt
-        self.tasks = tuple((str(name), float(rate)) for name, rate in tasks)
         period_ticks = []
-        for name, rate in self.tasks:
-            if rate <= 0.0:
-                raise ParameterError(f"task {name!r} rate must be > 0")
+        for name, rate in DEFAULT_TASKS:
             period = 1.0 / rate
             ticks = round(period / dt)
             if ticks < 1 or abs(ticks * dt - period) > 1e-9 * max(period, dt):
@@ -153,26 +140,17 @@ class TaskSchedule:
                     f"dt={dt} does not divide the period of task {name!r} "
                     f"({period} s)")
             period_ticks.append(ticks)
-        self._period_ticks = tuple(period_ticks)
         # Due-ness repeats with the period lcm; precompute one cycle.
-        cycle = _lcm(period_ticks) if period_ticks else 1
+        cycle = math.lcm(*period_ticks)
         self._cycle = cycle
         self._pattern = tuple(
-            tuple(name for (name, _), p in zip(self.tasks, period_ticks)
+            tuple(name for (name, _), p in zip(DEFAULT_TASKS, period_ticks)
                   if tick % p == 0)
             for tick in range(cycle))
 
     def due_at_tick(self, tick: int) -> tuple[str, ...]:
+        """Tasks due on tick `tick`, in priority order."""
         return self._pattern[tick % self._cycle]
-
-
-def scheduler_tick(schedule: TaskSchedule, now: float) -> list[str]:
-    """Tasks due at logical time `now`, in priority order."""
-    tick = round(now / schedule.dt)
-    if abs(tick * schedule.dt - now) > 1e-9:
-        raise ParameterError(f"now={now!r} is not on the dt grid "
-                             f"({schedule.dt})")
-    return list(schedule.due_at_tick(tick))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +272,7 @@ class DeploymentController:
 
         # Push phases.
         push_index = _PUSH_INDEX[phase]
-        if ejection_complete(carrier, carrier.payload_displacement,
-                             self.mechanism):
+        if carrier.payload_displacement >= self.mechanism.stroke:
             self.phase = _EJECTED
             return []
         if carrier.push_count >= push_index and not carrier.pushing:

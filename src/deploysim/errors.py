@@ -17,10 +17,6 @@ class DomainError(DeploySimError, ValueError):
     """A query lies outside the validity band of a model."""
 
 
-class ApogeeNotFoundError(DeploySimError, LookupError):
-    """The supplied history never crosses from ascent to descent."""
-
-
 class ContractViolationError(DeploySimError, RuntimeError):
     """An operation was invoked in a state its contract forbids."""
 

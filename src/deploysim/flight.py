@@ -8,12 +8,10 @@ drift second order in dt, which the test suite audits.
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .atmosphere import AtmosphereModel, density_at_altitude
-from .errors import ApogeeNotFoundError, ContractViolationError, ParameterError
-
-GRAVITY = 9.81  # m/s^2, matches the sizing convention
+from .errors import ContractViolationError, ParameterError
+from .mechanism import GRAVITY
 
 
 class FlightPhase(enum.Enum):
@@ -143,14 +141,6 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
         phase = _LANDED
 
     return FlightState(time, altitude, velocity, mass, propellant, phase)
-
-
-def detect_apogee(history: Iterable[FlightState]) -> tuple[float, float]:
-    """(time, altitude) of the first sample with velocity <= 0."""
-    for state in history:
-        if state.velocity <= 0.0:
-            return state.time, state.altitude
-    raise ApogeeNotFoundError("history never reaches a non-positive velocity")
 
 
 @dataclass(slots=True)

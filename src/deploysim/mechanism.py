@@ -17,6 +17,10 @@ The sizing chain is:
 The payload limit is where the carrier transitions from moving the
 payload to stalling against it, so the same expression doubles as the
 go/no-go threshold in the actuation model.
+
+The flight hardware cuts a module-2, 10-tooth pinion against a 66.48 mm
+rack at a 14.5 degree pressure angle; only the pitch diameter and the
+stroke enter the model.
 """
 
 import math
@@ -24,13 +28,8 @@ from dataclasses import dataclass
 
 from .errors import ParameterError, SingularConfigurationError
 
-# Drivetrain geometry carried for reference.  Only the pitch diameter
-# (via MechanismParams) and the stroke enter the motion model; the rest
-# documents the gear cut used on the flight hardware.
-GEAR_MODULE_MM = 2.0
-GEAR_TOOTH_COUNT = 10
-RACK_LENGTH_M = 0.06648
-RACK_PRESSURE_ANGLE_DEG = 14.5
+# m/s^2, the one gravity of sizing, the carrier load and flight.
+GRAVITY = 9.81
 
 
 def _finite(name: str, value: float) -> float:
@@ -68,14 +67,12 @@ class MechanismParams:
     friction_coefficient: float = 0.61      # payload on bulkhead, dry sliding
     stroke: float = 0.060                   # m of travel to clear the bay
     deployment_time_budget: float = 5.0     # s allowed for the push
-    gravity: float = 9.81                   # m/s^2
 
     def __post_init__(self) -> None:
         _positive("servo_stall_torque", self.servo_stall_torque)
         _positive("pinion_pitch_diameter", self.pinion_pitch_diameter)
         _positive("stroke", self.stroke)
         _positive("deployment_time_budget", self.deployment_time_budget)
-        _positive("gravity", self.gravity)
         eff = _finite("drivetrain_efficiency", self.drivetrain_efficiency)
         if not 0.0 < eff <= 1.0:
             raise ParameterError(
@@ -158,9 +155,9 @@ def sizing_report(params: MechanismParams) -> SizingReport:
                                  params.drivetrain_efficiency)
     accel = required_acceleration(params.stroke, 0.0,
                                   params.deployment_time_budget)
-    per_kg = friction_force(params.friction_coefficient, 1.0, params.gravity)
+    per_kg = friction_force(params.friction_coefficient, 1.0, GRAVITY)
     mass_limit = max_payload_mass(effective, params.friction_coefficient,
-                                  params.gravity, accel)
+                                  GRAVITY, accel)
     return SizingReport(
         ideal_tangential_force=ideal,
         effective_tangential_force=effective,

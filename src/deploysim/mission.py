@@ -134,8 +134,7 @@ def run_mission(scenario: Scenario,
         now = tick * dt
 
         # Scheduled battery failure applies from the top of the tick, so
-        # the controller sees it on this tick.  The only check of it:
-        # drain_battery below gets no fault plan.
+        # the controller sees it on this tick.
         if fail_time is not None and not battery.failed and now >= fail_time:
             battery = replace(battery, voltage=0.0, failed=True)
 
@@ -181,21 +180,21 @@ def run_mission(scenario: Scenario,
 
         # Actuation over [now, now + dt).
         current = 0.0
-        if unlock_active and door.rod_extended:
-            door = command_unlock(door, battery, door_spec, dt, faults)
+        if unlock_active and door.locked:
+            door = command_unlock(door, battery, door_spec, dt)
             if not battery.failed:
                 current += door_spec.actuator_current
-            if not door.rod_extended:
+            if not door.locked:
                 events.append(Event(now, "door_unlocked", 0.0))
         if not door.locked and door.angle < door_spec.max_open:
             was_open = door.open
-            door = step_door(door, door_spec, 0.0, dt, faults)
+            door = step_door(door, door_spec, dt, faults)
             if door.open and not was_open:
                 events.append(Event(now, "door_open", door.angle))
         if carrier.pushing:
             carrier, _, servo_current = step_carrier(
-                carrier, servo, aboard_mass, mechanism, faults, dt,
-                powered=not battery.failed, drive=drive)
+                carrier, servo, aboard_mass, mechanism, faults, dt, drive,
+                powered=not battery.failed)
             current += servo_current
             if (not payload_released
                     and carrier.payload_displacement >= stroke):
@@ -295,22 +294,28 @@ def run_mission(scenario: Scenario,
 def sweep(base: Scenario, key: str, values) -> list[tuple[float, MissionVerdict]]:
     """One independent run per value, same seed, rows in input order.
 
-    The swept key must exist in the schema and be numeric; that is
-    checked before any run starts.  Each run stops as soon as its
-    verdict is decided, since the sweep output is just the table.
+    The swept key must exist in the schema and be numeric, and every
+    value must pass the key's check; that is checked before any run
+    starts.  An int key takes integral floats, which is how the CLI
+    parses values.  Each run stops as soon as its verdict is decided,
+    since the sweep output is just the table.
     """
     entry = SCHEMA.get(key)
     if entry is None:
         raise ScenarioError(f"unknown sweep key {key!r}")
     if entry.kind is bool:
         raise ScenarioError(f"sweep key {key!r} is not numeric")
-    table = []
-    for raw in values:
-        value = int(raw) if entry.kind is int else float(raw)
-        result = run_mission(scenario_with(base, {key: value}),
-                             stop_at_verdict=True)
-        table.append((value, result.verdict))
-    return table
+    checked = []
+    for value in values:
+        if entry.kind is int and isinstance(value, float):
+            if not value.is_integer():
+                raise ScenarioError(f"sweep key {key!r} expects integers, "
+                                    f"got {value!r}")
+            value = int(value)
+        checked.append(entry.check(key, value))
+    return [(value, run_mission(scenario_with(base, {key: value}),
+                                stop_at_verdict=True).verdict)
+            for value in checked]
 
 
 # ---------------------------------------------------------------------------

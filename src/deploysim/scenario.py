@@ -18,6 +18,9 @@ from .flight import PayloadBody, VehicleSpec
 from .mechanism import MechanismParams
 
 
+_EXPECTS = {bool: "true/false", int: "an integer", float: "a number"}
+
+
 class _Key:
     """One schema entry: type, default, allowed range, documentation."""
 
@@ -33,9 +36,27 @@ class _Key:
         self.doc = doc
 
     def check(self, key: str, value):
-        if self.kind is bool or value is None:
-            return
-        if not math.isfinite(value):
+        """The value as stored: a bool for bool keys, an int for int
+        keys, a float for float keys, None only where that is the
+        default.  Raises ScenarioError naming the key otherwise."""
+        kind = self.kind
+        if type(value) is not kind:
+            if value is None and self.default is None:
+                return None
+            # bool is a subclass of int, and no number key means True.
+            if (kind is bool or isinstance(value, bool)
+                    or not isinstance(value, (int, float) if kind is float
+                                      else int)):
+                raise ScenarioError(f"{key} expects {_EXPECTS[kind]}, "
+                                    f"got {value!r}")
+            if kind is float:
+                try:
+                    value = float(value)
+                except OverflowError:   # an int beyond the float range
+                    value = math.inf
+        if kind is bool:
+            return value
+        if kind is float and not math.isfinite(value):
             raise ScenarioError(f"{key}: value must be finite, got {value!r}")
         if self.low is not None:
             if self.low_open and value <= self.low:
@@ -46,6 +67,7 @@ class _Key:
                                     f"got {value}")
         if self.high is not None and value > self.high:
             raise ScenarioError(f"{key}: must be <= {self.high}, got {value}")
+        return value
 
 
 def _pos(kind, default, doc=""):
@@ -76,14 +98,10 @@ SCHEMA: dict[str, _Key] = {
     "mechanism.friction": _nonneg(float, 0.61, "payload-on-bulkhead mu"),
     "mechanism.stroke": _pos(float, 0.060, "m"),
     "mechanism.time_budget": _pos(float, 5.0, "s"),
-    "mechanism.gravity": _pos(float, 9.81, "m/s^2"),
     # Drive servo (speed and current model)
-    "servo.stall_torque": _pos(float, 0.98, "N*m"),
     "servo.rated_speed": _pos(float, 1.0, "rev/s"),
-    "servo.running_current_min": _nonneg(float, 0.5, "A"),
     "servo.running_current_max": _nonneg(float, 0.9, "A"),
     "servo.stall_current": _pos(float, 2.0, "A"),
-    "servo.voltage": _pos(float, 6.0, "V"),
     # Bay door
     "door.rod_travel_time": _pos(float, 0.5, "s"),
     "door.open_time": _pos(float, 0.3, "s"),
@@ -167,8 +185,7 @@ def _parse_value(key: str, raw: str, where: str):
             return int(raw, 10)
         return float(raw)
     except ValueError:
-        raise ScenarioError(f"{where}: {key} expects "
-                            f"{'an integer' if entry.kind is int else 'a number'}, "
+        raise ScenarioError(f"{where}: {key} expects {_EXPECTS[entry.kind]}, "
                             f"got {raw!r}") from None
 
 
@@ -204,8 +221,8 @@ def build_scenario(overrides: dict | None = None) -> Scenario:
             if key not in SCHEMA:
                 raise ScenarioError(f"unknown key {key!r}")
             values[key] = value
-    for key, value in values.items():
-        SCHEMA[key].check(key, value)
+    values = {key: SCHEMA[key].check(key, value)
+              for key, value in values.items()}
 
     def group(section: str) -> dict:
         prefix = section + "."
@@ -231,13 +248,11 @@ def build_scenario(overrides: dict | None = None) -> Scenario:
             pinion_pitch_diameter=m["pitch_diameter"],
             drivetrain_efficiency=m["efficiency"],
             friction_coefficient=m["friction"], stroke=m["stroke"],
-            deployment_time_budget=m["time_budget"], gravity=m["gravity"])
+            deployment_time_budget=m["time_budget"])
         servo = ServoSpec(
-            stall_torque=s["stall_torque"], rated_speed=s["rated_speed"],
-            running_current_min=s["running_current_min"],
+            rated_speed=s["rated_speed"],
             running_current_max=s["running_current_max"],
-            stall_current=s["stall_current"],
-            operating_voltage=s["voltage"])
+            stall_current=s["stall_current"])
         door = DoorSpec(
             rod_travel_time=d["rod_travel_time"], open_time=d["open_time"],
             max_open=d["max_open"], open_threshold=d["open_threshold"],
@@ -277,7 +292,7 @@ def build_scenario(overrides: dict | None = None) -> Scenario:
         door=door, barometer=barometer, trigger=trigger, battery=battery,
         quiescent_current=bat["quiescent_current"], atmosphere=atmosphere,
         faults=faults, dt=sim["dt"], seed=sim["seed"],
-        max_sim_time=sim["max_sim_time"], values=dict(values))
+        max_sim_time=sim["max_sim_time"], values=values)
 
 
 def scenario_with(base: Scenario, overrides: dict) -> Scenario:

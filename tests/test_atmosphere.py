@@ -21,7 +21,6 @@ from deploysim import (
     ParameterError,
     altitude_from_pressure,
     density_at_altitude,
-    min_pressure,
     pressure_at_altitude,
     temperature_at_altitude,
 )
@@ -101,7 +100,8 @@ def test_altitude_pressure_round_trip():
 
 def test_round_trip_other_direction():
     rng = random.Random(13)
-    lo = min_pressure(MODEL)
+    lo = MODEL.min_pressure
+    assert lo == pressure_at_altitude(MODEL, 11000.0)
     for _ in range(200):
         p = rng.uniform(lo, 101325.0)
         h = altitude_from_pressure(MODEL, p)
@@ -119,7 +119,7 @@ def test_pressure_outside_band_rejected():
     with pytest.raises(DomainError):
         altitude_from_pressure(MODEL, 101326.0)
     with pytest.raises(DomainError):
-        altitude_from_pressure(MODEL, min_pressure(MODEL) - 1.0)
+        altitude_from_pressure(MODEL, MODEL.min_pressure - 1.0)
     with pytest.raises(DomainError):
         altitude_from_pressure(MODEL, 0.0)
 
@@ -242,7 +242,7 @@ def test_clamp_keeps_altitude_in_band():
     baro = Barometer(spec, MODEL)
     for k in range(500):
         pressure, altitude = baro.sample(2.0, k * 0.02)
-        assert min_pressure(MODEL) <= pressure <= 101325.0
+        assert MODEL.min_pressure <= pressure <= 101325.0
         assert 0.0 <= altitude <= 11000.0
 
 

@@ -46,6 +46,20 @@ def test_sizing_rejects_bad_value(capsys):
     assert main(["sizing", "--efficiency", "1.5"]) == 64
 
 
+def test_sizing_has_no_gravity_option(capsys):
+    # Gravity is the fixed 9.81 m/s^2 that flight uses too.
+    assert main(["sizing", "--gravity", "9.8"]) == 64
+
+
+def test_run_rejects_removed_scenario_key(tmp_path, capsys):
+    deck = tmp_path / "old.scn"
+    deck.write_text("mechanism.gravity = 20.0\n", encoding="utf-8")
+    assert main(["run", "--scenario", str(deck),
+                 "--out", str(tmp_path / "o")]) == 64
+    assert "old.scn:1: unknown key 'mechanism.gravity'" in (
+        capsys.readouterr().err)
+
+
 def test_run_nominal_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "run1"
     code = main(["run", "--scenario", "altair_nominal", "--out", str(out)])

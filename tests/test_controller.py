@@ -21,16 +21,14 @@ from deploysim import (
     TaskSchedule,
     TriggerConfig,
     make_telemetry_record,
-    scheduler_tick,
 )
 from deploysim.flight import FlightPhase, FlightState
 
 MECH = MechanismParams()
 SERVO = ServoSpec()
 
-OPEN_DOOR = DoorState(locked=False, rod_extended=False, rod_travel=0.0,
-                      angle=1.5533, open=True)
-UNLOCKED_DOOR = DoorState(locked=False, rod_extended=False, rod_travel=0.0)
+OPEN_DOOR = DoorState(locked=False, rod_travel=0.0, angle=1.5533, open=True)
+UNLOCKED_DOOR = DoorState(locked=False, rod_travel=0.0)
 LOCKED_DOOR = DoorState()
 IDLE_CARRIER = CarrierState()
 GOOD_BATTERY = BatteryState()
@@ -62,17 +60,17 @@ def arm_with_apogee(ctl, peak=500.0, now=0.0):
 
 def test_all_tasks_due_at_time_zero():
     schedule = TaskSchedule(0.001)
-    assert scheduler_tick(schedule, 0.0) == [
-        "sense_barometer", "estimate_state", "deploy_logic", "telemetry"]
+    assert schedule.due_at_tick(0) == (
+        "sense_barometer", "estimate_state", "deploy_logic", "telemetry")
 
 
 def test_dueness_at_sample_times():
     schedule = TaskSchedule(0.001)
-    assert scheduler_tick(schedule, 0.02) == [
-        "sense_barometer", "estimate_state", "deploy_logic"]
-    assert scheduler_tick(schedule, 0.03) == ["deploy_logic"]
-    assert scheduler_tick(schedule, 0.05) == ["deploy_logic", "telemetry"]
-    assert scheduler_tick(schedule, 0.013) == []
+    assert schedule.due_at_tick(20) == (
+        "sense_barometer", "estimate_state", "deploy_logic")
+    assert schedule.due_at_tick(30) == ("deploy_logic",)
+    assert schedule.due_at_tick(50) == ("deploy_logic", "telemetry")
+    assert schedule.due_at_tick(13) == ()
 
 
 def test_rates_actually_hit():
@@ -88,14 +86,6 @@ def test_rates_actually_hit():
 def test_dt_must_divide_every_period():
     with pytest.raises(ParameterError):
         TaskSchedule(0.0003)
-    with pytest.raises(ParameterError):
-        TaskSchedule(0.02, tasks=(("fast", 400.0),))
-
-
-def test_off_grid_time_rejected():
-    schedule = TaskSchedule(0.001)
-    with pytest.raises(ParameterError):
-        scheduler_tick(schedule, 0.0005)
 
 
 def test_bad_dt_rejected():
@@ -103,13 +93,6 @@ def test_bad_dt_rejected():
         TaskSchedule(0.0)
     with pytest.raises(ParameterError):
         TaskSchedule(-0.01)
-
-
-def test_custom_task_table():
-    schedule = TaskSchedule(0.01, tasks=(("a", 10.0), ("b", 25.0)))
-    assert scheduler_tick(schedule, 0.0) == ["a", "b"]
-    assert scheduler_tick(schedule, 0.1) == ["a"]
-    assert scheduler_tick(schedule, 0.04) == ["b"]
 
 
 # ---------------------------------------------------------------------------

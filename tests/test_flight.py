@@ -11,7 +11,6 @@ from dataclasses import replace
 import pytest
 
 from deploysim import (
-    ApogeeNotFoundError,
     AtmosphereModel,
     ContractViolationError,
     FlightPhase,
@@ -21,7 +20,6 @@ from deploysim import (
     PayloadState,
     VehicleSpec,
     density_at_altitude,
-    detect_apogee,
     initial_state,
     release_payload,
     step_payload,
@@ -38,6 +36,8 @@ DRAG_FREE = VehicleSpec(dry_mass=10.0, propellant_mass=0.0, avg_thrust=0.0,
 
 
 def coast_from(velocity, dt=0.001, spec=DRAG_FREE, altitude=0.0):
+    """States from the start up to and including apogee, the first
+    state with velocity <= 0."""
     state = FlightState(altitude=altitude, velocity=velocity, mass=spec.dry_mass,
                         propellant=0.0, phase=FlightPhase.COAST)
     history = [state]
@@ -48,8 +48,8 @@ def coast_from(velocity, dt=0.001, spec=DRAG_FREE, altitude=0.0):
 
 
 def test_ballistic_apogee_matches_closed_form():
-    history = coast_from(100.0)
-    t, h = detect_apogee(history)
+    apogee = coast_from(100.0)[-1]
+    t, h = apogee.time, apogee.altitude
     assert h == pytest.approx(100.0**2 / (2 * G), rel=1e-3)
     assert t == pytest.approx(100.0 / G, rel=1e-3)
 
@@ -57,7 +57,7 @@ def test_ballistic_apogee_matches_closed_form():
 def test_apogee_refines_with_smaller_steps():
     # Error must shrink as dt shrinks; first order at worst.
     def apogee(dt):
-        return detect_apogee(coast_from(100.0, dt=dt))[1]
+        return coast_from(100.0, dt=dt)[-1].altitude
 
     a4, a2, a1 = apogee(0.004), apogee(0.002), apogee(0.001)
     c1 = abs(a4 - a2)
@@ -150,23 +150,6 @@ def test_unpowered_spec_skips_boost():
                         phase=FlightPhase.PRELAUNCH)
     state = step_vehicle(DRAG_FREE, state, 0.001, MODEL)
     assert state.phase is FlightPhase.COAST
-
-
-def test_detect_apogee_needs_a_turnover():
-    rising = [FlightState(time=t * 0.1, altitude=t * 10.0, velocity=50.0)
-              for t in range(5)]
-    with pytest.raises(ApogeeNotFoundError):
-        detect_apogee(rising)
-
-
-def test_detect_apogee_picks_first_turnover():
-    states = [
-        FlightState(time=0.0, altitude=0.0, velocity=5.0),
-        FlightState(time=0.1, altitude=0.5, velocity=0.0),
-        FlightState(time=0.2, altitude=0.4, velocity=-5.0),
-    ]
-    t, h = detect_apogee(states)
-    assert (t, h) == (0.1, 0.5)
 
 
 def test_thrust_burn_pairing_enforced():

@@ -144,7 +144,6 @@ def test_negative_acceleration_can_cancel_friction():
         {"friction_coefficient": -0.1},
         {"stroke": 0.0},
         {"deployment_time_budget": 0.0},
-        {"gravity": 0.0},
         {"stroke": math.nan},
         {"servo_stall_torque": math.inf},
     ],

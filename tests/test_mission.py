@@ -7,7 +7,10 @@ the sensed altitude inside the window, the rod takes 0.5 s, the door
 0.283 s, the settle delay 2.0 s and the push 0.955 s.
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,9 +244,14 @@ def test_mass_sweep_brackets_the_limit():
 
 
 def test_sweep_coerces_integer_keys():
+    # The CLI parses sweep values as floats: integral ones become ints,
+    # fractional ones are rejected before any run starts.
     fast = scenario_with(NOMINAL, {"sim.dt": 0.005, "sim.max_sim_time": 30.0})
-    table = sweep(fast, "sim.seed", [1.9, 2])
+    table = sweep(fast, "sim.seed", [1.0, 2])
     assert [s for s, _ in table] == [1, 2]
+    assert all(type(s) is int for s, _ in table)
+    with pytest.raises(ScenarioError, match="faults.gear_slip_push"):
+        sweep(fast, "faults.gear_slip_push", [1.0, 2.7])
 
 
 def test_sweep_rejects_unknown_key():
@@ -320,3 +328,21 @@ def test_payload_state_after_nominal(nominal_result):
     final = nominal_result.telemetry[-1]
     assert final.flight_phase == "Landed"
     assert math.isfinite(final.sensed_alt_m)
+
+
+def test_every_trace_hook_of_the_benchmark_resolves():
+    # The benchmark's per-layer trace patches named functions; one that
+    # a refactor renames or removes would silently drop out of it.
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = spans
+    try:
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer()
+        with tracer.installed():
+            pass
+    finally:
+        del sys.modules[spec.name]
+    assert tracer.absent == {}
+    assert tracer.partial == {}

@@ -1,5 +1,7 @@
 """Scenario file parsing, validation and bundled profile tests."""
 
+import re
+
 import pytest
 
 from deploysim import (
@@ -184,3 +186,54 @@ def test_unknown_bundled_name():
 def test_schema_defaults_pass_their_own_checks():
     for key, entry in SCHEMA.items():
         entry.check(key, entry.default)
+
+
+# Keys that were accepted and then ignored, or that made sizing and
+# flight disagree; they must now fail like any other unknown key.
+REMOVED_KEYS = ("servo.stall_torque", "servo.voltage",
+                "servo.running_current_min", "mechanism.gravity")
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_keys_are_unknown(key, tmp_path):
+    with pytest.raises(ScenarioError, match="unknown key"):
+        scenario_with(build_scenario(), {key: 1.0})
+    deck = tmp_path / "old.scn"
+    deck.write_text(f"payload.mass = 1.0\n{key} = 1.0\n", encoding="utf-8")
+    with pytest.raises(ScenarioError,
+                       match=rf"old\.scn:2: unknown key '{re.escape(key)}'"):
+        load_scenario(deck)
+
+
+@pytest.mark.parametrize("key, value, stored", [
+    ("payload.mass", 2, 2.0),
+    ("payload.mass", 2.5, 2.5),
+    ("sim.seed", 7, 7),
+    ("faults.gear_slip_push", 2, 2),
+    ("faults.link_break_force", None, None),
+    ("faults.door_jam", True, True),
+    ("trigger.arm_after_apogee", False, False),
+    ("faults.door_jam", "no", ScenarioError),
+    ("faults.door_jam", 0, ScenarioError),
+    ("trigger.arm_after_apogee", "false", ScenarioError),
+    ("sim.seed", 1.5, ScenarioError),
+    ("sim.seed", 2.0, ScenarioError),
+    ("sim.seed", True, ScenarioError),
+    ("sim.seed", None, ScenarioError),
+    ("faults.gear_slip_push", 2.7, ScenarioError),
+    ("payload.mass", True, ScenarioError),
+    ("payload.mass", "2", ScenarioError),
+    ("payload.mass", None, ScenarioError),
+    ("payload.mass", 10 ** 400, ScenarioError),
+])
+def test_override_type_contract(key, value, stored):
+    # Bool keys take only bools, int keys only ints (not bools), float
+    # keys ints or floats stored as float, None only where it is the
+    # default.  Anything else names the key.
+    base = build_scenario()
+    if stored is ScenarioError:
+        with pytest.raises(ScenarioError, match=re.escape(key)):
+            scenario_with(base, {key: value})
+    else:
+        got = scenario_with(base, {key: value}).values[key]
+        assert got == stored and type(got) is type(stored)
