@@ -97,8 +97,6 @@ class FaultPlan:
             raise ParameterError("battery_fail_time must be >= 0")
 
 
-NO_FAULTS = FaultPlan()
-
 
 @dataclass(slots=True)
 class DoorState:
@@ -140,7 +138,7 @@ def command_unlock(door: DoorState, battery: BatteryState, spec: DoorSpec,
 
 
 def step_door(door: DoorState, spec: DoorSpec, dt: float,
-              faults: FaultPlan = NO_FAULTS) -> DoorState:
+              faults: FaultPlan) -> DoorState:
     """Swing the door toward full open at a constant rate.
 
     The door is unpowered, so it keeps opening even after a battery

@@ -13,8 +13,8 @@ from .errors import DeploySimError, ScenarioError
 from .mechanism import MechanismParams, sizing_report
 from .mission import (CONFIG_ERROR_EXIT, EXIT_CODES, render_commands_csv,
                       render_telemetry_csv, run_mission, sweep, verdict_lines)
-from .scenario import (Scenario, bundled_scenario, list_bundled,
-                       load_scenario, scenario_with)
+from .scenario import (Scenario, _parse_value, bundled_scenario,
+                       list_bundled, load_scenario, scenario_with)
 
 OUT_DIR_ENV = "DEPLOYSIM_OUT"
 
@@ -26,13 +26,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise ScenarioError(message)
 
-# --fault NAME[:param=value] shorthands mapped onto scenario keys.
+# --fault NAME[:param=value] shorthands mapped onto scenario keys; the
+# value is parsed like the same key in a scenario file.
 _FAULT_KEYS = {
-    "gear_slip": ("push", "faults.gear_slip_push", int),
-    "link_break": ("force", "faults.link_break_force", float),
-    "friction_scale": ("factor", "faults.surface_friction_scale", float),
-    "battery_fail": ("time", "faults.battery_fail_time", float),
-    "door_jam": (None, "faults.door_jam", bool),
+    "gear_slip": ("push", "faults.gear_slip_push"),
+    "link_break": ("force", "faults.link_break_force"),
+    "friction_scale": ("factor", "faults.surface_friction_scale"),
+    "battery_fail": ("time", "faults.battery_fail_time"),
+    "door_jam": (None, "faults.door_jam"),
 }
 
 
@@ -42,8 +43,8 @@ def _parse_fault(text: str) -> tuple[str, object]:
     if name not in _FAULT_KEYS:
         raise ScenarioError(
             f"unknown fault {name!r}; one of: {', '.join(sorted(_FAULT_KEYS))}")
-    param, key, kind = _FAULT_KEYS[name]
-    if kind is bool:
+    param, key = _FAULT_KEYS[name]
+    if param is None:
         if argtext:
             raise ScenarioError(f"fault {name!r} takes no parameters")
         return key, True
@@ -53,10 +54,7 @@ def _parse_fault(text: str) -> tuple[str, object]:
     if left.strip() != param or not right.strip():
         raise ScenarioError(f"fault {name!r} expects {param}=VALUE, "
                             f"got {argtext!r}")
-    try:
-        return key, kind(right.strip()) if kind is int else kind(right)
-    except ValueError:
-        raise ScenarioError(f"fault {name!r}: bad value {right!r}") from None
+    return key, _parse_value(key, right.strip(), f"--fault {text}")
 
 
 def _load(scenario_arg: str) -> Scenario:
@@ -92,34 +90,23 @@ def _cmd_sizing(args) -> int:
         if getattr(args, name) is not None}
     params = MechanismParams(**overrides)
     report = sizing_report(params)
-    pairs = (
-        ("ideal_tangential_force_n", report.ideal_tangential_force, ".1f"),
-        ("effective_tangential_force_n", report.effective_tangential_force,
-         ".1f"),
-        ("required_acceleration_mps2", report.required_acceleration, ".6f"),
-        ("friction_force_per_kg_n", report.friction_force_per_kg, ".4f"),
-        ("max_payload_mass_kg", report.max_payload_mass, ".2f"),
+    rows = (
+        ("ideal_tangential_force_n", "ideal tangential force",
+         report.ideal_tangential_force, ".1f", "N"),
+        ("effective_tangential_force_n", "effective tangential force",
+         report.effective_tangential_force, ".1f", "N"),
+        ("required_acceleration_mps2", "required acceleration",
+         report.required_acceleration, ".6f", "m/s^2"),
+        ("friction_force_per_kg_n", "friction force per kg",
+         report.friction_force_per_kg, ".4f", "N/kg"),
+        ("max_payload_mass_kg", "max payload mass",
+         report.max_payload_mass, ".2f", "kg"),
     )
-    if args.machine:
-        for key, value, _ in pairs:
+    for key, label, value, spec, unit in rows:
+        if args.machine:
             print(f"{key}={value!r}")
-        return 0
-    labels = {
-        "ideal_tangential_force_n": "ideal tangential force",
-        "effective_tangential_force_n": "effective tangential force",
-        "required_acceleration_mps2": "required acceleration",
-        "friction_force_per_kg_n": "friction force per kg",
-        "max_payload_mass_kg": "max payload mass",
-    }
-    units = {
-        "ideal_tangential_force_n": "N",
-        "effective_tangential_force_n": "N",
-        "required_acceleration_mps2": "m/s^2",
-        "friction_force_per_kg_n": "N/kg",
-        "max_payload_mass_kg": "kg",
-    }
-    for key, value, spec in pairs:
-        print(f"{labels[key]:<27} {value:{spec}} {units[key]}")
+        else:
+            print(f"{label:<27} {value:{spec}} {unit}")
     return 0
 
 

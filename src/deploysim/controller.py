@@ -20,7 +20,6 @@ from .actuation import (BatteryState, CarrierState, DoorState, ServoSpec,
                         rack_speed)
 from .atmosphere import TIME_EPS
 from .errors import ParameterError
-from .flight import FlightState
 from .mechanism import MechanismParams
 
 # Settle time between the door reading open and the first push.
@@ -173,7 +172,6 @@ class DeploymentController:
         self.phase = DeployPhase.LOCKED
         self.safe_hold_reason: SafeHoldReason | None = None
         self.sensed_altitude: float | None = None
-        self.sensed_time: float | None = None
         self.apogee_seen = False
         self.apogee_seen_time: float | None = None
         self.unlock_time: float | None = None
@@ -189,7 +187,6 @@ class DeploymentController:
         """Latch the newest barometer reading, if one arrived."""
         if sample is not None:
             self.sensed_altitude = sample[1]
-            self.sensed_time = now
 
     def task_estimate(self, now: float) -> None:
         """Track peak sensed altitude; flag apogee after a confirmed drop."""
@@ -286,59 +283,3 @@ class DeploymentController:
         if now - self._push_phase_start >= self.push_timeout - TIME_EPS:
             return self._hold(SafeHoldReason.PUSH_TIMEOUT)
         return []
-
-    def phase_label(self) -> str:
-        """Phase name for telemetry; SafeHold carries its reason."""
-        if (self.phase is _SAFE_HOLD
-                and self.safe_hold_reason is not None):
-            return f"SafeHold({self.safe_hold_reason.value})"
-        return self.phase.value
-
-
-# ---------------------------------------------------------------------------
-# Telemetry
-
-
-TELEMETRY_SCHEMA = "deploysim.telemetry.v1"
-
-TELEMETRY_COLUMNS = (
-    "time_s", "truth_alt_m", "truth_vel_mps", "sensed_alt_m", "flight_phase",
-    "deploy_phase", "door_angle_rad", "rack_ext_m", "push_count", "current_a",
-    "battery_v", "fault_flags",
-)
-
-
-class TelemetryRecord(NamedTuple):
-    time_s: float
-    truth_alt_m: float
-    truth_vel_mps: float
-    sensed_alt_m: float
-    flight_phase: str
-    deploy_phase: str
-    door_angle_rad: float
-    rack_ext_m: float
-    push_count: int
-    current_a: float
-    battery_v: float
-    fault_flags: str
-
-
-def make_telemetry_record(now: float, vehicle: FlightState,
-                          controller: DeploymentController, door: DoorState,
-                          carrier: CarrierState, battery: BatteryState,
-                          current: float, fault_flags: str) -> TelemetryRecord:
-    sensed = controller.sensed_altitude
-    return TelemetryRecord(
-        time_s=now,
-        truth_alt_m=vehicle.altitude,
-        truth_vel_mps=vehicle.velocity,
-        sensed_alt_m=sensed if sensed is not None else math.nan,
-        flight_phase=vehicle.phase.value,
-        deploy_phase=controller.phase_label(),
-        door_angle_rad=door.angle,
-        rack_ext_m=carrier.rack_extension,
-        push_count=carrier.push_count,
-        current_a=current,
-        battery_v=battery.voltage,
-        fault_flags=fault_flags,
-    )

@@ -8,21 +8,21 @@ seed is deterministic, so equal inputs give byte-identical telemetry.
 """
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .actuation import (BatteryState, CarrierState, DoorState, begin_push,
-                        carrier_drive, command_unlock, drain_battery,
-                        halt_carrier, step_carrier, step_door)
+from .actuation import (BatteryState, CarrierState, DoorState, FaultPlan,
+                        begin_push, carrier_drive, command_unlock,
+                        drain_battery, halt_carrier, step_carrier, step_door)
 from .atmosphere import Barometer
-from .controller import (DeploymentController, DeployPhase, TaskSchedule,
-                         TELEMETRY_COLUMNS, TELEMETRY_SCHEMA, TelemetryRecord,
-                         make_telemetry_record)
+from .controller import DeploymentController, DeployPhase, TaskSchedule
 from .errors import ScenarioError
-from .flight import (FlightPhase, PayloadState, initial_state,
+from .flight import (FlightPhase, FlightState, PayloadState, initial_state,
                      release_payload, step_payload, step_vehicle)
 from .scenario import SCHEMA, Scenario, scenario_with
 
+TELEMETRY_SCHEMA = "deploysim.telemetry.v1"
 COMMANDS_SCHEMA = "deploysim.commands.v1"
 COMMAND_COLUMNS = ("time_s", "command", "value", "truth_alt_m")
 
@@ -59,6 +59,73 @@ class Event(NamedTuple):
     time: float
     name: str
     value: object
+
+
+class TelemetryRecord(NamedTuple):
+    time_s: float
+    truth_alt_m: float
+    truth_vel_mps: float
+    sensed_alt_m: float
+    flight_phase: str
+    deploy_phase: str
+    door_angle_rad: float
+    rack_ext_m: float
+    push_count: int
+    current_a: float
+    battery_v: float
+    fault_flags: str
+
+
+TELEMETRY_COLUMNS = TelemetryRecord._fields
+
+_SAFE_HOLD = DeployPhase.SAFE_HOLD
+
+
+def make_telemetry_record(now: float, vehicle: FlightState,
+                          controller: DeploymentController, door: DoorState,
+                          carrier: CarrierState, battery: BatteryState,
+                          current: float,
+                          faults: FaultPlan) -> TelemetryRecord:
+    """One telemetry row.  SafeHold carries its reason in `deploy_phase`;
+    `fault_flags` joins the active faults with "+", or is "-".
+
+    Labels are read with `_value_`: on Python 3.11 `Enum.value` is a
+    Python-level property that costs about ten times as much.
+    """
+    sensed = controller.sensed_altitude
+    phase = controller.phase
+    reason = controller.safe_hold_reason
+    if phase is _SAFE_HOLD and reason is not None:
+        deploy_phase = f"SafeHold({reason._value_})"
+    else:
+        deploy_phase = phase._value_
+    flags = []
+    if battery.failed:
+        flags.append("power")
+    if faults.door_jam:
+        flags.append("door_jam")
+    if carrier.link_broken:
+        flags.append("link_break")
+    if carrier.slipped:
+        flags.append("gear_slip")
+    if carrier.stalled:
+        flags.append("stall")
+    if faults.surface_friction_scale != 1.0:
+        flags.append("friction_scaled")
+    return TelemetryRecord(
+        time_s=now,
+        truth_alt_m=vehicle.altitude,
+        truth_vel_mps=vehicle.velocity,
+        sensed_alt_m=sensed if sensed is not None else math.nan,
+        flight_phase=vehicle.phase._value_,
+        deploy_phase=deploy_phase,
+        door_angle_rad=door.angle,
+        rack_ext_m=carrier.rack_extension,
+        push_count=carrier.push_count,
+        current_a=current,
+        battery_v=battery.voltage,
+        fault_flags="+".join(flags) if flags else "-",
+    )
 
 
 @dataclass(frozen=True)
@@ -126,7 +193,7 @@ def run_mission(scenario: Scenario,
     charge_drawn = 0.0
     # Members compared on every tick, bound once: attribute access on an
     # Enum class is slow on Python 3.11 (see flight.py).
-    safe_hold = DeployPhase.SAFE_HOLD
+    safe_hold = _SAFE_HOLD
     payload_landed = PayloadState.LANDED
     vehicle_landed = FlightPhase.LANDED
 
@@ -230,22 +297,9 @@ def run_mission(scenario: Scenario,
                     events.append(Event(now, "payload_landed", 0.0))
 
         if telemetry_due:
-            flags = []
-            if battery.failed:
-                flags.append("power")
-            if faults.door_jam:
-                flags.append("door_jam")
-            if carrier.link_broken:
-                flags.append("link_break")
-            if carrier.slipped:
-                flags.append("gear_slip")
-            if carrier.stalled:
-                flags.append("stall")
-            if faults.surface_friction_scale != 1.0:
-                flags.append("friction_scaled")
             telemetry.append(make_telemetry_record(
                 now, vehicle, controller, door, carrier, battery,
-                delivered / dt, "+".join(flags) if flags else "-"))
+                delivered / dt, faults))
 
         previous_phase = vehicle.phase
         vehicle = step_vehicle(vehicle_spec, vehicle, dt, atmosphere)

@@ -24,28 +24,19 @@ from deploysim import (
     Outcome,
     build_scenario,
     bundled_scenario,
-    density_at_altitude,
-    pressure_at_altitude,
-    altitude_from_pressure,
-    release_payload,
     render_commands_csv,
     render_telemetry_csv,
     run_mission,
     scenario_with,
     sizing_report,
-    step_payload,
-    step_vehicle,
     sweep,
-    terminal_speed,
-    AtmosphereModel,
-    BatteryState,
-    FlightPhase,
-    FlightState,
-    PayloadBody,
-    PayloadState,
-    VehicleSpec,
-    drain_battery,
 )
+from deploysim.actuation import BatteryState, drain_battery
+from deploysim.atmosphere import (AtmosphereModel, altitude_from_pressure,
+                                  density_at_altitude, pressure_at_altitude)
+from deploysim.flight import (FlightPhase, FlightState, PayloadBody,
+                              PayloadState, VehicleSpec, release_payload,
+                              step_payload, step_vehicle, terminal_speed)
 from conftest import record_criterion
 
 MODEL = AtmosphereModel()

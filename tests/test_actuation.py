@@ -11,37 +11,26 @@ import random
 import pytest
 
 from deploysim import (
-    BatteryState,
-    CarrierState,
     ContractViolationError,
-    DoorSpec,
-    DoorState,
-    FaultPlan,
     MechanismParams,
-    NO_FAULTS,
     ParameterError,
-    ServoSpec,
-    begin_push,
-    command_unlock,
-    drain_battery,
-    halt_carrier,
-    max_payload_mass,
-    rack_speed,
     sizing_report,
-    step_carrier,
-    step_door,
 )
-from deploysim.actuation import carrier_drive
-from deploysim.mechanism import GRAVITY
+from deploysim.actuation import (BatteryState, CarrierState, DoorSpec,
+                                 DoorState, FaultPlan, ServoSpec, begin_push,
+                                 carrier_drive, command_unlock, drain_battery,
+                                 halt_carrier, rack_speed, step_carrier,
+                                 step_door)
+from deploysim.mechanism import GRAVITY, max_payload_mass
 
 SERVO = ServoSpec()
 DOOR = DoorSpec()
 MECH = MechanismParams()
-DRIVE = carrier_drive(SERVO, MECH, NO_FAULTS)
+DRIVE = carrier_drive(SERVO, MECH, FaultPlan())
 DT = 0.001
 
 
-def run_push_cycle(mass, faults=NO_FAULTS, carrier=None, max_steps=5000,
+def run_push_cycle(mass, faults=FaultPlan(), carrier=None, max_steps=5000,
                    powered=True):
     """Drive one full cycle; returns (carrier, steps, moved, currents)."""
     if carrier is None:
@@ -69,8 +58,8 @@ def test_full_stroke_takes_expected_time():
     carrier = begin_push(CarrierState(), door_open=True)
     steps = 0
     while carrier.rack_extension < MECH.stroke:
-        carrier, _, _ = step_carrier(carrier, SERVO, 1.0, MECH, NO_FAULTS, DT,
-                                     DRIVE)
+        carrier, _, _ = step_carrier(carrier, SERVO, 1.0, MECH, FaultPlan(),
+                                     DT, DRIVE)
         steps += 1
     # 0.060 / 0.062832 = 0.9549 s, quantized up to the next millisecond.
     assert steps == 955
@@ -184,7 +173,7 @@ def test_link_survives_below_threshold():
 def test_unpowered_carrier_holds_still():
     carrier = begin_push(CarrierState(), door_open=True)
     stepped, gained, current = step_carrier(carrier, SERVO, 1.0, MECH,
-                                            NO_FAULTS, DT, DRIVE,
+                                            FaultPlan(), DT, DRIVE,
                                             powered=False)
     assert stepped is carrier
     assert gained == 0.0
@@ -194,7 +183,7 @@ def test_unpowered_carrier_holds_still():
 def test_idle_carrier_draws_nothing():
     carrier = CarrierState()
     stepped, gained, current = step_carrier(carrier, SERVO, 1.0, MECH,
-                                            NO_FAULTS, DT, DRIVE)
+                                            FaultPlan(), DT, DRIVE)
     assert stepped is carrier
     assert (gained, current) == (0.0, 0.0)
 
@@ -202,13 +191,13 @@ def test_idle_carrier_draws_nothing():
 def test_halt_carrier_freezes_cycle():
     carrier = begin_push(CarrierState(), door_open=True)
     for _ in range(100):
-        carrier, _, _ = step_carrier(carrier, SERVO, 1.0, MECH, NO_FAULTS, DT,
-                                     DRIVE)
+        carrier, _, _ = step_carrier(carrier, SERVO, 1.0, MECH, FaultPlan(),
+                                     DT, DRIVE)
     frozen = halt_carrier(carrier)
     assert not frozen.pushing and not frozen.retracting and not frozen.stalled
     assert frozen.rack_extension == carrier.rack_extension
     after, gained, current = step_carrier(frozen, SERVO, 1.0, MECH,
-                                          NO_FAULTS, DT, DRIVE)
+                                          FaultPlan(), DT, DRIVE)
     assert after is frozen
     assert (gained, current) == (0.0, 0.0)
     assert halt_carrier(frozen) is frozen
@@ -260,18 +249,18 @@ def test_door_swings_open_after_unlock():
     door = DoorState(locked=False, rod_travel=0.0)
     steps = 0
     while not door.open:
-        door = step_door(door, DOOR, DT)
+        door = step_door(door, DOOR, DT, FaultPlan())
         steps += 1
     # 85 deg of a 90 deg swing at 0.3 s full travel: 283.3 ms.
     assert steps == 284
     for _ in range(100):
-        door = step_door(door, DOOR, DT)
+        door = step_door(door, DOOR, DT, FaultPlan())
     assert door.angle == DOOR.max_open
 
 
 def test_locked_door_does_not_swing():
     door = DoorState()
-    assert step_door(door, DOOR, DT) is door
+    assert step_door(door, DOOR, DT, FaultPlan()) is door
 
 
 def test_jammed_door_never_swings():

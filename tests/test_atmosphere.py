@@ -12,18 +12,11 @@ import statistics
 
 import pytest
 
-from deploysim import (
-    AtmosphereModel,
-    Barometer,
-    BarometerSpec,
-    ContractViolationError,
-    DomainError,
-    ParameterError,
-    altitude_from_pressure,
-    density_at_altitude,
-    pressure_at_altitude,
-    temperature_at_altitude,
-)
+from deploysim import ContractViolationError, DomainError, ParameterError
+from deploysim.atmosphere import (AtmosphereModel, Barometer, BarometerSpec,
+                                  altitude_from_pressure, density_at_altitude,
+                                  pressure_at_altitude,
+                                  temperature_at_altitude)
 
 MODEL = AtmosphereModel()
 

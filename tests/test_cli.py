@@ -139,6 +139,13 @@ def test_run_rejects_malformed_fault(capsys):
                  "--fault", "link_break:force=lots"]) == 64
 
 
+def test_run_fault_value_parsed_as_its_scenario_key(capsys):
+    # --fault values follow the scenario-file rules, and errors name the key.
+    assert main(["run", "--scenario", "altair_nominal",
+                 "--fault", "gear_slip:push=1.5"]) == 64
+    assert "faults.gear_slip_push" in capsys.readouterr().err
+
+
 def test_sweep_prints_table(tmp_path, capsys):
     deck = tmp_path / "fast.scn"
     deck.write_text("sim.dt = 0.005\n", encoding="utf-8")

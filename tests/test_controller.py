@@ -7,22 +7,14 @@ transition lands on an exact, assertable logic tick.
 
 import pytest
 
-from deploysim import (
-    BatteryState,
-    CarrierState,
-    DeployPhase,
-    DeploymentController,
-    DoorState,
-    MechanismParams,
-    ParameterError,
-    SafeHoldReason,
-    ServoSpec,
-    STABILIZE_DWELL_S,
-    TaskSchedule,
-    TriggerConfig,
-    make_telemetry_record,
-)
+from deploysim import MechanismParams, ParameterError
+from deploysim.actuation import (BatteryState, CarrierState, DoorState,
+                                 FaultPlan, ServoSpec)
+from deploysim.controller import (STABILIZE_DWELL_S, DeployPhase,
+                                  DeploymentController, SafeHoldReason,
+                                  TaskSchedule, TriggerConfig)
 from deploysim.flight import FlightPhase, FlightState
+from deploysim.mission import make_telemetry_record
 
 MECH = MechanismParams()
 SERVO = ServoSpec()
@@ -335,14 +327,22 @@ def test_safe_hold_is_absorbing_and_silent():
     assert ctl.safe_hold_reason is SafeHoldReason.WINDOW_MISSED
 
 
+def telemetry_row(ctl, carrier=IDLE_CARRIER, battery=GOOD_BATTERY,
+                  faults=FaultPlan()):
+    vehicle = FlightState(time=1.0, altitude=321.0, velocity=-12.0,
+                          mass=26.0, phase=FlightPhase.DROGUE_DESCENT)
+    return make_telemetry_record(1.0, vehicle, ctl, OPEN_DOOR, carrier,
+                                 battery, 0.9, faults)
+
+
 def test_phase_labels():
     ctl = make_controller()
-    assert ctl.phase_label() == "Locked"
+    assert telemetry_row(ctl).deploy_phase == "Locked"
     walk_to_first_push(ctl)
-    assert ctl.phase_label() == "Push(1)"
+    assert telemetry_row(ctl).deploy_phase == "Push(1)"
     sense(ctl, 10.0, 2.58)
     ctl.update_phase(OPEN_DOOR, CarrierState(pushing=True), GOOD_BATTERY, 2.58)
-    assert ctl.phase_label() == "SafeHold(floor-breached)"
+    assert telemetry_row(ctl).deploy_phase == "SafeHold(floor-breached)"
 
 
 def test_trigger_config_validation():
@@ -368,12 +368,8 @@ def test_trigger_config_validation():
 
 def test_telemetry_record_snapshot():
     ctl = make_controller()
-    vehicle = FlightState(time=1.0, altitude=321.0, velocity=-12.0,
-                          mass=26.0, phase=FlightPhase.DROGUE_DESCENT)
-    record = make_telemetry_record(1.0, vehicle, ctl, OPEN_DOOR,
-                                   CarrierState(rack_extension=0.01,
-                                                push_count=1),
-                                   BatteryState(), 0.9, "-")
+    record = telemetry_row(ctl, CarrierState(rack_extension=0.01,
+                                             push_count=1))
     assert record.time_s == 1.0
     assert record.truth_alt_m == 321.0
     assert record.truth_vel_mps == -12.0
@@ -386,3 +382,14 @@ def test_telemetry_record_snapshot():
     assert record.fault_flags == "-"
     # No sample latched yet: sensed altitude is NaN.
     assert record.sensed_alt_m != record.sensed_alt_m
+
+
+def test_telemetry_fault_flags_in_fixed_order():
+    ctl = make_controller()
+    carrier = CarrierState(link_broken=True, slipped=True, stalled=True)
+    faults = FaultPlan(door_jam=True, surface_friction_scale=3.0)
+    record = telemetry_row(ctl, carrier, DEAD_BATTERY, faults)
+    assert record.fault_flags == (
+        "power+door_jam+link_break+gear_slip+stall+friction_scaled")
+    stalled = telemetry_row(ctl, CarrierState(stalled=True))
+    assert stalled.fault_flags == "stall"

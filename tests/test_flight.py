@@ -10,22 +10,12 @@ from dataclasses import replace
 
 import pytest
 
-from deploysim import (
-    AtmosphereModel,
-    ContractViolationError,
-    FlightPhase,
-    FlightState,
-    ParameterError,
-    PayloadBody,
-    PayloadState,
-    VehicleSpec,
-    density_at_altitude,
-    initial_state,
-    release_payload,
-    step_payload,
-    step_vehicle,
-    terminal_speed,
-)
+from deploysim import ContractViolationError, ParameterError
+from deploysim.atmosphere import AtmosphereModel, density_at_altitude
+from deploysim.flight import (FlightPhase, FlightState, PayloadBody,
+                              PayloadState, VehicleSpec, initial_state,
+                              release_payload, step_payload, step_vehicle,
+                              terminal_speed)
 
 MODEL = AtmosphereModel()
 G = 9.81

@@ -14,12 +14,10 @@ from deploysim import (
     MechanismParams,
     ParameterError,
     SingularConfigurationError,
-    friction_force,
-    max_payload_mass,
-    required_acceleration,
     sizing_report,
-    tangential_force,
 )
+from deploysim.mechanism import (friction_force, max_payload_mass,
+                                 required_acceleration, tangential_force)
 
 NOMINAL = MechanismParams()
 

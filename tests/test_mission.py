@@ -18,7 +18,6 @@ from deploysim import (
     CONFIG_ERROR_EXIT,
     EXIT_CODES,
     Outcome,
-    PayloadState,
     build_scenario,
     bundled_scenario,
     render_commands_csv,

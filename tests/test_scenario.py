@@ -11,10 +11,9 @@ from deploysim import (
     bundled_scenario,
     list_bundled,
     load_scenario,
-    parse_scenario_text,
     scenario_with,
 )
-from deploysim.scenario import SCHEMA
+from deploysim.scenario import SCHEMA, parse_scenario_text
 
 
 def test_empty_text_is_all_defaults():
