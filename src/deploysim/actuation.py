@@ -20,7 +20,7 @@ from .mechanism import (GRAVITY, MechanismParams, required_acceleration,
                         tangential_force)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServoSpec:
     """Drive servo datasheet figures (6 V column).  The stall torque
     that sets the drive force is `MechanismParams.servo_stall_torque`."""
@@ -47,7 +47,7 @@ def rack_speed(servo: ServoSpec, pitch_diameter: float) -> float:
     return servo.rated_speed * math.pi * pitch_diameter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoorSpec:
     """Bay door geometry and actuator timing."""
 
@@ -69,7 +69,7 @@ class DoorSpec:
             raise ParameterError("actuator_current must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultPlan:
     """Injected failures; at most one of each kind per mission.
 

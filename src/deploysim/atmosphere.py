@@ -8,8 +8,7 @@ closed-form, so pressure -> altitude round-trips to machine precision.
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import ContractViolationError, DomainError, ParameterError
 
@@ -28,13 +27,27 @@ MODEL_CEILING = 11000.0         # m, top of the linear-lapse band
 TIME_EPS = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtmosphereModel:
-    """Linear-lapse troposphere, queryable between 0 and 11 km."""
+    """Linear-lapse troposphere, queryable between 0 and 11 km.
+
+    The derived constants are slots filled once in `__post_init__`, so
+    `dataclasses.replace` recomputes them.  They are not cached
+    properties: on CPython 3.11 filling one writes the instance
+    `__dict__`, which makes every later attribute read on the model
+    two to three times slower, and the tick loop reads it on every tick.
+    """
 
     sea_level_pressure: float = 101325.0    # Pa
     sea_level_temperature: float = 288.15   # K
     lapse_rate: float = 0.0065              # K/m
+    # g*M / (R*L), the exponent of the barometric formula.
+    exponent: float = field(init=False, repr=False, compare=False)
+    # Pressure at the top of the model band; lower is out of range.
+    min_pressure: float = field(init=False, repr=False, compare=False)
+    # Factors of the inverse formula, `_altitude_in_band`.
+    _temperature_scale: float = field(init=False, repr=False, compare=False)
+    _inverse_exponent: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("sea_level_pressure", "sea_level_temperature",
@@ -47,17 +60,14 @@ class AtmosphereModel:
         if self.sea_level_temperature - self.lapse_rate * MODEL_CEILING <= 0.0:
             raise ParameterError("lapse_rate drives temperature below zero "
                                  "inside the model band")
-
-    @cached_property
-    def exponent(self) -> float:
-        """g*M / (R*L), the exponent of the barometric formula."""
-        return (STANDARD_GRAVITY * MOLAR_MASS_AIR
-                / (GAS_CONSTANT * self.lapse_rate))
-
-    @cached_property
-    def min_pressure(self) -> float:
-        """Pressure at the top of the model band; lower is out of range."""
-        return pressure_at_altitude(self, MODEL_CEILING)
+        object.__setattr__(self, "exponent", (
+            STANDARD_GRAVITY * MOLAR_MASS_AIR
+            / (GAS_CONSTANT * self.lapse_rate)))
+        object.__setattr__(self, "min_pressure",
+                           pressure_at_altitude(self, MODEL_CEILING))
+        object.__setattr__(self, "_temperature_scale",
+                           self.sea_level_temperature / self.lapse_rate)
+        object.__setattr__(self, "_inverse_exponent", 1.0 / self.exponent)
 
 
 def _check_altitude(altitude: float) -> float:
@@ -84,11 +94,14 @@ def pressure_at_altitude(model: AtmosphereModel, altitude: float) -> float:
 def density_at_altitude(model: AtmosphereModel, altitude: float) -> float:
     """Air density in kg/m^3 from the ideal gas law.
 
-    Called on every tick of a mission, so it checks the altitude once
-    and inlines the pressure and temperature formulas, with the same
-    operations in the same order as those functions.
+    Called on every tick of a mission, so it inlines the altitude check
+    of `_check_altitude` and the pressure and temperature formulas, with
+    the same operations in the same order as those functions.
     """
-    altitude = _check_altitude(altitude)
+    altitude = float(altitude)
+    if not 0.0 <= altitude <= MODEL_CEILING:    # also rejects NaN
+        raise DomainError(f"altitude {altitude!r} outside model band "
+                          f"[0, {MODEL_CEILING}] m")
     lapse = model.lapse_rate
     base = 1.0 - lapse * altitude / model.sea_level_temperature
     pressure = model.sea_level_pressure * base ** model.exponent
@@ -110,11 +123,11 @@ def altitude_from_pressure(model: AtmosphereModel, pressure: float) -> float:
 def _altitude_in_band(model: AtmosphereModel, pressure: float) -> float:
     """The inverse for a pressure already inside the model band."""
     ratio = pressure / model.sea_level_pressure
-    return (model.sea_level_temperature / model.lapse_rate) * (
-        1.0 - ratio ** (1.0 / model.exponent))
+    return model._temperature_scale * (
+        1.0 - ratio ** model._inverse_exponent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BarometerSpec:
     """Sampling and noise figures for the flight barometer."""
 

@@ -65,7 +65,7 @@ class SafeHoldReason(enum.Enum):
     FLOOR_BREACHED = "floor-breached"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriggerConfig:
     """Deployment window and watchdog settings.
 

@@ -43,7 +43,7 @@ _PARACHUTE_DESCENT = PayloadState.PARACHUTE_DESCENT
 _PAYLOAD_LANDED = PayloadState.LANDED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VehicleSpec:
     """Carrier rocket masses, motor and drag areas.  Drag areas are
     Cd*A products in m^2; the drogue area replaces the coast area once

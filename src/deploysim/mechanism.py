@@ -53,7 +53,7 @@ def _non_negative(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MechanismParams:
     """Physical parameters of the deployment drivetrain.
 
@@ -80,7 +80,7 @@ class MechanismParams:
         _non_negative("friction_coefficient", self.friction_coefficient)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SizingReport:
     """Unrounded sizing results; presentation layers do any rounding."""
 

@@ -17,7 +17,7 @@ from .actuation import (BatteryState, CarrierState, DoorState, FaultPlan,
                         drain_battery, halt_carrier, step_carrier, step_door)
 from .atmosphere import Barometer
 from .controller import DeploymentController, DeployPhase, TaskSchedule
-from .errors import ScenarioError
+from .errors import DomainError, ScenarioError
 from .flight import (FlightPhase, FlightState, PayloadState, initial_state,
                      release_payload, step_payload, step_vehicle)
 from .scenario import SCHEMA, Scenario, scenario_with
@@ -112,23 +112,25 @@ def make_telemetry_record(now: float, vehicle: FlightState,
         flags.append("stall")
     if faults.surface_friction_scale != 1.0:
         flags.append("friction_scaled")
+    # Positional, in `TELEMETRY_COLUMNS` order: a NamedTuple built from
+    # keywords costs about twice as much.
     return TelemetryRecord(
-        time_s=now,
-        truth_alt_m=vehicle.altitude,
-        truth_vel_mps=vehicle.velocity,
-        sensed_alt_m=sensed if sensed is not None else math.nan,
-        flight_phase=vehicle.phase._value_,
-        deploy_phase=deploy_phase,
-        door_angle_rad=door.angle,
-        rack_ext_m=carrier.rack_extension,
-        push_count=carrier.push_count,
-        current_a=current,
-        battery_v=battery.voltage,
-        fault_flags="+".join(flags) if flags else "-",
+        now,                                            # time_s
+        vehicle.altitude,                               # truth_alt_m
+        vehicle.velocity,                               # truth_vel_mps
+        sensed if sensed is not None else math.nan,     # sensed_alt_m
+        vehicle.phase._value_,                          # flight_phase
+        deploy_phase,                                   # deploy_phase
+        door.angle,                                     # door_angle_rad
+        carrier.rack_extension,                         # rack_ext_m
+        carrier.push_count,                             # push_count
+        current,                                        # current_a
+        battery.voltage,                                # battery_v
+        "+".join(flags) if flags else "-",              # fault_flags
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MissionVerdict:
     outcome: Outcome
     safe_hold_reason: str | None
@@ -138,7 +140,7 @@ class MissionVerdict:
     peak_current: float                    # A
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MissionResult:
     verdict: MissionVerdict
     telemetry: list[TelemetryRecord]
@@ -197,127 +199,134 @@ def run_mission(scenario: Scenario,
     payload_landed = PayloadState.LANDED
     vehicle_landed = FlightPhase.LANDED
 
-    for tick in range(n_ticks):
-        now = tick * dt
+    # Only the flight can leave the atmosphere band; say when it did.
+    try:
+        for tick in range(n_ticks):
+            now = tick * dt
 
-        # Scheduled battery failure applies from the top of the tick, so
-        # the controller sees it on this tick.
-        if fail_time is not None and not battery.failed and now >= fail_time:
-            battery = replace(battery, voltage=0.0, failed=True)
+            # Scheduled battery failure applies from the top of the tick, so
+            # the controller sees it on this tick.
+            if (fail_time is not None and not battery.failed
+                    and now >= fail_time):
+                battery = replace(battery, voltage=0.0, failed=True)
 
-        sample = barometer.sample(vehicle.altitude, now)
-        if sample is not None:
-            pending_sample = sample
+            sample = barometer.sample(vehicle.altitude, now)
+            if sample is not None:
+                pending_sample = sample
 
-        telemetry_due = False
-        for task in schedule.due_at_tick(tick):
-            if task == "sense_barometer":
-                if pending_sample is not None:
-                    controller.task_sense(pending_sample, now)
-                    pending_sample = None
-            elif task == "estimate_state":
-                controller.task_estimate(now)
-                if controller.apogee_seen and not apogee_sensed_logged:
-                    apogee_sensed_logged = True
-                    events.append(Event(now, "apogee_sensed",
-                                        controller.sensed_altitude))
-            elif task == "deploy_logic":
-                for cmd in controller.update_phase(door, carrier, battery,
-                                                   now):
-                    commands.append(CommandLogEntry(now, cmd.name, cmd.value,
-                                                    vehicle.altitude))
-                    if cmd.name == "unlock":
-                        unlock_active = True
+            telemetry_due = False
+            for task in schedule.due_at_tick(tick):
+                if task == "sense_barometer":
+                    if pending_sample is not None:
+                        controller.task_sense(pending_sample, now)
+                        pending_sample = None
+                elif task == "estimate_state":
+                    controller.task_estimate(now)
+                    if controller.apogee_seen and not apogee_sensed_logged:
+                        apogee_sensed_logged = True
+                        events.append(Event(now, "apogee_sensed",
+                                            controller.sensed_altitude))
+                elif task == "deploy_logic":
+                    for cmd in controller.update_phase(door, carrier, battery,
+                                                       now):
+                        commands.append(CommandLogEntry(
+                            now, cmd.name, cmd.value, vehicle.altitude))
+                        if cmd.name == "unlock":
+                            unlock_active = True
+                        else:
+                            carrier = begin_push(carrier, door.open)
+                    if (controller.phase is safe_hold
+                            and not safe_hold_logged):
+                        safe_hold_logged = True
+                        events.append(Event(
+                            now, "safe_hold",
+                            controller.safe_hold_reason.value))
+                else:  # telemetry, lowest priority; recorded at end of tick
+                    telemetry_due = True
+
+            # Safing de-energizes the actuators: the lock rod and the rack
+            # hold position.  The door itself is passive and keeps swinging.
+            if controller.phase is safe_hold:
+                unlock_active = False
+                carrier = halt_carrier(carrier)
+
+            # Actuation over [now, now + dt).
+            current = 0.0
+            if unlock_active and door.locked:
+                door = command_unlock(door, battery, door_spec, dt)
+                if not battery.failed:
+                    current += door_spec.actuator_current
+                if not door.locked:
+                    events.append(Event(now, "door_unlocked", 0.0))
+            if not door.locked and door.angle < door_spec.max_open:
+                was_open = door.open
+                door = step_door(door, door_spec, dt, faults)
+                if door.open and not was_open:
+                    events.append(Event(now, "door_open", door.angle))
+            if carrier.pushing:
+                carrier, _, servo_current = step_carrier(
+                    carrier, servo, aboard_mass, mechanism, faults, dt, drive,
+                    powered=not battery.failed)
+                current += servo_current
+                if (not payload_released
+                        and carrier.payload_displacement >= stroke):
+                    payload_released = True
+                    eject_altitude = vehicle.altitude
+                    eject_time = now
+                    payload = release_payload(payload, vehicle.altitude,
+                                              vehicle.velocity)
+                    vehicle = replace(vehicle, mass=vehicle.mass - aboard_mass)
+                    aboard_mass = 0.0
+                    events.append(Event(now, "ejected", eject_altitude))
+
+            # Battery: account by delivered charge so the audit is exact.
+            total_current = current + quiescent
+            pre_charge = battery.charge
+            pre_voltage = battery.voltage
+            battery = drain_battery(battery, total_current, dt)
+            delivered = pre_charge - battery.charge
+            if delivered > 0.0:
+                charge_drawn += delivered
+                energy += pre_voltage * delivered
+                if total_current > peak_current:
+                    peak_current = total_current
+
+            if payload_released and payload.state is not payload_landed:
+                previous = payload.state
+                payload = step_payload(payload, dt, eject_altitude, atmosphere)
+                if payload.state is not previous:
+                    if payload.state is PayloadState.PARACHUTE_DESCENT:
+                        events.append(Event(now, "payload_chute_open",
+                                            payload.altitude))
                     else:
-                        carrier = begin_push(carrier, door.open)
-                if (controller.phase is safe_hold
-                        and not safe_hold_logged):
-                    safe_hold_logged = True
-                    events.append(Event(
-                        now, "safe_hold",
-                        controller.safe_hold_reason.value))
-            else:  # telemetry, lowest priority; recorded at end of tick
-                telemetry_due = True
+                        events.append(Event(now, "payload_landed", 0.0))
 
-        # Safing de-energizes the actuators: the lock rod and the rack
-        # hold position.  The door itself is passive and keeps swinging.
-        if controller.phase is safe_hold:
-            unlock_active = False
-            carrier = halt_carrier(carrier)
+            if telemetry_due:
+                telemetry.append(make_telemetry_record(
+                    now, vehicle, controller, door, carrier, battery,
+                    delivered / dt, faults))
 
-        # Actuation over [now, now + dt).
-        current = 0.0
-        if unlock_active and door.locked:
-            door = command_unlock(door, battery, door_spec, dt)
-            if not battery.failed:
-                current += door_spec.actuator_current
-            if not door.locked:
-                events.append(Event(now, "door_unlocked", 0.0))
-        if not door.locked and door.angle < door_spec.max_open:
-            was_open = door.open
-            door = step_door(door, door_spec, dt, faults)
-            if door.open and not was_open:
-                events.append(Event(now, "door_open", door.angle))
-        if carrier.pushing:
-            carrier, _, servo_current = step_carrier(
-                carrier, servo, aboard_mass, mechanism, faults, dt, drive,
-                powered=not battery.failed)
-            current += servo_current
-            if (not payload_released
-                    and carrier.payload_displacement >= stroke):
-                payload_released = True
-                eject_altitude = vehicle.altitude
-                eject_time = now
-                payload = release_payload(payload, vehicle.altitude,
-                                          vehicle.velocity)
-                vehicle = replace(vehicle, mass=vehicle.mass - aboard_mass)
-                aboard_mass = 0.0
-                events.append(Event(now, "ejected", eject_altitude))
+            previous_phase = vehicle.phase
+            vehicle = step_vehicle(vehicle_spec, vehicle, dt, atmosphere)
+            if vehicle.phase is not previous_phase:
+                if vehicle.phase is FlightPhase.DROGUE_DESCENT:
+                    events.append(Event(vehicle.time, "apogee_truth",
+                                        vehicle.altitude))
+                elif vehicle.phase is vehicle_landed:
+                    events.append(Event(vehicle.time, "vehicle_landed", 0.0))
 
-        # Battery: account by delivered charge so the audit is exact.
-        total_current = current + quiescent
-        pre_charge = battery.charge
-        pre_voltage = battery.voltage
-        battery = drain_battery(battery, total_current, dt)
-        delivered = pre_charge - battery.charge
-        if delivered > 0.0:
-            charge_drawn += delivered
-            energy += pre_voltage * delivered
-            if total_current > peak_current:
-                peak_current = total_current
-
-        if payload_released and payload.state is not payload_landed:
-            previous = payload.state
-            payload = step_payload(payload, dt, eject_altitude, atmosphere)
-            if payload.state is not previous:
-                if payload.state is PayloadState.PARACHUTE_DESCENT:
-                    events.append(Event(now, "payload_chute_open",
-                                        payload.altitude))
-                else:
-                    events.append(Event(now, "payload_landed", 0.0))
-
-        if telemetry_due:
-            telemetry.append(make_telemetry_record(
-                now, vehicle, controller, door, carrier, battery,
-                delivered / dt, faults))
-
-        previous_phase = vehicle.phase
-        vehicle = step_vehicle(vehicle_spec, vehicle, dt, atmosphere)
-        if vehicle.phase is not previous_phase:
-            if vehicle.phase is FlightPhase.DROGUE_DESCENT:
-                events.append(Event(vehicle.time, "apogee_truth",
-                                    vehicle.altitude))
-            elif vehicle.phase is vehicle_landed:
-                events.append(Event(vehicle.time, "vehicle_landed", 0.0))
-
-        # Terminal conditions.
-        if payload.state is payload_landed:
-            break
-        if vehicle.phase is vehicle_landed and not payload_released:
-            break
-        if stop_at_verdict and (payload_released
-                                or controller.phase is safe_hold):
-            break
+            # Terminal conditions.
+            if payload.state is payload_landed:
+                break
+            if vehicle.phase is vehicle_landed and not payload_released:
+                break
+            if stop_at_verdict and (payload_released
+                                    or controller.phase is safe_hold):
+                break
+    except DomainError as exc:
+        raise DomainError(
+            f"at t={now:.3f} s the vehicle left the 0-11 km atmosphere "
+            f"model band: {exc}") from exc
 
     if payload_released:
         in_window = (trigger.deploy_floor <= eject_altitude

@@ -137,16 +137,19 @@ SCHEMA: dict[str, _Key] = {
     "faults.battery_fail_time": _nonneg(float, None, "s"),
     "faults.door_jam": _Key(bool, False),
     # Simulation
-    "sim.dt": _pos(float, 0.001, "s"),
+    # Bounded so the task pattern table stays small (at most 100,000
+    # entries at 1 us) and the tick count stays a finite int.
+    "sim.dt": _Key(float, 0.001, low=1e-6, doc="s"),
     "sim.seed": _Key(int, 42),
-    "sim.max_sim_time": _pos(float, 400.0, "s"),
+    "sim.max_sim_time": _Key(float, 400.0, low=0, low_open=True,
+                             high=86400.0, doc="s"),
 }
 
 _TRUE_WORDS = {"true", "yes", "on", "1"}
 _FALSE_WORDS = {"false", "no", "off", "0"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     """A fully validated mission definition.
 

@@ -97,7 +97,24 @@ def test_run_flight_above_model_band_is_config_error(tmp_path, capsys):
     code = main(["run", "--scenario", str(deck),
                  "--out", str(tmp_path / "o")])
     assert code == 64
-    assert "outside model band" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "the vehicle left the 0-11 km atmosphere model band" in err
+    assert "outside model band" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    ("sim.dt = 1e-300\n", "sim.dt"),
+    ("sim.dt = 0.0001\nsim.max_sim_time = 1e308\n", "sim.max_sim_time"),
+])
+def test_run_rejects_unbounded_clock(tmp_path, capsys, text, key):
+    deck = tmp_path / "clock.scn"
+    deck.write_text(text, encoding="utf-8")
+    code = main(["run", "--scenario", str(deck),
+                 "--out", str(tmp_path / "o")])
+    assert code == 64
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_fault_injection_exit_code(tmp_path, capsys):

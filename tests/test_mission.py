@@ -307,8 +307,15 @@ def test_flight_above_the_model_band_raises_mid_mission():
     # past 11 km must still stop the run with DomainError.
     high = scenario_with(NOMINAL, {"vehicle.avg_thrust": 20000.0,
                                    "vehicle.burn_time": 6.0})
-    with pytest.raises(DomainError, match="outside model band"):
+    with pytest.raises(DomainError, match="outside model band") as info:
         run_mission(high)
+    # The error says when the flight left the band, and chains the
+    # atmosphere model's own error.
+    assert str(info.value).startswith(
+        "at t=6.830 s the vehicle left the 0-11 km atmosphere model band: "
+        "altitude 11001.4")
+    assert isinstance(info.value.__cause__, DomainError)
+    assert "at t=" not in str(info.value.__cause__)
 
 
 def test_exit_code_table_is_total():

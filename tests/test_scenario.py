@@ -121,6 +121,18 @@ def test_build_rejects_dt_that_misses_task_periods():
         build_scenario({"sim.dt": 0.0003})
 
 
+def test_build_bounds_the_clock():
+    # A tiny dt used to build an lcm-long task table until memory ran
+    # out; a huge time limit overflowed the tick count in run_mission.
+    with pytest.raises(ScenarioError, match="sim.dt: must be >= 1e-06"):
+        build_scenario({"sim.dt": 1e-300})
+    with pytest.raises(ScenarioError, match="sim.max_sim_time: must be <= "):
+        build_scenario({"sim.dt": 0.0001, "sim.max_sim_time": 1e308})
+    assert build_scenario({"sim.dt": 1e-6}).dt == 1e-6
+    longest = build_scenario({"sim.max_sim_time": 86400.0})
+    assert longest.max_sim_time == 86400.0
+
+
 def test_scenario_with_changes_one_key():
     base = build_scenario()
     heavier = scenario_with(base, {"payload.mass": 14.0})
