@@ -30,20 +30,13 @@ class ServoSpec:
     stall_current: float = 2.0          # A
 
     def __post_init__(self) -> None:
-        for name in ("rated_speed", "stall_current"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ParameterError(f"{name} must be > 0, got {value!r}")
-        if not 0.0 <= self.running_current_max <= self.stall_current:
-            raise ParameterError("running current must satisfy 0 <= "
-                                 "running_current_max <= stall_current")
+        if self.running_current_max > self.stall_current:
+            raise ParameterError("running_current_max cannot exceed "
+                                 "stall_current")
 
 
 def rack_speed(servo: ServoSpec, pitch_diameter: float) -> float:
     """No-load linear rack speed: rev/s times pitch circumference."""
-    if pitch_diameter <= 0.0 or not math.isfinite(pitch_diameter):
-        raise ParameterError(f"pitch_diameter must be > 0, "
-                             f"got {pitch_diameter!r}")
     return servo.rated_speed * math.pi * pitch_diameter
 
 
@@ -58,15 +51,8 @@ class DoorSpec:
     actuator_current: float = 0.5           # A while the rod moves
 
     def __post_init__(self) -> None:
-        for name in ("rod_travel_time", "open_time", "max_open",
-                     "open_threshold"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ParameterError(f"{name} must be > 0, got {value!r}")
         if self.open_threshold > self.max_open:
             raise ParameterError("open_threshold cannot exceed max_open")
-        if self.actuator_current < 0.0:
-            raise ParameterError("actuator_current must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,18 +70,6 @@ class FaultPlan:
     surface_friction_scale: float = 1.0     # multiplier on mu
     battery_fail_time: float | None = None  # s, mission clock
     door_jam: bool = False
-
-    def __post_init__(self) -> None:
-        if self.gear_slip_push is not None and self.gear_slip_push < 1:
-            raise ParameterError("gear_slip_push counts from 1")
-        if self.link_break_force is not None and self.link_break_force < 0.0:
-            raise ParameterError("link_break_force must be >= 0")
-        if (not math.isfinite(self.surface_friction_scale)
-                or self.surface_friction_scale < 0.0):
-            raise ParameterError("surface_friction_scale must be >= 0")
-        if self.battery_fail_time is not None and self.battery_fail_time < 0.0:
-            raise ParameterError("battery_fail_time must be >= 0")
-
 
 
 @dataclass(slots=True)
@@ -212,8 +186,6 @@ def step_carrier(carrier: CarrierState, servo: ServoSpec, payload_mass: float,
     """
     if not carrier.pushing or not powered:
         return carrier, 0.0, 0.0
-    if payload_mass < 0.0 or not math.isfinite(payload_mass):
-        raise ParameterError(f"payload_mass must be >= 0, got {payload_mass!r}")
     speed = drive.rack_speed
 
     if carrier.retracting:
@@ -276,8 +248,6 @@ def drain_battery(battery: BatteryState, current: float,
     """
     if battery.failed:
         return battery
-    if not 0.0 <= current < math.inf:   # also rejects NaN
-        raise ParameterError(f"current must be >= 0, got {current!r}")
     if current == 0.0:
         return battery
     charge = battery.charge - current * dt

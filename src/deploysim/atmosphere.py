@@ -50,12 +50,6 @@ class AtmosphereModel:
     _inverse_exponent: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("sea_level_pressure", "sea_level_temperature",
-                     "lapse_rate"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ParameterError(f"{name} must be finite and > 0, "
-                                     f"got {value!r}")
         # Lapse must leave positive temperature across the whole band.
         if self.sea_level_temperature - self.lapse_rate * MODEL_CEILING <= 0.0:
             raise ParameterError("lapse_rate drives temperature below zero "
@@ -70,23 +64,12 @@ class AtmosphereModel:
         object.__setattr__(self, "_inverse_exponent", 1.0 / self.exponent)
 
 
-def _check_altitude(altitude: float) -> float:
+def pressure_at_altitude(model: AtmosphereModel, altitude: float) -> float:
+    """Static pressure in Pa at `altitude` metres above sea level."""
     altitude = float(altitude)
     if not 0.0 <= altitude <= MODEL_CEILING:    # also rejects NaN
         raise DomainError(f"altitude {altitude!r} outside model band "
                           f"[0, {MODEL_CEILING}] m")
-    return altitude
-
-
-def temperature_at_altitude(model: AtmosphereModel, altitude: float) -> float:
-    """Air temperature in K at `altitude` metres."""
-    altitude = _check_altitude(altitude)
-    return model.sea_level_temperature - model.lapse_rate * altitude
-
-
-def pressure_at_altitude(model: AtmosphereModel, altitude: float) -> float:
-    """Static pressure in Pa at `altitude` metres above sea level."""
-    altitude = _check_altitude(altitude)
     base = 1.0 - model.lapse_rate * altitude / model.sea_level_temperature
     return model.sea_level_pressure * base ** model.exponent
 
@@ -94,9 +77,9 @@ def pressure_at_altitude(model: AtmosphereModel, altitude: float) -> float:
 def density_at_altitude(model: AtmosphereModel, altitude: float) -> float:
     """Air density in kg/m^3 from the ideal gas law.
 
-    Called on every tick of a mission, so it inlines the altitude check
-    of `_check_altitude` and the pressure and temperature formulas, with
-    the same operations in the same order as those functions.
+    Called on every tick of a mission, so it inlines the band check and
+    the formula of `pressure_at_altitude`, with the same operations in
+    the same order, and the linear temperature profile.
     """
     altitude = float(altitude)
     if not 0.0 <= altitude <= MODEL_CEILING:    # also rejects NaN
@@ -107,17 +90,6 @@ def density_at_altitude(model: AtmosphereModel, altitude: float) -> float:
     pressure = model.sea_level_pressure * base ** model.exponent
     temperature = model.sea_level_temperature - lapse * altitude
     return pressure * MOLAR_MASS_AIR / (GAS_CONSTANT * temperature)
-
-
-def altitude_from_pressure(model: AtmosphereModel, pressure: float) -> float:
-    """Invert the barometric formula.  Exact closed form, no iteration."""
-    pressure = float(pressure)
-    if (not math.isfinite(pressure)
-            or not model.min_pressure <= pressure <= model.sea_level_pressure):
-        raise DomainError(
-            f"pressure {pressure!r} Pa outside model band "
-            f"[{model.min_pressure:.1f}, {model.sea_level_pressure}]")
-    return _altitude_in_band(model, pressure)
 
 
 def _altitude_in_band(model: AtmosphereModel, pressure: float) -> float:
@@ -136,15 +108,6 @@ class BarometerSpec:
     quantization: float = 1.0           # Pa, 0 disables
     latency: float = 0.02               # s, fixed transport delay
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.sample_rate) or self.sample_rate <= 0.0:
-            raise ParameterError(f"sample_rate must be > 0, "
-                                 f"got {self.sample_rate!r}")
-        for name in ("pressure_noise_sigma", "quantization", "latency"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ParameterError(f"{name} must be >= 0, got {value!r}")
 
 
 class Barometer:

@@ -82,22 +82,10 @@ class TriggerConfig:
     window_allowance: float = 5.0       # m sensed-vs-truth slack for verdicts
 
     def __post_init__(self) -> None:
-        for name in ("deploy_ceiling", "deploy_floor"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ParameterError(f"{name} must be >= 0, got {value!r}")
         if self.deploy_floor >= self.deploy_ceiling:
             raise ParameterError(
                 f"deploy_floor ({self.deploy_floor}) must be below "
                 f"deploy_ceiling ({self.deploy_ceiling})")
-        if self.door_open_timeout <= 0.0:
-            raise ParameterError("door_open_timeout must be > 0")
-        if self.push_timeout is not None and self.push_timeout <= 0.0:
-            raise ParameterError("push_timeout must be > 0")
-        if self.apogee_confirm_drop <= 0.0:
-            raise ParameterError("apogee_confirm_drop must be > 0")
-        if self.window_allowance < 0.0:
-            raise ParameterError("window_allowance must be >= 0")
 
 
 class Command(NamedTuple):
@@ -128,8 +116,6 @@ class TaskSchedule:
     """
 
     def __init__(self, dt: float) -> None:
-        if not math.isfinite(dt) or dt <= 0.0:
-            raise ParameterError(f"dt must be > 0, got {dt!r}")
         period_ticks = []
         for name, rate in DEFAULT_TASKS:
             period = 1.0 / rate
@@ -183,10 +169,9 @@ class DeploymentController:
 
     # -- tasks, in schedule priority order ---------------------------------
 
-    def task_sense(self, sample, now: float) -> None:
-        """Latch the newest barometer reading, if one arrived."""
-        if sample is not None:
-            self.sensed_altitude = sample[1]
+    def task_sense(self, sample) -> None:
+        """Latch the newest barometer reading."""
+        self.sensed_altitude = sample[1]
 
     def task_estimate(self, now: float) -> None:
         """Track peak sensed altitude; flag apogee after a confirmed drop."""

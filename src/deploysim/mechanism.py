@@ -69,15 +69,18 @@ class MechanismParams:
     deployment_time_budget: float = 5.0     # s allowed for the push
 
     def __post_init__(self) -> None:
-        _positive("servo_stall_torque", self.servo_stall_torque)
-        _positive("pinion_pitch_diameter", self.pinion_pitch_diameter)
-        _positive("stroke", self.stroke)
-        _positive("deployment_time_budget", self.deployment_time_budget)
+        # Stored back as the checked floats: the sizing chain trusts them.
+        for name in ("servo_stall_torque", "pinion_pitch_diameter", "stroke",
+                     "deployment_time_budget"):
+            value = _positive(name, getattr(self, name))
+            object.__setattr__(self, name, value)
         eff = _finite("drivetrain_efficiency", self.drivetrain_efficiency)
         if not 0.0 < eff <= 1.0:
             raise ParameterError(
                 f"drivetrain_efficiency must be in (0, 1], got {eff}")
-        _non_negative("friction_coefficient", self.friction_coefficient)
+        object.__setattr__(self, "drivetrain_efficiency", eff)
+        object.__setattr__(self, "friction_coefficient", _non_negative(
+            "friction_coefficient", self.friction_coefficient))
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,11 +101,6 @@ def tangential_force(torque: float, pitch_diameter: float,
     F = efficiency * 2*torque / pitch_diameter.  An efficiency of 1.0
     gives the ideal (lossless) force.
     """
-    torque = _non_negative("torque", torque)
-    pitch_diameter = _positive("pitch_diameter", pitch_diameter)
-    efficiency = _finite("efficiency", efficiency)
-    if not 0.0 < efficiency <= 1.0:
-        raise ParameterError(f"efficiency must be in (0, 1], got {efficiency}")
     return efficiency * (2.0 * torque / pitch_diameter)
 
 
@@ -113,32 +111,16 @@ def required_acceleration(stroke: float, initial_velocity: float,
     Solves stroke = v0*t + a*t^2/2 for a.  A negative result is legal:
     it means the initial velocity alone overshoots the stroke.
     """
-    stroke = _non_negative("stroke", stroke)
-    initial_velocity = _finite("initial_velocity", initial_velocity)
-    time_budget = _positive("time_budget", time_budget)
     return 2.0 * (stroke - initial_velocity * time_budget) / time_budget ** 2
 
 
-def friction_force(mu: float, mass: float, gravity: float) -> float:
-    """Dry sliding friction mu*m*g for a payload resting on the bulkhead."""
-    mu = _non_negative("mu", mu)
-    mass = _non_negative("mass", mass)
-    gravity = _non_negative("gravity", gravity)
-    return mu * mass * gravity
-
-
-def max_payload_mass(effective_force: float, mu: float, gravity: float,
-                     accel: float) -> float:
+def max_payload_mass(effective_force: float, mu: float, accel: float) -> float:
     """Heaviest payload the pusher can move: F / (mu*g + a).
 
     Raises SingularConfigurationError when mu*g + a is not positive,
     since the limit is then unbounded or meaningless.
     """
-    effective_force = _non_negative("effective_force", effective_force)
-    mu = _non_negative("mu", mu)
-    gravity = _non_negative("gravity", gravity)
-    accel = _finite("accel", accel)
-    denominator = mu * gravity + accel
+    denominator = mu * GRAVITY + accel
     if denominator <= 0.0:
         raise SingularConfigurationError(
             "mu*gravity + accel must be > 0 for a finite payload limit, "
@@ -155,13 +137,12 @@ def sizing_report(params: MechanismParams) -> SizingReport:
                                  params.drivetrain_efficiency)
     accel = required_acceleration(params.stroke, 0.0,
                                   params.deployment_time_budget)
-    per_kg = friction_force(params.friction_coefficient, 1.0, GRAVITY)
     mass_limit = max_payload_mass(effective, params.friction_coefficient,
-                                  GRAVITY, accel)
+                                  accel)
     return SizingReport(
         ideal_tangential_force=ideal,
         effective_tangential_force=effective,
         required_acceleration=accel,
-        friction_force_per_kg=per_kg,
+        friction_force_per_kg=params.friction_coefficient * GRAVITY,
         max_payload_mass=mass_limit,
     )

@@ -167,7 +167,6 @@ def run_mission(scenario: Scenario,
     stroke = mechanism.stroke
     fail_time = faults.battery_fail_time
 
-    # TaskSchedule validates dt once for the whole run.
     schedule = TaskSchedule(dt)
     drive = carrier_drive(servo, mechanism, faults)
     controller = DeploymentController(trigger, mechanism, servo)
@@ -218,7 +217,7 @@ def run_mission(scenario: Scenario,
             for task in schedule.due_at_tick(tick):
                 if task == "sense_barometer":
                     if pending_sample is not None:
-                        controller.task_sense(pending_sample, now)
+                        controller.task_sense(pending_sample)
                         pending_sample = None
                 elif task == "estimate_state":
                     controller.task_estimate(now)

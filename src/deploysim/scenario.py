@@ -175,6 +175,7 @@ class Scenario:
 
 
 def _parse_value(key: str, raw: str, where: str):
+    """The checked value of one `key = raw` line; errors name `where`."""
     entry = SCHEMA[key]
     if entry.kind is bool:
         word = raw.lower()
@@ -184,12 +185,14 @@ def _parse_value(key: str, raw: str, where: str):
             return False
         raise ScenarioError(f"{where}: {key} expects true/false, got {raw!r}")
     try:
-        if entry.kind is int:
-            return int(raw, 10)
-        return float(raw)
+        value = int(raw, 10) if entry.kind is int else float(raw)
     except ValueError:
         raise ScenarioError(f"{where}: {key} expects {_EXPECTS[entry.kind]}, "
                             f"got {raw!r}") from None
+    try:
+        return entry.check(key, value)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
 
 
 def parse_scenario_text(text: str, source: str = "<string>") -> dict:
@@ -300,12 +303,17 @@ def build_scenario(overrides: dict | None = None) -> Scenario:
 
 def scenario_with(base: Scenario, overrides: dict) -> Scenario:
     """Sibling scenario with a handful of keys replaced."""
-    values = dict(base.values)
-    for key, value in overrides.items():
-        if key not in SCHEMA:
-            raise ScenarioError(f"unknown key {key!r}")
-        values[key] = value
-    return build_scenario(values)
+    return build_scenario({**base.values, **overrides})
+
+
+def _build_from_text(text: str, source: str) -> Scenario:
+    # Each value was checked on its line; what build_scenario can still
+    # reject spans several keys, so the error names the file.
+    overrides = parse_scenario_text(text, source)
+    try:
+        return build_scenario(overrides)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{source}: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:
@@ -315,7 +323,7 @@ def load_scenario(path) -> Scenario:
             text = handle.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path!r}: {exc}") from exc
-    return build_scenario(parse_scenario_text(text, source=str(path)))
+    return _build_from_text(text, str(path))
 
 
 def list_bundled() -> list[str]:
@@ -331,5 +339,5 @@ def bundled_scenario(name: str) -> Scenario:
     if not candidate.is_file():
         raise ScenarioError(f"no bundled scenario {name!r}; "
                             f"available: {', '.join(list_bundled())}")
-    text = candidate.read_text(encoding="utf-8")
-    return build_scenario(parse_scenario_text(text, source=f"{name}.scn"))
+    return _build_from_text(candidate.read_text(encoding="utf-8"),
+                            f"{name}.scn")

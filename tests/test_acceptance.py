@@ -32,12 +32,13 @@ from deploysim import (
     sweep,
 )
 from deploysim.actuation import BatteryState, drain_battery
-from deploysim.atmosphere import (AtmosphereModel, altitude_from_pressure,
+from deploysim.atmosphere import (AtmosphereModel, _altitude_in_band,
                                   density_at_altitude, pressure_at_altitude)
 from deploysim.flight import (FlightPhase, FlightState, PayloadBody,
                               PayloadState, VehicleSpec, release_payload,
-                              step_payload, step_vehicle, terminal_speed)
+                              step_payload, step_vehicle)
 from conftest import record_criterion
+from oracles import terminal_speed
 
 MODEL = AtmosphereModel()
 NOMINAL = bundled_scenario("altair_nominal")
@@ -280,12 +281,12 @@ def test_c4_physics_oracles():
     if not settled:
         failures.append("payload never settled under parachute")
 
-    # Pressure/altitude inversion to 1e-9 across the band.
+    # The barometer's pressure/altitude inversion to 1e-9 across the band.
     rng = random.Random(9001)
     worst = 0.0
     for _ in range(300):
         h = rng.uniform(0.0, 11000.0)
-        back = altitude_from_pressure(MODEL, pressure_at_altitude(MODEL, h))
+        back = _altitude_in_band(MODEL, pressure_at_altitude(MODEL, h))
         worst = max(worst, abs(back - h))
     if worst > 1e-9 * 11000.0:
         failures.append(f"round-trip error {worst:.2e} m")

@@ -60,6 +60,15 @@ def test_run_rejects_removed_scenario_key(tmp_path, capsys):
         capsys.readouterr().err)
 
 
+def test_run_range_error_names_file_and_line(tmp_path, capsys):
+    deck = tmp_path / "bad.scn"
+    deck.write_text("sim.seed = 3\n\npayload.mass = 0\n", encoding="utf-8")
+    assert main(["run", "--scenario", str(deck),
+                 "--out", str(tmp_path / "o")]) == 64
+    assert "bad.scn:3: payload.mass: must be > 0, got 0.0" in (
+        capsys.readouterr().err)
+
+
 def test_run_nominal_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "run1"
     code = main(["run", "--scenario", "altair_nominal", "--out", str(out)])

@@ -5,6 +5,7 @@ The frozen numbers were recomputed by hand from the closed-form chain
 before being asserted here; the formulas live in deploysim.mechanism.
 """
 
+import dataclasses
 import math
 import random
 
@@ -16,8 +17,8 @@ from deploysim import (
     SingularConfigurationError,
     sizing_report,
 )
-from deploysim.mechanism import (friction_force, max_payload_mass,
-                                 required_acceleration, tangential_force)
+from deploysim.mechanism import (max_payload_mass, required_acceleration,
+                                 tangential_force)
 
 NOMINAL = MechanismParams()
 
@@ -42,24 +43,20 @@ def test_required_acceleration_with_initial_velocity():
     assert a == pytest.approx(2 * (0.060 - 0.05) / 25.0)
 
 
-def test_friction_force_per_kilogram():
-    assert friction_force(0.61, 1.0, 9.81) == pytest.approx(5.9841)
-
-
 def test_max_payload_mass_nominal():
-    m = max_payload_mass(83.3, 0.61, 9.81, 4.8e-3)
+    m = max_payload_mass(83.3, 0.61, 4.8e-3)
     assert m == pytest.approx(13.909065103775317, rel=1e-15)
 
 
 def test_max_payload_mass_high_friction():
     # Double the nominal friction coefficient: limit drops below 7 kg.
-    m = max_payload_mass(83.3, 2 * 0.61, 9.81, 4.8e-3)
+    m = max_payload_mass(83.3, 2 * 0.61, 4.8e-3)
     assert m == pytest.approx(6.9573, rel=1e-4)
 
 
 def test_max_payload_mass_frictionless():
     # Only the budget acceleration remains; the limit explodes.
-    m = max_payload_mass(83.3, 0.0, 9.81, 4.8e-3)
+    m = max_payload_mass(83.3, 0.0, 4.8e-3)
     assert m == pytest.approx(17354.17, rel=1e-6)
 
 
@@ -92,10 +89,10 @@ def test_mass_limit_is_monotonic():
         force = rng.uniform(10.0, 200.0)
         mu = rng.uniform(0.05, 2.0)
         accel = rng.uniform(1e-4, 0.5)
-        base = max_payload_mass(force, mu, 9.81, accel)
-        assert max_payload_mass(force * 1.1, mu, 9.81, accel) >= base
-        assert max_payload_mass(force, mu * 0.9, 9.81, accel) >= base
-        assert max_payload_mass(force, mu, 9.81, accel * 0.9) >= base
+        base = max_payload_mass(force, mu, accel)
+        assert max_payload_mass(force * 1.1, mu, accel) >= base
+        assert max_payload_mass(force, mu * 0.9, accel) >= base
+        assert max_payload_mass(force, mu, accel * 0.9) >= base
 
 
 def test_mass_limit_inverts_the_load():
@@ -105,7 +102,7 @@ def test_mass_limit_inverts_the_load():
         force = rng.uniform(10.0, 200.0)
         mu = rng.uniform(0.05, 2.0)
         accel = rng.uniform(1e-4, 0.5)
-        m = max_payload_mass(force, mu, 9.81, accel)
+        m = max_payload_mass(force, mu, accel)
         assert m * (mu * 9.81 + accel) == pytest.approx(force, rel=1e-12)
 
 
@@ -121,14 +118,14 @@ def test_acceleration_doubles_when_budget_halves_squared():
 
 def test_singular_when_nothing_resists():
     with pytest.raises(SingularConfigurationError):
-        max_payload_mass(83.3, 0.0, 9.81, 0.0)
+        max_payload_mass(83.3, 0.0, 0.0)
 
 
 def test_negative_acceleration_can_cancel_friction():
     # Descending budget exactly cancels friction: denominator hits zero.
     mu, g = 0.61, 9.81
     with pytest.raises(SingularConfigurationError):
-        max_payload_mass(83.3, mu, g, -mu * g)
+        max_payload_mass(83.3, mu, -mu * g)
 
 
 @pytest.mark.parametrize(
@@ -149,6 +146,16 @@ def test_negative_acceleration_can_cancel_friction():
 def test_bad_parameters_rejected(kwargs):
     with pytest.raises(ParameterError):
         MechanismParams(**kwargs)
+
+
+def test_params_are_stored_as_checked_floats():
+    # The sizing chain does no conversion of its own.
+    params = MechanismParams(servo_stall_torque=1, pinion_pitch_diameter=1,
+                             drivetrain_efficiency=1, friction_coefficient=0,
+                             stroke=1, deployment_time_budget=2)
+    for field in dataclasses.fields(params):
+        assert type(getattr(params, field.name)) is float, field.name
+    assert sizing_report(params).max_payload_mass == 4.0
 
 
 def test_efficiency_of_one_is_legal():

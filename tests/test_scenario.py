@@ -1,5 +1,6 @@
 """Scenario file parsing, validation and bundled profile tests."""
 
+import math
 import re
 
 import pytest
@@ -111,9 +112,78 @@ def test_build_rejects_unknown_override():
 
 
 def test_build_rejects_cross_field_violations():
-    # Individually legal values that violate a component invariant.
-    with pytest.raises(ScenarioError):
-        build_scenario({"trigger.deploy_floor": 500.0})  # above the ceiling
+    # Individually legal values that violate a rule spanning two keys.
+    for overrides, message in [
+            ({"trigger.deploy_floor": 500.0}, "deploy_floor"),
+            ({"trigger.deploy_floor": 400.0}, "deploy_floor"),
+            ({"vehicle.burn_time": 0.0}, "avg_thrust and burn_time"),
+            ({"vehicle.avg_thrust": 0.0}, "avg_thrust and burn_time"),
+            ({"servo.running_current_max": 2.5}, "running_current_max"),
+            ({"door.open_threshold": 1.6}, "open_threshold"),
+            ({"atmosphere.lapse_rate": 0.03}, "below zero")]:
+        with pytest.raises(ScenarioError, match=message):
+            build_scenario(overrides)
+
+
+POSITIVE = (0, -1.0, math.nan, math.inf, -math.inf)
+NON_NEGATIVE = (-1.0, math.nan, math.inf, -math.inf)
+
+# Every per-key range that a record, stepper or formula helper used to
+# check again after the schema, with the values those checks rejected
+# (plus NaN and infinity where they let them through).  The schema is
+# now the only gate for these keys, so loosening any of its bounds
+# must fail here.
+REJECTED = {
+    "vehicle.dry_mass": POSITIVE,
+    "vehicle.propellant_mass": NON_NEGATIVE,
+    "vehicle.avg_thrust": NON_NEGATIVE,
+    "vehicle.burn_time": NON_NEGATIVE,
+    "vehicle.drag_area_coast": NON_NEGATIVE,
+    "vehicle.drogue_drag_area": NON_NEGATIVE,
+    "payload.mass": POSITIVE,
+    "payload.parachute_drag_area": NON_NEGATIVE,
+    "payload.parachute_open_altitude_loss": NON_NEGATIVE,
+    "mechanism.stall_torque": POSITIVE,
+    "mechanism.pitch_diameter": POSITIVE,
+    "mechanism.efficiency": POSITIVE + (1.5,),
+    "mechanism.friction": NON_NEGATIVE,
+    "mechanism.stroke": POSITIVE,
+    "mechanism.time_budget": POSITIVE,
+    "servo.rated_speed": POSITIVE,
+    "servo.running_current_max": NON_NEGATIVE,
+    "servo.stall_current": POSITIVE,
+    "door.rod_travel_time": POSITIVE,
+    "door.open_time": POSITIVE,
+    "door.max_open": POSITIVE,
+    "door.open_threshold": POSITIVE,
+    "door.actuator_current": NON_NEGATIVE,
+    "barometer.sample_rate": POSITIVE,
+    "barometer.noise_sigma": NON_NEGATIVE,
+    "barometer.quantization": NON_NEGATIVE,
+    "barometer.latency": NON_NEGATIVE,
+    "trigger.deploy_ceiling": NON_NEGATIVE,
+    "trigger.deploy_floor": NON_NEGATIVE,
+    "trigger.door_open_timeout": POSITIVE,
+    "trigger.push_timeout": POSITIVE,
+    "trigger.apogee_confirm_drop": POSITIVE,
+    "trigger.window_allowance": NON_NEGATIVE,
+    "battery.quiescent_current": NON_NEGATIVE,
+    "atmosphere.sea_level_pressure": POSITIVE,
+    "atmosphere.sea_level_temperature": POSITIVE,
+    "atmosphere.lapse_rate": POSITIVE,
+    "faults.gear_slip_push": (0, -1),
+    "faults.link_break_force": NON_NEGATIVE,
+    "faults.surface_friction_scale": NON_NEGATIVE,
+    "faults.battery_fail_time": NON_NEGATIVE,
+    "sim.dt": POSITIVE,
+}
+
+
+@pytest.mark.parametrize("key", REJECTED)
+def test_schema_is_the_one_range_gate(key):
+    for value in REJECTED[key]:
+        with pytest.raises(ScenarioError, match=re.escape(key)):
+            build_scenario({key: value})
 
 
 def test_build_rejects_dt_that_misses_task_periods():
@@ -158,6 +228,22 @@ def test_load_scenario_error_names_file_and_line(tmp_path):
     deck = tmp_path / "broken.scn"
     deck.write_text("payload.mass = 1.0\nbogus.key = 2\n", encoding="utf-8")
     with pytest.raises(ScenarioError, match=r"broken\.scn:2"):
+        load_scenario(deck)
+
+
+def test_load_scenario_range_error_names_file_and_line(tmp_path):
+    deck = tmp_path / "bad.scn"
+    deck.write_text("# heavier\nsim.seed = 3\npayload.mass = 0\n",
+                    encoding="utf-8")
+    with pytest.raises(ScenarioError,
+                       match=r"bad\.scn:3: payload\.mass: must be > 0"):
+        load_scenario(deck)
+
+
+def test_load_scenario_cross_field_error_names_file(tmp_path):
+    deck = tmp_path / "window.scn"
+    deck.write_text("trigger.deploy_floor = 400\n", encoding="utf-8")
+    with pytest.raises(ScenarioError, match=r"window\.scn: deploy_floor"):
         load_scenario(deck)
 
 
