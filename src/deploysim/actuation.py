@@ -25,9 +25,9 @@ class ServoSpec:
     """Drive servo datasheet figures (6 V column).  The stall torque
     that sets the drive force is `MechanismParams.servo_stall_torque`."""
 
-    rated_speed: float = 1.0            # rev/s (60 RPM)
-    running_current_max: float = 0.9    # A
-    stall_current: float = 2.0          # A
+    rated_speed: float                  # rev/s
+    running_current_max: float          # A
+    stall_current: float                # A
 
     def __post_init__(self) -> None:
         if self.running_current_max > self.stall_current:
@@ -44,11 +44,11 @@ def rack_speed(servo: ServoSpec, pitch_diameter: float) -> float:
 class DoorSpec:
     """Bay door geometry and actuator timing."""
 
-    rod_travel_time: float = 0.5            # s to retract the lock rod
-    open_time: float = 0.3                  # s from closed to fully open
-    max_open: float = math.pi / 2           # rad
-    open_threshold: float = math.radians(85.0)  # rad counted as "open"
-    actuator_current: float = 0.5           # A while the rod moves
+    rod_travel_time: float          # s to retract the lock rod
+    open_time: float                # s from closed to fully open
+    max_open: float                 # rad
+    open_threshold: float           # rad counted as "open"
+    actuator_current: float         # A while the rod moves
 
     def __post_init__(self) -> None:
         if self.open_threshold > self.max_open:
@@ -65,11 +65,11 @@ class FaultPlan:
     time its load exceeds the threshold.
     """
 
-    gear_slip_push: int | None = None       # 1-based push number
-    link_break_force: float | None = None   # N
-    surface_friction_scale: float = 1.0     # multiplier on mu
-    battery_fail_time: float | None = None  # s, mission clock
-    door_jam: bool = False
+    gear_slip_push: int | None          # 1-based push number
+    link_break_force: float | None      # N
+    surface_friction_scale: float       # multiplier on mu
+    battery_fail_time: float | None     # s, mission clock
+    door_jam: bool
 
 
 @dataclass(slots=True)
@@ -94,8 +94,8 @@ class CarrierState:
 
 @dataclass(slots=True)
 class BatteryState:
-    voltage: float = 7.4        # V (2S pack)
-    charge: float = 7920.0      # C (2.2 Ah)
+    voltage: float              # V
+    charge: float               # C
     failed: bool = False
 
 

@@ -38,9 +38,9 @@ class AtmosphereModel:
     two to three times slower, and the tick loop reads it on every tick.
     """
 
-    sea_level_pressure: float = 101325.0    # Pa
-    sea_level_temperature: float = 288.15   # K
-    lapse_rate: float = 0.0065              # K/m
+    sea_level_pressure: float       # Pa
+    sea_level_temperature: float    # K
+    lapse_rate: float               # K/m
     # g*M / (R*L), the exponent of the barometric formula.
     exponent: float = field(init=False, repr=False, compare=False)
     # Pressure at the top of the model band; lower is out of range.
@@ -103,11 +103,11 @@ def _altitude_in_band(model: AtmosphereModel, pressure: float) -> float:
 class BarometerSpec:
     """Sampling and noise figures for the flight barometer."""
 
-    sample_rate: float = 50.0           # Hz
-    pressure_noise_sigma: float = 3.0   # Pa, gaussian
-    quantization: float = 1.0           # Pa, 0 disables
-    latency: float = 0.02               # s, fixed transport delay
-    seed: int = 0
+    sample_rate: float      # Hz
+    noise_sigma: float      # Pa, gaussian on pressure
+    quantization: float     # Pa, 0 disables
+    latency: float          # s, fixed transport delay
+    seed: int               # of the noise stream
 
 
 class Barometer:
@@ -163,7 +163,7 @@ class Barometer:
         delayed_altitude = truth[0][1]
         model = self.model
         pressure = pressure_at_altitude(model, delayed_altitude)
-        sigma = self.spec.pressure_noise_sigma
+        sigma = self.spec.noise_sigma
         if sigma > 0.0:
             pressure += self._rng.normalvariate(0.0, sigma)
         quantum = self.spec.quantization

@@ -75,11 +75,11 @@ class TriggerConfig:
 
     deploy_ceiling: float               # m, sensed
     deploy_floor: float                 # m, sensed
-    arm_after_apogee: bool = True
-    door_open_timeout: float = 2.0      # s from the unlock command
-    push_timeout: float | None = None   # s per push phase
-    apogee_confirm_drop: float = 5.0    # m of sensed descent = apogee seen
-    window_allowance: float = 5.0       # m sensed-vs-truth slack for verdicts
+    arm_after_apogee: bool
+    door_open_timeout: float            # s from the unlock command
+    push_timeout: float | None          # s per push phase
+    apogee_confirm_drop: float          # m of sensed descent = apogee seen
+    window_allowance: float             # m sensed-vs-truth slack for verdicts
 
     def __post_init__(self) -> None:
         if self.deploy_floor >= self.deploy_ceiling:
@@ -107,24 +107,34 @@ DEFAULT_TASKS = (
 )
 
 
+def task_period_ticks(dt: float) -> tuple[int, ...]:
+    """The period of each task of `DEFAULT_TASKS` in ticks of `dt`.
+
+    Raises ParameterError unless dt divides every period exactly, which
+    keeps due-ness pure integer arithmetic.
+    """
+    period_ticks = []
+    for name, rate in DEFAULT_TASKS:
+        period = 1.0 / rate
+        ticks = round(period / dt)
+        if ticks < 1 or abs(ticks * dt - period) > 1e-9 * max(period, dt):
+            raise ParameterError(
+                f"dt={dt} does not divide the period of task {name!r} "
+                f"({period} s)")
+        period_ticks.append(ticks)
+    return tuple(period_ticks)
+
+
 class TaskSchedule:
     """The fixed-priority rate table `DEFAULT_TASKS` on the logical clock.
 
     Priority is listed order; tasks due on the same tick run in that
     order, each to completion.  dt must divide every task period
-    exactly, which keeps due-ness pure integer arithmetic.
+    (`task_period_ticks`).
     """
 
     def __init__(self, dt: float) -> None:
-        period_ticks = []
-        for name, rate in DEFAULT_TASKS:
-            period = 1.0 / rate
-            ticks = round(period / dt)
-            if ticks < 1 or abs(ticks * dt - period) > 1e-9 * max(period, dt):
-                raise ParameterError(
-                    f"dt={dt} does not divide the period of task {name!r} "
-                    f"({period} s)")
-            period_ticks.append(ticks)
+        period_ticks = task_period_ticks(dt)
         # Due-ness repeats with the period lcm; precompute one cycle.
         cycle = math.lcm(*period_ticks)
         self._cycle = cycle

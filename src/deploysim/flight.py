@@ -66,9 +66,9 @@ class VehicleSpec:
 @dataclass(slots=True)
 class FlightState:
     """Vehicle truth state.  `mass` is the full stack currently flying
-    (structure + remaining propellant + stowed payload)."""
+    (structure + remaining propellant + stowed payload).  It carries
+    no clock: the mission loop derives time from its tick count."""
 
-    time: float = 0.0
     altitude: float = 0.0
     velocity: float = 0.0
     mass: float = 0.0
@@ -117,7 +117,6 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
     accel = (thrust - drag) / mass - GRAVITY
     velocity = velocity + accel * dt
     altitude = state.altitude + velocity * dt
-    time = state.time + dt
 
     if phase is _BOOST and propellant <= 0.0:
         propellant = 0.0
@@ -129,7 +128,7 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
         velocity = 0.0
         phase = _LANDED
 
-    return FlightState(time, altitude, velocity, mass, propellant, phase)
+    return FlightState(altitude, velocity, mass, propellant, phase)
 
 
 @dataclass(slots=True)

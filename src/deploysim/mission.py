@@ -305,14 +305,16 @@ def run_mission(scenario: Scenario,
                     now, vehicle, controller, door, carrier, battery,
                     delivered / dt, faults))
 
+            # The vehicle step ends the tick: stamp its events (tick + 1) * dt.
             previous_phase = vehicle.phase
             vehicle = step_vehicle(vehicle_spec, vehicle, dt, atmosphere)
             if vehicle.phase is not previous_phase:
                 if vehicle.phase is FlightPhase.DROGUE_DESCENT:
-                    events.append(Event(vehicle.time, "apogee_truth",
+                    events.append(Event((tick + 1) * dt, "apogee_truth",
                                         vehicle.altitude))
                 elif vehicle.phase is vehicle_landed:
-                    events.append(Event(vehicle.time, "vehicle_landed", 0.0))
+                    events.append(Event((tick + 1) * dt, "vehicle_landed",
+                                        0.0))
 
             # Terminal conditions.
             if payload.state is payload_landed:
@@ -356,28 +358,31 @@ def run_mission(scenario: Scenario,
 def sweep(base: Scenario, key: str, values) -> list[tuple[float, MissionVerdict]]:
     """One independent run per value, same seed, rows in input order.
 
-    The swept key must exist in the schema and be numeric, and every
-    value must pass the key's check; that is checked before any run
-    starts.  An int key takes integral floats, which is how the CLI
-    parses values.  Each run stops as soon as its verdict is decided,
-    since the sweep output is just the table.
+    The swept key must exist in the schema and be numeric.  Every
+    scenario is built before the first run, so a bad value fails before
+    any run, naming the value.  An int key takes integral floats, which
+    is how the CLI parses values.  Each run stops as soon as its verdict
+    is decided, since the sweep output is just the table.
     """
     entry = SCHEMA.get(key)
     if entry is None:
         raise ScenarioError(f"unknown sweep key {key!r}")
     if entry.kind is bool:
         raise ScenarioError(f"sweep key {key!r} is not numeric")
-    checked = []
+    siblings = []
     for value in values:
         if entry.kind is int and isinstance(value, float):
             if not value.is_integer():
                 raise ScenarioError(f"sweep key {key!r} expects integers, "
                                     f"got {value!r}")
             value = int(value)
-        checked.append(entry.check(key, value))
-    return [(value, run_mission(scenario_with(base, {key: value}),
-                                stop_at_verdict=True).verdict)
-            for value in checked]
+        try:
+            siblings.append(scenario_with(base, {key: value}))
+        except ScenarioError as exc:
+            raise ScenarioError(f"sweep {key} = {value!r}: {exc}") from exc
+    return [(scenario.values[key],
+             run_mission(scenario, stop_at_verdict=True).verdict)
+            for scenario in siblings]
 
 
 # ---------------------------------------------------------------------------

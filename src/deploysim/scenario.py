@@ -3,7 +3,9 @@
 Unknown keys are rejected, missing keys take the documented defaults,
 and an empty file is exactly the nominal mission.  The schema table
 below is the single source of truth for keys, types, ranges and
-defaults; the README renders the same table for users.
+defaults; the README points users at it.  Apart from the public
+`MechanismParams`, whose defaults the schema reads, the records a
+scenario builds carry no defaults.
 """
 
 import math
@@ -12,7 +14,7 @@ from importlib import resources
 
 from .actuation import BatteryState, DoorSpec, FaultPlan, ServoSpec
 from .atmosphere import AtmosphereModel, BarometerSpec
-from .controller import TaskSchedule, TriggerConfig
+from .controller import TriggerConfig, task_period_ticks
 from .errors import ParameterError, ScenarioError
 from .flight import PayloadBody, VehicleSpec
 from .mechanism import MechanismParams
@@ -78,6 +80,8 @@ def _nonneg(kind, default, doc=""):
     return _Key(kind, default, low=0, doc=doc)
 
 
+_DRIVE = MechanismParams()
+
 SCHEMA: dict[str, _Key] = {
     # Carrier vehicle
     "vehicle.dry_mass": _pos(float, 25.0, "kg, structure w/o propellant"),
@@ -91,13 +95,15 @@ SCHEMA: dict[str, _Key] = {
     "payload.parachute_drag_area": _nonneg(float, 0.45, "Cd*A, m^2"),
     "payload.parachute_open_altitude_loss": _nonneg(float, 50.0, "m"),
     # Deployment drivetrain (sizing + carrier force model)
-    "mechanism.stall_torque": _pos(float, 0.98, "N*m"),
-    "mechanism.pitch_diameter": _pos(float, 0.020, "m"),
-    "mechanism.efficiency": _Key(float, 0.85, low=0, low_open=True, high=1.0,
+    "mechanism.stall_torque": _pos(float, _DRIVE.servo_stall_torque, "N*m"),
+    "mechanism.pitch_diameter": _pos(float, _DRIVE.pinion_pitch_diameter, "m"),
+    "mechanism.efficiency": _Key(float, _DRIVE.drivetrain_efficiency, low=0,
+                                 low_open=True, high=1.0,
                                  doc="fraction of ideal force delivered"),
-    "mechanism.friction": _nonneg(float, 0.61, "payload-on-bulkhead mu"),
-    "mechanism.stroke": _pos(float, 0.060, "m"),
-    "mechanism.time_budget": _pos(float, 5.0, "s"),
+    "mechanism.friction": _nonneg(float, _DRIVE.friction_coefficient,
+                                  "payload-on-bulkhead mu"),
+    "mechanism.stroke": _pos(float, _DRIVE.stroke, "m"),
+    "mechanism.time_budget": _pos(float, _DRIVE.deployment_time_budget, "s"),
     # Drive servo (speed and current model)
     "servo.rated_speed": _pos(float, 1.0, "rev/s"),
     "servo.running_current_max": _nonneg(float, 0.9, "A"),
@@ -144,6 +150,29 @@ SCHEMA: dict[str, _Key] = {
     "sim.max_sim_time": _Key(float, 400.0, low=0, low_open=True,
                              high=86400.0, doc="s"),
 }
+
+_DEFAULTS = {key: entry.default for key, entry in SCHEMA.items()}
+
+# The record each section builds.  `battery.*` and `sim.*` are mapped
+# in `build_scenario`: they split between a record and `Scenario`.
+_RECORDS = {"vehicle": VehicleSpec, "payload": PayloadBody,
+            "mechanism": MechanismParams, "servo": ServoSpec,
+            "door": DoorSpec, "barometer": BarometerSpec,
+            "trigger": TriggerConfig, "atmosphere": AtmosphereModel,
+            "faults": FaultPlan}
+
+# `MechanismParams` keeps its public field names.
+_MECHANISM_FIELDS = {"mechanism.stall_torque": "servo_stall_torque",
+                     "mechanism.pitch_diameter": "pinion_pitch_diameter",
+                     "mechanism.efficiency": "drivetrain_efficiency",
+                     "mechanism.friction": "friction_coefficient",
+                     "mechanism.stroke": "stroke",
+                     "mechanism.time_budget": "deployment_time_budget"}
+
+# key -> (section, record field)
+_FIELDS = {key: (key.partition(".")[0],
+                 _MECHANISM_FIELDS.get(key, key.partition(".")[2]))
+           for key in SCHEMA}
 
 _TRUE_WORDS = {"true", "yes", "on", "1"}
 _FALSE_WORDS = {"false", "no", "off", "0"}
@@ -220,85 +249,39 @@ def parse_scenario_text(text: str, source: str = "<string>") -> dict:
 
 
 def build_scenario(overrides: dict | None = None) -> Scenario:
-    """Merge overrides onto defaults and construct every component."""
-    values = {key: entry.default for key, entry in SCHEMA.items()}
+    """Merge overrides onto defaults and construct every component.
+
+    Only the overrides are checked: the defaults pass their own checks.
+    """
+    values = dict(_DEFAULTS)
     if overrides:
         for key, value in overrides.items():
-            if key not in SCHEMA:
+            entry = SCHEMA.get(key)
+            if entry is None:
                 raise ScenarioError(f"unknown key {key!r}")
-            values[key] = value
-    values = {key: SCHEMA[key].check(key, value)
-              for key, value in values.items()}
+            values[key] = entry.check(key, value)
 
-    def group(section: str) -> dict:
-        prefix = section + "."
-        return {key[len(prefix):]: value for key, value in values.items()
-                if key.startswith(prefix)}
-
-    v, p, m = group("vehicle"), group("payload"), group("mechanism")
-    s, d, b = group("servo"), group("door"), group("barometer")
-    t, bat, a = group("trigger"), group("battery"), group("atmosphere")
-    f, sim = group("faults"), group("sim")
+    sections = {section: {} for section in (*_RECORDS, "battery", "sim")}
+    for key, value in values.items():
+        section, name = _FIELDS[key]
+        sections[section][name] = value
+    battery = sections.pop("battery")
+    sim = sections.pop("sim")
+    sections["barometer"]["seed"] = sim["seed"]
 
     try:
-        vehicle = VehicleSpec(
-            dry_mass=v["dry_mass"], propellant_mass=v["propellant_mass"],
-            avg_thrust=v["avg_thrust"], burn_time=v["burn_time"],
-            drag_area_coast=v["drag_area_coast"],
-            drogue_drag_area=v["drogue_drag_area"])
-        payload = PayloadBody(
-            mass=p["mass"], parachute_drag_area=p["parachute_drag_area"],
-            parachute_open_altitude_loss=p["parachute_open_altitude_loss"])
-        mechanism = MechanismParams(
-            servo_stall_torque=m["stall_torque"],
-            pinion_pitch_diameter=m["pitch_diameter"],
-            drivetrain_efficiency=m["efficiency"],
-            friction_coefficient=m["friction"], stroke=m["stroke"],
-            deployment_time_budget=m["time_budget"])
-        servo = ServoSpec(
-            rated_speed=s["rated_speed"],
-            running_current_max=s["running_current_max"],
-            stall_current=s["stall_current"])
-        door = DoorSpec(
-            rod_travel_time=d["rod_travel_time"], open_time=d["open_time"],
-            max_open=d["max_open"], open_threshold=d["open_threshold"],
-            actuator_current=d["actuator_current"])
-        barometer = BarometerSpec(
-            sample_rate=b["sample_rate"],
-            pressure_noise_sigma=b["noise_sigma"],
-            quantization=b["quantization"], latency=b["latency"],
-            seed=sim["seed"])
-        trigger = TriggerConfig(
-            deploy_ceiling=t["deploy_ceiling"],
-            deploy_floor=t["deploy_floor"],
-            arm_after_apogee=t["arm_after_apogee"],
-            door_open_timeout=t["door_open_timeout"],
-            push_timeout=t["push_timeout"],
-            apogee_confirm_drop=t["apogee_confirm_drop"],
-            window_allowance=t["window_allowance"])
-        battery = BatteryState(voltage=bat["voltage"],
-                               charge=bat["capacity"])
-        atmosphere = AtmosphereModel(
-            sea_level_pressure=a["sea_level_pressure"],
-            sea_level_temperature=a["sea_level_temperature"],
-            lapse_rate=a["lapse_rate"])
-        faults = FaultPlan(
-            gear_slip_push=f["gear_slip_push"],
-            link_break_force=f["link_break_force"],
-            surface_friction_scale=f["surface_friction_scale"],
-            battery_fail_time=f["battery_fail_time"],
-            door_jam=f["door_jam"])
+        records = {section: _RECORDS[section](**fields)
+                   for section, fields in sections.items()}
         # dt must land every scheduled task on an exact tick.
-        TaskSchedule(sim["dt"])
+        task_period_ticks(sim["dt"])
     except ParameterError as exc:
         raise ScenarioError(str(exc)) from exc
 
     return Scenario(
-        vehicle=vehicle, payload=payload, mechanism=mechanism, servo=servo,
-        door=door, barometer=barometer, trigger=trigger, battery=battery,
-        quiescent_current=bat["quiescent_current"], atmosphere=atmosphere,
-        faults=faults, dt=sim["dt"], seed=sim["seed"],
-        max_sim_time=sim["max_sim_time"], values=values)
+        **records, battery=BatteryState(battery["voltage"],
+                                        battery["capacity"]),
+        quiescent_current=battery["quiescent_current"], dt=sim["dt"],
+        seed=sim["seed"], max_sim_time=sim["max_sim_time"], values=values)
 
 
 def scenario_with(base: Scenario, overrides: dict) -> Scenario:

@@ -31,17 +31,17 @@ from deploysim import (
     sizing_report,
     sweep,
 )
-from deploysim.actuation import BatteryState, drain_battery
-from deploysim.atmosphere import (AtmosphereModel, _altitude_in_band,
-                                  density_at_altitude, pressure_at_altitude)
+from deploysim.actuation import drain_battery
+from deploysim.atmosphere import (_altitude_in_band, density_at_altitude,
+                                  pressure_at_altitude)
 from deploysim.flight import (FlightPhase, FlightState, PayloadBody,
                               PayloadState, VehicleSpec, release_payload,
                               step_payload, step_vehicle)
 from conftest import record_criterion
 from oracles import terminal_speed
 
-MODEL = AtmosphereModel()
 NOMINAL = bundled_scenario("altair_nominal")
+MODEL = NOMINAL.atmosphere
 
 
 def conclude(label, failures, detail_ok):
@@ -294,7 +294,7 @@ def test_c4_physics_oracles():
     # Battery coulomb audit to 1e-9 against a compensated sum.
     rng = random.Random(9002)
     currents = [rng.uniform(0.0, 2.0) for _ in range(10000)]
-    battery = BatteryState()
+    battery = NOMINAL.battery
     steps = []
     for amps in currents:
         before = battery.charge

@@ -7,30 +7,34 @@ drive force is 83.3 N against 5.9889 N/kg of payload load.
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from deploysim import (
     ContractViolationError,
-    MechanismParams,
     ParameterError,
+    build_scenario,
     sizing_report,
 )
-from deploysim.actuation import (BatteryState, CarrierState, DoorSpec,
-                                 DoorState, FaultPlan, ServoSpec, begin_push,
+from deploysim.actuation import (CarrierState, DoorState, begin_push,
                                  carrier_drive, command_unlock, drain_battery,
                                  halt_carrier, rack_speed, step_carrier,
                                  step_door)
 from deploysim.mechanism import max_payload_mass
 
-SERVO = ServoSpec()
-DOOR = DoorSpec()
-MECH = MechanismParams()
-DRIVE = carrier_drive(SERVO, MECH, FaultPlan())
+NOMINAL = build_scenario()
+SERVO = NOMINAL.servo
+DOOR = NOMINAL.door
+MECH = NOMINAL.mechanism
+NO_FAULTS = NOMINAL.faults
+FULL_BATTERY = NOMINAL.battery
+DEAD_BATTERY = replace(FULL_BATTERY, voltage=0.0, charge=0.0, failed=True)
+DRIVE = carrier_drive(SERVO, MECH, NO_FAULTS)
 DT = 0.001
 
 
-def run_push_cycle(mass, faults=FaultPlan(), carrier=None, max_steps=5000,
+def run_push_cycle(mass, faults=NO_FAULTS, carrier=None, max_steps=5000,
                    powered=True):
     """Drive one full cycle; returns (carrier, steps, moved, currents)."""
     if carrier is None:
@@ -58,7 +62,7 @@ def test_full_stroke_takes_expected_time():
     carrier = begin_push(CarrierState(), door_open=True)
     steps = 0
     while carrier.rack_extension < MECH.stroke:
-        carrier, _, _ = step_carrier(carrier, SERVO, 1.0, MECH, FaultPlan(),
+        carrier, _, _ = step_carrier(carrier, SERVO, 1.0, MECH, NO_FAULTS,
                                      DT, DRIVE)
         steps += 1
     # 0.060 / 0.062832 = 0.9549 s, quantized up to the next millisecond.
@@ -117,7 +121,7 @@ def test_stall_boundary_brute_force():
 
 
 def test_friction_scale_shrinks_the_limit():
-    faults = FaultPlan(surface_friction_scale=3.0)
+    faults = replace(NO_FAULTS, surface_friction_scale=3.0)
     # 6 kg clears the nominal limit but not the tripled-friction one.
     nominal_limit = sizing_report(MECH).max_payload_mass
     scaled_limit = max_payload_mass(
@@ -133,7 +137,7 @@ def test_friction_scale_shrinks_the_limit():
 
 
 def test_gear_slip_completes_cycle_without_motion():
-    faults = FaultPlan(gear_slip_push=1)
+    faults = replace(NO_FAULTS, gear_slip_push=1)
     carrier, _, moved, _ = run_push_cycle(1.0, faults=faults)
     assert carrier.push_count == 1
     assert carrier.slipped
@@ -142,7 +146,7 @@ def test_gear_slip_completes_cycle_without_motion():
 
 
 def test_gear_slip_from_second_push_only():
-    faults = FaultPlan(gear_slip_push=2)
+    faults = replace(NO_FAULTS, gear_slip_push=2)
     carrier, _, first, _ = run_push_cycle(1.0, faults=faults)
     assert first == pytest.approx(MECH.stroke)
     carrier, _, second, _ = run_push_cycle(1.0, faults=faults, carrier=carrier)
@@ -154,7 +158,7 @@ def test_gear_slip_from_second_push_only():
 
 def test_link_break_stops_transmission_permanently():
     # 1 kg loads the link at about 6 N; a 3 N fuse snaps immediately.
-    faults = FaultPlan(link_break_force=3.0)
+    faults = replace(NO_FAULTS, link_break_force=3.0)
     carrier, _, moved, _ = run_push_cycle(1.0, faults=faults)
     assert carrier.link_broken
     assert moved == 0.0
@@ -164,7 +168,7 @@ def test_link_break_stops_transmission_permanently():
 
 
 def test_link_survives_below_threshold():
-    faults = FaultPlan(link_break_force=50.0)
+    faults = replace(NO_FAULTS, link_break_force=50.0)
     carrier, _, moved, _ = run_push_cycle(1.0, faults=faults)
     assert not carrier.link_broken
     assert moved == pytest.approx(MECH.stroke)
@@ -173,7 +177,7 @@ def test_link_survives_below_threshold():
 def test_unpowered_carrier_holds_still():
     carrier = begin_push(CarrierState(), door_open=True)
     stepped, gained, current = step_carrier(carrier, SERVO, 1.0, MECH,
-                                            FaultPlan(), DT, DRIVE,
+                                            NO_FAULTS, DT, DRIVE,
                                             powered=False)
     assert stepped is carrier
     assert gained == 0.0
@@ -183,7 +187,7 @@ def test_unpowered_carrier_holds_still():
 def test_idle_carrier_draws_nothing():
     carrier = CarrierState()
     stepped, gained, current = step_carrier(carrier, SERVO, 1.0, MECH,
-                                            FaultPlan(), DT, DRIVE)
+                                            NO_FAULTS, DT, DRIVE)
     assert stepped is carrier
     assert (gained, current) == (0.0, 0.0)
 
@@ -191,13 +195,13 @@ def test_idle_carrier_draws_nothing():
 def test_halt_carrier_freezes_cycle():
     carrier = begin_push(CarrierState(), door_open=True)
     for _ in range(100):
-        carrier, _, _ = step_carrier(carrier, SERVO, 1.0, MECH, FaultPlan(),
+        carrier, _, _ = step_carrier(carrier, SERVO, 1.0, MECH, NO_FAULTS,
                                      DT, DRIVE)
     frozen = halt_carrier(carrier)
     assert not frozen.pushing and not frozen.retracting and not frozen.stalled
     assert frozen.rack_extension == carrier.rack_extension
     after, gained, current = step_carrier(frozen, SERVO, 1.0, MECH,
-                                          FaultPlan(), DT, DRIVE)
+                                          NO_FAULTS, DT, DRIVE)
     assert after is frozen
     assert (gained, current) == (0.0, 0.0)
     assert halt_carrier(frozen) is frozen
@@ -228,7 +232,7 @@ def test_second_cycle_transmits_nothing_after_full_stroke():
 
 def test_unlock_takes_rod_travel_time():
     door = DoorState()
-    battery = BatteryState()
+    battery = FULL_BATTERY
     steps = 0
     while door.locked:
         door = command_unlock(door, battery, DOOR, DT)
@@ -239,8 +243,7 @@ def test_unlock_takes_rod_travel_time():
 
 def test_unlock_noop_on_dead_battery():
     door = DoorState()
-    battery = BatteryState(voltage=0.0, charge=0.0, failed=True)
-    after = command_unlock(door, battery, DOOR, DT)
+    after = command_unlock(door, DEAD_BATTERY, DOOR, DT)
     assert after is door
     assert door.locked
 
@@ -249,22 +252,22 @@ def test_door_swings_open_after_unlock():
     door = DoorState(locked=False, rod_travel=0.0)
     steps = 0
     while not door.open:
-        door = step_door(door, DOOR, DT, FaultPlan())
+        door = step_door(door, DOOR, DT, NO_FAULTS)
         steps += 1
     # 85 deg of a 90 deg swing at 0.3 s full travel: 283.3 ms.
     assert steps == 284
     for _ in range(100):
-        door = step_door(door, DOOR, DT, FaultPlan())
+        door = step_door(door, DOOR, DT, NO_FAULTS)
     assert door.angle == DOOR.max_open
 
 
 def test_locked_door_does_not_swing():
     door = DoorState()
-    assert step_door(door, DOOR, DT, FaultPlan()) is door
+    assert step_door(door, DOOR, DT, NO_FAULTS) is door
 
 
 def test_jammed_door_never_swings():
-    faults = FaultPlan(door_jam=True)
+    faults = replace(NO_FAULTS, door_jam=True)
     door = DoorState(locked=False, rod_travel=0.0)
     for _ in range(2000):
         door = step_door(door, DOOR, DT, faults)
@@ -275,9 +278,9 @@ def test_jammed_door_never_swings():
 def test_jam_does_not_stop_the_rod():
     # command_unlock takes no fault plan: the jam is in the hinge, not
     # the lock, so only step_door sees it.
-    faults = FaultPlan(door_jam=True)
+    faults = replace(NO_FAULTS, door_jam=True)
     door = DoorState()
-    battery = BatteryState()
+    battery = FULL_BATTERY
     for _ in range(500):
         door = command_unlock(door, battery, DOOR, DT)
     assert not door.locked
@@ -289,10 +292,10 @@ def test_jam_does_not_stop_the_rod():
 
 
 def test_constant_draw_coulomb_count():
-    battery = BatteryState()
+    battery = FULL_BATTERY
     for _ in range(5000):
         battery = drain_battery(battery, 0.9, DT)
-    assert BatteryState().charge - battery.charge == pytest.approx(4.5)
+    assert FULL_BATTERY.charge - battery.charge == pytest.approx(4.5)
     assert not battery.failed
 
 
@@ -300,7 +303,7 @@ def test_drain_audit_matches_fsum():
     """Tick-by-tick drain equals the compensated sum of i*dt to 1e-9."""
     rng = random.Random(55)
     currents = [rng.uniform(0.0, 2.0) for _ in range(20000)]
-    battery = BatteryState()
+    battery = FULL_BATTERY
     drawn = []
     for i in currents:
         before = battery.charge
@@ -311,7 +314,7 @@ def test_drain_audit_matches_fsum():
 
 
 def test_exhaustion_zeroes_voltage():
-    battery = BatteryState(voltage=7.4, charge=0.05)
+    battery = replace(FULL_BATTERY, charge=0.05)
     battery = drain_battery(battery, 2.0, 0.1)
     assert battery.failed
     assert battery.voltage == 0.0
@@ -319,17 +322,17 @@ def test_exhaustion_zeroes_voltage():
 
 
 def test_failed_battery_is_absorbing():
-    battery = BatteryState(voltage=0.0, charge=100.0, failed=True)
+    battery = replace(DEAD_BATTERY, charge=100.0)
     assert drain_battery(battery, 1.0, DT) is battery
 
 
 def test_zero_draw_is_free():
-    battery = BatteryState()
+    battery = FULL_BATTERY
     assert drain_battery(battery, 0.0, DT) is battery
 
 
 def test_servo_current_ordering_enforced():
     with pytest.raises(ParameterError):
-        ServoSpec(running_current_max=2.5, stall_current=2.0)
+        replace(SERVO, running_current_max=2.5, stall_current=2.0)
     with pytest.raises(ParameterError):
-        ServoSpec(stall_current=0.1)
+        replace(SERVO, stall_current=0.1)

@@ -9,16 +9,17 @@ before being frozen here.
 import math
 import random
 import statistics
+from dataclasses import replace
 
 import pytest
 
-from deploysim import ContractViolationError, DomainError
-from deploysim.atmosphere import (AtmosphereModel, Barometer, BarometerSpec,
-                                  _altitude_in_band, density_at_altitude,
-                                  pressure_at_altitude)
+from deploysim import ContractViolationError, DomainError, build_scenario
+from deploysim.atmosphere import (Barometer, _altitude_in_band,
+                                  density_at_altitude, pressure_at_altitude)
 from oracles import altitude_from_pressure, temperature_at_altitude
 
-MODEL = AtmosphereModel()
+NOMINAL = build_scenario()
+MODEL = NOMINAL.atmosphere
 
 
 def test_sea_level_pressure():
@@ -57,8 +58,8 @@ def test_density_is_bit_identical_to_the_component_formulas():
         expected = (pressure_at_altitude(MODEL, h) * 0.0289644
                     / (8.31432 * temperature_at_altitude(MODEL, h)))
         assert density_at_altitude(MODEL, h) == expected, h
-    other = AtmosphereModel(sea_level_pressure=95000.0,
-                            sea_level_temperature=300.0, lapse_rate=0.008)
+    other = replace(MODEL, sea_level_pressure=95000.0,
+                    sea_level_temperature=300.0, lapse_rate=0.008)
     for h in grid:
         expected = (pressure_at_altitude(other, h) * 0.0289644
                     / (8.31432 * temperature_at_altitude(other, h)))
@@ -115,10 +116,11 @@ def test_altitude_outside_band_rejected():
 
 
 def _quiet_spec(**kwargs):
-    defaults = dict(pressure_noise_sigma=0.0, quantization=0.0,
-                    latency=0.0, seed=0)
-    defaults.update(kwargs)
-    return BarometerSpec(**defaults)
+    """The nominal 50 Hz barometer, noise-free and without delay unless
+    `kwargs` say otherwise."""
+    quiet = dict(noise_sigma=0.0, quantization=0.0, latency=0.0, seed=0)
+    quiet.update(kwargs)
+    return replace(NOMINAL.barometer, **quiet)
 
 
 def test_sample_cadence_50hz():
@@ -142,7 +144,7 @@ def test_noise_free_sample_reports_truth():
 
 def test_noise_mean_within_statistical_bound():
     """Seed 42, 1000 samples at 1000 m: mean error under 3 sigma/sqrt(n)."""
-    spec = _quiet_spec(pressure_noise_sigma=3.0, seed=42)
+    spec = _quiet_spec(noise_sigma=3.0, seed=42)
     baro = Barometer(spec, MODEL)
     truth = pressure_at_altitude(MODEL, 1000.0)
     values = []
@@ -156,15 +158,15 @@ def test_noise_mean_within_statistical_bound():
 
 
 def test_same_seed_same_stream():
-    a = Barometer(_quiet_spec(pressure_noise_sigma=3.0, seed=7), MODEL)
-    b = Barometer(_quiet_spec(pressure_noise_sigma=3.0, seed=7), MODEL)
+    a = Barometer(_quiet_spec(noise_sigma=3.0, seed=7), MODEL)
+    b = Barometer(_quiet_spec(noise_sigma=3.0, seed=7), MODEL)
     for k in range(200):
         assert a.sample(800.0, k * 0.02) == b.sample(800.0, k * 0.02)
 
 
 def test_different_seed_different_stream():
-    a = Barometer(_quiet_spec(pressure_noise_sigma=3.0, seed=7), MODEL)
-    b = Barometer(_quiet_spec(pressure_noise_sigma=3.0, seed=8), MODEL)
+    a = Barometer(_quiet_spec(noise_sigma=3.0, seed=7), MODEL)
+    b = Barometer(_quiet_spec(noise_sigma=3.0, seed=8), MODEL)
     seen_different = False
     for k in range(50):
         if a.sample(800.0, k * 0.02) != b.sample(800.0, k * 0.02):
@@ -173,7 +175,7 @@ def test_different_seed_different_stream():
 
 
 def test_quantization_snaps_to_grid():
-    spec = _quiet_spec(pressure_noise_sigma=3.0, quantization=1.0, seed=3)
+    spec = _quiet_spec(noise_sigma=3.0, quantization=1.0, seed=3)
     baro = Barometer(spec, MODEL)
     for k in range(100):
         pressure, _ = baro.sample(1200.0, k * 0.02)
@@ -215,7 +217,7 @@ def test_sensed_altitude_monotone_when_noise_free():
 def test_clamp_keeps_altitude_in_band():
     # Huge noise would otherwise push pressure above sea level or
     # below the model ceiling; the clamp keeps the inverse legal.
-    spec = _quiet_spec(pressure_noise_sigma=5000.0, seed=1)
+    spec = _quiet_spec(noise_sigma=5000.0, seed=1)
     baro = Barometer(spec, MODEL)
     for k in range(500):
         pressure, altitude = baro.sample(2.0, k * 0.02)

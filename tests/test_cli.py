@@ -196,6 +196,16 @@ def test_sweep_rejects_bad_values(capsys):
                  "--key", "payload.mass", "--values", "a,b"]) == 64
 
 
+def test_sweep_rejects_a_cross_field_value_before_any_row(tmp_path, capsys):
+    assert main(["sweep", "--scenario", "altair_nominal",
+                 "--key", "trigger.deploy_floor", "--values", "150,200,500",
+                 "--out", str(tmp_path / "sw")]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "500.0" in captured.err
+    assert not (tmp_path / "sw").exists()
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 64
     assert "usage" in capsys.readouterr().err.lower()

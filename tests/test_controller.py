@@ -5,32 +5,36 @@ hand and the door/carrier/battery states are plain structs, so every
 transition lands on an exact, assertable logic tick.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from deploysim import MechanismParams, ParameterError
-from deploysim.actuation import (BatteryState, CarrierState, DoorState,
-                                 FaultPlan, ServoSpec)
+from deploysim import ParameterError, build_scenario
+from deploysim.actuation import CarrierState, DoorState
 from deploysim.controller import (STABILIZE_DWELL_S, DeployPhase,
                                   DeploymentController, SafeHoldReason,
-                                  TaskSchedule, TriggerConfig)
+                                  TaskSchedule, task_period_ticks)
 from deploysim.flight import FlightPhase, FlightState
 from deploysim.mission import make_telemetry_record
 
-MECH = MechanismParams()
-SERVO = ServoSpec()
+NOMINAL = build_scenario()
+MECH = NOMINAL.mechanism
+SERVO = NOMINAL.servo
+NO_FAULTS = NOMINAL.faults
 
 OPEN_DOOR = DoorState(locked=False, rod_travel=0.0, angle=1.5533, open=True)
 UNLOCKED_DOOR = DoorState(locked=False, rod_travel=0.0)
 LOCKED_DOOR = DoorState()
 IDLE_CARRIER = CarrierState()
-GOOD_BATTERY = BatteryState()
-DEAD_BATTERY = BatteryState(voltage=0.0, charge=0.0, failed=True)
+GOOD_BATTERY = NOMINAL.battery
+DEAD_BATTERY = replace(GOOD_BATTERY, voltage=0.0, charge=0.0, failed=True)
 
 
 def make_controller(**kwargs):
-    defaults = dict(deploy_ceiling=400.0, deploy_floor=150.0)
-    defaults.update(kwargs)
-    return DeploymentController(TriggerConfig(**defaults), MECH, SERVO)
+    """A controller for the nominal 150-400 m window."""
+    trigger = replace(NOMINAL.trigger, **kwargs)
+    assert (trigger.deploy_floor, trigger.deploy_ceiling) == (150.0, 400.0)
+    return DeploymentController(trigger, MECH, SERVO)
 
 
 def sense(ctl, altitude, now):
@@ -76,6 +80,10 @@ def test_rates_actually_hit():
 
 
 def test_dt_must_divide_every_period():
+    assert task_period_ticks(0.001) == (20, 20, 10, 50)
+    assert task_period_ticks(0.01) == (2, 2, 1, 5)
+    with pytest.raises(ParameterError):
+        task_period_ticks(0.0003)
     with pytest.raises(ParameterError):
         TaskSchedule(0.0003)
 
@@ -321,9 +329,9 @@ def test_safe_hold_is_absorbing_and_silent():
 
 
 def telemetry_row(ctl, carrier=IDLE_CARRIER, battery=GOOD_BATTERY,
-                  faults=FaultPlan()):
-    vehicle = FlightState(time=1.0, altitude=321.0, velocity=-12.0,
-                          mass=26.0, phase=FlightPhase.DROGUE_DESCENT)
+                  faults=NO_FAULTS):
+    vehicle = FlightState(altitude=321.0, velocity=-12.0, mass=26.0,
+                          phase=FlightPhase.DROGUE_DESCENT)
     return make_telemetry_record(1.0, vehicle, ctl, OPEN_DOOR, carrier,
                                  battery, 0.9, faults)
 
@@ -340,9 +348,9 @@ def test_phase_labels():
 
 def test_trigger_config_validation():
     with pytest.raises(ParameterError):
-        TriggerConfig(deploy_ceiling=100.0, deploy_floor=100.0)
+        replace(NOMINAL.trigger, deploy_ceiling=100.0, deploy_floor=100.0)
     with pytest.raises(ParameterError):
-        TriggerConfig(deploy_ceiling=100.0, deploy_floor=200.0)
+        replace(NOMINAL.trigger, deploy_ceiling=100.0, deploy_floor=200.0)
 
 
 def test_telemetry_record_snapshot():
@@ -366,7 +374,7 @@ def test_telemetry_record_snapshot():
 def test_telemetry_fault_flags_in_fixed_order():
     ctl = make_controller()
     carrier = CarrierState(link_broken=True, slipped=True, stalled=True)
-    faults = FaultPlan(door_jam=True, surface_friction_scale=3.0)
+    faults = replace(NO_FAULTS, door_jam=True, surface_friction_scale=3.0)
     record = telemetry_row(ctl, carrier, DEAD_BATTERY, faults)
     assert record.fault_flags == (
         "power+door_jam+link_break+gear_slip+stall+friction_scaled")

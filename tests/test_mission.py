@@ -9,6 +9,7 @@ the sensed altitude inside the window, the rod takes 0.5 s, the door
 
 import importlib.util
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from deploysim import (
     sweep,
     verdict_lines,
 )
+from deploysim import mission
 from deploysim.errors import DomainError, ScenarioError
 
 NOMINAL = bundled_scenario("altair_nominal")
@@ -71,6 +73,19 @@ def test_nominal_event_sequence(nominal_result):
     assert ev["door_unlocked"].time == pytest.approx(65.499, abs=1e-6)
     assert ev["door_open"].time == pytest.approx(65.782, abs=1e-6)
     assert ev["ejected"].time == pytest.approx(68.744, abs=1e-6)
+
+
+def test_event_times_lie_on_the_tick_grid(nominal_result):
+    # Time is derived from the tick count, never accumulated: every
+    # event, the vehicle's included, is stamped k * dt for an integer k.
+    coarse = scenario_with(NOMINAL, {"sim.dt": 0.01})
+    for scenario, result in ((NOMINAL, nominal_result),
+                             (coarse, run_mission(coarse))):
+        dt = scenario.dt
+        assert {e.name for e in result.events} >= {"apogee_truth",
+                                                   "vehicle_landed"}
+        for event in result.events:
+            assert event.time == round(event.time / dt) * dt, event
 
 
 def test_nominal_command_log(nominal_result):
@@ -251,6 +266,25 @@ def test_sweep_coerces_integer_keys():
     assert all(type(s) is int for s, _ in table)
     with pytest.raises(ScenarioError, match="faults.gear_slip_push"):
         sweep(fast, "faults.gear_slip_push", [1.0, 2.7])
+
+
+@pytest.mark.parametrize("key, values, bad", [
+    ("trigger.deploy_floor", [150.0, 200.0, 500.0], "500.0"),
+    ("payload.mass", [1.0, 2.0, -1.0], "-1.0"),
+])
+def test_sweep_builds_every_scenario_before_any_run(monkeypatch, key,
+                                                    values, bad):
+    runs = []
+
+    def counting_run(*args, **kwargs):
+        runs.append(args)
+        return run_mission(*args, **kwargs)
+
+    monkeypatch.setattr(mission, "run_mission", counting_run)
+    with pytest.raises(ScenarioError,
+                       match=rf"^sweep {re.escape(key)} = {re.escape(bad)}: "):
+        sweep(NOMINAL, key, values)
+    assert runs == []
 
 
 def test_sweep_rejects_unknown_key():

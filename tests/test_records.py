@@ -5,6 +5,9 @@ is what `functools.cached_property` does on first read) takes every
 later attribute read on that object off the fast path, and the tick
 loop reads these records several times per tick.  `AtmosphereModel`
 therefore computes its derived constants once, when it is built.
+
+Each scenario quantity has one default, in `scenario.SCHEMA`: the
+records a scenario builds carry none of their own.
 """
 
 import dataclasses
@@ -17,7 +20,10 @@ from deploysim import (MechanismParams, build_scenario, run_mission,
                        sizing_report)
 from deploysim.atmosphere import (GAS_CONSTANT, MODEL_CEILING, MOLAR_MASS_AIR,
                                   STANDARD_GRAVITY, AtmosphereModel,
-                                  pressure_at_altitude)
+                                  BarometerSpec, pressure_at_altitude)
+from deploysim.scenario import SCHEMA
+
+NOMINAL_MODEL = build_scenario().atmosphere
 
 MODULES = [importlib.import_module(f"deploysim.{info.name}")
            for info in pkgutil.iter_modules(deploysim.__path__)]
@@ -78,30 +84,85 @@ def _assert_derived_match_formulas(model):
 
 
 def test_atmosphere_derived_fields_equal_their_formulas():
-    for model in (AtmosphereModel(),
+    for model in (NOMINAL_MODEL,
                   AtmosphereModel(sea_level_pressure=98000.0,
                                   sea_level_temperature=300.0,
                                   lapse_rate=0.0071),
-                  AtmosphereModel(lapse_rate=0.001)):
+                  AtmosphereModel(101325.0, 288.15, 0.001)):
         _assert_derived_match_formulas(model)
 
 
 def test_replace_recomputes_atmosphere_derived_fields():
-    base = AtmosphereModel()
+    base = NOMINAL_MODEL
     changed = dataclasses.replace(base, lapse_rate=0.005)
     _assert_derived_match_formulas(changed)
     assert changed.exponent != base.exponent
     assert changed.min_pressure != base.min_pressure
-    fresh = AtmosphereModel(lapse_rate=0.005)
+    fresh = AtmosphereModel(101325.0, 288.15, 0.005)
     for name in ("exponent", "min_pressure", "_temperature_scale",
                  "_inverse_exponent"):
         assert getattr(changed, name) == getattr(fresh, name), name
 
 
 def test_atmosphere_identity_is_its_three_inputs():
-    model = AtmosphereModel()
-    assert model == AtmosphereModel()
+    model = NOMINAL_MODEL
+    assert model == AtmosphereModel(101325.0, 288.15, 0.0065)
     assert hash(model) == hash((101325.0, 288.15, 0.0065))
     assert repr(model) == ("AtmosphereModel(sea_level_pressure=101325.0, "
                            "sea_level_temperature=288.15, lapse_rate=0.0065)")
-    assert model != AtmosphereModel(lapse_rate=0.005)
+    assert model != AtmosphereModel(101325.0, 288.15, 0.005)
+
+
+# ---------------------------------------------------------------------------
+# One default per quantity
+
+
+# Motion and health state that every mission starts from.
+STATE_FIELDS = {("BatteryState", "failed"), ("PayloadBody", "state"),
+                ("PayloadBody", "altitude"), ("PayloadBody", "velocity")}
+
+
+def test_no_record_default_repeats_a_schema_default():
+    scenario = build_scenario()
+    records = [(f.name, getattr(scenario, f.name))
+               for f in dataclasses.fields(scenario)
+               if dataclasses.is_dataclass(getattr(scenario, f.name))]
+    assert len(records) == 10
+    for section, record in records:
+        # MechanismParams() is the public drivetrain default; the
+        # schema reads its `mechanism.*` defaults from it instead.
+        if isinstance(record, MechanismParams):
+            assert record == MechanismParams()
+            continue
+        keys = {key.partition(".")[2] for key in SCHEMA
+                if key.startswith(section + ".")}
+        assert keys, section
+        for f in dataclasses.fields(record):
+            if (f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING):
+                continue
+            name = f"{type(record).__name__}.{f.name}"
+            assert (type(record).__name__, f.name) in STATE_FIELDS, name
+            assert f.name not in keys, name
+
+
+def test_barometer_seed_is_the_scenario_seed():
+    seed = next(f for f in dataclasses.fields(BarometerSpec)
+                if f.name == "seed")
+    assert seed.default is dataclasses.MISSING
+    assert build_scenario().barometer.seed == SCHEMA["sim.seed"].default
+    assert build_scenario({"sim.seed": 7}).barometer.seed == 7
+
+
+def test_schema_defaults_pass_their_own_checks():
+    # build_scenario checks only the overrides it is given, so the
+    # defaults must already be the values a check would store.
+    for key, entry in SCHEMA.items():
+        checked = entry.check(key, entry.default)
+        assert checked == entry.default, key
+        assert type(checked) is type(entry.default), key
+
+
+def test_defaults_build_what_explicit_defaults_build():
+    explicit = {key: entry.default for key, entry in SCHEMA.items()}
+    assert build_scenario() == build_scenario(explicit)

@@ -2,6 +2,7 @@
 
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,9 @@ from deploysim import (
     scenario_with,
 )
 from deploysim.scenario import SCHEMA, parse_scenario_text
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+    encoding="utf-8")
 
 
 def test_empty_text_is_all_defaults():
@@ -280,11 +284,6 @@ def test_unknown_bundled_name():
         bundled_scenario("altair_missing")
 
 
-def test_schema_defaults_pass_their_own_checks():
-    for key, entry in SCHEMA.items():
-        entry.check(key, entry.default)
-
-
 # Keys that were accepted and then ignored, or that made sizing and
 # flight disagree; they must now fail like any other unknown key.
 REMOVED_KEYS = ("servo.stall_torque", "servo.voltage",
@@ -334,3 +333,10 @@ def test_override_type_contract(key, value, stored):
     else:
         got = scenario_with(base, {key: value}).values[key]
         assert got == stored and type(got) is type(stored)
+
+
+def test_readme_names_every_schema_section():
+    section = README.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    paragraph = section.strip().split("\n\n", 1)[0]
+    for name in sorted({key.partition(".")[0] for key in SCHEMA}):
+        assert f"`{name}.*`" in paragraph, name
