@@ -99,12 +99,9 @@ class BatteryState:
     failed: bool = False
 
 
-def command_unlock(door: DoorState, battery: BatteryState, spec: DoorSpec,
-                   dt: float) -> DoorState:
-    """Step the lock-rod retraction.  No-op on a dead battery or once
-    the rod is already retracted.  A door jam does not stop the rod."""
-    if battery.failed or not door.locked:
-        return door
+def command_unlock(door: DoorState, spec: DoorSpec, dt: float) -> DoorState:
+    """Step the retraction of a locked door's rod, which the loop drives
+    only while powered.  A door jam does not stop the rod."""
     travel = door.rod_travel - dt / spec.rod_travel_time
     if travel <= 0.0:
         return replace(door, rod_travel=0.0, locked=False)
@@ -113,12 +110,12 @@ def command_unlock(door: DoorState, battery: BatteryState, spec: DoorSpec,
 
 def step_door(door: DoorState, spec: DoorSpec, dt: float,
               faults: FaultPlan) -> DoorState:
-    """Swing the door toward full open at a constant rate.
+    """Swing an unlocked door toward full open at a constant rate.
 
     The door is unpowered, so it keeps opening even after a battery
     failure.
     """
-    if door.locked or faults.door_jam or door.angle >= spec.max_open:
+    if faults.door_jam:
         return door
     angle = min(door.angle + spec.max_open / spec.open_time * dt,
                 spec.max_open)
@@ -174,18 +171,14 @@ def carrier_drive(servo: ServoSpec, params: MechanismParams,
 
 def step_carrier(carrier: CarrierState, servo: ServoSpec, payload_mass: float,
                  params: MechanismParams, faults: FaultPlan, dt: float,
-                 drive: CarrierDrive, powered: bool = True,
-                 ) -> tuple[CarrierState, float, float]:
-    """Advance the carrier one step.
+                 drive: CarrierDrive) -> tuple[CarrierState, float, float]:
+    """Advance a pushing, powered carrier one step.
 
     Returns (state, payload displacement gained this step in m, current
-    draw in A).  Idle or unpowered carriers draw nothing and do not
-    move.  Extension against a load the servo cannot overcome holds the
-    rack still at stall current.  `drive` is
+    draw in A).  Extension against a load the servo cannot overcome
+    holds the rack still at stall current.  `drive` is
     `carrier_drive(servo, params, faults)`, computed once per mission.
     """
-    if not carrier.pushing or not powered:
-        return carrier, 0.0, 0.0
     speed = drive.rack_speed
 
     if carrier.retracting:
@@ -246,9 +239,7 @@ def drain_battery(battery: BatteryState, current: float,
     failed.  The scheduled failure of the fault plan is applied by the
     mission loop.
     """
-    if battery.failed:
-        return battery
-    if current == 0.0:
+    if battery.failed or current == 0.0:
         return battery
     charge = battery.charge - current * dt
     if charge <= 0.0:

@@ -10,7 +10,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import ContractViolationError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 
 # Standard-atmosphere physical constants.  Single source for every
 # module that needs air properties.
@@ -132,18 +132,12 @@ class Barometer:
         self._next_time = 0.0           # _next_index * _period
         # (time, altitude) since the last reading, back to t - latency
         self._truth: deque = deque()
-        self._last_time = -math.inf
 
     def sample(self, true_altitude: float, tick_time: float):
         """Feed one tick of truth; get (pressure, altitude) or None.
 
         `tick_time` must not go backwards between calls.
         """
-        if tick_time < self._last_time:
-            raise ContractViolationError(
-                f"barometer time went backwards: {tick_time} < "
-                f"{self._last_time}")
-        self._last_time = tick_time
         truth = self._truth
         truth.append((tick_time, true_altitude))
         if tick_time + TIME_EPS < self._next_time:
@@ -168,9 +162,11 @@ class Barometer:
             pressure += self._rng.normalvariate(0.0, sigma)
         quantum = self.spec.quantization
         if quantum > 0.0:
-            pressure = round(pressure / quantum) * quantum
+            steps = pressure / quantum
+            if math.isfinite(steps):
+                pressure = round(steps) * quantum
         # Clamp into the invertible band, which makes a range check on
-        # the inverse redundant.
+        # the inverse redundant and bounds an infinite reading.
         if pressure > model.sea_level_pressure:
             pressure = model.sea_level_pressure
         elif pressure < model.min_pressure:

@@ -13,8 +13,9 @@ from .errors import DeploySimError, ScenarioError
 from .mechanism import MechanismParams, sizing_report
 from .mission import (CONFIG_ERROR_EXIT, EXIT_CODES, render_commands_csv,
                       render_telemetry_csv, run_mission, sweep, verdict_lines)
-from .scenario import (Scenario, _parse_value, bundled_scenario,
-                       list_bundled, load_scenario, scenario_with)
+from .scenario import (_MECHANISM_FIELDS, SCHEMA, Scenario, _parse_value,
+                       bundled_scenario, list_bundled, load_scenario,
+                       scenario_with)
 
 OUT_DIR_ENV = "DEPLOYSIM_OUT"
 
@@ -84,12 +85,10 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_sizing(args) -> int:
-    overrides = {name: getattr(args, name) for name in (
-        "servo_stall_torque", "pinion_pitch_diameter", "drivetrain_efficiency",
-        "friction_coefficient", "stroke", "deployment_time_budget")
-        if getattr(args, name) is not None}
-    params = MechanismParams(**overrides)
-    report = sizing_report(params)
+    overrides = {name: getattr(args, name)
+                 for name in _MECHANISM_FIELDS.values()
+                 if getattr(args, name) is not None}
+    report = sizing_report(MechanismParams(**overrides))
     rows = (
         ("ideal_tangential_force_n", "ideal tangential force",
          report.ideal_tangential_force, ".1f", "N"),
@@ -156,17 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sizing = sub.add_parser("sizing", help="print the sizing chain")
-    sizing.add_argument("--stall-torque", dest="servo_stall_torque",
-                        type=float, help="N*m")
-    sizing.add_argument("--pitch-diameter", dest="pinion_pitch_diameter",
-                        type=float, help="m")
-    sizing.add_argument("--efficiency", dest="drivetrain_efficiency",
-                        type=float, help="fraction in (0, 1]")
-    sizing.add_argument("--friction", dest="friction_coefficient",
-                        type=float, help="coefficient of friction")
-    sizing.add_argument("--stroke", dest="stroke", type=float, help="m")
-    sizing.add_argument("--time-budget", dest="deployment_time_budget",
-                        type=float, help="s")
+    for key, name in _MECHANISM_FIELDS.items():
+        flag = "--" + key.partition(".")[2].replace("_", "-")
+        sizing.add_argument(flag, dest=name, type=float, help=SCHEMA[key].doc)
     sizing.add_argument("--machine", action="store_true",
                         help="key=value output only")
     sizing.set_defaults(func=_cmd_sizing)

@@ -169,11 +169,8 @@ class DeploymentController:
         self.safe_hold_reason: SafeHoldReason | None = None
         self.sensed_altitude: float | None = None
         self.apogee_seen = False
-        self.apogee_seen_time: float | None = None
         self.unlock_time: float | None = None
         self.door_open_seen: float | None = None
-        self.unlocks_sent = 0
-        self.pushes_sent = 0
         self._max_sensed = -math.inf
         self._push_phase_start: float | None = None
 
@@ -183,18 +180,20 @@ class DeploymentController:
         """Latch the newest barometer reading."""
         self.sensed_altitude = sample[1]
 
-    def task_estimate(self, now: float) -> None:
-        """Track peak sensed altitude; flag apogee after a confirmed drop."""
+    def task_estimate(self) -> bool:
+        """Track peak sensed altitude; True on the call that confirms
+        apogee, a drop of `apogee_confirm_drop` below the peak."""
         altitude = self.sensed_altitude
         if altitude is None:
-            return
+            return False
         if altitude > self._max_sensed:
             self._max_sensed = altitude
         elif (not self.apogee_seen
               and self._max_sensed - altitude
               >= self.trigger.apogee_confirm_drop):
             self.apogee_seen = True
-            self.apogee_seen_time = now
+            return True
+        return False
 
     def _hold(self, reason: SafeHoldReason) -> list[Command]:
         self.phase = DeployPhase.SAFE_HOLD
@@ -231,7 +230,6 @@ class DeploymentController:
             if armed and trigger.deploy_floor <= altitude <= trigger.deploy_ceiling:
                 self.phase = _UNLOCKING
                 self.unlock_time = now
-                self.unlocks_sent += 1
                 return [Command("unlock", altitude)]
             return []
 
@@ -258,7 +256,6 @@ class DeploymentController:
             if now - self.door_open_seen >= STABILIZE_DWELL_S - TIME_EPS:
                 self.phase = DeployPhase.PUSH_1
                 self._push_phase_start = now
-                self.pushes_sent = 1
                 return [Command("push", 1.0)]
             return []
 
@@ -271,7 +268,6 @@ class DeploymentController:
             if push_index < MAX_PUSHES:
                 self.phase = _NEXT_PUSH[push_index]
                 self._push_phase_start = now
-                self.pushes_sent += 1
                 return [Command("push", float(push_index + 1))]
             # All pushes spent without ejection: give up, stay safe.
             return self._hold(SafeHoldReason.PUSHES_EXHAUSTED)

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .atmosphere import AtmosphereModel, density_at_altitude
-from .errors import ContractViolationError, ParameterError
+from .errors import ParameterError
 from .mechanism import GRAVITY
 
 
@@ -37,7 +37,6 @@ _BOOST = FlightPhase.BOOST
 _COAST = FlightPhase.COAST
 _DROGUE_DESCENT = FlightPhase.DROGUE_DESCENT
 _LANDED = FlightPhase.LANDED
-_STOWED = PayloadState.STOWED
 _FREE_FALL = PayloadState.FREE_FALL
 _PARACHUTE_DESCENT = PayloadState.PARACHUTE_DESCENT
 _PAYLOAD_LANDED = PayloadState.LANDED
@@ -168,20 +167,13 @@ def _moved(body: PayloadBody, state: PayloadState, altitude: float,
 def release_payload(body: PayloadBody, altitude: float,
                     velocity: float) -> PayloadBody:
     """Hand the stowed payload its own state vector at ejection."""
-    if body.state is not _STOWED:
-        raise ContractViolationError("payload already released")
     return _moved(body, _FREE_FALL, altitude, velocity)
 
 
 def step_payload(body: PayloadBody, dt: float, ejection_altitude: float,
                  atmosphere: AtmosphereModel) -> PayloadBody:
-    """Advance a released payload one step.  Landed passes through."""
+    """Advance a released payload that has not landed one step."""
     state = body.state
-    if state is _STOWED:
-        raise ContractViolationError("cannot step a stowed payload; it moves "
-                                     "with the vehicle until ejection")
-    if state is _PAYLOAD_LANDED:
-        return body
     if body.altitude <= 0.0:
         return _moved(body, _PAYLOAD_LANDED, 0.0, 0.0)
 

@@ -31,6 +31,10 @@ from .errors import ParameterError, SingularConfigurationError
 # m/s^2, the one gravity of sizing, the carrier load and flight.
 GRAVITY = 9.81
 
+# s, the bounds of `deployment_time_budget`, as of the clock: outside
+# them the t^2 of the sizing chain overflows or divides by zero.
+MIN_TIME_BUDGET, MAX_TIME_BUDGET = 1e-6, 86400.0
+
 
 def _finite(name: str, value: float) -> float:
     value = float(value)
@@ -74,6 +78,11 @@ class MechanismParams:
                      "deployment_time_budget"):
             value = _positive(name, getattr(self, name))
             object.__setattr__(self, name, value)
+        budget = self.deployment_time_budget
+        if not MIN_TIME_BUDGET <= budget <= MAX_TIME_BUDGET:
+            raise ParameterError(
+                f"deployment_time_budget must be in [{MIN_TIME_BUDGET}, "
+                f"{MAX_TIME_BUDGET}] s, got {budget}")
         eff = _finite("drivetrain_efficiency", self.drivetrain_efficiency)
         if not 0.0 < eff <= 1.0:
             raise ParameterError(

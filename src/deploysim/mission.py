@@ -183,18 +183,17 @@ def run_mission(scenario: Scenario,
     events: list[Event] = []
 
     pending_sample = None
-    unlock_active = False
+    phase = controller.phase    # as of the last tick; update_phase moves it
     payload_released = False
     eject_altitude: float | None = None
     eject_time: float | None = None
-    apogee_sensed_logged = False
-    safe_hold_logged = False
     energy = 0.0
     peak_current = 0.0
     charge_drawn = 0.0
     # Members compared on every tick, bound once: attribute access on an
     # Enum class is slow on Python 3.11 (see flight.py).
     safe_hold = _SAFE_HOLD
+    unlocking = DeployPhase.UNLOCKING
     payload_landed = PayloadState.LANDED
     vehicle_landed = FlightPhase.LANDED
 
@@ -220,9 +219,7 @@ def run_mission(scenario: Scenario,
                         controller.task_sense(pending_sample)
                         pending_sample = None
                 elif task == "estimate_state":
-                    controller.task_estimate(now)
-                    if controller.apogee_seen and not apogee_sensed_logged:
-                        apogee_sensed_logged = True
+                    if controller.task_estimate():
                         events.append(Event(now, "apogee_sensed",
                                             controller.sensed_altitude))
                 elif task == "deploy_logic":
@@ -230,31 +227,28 @@ def run_mission(scenario: Scenario,
                                                        now):
                         commands.append(CommandLogEntry(
                             now, cmd.name, cmd.value, vehicle.altitude))
-                        if cmd.name == "unlock":
-                            unlock_active = True
-                        else:
+                        if cmd.name == "push":
                             carrier = begin_push(carrier, door.open)
                     if (controller.phase is safe_hold
-                            and not safe_hold_logged):
-                        safe_hold_logged = True
-                        events.append(Event(
-                            now, "safe_hold",
-                            controller.safe_hold_reason.value))
+                            and phase is not safe_hold):
+                        events.append(Event(now, "safe_hold",
+                                            controller.safe_hold_reason.value))
                 else:  # telemetry, lowest priority; recorded at end of tick
                     telemetry_due = True
 
             # Safing de-energizes the actuators: the lock rod and the rack
             # hold position.  The door itself is passive and keeps swinging.
-            if controller.phase is safe_hold:
-                unlock_active = False
+            phase = controller.phase
+            if phase is safe_hold:
                 carrier = halt_carrier(carrier)
 
-            # Actuation over [now, now + dt).
+            # Actuation over [now, now + dt).  A dead pack drives neither
+            # the lock rod nor the rack; the door swings unpowered.
+            powered = not battery.failed
             current = 0.0
-            if unlock_active and door.locked:
-                door = command_unlock(door, battery, door_spec, dt)
-                if not battery.failed:
-                    current += door_spec.actuator_current
+            if powered and phase is unlocking and door.locked:
+                door = command_unlock(door, door_spec, dt)
+                current += door_spec.actuator_current
                 if not door.locked:
                     events.append(Event(now, "door_unlocked", 0.0))
             if not door.locked and door.angle < door_spec.max_open:
@@ -262,10 +256,9 @@ def run_mission(scenario: Scenario,
                 door = step_door(door, door_spec, dt, faults)
                 if door.open and not was_open:
                     events.append(Event(now, "door_open", door.angle))
-            if carrier.pushing:
+            if powered and carrier.pushing:
                 carrier, _, servo_current = step_carrier(
-                    carrier, servo, aboard_mass, mechanism, faults, dt, drive,
-                    powered=not battery.failed)
+                    carrier, servo, aboard_mass, mechanism, faults, dt, drive)
                 current += servo_current
                 if (not payload_released
                         and carrier.payload_displacement >= stroke):
@@ -321,8 +314,7 @@ def run_mission(scenario: Scenario,
                 break
             if vehicle.phase is vehicle_landed and not payload_released:
                 break
-            if stop_at_verdict and (payload_released
-                                    or controller.phase is safe_hold):
+            if stop_at_verdict and (payload_released or phase is safe_hold):
                 break
     except DomainError as exc:
         raise DomainError(

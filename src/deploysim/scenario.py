@@ -12,12 +12,13 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .actuation import BatteryState, DoorSpec, FaultPlan, ServoSpec
+from .actuation import (BatteryState, DoorSpec, FaultPlan, ServoSpec,
+                        rack_speed)
 from .atmosphere import AtmosphereModel, BarometerSpec
 from .controller import TriggerConfig, task_period_ticks
 from .errors import ParameterError, ScenarioError
 from .flight import PayloadBody, VehicleSpec
-from .mechanism import MechanismParams
+from .mechanism import MAX_TIME_BUDGET, MIN_TIME_BUDGET, MechanismParams
 
 
 _EXPECTS = {bool: "true/false", int: "an integer", float: "a number"}
@@ -103,7 +104,9 @@ SCHEMA: dict[str, _Key] = {
     "mechanism.friction": _nonneg(float, _DRIVE.friction_coefficient,
                                   "payload-on-bulkhead mu"),
     "mechanism.stroke": _pos(float, _DRIVE.stroke, "m"),
-    "mechanism.time_budget": _pos(float, _DRIVE.deployment_time_budget, "s"),
+    "mechanism.time_budget": _Key(float, _DRIVE.deployment_time_budget,
+                                  low=MIN_TIME_BUDGET, high=MAX_TIME_BUDGET,
+                                  doc="s"),
     # Drive servo (speed and current model)
     "servo.rated_speed": _pos(float, 1.0, "rev/s"),
     "servo.running_current_max": _nonneg(float, 0.9, "A"),
@@ -276,6 +279,11 @@ def build_scenario(overrides: dict | None = None) -> Scenario:
         task_period_ticks(sim["dt"])
     except ParameterError as exc:
         raise ScenarioError(str(exc)) from exc
+    # Each factor passes its own check, but their product can underflow.
+    if not rack_speed(records["servo"],
+                      records["mechanism"].pinion_pitch_diameter) > 0.0:
+        raise ScenarioError("servo.rated_speed and mechanism.pitch_diameter "
+                            "give a rack speed of 0 m/s")
 
     return Scenario(
         **records, battery=BatteryState(battery["voltage"],

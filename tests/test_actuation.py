@@ -15,6 +15,10 @@ from deploysim import (
     ContractViolationError,
     ParameterError,
     build_scenario,
+    bundled_scenario,
+    list_bundled,
+    run_mission,
+    scenario_with,
     sizing_report,
 )
 from deploysim.actuation import (CarrierState, DoorState, begin_push,
@@ -34,8 +38,7 @@ DRIVE = carrier_drive(SERVO, MECH, NO_FAULTS)
 DT = 0.001
 
 
-def run_push_cycle(mass, faults=NO_FAULTS, carrier=None, max_steps=5000,
-                   powered=True):
+def run_push_cycle(mass, faults=NO_FAULTS, carrier=None, max_steps=5000):
     """Drive one full cycle; returns (carrier, steps, moved, currents)."""
     if carrier is None:
         carrier = CarrierState()
@@ -45,8 +48,7 @@ def run_push_cycle(mass, faults=NO_FAULTS, carrier=None, max_steps=5000,
     currents = []
     for step in range(1, max_steps + 1):
         carrier, gained, current = step_carrier(carrier, SERVO, mass, MECH,
-                                                faults, DT, drive,
-                                                powered=powered)
+                                                faults, DT, drive)
         moved += gained
         currents.append(current)
         if not carrier.pushing:
@@ -174,24 +176,6 @@ def test_link_survives_below_threshold():
     assert moved == pytest.approx(MECH.stroke)
 
 
-def test_unpowered_carrier_holds_still():
-    carrier = begin_push(CarrierState(), door_open=True)
-    stepped, gained, current = step_carrier(carrier, SERVO, 1.0, MECH,
-                                            NO_FAULTS, DT, DRIVE,
-                                            powered=False)
-    assert stepped is carrier
-    assert gained == 0.0
-    assert current == 0.0
-
-
-def test_idle_carrier_draws_nothing():
-    carrier = CarrierState()
-    stepped, gained, current = step_carrier(carrier, SERVO, 1.0, MECH,
-                                            NO_FAULTS, DT, DRIVE)
-    assert stepped is carrier
-    assert (gained, current) == (0.0, 0.0)
-
-
 def test_halt_carrier_freezes_cycle():
     carrier = begin_push(CarrierState(), door_open=True)
     for _ in range(100):
@@ -200,10 +184,6 @@ def test_halt_carrier_freezes_cycle():
     frozen = halt_carrier(carrier)
     assert not frozen.pushing and not frozen.retracting and not frozen.stalled
     assert frozen.rack_extension == carrier.rack_extension
-    after, gained, current = step_carrier(frozen, SERVO, 1.0, MECH,
-                                          NO_FAULTS, DT, DRIVE)
-    assert after is frozen
-    assert (gained, current) == (0.0, 0.0)
     assert halt_carrier(frozen) is frozen
 
 
@@ -232,20 +212,12 @@ def test_second_cycle_transmits_nothing_after_full_stroke():
 
 def test_unlock_takes_rod_travel_time():
     door = DoorState()
-    battery = FULL_BATTERY
     steps = 0
     while door.locked:
-        door = command_unlock(door, battery, DOOR, DT)
+        door = command_unlock(door, DOOR, DT)
         steps += 1
     assert steps == 500  # 0.5 s at 1 ms
     assert door.rod_travel == 0.0
-
-
-def test_unlock_noop_on_dead_battery():
-    door = DoorState()
-    after = command_unlock(door, DEAD_BATTERY, DOOR, DT)
-    assert after is door
-    assert door.locked
 
 
 def test_door_swings_open_after_unlock():
@@ -259,11 +231,6 @@ def test_door_swings_open_after_unlock():
     for _ in range(100):
         door = step_door(door, DOOR, DT, NO_FAULTS)
     assert door.angle == DOOR.max_open
-
-
-def test_locked_door_does_not_swing():
-    door = DoorState()
-    assert step_door(door, DOOR, DT, NO_FAULTS) is door
 
 
 def test_jammed_door_never_swings():
@@ -280,9 +247,8 @@ def test_jam_does_not_stop_the_rod():
     # the lock, so only step_door sees it.
     faults = replace(NO_FAULTS, door_jam=True)
     door = DoorState()
-    battery = FULL_BATTERY
     for _ in range(500):
-        door = command_unlock(door, battery, DOOR, DT)
+        door = command_unlock(door, DOOR, DT)
     assert not door.locked
     assert step_door(door, DOOR, DT, faults) is door
 
@@ -336,3 +302,65 @@ def test_servo_current_ordering_enforced():
         replace(SERVO, running_current_max=2.5, stall_current=2.0)
     with pytest.raises(ParameterError):
         replace(SERVO, stall_current=0.1)
+
+
+# ---------------------------------------------------------------------------
+# What the mission loop owns: it drives the lock rod and the rack only
+# from a live pack, steps only a pushing carrier and swings only an
+# unlocked door, so the steppers above need not check.
+
+
+def _first(result, name):
+    """Time of the first event or command called `name`."""
+    return next(entry.time for entry in (*result.events, *result.commands)
+                if entry.name == name)
+
+
+def test_unlock_noop_on_dead_battery():
+    # The pack dies 6 ms before the rod would be fully retracted, between
+    # two logic ticks: the rod must not move on the ticks in between.
+    unlocked = _first(run_mission(NOMINAL, stop_at_verdict=True),
+                      "door_unlocked")
+    result = run_mission(scenario_with(
+        NOMINAL, {"faults.battery_fail_time": unlocked - 0.006}))
+    assert result.verdict.safe_hold_reason == "battery-failure"
+    assert [c.name for c in result.commands] == ["unlock"]
+    assert "door_unlocked" not in {event.name for event in result.events}
+    assert {row.door_angle_rad for row in result.telemetry} == {0.0}
+
+
+def test_unpowered_carrier_holds_still():
+    # The pack dies 503 steps into the first stroke, between two logic
+    # ticks: the rack must not move on the ticks in between.
+    push = _first(run_mission(NOMINAL, stop_at_verdict=True), "push")
+    fail = push + 0.503
+    result = run_mission(scenario_with(
+        NOMINAL, {"faults.battery_fail_time": fail}))
+    assert result.verdict.safe_hold_reason == "battery-failure"
+    after = [row for row in result.telemetry if row.time_s >= fail]
+    assert after[0].rack_ext_m == pytest.approx(503 * DRIVE.rack_speed * DT,
+                                                abs=DRIVE.rack_speed * DT / 2)
+    assert {row.rack_ext_m for row in after} == {after[0].rack_ext_m}
+    assert {row.current_a for row in after} == {0.0}
+
+
+def test_idle_carrier_draws_nothing():
+    result = run_mission(NOMINAL, stop_at_verdict=True)
+    unlock, unlocked, push = (_first(result, name) for name in
+                              ("unlock", "door_unlocked", "push"))
+    before = [row for row in result.telemetry if row.time_s < push]
+    assert {row.rack_ext_m for row in before} == {0.0}
+    for row in before:
+        rod_moving = unlock <= row.time_s <= unlocked
+        assert row.current_a == (pytest.approx(DOOR.actuator_current)
+                                 if rod_moving else 0.0), row.time_s
+
+
+def test_locked_door_does_not_swing():
+    for name in list_bundled():
+        result = run_mission(bundled_scenario(name), stop_at_verdict=True)
+        unlocked = next((event.time for event in result.events
+                         if event.name == "door_unlocked"), math.inf)
+        angles = {row.door_angle_rad for row in result.telemetry
+                  if row.time_s < unlocked}
+        assert angles == {0.0}, name

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from deploysim import ContractViolationError, DomainError, build_scenario
+from deploysim import DomainError, build_scenario
 from deploysim.atmosphere import (Barometer, _altitude_in_band,
                                   density_at_altitude, pressure_at_altitude)
 from oracles import altitude_from_pressure, temperature_at_altitude
@@ -225,9 +225,13 @@ def test_clamp_keeps_altitude_in_band():
         assert 0.0 <= altitude <= 11000.0
 
 
-def test_time_must_not_go_backwards():
-    baro = Barometer(_quiet_spec(), MODEL)
-    baro.sample(100.0, 0.0)
-    baro.sample(100.0, 0.02)
-    with pytest.raises(ContractViolationError):
-        baro.sample(100.0, 0.01)
+@pytest.mark.parametrize("kwargs", [
+    dict(quantization=5e-324),                      # pressure / quantum = inf
+    dict(noise_sigma=1e308, quantization=1.0, seed=1),  # noise reaches +-inf
+])
+def test_overflowing_reading_is_clamped_not_raised(kwargs):
+    baro = Barometer(_quiet_spec(**kwargs), MODEL)
+    for k in range(200):
+        pressure, altitude = baro.sample(300.0, k * 0.02)
+        assert MODEL.min_pressure <= pressure <= 101325.0
+        assert 0.0 <= altitude <= 11000.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from deploysim.cli import main
+from deploysim.cli import build_parser, main
 
 pytestmark = pytest.mark.usefixtures("isolated_out")
 
@@ -44,6 +44,30 @@ def test_sizing_with_overrides(capsys):
 
 def test_sizing_rejects_bad_value(capsys):
     assert main(["sizing", "--efficiency", "1.5"]) == 64
+
+
+@pytest.mark.parametrize("budget", ["1e-300", "1e300"])
+def test_sizing_rejects_unbounded_time_budget(capsys, budget):
+    assert main(["sizing", "--time-budget", budget]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "deployment_time_budget" in captured.err
+
+
+def test_sizing_flags_are_the_mechanism_keys():
+    # Built from the `mechanism.*` schema keys, `_` spelled `-`.
+    flags = {"--stall-torque": "servo_stall_torque",
+             "--pitch-diameter": "pinion_pitch_diameter",
+             "--efficiency": "drivetrain_efficiency",
+             "--friction": "friction_coefficient",
+             "--stroke": "stroke",
+             "--time-budget": "deployment_time_budget"}
+    argv = ["sizing"]
+    for value, flag in enumerate(flags, start=1):
+        argv += [flag, str(value)]
+    args = build_parser().parse_args(argv)
+    for value, name in enumerate(flags.values(), start=1):
+        assert getattr(args, name) == float(value)
 
 
 def test_sizing_has_no_gravity_option(capsys):

@@ -37,16 +37,17 @@ def make_controller(**kwargs):
     return DeploymentController(trigger, MECH, SERVO)
 
 
-def sense(ctl, altitude, now):
+def sense(ctl, altitude):
+    """Feed one reading; True when it confirms apogee."""
     ctl.task_sense((0.0, altitude))
-    ctl.task_estimate(now)
+    return ctl.task_estimate()
 
 
 def arm_with_apogee(ctl, peak=500.0, now=0.0):
     """Arm the controller and confirm apogee with a clean 6 m drop."""
     ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, now)
-    sense(ctl, peak, now + 0.01)
-    sense(ctl, peak - 6.0, now + 0.02)
+    sense(ctl, peak)
+    sense(ctl, peak - 6.0)
     assert ctl.apogee_seen
 
 
@@ -115,30 +116,30 @@ def test_in_window_without_apogee_never_fires():
     # Rising through the window on ascent: armed-after-apogee says wait.
     for k, altitude in enumerate((100.0, 200.0, 300.0, 390.0)):
         now = 0.01 + k * 0.01
-        sense(ctl, altitude, now)
+        sense(ctl, altitude)
         assert ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY,
                                 now) == []
     assert ctl.phase is DeployPhase.AWAIT_WINDOW
-    assert ctl.unlocks_sent == 0
 
 
 def test_unlock_fires_inside_window_after_apogee():
     ctl = make_controller()
     arm_with_apogee(ctl)
-    sense(ctl, 399.5, 0.03)
+    sense(ctl, 399.5)
     out = ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.03)
-    assert [c.name for c in out] == ["unlock"]
-    assert out[0].value == 399.5
+    assert out == [("unlock", 399.5)]
     assert ctl.phase is DeployPhase.UNLOCKING
     assert ctl.unlock_time == 0.03
-    assert ctl.unlocks_sent == 1
+    # Unlocking emits nothing more while the rod retracts.
+    assert ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY,
+                            0.04) == []
 
 
 def test_window_bounds_are_inclusive():
     for boundary in (400.0, 150.0):
         ctl = make_controller()
         arm_with_apogee(ctl)
-        sense(ctl, boundary, 0.03)
+        sense(ctl, boundary)
         out = ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.03)
         assert [c.name for c in out] == ["unlock"], boundary
 
@@ -146,7 +147,7 @@ def test_window_bounds_are_inclusive():
 def test_arm_after_apogee_disabled_fires_on_first_window_entry():
     ctl = make_controller(arm_after_apogee=False)
     ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.0)
-    sense(ctl, 399.0, 0.01)
+    sense(ctl, 399.0)
     out = ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.01)
     assert [c.name for c in out] == ["unlock"]
 
@@ -155,29 +156,28 @@ def test_window_missed_goes_safe():
     ctl = make_controller()
     arm_with_apogee(ctl)
     # The window flashes past between samples; next reading is below floor.
-    sense(ctl, 140.0, 0.03)
+    sense(ctl, 140.0)
     out = ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.03)
     assert out == []
     assert ctl.phase is DeployPhase.SAFE_HOLD
     assert ctl.safe_hold_reason is SafeHoldReason.WINDOW_MISSED
-    assert ctl.unlocks_sent == 0
 
 
 def test_apogee_confirm_drop_threshold():
     ctl = make_controller()
     ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.0)
-    sense(ctl, 500.0, 0.01)
-    sense(ctl, 495.1, 0.02)   # 4.9 m drop: not confirmed yet
+    assert not sense(ctl, 500.0)
+    assert not sense(ctl, 495.1)    # 4.9 m drop: not confirmed yet
     assert not ctl.apogee_seen
-    sense(ctl, 495.0, 0.03)   # 5.0 m drop: confirmed
+    assert sense(ctl, 495.0)        # 5.0 m drop: confirmed on this call
     assert ctl.apogee_seen
-    assert ctl.apogee_seen_time == 0.03
+    assert not sense(ctl, 480.0)    # reported once only
 
 
 def test_door_timeout_from_unlock_command():
     ctl = make_controller()
     arm_with_apogee(ctl)
-    sense(ctl, 399.0, 0.03)
+    sense(ctl, 399.0)
     ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.03)
     now = 0.03
     while now < 0.03 + 2.0 - 0.011:
@@ -193,7 +193,7 @@ def test_door_timeout_from_unlock_command():
 def test_door_open_timeout_also_counts_from_unlock():
     ctl = make_controller()
     arm_with_apogee(ctl)
-    sense(ctl, 399.0, 0.03)
+    sense(ctl, 399.0)
     ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.03)
     # Rod finishes quickly, but the hinge never swings to open.
     ctl.update_phase(UNLOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.53)
@@ -208,7 +208,7 @@ def test_door_open_timeout_also_counts_from_unlock():
 def test_stabilize_dwell_is_exactly_two_seconds():
     ctl = make_controller()
     arm_with_apogee(ctl)
-    sense(ctl, 399.0, 0.03)
+    sense(ctl, 399.0)
     ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.03)
     ctl.update_phase(OPEN_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.56)
     assert ctl.phase is DeployPhase.DOOR_OPEN_WAIT
@@ -225,12 +225,11 @@ def test_stabilize_dwell_is_exactly_two_seconds():
     out = ctl.update_phase(OPEN_DOOR, IDLE_CARRIER, GOOD_BATTERY, hold_until)
     assert [(c.name, c.value) for c in out] == [("push", 1.0)]
     assert ctl.phase is DeployPhase.PUSH_1
-    assert ctl.pushes_sent == 1
 
 
 def walk_to_first_push(ctl):
     arm_with_apogee(ctl)
-    sense(ctl, 399.0, 0.03)
+    sense(ctl, 399.0)
     ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.03)
     ctl.update_phase(OPEN_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.56)
     ctl.update_phase(OPEN_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.57)
@@ -253,7 +252,6 @@ def test_push_retry_sequence_then_exhaustion():
     out = ctl.update_phase(OPEN_DOOR, done_2, GOOD_BATTERY, t + 4.0)
     assert [(c.name, c.value) for c in out] == [("push", 3.0)]
     assert ctl.phase is DeployPhase.PUSH_3
-    assert ctl.pushes_sent == 3
 
     done_3 = CarrierState(push_count=3, payload_displacement=0.0)
     out = ctl.update_phase(OPEN_DOOR, done_3, GOOD_BATTERY, t + 6.0)
@@ -295,7 +293,7 @@ def test_push_timeout_goes_safe():
 def test_floor_breach_aborts_mid_sequence():
     ctl = make_controller()
     walk_to_first_push(ctl)
-    sense(ctl, 149.0, 2.58)
+    sense(ctl, 149.0)
     out = ctl.update_phase(OPEN_DOOR, CarrierState(pushing=True),
                            GOOD_BATTERY, 2.58)
     assert out == []
@@ -307,7 +305,7 @@ def test_battery_failure_aborts_any_active_phase():
     ctl = make_controller()
     walk_to_first_push(ctl)
     # Below the floor too; the power check must win.
-    sense(ctl, 10.0, 2.58)
+    sense(ctl, 10.0)
     ctl.update_phase(OPEN_DOOR, CarrierState(pushing=True), DEAD_BATTERY, 2.58)
     assert ctl.safe_hold_reason is SafeHoldReason.BATTERY_FAILURE
 
@@ -315,13 +313,13 @@ def test_battery_failure_aborts_any_active_phase():
 def test_safe_hold_is_absorbing_and_silent():
     ctl = make_controller()
     arm_with_apogee(ctl)
-    sense(ctl, 140.0, 0.03)
+    sense(ctl, 140.0)
     ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.03)
     assert ctl.phase is DeployPhase.SAFE_HOLD
     # Feed perfect in-window conditions afterwards: it must never act.
     for k in range(200):
         now = 0.04 + k * 0.01
-        sense(ctl, 300.0, now)
+        sense(ctl, 300.0)
         assert ctl.update_phase(OPEN_DOOR, IDLE_CARRIER, GOOD_BATTERY,
                                 now) == []
     assert ctl.phase is DeployPhase.SAFE_HOLD
@@ -341,7 +339,7 @@ def test_phase_labels():
     assert telemetry_row(ctl).deploy_phase == "Locked"
     walk_to_first_push(ctl)
     assert telemetry_row(ctl).deploy_phase == "Push(1)"
-    sense(ctl, 10.0, 2.58)
+    sense(ctl, 10.0)
     ctl.update_phase(OPEN_DOOR, CarrierState(pushing=True), GOOD_BATTERY, 2.58)
     assert telemetry_row(ctl).deploy_phase == "SafeHold(floor-breached)"
 

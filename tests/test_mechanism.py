@@ -148,6 +148,18 @@ def test_bad_parameters_rejected(kwargs):
         MechanismParams(**kwargs)
 
 
+def test_time_budget_is_bounded_like_the_clock():
+    # Outside [1e-6, 86400] s the t^2 of the sizing chain divides by
+    # zero or overflows.
+    for budget in (1e-300, math.nextafter(1e-6, 0.0),
+                   math.nextafter(86400.0, math.inf), 1e300):
+        with pytest.raises(ParameterError, match="deployment_time_budget"):
+            MechanismParams(deployment_time_budget=budget)
+    for budget in (1e-6, 86400.0):
+        report = sizing_report(MechanismParams(deployment_time_budget=budget))
+        assert 0.0 < report.max_payload_mass < math.inf
+
+
 def test_params_are_stored_as_checked_floats():
     # The sizing chain does no conversion of its own.
     params = MechanismParams(servo_stall_torque=1, pinion_pitch_diameter=1,

@@ -75,6 +75,15 @@ def test_nominal_event_sequence(nominal_result):
     assert ev["ejected"].time == pytest.approx(68.744, abs=1e-6)
 
 
+def test_each_event_is_logged_once(nominal_result):
+    # Events are logged on transitions; SafeHold lasts many logic ticks.
+    jammed = run_mission(bundled_scenario("altair_door_jam"))
+    for result in (nominal_result, jammed):
+        names = [event.name for event in result.events]
+        assert len(names) == len(set(names)), names
+    assert "safe_hold" in {event.name for event in jammed.events}
+
+
 def test_event_times_lie_on_the_tick_grid(nominal_result):
     # Time is derived from the tick count, never accumulated: every
     # event, the vehicle's included, is stamped k * dt for an integer k.

@@ -152,7 +152,7 @@ REJECTED = {
     "mechanism.efficiency": POSITIVE + (1.5,),
     "mechanism.friction": NON_NEGATIVE,
     "mechanism.stroke": POSITIVE,
-    "mechanism.time_budget": POSITIVE,
+    "mechanism.time_budget": POSITIVE + (1e-300, 1e300),
     "servo.rated_speed": POSITIVE,
     "servo.running_current_max": NON_NEGATIVE,
     "servo.stall_current": POSITIVE,
@@ -205,6 +205,17 @@ def test_build_bounds_the_clock():
     assert build_scenario({"sim.dt": 1e-6}).dt == 1e-6
     longest = build_scenario({"sim.max_sim_time": 86400.0})
     assert longest.max_sim_time == 86400.0
+
+
+def test_build_rejects_a_rack_speed_that_underflows():
+    # Each factor passes its own check; their product is 0 m/s.
+    for overrides in ({"servo.rated_speed": 5e-324},
+                      {"servo.rated_speed": 1e-200,
+                       "mechanism.pitch_diameter": 1e-200}):
+        with pytest.raises(ScenarioError, match=r"servo\.rated_speed and "
+                           r"mechanism\.pitch_diameter give a rack speed"):
+            build_scenario(overrides)
+    assert build_scenario({"servo.rated_speed": 1e-100}).servo.rated_speed
 
 
 def test_scenario_with_changes_one_key():
