@@ -231,17 +231,21 @@ def step_carrier(carrier: CarrierState, servo: ServoSpec, payload_mass: float,
     return new, transmitted, servo.running_current_max
 
 
-def drain_battery(battery: BatteryState, current: float,
-                  dt: float) -> BatteryState:
-    """Coulomb-count the pack.
+def drain_battery(battery: BatteryState, current: float, dt: float) -> float:
+    """Coulomb-count the pack in place; return the charge delivered, C.
 
-    Voltage steps to zero when the charge runs out; a failed pack stays
-    failed.  The scheduled failure of the fault plan is applied by the
-    mission loop.
+    Voltage steps to zero when the charge runs out, and the pack then
+    delivers what it had left; a failed pack stays failed.  The
+    scheduled failure of the fault plan is applied by the mission loop.
     """
     if battery.failed or current == 0.0:
-        return battery
-    charge = battery.charge - current * dt
-    if charge <= 0.0:
-        return BatteryState(0.0, 0.0, True)
-    return BatteryState(battery.voltage, charge, False)
+        return 0.0
+    charge = battery.charge
+    remaining = charge - current * dt
+    if remaining <= 0.0:
+        battery.voltage = 0.0
+        battery.charge = 0.0
+        battery.failed = True
+        return charge
+    battery.charge = remaining
+    return charge - remaining

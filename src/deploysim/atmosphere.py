@@ -79,9 +79,9 @@ def density_at_altitude(model: AtmosphereModel, altitude: float) -> float:
 
     Called on every tick of a mission, so it inlines the band check and
     the formula of `pressure_at_altitude`, with the same operations in
-    the same order, and the linear temperature profile.
+    the same order, and the linear temperature profile.  Every caller
+    passes a float, so unlike `pressure_at_altitude` it converts nothing.
     """
-    altitude = float(altitude)
     if not 0.0 <= altitude <= MODEL_CEILING:    # also rejects NaN
         raise DomainError(f"altitude {altitude!r} outside model band "
                           f"[0, {MODEL_CEILING}] m")

@@ -7,7 +7,7 @@ drift second order in dt, which the test suite audits.
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .atmosphere import AtmosphereModel, density_at_altitude
 from .errors import ParameterError
@@ -84,24 +84,31 @@ def initial_state(spec: VehicleSpec, payload_mass: float = 0.0) -> FlightState:
 
 
 def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
-                 atmosphere: AtmosphereModel) -> FlightState:
-    """Advance the vehicle one step.  Landed states pass through."""
+                 atmosphere: AtmosphereModel) -> None:
+    """Advance the vehicle one step, in place.  A landed state stays as
+    it is."""
     phase = state.phase
     if phase is _LANDED:
-        return state
+        return
 
     if phase is _PRELAUNCH:
         # Ignition on the first step; unpowered specs go straight to coast.
         phase = _BOOST if spec.avg_thrust > 0.0 else _COAST
 
     mass = state.mass
-    propellant = state.propellant
     thrust = 0.0
     if phase is _BOOST:
+        propellant = state.propellant
         burned = min(spec.propellant_mass / spec.burn_time * dt, propellant)
         mass -= burned
         propellant -= burned
         thrust = spec.avg_thrust
+        if propellant <= 0.0:
+            # Burnout; the coast drag area is the boost one.
+            propellant = 0.0
+            phase = _COAST
+        state.mass = mass
+        state.propellant = propellant
 
     drag_area = (spec.drogue_drag_area
                  if phase is _DROGUE_DESCENT
@@ -117,17 +124,16 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
     velocity = velocity + accel * dt
     altitude = state.altitude + velocity * dt
 
-    if phase is _BOOST and propellant <= 0.0:
-        propellant = 0.0
-        phase = _COAST
     if phase is _COAST and velocity <= 0.0:
         phase = _DROGUE_DESCENT
-    if altitude <= 0.0 and phase is not _PRELAUNCH:
+    if altitude <= 0.0:
         altitude = 0.0
         velocity = 0.0
         phase = _LANDED
 
-    return FlightState(altitude, velocity, mass, propellant, phase)
+    state.altitude = altitude
+    state.velocity = velocity
+    state.phase = phase
 
 
 @dataclass(slots=True)
@@ -146,37 +152,18 @@ class PayloadBody:
     velocity: float = 0.0
 
 
-def _moved(body: PayloadBody, state: PayloadState, altitude: float,
-           velocity: float) -> PayloadBody:
-    """A copy of `body` with a new motion state.
-
-    Runs on every tick of a released payload.  Filling the slots of a
-    bare instance is cheaper than a call through the generated
-    `__init__`: about 0.22 against 0.28 us on CPython 3.11.
-    """
-    moved = object.__new__(PayloadBody)
-    moved.mass = body.mass
-    moved.parachute_drag_area = body.parachute_drag_area
-    moved.parachute_open_altitude_loss = body.parachute_open_altitude_loss
-    moved.state = state
-    moved.altitude = altitude
-    moved.velocity = velocity
-    return moved
-
-
 def release_payload(body: PayloadBody, altitude: float,
                     velocity: float) -> PayloadBody:
-    """Hand the stowed payload its own state vector at ejection."""
-    return _moved(body, _FREE_FALL, altitude, velocity)
+    """A copy of the stowed payload with its own state vector at
+    ejection; `body` is left as it is."""
+    return replace(body, state=_FREE_FALL, altitude=altitude,
+                   velocity=velocity)
 
 
 def step_payload(body: PayloadBody, dt: float, ejection_altitude: float,
-                 atmosphere: AtmosphereModel) -> PayloadBody:
-    """Advance a released payload that has not landed one step."""
+                 atmosphere: AtmosphereModel) -> None:
+    """Advance a released payload that has not landed one step, in place."""
     state = body.state
-    if body.altitude <= 0.0:
-        return _moved(body, _PAYLOAD_LANDED, 0.0, 0.0)
-
     velocity = body.velocity
     accel = -GRAVITY
     if state is _PARACHUTE_DESCENT and velocity != 0.0:
@@ -187,8 +174,12 @@ def step_payload(body: PayloadBody, dt: float, ejection_altitude: float,
     altitude = body.altitude + velocity * dt
 
     if altitude <= 0.0:
-        return _moved(body, _PAYLOAD_LANDED, 0.0, 0.0)
+        body.state = _PAYLOAD_LANDED
+        body.altitude = 0.0
+        body.velocity = 0.0
+        return
     if (state is _FREE_FALL
             and ejection_altitude - altitude >= body.parachute_open_altitude_loss):
-        state = _PARACHUTE_DESCENT
-    return _moved(body, state, altitude, velocity)
+        body.state = _PARACHUTE_DESCENT
+    body.altitude = altitude
+    body.velocity = velocity

@@ -174,6 +174,8 @@ def run_mission(scenario: Scenario,
     vehicle = initial_state(vehicle_spec, scenario.payload.mass)
     door = DoorState()
     carrier = CarrierState()
+    # The steppers advance these records in place, so the loop flies
+    # copies: the battery here, the payload from `release_payload`.
     battery = replace(scenario.battery)
     payload = scenario.payload
     aboard_mass = payload.mass
@@ -206,7 +208,8 @@ def run_mission(scenario: Scenario,
             # the controller sees it on this tick.
             if (fail_time is not None and not battery.failed
                     and now >= fail_time):
-                battery = replace(battery, voltage=0.0, failed=True)
+                battery.voltage = 0.0
+                battery.failed = True
 
             sample = barometer.sample(vehicle.altitude, now)
             if sample is not None:
@@ -267,16 +270,14 @@ def run_mission(scenario: Scenario,
                     eject_time = now
                     payload = release_payload(payload, vehicle.altitude,
                                               vehicle.velocity)
-                    vehicle = replace(vehicle, mass=vehicle.mass - aboard_mass)
+                    vehicle.mass -= aboard_mass
                     aboard_mass = 0.0
                     events.append(Event(now, "ejected", eject_altitude))
 
             # Battery: account by delivered charge so the audit is exact.
             total_current = current + quiescent
-            pre_charge = battery.charge
             pre_voltage = battery.voltage
-            battery = drain_battery(battery, total_current, dt)
-            delivered = pre_charge - battery.charge
+            delivered = drain_battery(battery, total_current, dt)
             if delivered > 0.0:
                 charge_drawn += delivered
                 energy += pre_voltage * delivered
@@ -285,7 +286,7 @@ def run_mission(scenario: Scenario,
 
             if payload_released and payload.state is not payload_landed:
                 previous = payload.state
-                payload = step_payload(payload, dt, eject_altitude, atmosphere)
+                step_payload(payload, dt, eject_altitude, atmosphere)
                 if payload.state is not previous:
                     if payload.state is PayloadState.PARACHUTE_DESCENT:
                         events.append(Event(now, "payload_chute_open",
@@ -300,7 +301,7 @@ def run_mission(scenario: Scenario,
 
             # The vehicle step ends the tick: stamp its events (tick + 1) * dt.
             previous_phase = vehicle.phase
-            vehicle = step_vehicle(vehicle_spec, vehicle, dt, atmosphere)
+            step_vehicle(vehicle_spec, vehicle, dt, atmosphere)
             if vehicle.phase is not previous_phase:
                 if vehicle.phase is FlightPhase.DROGUE_DESCENT:
                     events.append(Event((tick + 1) * dt, "apogee_truth",

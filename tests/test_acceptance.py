@@ -16,6 +16,7 @@ asserts.  Criteria:
 import math
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -256,7 +257,7 @@ def test_c4_physics_oracles():
     state = FlightState(altitude=0.0, velocity=100.0, mass=10.0,
                         phase=FlightPhase.COAST)
     while state.velocity > 0.0:
-        state = step_vehicle(spec, state, 0.001, MODEL)
+        step_vehicle(spec, state, 0.001, MODEL)
     expected = 100.0**2 / (2 * 9.81)
     if abs(state.altitude - expected) / expected > 1e-3:
         failures.append(f"apogee {state.altitude:.2f} vs {expected:.2f}")
@@ -267,7 +268,7 @@ def test_c4_physics_oracles():
     body = release_payload(body, 500.0, -10.0)
     settled = False
     for _ in range(200000):
-        body = step_payload(body, 0.001, 500.0, MODEL)
+        step_payload(body, 0.001, 500.0, MODEL)
         if body.state is PayloadState.LANDED:
             break
         if body.state is PayloadState.PARACHUTE_DESCENT and body.altitude < 380.0:
@@ -294,11 +295,11 @@ def test_c4_physics_oracles():
     # Battery coulomb audit to 1e-9 against a compensated sum.
     rng = random.Random(9002)
     currents = [rng.uniform(0.0, 2.0) for _ in range(10000)]
-    battery = NOMINAL.battery
+    battery = replace(NOMINAL.battery)
     steps = []
     for amps in currents:
         before = battery.charge
-        battery = drain_battery(battery, amps, 0.001)
+        drain_battery(battery, amps, 0.001)
         steps.append(before - battery.charge)
     audit_gap = abs(math.fsum(steps)
                     - math.fsum(a * 0.001 for a in currents))

@@ -258,9 +258,9 @@ def test_jam_does_not_stop_the_rod():
 
 
 def test_constant_draw_coulomb_count():
-    battery = FULL_BATTERY
+    battery = replace(FULL_BATTERY)
     for _ in range(5000):
-        battery = drain_battery(battery, 0.9, DT)
+        drain_battery(battery, 0.9, DT)
     assert FULL_BATTERY.charge - battery.charge == pytest.approx(4.5)
     assert not battery.failed
 
@@ -269,19 +269,20 @@ def test_drain_audit_matches_fsum():
     """Tick-by-tick drain equals the compensated sum of i*dt to 1e-9."""
     rng = random.Random(55)
     currents = [rng.uniform(0.0, 2.0) for _ in range(20000)]
-    battery = FULL_BATTERY
+    battery = replace(FULL_BATTERY)
     drawn = []
     for i in currents:
         before = battery.charge
-        battery = drain_battery(battery, i, DT)
-        drawn.append(before - battery.charge)
+        delivered = drain_battery(battery, i, DT)
+        assert delivered == before - battery.charge
+        drawn.append(delivered)
     assert math.fsum(drawn) == pytest.approx(
         math.fsum(i * DT for i in currents), abs=1e-9)
 
 
 def test_exhaustion_zeroes_voltage():
     battery = replace(FULL_BATTERY, charge=0.05)
-    battery = drain_battery(battery, 2.0, 0.1)
+    assert drain_battery(battery, 2.0, 0.1) == 0.05
     assert battery.failed
     assert battery.voltage == 0.0
     assert battery.charge == 0.0
@@ -289,12 +290,15 @@ def test_exhaustion_zeroes_voltage():
 
 def test_failed_battery_is_absorbing():
     battery = replace(DEAD_BATTERY, charge=100.0)
-    assert drain_battery(battery, 1.0, DT) is battery
+    before = replace(battery)
+    assert drain_battery(battery, 1.0, DT) == 0.0
+    assert battery == before
 
 
 def test_zero_draw_is_free():
-    battery = FULL_BATTERY
-    assert drain_battery(battery, 0.0, DT) is battery
+    battery = replace(FULL_BATTERY)
+    assert drain_battery(battery, 0.0, DT) == 0.0
+    assert battery == FULL_BATTERY
 
 
 def test_servo_current_ordering_enforced():

@@ -11,6 +11,7 @@ import importlib.util
 import math
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,45 @@ def test_same_scenario_same_bytes():
     assert render_telemetry_csv(a.telemetry) == render_telemetry_csv(b.telemetry)
     assert render_commands_csv(a.commands) == render_commands_csv(b.commands)
     assert a.verdict == b.verdict
+
+
+@pytest.mark.parametrize("deck", ["altair_nominal", "altair_battery_fail"])
+def test_a_scenario_flies_twice_unchanged(deck):
+    """The steppers advance the loop's records in place; the loop flies
+    copies, so the scenario's own records never change."""
+    scenario = bundled_scenario(deck)
+    payload, battery = replace(scenario.payload), replace(scenario.battery)
+    a = run_mission(scenario)
+    b = run_mission(scenario)
+    assert render_telemetry_csv(a.telemetry) == render_telemetry_csv(b.telemetry)
+    assert render_commands_csv(a.commands) == render_commands_csv(b.commands)
+    assert scenario.payload == payload
+    assert scenario.battery == battery
+    assert a.battery_final is not scenario.battery
+    assert a.battery_final != battery
+
+
+def test_steppers_run_once_per_tick(monkeypatch):
+    """The loop calls each stepper through its `deploysim.mission` name
+    once per tick on which it is due.  The benchmark's per-layer spans
+    hook those names, so their call counts must stay truthful."""
+    scenario = scenario_with(NOMINAL, {"sim.dt": 0.01})
+    calls = dict.fromkeys(("step_vehicle", "step_payload", "drain_battery"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(mission, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(mission, name, counted)
+    result = run_mission(scenario)
+    events = event_map(result)
+    eject_tick = round(events["ejected"].time / scenario.dt)
+    landed_tick = round(events["payload_landed"].time / scenario.dt)
+    # The loop ends after the tick on which the payload lands.
+    ticks = min(round(scenario.max_sim_time / scenario.dt), landed_tick + 1)
+    assert ticks == landed_tick + 1
+    assert calls["step_vehicle"] == ticks
+    assert calls["drain_battery"] == ticks
+    assert calls["step_payload"] == landed_tick - eject_tick + 1
 
 
 def test_seed_changes_noise_not_verdict():
