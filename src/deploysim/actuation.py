@@ -12,7 +12,7 @@ constant rate.  A jammed door keeps the rod motion but never swings.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ContractViolationError, ParameterError
@@ -99,31 +99,30 @@ class BatteryState:
     failed: bool = False
 
 
-def command_unlock(door: DoorState, spec: DoorSpec, dt: float) -> DoorState:
-    """Step the retraction of a locked door's rod, which the loop drives
-    only while powered.  A door jam does not stop the rod."""
+def command_unlock(door: DoorState, spec: DoorSpec, dt: float) -> None:
+    """Retract the rod of a locked door one step, in place; the loop
+    drives it only while powered.  A door jam does not stop the rod."""
     travel = door.rod_travel - dt / spec.rod_travel_time
-    if travel <= 0.0:
-        return replace(door, rod_travel=0.0, locked=False)
-    return replace(door, rod_travel=travel)
+    door.locked = travel > 0.0
+    door.rod_travel = travel if door.locked else 0.0
 
 
-def step_door(door: DoorState, spec: DoorSpec, dt: float,
-              faults: FaultPlan) -> DoorState:
-    """Swing an unlocked door toward full open at a constant rate.
+def step_door(door: DoorState, spec: DoorSpec, dt: float) -> None:
+    """Swing an unlocked, unjammed door toward full open at a constant
+    rate, in place.
 
     The door is unpowered, so it keeps opening even after a battery
     failure.
     """
-    if faults.door_jam:
-        return door
     angle = min(door.angle + spec.max_open / spec.open_time * dt,
                 spec.max_open)
-    return replace(door, angle=angle, open=angle >= spec.open_threshold)
+    door.angle = angle
+    door.open = angle >= spec.open_threshold
 
 
-def begin_push(carrier: CarrierState, door_open: bool) -> CarrierState:
-    """Start one extend-retract push cycle.
+def begin_push(carrier: CarrierState, door_open: bool) -> None:
+    """Start one extend-retract push cycle; a cycle already running is
+    left as it is.
 
     Raises ContractViolationError if the door is not open: the carrier
     must never drive the payload into a closed door.
@@ -131,16 +130,14 @@ def begin_push(carrier: CarrierState, door_open: bool) -> CarrierState:
     if not door_open:
         raise ContractViolationError("push commanded while the door is not "
                                      "open")
-    if carrier.pushing:
-        return carrier
-    return replace(carrier, pushing=True, retracting=False)
+    if not carrier.pushing:
+        carrier.pushing = True
+        carrier.retracting = False
 
 
-def halt_carrier(carrier: CarrierState) -> CarrierState:
+def halt_carrier(carrier: CarrierState) -> None:
     """De-energize the drive: the rack holds position, the cycle aborts."""
-    if not (carrier.pushing or carrier.retracting or carrier.stalled):
-        return carrier
-    return replace(carrier, pushing=False, retracting=False, stalled=False)
+    carrier.pushing = carrier.retracting = carrier.stalled = False
 
 
 class CarrierDrive(NamedTuple):
@@ -171,64 +168,54 @@ def carrier_drive(servo: ServoSpec, params: MechanismParams,
 
 def step_carrier(carrier: CarrierState, servo: ServoSpec, payload_mass: float,
                  params: MechanismParams, faults: FaultPlan, dt: float,
-                 drive: CarrierDrive) -> tuple[CarrierState, float, float]:
-    """Advance a pushing, powered carrier one step.
+                 drive: CarrierDrive) -> tuple[CarrierState, float]:
+    """Advance a pushing, powered carrier one step, in place.
 
-    Returns (state, payload displacement gained this step in m, current
-    draw in A).  Extension against a load the servo cannot overcome
-    holds the rack still at stall current.  `drive` is
-    `carrier_drive(servo, params, faults)`, computed once per mission.
+    Returns (carrier, current draw in A).  Extension against a load the
+    servo cannot overcome holds the rack still at stall current.
+    `drive` is `carrier_drive(servo, params, faults)`, computed once per
+    mission.
     """
     speed = drive.rack_speed
 
     if carrier.retracting:
         extension = carrier.rack_extension - speed * dt
         if extension <= 0.0:
-            new = replace(carrier, rack_extension=0.0, pushing=False,
-                          retracting=False)
-        else:
-            new = replace(carrier, rack_extension=extension)
-        return new, 0.0, servo.running_current_max
+            extension = 0.0
+            carrier.pushing = carrier.retracting = False
+        carrier.rack_extension = extension
+        return carrier, servo.running_current_max
 
     # Extending against the payload: static go/no-go force check.
     load = payload_mass * drive.load_per_kg
     if drive.drive_force < load:
-        if not carrier.stalled:
-            carrier = replace(carrier, stalled=True)
-        return carrier, 0.0, servo.stall_current
+        carrier.stalled = True
+        return carrier, servo.stall_current
+    carrier.stalled = False
 
-    link_broken = carrier.link_broken
-    if (not link_broken and faults.link_break_force is not None
+    if (faults.link_break_force is not None
             and load > faults.link_break_force):
-        link_broken = True
-
-    push_number = carrier.push_count + 1
+        carrier.link_broken = True
     slipping = (faults.gear_slip_push is not None
-                and push_number >= faults.gear_slip_push)
+                and carrier.push_count + 1 >= faults.gear_slip_push)
+    if slipping:
+        carrier.slipped = True
 
     advance = min(speed * dt, params.stroke - carrier.rack_extension)
-    extension = carrier.rack_extension + advance
-    transmitted = 0.0
-    if not link_broken and not slipping:
+    if not carrier.link_broken and not slipping:
         # Contact is lost once the payload has travelled the full stroke.
         transmitted = min(advance,
                           params.stroke - carrier.payload_displacement)
-        if transmitted < 0.0:
-            transmitted = 0.0
+        if transmitted > 0.0:
+            carrier.payload_displacement += transmitted
 
-    displacement = carrier.payload_displacement + transmitted
+    extension = carrier.rack_extension + advance
     if extension >= params.stroke:
-        new = replace(carrier, rack_extension=params.stroke,
-                      push_count=carrier.push_count + 1, retracting=True,
-                      payload_displacement=displacement,
-                      link_broken=link_broken,
-                      slipped=carrier.slipped or slipping, stalled=False)
-    else:
-        new = replace(carrier, rack_extension=extension,
-                      payload_displacement=displacement,
-                      link_broken=link_broken,
-                      slipped=carrier.slipped or slipping, stalled=False)
-    return new, transmitted, servo.running_current_max
+        extension = params.stroke
+        carrier.push_count += 1
+        carrier.retracting = True
+    carrier.rack_extension = extension
+    return carrier, servo.running_current_max
 
 
 def drain_battery(battery: BatteryState, current: float, dt: float) -> float:

@@ -84,6 +84,18 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, "."))
 
 
+def _write_outputs(out_dir: Path, files: dict[str, str]) -> None:
+    """Write each named text into `out_dir`, creating it first.  A path
+    that cannot hold the outputs is a configuration error."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out_dir / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioError(f"cannot write outputs to {str(out_dir)!r}: "
+                            f"{exc.strerror or exc}") from exc
+
+
 def _cmd_sizing(args) -> int:
     overrides = {name: getattr(args, name)
                  for name in _MECHANISM_FIELDS.values()
@@ -112,15 +124,12 @@ def _cmd_sizing(args) -> int:
 def _cmd_run(args) -> int:
     scenario = _apply_run_options(_load(args.scenario), args)
     result = run_mission(scenario)
-    out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "telemetry.csv").write_text(
-        render_telemetry_csv(result.telemetry), encoding="utf-8")
-    (out_dir / "commands.csv").write_text(
-        render_commands_csv(result.commands), encoding="utf-8")
     lines = verdict_lines(result.verdict)
-    (out_dir / "verdict.txt").write_text("\n".join(lines) + "\n",
-                                         encoding="utf-8")
+    _write_outputs(_out_dir(args), {
+        "telemetry.csv": render_telemetry_csv(result.telemetry),
+        "commands.csv": render_commands_csv(result.commands),
+        "verdict.txt": "\n".join(lines) + "\n",
+    })
     for line in lines:
         print(line)
     return EXIT_CODES[result.verdict.outcome]
@@ -140,9 +149,7 @@ def _cmd_sweep(args) -> int:
                      f"{'-' if verdict.deploy_altitude_truth is None else repr(verdict.deploy_altitude_truth)}")
     text = "\n".join(lines) + "\n"
     if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "sweep.csv").write_text(text, encoding="utf-8")
+        _write_outputs(Path(args.out), {"sweep.csv": text})
     print(text, end="")
     return 0
 

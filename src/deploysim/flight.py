@@ -7,7 +7,7 @@ drift second order in dt, which the test suite audits.
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .atmosphere import AtmosphereModel, density_at_altitude
 from .errors import ParameterError
@@ -153,11 +153,11 @@ class PayloadBody:
 
 
 def release_payload(body: PayloadBody, altitude: float,
-                    velocity: float) -> PayloadBody:
-    """A copy of the stowed payload with its own state vector at
-    ejection; `body` is left as it is."""
-    return replace(body, state=_FREE_FALL, altitude=altitude,
-                   velocity=velocity)
+                    velocity: float) -> None:
+    """Free a stowed payload in place with its state vector at ejection."""
+    body.state = _FREE_FALL
+    body.altitude = altitude
+    body.velocity = velocity
 
 
 def step_payload(body: PayloadBody, dt: float, ejection_altitude: float,

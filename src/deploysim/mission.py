@@ -166,6 +166,7 @@ def run_mission(scenario: Scenario,
     quiescent = scenario.quiescent_current
     stroke = mechanism.stroke
     fail_time = faults.battery_fail_time
+    door_jam = faults.door_jam
 
     schedule = TaskSchedule(dt)
     drive = carrier_drive(servo, mechanism, faults)
@@ -174,10 +175,10 @@ def run_mission(scenario: Scenario,
     vehicle = initial_state(vehicle_spec, scenario.payload.mass)
     door = DoorState()
     carrier = CarrierState()
-    # The steppers advance these records in place, so the loop flies
-    # copies: the battery here, the payload from `release_payload`.
+    # The steppers advance their records in place, so the loop flies
+    # copies of the scenario's own.
     battery = replace(scenario.battery)
-    payload = scenario.payload
+    payload = replace(scenario.payload)
     aboard_mass = payload.mass
 
     telemetry: list[TelemetryRecord] = []
@@ -231,36 +232,37 @@ def run_mission(scenario: Scenario,
                         commands.append(CommandLogEntry(
                             now, cmd.name, cmd.value, vehicle.altitude))
                         if cmd.name == "push":
-                            carrier = begin_push(carrier, door.open)
+                            begin_push(carrier, door.open)
                     if (controller.phase is safe_hold
                             and phase is not safe_hold):
+                        # Safing de-energizes the rack once; SafeHold never
+                        # drives the lock rod or commands a push again.
+                        halt_carrier(carrier)
                         events.append(Event(now, "safe_hold",
                                             controller.safe_hold_reason.value))
                 else:  # telemetry, lowest priority; recorded at end of tick
                     telemetry_due = True
 
-            # Safing de-energizes the actuators: the lock rod and the rack
-            # hold position.  The door itself is passive and keeps swinging.
             phase = controller.phase
-            if phase is safe_hold:
-                carrier = halt_carrier(carrier)
 
             # Actuation over [now, now + dt).  A dead pack drives neither
-            # the lock rod nor the rack; the door swings unpowered.
+            # the lock rod nor the rack; the door swings unpowered, unless
+            # it is jammed.
             powered = not battery.failed
             current = 0.0
             if powered and phase is unlocking and door.locked:
-                door = command_unlock(door, door_spec, dt)
+                command_unlock(door, door_spec, dt)
                 current += door_spec.actuator_current
                 if not door.locked:
                     events.append(Event(now, "door_unlocked", 0.0))
-            if not door.locked and door.angle < door_spec.max_open:
+            if (not door_jam and not door.locked
+                    and door.angle < door_spec.max_open):
                 was_open = door.open
-                door = step_door(door, door_spec, dt, faults)
+                step_door(door, door_spec, dt)
                 if door.open and not was_open:
                     events.append(Event(now, "door_open", door.angle))
             if powered and carrier.pushing:
-                carrier, _, servo_current = step_carrier(
+                _, servo_current = step_carrier(
                     carrier, servo, aboard_mass, mechanism, faults, dt, drive)
                 current += servo_current
                 if (not payload_released
@@ -268,8 +270,8 @@ def run_mission(scenario: Scenario,
                     payload_released = True
                     eject_altitude = vehicle.altitude
                     eject_time = now
-                    payload = release_payload(payload, vehicle.altitude,
-                                              vehicle.velocity)
+                    release_payload(payload, vehicle.altitude,
+                                    vehicle.velocity)
                     vehicle.mass -= aboard_mass
                     aboard_mass = 0.0
                     events.append(Event(now, "ejected", eject_altitude))

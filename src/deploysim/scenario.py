@@ -312,8 +312,9 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario {path!r}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario {str(path)!r}: "
+                            f"{exc}") from exc
     return _build_from_text(text, str(path))
 
 

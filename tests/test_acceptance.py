@@ -265,7 +265,7 @@ def test_c4_physics_oracles():
     # Parachute descent vs sqrt(2mg / rho Cd A), checked at altitude.
     body = PayloadBody(mass=1.0, parachute_drag_area=0.45,
                        parachute_open_altitude_loss=40.0)
-    body = release_payload(body, 500.0, -10.0)
+    release_payload(body, 500.0, -10.0)
     settled = False
     for _ in range(200000):
         step_payload(body, 0.001, 500.0, MODEL)

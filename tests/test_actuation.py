@@ -39,21 +39,22 @@ DT = 0.001
 
 
 def run_push_cycle(mass, faults=NO_FAULTS, carrier=None, max_steps=5000):
-    """Drive one full cycle; returns (carrier, steps, moved, currents)."""
+    """Drive one full cycle in place; returns (carrier, steps, moved,
+    currents), where `moved` is the payload displacement it gained."""
     if carrier is None:
         carrier = CarrierState()
-    carrier = begin_push(carrier, door_open=True)
+    begin_push(carrier, door_open=True)
     drive = carrier_drive(SERVO, MECH, faults)
-    moved = 0.0
+    start = carrier.payload_displacement
     currents = []
     for step in range(1, max_steps + 1):
-        carrier, gained, current = step_carrier(carrier, SERVO, mass, MECH,
-                                                faults, DT, drive)
-        moved += gained
+        stepped, current = step_carrier(carrier, SERVO, mass, MECH, faults,
+                                        DT, drive)
+        assert stepped is carrier
         currents.append(current)
         if not carrier.pushing:
-            return carrier, step, moved, currents
-    return carrier, max_steps, moved, currents
+            break
+    return carrier, step, carrier.payload_displacement - start, currents
 
 
 def test_rack_speed_frozen():
@@ -61,11 +62,11 @@ def test_rack_speed_frozen():
 
 
 def test_full_stroke_takes_expected_time():
-    carrier = begin_push(CarrierState(), door_open=True)
+    carrier = CarrierState()
+    begin_push(carrier, door_open=True)
     steps = 0
     while carrier.rack_extension < MECH.stroke:
-        carrier, _, _ = step_carrier(carrier, SERVO, 1.0, MECH, NO_FAULTS,
-                                     DT, DRIVE)
+        step_carrier(carrier, SERVO, 1.0, MECH, NO_FAULTS, DT, DRIVE)
         steps += 1
     # 0.060 / 0.062832 = 0.9549 s, quantized up to the next millisecond.
     assert steps == 955
@@ -177,14 +178,22 @@ def test_link_survives_below_threshold():
 
 
 def test_halt_carrier_freezes_cycle():
-    carrier = begin_push(CarrierState(), door_open=True)
+    carrier = CarrierState()
+    begin_push(carrier, door_open=True)
     for _ in range(100):
-        carrier, _, _ = step_carrier(carrier, SERVO, 1.0, MECH, NO_FAULTS,
-                                     DT, DRIVE)
-    frozen = halt_carrier(carrier)
-    assert not frozen.pushing and not frozen.retracting and not frozen.stalled
-    assert frozen.rack_extension == carrier.rack_extension
-    assert halt_carrier(frozen) is frozen
+        step_carrier(carrier, SERVO, 1.0, MECH, NO_FAULTS, DT, DRIVE)
+    moving = replace(carrier)
+    assert halt_carrier(carrier) is None
+    assert carrier == replace(moving, pushing=False, retracting=False)
+    assert carrier.rack_extension > 0.0
+    frozen = replace(carrier)
+    halt_carrier(carrier)
+    assert carrier == frozen
+    # A stalled drive lets go too.
+    stalled, _, _, _ = run_push_cycle(20.0, max_steps=5)
+    assert stalled.stalled and stalled.pushing
+    halt_carrier(stalled)
+    assert stalled == CarrierState()
 
 
 def test_begin_push_requires_open_door():
@@ -193,8 +202,22 @@ def test_begin_push_requires_open_door():
 
 
 def test_begin_push_is_idempotent_while_cycling():
-    carrier = begin_push(CarrierState(), door_open=True)
-    assert begin_push(carrier, door_open=True) is carrier
+    carrier = CarrierState()
+    assert begin_push(carrier, door_open=True) is None
+    started = replace(carrier)
+    assert started == CarrierState(pushing=True)
+    begin_push(carrier, door_open=True)
+    assert carrier == started
+    # Halfway back, a second push leaves the retraction running.
+    while not carrier.retracting:
+        step_carrier(carrier, SERVO, 1.0, MECH, NO_FAULTS, DT, DRIVE)
+    for _ in range(400):
+        step_carrier(carrier, SERVO, 1.0, MECH, NO_FAULTS, DT, DRIVE)
+    retracting = replace(carrier)
+    assert retracting.pushing and retracting.retracting
+    assert 0.0 < retracting.rack_extension < MECH.stroke
+    begin_push(carrier, door_open=True)
+    assert carrier == retracting
 
 
 def test_second_cycle_transmits_nothing_after_full_stroke():
@@ -214,7 +237,7 @@ def test_unlock_takes_rod_travel_time():
     door = DoorState()
     steps = 0
     while door.locked:
-        door = command_unlock(door, DOOR, DT)
+        assert command_unlock(door, DOOR, DT) is None
         steps += 1
     assert steps == 500  # 0.5 s at 1 ms
     assert door.rod_travel == 0.0
@@ -224,33 +247,13 @@ def test_door_swings_open_after_unlock():
     door = DoorState(locked=False, rod_travel=0.0)
     steps = 0
     while not door.open:
-        door = step_door(door, DOOR, DT, NO_FAULTS)
+        assert step_door(door, DOOR, DT) is None
         steps += 1
     # 85 deg of a 90 deg swing at 0.3 s full travel: 283.3 ms.
     assert steps == 284
     for _ in range(100):
-        door = step_door(door, DOOR, DT, NO_FAULTS)
+        step_door(door, DOOR, DT)
     assert door.angle == DOOR.max_open
-
-
-def test_jammed_door_never_swings():
-    faults = replace(NO_FAULTS, door_jam=True)
-    door = DoorState(locked=False, rod_travel=0.0)
-    for _ in range(2000):
-        door = step_door(door, DOOR, DT, faults)
-    assert door.angle == 0.0
-    assert not door.open
-
-
-def test_jam_does_not_stop_the_rod():
-    # command_unlock takes no fault plan: the jam is in the hinge, not
-    # the lock, so only step_door sees it.
-    faults = replace(NO_FAULTS, door_jam=True)
-    door = DoorState()
-    for _ in range(500):
-        door = command_unlock(door, DOOR, DT)
-    assert not door.locked
-    assert step_door(door, DOOR, DT, faults) is door
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +314,32 @@ def test_servo_current_ordering_enforced():
 # ---------------------------------------------------------------------------
 # What the mission loop owns: it drives the lock rod and the rack only
 # from a live pack, steps only a pushing carrier and swings only an
-# unlocked door, so the steppers above need not check.
+# unlocked door that is not jammed, so the steppers above need not check.
 
 
 def _first(result, name):
     """Time of the first event or command called `name`."""
     return next(entry.time for entry in (*result.events, *result.commands)
                 if entry.name == name)
+
+
+@pytest.fixture(scope="module")
+def jammed():
+    return run_mission(bundled_scenario("altair_door_jam"))
+
+
+def test_jammed_door_never_swings(jammed):
+    # Every row, those after SafeHold included, reads the door shut.
+    assert jammed.verdict.safe_hold_reason == "door-timeout"
+    assert {row.door_angle_rad for row in jammed.telemetry} == {0.0}
+    assert "door_open" not in {event.name for event in jammed.events}
+
+
+def test_jam_does_not_stop_the_rod(jammed):
+    # The jam is in the hinge, not the lock: the rod retracts on time.
+    unlocked = _first(jammed, "door_unlocked")
+    assert unlocked - _first(jammed, "unlock") == pytest.approx(0.499,
+                                                                abs=1e-9)
 
 
 def test_unlock_noop_on_dead_battery():

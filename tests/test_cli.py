@@ -114,6 +114,32 @@ def test_run_out_dir_from_environment(tmp_path, monkeypatch, capsys):
     assert (target / "verdict.txt").exists()
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_run_out_that_is_a_file_is_config_error(tmp_path, capsys, out):
+    deck = tmp_path / "short.scn"
+    deck.write_text("sim.max_sim_time = 10.0\n", encoding="utf-8")
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    assert main(["run", "--scenario", str(deck),
+                 "--out", str(tmp_path / out)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("deploysim: error: cannot write outputs")
+    assert str(tmp_path / out) in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_run_non_utf8_scenario_file_is_config_error(tmp_path, capsys):
+    deck = tmp_path / "bad.scn"
+    deck.write_bytes(b"payload.mass = 2.0 \xff\n")
+    assert main(["run", "--scenario", str(deck),
+                 "--out", str(tmp_path / "o")]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("deploysim: error: ")
+    assert "bad.scn" in err and "can't decode" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_scenario_file(tmp_path, capsys):
     deck = tmp_path / "short.scn"
     deck.write_text("sim.max_sim_time = 10.0\n", encoding="utf-8")
@@ -228,6 +254,19 @@ def test_sweep_rejects_a_cross_field_value_before_any_row(tmp_path, capsys):
     assert captured.out == ""
     assert "500.0" in captured.err
     assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_out_that_is_a_file_is_config_error(tmp_path, capsys):
+    deck = tmp_path / "fast.scn"
+    deck.write_text("sim.dt = 0.01\nsim.max_sim_time = 10.0\n",
+                    encoding="utf-8")
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    assert main(["sweep", "--scenario", str(deck), "--key", "payload.mass",
+                 "--values", "1.0,2.0", "--out", str(tmp_path / "afile")]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("deploysim: error: cannot write outputs")
+    assert "Traceback" not in captured.err
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -165,7 +165,8 @@ def tumbling(mass=1.0, chute=0.45, loss=50.0):
 
 
 def test_chute_opens_after_configured_fall():
-    body = release_payload(tumbling(loss=50.0), 400.0, -5.0)
+    body = tumbling(loss=50.0)
+    release_payload(body, 400.0, -5.0)
     opened_at = None
     for _ in range(60000):
         step_payload(body, 0.001, 400.0, MODEL)
@@ -181,7 +182,8 @@ def test_chute_descent_reaches_sized_speed():
     """A chute sized for 5 m/s at 300 m settles within 2% of it there."""
     rho = density_at_altitude(MODEL, 300.0)
     sized = 2 * 1.0 * G / (rho * 5.0**2)
-    body = release_payload(tumbling(chute=sized, loss=50.0), 400.0, -15.0)
+    body = tumbling(chute=sized, loss=50.0)
+    release_payload(body, 400.0, -15.0)
     checked = False
     for _ in range(120000):
         step_payload(body, 0.001, 400.0, MODEL)
@@ -198,7 +200,8 @@ def test_payload_lands_and_stays_landed():
     """The landing step clamps the body to rest on the ground.  The
     mission loop then stops stepping it, which
     `test_mission::test_steppers_run_once_per_tick` pins."""
-    body = release_payload(tumbling(), 30.0, -20.0)
+    body = tumbling()
+    release_payload(body, 30.0, -20.0)
     for _ in range(60000):
         step_payload(body, 0.001, 30.0, MODEL)
         if body.state is PayloadState.LANDED:
@@ -209,7 +212,11 @@ def test_payload_lands_and_stays_landed():
 
 
 def test_step_payload_moves_only_the_motion_fields():
-    body = release_payload(tumbling(chute=0.45, loss=5.0), 400.0, -20.0)
+    body = tumbling(chute=0.45, loss=5.0)
+    assert release_payload(body, 400.0, -20.0) is None
+    assert body == replace(tumbling(chute=0.45, loss=5.0),
+                           state=PayloadState.FREE_FALL, altitude=400.0,
+                           velocity=-20.0)
     for _ in range(2000):
         before = replace(body)
         assert step_payload(body, 0.001, 400.0, MODEL) is None
@@ -225,7 +232,8 @@ def test_step_payload_moves_only_the_motion_fields():
 
 
 def test_free_fall_is_drag_free():
-    body = release_payload(tumbling(loss=1000.0), 5000.0, 0.0)
+    body = tumbling(loss=1000.0)
+    release_payload(body, 5000.0, 0.0)
     for _ in range(1000):
         step_payload(body, 0.001, 5000.0, MODEL)
     assert body.state is PayloadState.FREE_FALL

@@ -22,6 +22,7 @@ from deploysim import (
     Outcome,
     build_scenario,
     bundled_scenario,
+    list_bundled,
     render_commands_csv,
     render_telemetry_csv,
     run_mission,
@@ -205,25 +206,53 @@ def test_a_scenario_flies_twice_unchanged(deck):
 
 def test_steppers_run_once_per_tick(monkeypatch):
     """The loop calls each stepper through its `deploysim.mission` name
-    once per tick on which it is due.  The benchmark's per-layer spans
-    hook those names, so their call counts must stay truthful."""
-    scenario = scenario_with(NOMINAL, {"sim.dt": 0.01})
-    calls = dict.fromkeys(("step_vehicle", "step_payload", "drain_battery"), 0)
-    for name in calls:
+    once per tick on which it is due, and decides the per-mission facts
+    once: the rack is halted once, on entering SafeHold, and a jammed
+    door is never stepped.  The benchmark's per-layer spans hook those
+    names, so their call counts must stay truthful."""
+    names = ("step_vehicle", "step_payload", "drain_battery", "step_door",
+             "begin_push", "halt_carrier")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         def counted(*args, _name=name, _original=getattr(mission, name)):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(mission, name, counted)
-    result = run_mission(scenario)
-    events = event_map(result)
-    eject_tick = round(events["ejected"].time / scenario.dt)
-    landed_tick = round(events["payload_landed"].time / scenario.dt)
-    # The loop ends after the tick on which the payload lands.
-    ticks = min(round(scenario.max_sim_time / scenario.dt), landed_tick + 1)
-    assert ticks == landed_tick + 1
-    assert calls["step_vehicle"] == ticks
-    assert calls["drain_battery"] == ticks
-    assert calls["step_payload"] == landed_tick - eject_tick + 1
+    held = set()
+    for deck in list_bundled():
+        scenario = scenario_with(bundled_scenario(deck), {"sim.dt": 0.01})
+        dt = scenario.dt
+        calls.update(dict.fromkeys(names, 0))
+        result = run_mission(scenario)
+        events = event_map(result)
+        if "ejected" in events:
+            eject_tick = round(events["ejected"].time / dt)
+            landed_tick = round(events["payload_landed"].time / dt)
+            # The loop ends after the tick on which the payload lands.
+            ticks = landed_tick + 1
+            payload_steps = landed_tick - eject_tick + 1
+        else:
+            # ... or after the vehicle step that lands the vehicle, whose
+            # event is stamped at the end of its tick.
+            ticks = round(events["vehicle_landed"].time / dt)
+            payload_steps = 0
+        assert ticks < round(scenario.max_sim_time / dt), deck
+        assert calls["step_vehicle"] == ticks, deck
+        assert calls["drain_battery"] == ticks, deck
+        assert calls["step_payload"] == payload_steps, deck
+        assert calls["begin_push"] == sum(
+            command.name == "push" for command in result.commands), deck
+        if result.verdict.outcome is Outcome.SAFE_HOLD:
+            held.add(deck)
+            assert calls["halt_carrier"] == 1, deck
+        else:
+            assert calls["halt_carrier"] == 0, deck
+        if scenario.faults.door_jam:
+            assert "door_unlocked" in events
+            assert calls["step_door"] == 0, deck
+        else:
+            assert (calls["step_door"] > 0) == ("door_unlocked" in events)
+    assert held == set(list_bundled()) - {"altair_nominal"}
 
 
 def test_seed_changes_noise_not_verdict():

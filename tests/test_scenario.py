@@ -267,6 +267,13 @@ def test_load_scenario_missing_file():
         load_scenario("/nonexistent/path.scn")
 
 
+def test_load_scenario_non_utf8_file(tmp_path):
+    deck = tmp_path / "latin.scn"
+    deck.write_bytes(b"payload.mass = 2.0 \xff\n")
+    with pytest.raises(ScenarioError, match=r"cannot read scenario .*latin\.scn.*can't decode"):
+        load_scenario(deck)
+
+
 def test_bundled_list_is_complete():
     names = list_bundled()
     assert names == sorted(names)
