@@ -148,8 +148,7 @@ def _cmd_sweep(args) -> int:
                      f"{verdict.safe_hold_reason or '-'},"
                      f"{'-' if verdict.deploy_altitude_truth is None else repr(verdict.deploy_altitude_truth)}")
     text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        _write_outputs(Path(args.out), {"sweep.csv": text})
+    _write_outputs(_out_dir(args), {"sweep.csv": text})
     print(text, end="")
     return 0
 

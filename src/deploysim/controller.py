@@ -16,11 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .actuation import (BatteryState, CarrierState, DoorState, ServoSpec,
-                        rack_speed)
+from .actuation import BatteryState, CarrierState, DoorState
 from .atmosphere import TIME_EPS
 from .errors import ParameterError
-from .mechanism import MechanismParams
 
 # Settle time between the door reading open and the first push.
 STABILIZE_DWELL_S = 2.0
@@ -99,38 +97,33 @@ class Command(NamedTuple):
 # Cooperative task schedule
 
 
-DEFAULT_TASKS = (
-    ("sense_barometer", 50.0),
-    ("estimate_state", 50.0),
-    ("deploy_logic", 100.0),
-    ("telemetry", 20.0),
-)
+# Rates in Hz, in priority order: sense (read the barometer, then
+# estimate the state), deploy logic, telemetry.
+TASK_RATES = (50.0, 100.0, 20.0)
 
 
-def task_period_ticks(dt: float) -> tuple[int, ...]:
-    """The period of each task of `DEFAULT_TASKS` in ticks of `dt`.
+def task_period_ticks(dt: float) -> tuple[int, int, int]:
+    """The period of each task of `TASK_RATES` in ticks of `dt`.
 
     Raises ParameterError unless dt divides every period exactly, which
     keeps due-ness pure integer arithmetic.
     """
     period_ticks = []
-    for name, rate in DEFAULT_TASKS:
+    for rate in TASK_RATES:
         period = 1.0 / rate
         ticks = round(period / dt)
         if ticks < 1 or abs(ticks * dt - period) > 1e-9 * max(period, dt):
             raise ParameterError(
-                f"dt={dt} does not divide the period of task {name!r} "
-                f"({period} s)")
+                f"dt={dt} does not divide the task period {period} s")
         period_ticks.append(ticks)
     return tuple(period_ticks)
 
 
 class TaskSchedule:
-    """The fixed-priority rate table `DEFAULT_TASKS` on the logical clock.
+    """The fixed-priority rate table `TASK_RATES` on the logical clock.
 
-    Priority is listed order; tasks due on the same tick run in that
-    order, each to completion.  dt must divide every task period
-    (`task_period_ticks`).
+    Tasks due on the same tick run in priority order, each to
+    completion.  dt must divide every task period (`task_period_ticks`).
     """
 
     def __init__(self, dt: float) -> None:
@@ -139,12 +132,11 @@ class TaskSchedule:
         cycle = math.lcm(*period_ticks)
         self._cycle = cycle
         self._pattern = tuple(
-            tuple(name for (name, _), p in zip(DEFAULT_TASKS, period_ticks)
-                  if tick % p == 0)
+            tuple(tick % p == 0 for p in period_ticks)
             for tick in range(cycle))
 
-    def due_at_tick(self, tick: int) -> tuple[str, ...]:
-        """Tasks due on tick `tick`, in priority order."""
+    def due_at_tick(self, tick: int) -> tuple[bool, bool, bool]:
+        """(sense, deploy logic, telemetry) due flags of tick `tick`."""
         return self._pattern[tick % self._cycle]
 
 
@@ -155,24 +147,24 @@ class TaskSchedule:
 class DeploymentController:
     """Runs the deployment protocol from sensed altitude alone."""
 
-    def __init__(self, trigger: TriggerConfig, mechanism: MechanismParams,
-                 servo: ServoSpec) -> None:
+    def __init__(self, trigger: TriggerConfig, stroke: float,
+                 rack_speed: float) -> None:
+        """`stroke` in m ejects the payload; `rack_speed` in m/s sizes
+        the default push timeout."""
         self.trigger = trigger
-        self.mechanism = mechanism
+        self.stroke = stroke
         if trigger.push_timeout is not None:
             self.push_timeout = trigger.push_timeout
         else:
-            cycle = 2.0 * mechanism.stroke / rack_speed(
-                servo, mechanism.pinion_pitch_diameter)
-            self.push_timeout = 3.0 * cycle
+            self.push_timeout = 3.0 * (2.0 * stroke / rack_speed)
         self.phase = DeployPhase.LOCKED
         self.safe_hold_reason: SafeHoldReason | None = None
         self.sensed_altitude: float | None = None
         self.apogee_seen = False
-        self.unlock_time: float | None = None
-        self.door_open_seen: float | None = None
         self._max_sensed = -math.inf
-        self._push_phase_start: float | None = None
+        # Start of the running timeout: the unlock command (door
+        # timeout), the door reading open (settle dwell), the last push.
+        self._since: float | None = None
 
     # -- tasks, in schedule priority order ---------------------------------
 
@@ -229,7 +221,7 @@ class DeploymentController:
                 return self._hold(SafeHoldReason.WINDOW_MISSED)
             if armed and trigger.deploy_floor <= altitude <= trigger.deploy_ceiling:
                 self.phase = _UNLOCKING
-                self.unlock_time = now
+                self._since = now
                 return [Command("unlock", altitude)]
             return []
 
@@ -240,37 +232,37 @@ class DeploymentController:
         if phase is _UNLOCKING:
             if not door.locked:
                 self.phase = _DOOR_OPEN_WAIT
-            elif now - self.unlock_time >= trigger.door_open_timeout - TIME_EPS:
+            elif now - self._since >= trigger.door_open_timeout - TIME_EPS:
                 return self._hold(SafeHoldReason.DOOR_TIMEOUT)
             return []
 
         if phase is _DOOR_OPEN_WAIT:
             if door.open:
                 self.phase = _STABILIZE_DELAY
-                self.door_open_seen = now
-            elif now - self.unlock_time >= trigger.door_open_timeout - TIME_EPS:
+                self._since = now
+            elif now - self._since >= trigger.door_open_timeout - TIME_EPS:
                 return self._hold(SafeHoldReason.DOOR_TIMEOUT)
             return []
 
         if phase is _STABILIZE_DELAY:
-            if now - self.door_open_seen >= STABILIZE_DWELL_S - TIME_EPS:
+            if now - self._since >= STABILIZE_DWELL_S - TIME_EPS:
                 self.phase = DeployPhase.PUSH_1
-                self._push_phase_start = now
+                self._since = now
                 return [Command("push", 1.0)]
             return []
 
         # Push phases.
         push_index = _PUSH_INDEX[phase]
-        if carrier.payload_displacement >= self.mechanism.stroke:
+        if carrier.payload_displacement >= self.stroke:
             self.phase = _EJECTED
             return []
         if carrier.push_count >= push_index and not carrier.pushing:
             if push_index < MAX_PUSHES:
                 self.phase = _NEXT_PUSH[push_index]
-                self._push_phase_start = now
+                self._since = now
                 return [Command("push", float(push_index + 1))]
             # All pushes spent without ejection: give up, stay safe.
             return self._hold(SafeHoldReason.PUSHES_EXHAUSTED)
-        if now - self._push_phase_start >= self.push_timeout - TIME_EPS:
+        if now - self._since >= self.push_timeout - TIME_EPS:
             return self._hold(SafeHoldReason.PUSH_TIMEOUT)
         return []

@@ -1,10 +1,11 @@
 """Whole-mission simulation loop, verdicts, sweeps and CSV rendering.
 
 Each tick advances the shared logical clock by dt and runs, in order:
-barometer sampling, the cooperative task set (sense, estimate, deploy
-logic), actuation stepping, battery drain, payload stepping, telemetry,
-then the vehicle truth step.  Everything downstream of the scenario and
-seed is deterministic, so equal inputs give byte-identical telemetry.
+barometer sampling, the cooperative tasks that are due (sense and
+estimate at 50 Hz, deploy logic at 100 Hz), actuation stepping, battery
+drain, payload stepping, telemetry (20 Hz), then the vehicle truth
+step.  Everything downstream of the scenario and seed is deterministic,
+so equal inputs give byte-identical telemetry.
 """
 
 import enum
@@ -32,8 +33,10 @@ class Outcome(enum.Enum):
     SAFE_HOLD = "SafeHold"
     LANDED_UNDEPLOYED = "LandedUndeployed"
     TIMEOUT = "Timeout"
-    # Defensive: an ejection whose truth altitude fell outside the
-    # window plus allowance.  Should be unreachable under the protocol.
+    # An ejection whose truth altitude fell outside the window plus
+    # allowance.  The floor has no allowance and sensed altitude lags
+    # truth on descent, so an ejection just above a sensed floor can
+    # land below it in truth.
     DEPLOYED_OUT_OF_WINDOW = "DeployedOutOfWindow"
 
 
@@ -170,7 +173,7 @@ def run_mission(scenario: Scenario,
 
     schedule = TaskSchedule(dt)
     drive = carrier_drive(servo, mechanism, faults)
-    controller = DeploymentController(trigger, mechanism, servo)
+    controller = DeploymentController(trigger, stroke, drive.rack_speed)
     barometer = Barometer(scenario.barometer, atmosphere)
     vehicle = initial_state(vehicle_spec, scenario.payload.mass)
     door = DoorState()
@@ -179,7 +182,6 @@ def run_mission(scenario: Scenario,
     # copies of the scenario's own.
     battery = replace(scenario.battery)
     payload = replace(scenario.payload)
-    aboard_mass = payload.mass
 
     telemetry: list[TelemetryRecord] = []
     commands: list[CommandLogEntry] = []
@@ -187,9 +189,8 @@ def run_mission(scenario: Scenario,
 
     pending_sample = None
     phase = controller.phase    # as of the last tick; update_phase moves it
-    payload_released = False
     eject_altitude: float | None = None
-    eject_time: float | None = None
+    eject_time: float | None = None     # not None once released
     energy = 0.0
     peak_current = 0.0
     charge_drawn = 0.0
@@ -216,34 +217,29 @@ def run_mission(scenario: Scenario,
             if sample is not None:
                 pending_sample = sample
 
-            telemetry_due = False
-            for task in schedule.due_at_tick(tick):
-                if task == "sense_barometer":
-                    if pending_sample is not None:
-                        controller.task_sense(pending_sample)
-                        pending_sample = None
-                elif task == "estimate_state":
-                    if controller.task_estimate():
-                        events.append(Event(now, "apogee_sensed",
-                                            controller.sensed_altitude))
-                elif task == "deploy_logic":
-                    for cmd in controller.update_phase(door, carrier, battery,
-                                                       now):
-                        commands.append(CommandLogEntry(
-                            now, cmd.name, cmd.value, vehicle.altitude))
-                        if cmd.name == "push":
-                            begin_push(carrier, door.open)
-                    if (controller.phase is safe_hold
-                            and phase is not safe_hold):
-                        # Safing de-energizes the rack once; SafeHold never
-                        # drives the lock rod or commands a push again.
-                        halt_carrier(carrier)
-                        events.append(Event(now, "safe_hold",
-                                            controller.safe_hold_reason.value))
-                else:  # telemetry, lowest priority; recorded at end of tick
-                    telemetry_due = True
-
-            phase = controller.phase
+            # Telemetry is the lowest priority task: recorded at the end
+            # of the tick.
+            sense_due, logic_due, telemetry_due = schedule.due_at_tick(tick)
+            if sense_due:
+                if pending_sample is not None:
+                    controller.task_sense(pending_sample)
+                    pending_sample = None
+                if controller.task_estimate():
+                    events.append(Event(now, "apogee_sensed",
+                                        controller.sensed_altitude))
+            if logic_due:
+                for cmd in controller.update_phase(door, carrier, battery, now):
+                    commands.append(CommandLogEntry(
+                        now, cmd.name, cmd.value, vehicle.altitude))
+                    if cmd.name == "push":
+                        begin_push(carrier, door.open)
+                if controller.phase is safe_hold and phase is not safe_hold:
+                    # Safing de-energizes the rack once; SafeHold never
+                    # drives the lock rod or commands a push again.
+                    halt_carrier(carrier)
+                    events.append(Event(now, "safe_hold",
+                                        controller.safe_hold_reason.value))
+                phase = controller.phase
 
             # Actuation over [now, now + dt).  A dead pack drives neither
             # the lock rod nor the rack; the door swings unpowered, unless
@@ -262,18 +258,18 @@ def run_mission(scenario: Scenario,
                 if door.open and not was_open:
                     events.append(Event(now, "door_open", door.angle))
             if powered and carrier.pushing:
+                # After the release the carrier only retracts, and
+                # retraction ignores the payload mass.
                 _, servo_current = step_carrier(
-                    carrier, servo, aboard_mass, mechanism, faults, dt, drive)
+                    carrier, servo, payload.mass, mechanism, faults, dt, drive)
                 current += servo_current
-                if (not payload_released
+                if (eject_time is None
                         and carrier.payload_displacement >= stroke):
-                    payload_released = True
                     eject_altitude = vehicle.altitude
                     eject_time = now
                     release_payload(payload, vehicle.altitude,
                                     vehicle.velocity)
-                    vehicle.mass -= aboard_mass
-                    aboard_mass = 0.0
+                    vehicle.mass -= payload.mass
                     events.append(Event(now, "ejected", eject_altitude))
 
             # Battery: account by delivered charge so the audit is exact.
@@ -286,7 +282,7 @@ def run_mission(scenario: Scenario,
                 if total_current > peak_current:
                     peak_current = total_current
 
-            if payload_released and payload.state is not payload_landed:
+            if eject_time is not None and payload.state is not payload_landed:
                 previous = payload.state
                 step_payload(payload, dt, eject_altitude, atmosphere)
                 if payload.state is not previous:
@@ -315,16 +311,17 @@ def run_mission(scenario: Scenario,
             # Terminal conditions.
             if payload.state is payload_landed:
                 break
-            if vehicle.phase is vehicle_landed and not payload_released:
+            if vehicle.phase is vehicle_landed and eject_time is None:
                 break
-            if stop_at_verdict and (payload_released or phase is safe_hold):
+            if stop_at_verdict and (eject_time is not None
+                                    or phase is safe_hold):
                 break
     except DomainError as exc:
         raise DomainError(
             f"at t={now:.3f} s the vehicle left the 0-11 km atmosphere "
             f"model band: {exc}") from exc
 
-    if payload_released:
+    if eject_time is not None:
         in_window = (trigger.deploy_floor <= eject_altitude
                      <= trigger.deploy_ceiling + trigger.window_allowance)
         outcome = (Outcome.DEPLOYED_IN_WINDOW if in_window

@@ -236,6 +236,19 @@ def test_sweep_prints_table(tmp_path, capsys):
         encoding="utf-8").splitlines() == lines
 
 
+def test_sweep_out_dir_from_environment(tmp_path, monkeypatch, capsys):
+    deck = tmp_path / "fast.scn"
+    deck.write_text("sim.dt = 0.01\nsim.max_sim_time = 10.0\n",
+                    encoding="utf-8")
+    target = tmp_path / "env-out"
+    monkeypatch.setenv("DEPLOYSIM_OUT", str(target))
+    assert main(["sweep", "--scenario", str(deck), "--key", "payload.mass",
+                 "--values", "1.0,2.0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert (target / "sweep.csv").read_text(
+        encoding="utf-8").splitlines() == lines
+
+
 def test_sweep_rejects_bad_key(tmp_path, capsys):
     assert main(["sweep", "--scenario", "altair_nominal",
                  "--key", "nope", "--values", "1"]) == 64

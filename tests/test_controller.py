@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 from deploysim import ParameterError, build_scenario
-from deploysim.actuation import CarrierState, DoorState
+from deploysim.actuation import CarrierState, DoorState, rack_speed
 from deploysim.controller import (STABILIZE_DWELL_S, DeployPhase,
                                   DeploymentController, SafeHoldReason,
                                   TaskSchedule, task_period_ticks)
@@ -34,7 +34,8 @@ def make_controller(**kwargs):
     """A controller for the nominal 150-400 m window."""
     trigger = replace(NOMINAL.trigger, **kwargs)
     assert (trigger.deploy_floor, trigger.deploy_ceiling) == (150.0, 400.0)
-    return DeploymentController(trigger, MECH, SERVO)
+    return DeploymentController(
+        trigger, MECH.stroke, rack_speed(SERVO, MECH.pinion_pitch_diameter))
 
 
 def sense(ctl, altitude):
@@ -52,37 +53,34 @@ def arm_with_apogee(ctl, peak=500.0, now=0.0):
 
 
 # ---------------------------------------------------------------------------
-# Task schedule
+# Task schedule; due flags are (sense, deploy logic, telemetry).
 
 
 def test_all_tasks_due_at_time_zero():
     schedule = TaskSchedule(0.001)
-    assert schedule.due_at_tick(0) == (
-        "sense_barometer", "estimate_state", "deploy_logic", "telemetry")
+    assert schedule.due_at_tick(0) == (True, True, True)
 
 
 def test_dueness_at_sample_times():
     schedule = TaskSchedule(0.001)
-    assert schedule.due_at_tick(20) == (
-        "sense_barometer", "estimate_state", "deploy_logic")
-    assert schedule.due_at_tick(30) == ("deploy_logic",)
-    assert schedule.due_at_tick(50) == ("deploy_logic", "telemetry")
-    assert schedule.due_at_tick(13) == ()
+    assert schedule.due_at_tick(20) == (True, True, False)
+    assert schedule.due_at_tick(30) == (False, True, False)
+    assert schedule.due_at_tick(50) == (False, True, True)
+    assert schedule.due_at_tick(13) == (False, False, False)
 
 
 def test_rates_actually_hit():
     schedule = TaskSchedule(0.001)
-    counts = {}
+    counts = [0, 0, 0]
     for tick in range(1000):
-        for name in schedule.due_at_tick(tick):
-            counts[name] = counts.get(name, 0) + 1
-    assert counts == {"sense_barometer": 50, "estimate_state": 50,
-                      "deploy_logic": 100, "telemetry": 20}
+        for index, due in enumerate(schedule.due_at_tick(tick)):
+            counts[index] += due
+    assert counts == [50, 100, 20]
 
 
 def test_dt_must_divide_every_period():
-    assert task_period_ticks(0.001) == (20, 20, 10, 50)
-    assert task_period_ticks(0.01) == (2, 2, 1, 5)
+    assert task_period_ticks(0.001) == (20, 10, 50)
+    assert task_period_ticks(0.01) == (2, 1, 5)
     with pytest.raises(ParameterError):
         task_period_ticks(0.0003)
     with pytest.raises(ParameterError):
@@ -129,7 +127,6 @@ def test_unlock_fires_inside_window_after_apogee():
     out = ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.03)
     assert out == [("unlock", 399.5)]
     assert ctl.phase is DeployPhase.UNLOCKING
-    assert ctl.unlock_time == 0.03
     # Unlocking emits nothing more while the rod retracts.
     assert ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY,
                             0.04) == []
@@ -214,7 +211,6 @@ def test_stabilize_dwell_is_exactly_two_seconds():
     assert ctl.phase is DeployPhase.DOOR_OPEN_WAIT
     ctl.update_phase(OPEN_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.57)
     assert ctl.phase is DeployPhase.STABILIZE_DELAY
-    assert ctl.door_open_seen == 0.57
 
     hold_until = 0.57 + STABILIZE_DWELL_S
     now = 0.57

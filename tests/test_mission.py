@@ -180,6 +180,20 @@ def test_landed_undeployed_when_never_armed():
     assert res.verdict.deploy_altitude_truth is None
 
 
+def test_ejection_below_a_truth_floor_is_out_of_window():
+    # The nominal flight ejects at 325.686 m truth.  The floor has no
+    # allowance and sensed altitude lags truth on descent, so a sensed
+    # floor just above that lets the protocol eject below it in truth.
+    sc = scenario_with(NOMINAL, {"trigger.deploy_floor": 326.0})
+    res = run_mission(sc)
+    assert res.verdict.outcome is Outcome.DEPLOYED_OUT_OF_WINDOW
+    assert res.verdict.safe_hold_reason is None
+    assert res.verdict.deploy_altitude_truth == pytest.approx(325.686,
+                                                              abs=1e-3)
+    assert EXIT_CODES[res.verdict.outcome] == 3
+    assert "exit_code=3" in verdict_lines(res.verdict)
+
+
 def test_same_scenario_same_bytes():
     a = run_mission(NOMINAL)
     b = run_mission(NOMINAL)
