@@ -141,81 +141,88 @@ def halt_carrier(carrier: CarrierState) -> None:
 
 
 class CarrierDrive(NamedTuple):
-    """Carrier figures that stay fixed for a whole mission."""
+    """Carrier figures and behaviour that stay fixed for a whole
+    mission: everything `step_carrier` reads."""
 
     rack_speed: float       # m/s, no-load
-    load_per_kg: float      # N/kg: friction plus the sizing acceleration
-    drive_force: float      # N, effective tangential force at the pinion
+    stroke: float           # m
+    stalls: bool            # the drive force cannot move the load
+    breaks_link: bool       # the load exceeds the link-break force
+    slips_from: float       # push_count from which the gear slips
+    running_current: float  # A
+    stall_current: float    # A
 
 
 def carrier_drive(servo: ServoSpec, params: MechanismParams,
-                  faults: FaultPlan) -> CarrierDrive:
-    """The go/no-go figures of `step_carrier`, computed once.
+                  faults: FaultPlan, payload_mass: float) -> CarrierDrive:
+    """The carrier's figures and go/no-go decisions, computed once.
 
-    The load includes the sizing acceleration so the stall boundary
-    sits exactly at the computed payload limit.
+    The load is friction plus the sizing acceleration, so the stall
+    boundary sits exactly at the computed payload limit.  Deciding the
+    stall and the link break once per mission is sound: the stowed
+    payload's mass is fixed, and after the release the carrier only
+    retracts, which ignores the load.
     """
     mu_eff = params.friction_coefficient * faults.surface_friction_scale
     accel = required_acceleration(params.stroke, 0.0,
                                   params.deployment_time_budget)
+    load = payload_mass * (mu_eff * GRAVITY + accel)
+    force = tangential_force(params.servo_stall_torque,
+                             params.pinion_pitch_diameter,
+                             params.drivetrain_efficiency)
+    link_limit = faults.link_break_force
+    slip_push = faults.gear_slip_push
     return CarrierDrive(
         rack_speed=rack_speed(servo, params.pinion_pitch_diameter),
-        load_per_kg=mu_eff * GRAVITY + accel,
-        drive_force=tangential_force(params.servo_stall_torque,
-                                     params.pinion_pitch_diameter,
-                                     params.drivetrain_efficiency))
+        stroke=params.stroke,
+        stalls=force < load,
+        breaks_link=link_limit is not None and load > link_limit,
+        slips_from=math.inf if slip_push is None else slip_push - 1,
+        running_current=servo.running_current_max,
+        stall_current=servo.stall_current)
 
 
-def step_carrier(carrier: CarrierState, servo: ServoSpec, payload_mass: float,
-                 params: MechanismParams, faults: FaultPlan, dt: float,
+def step_carrier(carrier: CarrierState, dt: float,
                  drive: CarrierDrive) -> tuple[CarrierState, float]:
     """Advance a pushing, powered carrier one step, in place.
 
     Returns (carrier, current draw in A).  Extension against a load the
     servo cannot overcome holds the rack still at stall current.
-    `drive` is `carrier_drive(servo, params, faults)`, computed once per
-    mission.
+    `drive` is `carrier_drive(...)`, computed once per mission.
     """
     speed = drive.rack_speed
-
     if carrier.retracting:
         extension = carrier.rack_extension - speed * dt
         if extension <= 0.0:
             extension = 0.0
             carrier.pushing = carrier.retracting = False
         carrier.rack_extension = extension
-        return carrier, servo.running_current_max
+        return carrier, drive.running_current
 
-    # Extending against the payload: static go/no-go force check.
-    load = payload_mass * drive.load_per_kg
-    if drive.drive_force < load:
+    if drive.stalls:
         carrier.stalled = True
-        return carrier, servo.stall_current
-    carrier.stalled = False
+        return carrier, drive.stall_current
 
-    if (faults.link_break_force is not None
-            and load > faults.link_break_force):
-        carrier.link_broken = True
-    slipping = (faults.gear_slip_push is not None
-                and carrier.push_count + 1 >= faults.gear_slip_push)
+    stroke = drive.stroke
+    slipping = carrier.push_count >= drive.slips_from
     if slipping:
         carrier.slipped = True
-
-    advance = min(speed * dt, params.stroke - carrier.rack_extension)
-    if not carrier.link_broken and not slipping:
+    advance = min(speed * dt, stroke - carrier.rack_extension)
+    if drive.breaks_link:
+        carrier.link_broken = True
+    elif not slipping:
         # Contact is lost once the payload has travelled the full stroke.
-        transmitted = min(advance,
-                          params.stroke - carrier.payload_displacement)
+        transmitted = min(advance, stroke - carrier.payload_displacement)
         if transmitted > 0.0:
             carrier.payload_displacement += transmitted
 
     extension = carrier.rack_extension + advance
-    if extension >= params.stroke:
-        extension = params.stroke
+    if extension >= stroke:
+        extension = stroke
         carrier.push_count += 1
         carrier.retracting = True
     carrier.rack_extension = extension
-    return carrier, servo.running_current_max
+    return carrier, drive.running_current
 
 
 def drain_battery(battery: BatteryState, current: float, dt: float) -> float:

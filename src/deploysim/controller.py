@@ -77,7 +77,7 @@ class TriggerConfig:
     door_open_timeout: float            # s from the unlock command
     push_timeout: float | None          # s per push phase
     apogee_confirm_drop: float          # m of sensed descent = apogee seen
-    window_allowance: float             # m sensed-vs-truth slack for verdicts
+    window_allowance: float             # m of verdict slack above the ceiling
 
     def __post_init__(self) -> None:
         if self.deploy_floor >= self.deploy_ceiling:

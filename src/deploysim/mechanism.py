@@ -31,30 +31,19 @@ from .errors import ParameterError, SingularConfigurationError
 # m/s^2, the one gravity of sizing, the carrier load and flight.
 GRAVITY = 9.81
 
-# s, the bounds of `deployment_time_budget`, as of the clock: outside
-# them the t^2 of the sizing chain overflows or divides by zero.
-MIN_TIME_BUDGET, MAX_TIME_BUDGET = 1e-6, 86400.0
-
-
-def _finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ParameterError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _positive(name: str, value: float) -> float:
-    value = _finite(name, value)
-    if value <= 0.0:
-        raise ParameterError(f"{name} must be > 0, got {value}")
-    return value
-
-
-def _non_negative(name: str, value: float) -> float:
-    value = _finite(name, value)
-    if value < 0.0:
-        raise ParameterError(f"{name} must be >= 0, got {value}")
-    return value
+# field -> (low, high, low_open): the one range of each drivetrain
+# parameter, read by `MechanismParams` and by the scenario schema.  The
+# int 0 bounds print as the schema's other `> 0` / `>= 0` bounds do.
+# The time budget is bounded as the clock is: outside [1e-6, 86400] s
+# the t^2 of the sizing chain overflows or divides by zero.
+LIMITS = {
+    "servo_stall_torque": (0, None, True),
+    "pinion_pitch_diameter": (0, None, True),
+    "drivetrain_efficiency": (0, 1.0, True),
+    "friction_coefficient": (0, None, False),
+    "stroke": (0, None, True),
+    "deployment_time_budget": (1e-6, 86400.0, False),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,22 +63,16 @@ class MechanismParams:
 
     def __post_init__(self) -> None:
         # Stored back as the checked floats: the sizing chain trusts them.
-        for name in ("servo_stall_torque", "pinion_pitch_diameter", "stroke",
-                     "deployment_time_budget"):
-            value = _positive(name, getattr(self, name))
+        for name, (low, high, low_open) in LIMITS.items():
+            value = float(getattr(self, name))
+            if not (math.isfinite(value)
+                    and (value > low if low_open else value >= low)
+                    and (high is None or value <= high)):
+                opening = "(" if low_open else "["
+                closing = "inf)" if high is None else f"{high}]"
+                raise ParameterError(f"{name} must be in {opening}{low}, "
+                                     f"{closing}, got {value}")
             object.__setattr__(self, name, value)
-        budget = self.deployment_time_budget
-        if not MIN_TIME_BUDGET <= budget <= MAX_TIME_BUDGET:
-            raise ParameterError(
-                f"deployment_time_budget must be in [{MIN_TIME_BUDGET}, "
-                f"{MAX_TIME_BUDGET}] s, got {budget}")
-        eff = _finite("drivetrain_efficiency", self.drivetrain_efficiency)
-        if not 0.0 < eff <= 1.0:
-            raise ParameterError(
-                f"drivetrain_efficiency must be in (0, 1], got {eff}")
-        object.__setattr__(self, "drivetrain_efficiency", eff)
-        object.__setattr__(self, "friction_coefficient", _non_negative(
-            "friction_coefficient", self.friction_coefficient))
 
 
 @dataclass(frozen=True, slots=True)

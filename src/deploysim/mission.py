@@ -163,16 +163,15 @@ def run_mission(scenario: Scenario,
     faults = scenario.faults
     vehicle_spec = scenario.vehicle
     door_spec = scenario.door
-    servo = scenario.servo
-    mechanism = scenario.mechanism
     trigger = scenario.trigger
     quiescent = scenario.quiescent_current
-    stroke = mechanism.stroke
     fail_time = faults.battery_fail_time
     door_jam = faults.door_jam
 
     schedule = TaskSchedule(dt)
-    drive = carrier_drive(servo, mechanism, faults)
+    drive = carrier_drive(scenario.servo, scenario.mechanism, faults,
+                          scenario.payload.mass)
+    stroke = drive.stroke
     controller = DeploymentController(trigger, stroke, drive.rack_speed)
     barometer = Barometer(scenario.barometer, atmosphere)
     vehicle = initial_state(vehicle_spec, scenario.payload.mass)
@@ -258,11 +257,7 @@ def run_mission(scenario: Scenario,
                 if door.open and not was_open:
                     events.append(Event(now, "door_open", door.angle))
             if powered and carrier.pushing:
-                # After the release the carrier only retracts, and
-                # retraction ignores the payload mass.
-                _, servo_current = step_carrier(
-                    carrier, servo, payload.mass, mechanism, faults, dt, drive)
-                current += servo_current
+                current += step_carrier(carrier, dt, drive)[1]
                 if (eject_time is None
                         and carrier.payload_displacement >= stroke):
                     eject_altitude = vehicle.altitude

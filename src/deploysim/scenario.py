@@ -3,9 +3,10 @@
 Unknown keys are rejected, missing keys take the documented defaults,
 and an empty file is exactly the nominal mission.  The schema table
 below is the single source of truth for keys, types, ranges and
-defaults; the README points users at it.  Apart from the public
-`MechanismParams`, whose defaults the schema reads, the records a
-scenario builds carry no defaults.
+defaults; the README points users at it.  The `mechanism.*` entries
+read their defaults from the public `MechanismParams` and their ranges
+from `mechanism.LIMITS`; the other records a scenario builds carry no
+defaults.
 """
 
 import math
@@ -18,7 +19,7 @@ from .atmosphere import AtmosphereModel, BarometerSpec
 from .controller import TriggerConfig, task_period_ticks
 from .errors import ParameterError, ScenarioError
 from .flight import PayloadBody, VehicleSpec
-from .mechanism import MAX_TIME_BUDGET, MIN_TIME_BUDGET, MechanismParams
+from .mechanism import LIMITS, MechanismParams
 
 
 _EXPECTS = {bool: "true/false", int: "an integer", float: "a number"}
@@ -96,17 +97,19 @@ SCHEMA: dict[str, _Key] = {
     "payload.parachute_drag_area": _nonneg(float, 0.45, "Cd*A, m^2"),
     "payload.parachute_open_altitude_loss": _nonneg(float, 50.0, "m"),
     # Deployment drivetrain (sizing + carrier force model)
-    "mechanism.stall_torque": _pos(float, _DRIVE.servo_stall_torque, "N*m"),
-    "mechanism.pitch_diameter": _pos(float, _DRIVE.pinion_pitch_diameter, "m"),
-    "mechanism.efficiency": _Key(float, _DRIVE.drivetrain_efficiency, low=0,
-                                 low_open=True, high=1.0,
-                                 doc="fraction of ideal force delivered"),
-    "mechanism.friction": _nonneg(float, _DRIVE.friction_coefficient,
-                                  "payload-on-bulkhead mu"),
-    "mechanism.stroke": _pos(float, _DRIVE.stroke, "m"),
+    "mechanism.stall_torque": _Key(float, _DRIVE.servo_stall_torque,
+                                   *LIMITS["servo_stall_torque"], "N*m"),
+    "mechanism.pitch_diameter": _Key(float, _DRIVE.pinion_pitch_diameter,
+                                     *LIMITS["pinion_pitch_diameter"], "m"),
+    "mechanism.efficiency": _Key(float, _DRIVE.drivetrain_efficiency,
+                                 *LIMITS["drivetrain_efficiency"],
+                                 "fraction of ideal force delivered"),
+    "mechanism.friction": _Key(float, _DRIVE.friction_coefficient,
+                               *LIMITS["friction_coefficient"],
+                               "payload-on-bulkhead mu"),
+    "mechanism.stroke": _Key(float, _DRIVE.stroke, *LIMITS["stroke"], "m"),
     "mechanism.time_budget": _Key(float, _DRIVE.deployment_time_budget,
-                                  low=MIN_TIME_BUDGET, high=MAX_TIME_BUDGET,
-                                  doc="s"),
+                                  *LIMITS["deployment_time_budget"], "s"),
     # Drive servo (speed and current model)
     "servo.rated_speed": _pos(float, 1.0, "rev/s"),
     "servo.running_current_max": _nonneg(float, 0.9, "A"),
@@ -129,7 +132,8 @@ SCHEMA: dict[str, _Key] = {
     "trigger.door_open_timeout": _pos(float, 2.0, "s from unlock"),
     "trigger.push_timeout": _pos(float, None, "s; omit for 3x a push cycle"),
     "trigger.apogee_confirm_drop": _pos(float, 5.0, "m"),
-    "trigger.window_allowance": _nonneg(float, 5.0, "m"),
+    "trigger.window_allowance": _nonneg(float, 5.0,
+                                        "m, verdict slack above the ceiling"),
     # Battery
     "battery.voltage": _pos(float, 7.4, "V"),
     "battery.capacity": _pos(float, 7920.0, "C (2.2 Ah)"),
@@ -310,7 +314,7 @@ def _build_from_text(text: str, source: str) -> Scenario:
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario file."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {str(path)!r}: "

@@ -34,7 +34,7 @@ MECH = NOMINAL.mechanism
 NO_FAULTS = NOMINAL.faults
 FULL_BATTERY = NOMINAL.battery
 DEAD_BATTERY = replace(FULL_BATTERY, voltage=0.0, charge=0.0, failed=True)
-DRIVE = carrier_drive(SERVO, MECH, NO_FAULTS)
+DRIVE = carrier_drive(SERVO, MECH, NO_FAULTS, 1.0)
 DT = 0.001
 
 
@@ -44,12 +44,11 @@ def run_push_cycle(mass, faults=NO_FAULTS, carrier=None, max_steps=5000):
     if carrier is None:
         carrier = CarrierState()
     begin_push(carrier, door_open=True)
-    drive = carrier_drive(SERVO, MECH, faults)
+    drive = carrier_drive(SERVO, MECH, faults, mass)
     start = carrier.payload_displacement
     currents = []
     for step in range(1, max_steps + 1):
-        stepped, current = step_carrier(carrier, SERVO, mass, MECH, faults,
-                                        DT, drive)
+        stepped, current = step_carrier(carrier, DT, drive)
         assert stepped is carrier
         currents.append(current)
         if not carrier.pushing:
@@ -66,7 +65,7 @@ def test_full_stroke_takes_expected_time():
     begin_push(carrier, door_open=True)
     steps = 0
     while carrier.rack_extension < MECH.stroke:
-        step_carrier(carrier, SERVO, 1.0, MECH, NO_FAULTS, DT, DRIVE)
+        step_carrier(carrier, DT, DRIVE)
         steps += 1
     # 0.060 / 0.062832 = 0.9549 s, quantized up to the next millisecond.
     assert steps == 955
@@ -181,7 +180,7 @@ def test_halt_carrier_freezes_cycle():
     carrier = CarrierState()
     begin_push(carrier, door_open=True)
     for _ in range(100):
-        step_carrier(carrier, SERVO, 1.0, MECH, NO_FAULTS, DT, DRIVE)
+        step_carrier(carrier, DT, DRIVE)
     moving = replace(carrier)
     assert halt_carrier(carrier) is None
     assert carrier == replace(moving, pushing=False, retracting=False)
@@ -210,9 +209,9 @@ def test_begin_push_is_idempotent_while_cycling():
     assert carrier == started
     # Halfway back, a second push leaves the retraction running.
     while not carrier.retracting:
-        step_carrier(carrier, SERVO, 1.0, MECH, NO_FAULTS, DT, DRIVE)
+        step_carrier(carrier, DT, DRIVE)
     for _ in range(400):
-        step_carrier(carrier, SERVO, 1.0, MECH, NO_FAULTS, DT, DRIVE)
+        step_carrier(carrier, DT, DRIVE)
     retracting = replace(carrier)
     assert retracting.pushing and retracting.retracting
     assert 0.0 < retracting.rack_extension < MECH.stroke

@@ -44,6 +44,7 @@ def test_sizing_with_overrides(capsys):
 
 def test_sizing_rejects_bad_value(capsys):
     assert main(["sizing", "--efficiency", "1.5"]) == 64
+    assert "drivetrain_efficiency" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("budget", ["1e-300", "1e300"])

@@ -14,11 +14,14 @@ import pytest
 from deploysim import (
     MechanismParams,
     ParameterError,
+    ScenarioError,
     SingularConfigurationError,
+    build_scenario,
     sizing_report,
 )
-from deploysim.mechanism import (max_payload_mass, required_acceleration,
-                                 tangential_force)
+from deploysim.mechanism import (LIMITS, max_payload_mass,
+                                 required_acceleration, tangential_force)
+from deploysim.scenario import SCHEMA, _MECHANISM_FIELDS
 
 NOMINAL = MechanismParams()
 
@@ -146,6 +149,41 @@ def test_negative_acceleration_can_cancel_friction():
 def test_bad_parameters_rejected(kwargs):
     with pytest.raises(ParameterError):
         MechanismParams(**kwargs)
+
+
+def _probes(low, high):
+    """Each bound and one ulp either side of it, plus the usual suspects."""
+    probes = [0.0, -1.0, math.nan, math.inf]
+    for bound in (low, high):
+        if bound is not None:
+            probes += [math.nextafter(bound, -math.inf), float(bound),
+                       math.nextafter(bound, math.inf)]
+    return probes
+
+
+def _accepts(gate, error):
+    try:
+        gate()
+    except error:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("key", sorted(_MECHANISM_FIELDS))
+def test_schema_and_params_gates_agree(key):
+    # Both gates read `LIMITS`; a value passes one exactly when it
+    # passes the other.  The schema entry is probed on its own too,
+    # since `build_scenario` also runs `MechanismParams`.
+    field = _MECHANISM_FIELDS[key]
+    low, high, _ = LIMITS[field]
+    for value in _probes(low, high):
+        verdicts = {
+            _accepts(lambda: MechanismParams(**{field: value}),
+                     ParameterError),
+            _accepts(lambda: SCHEMA[key].check(key, value), ScenarioError),
+            _accepts(lambda: build_scenario({key: value}), ScenarioError),
+        }
+        assert len(verdicts) == 1, (key, value)
 
 
 def test_time_budget_is_bounded_like_the_clock():

@@ -262,6 +262,21 @@ def test_load_scenario_cross_field_error_names_file(tmp_path):
         load_scenario(deck)
 
 
+@pytest.mark.parametrize("text", [
+    "# heavier payload\npayload.mass = 2.5\n",
+    "payload.mass = 2.5\nsim.seed = 7\n",
+])
+def test_load_scenario_skips_a_utf8_bom(tmp_path, text):
+    # Some editors save UTF-8 with a byte-order mark; it is not part of
+    # the first line, whether that line is a comment or a key.
+    plain = tmp_path / "plain.scn"
+    plain.write_text(text, encoding="utf-8")
+    bom = tmp_path / "bom.scn"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_scenario(bom).values == load_scenario(plain).values
+    assert load_scenario(bom).payload.mass == 2.5
+
+
 def test_load_scenario_missing_file():
     with pytest.raises(ScenarioError, match="cannot read scenario"):
         load_scenario("/nonexistent/path.scn")
