@@ -131,12 +131,16 @@ class TaskSchedule:
         # Due-ness repeats with the period lcm; precompute one cycle.
         cycle = math.lcm(*period_ticks)
         self._cycle = cycle
-        self._pattern = tuple(
-            tuple(tick % p == 0 for p in period_ticks)
-            for tick in range(cycle))
+        pattern = []
+        free = 0    # task-free ticks after the slot; slot 0 is always due
+        for tick in reversed(range(cycle)):
+            due = tuple(tick % p == 0 for p in period_ticks)
+            pattern.append((*due, free))
+            free = 0 if any(due) else free + 1
+        self._pattern = tuple(reversed(pattern))
 
-    def due_at_tick(self, tick: int) -> tuple[bool, bool, bool]:
-        """(sense, deploy logic, telemetry) due flags of tick `tick`."""
+    def due_at_tick(self, tick: int) -> tuple[bool, bool, bool, int]:
+        """Due flags (sense, logic, telemetry) and task-free ticks after."""
         return self._pattern[tick % self._cycle]
 
 

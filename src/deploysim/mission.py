@@ -1,11 +1,14 @@
 """Whole-mission simulation loop, verdicts, sweeps and CSV rendering.
 
 Each tick advances the shared logical clock by dt and runs, in order:
-barometer sampling, the cooperative tasks that are due (sense and
-estimate at 50 Hz, deploy logic at 100 Hz), actuation stepping, battery
-drain, payload stepping, telemetry (20 Hz), then the vehicle truth
-step.  Everything downstream of the scenario and seed is deterministic,
-so equal inputs give byte-identical telemetry.
+the scheduled battery failure, barometer sampling, the cooperative tasks
+that are due (sense and estimate at 50 Hz, deploy logic at 100 Hz until
+the phase is absorbing), actuation stepping, battery drain, telemetry
+(20 Hz), payload stepping, then the vehicle truth step.  When nothing
+actuates or draws current, the task-free ticks up to the next due task
+run only the battery failure, the barometer and the two truth steps.
+Everything downstream of the scenario and seed is deterministic, so
+equal inputs give byte-identical telemetry.
 """
 
 import enum
@@ -188,6 +191,8 @@ def run_mission(scenario: Scenario,
 
     pending_sample = None
     phase = controller.phase    # as of the last tick; update_phase moves it
+    settled = False             # phase is SafeHold or Ejected, both absorbing
+    physics_only = 0            # ticks left that run only the physics
     eject_altitude: float | None = None
     eject_time: float | None = None     # not None once released
     energy = 0.0
@@ -197,6 +202,7 @@ def run_mission(scenario: Scenario,
     # Enum class is slow on Python 3.11 (see flight.py).
     safe_hold = _SAFE_HOLD
     unlocking = DeployPhase.UNLOCKING
+    ejected = DeployPhase.EJECTED
     payload_landed = PayloadState.LANDED
     vehicle_landed = FlightPhase.LANDED
 
@@ -216,66 +222,85 @@ def run_mission(scenario: Scenario,
             if sample is not None:
                 pending_sample = sample
 
-            # Telemetry is the lowest priority task: recorded at the end
-            # of the tick.
-            sense_due, logic_due, telemetry_due = schedule.due_at_tick(tick)
-            if sense_due:
-                if pending_sample is not None:
-                    controller.task_sense(pending_sample)
-                    pending_sample = None
-                if controller.task_estimate():
-                    events.append(Event(now, "apogee_sensed",
-                                        controller.sensed_altitude))
-            if logic_due:
-                for cmd in controller.update_phase(door, carrier, battery, now):
-                    commands.append(CommandLogEntry(
-                        now, cmd.name, cmd.value, vehicle.altitude))
-                    if cmd.name == "push":
-                        begin_push(carrier, door.open)
-                if controller.phase is safe_hold and phase is not safe_hold:
-                    # Safing de-energizes the rack once; SafeHold never
-                    # drives the lock rod or commands a push again.
-                    halt_carrier(carrier)
-                    events.append(Event(now, "safe_hold",
-                                        controller.safe_hold_reason.value))
-                phase = controller.phase
+            if physics_only:
+                physics_only -= 1
+            else:
+                (sense_due, logic_due, telemetry_due,
+                 free) = schedule.due_at_tick(tick)
+                if sense_due:
+                    if pending_sample is not None:
+                        controller.task_sense(pending_sample)
+                        pending_sample = None
+                    if controller.task_estimate():
+                        events.append(Event(now, "apogee_sensed",
+                                            controller.sensed_altitude))
+                if logic_due and not settled:
+                    for cmd in controller.update_phase(door, carrier, battery,
+                                                       now):
+                        commands.append(CommandLogEntry(
+                            now, cmd.name, cmd.value, vehicle.altitude))
+                        if cmd.name == "push":
+                            begin_push(carrier, door.open)
+                    phase = controller.phase
+                    settled = phase is safe_hold or phase is ejected
+                    if phase is safe_hold:
+                        # Safing de-energizes the rack once; SafeHold never
+                        # drives the lock rod or commands a push again.
+                        halt_carrier(carrier)
+                        events.append(Event(now, "safe_hold",
+                                            controller.safe_hold_reason.value))
 
-            # Actuation over [now, now + dt).  A dead pack drives neither
-            # the lock rod nor the rack; the door swings unpowered, unless
-            # it is jammed.
-            powered = not battery.failed
-            current = 0.0
-            if powered and phase is unlocking and door.locked:
-                command_unlock(door, door_spec, dt)
-                current += door_spec.actuator_current
-                if not door.locked:
-                    events.append(Event(now, "door_unlocked", 0.0))
-            if (not door_jam and not door.locked
-                    and door.angle < door_spec.max_open):
-                was_open = door.open
-                step_door(door, door_spec, dt)
-                if door.open and not was_open:
-                    events.append(Event(now, "door_open", door.angle))
-            if powered and carrier.pushing:
-                current += step_carrier(carrier, dt, drive)[1]
-                if (eject_time is None
-                        and carrier.payload_displacement >= stroke):
-                    eject_altitude = vehicle.altitude
-                    eject_time = now
-                    release_payload(payload, vehicle.altitude,
-                                    vehicle.velocity)
-                    vehicle.mass -= payload.mass
-                    events.append(Event(now, "ejected", eject_altitude))
+                # Actuation over [now, now + dt).  A dead pack drives
+                # neither the lock rod nor the rack; the door swings
+                # unpowered, unless it is jammed.
+                powered = not battery.failed
+                current = 0.0
+                if powered and phase is unlocking and door.locked:
+                    command_unlock(door, door_spec, dt)
+                    current += door_spec.actuator_current
+                    if not door.locked:
+                        events.append(Event(now, "door_unlocked", 0.0))
+                if (not door_jam and not door.locked
+                        and door.angle < door_spec.max_open):
+                    was_open = door.open
+                    step_door(door, door_spec, dt)
+                    if door.open and not was_open:
+                        events.append(Event(now, "door_open", door.angle))
+                if powered and carrier.pushing:
+                    current += step_carrier(carrier, dt, drive)[1]
+                    if (eject_time is None
+                            and carrier.payload_displacement >= stroke):
+                        eject_altitude = vehicle.altitude
+                        eject_time = now
+                        release_payload(payload, vehicle.altitude,
+                                        vehicle.velocity)
+                        vehicle.mass -= payload.mass
+                        events.append(Event(now, "ejected", eject_altitude))
 
-            # Battery: account by delivered charge so the audit is exact.
-            total_current = current + quiescent
-            pre_voltage = battery.voltage
-            delivered = drain_battery(battery, total_current, dt)
-            if delivered > 0.0:
-                charge_drawn += delivered
-                energy += pre_voltage * delivered
-                if total_current > peak_current:
-                    peak_current = total_current
+                # Battery: account by delivered charge, so the audit is exact.
+                total_current = current + quiescent
+                pre_voltage = battery.voltage
+                delivered = drain_battery(battery, total_current, dt)
+                if delivered > 0.0:
+                    charge_drawn += delivered
+                    energy += pre_voltage * delivered
+                    if total_current > peak_current:
+                        peak_current = total_current
+
+                # Telemetry (lowest priority) reads no payload field.
+                if telemetry_due:
+                    telemetry.append(make_telemetry_record(
+                        now, vehicle, controller, door, carrier, battery,
+                        delivered / dt, faults))
+
+                # Only a task starts the rod, the door or a push: if all
+                # rest now and draw nothing, they rest until the next one.
+                if free and not quiescent:
+                    rod = powered and phase is unlocking and door.locked
+                    swing = (not door_jam and not door.locked
+                             and door.angle < door_spec.max_open)
+                    if not (rod or swing or powered and carrier.pushing):
+                        physics_only = free
 
             if eject_time is not None and payload.state is not payload_landed:
                 previous = payload.state
@@ -286,11 +311,6 @@ def run_mission(scenario: Scenario,
                                             payload.altitude))
                     else:
                         events.append(Event(now, "payload_landed", 0.0))
-
-            if telemetry_due:
-                telemetry.append(make_telemetry_record(
-                    now, vehicle, controller, door, carrier, battery,
-                    delivered / dt, faults))
 
             # The vehicle step ends the tick: stamp its events (tick + 1) * dt.
             previous_phase = vehicle.phase

@@ -232,9 +232,10 @@ def _parse_value(key: str, raw: str, where: str):
 
 
 def parse_scenario_text(text: str, source: str = "<string>") -> dict:
-    """Parse flat key-value text into a typed override map."""
+    """Parse flat key-value text into a typed override map, skipping a BOM."""
     overrides: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(
+            text.removeprefix("\ufeff").splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -314,7 +315,7 @@ def _build_from_text(text: str, source: str) -> Scenario:
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario file."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {str(path)!r}: "

@@ -53,29 +53,48 @@ def arm_with_apogee(ctl, peak=500.0, now=0.0):
 
 
 # ---------------------------------------------------------------------------
-# Task schedule; due flags are (sense, deploy logic, telemetry).
+# Task schedule: (sense, deploy logic, telemetry) due flags, then the
+# number of task-free ticks that follow.
 
 
 def test_all_tasks_due_at_time_zero():
     schedule = TaskSchedule(0.001)
-    assert schedule.due_at_tick(0) == (True, True, True)
+    assert schedule.due_at_tick(0) == (True, True, True, 9)
 
 
 def test_dueness_at_sample_times():
     schedule = TaskSchedule(0.001)
-    assert schedule.due_at_tick(20) == (True, True, False)
-    assert schedule.due_at_tick(30) == (False, True, False)
-    assert schedule.due_at_tick(50) == (False, True, True)
-    assert schedule.due_at_tick(13) == (False, False, False)
+    assert schedule.due_at_tick(20) == (True, True, False, 9)
+    assert schedule.due_at_tick(30) == (False, True, False, 9)
+    assert schedule.due_at_tick(50) == (False, True, True, 9)
+    assert schedule.due_at_tick(13) == (False, False, False, 6)
 
 
 def test_rates_actually_hit():
     schedule = TaskSchedule(0.001)
     counts = [0, 0, 0]
     for tick in range(1000):
-        for index, due in enumerate(schedule.due_at_tick(tick)):
+        for index, due in enumerate(schedule.due_at_tick(tick)[:3]):
             counts[index] += due
     assert counts == [50, 100, 20]
+
+
+@pytest.mark.parametrize("dt", [0.001, 0.0005, 0.002, 0.01])
+def test_free_count_is_the_run_of_task_free_ticks_that_follows(dt):
+    schedule = TaskSchedule(dt)
+    horizon = 1000
+    busy = [any(schedule.due_at_tick(tick)[:3]) for tick in range(horizon)]
+    for tick in range(horizon - 100):
+        run = 0
+        while not busy[tick + 1 + run]:
+            run += 1
+        assert schedule.due_at_tick(tick)[3] == run, tick
+
+
+def test_no_tick_is_free_at_10_ms():
+    # Deploy logic runs at 100 Hz, so at dt = 10 ms every slot is due.
+    schedule = TaskSchedule(0.01)
+    assert not any(schedule.due_at_tick(tick)[3] for tick in range(100))
 
 
 def test_dt_must_divide_every_period():

@@ -31,6 +31,9 @@ from deploysim import (
     verdict_lines,
 )
 from deploysim import mission
+from deploysim.atmosphere import Barometer
+from deploysim.controller import (DeployPhase, DeploymentController,
+                                  task_period_ticks)
 from deploysim.errors import DomainError, ScenarioError
 
 NOMINAL = bundled_scenario("altair_nominal")
@@ -218,6 +221,21 @@ def test_a_scenario_flies_twice_unchanged(deck):
     assert a.battery_final != battery
 
 
+def ticks_flown(result, scenario):
+    """Ticks of a run that ended on a landing, read from its events."""
+    dt = scenario.dt
+    events = event_map(result)
+    if "ejected" in events:
+        # The loop ends after the tick on which the payload lands.
+        ticks = round(events["payload_landed"].time / dt) + 1
+    else:
+        # ... or after the vehicle step that lands the vehicle, whose
+        # event is stamped at the end of its tick.
+        ticks = round(events["vehicle_landed"].time / dt)
+    assert ticks < round(scenario.max_sim_time / dt)
+    return ticks
+
+
 def test_steppers_run_once_per_tick(monkeypatch):
     """The loop calls each stepper through its `deploysim.mission` name
     once per tick on which it is due, and decides the per-mission facts
@@ -239,18 +257,11 @@ def test_steppers_run_once_per_tick(monkeypatch):
         calls.update(dict.fromkeys(names, 0))
         result = run_mission(scenario)
         events = event_map(result)
+        ticks = ticks_flown(result, scenario)
         if "ejected" in events:
-            eject_tick = round(events["ejected"].time / dt)
-            landed_tick = round(events["payload_landed"].time / dt)
-            # The loop ends after the tick on which the payload lands.
-            ticks = landed_tick + 1
-            payload_steps = landed_tick - eject_tick + 1
+            payload_steps = ticks - round(events["ejected"].time / dt)
         else:
-            # ... or after the vehicle step that lands the vehicle, whose
-            # event is stamped at the end of its tick.
-            ticks = round(events["vehicle_landed"].time / dt)
             payload_steps = 0
-        assert ticks < round(scenario.max_sim_time / dt), deck
         assert calls["step_vehicle"] == ticks, deck
         assert calls["drain_battery"] == ticks, deck
         assert calls["step_payload"] == payload_steps, deck
@@ -267,6 +278,48 @@ def test_steppers_run_once_per_tick(monkeypatch):
         else:
             assert (calls["step_door"] > 0) == ("door_unlocked" in events)
     assert held == set(list_bundled()) - {"altair_nominal"}
+
+
+def test_task_free_ticks_still_step_and_sample(monkeypatch):
+    """Task-free ticks skip the tasks and actuation but still sample the
+    barometer and step the vehicle, and deploy logic runs on every logic
+    tick until the phase is absorbing (SafeHold or Ejected), then never.
+    """
+    counts = {"step_vehicle": 0, "sample": 0}
+    logic = []      # (tick, phase after the call) per update_phase call
+
+    def step_vehicle(*args, _original=mission.step_vehicle):
+        counts["step_vehicle"] += 1
+        return _original(*args)
+
+    def sample(self, *args, _original=Barometer.sample):
+        counts["sample"] += 1
+        return _original(self, *args)
+
+    def update_phase(self, door, carrier, battery, now,
+                     _original=DeploymentController.update_phase):
+        commands = _original(self, door, carrier, battery, now)
+        logic.append((round(now / dt), self.phase))
+        return commands
+
+    monkeypatch.setattr(mission, "step_vehicle", step_vehicle)
+    monkeypatch.setattr(Barometer, "sample", sample)
+    monkeypatch.setattr(DeploymentController, "update_phase", update_phase)
+    runs = [(deck, 0.001) for deck in list_bundled()]
+    runs.append(("altair_nominal", 0.01))
+    for deck, dt in runs:
+        scenario = scenario_with(bundled_scenario(deck), {"sim.dt": dt})
+        counts.update(step_vehicle=0, sample=0)
+        logic.clear()
+        result = run_mission(scenario)
+        ticks = ticks_flown(result, scenario)
+        assert counts == {"step_vehicle": ticks, "sample": ticks}, deck
+        absorbing = [tick for tick, phase in logic
+                     if phase in (DeployPhase.SAFE_HOLD, DeployPhase.EJECTED)]
+        assert absorbing, deck
+        period = task_period_ticks(dt)[1]
+        assert [tick for tick, _ in logic] == list(
+            range(0, absorbing[0] + 1, period)), deck
 
 
 def test_seed_changes_noise_not_verdict():

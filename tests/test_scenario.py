@@ -277,6 +277,20 @@ def test_load_scenario_skips_a_utf8_bom(tmp_path, text):
     assert load_scenario(bom).payload.mass == 2.5
 
 
+@pytest.mark.parametrize("text", [
+    "\ufeffpayload.mass = 2",
+    "\ufeff# heavier payload\npayload.mass = 2",
+])
+def test_parse_scenario_text_skips_a_leading_bom(text):
+    # A caller who decodes a BOM file as plain UTF-8 gets the same map.
+    assert parse_scenario_text(text, "x") == {"payload.mass": 2.0}
+
+
+def test_parse_scenario_text_skips_only_a_leading_bom():
+    with pytest.raises(ScenarioError, match=r"x:2: unknown key"):
+        parse_scenario_text("payload.mass = 2\n\ufeffsim.seed = 3", "x")
+
+
 def test_load_scenario_missing_file():
     with pytest.raises(ScenarioError, match="cannot read scenario"):
         load_scenario("/nonexistent/path.scn")
