@@ -67,8 +67,8 @@ class SafeHoldReason(enum.Enum):
 class TriggerConfig:
     """Deployment window and watchdog settings.
 
-    push_timeout None means three times one full push cycle, computed
-    from the mechanism once the controller is built.
+    push_timeout None means three push cycles at the no-load rack
+    speed; `build_scenario` resolves it into the scenario's trigger.
     """
 
     deploy_ceiling: float               # m, sensed
@@ -151,16 +151,11 @@ class TaskSchedule:
 class DeploymentController:
     """Runs the deployment protocol from sensed altitude alone."""
 
-    def __init__(self, trigger: TriggerConfig, stroke: float,
-                 rack_speed: float) -> None:
-        """`stroke` in m ejects the payload; `rack_speed` in m/s sizes
-        the default push timeout."""
+    def __init__(self, trigger: TriggerConfig, stroke: float) -> None:
+        """`stroke` in m ejects the payload.  `trigger.push_timeout`
+        must be resolved, as in every scenario's trigger."""
         self.trigger = trigger
         self.stroke = stroke
-        if trigger.push_timeout is not None:
-            self.push_timeout = trigger.push_timeout
-        else:
-            self.push_timeout = 3.0 * (2.0 * stroke / rack_speed)
         self.phase = DeployPhase.LOCKED
         self.safe_hold_reason: SafeHoldReason | None = None
         self.sensed_altitude: float | None = None
@@ -267,6 +262,6 @@ class DeploymentController:
                 return [Command("push", float(push_index + 1))]
             # All pushes spent without ejection: give up, stay safe.
             return self._hold(SafeHoldReason.PUSHES_EXHAUSTED)
-        if now - self._since >= self.push_timeout - TIME_EPS:
+        if now - self._since >= trigger.push_timeout - TIME_EPS:
             return self._hold(SafeHoldReason.PUSH_TIMEOUT)
         return []

@@ -5,10 +5,10 @@ the scheduled battery failure, barometer sampling, the cooperative tasks
 that are due (sense and estimate at 50 Hz, deploy logic at 100 Hz until
 the phase is absorbing), actuation stepping, battery drain, telemetry
 (20 Hz), payload stepping, then the vehicle truth step.  When nothing
-actuates or draws current, the task-free ticks up to the next due task
-run only the battery failure, the barometer and the two truth steps.
-Everything downstream of the scenario and seed is deterministic, so
-equal inputs give byte-identical telemetry.
+moves and the pack delivered no charge, the task-free ticks up to the
+next due task run only the battery failure, the barometer and the two
+truth steps.  Everything downstream of the scenario and seed is
+deterministic, so equal inputs give byte-identical telemetry.
 """
 
 import enum
@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .actuation import (BatteryState, CarrierState, DoorState, FaultPlan,
                         begin_push, carrier_drive, command_unlock,
                         drain_battery, halt_carrier, step_carrier, step_door)
-from .atmosphere import Barometer
+from .atmosphere import MODEL_CEILING, Barometer
 from .controller import DeploymentController, DeployPhase, TaskSchedule
 from .errors import DomainError, ScenarioError
 from .flight import (FlightPhase, FlightState, PayloadState, initial_state,
@@ -175,7 +175,7 @@ def run_mission(scenario: Scenario,
     drive = carrier_drive(scenario.servo, scenario.mechanism, faults,
                           scenario.payload.mass)
     stroke = drive.stroke
-    controller = DeploymentController(trigger, stroke, drive.rack_speed)
+    controller = DeploymentController(trigger, stroke)
     barometer = Barometer(scenario.barometer, atmosphere)
     vehicle = initial_state(vehicle_spec, scenario.payload.mass)
     door = DoorState()
@@ -206,7 +206,7 @@ def run_mission(scenario: Scenario,
     payload_landed = PayloadState.LANDED
     vehicle_landed = FlightPhase.LANDED
 
-    # Only the flight can leave the atmosphere band; say when it did.
+    # Only the flight can leave the atmosphere band; say when, and which body.
     try:
         for tick in range(n_ticks):
             now = tick * dt
@@ -294,8 +294,8 @@ def run_mission(scenario: Scenario,
                         delivered / dt, faults))
 
                 # Only a task starts the rod, the door or a push: if all
-                # rest now and draw nothing, they rest until the next one.
-                if free and not quiescent:
+                # rest and the pack delivered nothing, all rest until then.
+                if free and not delivered:
                     rod = powered and phase is unlocking and door.locked
                     swing = (not door_jam and not door.locked
                              and door.angle < door_spec.max_open)
@@ -332,8 +332,11 @@ def run_mission(scenario: Scenario,
                                     or phase is safe_hold):
                 break
     except DomainError as exc:
+        # Only a payload under its chute reads the atmosphere.
+        body = ("payload" if payload.state is PayloadState.PARACHUTE_DESCENT
+                and not payload.altitude <= MODEL_CEILING else "vehicle")
         raise DomainError(
-            f"at t={now:.3f} s the vehicle left the 0-11 km atmosphere "
+            f"at t={now:.3f} s the {body} left the 0-11 km atmosphere "
             f"model band: {exc}") from exc
 
     if eject_time is not None:

@@ -10,8 +10,9 @@ defaults.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
+from typing import NamedTuple
 
 from .actuation import (BatteryState, DoorSpec, FaultPlan, ServoSpec,
                         rack_speed)
@@ -25,19 +26,15 @@ from .mechanism import LIMITS, MechanismParams
 _EXPECTS = {bool: "true/false", int: "an integer", float: "a number"}
 
 
-class _Key:
+class _Key(NamedTuple):
     """One schema entry: type, default, allowed range, documentation."""
 
-    __slots__ = ("kind", "default", "low", "low_open", "high", "doc")
-
-    def __init__(self, kind, default, low=None, high=None, low_open=False,
-                 doc=""):
-        self.kind = kind
-        self.default = default
-        self.low = low
-        self.low_open = low_open
-        self.high = high
-        self.doc = doc
+    kind: type
+    default: object
+    low: float | None = None
+    high: float | None = None
+    low_open: bool = False
+    doc: str = ""
 
     def check(self, key: str, value):
         """The value as stored: a bool for bool keys, an int for int
@@ -205,7 +202,6 @@ class Scenario:
     atmosphere: AtmosphereModel
     faults: FaultPlan
     dt: float
-    seed: int
     max_sim_time: float
     values: dict
 
@@ -285,16 +281,21 @@ def build_scenario(overrides: dict | None = None) -> Scenario:
     except ParameterError as exc:
         raise ScenarioError(str(exc)) from exc
     # Each factor passes its own check, but their product can underflow.
-    if not rack_speed(records["servo"],
-                      records["mechanism"].pinion_pitch_diameter) > 0.0:
+    mechanism = records["mechanism"]
+    speed = rack_speed(records["servo"], mechanism.pinion_pitch_diameter)
+    if not speed > 0.0:
         raise ScenarioError("servo.rated_speed and mechanism.pitch_diameter "
                             "give a rack speed of 0 m/s")
+    # Three push cycles at the no-load speed; `values` keeps the None.
+    if records["trigger"].push_timeout is None:
+        records["trigger"] = replace(records["trigger"], push_timeout=(
+            3.0 * (2.0 * mechanism.stroke / speed)))
 
     return Scenario(
         **records, battery=BatteryState(battery["voltage"],
                                         battery["capacity"]),
         quiescent_current=battery["quiescent_current"], dt=sim["dt"],
-        seed=sim["seed"], max_sim_time=sim["max_sim_time"], values=values)
+        max_sim_time=sim["max_sim_time"], values=values)
 
 
 def scenario_with(base: Scenario, overrides: dict) -> Scenario:

@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 from deploysim import ParameterError, build_scenario
-from deploysim.actuation import CarrierState, DoorState, rack_speed
+from deploysim.actuation import CarrierState, DoorState
 from deploysim.controller import (STABILIZE_DWELL_S, DeployPhase,
                                   DeploymentController, SafeHoldReason,
                                   TaskSchedule, task_period_ticks)
@@ -19,7 +19,6 @@ from deploysim.mission import make_telemetry_record
 
 NOMINAL = build_scenario()
 MECH = NOMINAL.mechanism
-SERVO = NOMINAL.servo
 NO_FAULTS = NOMINAL.faults
 
 OPEN_DOOR = DoorState(locked=False, rod_travel=0.0, angle=1.5533, open=True)
@@ -34,8 +33,7 @@ def make_controller(**kwargs):
     """A controller for the nominal 150-400 m window."""
     trigger = replace(NOMINAL.trigger, **kwargs)
     assert (trigger.deploy_floor, trigger.deploy_ceiling) == (150.0, 400.0)
-    return DeploymentController(
-        trigger, MECH.stroke, rack_speed(SERVO, MECH.pinion_pitch_diameter))
+    return DeploymentController(trigger, MECH.stroke)
 
 
 def sense(ctl, altitude):
@@ -288,9 +286,16 @@ def test_ejection_ends_the_sequence():
 
 
 def test_push_timeout_default_is_three_cycles():
+    # Resolved in the scenario: 3 * (2 * 0.060 m / 0.0628 m/s) = 5.7296 s.
+    assert NOMINAL.trigger.push_timeout == pytest.approx(5.72957795,
+                                                         rel=1e-8)
     ctl = make_controller()
-    # 3 * (2 * 0.060 m / 0.0628 m/s) = 5.7296 s.
-    assert ctl.push_timeout == pytest.approx(5.72957795, rel=1e-8)
+    t = walk_to_first_push(ctl)
+    stuck = CarrierState(pushing=True, stalled=True)
+    ctl.update_phase(OPEN_DOOR, stuck, GOOD_BATTERY, t + 5.72)
+    assert ctl.phase is DeployPhase.PUSH_1
+    ctl.update_phase(OPEN_DOOR, stuck, GOOD_BATTERY, t + 5.73)
+    assert ctl.safe_hold_reason is SafeHoldReason.PUSH_TIMEOUT
 
 
 def test_push_timeout_goes_safe():

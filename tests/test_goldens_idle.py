@@ -6,12 +6,16 @@ task is due and nothing actuates runs only the physics.  These runs of
 that falls on a task-free tick, with and without a jammed door; an
 always-on load that keeps every tick busy; and the half- and
 double-millisecond clocks, whose stretches are 19 and 4 ticks long.
+`altair_battery_fail` with an always-on load rests once the pack is
+dead: the load draws until the failure and nothing after it.
 Each case pins the telemetry, the command log, the event list, and
 the verdict with the charge drawn: an always-on load drained only on
 busy ticks would show in the last alone.
 
-The digests were computed from the tree before the stretch existed,
-when every tick ran the whole loop.
+The digests of the `altair_nominal` cases were computed from the tree
+before the stretch existed, when every tick ran the whole loop; those
+of the dead-pack case from the tree whose stretch still needed a zero
+quiescent current, which kept every tick of that run busy.
 """
 
 import hashlib
@@ -20,6 +24,7 @@ import pytest
 
 from deploysim import (bundled_scenario, render_commands_csv,
                        render_telemetry_csv, run_mission, scenario_with)
+from deploysim.controller import TaskSchedule
 
 CASES = {
     "fail_on_task_free_tick": (
@@ -68,3 +73,33 @@ def test_output_at_stretch_edges_matches_frozen_digest(case):
     assert sha256(render_commands_csv(result.commands)) == commands
     assert sha256(repr(result.events)) == events
     assert sha256(repr((result.verdict, result.charge_drawn))) == verdict
+
+
+DEAD_PACK_LOAD = (
+    {"battery.quiescent_current": 0.05},
+    "38b73d2222ce7f9d2977391856be596ace76b207fe77cdfa7745d414d63d4e90",
+    "68f15568a359e3cb0dff50a5a1f8cd06370ebcfec301a1d59b6bc7f4b7d3e7e3",
+    "677f69cd908058a6cae58ed19585e49cc5b87ee481194cf867ef44a898897f2e",
+    "045b357503c752f03a96d71e8221b81bb455d682878961a1c30eb3b181506603")
+
+
+def test_dead_pack_with_a_load_rests_and_matches_frozen_digest(monkeypatch):
+    busy = 0
+    due_at_tick = TaskSchedule.due_at_tick
+
+    def counted(self, tick):
+        nonlocal busy
+        busy += 1
+        return due_at_tick(self, tick)
+
+    monkeypatch.setattr(TaskSchedule, "due_at_tick", counted)
+    overrides, telemetry, commands, events, verdict = DEAD_PACK_LOAD
+    result = run_mission(scenario_with(
+        bundled_scenario("altair_battery_fail"), overrides))
+    assert sha256(render_telemetry_csv(result.telemetry)) == telemetry
+    assert sha256(render_commands_csv(result.commands)) == commands
+    assert sha256(repr(result.events)) == events
+    assert sha256(repr((result.verdict, result.charge_drawn))) == verdict
+    # The load keeps the 30,000 ticks before the failure at 30 s busy;
+    # after it one tick in ten is, not all 85,337 ticks of the run.
+    assert 30_000 < busy < 40_000

@@ -497,6 +497,34 @@ def test_flight_above_the_model_band_raises_mid_mission():
     assert "at t=" not in str(info.value.__cause__)
 
 
+def test_payload_above_the_model_band_is_named():
+    # A 1 g payload under its chute: the explicit drag step overshoots
+    # and flings it to 218 km while the vehicle descends near 300 m.
+    light = scenario_with(NOMINAL, {"payload.mass": 0.001})
+    with pytest.raises(DomainError, match="outside model band") as info:
+        run_mission(light)
+    assert str(info.value).startswith(
+        "at t=75.745 s the payload left the 0-11 km atmosphere model band: "
+        "altitude 217945.17")
+    assert isinstance(info.value.__cause__, DomainError)
+
+
+def test_vehicle_is_named_while_the_payload_hangs_under_its_chute():
+    # Ejected on a slow ascent; the vehicle keeps burning past 11 km
+    # while the payload still descends under its chute.
+    climbing = scenario_with(NOMINAL, {
+        "vehicle.avg_thrust": 500.0, "vehicle.burn_time": 100.0,
+        "vehicle.drag_area_coast": 0.0, "trigger.arm_after_apogee": False})
+    names = [event.name for event in run_mission(scenario_with(
+        climbing, {"sim.max_sim_time": 60.0})).events]
+    assert "payload_chute_open" in names and "payload_landed" not in names
+    with pytest.raises(DomainError) as info:
+        run_mission(climbing)
+    assert str(info.value).startswith(
+        "at t=60.660 s the vehicle left the 0-11 km atmosphere model band: "
+        "altitude 11006.4")
+
+
 def test_exit_code_table_is_total():
     assert {EXIT_CODES[o] for o in Outcome} == {0, 2, 3, 4}
     assert CONFIG_ERROR_EXIT == 64

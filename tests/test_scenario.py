@@ -1,5 +1,6 @@
 """Scenario file parsing, validation and bundled profile tests."""
 
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -15,6 +16,7 @@ from deploysim import (
     load_scenario,
     scenario_with,
 )
+from deploysim.actuation import rack_speed
 from deploysim.scenario import SCHEMA, parse_scenario_text
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -30,7 +32,7 @@ def test_defaults_build_a_valid_scenario():
     sc = build_scenario()
     assert isinstance(sc, Scenario)
     assert sc.dt == 0.001
-    assert sc.seed == 42
+    assert sc.barometer.seed == 42
     assert sc.trigger.deploy_ceiling == 400.0
     assert sc.trigger.deploy_floor == 150.0
     assert sc.payload.mass == 1.0
@@ -218,6 +220,46 @@ def test_build_rejects_a_rack_speed_that_underflows():
     assert build_scenario({"servo.rated_speed": 1e-100}).servo.rated_speed
 
 
+def test_the_seed_is_kept_once_in_the_barometer():
+    assert "seed" not in {f.name for f in dataclasses.fields(Scenario)}
+    sc = build_scenario({"sim.seed": 9})
+    assert (sc.barometer.seed, sc.values["sim.seed"]) == (9, 9)
+
+
+def test_default_push_timeout_is_resolved_at_build():
+    # Three push cycles at the no-load rack speed: 3 * 2 * 0.060 m over
+    # 1 rev/s times pi * 0.020 m.
+    sc = build_scenario()
+    speed = rack_speed(sc.servo, sc.mechanism.pinion_pitch_diameter)
+    assert sc.trigger.push_timeout == 3.0 * (2.0 * 0.060 / speed)
+    assert sc.trigger.push_timeout == pytest.approx(5.72957795, rel=1e-8)
+    assert sc.values["trigger.push_timeout"] is None
+
+
+def test_default_push_timeout_ignores_the_payload_load():
+    base = build_scenario()
+    for overrides in ({"payload.mass": 13.0},
+                      {"faults.surface_friction_scale": 3.0}):
+        loaded = scenario_with(base, overrides)
+        assert loaded.trigger.push_timeout == base.trigger.push_timeout
+
+
+def test_explicit_push_timeout_wins():
+    sc = build_scenario({"trigger.push_timeout": 1.5})
+    assert sc.trigger.push_timeout == 1.5
+    assert sc.values["trigger.push_timeout"] == 1.5
+
+
+def test_sibling_resolves_the_push_timeout_again():
+    base = build_scenario()
+    longer = scenario_with(base, {"mechanism.stroke": 0.090})
+    assert longer.values["trigger.push_timeout"] is None
+    assert longer.trigger.push_timeout == 3.0 * (
+        2.0 * 0.090 / rack_speed(longer.servo, 0.020))
+    assert longer.trigger.push_timeout == pytest.approx(
+        1.5 * base.trigger.push_timeout)
+
+
 def test_scenario_with_changes_one_key():
     base = build_scenario()
     heavier = scenario_with(base, {"payload.mass": 14.0})
@@ -236,7 +278,7 @@ def test_load_scenario_from_file(tmp_path):
     deck.write_text("payload.mass = 3.0\nsim.seed = 5\n", encoding="utf-8")
     sc = load_scenario(deck)
     assert sc.payload.mass == 3.0
-    assert sc.seed == 5
+    assert sc.barometer.seed == 5
 
 
 def test_load_scenario_error_names_file_and_line(tmp_path):
