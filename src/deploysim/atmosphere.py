@@ -7,7 +7,6 @@ closed-form, so pressure -> altitude round-trips to machine precision.
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ParameterError
@@ -85,10 +84,10 @@ def density_at_altitude(model: AtmosphereModel, altitude: float) -> float:
     if not 0.0 <= altitude <= MODEL_CEILING:    # also rejects NaN
         raise DomainError(f"altitude {altitude!r} outside model band "
                           f"[0, {MODEL_CEILING}] m")
-    lapse = model.lapse_rate
-    base = 1.0 - lapse * altitude / model.sea_level_temperature
+    drop = model.lapse_rate * altitude
+    base = 1.0 - drop / model.sea_level_temperature
     pressure = model.sea_level_pressure * base ** model.exponent
-    temperature = model.sea_level_temperature - lapse * altitude
+    temperature = model.sea_level_temperature - drop
     return pressure * MOLAR_MASS_AIR / (GAS_CONSTANT * temperature)
 
 
@@ -113,54 +112,92 @@ class BarometerSpec:
 class Barometer:
     """Simulated pressure altimeter with noise, quantization and latency.
 
-    Call `sample()` every simulation tick; it returns a reading only on
-    sample-rate boundaries and None otherwise.  Noise is gaussian on
+    Built for one run of `ticks` ticks of `dt` seconds.  Call
+    `sample(altitude, tick)` on every tick, in order from tick 0; it
+    returns a reading on sample-rate boundaries and None otherwise.  A
+    reading is due on the first tick k with `k*dt + TIME_EPS >=
+    index*period`, at most one per tick.  Latency is a fixed delay: the
+    reading reports the truth of the newest tick j <= k with `j*dt <=
+    k*dt - latency + TIME_EPS`, or of the tick the last reading reported
+    while no tick is that old (tick 0 at first).  Noise is gaussian on
     pressure, drawn from the stdlib Mersenne Twister (`random.Random`,
     `normalvariate`), so a given seed reproduces the same stream on any
-    platform.  Latency is a fixed delay: a reading emitted at time t
-    reflects the true altitude at t - latency.  The truth buffer holds
-    the ticks of one sample period plus the latency.
+    platform.
+
+    The altitudes live in a ring of ceil(latency/dt) + 1 floats (never
+    more than `ticks`), indexed by tick, so a tick without a reading
+    stores one float and compares one int.  Each reading finds the next
+    one and its truth tick, one period later on both, and walks from
+    there where dt does not divide the period or the delay is still
+    filling.
     """
 
-    def __init__(self, spec: BarometerSpec, model: AtmosphereModel) -> None:
+    def __init__(self, spec: BarometerSpec, model: AtmosphereModel,
+                 dt: float, ticks: int) -> None:
         self.spec = spec
         self.model = model
         self._rng = random.Random(spec.seed)
+        self._dt = dt
+        self._ticks = ticks
+        # A reading due later than this falls outside the run.
+        self._end = (ticks - 1) * dt + TIME_EPS
         self._period = 1.0 / spec.sample_rate
         self._latency = spec.latency
-        self._next_index = 0            # index of the next sample to emit
-        self._next_time = 0.0           # _next_index * _period
-        # (time, altitude) since the last reading, back to t - latency
-        self._truth: deque = deque()
+        self._sigma = spec.noise_sigma
+        self._quantum = spec.quantization
+        # Ticks between readings when dt divides the period; a guess.
+        self._stride = max(1, round(min(self._period / dt, ticks)))
+        self._next_index = 0            # index of the next reading
+        self._next_tick = 0             # its tick
+        self._truth_tick = 0            # the tick whose altitude it reports
+        # Truth is at most ceil(latency/dt) ticks older than its reading.
+        self._size = max(1, min(ticks, math.ceil(
+            min(spec.latency / dt, ticks)) + 1))
+        self._ring = [0.0] * self._size
 
-    def sample(self, true_altitude: float, tick_time: float):
-        """Feed one tick of truth; get (pressure, altitude) or None.
-
-        `tick_time` must not go backwards between calls.
-        """
-        truth = self._truth
-        truth.append((tick_time, true_altitude))
-        if tick_time + TIME_EPS < self._next_time:
+    def sample(self, true_altitude: float, tick: int):
+        """Feed the truth of `tick`; get (pressure, altitude) or None."""
+        self._ring[tick % self._size] = true_altitude
+        if tick < self._next_tick:
             return None
-        self._next_index += 1
-        self._next_time = self._next_index * self._period
+        delayed_altitude = self._ring[self._truth_tick % self._size]
 
-        # Keep truth[0] as the newest entry at or before t - latency.
-        # Times only grow, so trimming here, once per reading, leaves
-        # what trimming on every tick would.
-        target = tick_time - self._latency + TIME_EPS
-        while len(truth) > 1 and truth[1][0] <= target:
-            truth.popleft()
+        # Find the next reading and its truth tick, inline: at 10 ms this
+        # runs on every other tick.
+        index = self._next_index + 1
+        self._next_index = index
+        due = index * self._period
+        if due > self._end:
+            self._next_tick = self._ticks       # none left in the run
+        else:
+            dt = self._dt
+            # The first later tick whose time reaches `due`.
+            k = tick + self._stride
+            while k > tick + 1 and (k - 1) * dt + TIME_EPS >= due:
+                k -= 1
+            now = k * dt
+            while now + TIME_EPS < due:
+                k += 1
+                now = k * dt
+            self._next_tick = k
+            # The newest tick up to k that is `latency` old, unless that
+            # is older than this truth tick; guess this reading's lag.
+            target = now - self._latency + TIME_EPS
+            held = self._truth_tick
+            j = held + k - tick
+            while j > held and j * dt > target:
+                j -= 1
+            if j > held:
+                while j < k and (j + 1) * dt <= target:
+                    j += 1
+                self._truth_tick = j
 
-        # Oldest retained entry is the truth from `latency` seconds ago
-        # (or the earliest available while the buffer is still filling).
-        delayed_altitude = truth[0][1]
         model = self.model
         pressure = pressure_at_altitude(model, delayed_altitude)
-        sigma = self.spec.noise_sigma
+        sigma = self._sigma
         if sigma > 0.0:
             pressure += self._rng.normalvariate(0.0, sigma)
-        quantum = self.spec.quantization
+        quantum = self._quantum
         if quantum > 0.0:
             steps = pressure / quantum
             if math.isfinite(steps):

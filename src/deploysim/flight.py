@@ -117,8 +117,7 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
     drag = 0.0
     if drag_area > 0.0 and velocity != 0.0:
         rho = density_at_altitude(atmosphere, state.altitude)
-        drag = math.copysign(
-            0.5 * rho * velocity * velocity * drag_area, velocity)
+        drag = 0.5 * rho * velocity * abs(velocity) * drag_area
 
     accel = (thrust - drag) / mass - GRAVITY
     velocity = velocity + accel * dt
@@ -162,15 +161,25 @@ def release_payload(body: PayloadBody, altitude: float,
 
 def step_payload(body: PayloadBody, dt: float, ejection_altitude: float,
                  atmosphere: AtmosphereModel) -> None:
-    """Advance a released payload that has not landed one step, in place."""
+    """Advance a released payload that has not landed one step, in place.
+
+    The chute drag is explicit, so for a light payload under a large
+    chute one step of it can overshoot through zero speed.  A step that
+    would turn a descent into a climb descends at the terminal speed of
+    the current altitude instead.
+    """
     state = body.state
     velocity = body.velocity
     accel = -GRAVITY
     if state is _PARACHUTE_DESCENT and velocity != 0.0:
         rho = density_at_altitude(atmosphere, body.altitude)
-        drag = 0.5 * rho * velocity * velocity * body.parachute_drag_area
-        accel -= math.copysign(drag, velocity) / body.mass
+        drag = 0.5 * rho * velocity * abs(velocity) * body.parachute_drag_area
+        accel -= drag / body.mass
+    previous = velocity
     velocity = velocity + accel * dt
+    if previous < 0.0 < velocity:       # only the chute drag does that
+        velocity = -math.sqrt(2.0 * body.mass * GRAVITY
+                              / (rho * body.parachute_drag_area))
     altitude = body.altitude + velocity * dt
 
     if altitude <= 0.0:

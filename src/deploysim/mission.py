@@ -1,14 +1,17 @@
 """Whole-mission simulation loop, verdicts, sweeps and CSV rendering.
 
 Each tick advances the shared logical clock by dt and runs, in order:
-the scheduled battery failure, barometer sampling, the cooperative tasks
-that are due (sense and estimate at 50 Hz, deploy logic at 100 Hz until
-the phase is absorbing), actuation stepping, battery drain, telemetry
-(20 Hz), payload stepping, then the vehicle truth step.  When nothing
-moves and the pack delivered no charge, the task-free ticks up to the
-next due task run only the battery failure, the barometer and the two
-truth steps.  Everything downstream of the scenario and seed is
-deterministic, so equal inputs give byte-identical telemetry.
+barometer sampling (fed the tick index), then on a busy tick the
+scheduled battery failure, the cooperative tasks that are due (sense
+and estimate at 50 Hz, deploy logic at 100 Hz until the phase is
+absorbing), actuation stepping, battery drain and telemetry (20 Hz),
+then payload stepping and the vehicle truth step.  When nothing moves
+and the pack delivered no charge, the task-free ticks up to the next
+due task run only the barometer and the two truth steps.  Nothing on
+them reads the pack or decides a verdict, and they compute the time only
+for an event of a truth step.  Everything downstream of the scenario
+and seed is deterministic, so equal inputs give byte-identical
+telemetry.
 """
 
 import enum
@@ -176,7 +179,7 @@ def run_mission(scenario: Scenario,
                           scenario.payload.mass)
     stroke = drive.stroke
     controller = DeploymentController(trigger, stroke)
-    barometer = Barometer(scenario.barometer, atmosphere)
+    barometer = Barometer(scenario.barometer, atmosphere, dt, n_ticks)
     vehicle = initial_state(vehicle_spec, scenario.payload.mass)
     door = DoorState()
     carrier = CarrierState()
@@ -193,6 +196,7 @@ def run_mission(scenario: Scenario,
     phase = controller.phase    # as of the last tick; update_phase moves it
     settled = False             # phase is SafeHold or Ejected, both absorbing
     physics_only = 0            # ticks left that run only the physics
+    stop = False                # end the run after this tick's physics
     eject_altitude: float | None = None
     eject_time: float | None = None     # not None once released
     energy = 0.0
@@ -203,28 +207,26 @@ def run_mission(scenario: Scenario,
     safe_hold = _SAFE_HOLD
     unlocking = DeployPhase.UNLOCKING
     ejected = DeployPhase.EJECTED
-    payload_landed = PayloadState.LANDED
-    vehicle_landed = FlightPhase.LANDED
 
     # Only the flight can leave the atmosphere band; say when, and which body.
     try:
         for tick in range(n_ticks):
-            now = tick * dt
-
-            # Scheduled battery failure applies from the top of the tick, so
-            # the controller sees it on this tick.
-            if (fail_time is not None and not battery.failed
-                    and now >= fail_time):
-                battery.voltage = 0.0
-                battery.failed = True
-
-            sample = barometer.sample(vehicle.altitude, now)
+            sample = barometer.sample(vehicle.altitude, tick)
             if sample is not None:
                 pending_sample = sample
 
             if physics_only:
                 physics_only -= 1
             else:
+                now = tick * dt
+                # Scheduled battery failure applies from the top of the
+                # first busy tick at or after it: nothing reads the pack
+                # on a physics-only tick.
+                if (fail_time is not None and not battery.failed
+                        and now >= fail_time):
+                    battery.voltage = 0.0
+                    battery.failed = True
+
                 (sense_due, logic_due, telemetry_due,
                  free) = schedule.due_at_tick(tick)
                 if sense_due:
@@ -249,6 +251,7 @@ def run_mission(scenario: Scenario,
                         halt_carrier(carrier)
                         events.append(Event(now, "safe_hold",
                                             controller.safe_hold_reason.value))
+                        stop = stop_at_verdict
 
                 # Actuation over [now, now + dt).  A dead pack drives
                 # neither the lock rod nor the rack; the door swings
@@ -276,6 +279,7 @@ def run_mission(scenario: Scenario,
                                         vehicle.velocity)
                         vehicle.mass -= payload.mass
                         events.append(Event(now, "ejected", eject_altitude))
+                        stop = stop_at_verdict
 
                 # Battery: account by delivered charge, so the audit is exact.
                 total_current = current + quiescent
@@ -302,15 +306,18 @@ def run_mission(scenario: Scenario,
                     if not (rod or swing or powered and carrier.pushing):
                         physics_only = free
 
-            if eject_time is not None and payload.state is not payload_landed:
+            # The run ends on the tick the payload lands, so a released
+            # payload here has not landed.
+            if eject_time is not None:
                 previous = payload.state
                 step_payload(payload, dt, eject_altitude, atmosphere)
                 if payload.state is not previous:
                     if payload.state is PayloadState.PARACHUTE_DESCENT:
-                        events.append(Event(now, "payload_chute_open",
+                        events.append(Event(tick * dt, "payload_chute_open",
                                             payload.altitude))
                     else:
-                        events.append(Event(now, "payload_landed", 0.0))
+                        events.append(Event(tick * dt, "payload_landed", 0.0))
+                        stop = True
 
             # The vehicle step ends the tick: stamp its events (tick + 1) * dt.
             previous_phase = vehicle.phase
@@ -319,24 +326,19 @@ def run_mission(scenario: Scenario,
                 if vehicle.phase is FlightPhase.DROGUE_DESCENT:
                     events.append(Event((tick + 1) * dt, "apogee_truth",
                                         vehicle.altitude))
-                elif vehicle.phase is vehicle_landed:
+                elif vehicle.phase is FlightPhase.LANDED:
                     events.append(Event((tick + 1) * dt, "vehicle_landed",
                                         0.0))
-
-            # Terminal conditions.
-            if payload.state is payload_landed:
-                break
-            if vehicle.phase is vehicle_landed and eject_time is None:
-                break
-            if stop_at_verdict and (eject_time is not None
-                                    or phase is safe_hold):
+                    if eject_time is None:
+                        break
+            if stop:
                 break
     except DomainError as exc:
         # Only a payload under its chute reads the atmosphere.
         body = ("payload" if payload.state is PayloadState.PARACHUTE_DESCENT
                 and not payload.altitude <= MODEL_CEILING else "vehicle")
         raise DomainError(
-            f"at t={now:.3f} s the {body} left the 0-11 km atmosphere "
+            f"at t={tick * dt:.3f} s the {body} left the 0-11 km atmosphere "
             f"model band: {exc}") from exc
 
     if eject_time is not None:

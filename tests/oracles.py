@@ -3,10 +3,16 @@
 Each is the textbook formula with its constants written out here rather
 than imported, so a wrong constant or derived factor in the package
 shows up as a mismatch.  Call them inside their domain only: they do no
-range checks.
+range checks.  `DequeBarometer` is a reference of another kind: the
+straightforward implementation that the package's barometer replaced.
 """
 
 import math
+import random
+from collections import deque
+
+from deploysim.atmosphere import (TIME_EPS, _altitude_in_band,
+                                  pressure_at_altitude)
 
 G = 9.81                        # m/s^2, flight and sizing gravity
 STANDARD_GRAVITY = 9.80665      # m/s^2, g0 of the barometric formula
@@ -31,3 +37,52 @@ def altitude_from_pressure(model, pressure):
 def terminal_speed(mass, drag_area, rho):
     """Steady descent speed sqrt(2*m*g / (rho*Cd*A)) in m/s."""
     return math.sqrt(2.0 * mass * G / (rho * drag_area))
+
+
+class DequeBarometer:
+    """The barometer as it was before it ran on the tick grid: fed the
+    tick time, it keeps (time, altitude) pairs in a deque and trims it
+    on each reading.  The reference for `deploysim.atmosphere.Barometer`;
+    `peak` is the most pairs it has held at once.  The pressure path
+    (noise, quantization, clamp, inverse) is the package's own, since
+    only the choice of reading tick and truth tick is under test.
+    """
+
+    def __init__(self, spec, model):
+        self.spec = spec
+        self.model = model
+        self._rng = random.Random(spec.seed)
+        self._period = 1.0 / spec.sample_rate
+        self._latency = spec.latency
+        self._next_index = 0
+        self._next_time = 0.0
+        self._truth = deque()
+        self.peak = 0
+
+    def sample(self, true_altitude, tick_time):
+        truth = self._truth
+        truth.append((tick_time, true_altitude))
+        self.peak = max(self.peak, len(truth))
+        if tick_time + TIME_EPS < self._next_time:
+            return None
+        self._next_index += 1
+        self._next_time = self._next_index * self._period
+        target = tick_time - self._latency + TIME_EPS
+        while len(truth) > 1 and truth[1][0] <= target:
+            truth.popleft()
+        delayed_altitude = truth[0][1]
+        model = self.model
+        pressure = pressure_at_altitude(model, delayed_altitude)
+        sigma = self.spec.noise_sigma
+        if sigma > 0.0:
+            pressure += self._rng.normalvariate(0.0, sigma)
+        quantum = self.spec.quantization
+        if quantum > 0.0:
+            steps = pressure / quantum
+            if math.isfinite(steps):
+                pressure = round(steps) * quantum
+        if pressure > model.sea_level_pressure:
+            pressure = model.sea_level_pressure
+        elif pressure < model.min_pressure:
+            pressure = model.min_pressure
+        return pressure, _altitude_in_band(model, pressure)

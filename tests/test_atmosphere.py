@@ -16,7 +16,8 @@ import pytest
 from deploysim import DomainError, build_scenario
 from deploysim.atmosphere import (Barometer, _altitude_in_band,
                                   density_at_altitude, pressure_at_altitude)
-from oracles import altitude_from_pressure, temperature_at_altitude
+from oracles import (DequeBarometer, altitude_from_pressure,
+                     temperature_at_altitude)
 
 NOMINAL = build_scenario()
 MODEL = NOMINAL.atmosphere
@@ -124,11 +125,11 @@ def _quiet_spec(**kwargs):
 
 
 def test_sample_cadence_50hz():
-    baro = Barometer(_quiet_spec(), MODEL)
     dt = 0.001
+    baro = Barometer(_quiet_spec(), MODEL, dt, 100)
     emitted = []
     for tick in range(100):
-        s = baro.sample(500.0, tick * dt)
+        s = baro.sample(500.0, tick)
         if s is not None:
             emitted.append(tick)
     # 50 Hz on a 1 ms grid: every 20th tick starting at 0.
@@ -136,8 +137,8 @@ def test_sample_cadence_50hz():
 
 
 def test_noise_free_sample_reports_truth():
-    baro = Barometer(_quiet_spec(), MODEL)
-    pressure, altitude = baro.sample(1000.0, 0.0)
+    baro = Barometer(_quiet_spec(), MODEL, 0.02, 1)
+    pressure, altitude = baro.sample(1000.0, 0)
     assert pressure == pytest.approx(89874.57050221064, abs=1e-6)
     assert altitude == pytest.approx(1000.0, abs=1e-9)
 
@@ -145,11 +146,11 @@ def test_noise_free_sample_reports_truth():
 def test_noise_mean_within_statistical_bound():
     """Seed 42, 1000 samples at 1000 m: mean error under 3 sigma/sqrt(n)."""
     spec = _quiet_spec(noise_sigma=3.0, seed=42)
-    baro = Barometer(spec, MODEL)
+    baro = Barometer(spec, MODEL, 0.02, 1000)
     truth = pressure_at_altitude(MODEL, 1000.0)
     values = []
     for k in range(1000):
-        s = baro.sample(1000.0, k * 0.02)
+        s = baro.sample(1000.0, k)
         assert s is not None
         values.append(s[0])
     mean = statistics.fmean(values)
@@ -158,35 +159,35 @@ def test_noise_mean_within_statistical_bound():
 
 
 def test_same_seed_same_stream():
-    a = Barometer(_quiet_spec(noise_sigma=3.0, seed=7), MODEL)
-    b = Barometer(_quiet_spec(noise_sigma=3.0, seed=7), MODEL)
+    a = Barometer(_quiet_spec(noise_sigma=3.0, seed=7), MODEL, 0.02, 200)
+    b = Barometer(_quiet_spec(noise_sigma=3.0, seed=7), MODEL, 0.02, 200)
     for k in range(200):
-        assert a.sample(800.0, k * 0.02) == b.sample(800.0, k * 0.02)
+        assert a.sample(800.0, k) == b.sample(800.0, k)
 
 
 def test_different_seed_different_stream():
-    a = Barometer(_quiet_spec(noise_sigma=3.0, seed=7), MODEL)
-    b = Barometer(_quiet_spec(noise_sigma=3.0, seed=8), MODEL)
+    a = Barometer(_quiet_spec(noise_sigma=3.0, seed=7), MODEL, 0.02, 50)
+    b = Barometer(_quiet_spec(noise_sigma=3.0, seed=8), MODEL, 0.02, 50)
     seen_different = False
     for k in range(50):
-        if a.sample(800.0, k * 0.02) != b.sample(800.0, k * 0.02):
+        if a.sample(800.0, k) != b.sample(800.0, k):
             seen_different = True
     assert seen_different
 
 
 def test_quantization_snaps_to_grid():
     spec = _quiet_spec(noise_sigma=3.0, quantization=1.0, seed=3)
-    baro = Barometer(spec, MODEL)
+    baro = Barometer(spec, MODEL, 0.02, 100)
     for k in range(100):
-        pressure, _ = baro.sample(1200.0, k * 0.02)
+        pressure, _ = baro.sample(1200.0, k)
         assert pressure == round(pressure)
 
 
 def test_latency_reports_stale_truth():
     """With a 20 ms delay the sensed altitude matches truth 20 ms ago."""
     spec = _quiet_spec(latency=0.02)
-    baro = Barometer(spec, MODEL)
     dt = 0.001
+    baro = Barometer(spec, MODEL, dt, 200)
     climb_rate = 50.0  # m/s
     truth = {}
     got = []
@@ -194,7 +195,7 @@ def test_latency_reports_stale_truth():
         t = tick * dt
         h = 100.0 + climb_rate * t
         truth[tick] = h
-        s = baro.sample(h, t)
+        s = baro.sample(h, tick)
         if s is not None and tick >= 20:
             got.append((tick, s[1]))
     assert got, "no delayed samples emitted"
@@ -203,11 +204,11 @@ def test_latency_reports_stale_truth():
 
 
 def test_sensed_altitude_monotone_when_noise_free():
-    baro = Barometer(_quiet_spec(quantization=1.0), MODEL)
+    baro = Barometer(_quiet_spec(quantization=1.0), MODEL, 0.02, 200)
     previous = None
     for k in range(200):
         h = 50.0 + 5.0 * k
-        s = baro.sample(h, k * 0.02)
+        s = baro.sample(h, k)
         assert s is not None
         if previous is not None:
             assert s[1] >= previous
@@ -218,9 +219,9 @@ def test_clamp_keeps_altitude_in_band():
     # Huge noise would otherwise push pressure above sea level or
     # below the model ceiling; the clamp keeps the inverse legal.
     spec = _quiet_spec(noise_sigma=5000.0, seed=1)
-    baro = Barometer(spec, MODEL)
+    baro = Barometer(spec, MODEL, 0.02, 500)
     for k in range(500):
-        pressure, altitude = baro.sample(2.0, k * 0.02)
+        pressure, altitude = baro.sample(2.0, k)
         assert MODEL.min_pressure <= pressure <= 101325.0
         assert 0.0 <= altitude <= 11000.0
 
@@ -230,8 +231,41 @@ def test_clamp_keeps_altitude_in_band():
     dict(noise_sigma=1e308, quantization=1.0, seed=1),  # noise reaches +-inf
 ])
 def test_overflowing_reading_is_clamped_not_raised(kwargs):
-    baro = Barometer(_quiet_spec(**kwargs), MODEL)
+    baro = Barometer(_quiet_spec(**kwargs), MODEL, 0.02, 200)
     for k in range(200):
-        pressure, altitude = baro.sample(300.0, k * 0.02)
+        pressure, altitude = baro.sample(300.0, k)
         assert MODEL.min_pressure <= pressure <= 101325.0
         assert 0.0 <= altitude <= 11000.0
+
+
+@pytest.mark.parametrize("dt", [0.001, 0.01, 0.0003])
+@pytest.mark.parametrize("rate", [50.0, 30.0, 7.0, 333.0])
+def test_tick_grid_barometer_matches_the_deque_reference(dt, rate):
+    """Fed the same altitudes, the barometer on the tick grid emits on
+    the same ticks and returns the same floats, bit for bit, as the
+    deque barometer fed the tick time, and never holds more truth than
+    the deque did at its peak.  The altitudes are random per tick, so
+    reporting any other truth tick shows in the pressure.
+    """
+    period = 1.0 / rate
+    ticks = round(1.5 / dt)
+    rng = random.Random(20)
+    stream = [rng.uniform(0.0, 11000.0) for _ in range(ticks)]
+    for latency in (0.0, period, 3 * period, 1e300):
+        spec = _quiet_spec(sample_rate=rate, latency=latency,
+                           noise_sigma=3.0, seed=5)
+        baro = Barometer(spec, MODEL, dt, ticks)
+        reference = DequeBarometer(spec, MODEL)
+        emitted = 0
+        for tick, altitude in enumerate(stream):
+            got = baro.sample(altitude, tick)
+            want = reference.sample(altitude, tick * dt)
+            if want is None:
+                assert got is None, (latency, tick)
+                continue
+            emitted += 1
+            assert got is not None, (latency, tick)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (
+                latency, tick)
+        assert emitted >= 10, latency
+        assert len(baro._ring) <= reference.peak, latency

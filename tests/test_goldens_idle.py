@@ -12,10 +12,18 @@ Each case pins the telemetry, the command log, the event list, and
 the verdict with the charge drawn: an always-on load drained only on
 busy ticks would show in the last alone.
 
+A battery failure at 20.004 s falls inside a stretch: the pack is read
+again only on the busy tick at 20.010 s.  The two sweep verdicts pin
+where a sweep's run stops: on the busy tick that ejects, and on the one
+that enters SafeHold.
+
 The digests of the `altair_nominal` cases were computed from the tree
 before the stretch existed, when every tick ran the whole loop; those
 of the dead-pack case from the tree whose stretch still needed a zero
-quiescent current, which kept every tick of that run busy.
+quiescent current, which kept every tick of that run busy; those of
+the failure inside a stretch and the sweep verdicts from the tree that
+still tested the failure, the sweep's stop and the landings on every
+tick.
 """
 
 import hashlib
@@ -23,7 +31,8 @@ import hashlib
 import pytest
 
 from deploysim import (bundled_scenario, render_commands_csv,
-                       render_telemetry_csv, run_mission, scenario_with)
+                       render_telemetry_csv, run_mission, scenario_with,
+                       sweep)
 from deploysim.controller import TaskSchedule
 
 CASES = {
@@ -51,6 +60,12 @@ CASES = {
         "a692f5e484e3d7a693d70048cea2c634e2906c98f392662900cebebf7777b8d6",
         "699c320fb23ecacee494d91e76d99559cd6fbb8648dbcb2eabe9ad46cab6df12",
         "3b3f78dfbbc36d5d3691255cf7371b0c2495257ba7bbb83ade612b8b3c04beb0"),
+    "fail_inside_stretch": (
+        {"faults.battery_fail_time": 20.004},
+        "886cb3dbfb1aff350ab3713618076c6c1ebbc272cf5da3f1237a33fdcfa9a69a",
+        "68f15568a359e3cb0dff50a5a1f8cd06370ebcfec301a1d59b6bc7f4b7d3e7e3",
+        "699bca479a907c2396dc736f6ff030cbfc9b9f6a3aa9b787767229b92321bc77",
+        "4fe90ac8c68f9e6ed37a6e343dc6e3c919e52368c2a87149340c710fa4d2d5c3"),
     "dt_2_ms": (
         {"sim.dt": 0.002},
         "aae5ef315498d3657d68ac0626aa04b64c11ac54de1b2fe943006def0dd90e00",
@@ -103,3 +118,22 @@ def test_dead_pack_with_a_load_rests_and_matches_frozen_digest(monkeypatch):
     # The load keeps the 30,000 ticks before the failure at 30 s busy;
     # after it one tick in ten is, not all 85,337 ticks of the run.
     assert 30_000 < busy < 40_000
+
+
+SWEEP_VERDICTS = [
+    "(2.0, MissionVerdict(outcome=<Outcome.DEPLOYED_IN_WINDOW: "
+    "'DeployedInWindow'>, safe_hold_reason=None, "
+    "deploy_altitude_truth=323.5126259078652, deploy_time=64.004, "
+    "energy_used=8.210300000387194, peak_current=0.9))",
+    "(15.0, MissionVerdict(outcome=<Outcome.SAFE_HOLD: 'SafeHold'>, "
+    "safe_hold_reason='push-timeout', deploy_altitude_truth=None, "
+    "deploy_time=None, energy_used=86.65400001765813, peak_current=2.0))",
+]
+
+
+def test_sweep_stops_on_the_verdict_tick_and_matches_frozen_verdicts():
+    # The rack still draws after the ejection, so the energy of the first
+    # run pins the tick it stops on.
+    rows = sweep(bundled_scenario("altair_nominal"), "payload.mass",
+                 [2.0, 15.0])
+    assert [repr(row) for row in rows] == SWEEP_VERDICTS

@@ -35,6 +35,7 @@ from deploysim.atmosphere import Barometer
 from deploysim.controller import (DeployPhase, DeploymentController,
                                   task_period_ticks)
 from deploysim.errors import DomainError, ScenarioError
+from deploysim.flight import PayloadState
 
 NOMINAL = bundled_scenario("altair_nominal")
 
@@ -497,16 +498,43 @@ def test_flight_above_the_model_band_raises_mid_mission():
     assert "at t=" not in str(info.value.__cause__)
 
 
-def test_payload_above_the_model_band_is_named():
-    # A 1 g payload under its chute: the explicit drag step overshoots
-    # and flings it to 218 km while the vehicle descends near 300 m.
-    light = scenario_with(NOMINAL, {"payload.mass": 0.001})
+def test_payload_above_the_model_band_is_named(monkeypatch):
+    # No chute step climbs any more, so lift the payload above the band
+    # by hand: its first step under the chute reads the atmosphere at
+    # 12 km while the vehicle descends near 300 m.
+    def step_payload(body, *args, _original=mission.step_payload):
+        if body.state is PayloadState.PARACHUTE_DESCENT:
+            body.altitude = 12000.0
+        return _original(body, *args)
+
+    monkeypatch.setattr(mission, "step_payload", step_payload)
     with pytest.raises(DomainError, match="outside model band") as info:
-        run_mission(light)
+        run_mission(NOMINAL)
     assert str(info.value).startswith(
-        "at t=75.745 s the payload left the 0-11 km atmosphere model band: "
-        "altitude 217945.17")
+        "at t=70.504 s the payload left the 0-11 km atmosphere model band: "
+        "altitude 12000.0")
     assert isinstance(info.value.__cause__, DomainError)
+
+
+def test_light_payload_lands_below_its_ejection_altitude(monkeypatch):
+    # A 1 g payload under the nominal chute: one explicit drag step
+    # would reverse its descent, so the step descends at terminal speed
+    # instead (about 0.19 m/s, so the landing needs the longer clock).
+    peak = -math.inf
+
+    def step_payload(body, *args, _original=mission.step_payload):
+        nonlocal peak
+        _original(body, *args)
+        peak = max(peak, body.altitude)
+
+    monkeypatch.setattr(mission, "step_payload", step_payload)
+    result = run_mission(scenario_with(NOMINAL, {
+        "payload.mass": 0.001, "sim.max_sim_time": 4000.0}))
+    events = {event.name: event for event in result.events}
+    assert result.verdict.outcome is Outcome.DEPLOYED_IN_WINDOW
+    assert "payload_chute_open" in events
+    assert 1500.0 < events["payload_landed"].time < 1600.0
+    assert peak <= result.verdict.deploy_altitude_truth
 
 
 def test_vehicle_is_named_while_the_payload_hangs_under_its_chute():
