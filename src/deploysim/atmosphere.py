@@ -114,7 +114,8 @@ class Barometer:
 
     Built for one run of `ticks` ticks of `dt` seconds.  Call
     `sample(altitude, tick)` on every tick, in order from tick 0; it
-    returns a reading on sample-rate boundaries and None otherwise.  A
+    returns a reading on sample-rate boundaries and None otherwise, and
+    keeps the newest reading as `latest` (None before the first).  A
     reading is due on the first tick k with `k*dt + TIME_EPS >=
     index*period`, at most one per tick.  Latency is a fixed delay: the
     reading reports the truth of the newest tick j <= k with `j*dt <=
@@ -154,6 +155,7 @@ class Barometer:
         self._size = max(1, min(ticks, math.ceil(
             min(spec.latency / dt, ticks)) + 1))
         self._ring = [0.0] * self._size
+        self.latest = None
 
     def sample(self, true_altitude: float, tick: int):
         """Feed the truth of `tick`; get (pressure, altitude) or None."""
@@ -208,4 +210,5 @@ class Barometer:
             pressure = model.sea_level_pressure
         elif pressure < model.min_pressure:
             pressure = model.min_pressure
-        return pressure, _altitude_in_band(model, pressure)
+        self.latest = reading = pressure, _altitude_in_band(model, pressure)
+        return reading

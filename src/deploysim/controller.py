@@ -132,15 +132,17 @@ class TaskSchedule:
         cycle = math.lcm(*period_ticks)
         self._cycle = cycle
         pattern = []
-        free = 0    # task-free ticks after the slot; slot 0 is always due
+        free = quiet = 0    # slot 0, which follows the last, is always due
         for tick in reversed(range(cycle)):
             due = tuple(tick % p == 0 for p in period_ticks)
-            pattern.append((*due, free))
+            pattern.append((*due, free, quiet))
             free = 0 if any(due) else free + 1
+            quiet = 0 if due[0] or due[2] else quiet + 1
         self._pattern = tuple(reversed(pattern))
 
-    def due_at_tick(self, tick: int) -> tuple[bool, bool, bool, int]:
-        """Due flags (sense, logic, telemetry) and task-free ticks after."""
+    def due_at_tick(self, tick: int) -> tuple[bool, bool, bool, int, int]:
+        """Due flags (sense, logic, telemetry), then the task-free ticks
+        after, and the ticks after on which no task but logic is due."""
         return self._pattern[tick % self._cycle]
 
 

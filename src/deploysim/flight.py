@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .atmosphere import AtmosphereModel, density_at_altitude
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 from .mechanism import GRAVITY
 
 
@@ -84,55 +84,68 @@ def initial_state(spec: VehicleSpec, payload_mass: float = 0.0) -> FlightState:
 
 
 def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
-                 atmosphere: AtmosphereModel) -> None:
-    """Advance the vehicle one step, in place.  A landed state stays as
-    it is."""
-    phase = state.phase
+                 atmosphere: AtmosphereModel, ticks: int = 1,
+                 sample=None, first: int = 0) -> int:
+    """Fly the vehicle up to `ticks` ticks from tick `first`, in place;
+    return how many it flew.  The caller has sampled tick `first`; each
+    later tick k first calls `sample(altitude, k)`.  It stops after the
+    first step that changes the phase, and a landed state stays as it
+    is for one tick.  A DomainError raised on tick k carries k as `tick`.
+    """
+    phase = start = state.phase
     if phase is _LANDED:
-        return
-
+        return 1
+    # Ignition on the first step; unpowered specs go straight to coast.
     if phase is _PRELAUNCH:
-        # Ignition on the first step; unpowered specs go straight to coast.
         phase = _BOOST if spec.avg_thrust > 0.0 else _COAST
-
-    mass = state.mass
     thrust = 0.0
     if phase is _BOOST:
-        propellant = state.propellant
-        burned = min(spec.propellant_mass / spec.burn_time * dt, propellant)
-        mass -= burned
-        propellant -= burned
+        burn = spec.propellant_mass / spec.burn_time * dt
         thrust = spec.avg_thrust
-        if propellant <= 0.0:
-            # Burnout; the coast drag area is the boost one.
-            propellant = 0.0
-            phase = _COAST
-        state.mass = mass
-        state.propellant = propellant
-
-    drag_area = (spec.drogue_drag_area
-                 if phase is _DROGUE_DESCENT
+    # A step that changes the phase ends the call, and burnout keeps the
+    # boost area, so one drag area serves every step.
+    drag_area = (spec.drogue_drag_area if phase is _DROGUE_DESCENT
                  else spec.drag_area_coast)
-    velocity = state.velocity
-    drag = 0.0
-    if drag_area > 0.0 and velocity != 0.0:
-        rho = density_at_altitude(atmosphere, state.altitude)
-        drag = 0.5 * rho * velocity * abs(velocity) * drag_area
+    altitude, velocity = state.altitude, state.velocity
+    mass, propellant = state.mass, state.propellant
+    tick, last = first, first + ticks - 1
+    try:
+        while True:
+            if phase is _BOOST:
+                burned = min(burn, propellant)
+                mass -= burned
+                propellant -= burned
+                if propellant <= 0.0:
+                    propellant = 0.0
+                    phase = _COAST
 
-    accel = (thrust - drag) / mass - GRAVITY
-    velocity = velocity + accel * dt
-    altitude = state.altitude + velocity * dt
+            drag = 0.0
+            if drag_area > 0.0 and velocity != 0.0:
+                rho = density_at_altitude(atmosphere, altitude)
+                drag = 0.5 * rho * velocity * abs(velocity) * drag_area
 
-    if phase is _COAST and velocity <= 0.0:
-        phase = _DROGUE_DESCENT
-    if altitude <= 0.0:
-        altitude = 0.0
-        velocity = 0.0
-        phase = _LANDED
+            accel = (thrust - drag) / mass - GRAVITY
+            velocity = velocity + accel * dt
+            altitude = altitude + velocity * dt
 
-    state.altitude = altitude
-    state.velocity = velocity
+            if phase is _COAST and velocity <= 0.0:
+                phase = _DROGUE_DESCENT
+            if altitude <= 0.0:
+                altitude = 0.0
+                velocity = 0.0
+                phase = _LANDED
+            if phase is not start or tick == last:
+                break
+            tick += 1
+            sample(altitude, tick)
+    except DomainError as exc:
+        exc.tick = tick
+        raise
+
+    state.altitude, state.velocity = altitude, velocity
+    state.mass, state.propellant = mass, propellant
     state.phase = phase
+    return tick - first + 1
 
 
 @dataclass(slots=True)

@@ -1,17 +1,16 @@
 """Whole-mission simulation loop, verdicts, sweeps and CSV rendering.
 
-Each tick advances the shared logical clock by dt and runs, in order:
-barometer sampling (fed the tick index), then on a busy tick the
-scheduled battery failure, the cooperative tasks that are due (sense
-and estimate at 50 Hz, deploy logic at 100 Hz until the phase is
-absorbing), actuation stepping, battery drain and telemetry (20 Hz),
-then payload stepping and the vehicle truth step.  When nothing moves
-and the pack delivered no charge, the task-free ticks up to the next
-due task run only the barometer and the two truth steps.  Nothing on
-them reads the pack or decides a verdict, and they compute the time only
-for an event of a truth step.  Everything downstream of the scenario
-and seed is deterministic, so equal inputs give byte-identical
-telemetry.
+A busy tick runs, in order: barometer sampling (fed the tick index),
+the scheduled battery failure, the cooperative tasks that are due (sense
+and estimate at 50 Hz, deploy logic at 100 Hz), actuation, battery
+drain and telemetry (20 Hz), then the payload and vehicle truth steps.
+If nothing moves and the pack delivered no charge, the ticks up to the
+next task that can act rest: they only sample the barometer and step
+the truth, and unless a payload flies one `step_vehicle` call flies
+them.  Deploy logic cannot act while the phase is absorbing, nor between
+sense ticks while it waits in AwaitWindow on inputs it has weighed.
+Everything downstream of the scenario and seed is deterministic, so
+equal inputs give byte-identical telemetry.
 """
 
 import enum
@@ -192,10 +191,19 @@ def run_mission(scenario: Scenario,
     commands: list[CommandLogEntry] = []
     events: list[Event] = []
 
-    pending_sample = None
+    # The first tick at or after the scheduled battery failure still due.
+    fail_tick = n_ticks
+    if fail_time is not None and fail_time < n_ticks * dt:
+        fail_tick = max(0, math.ceil(fail_time / dt) - 1)
+        while fail_tick * dt < fail_time:
+            fail_tick += 1
+
+    sample = barometer.sample
     phase = controller.phase    # as of the last tick; update_phase moves it
     settled = False             # phase is SafeHold or Ejected, both absorbing
-    physics_only = 0            # ticks left that run only the physics
+    # Deploy logic cannot act before the next sense tick: the phase is
+    # absorbing, or it stayed in AwaitWindow on the inputs it has.
+    logic_idle = False
     stop = False                # end the run after this tick's physics
     eject_altitude: float | None = None
     eject_time: float | None = None     # not None once released
@@ -205,46 +213,46 @@ def run_mission(scenario: Scenario,
     # Members compared on every tick, bound once: attribute access on an
     # Enum class is slow on Python 3.11 (see flight.py).
     safe_hold = _SAFE_HOLD
+    await_window = DeployPhase.AWAIT_WINDOW
     unlocking = DeployPhase.UNLOCKING
     ejected = DeployPhase.EJECTED
 
-    # Only the flight can leave the atmosphere band; say when, and which body.
+    # Each iteration runs one busy tick, then flies it and the rest
+    # ticks after it.  Only the flight can leave the atmosphere band; say
+    # when, and which body.
+    tick = 0
     try:
-        for tick in range(n_ticks):
-            sample = barometer.sample(vehicle.altitude, tick)
-            if sample is not None:
-                pending_sample = sample
+        while tick < n_ticks:
+            sample(vehicle.altitude, tick)
+            now = tick * dt
+            if tick == fail_tick:       # no stretch crosses it
+                battery.voltage = 0.0
+                battery.failed = True
+                logic_idle = settled
+                fail_tick = n_ticks
 
-            if physics_only:
-                physics_only -= 1
-            else:
-                now = tick * dt
-                # Scheduled battery failure applies from the top of the
-                # first busy tick at or after it: nothing reads the pack
-                # on a physics-only tick.
-                if (fail_time is not None and not battery.failed
-                        and now >= fail_time):
-                    battery.voltage = 0.0
-                    battery.failed = True
-
-                (sense_due, logic_due, telemetry_due,
-                 free) = schedule.due_at_tick(tick)
-                if sense_due:
-                    if pending_sample is not None:
-                        controller.task_sense(pending_sample)
-                        pending_sample = None
-                    if controller.task_estimate():
-                        events.append(Event(now, "apogee_sensed",
-                                            controller.sensed_altitude))
-                if logic_due and not settled:
-                    for cmd in controller.update_phase(door, carrier, battery,
-                                                       now):
-                        commands.append(CommandLogEntry(
-                            now, cmd.name, cmd.value, vehicle.altitude))
-                        if cmd.name == "push":
-                            begin_push(carrier, door.open)
+            (sense_due, logic_due, telemetry_due, free,
+             quiet) = schedule.due_at_tick(tick)
+            if sense_due:
+                # Tick 0 always has a reading, so the barometer has one.
+                controller.task_sense(barometer.latest)
+                if controller.task_estimate():
+                    events.append(Event(now, "apogee_sensed",
+                                        controller.sensed_altitude))
+            # Idle in AwaitWindow, deploy logic runs again on a sense tick,
+            # the only one with a new input; the pack resets the idle flag.
+            if logic_due and (not logic_idle or sense_due and not settled):
+                for cmd in controller.update_phase(door, carrier, battery,
+                                                   now):
+                    commands.append(CommandLogEntry(
+                        now, cmd.name, cmd.value, vehicle.altitude))
+                    if cmd.name == "push":
+                        begin_push(carrier, door.open)
+                logic_idle = phase is await_window
+                if controller.phase is not phase:
                     phase = controller.phase
                     settled = phase is safe_hold or phase is ejected
+                    logic_idle = settled
                     if phase is safe_hold:
                         # Safing de-energizes the rack once; SafeHold never
                         # drives the lock rod or commands a push again.
@@ -253,87 +261,101 @@ def run_mission(scenario: Scenario,
                                             controller.safe_hold_reason.value))
                         stop = stop_at_verdict
 
-                # Actuation over [now, now + dt).  A dead pack drives
-                # neither the lock rod nor the rack; the door swings
-                # unpowered, unless it is jammed.
-                powered = not battery.failed
-                current = 0.0
-                if powered and phase is unlocking and door.locked:
-                    command_unlock(door, door_spec, dt)
-                    current += door_spec.actuator_current
-                    if not door.locked:
-                        events.append(Event(now, "door_unlocked", 0.0))
-                if (not door_jam and not door.locked
-                        and door.angle < door_spec.max_open):
-                    was_open = door.open
-                    step_door(door, door_spec, dt)
-                    if door.open and not was_open:
-                        events.append(Event(now, "door_open", door.angle))
-                if powered and carrier.pushing:
-                    current += step_carrier(carrier, dt, drive)[1]
-                    if (eject_time is None
-                            and carrier.payload_displacement >= stroke):
-                        eject_altitude = vehicle.altitude
-                        eject_time = now
-                        release_payload(payload, vehicle.altitude,
-                                        vehicle.velocity)
-                        vehicle.mass -= payload.mass
-                        events.append(Event(now, "ejected", eject_altitude))
-                        stop = stop_at_verdict
+            # Actuation over [now, now + dt).  A dead pack drives
+            # neither the lock rod nor the rack; the door swings
+            # unpowered, unless it is jammed.
+            powered = not battery.failed
+            current = 0.0
+            rod = powered and phase is unlocking and door.locked
+            if rod:
+                command_unlock(door, door_spec, dt)
+                current += door_spec.actuator_current
+                if not door.locked:
+                    events.append(Event(now, "door_unlocked", 0.0))
+            swing = (not door_jam and not door.locked
+                     and door.angle < door_spec.max_open)
+            if swing:
+                was_open = door.open
+                step_door(door, door_spec, dt)
+                if door.open and not was_open:
+                    events.append(Event(now, "door_open", door.angle))
+            push = powered and carrier.pushing
+            if push:
+                current += step_carrier(carrier, dt, drive)[1]
+                if (eject_time is None
+                        and carrier.payload_displacement >= stroke):
+                    eject_altitude = vehicle.altitude
+                    eject_time = now
+                    release_payload(payload, vehicle.altitude,
+                                    vehicle.velocity)
+                    vehicle.mass -= payload.mass
+                    events.append(Event(now, "ejected", eject_altitude))
+                    stop = stop_at_verdict
 
-                # Battery: account by delivered charge, so the audit is exact.
-                total_current = current + quiescent
-                pre_voltage = battery.voltage
-                delivered = drain_battery(battery, total_current, dt)
-                if delivered > 0.0:
-                    charge_drawn += delivered
-                    energy += pre_voltage * delivered
-                    if total_current > peak_current:
-                        peak_current = total_current
+            # Battery: account by delivered charge, so the audit is exact.
+            total_current = current + quiescent
+            pre_voltage = battery.voltage
+            delivered = drain_battery(battery, total_current, dt)
+            if delivered > 0.0:
+                charge_drawn += delivered
+                energy += pre_voltage * delivered
+                if total_current > peak_current:
+                    peak_current = total_current
+                if battery.failed:      # the pack died on this tick
+                    logic_idle = settled
 
-                # Telemetry (lowest priority) reads no payload field.
-                if telemetry_due:
-                    telemetry.append(make_telemetry_record(
-                        now, vehicle, controller, door, carrier, battery,
-                        delivered / dt, faults))
+            # Telemetry (lowest priority) reads no payload field.
+            if telemetry_due:
+                telemetry.append(make_telemetry_record(
+                    now, vehicle, controller, door, carrier, battery,
+                    delivered / dt, faults))
 
-                # Only a task starts the rod, the door or a push: if all
-                # rest and the pack delivered nothing, all rest until then.
-                if free and not delivered:
-                    rod = powered and phase is unlocking and door.locked
-                    swing = (not door_jam and not door.locked
-                             and door.angle < door_spec.max_open)
-                    if not (rod or swing or powered and carrier.pushing):
-                        physics_only = free
+            # Only a task starts the rod, the door or a push: if none moved
+            # and the pack delivered nothing, the ticks up to the next task
+            # that can act rest.
+            end = tick + 1
+            rest = quiet if logic_idle else free
+            if rest and not (delivered or stop or rod or swing or push):
+                end = (tick + rest + 1 if tick + rest < fail_tick
+                       else fail_tick)
 
-            # The run ends on the tick the payload lands, so a released
-            # payload here has not landed.
-            if eject_time is not None:
-                previous = payload.state
-                step_payload(payload, dt, eject_altitude, atmosphere)
-                if payload.state is not previous:
-                    if payload.state is PayloadState.PARACHUTE_DESCENT:
-                        events.append(Event(tick * dt, "payload_chute_open",
-                                            payload.altitude))
-                    else:
-                        events.append(Event(tick * dt, "payload_landed", 0.0))
-                        stop = True
-
-            # The vehicle step ends the tick: stamp its events (tick + 1) * dt.
-            previous_phase = vehicle.phase
-            step_vehicle(vehicle_spec, vehicle, dt, atmosphere)
-            if vehicle.phase is not previous_phase:
-                if vehicle.phase is FlightPhase.DROGUE_DESCENT:
-                    events.append(Event((tick + 1) * dt, "apogee_truth",
-                                        vehicle.altitude))
-                elif vehicle.phase is FlightPhase.LANDED:
-                    events.append(Event((tick + 1) * dt, "vehicle_landed",
-                                        0.0))
-                    if eject_time is None:
-                        break
+            # Fly the ticks [tick, end).  While a released payload flies
+            # (its landing ends the run), it and the vehicle step one tick
+            # per call; else one call flies the vehicle to its next phase
+            # change.  Vehicle events are stamped at the end of their tick.
+            while True:
+                ticks = end - tick
+                if eject_time is not None:
+                    ticks = 1
+                    previous = payload.state
+                    step_payload(payload, dt, eject_altitude, atmosphere)
+                    if payload.state is not previous:
+                        if payload.state is PayloadState.PARACHUTE_DESCENT:
+                            events.append(Event(tick * dt,
+                                                "payload_chute_open",
+                                                payload.altitude))
+                        else:
+                            events.append(Event(tick * dt, "payload_landed",
+                                                0.0))
+                            stop = True
+                previous_phase = vehicle.phase
+                tick += step_vehicle(vehicle_spec, vehicle, dt, atmosphere,
+                                     ticks, sample, tick)
+                if vehicle.phase is not previous_phase:
+                    if vehicle.phase is FlightPhase.DROGUE_DESCENT:
+                        events.append(Event(tick * dt, "apogee_truth",
+                                            vehicle.altitude))
+                    elif vehicle.phase is FlightPhase.LANDED:
+                        events.append(Event(tick * dt, "vehicle_landed", 0.0))
+                        if eject_time is None:
+                            stop = True
+                if stop or tick == end:
+                    break
+                sample(vehicle.altitude, tick)
             if stop:
                 break
     except DomainError as exc:
+        tick = getattr(exc, "tick", tick)   # as a stretch names it
         # Only a payload under its chute reads the atmosphere.
         body = ("payload" if payload.state is PayloadState.PARACHUTE_DESCENT
                 and not payload.altitude <= MODEL_CEILING else "vehicle")

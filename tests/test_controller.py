@@ -52,20 +52,22 @@ def arm_with_apogee(ctl, peak=500.0, now=0.0):
 
 # ---------------------------------------------------------------------------
 # Task schedule: (sense, deploy logic, telemetry) due flags, then the
-# number of task-free ticks that follow.
+# number of task-free ticks that follow, and the number that follow with
+# no task but deploy logic due.
 
 
 def test_all_tasks_due_at_time_zero():
     schedule = TaskSchedule(0.001)
-    assert schedule.due_at_tick(0) == (True, True, True, 9)
+    assert schedule.due_at_tick(0) == (True, True, True, 9, 19)
 
 
 def test_dueness_at_sample_times():
     schedule = TaskSchedule(0.001)
-    assert schedule.due_at_tick(20) == (True, True, False, 9)
-    assert schedule.due_at_tick(30) == (False, True, False, 9)
-    assert schedule.due_at_tick(50) == (False, True, True, 9)
-    assert schedule.due_at_tick(13) == (False, False, False, 6)
+    assert schedule.due_at_tick(20) == (True, True, False, 9, 19)
+    assert schedule.due_at_tick(30) == (False, True, False, 9, 9)
+    assert schedule.due_at_tick(40) == (True, True, False, 9, 9)
+    assert schedule.due_at_tick(50) == (False, True, True, 9, 9)
+    assert schedule.due_at_tick(13) == (False, False, False, 6, 6)
 
 
 def test_rates_actually_hit():
@@ -87,6 +89,27 @@ def test_free_count_is_the_run_of_task_free_ticks_that_follows(dt):
         while not busy[tick + 1 + run]:
             run += 1
         assert schedule.due_at_tick(tick)[3] == run, tick
+
+
+@pytest.mark.parametrize("dt", [0.001, 0.0005, 0.002, 0.01])
+def test_quiet_count_is_the_run_of_ticks_without_sense_or_telemetry(dt):
+    schedule = TaskSchedule(dt)
+    horizon = 1000
+    loud = [any(schedule.due_at_tick(tick)[0:3:2]) for tick in range(horizon)]
+    for tick in range(horizon - 100):
+        run = 0
+        while not loud[tick + 1 + run]:
+            run += 1
+        assert schedule.due_at_tick(tick)[4] == run, tick
+
+
+def test_every_sense_tick_is_a_logic_tick():
+    # A controller waiting on unchanged inputs may skip the logic ticks
+    # between sense ticks only because every input change lands on one.
+    for dt in (0.001, 0.0005, 0.002, 0.01):
+        schedule = TaskSchedule(dt)
+        assert all(schedule.due_at_tick(tick)[1] for tick in range(1000)
+                   if schedule.due_at_tick(tick)[0]), dt
 
 
 def test_no_tick_is_free_at_10_ms():

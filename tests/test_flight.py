@@ -126,7 +126,8 @@ def test_landed_is_absorbing():
     state = FlightState(altitude=0.0, velocity=0.0, mass=10.0,
                         phase=FlightPhase.LANDED)
     before = replace(state)
-    assert step_vehicle(DRAG_FREE, state, 0.001, MODEL) is None
+    # It flies the tick it was called on and stops there.
+    assert step_vehicle(DRAG_FREE, state, 0.001, MODEL, 5, None, 0) == 1
     assert state == before
 
 

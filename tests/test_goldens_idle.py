@@ -1,29 +1,41 @@
-"""Frozen output digests at the edges of the physics-only stretch.
+"""Frozen output digests at the edges of a stretch of rest ticks.
 
 At dt = 1 ms a task is due on one tick in ten, and a tick on which no
-task is due and nothing actuates runs only the physics.  These runs of
-`altair_nominal` sit on the edges of that stretch: a battery failure
-that falls on a task-free tick, with and without a jammed door; an
-always-on load that keeps every tick busy; and the half- and
-double-millisecond clocks, whose stretches are 19 and 4 ticks long.
-`altair_battery_fail` with an always-on load rests once the pack is
-dead: the load draws until the failure and nothing after it.
-Each case pins the telemetry, the command log, the event list, and
-the verdict with the charge drawn: an always-on load drained only on
-busy ticks would show in the last alone.
+task is due and nothing actuates runs only the physics; once deploy
+logic cannot act, the logic ticks rest too, up to the next sense or
+telemetry tick.  These runs of `altair_nominal` sit on the edges of
+those stretches: a battery failure that falls on a task-free tick, with
+and without a jammed door; an always-on load that keeps every tick
+busy; and the half- and double-millisecond clocks, whose stretches are
+19 and 4 ticks long.  `altair_battery_fail` with an always-on load
+rests once the pack is dead: the load draws until the failure and
+nothing after it.  Each case pins the telemetry, the command log, the
+event list, and the verdict with the charge drawn: an always-on load
+drained only on busy ticks would show in the last alone.
 
-A battery failure at 20.004 s falls inside a stretch: the pack is read
-again only on the busy tick at 20.010 s.  The two sweep verdicts pin
-where a sweep's run stops: on the busy tick that ejects, and on the one
-that enters SafeHold.
+A battery failure at 20.004 s falls inside a stretch: the stretch ends
+before it, and the logic tick at 20.010 s enters SafeHold.  The two
+sweep verdicts pin where a sweep's run stops: on the busy tick that
+ejects, and on the one that enters SafeHold.
 
-The digests of the `altair_nominal` cases were computed from the tree
-before the stretch existed, when every tick ran the whole loop; those
-of the dead-pack case from the tree whose stretch still needed a zero
-quiescent current, which kept every tick of that run busy; those of
-the failure inside a stretch and the sweep verdicts from the tree that
-still tested the failure, the sweep's stop and the landings on every
-tick.
+The 10 ms cases and the drained packs pin the logic ticks a waiting
+controller may rest through.  Armed at once on the pad, it must still
+unlock on the logic tick right after arming, at 0.01 s.  A battery
+failure before apogee at 5.005 s (a logic-only tick) or 5.015 s, and a
+pack that an always-on load drains at 20.000 s or just after it, must
+enter SafeHold on the first logic tick that can see the dead pack.  A
+40 Hz or 30 Hz barometer emits readings on rest ticks, and the next
+sense tick must still take the newest of them.
+
+Where each digest was computed: those of the 10 ms cases, the drained
+packs and the slower barometers from the tree that ran every logic tick
+and flew each rest tick with its own vehicle step; those of the failure
+inside a stretch and the sweep verdicts from the tree that still tested the
+failure, the sweep's stop and the landings on every tick; those of the
+dead-pack case from the tree whose stretch still needed a zero
+quiescent current, which kept every tick of that run busy; those of the
+other `altair_nominal` cases from the tree before the stretch existed,
+when every tick ran the whole loop.
 """
 
 import hashlib
@@ -72,6 +84,63 @@ CASES = {
         "4b8fb6b9b1eb3cd83f1e158101d7b201fffa15c383e498e4070d7af0e4a63090",
         "d587b0888c745fbd4cf7e9f33aa766211d75d70485ba1848b31148dfd7d5a95a",
         "e86f111ec392dffa00f11d44a9123156365f7afbcbe9b838c4dfa1b11904b171"),
+    "arm_at_once_10_ms": (
+        {"trigger.arm_after_apogee": False, "trigger.deploy_floor": 0.0,
+         "barometer.noise_sigma": 0.0, "sim.dt": 0.01},
+        "cca3d4991396dde75d7b9769a2262cf6258b4f1864d16ca6ee51655525d32d0c",
+        "856782aa512be92fc496a564063ec47919e4c72f0b336ed154a35b2ce1555116",
+        "3494e1283b006328206cef5359f764119b2cec407b32249a19a70016e301f3a7",
+        "03ed5c906a0adc9a43e4a4d5c9c171e32bcbb7a1229cbc2ee200341d948385f4"),
+    "fail_before_apogee_10_ms": (
+        {"faults.battery_fail_time": 5.015, "sim.dt": 0.01},
+        "ce3acbf084e94c5c32cc3da47dcca74325efb26c724c265cd8907f2cf3d7ced1",
+        "68f15568a359e3cb0dff50a5a1f8cd06370ebcfec301a1d59b6bc7f4b7d3e7e3",
+        "9f0d9f71ed2ab21c7ffb955f5f5d98d72f999a53c9b46ee2d6465fb5f4dea567",
+        "4fe90ac8c68f9e6ed37a6e343dc6e3c919e52368c2a87149340c710fa4d2d5c3"),
+    "fail_on_a_logic_only_tick_10_ms": (
+        {"faults.battery_fail_time": 5.005, "sim.dt": 0.01},
+        "ce3acbf084e94c5c32cc3da47dcca74325efb26c724c265cd8907f2cf3d7ced1",
+        "68f15568a359e3cb0dff50a5a1f8cd06370ebcfec301a1d59b6bc7f4b7d3e7e3",
+        "5d66c79156f4a5d3c7c0b60204893d490da8223e06d23492b3765ca821198ee3",
+        "4fe90ac8c68f9e6ed37a6e343dc6e3c919e52368c2a87149340c710fa4d2d5c3"),
+    "drain_while_awaiting_window": (
+        {"battery.quiescent_current": 0.5, "battery.capacity": 10.0},
+        "4bd9eaf43dc6b5323e920c5d407ba946092c625890e272c18f4614b74a3d0108",
+        "68f15568a359e3cb0dff50a5a1f8cd06370ebcfec301a1d59b6bc7f4b7d3e7e3",
+        "bc9a1afb6b186f45e5fb7540eed9825af6fe82ed3cbc00d8f12fb832c0680021",
+        "f212bde31e9cf6e1395e912e65256a5771dd0eed9d6243ea6e31bcd0cb65a218"),
+    "drain_while_awaiting_window_10_ms": (
+        {"battery.quiescent_current": 0.5, "battery.capacity": 10.0,
+         "sim.dt": 0.01},
+        "068d4c89c16532287f83ab865675b66f35a1f2605e5f70a78d14935a2a7e9e87",
+        "68f15568a359e3cb0dff50a5a1f8cd06370ebcfec301a1d59b6bc7f4b7d3e7e3",
+        "471053512091d1d8e01a880270e991abc19f180c816e7b64c29fe76d3a1e7120",
+        "0b203a106d1879302cfd29bcc83dbf1bf09919c81861ec7849e7b4416e570666"),
+    "drain_to_a_logic_only_tick": (
+        {"battery.quiescent_current": 0.5, "battery.capacity": 10.003},
+        "578a97a9ba9ed9248dde5fa8a88465a4b724b012e9f868064db045a116e22c0c",
+        "68f15568a359e3cb0dff50a5a1f8cd06370ebcfec301a1d59b6bc7f4b7d3e7e3",
+        "699bca479a907c2396dc736f6ff030cbfc9b9f6a3aa9b787767229b92321bc77",
+        "12b52f420791e324cdf4bc3fd15daa773aa74070ae29eee384a9d43770ab454b"),
+    "drain_to_a_logic_only_tick_10_ms": (
+        {"battery.quiescent_current": 0.5, "battery.capacity": 10.003,
+         "sim.dt": 0.01},
+        "a7835fafea4f8ff262318c2214b2ca10a0b73b94107b7cca2487174724265a7e",
+        "68f15568a359e3cb0dff50a5a1f8cd06370ebcfec301a1d59b6bc7f4b7d3e7e3",
+        "33c4f4f9aeae2c56edf1a3e957af420e788bb9568f731c89d0bfdfad72ab2a9b",
+        "c7eb04288ea804cdf51bc1e891ddad3f969ba8abf2361bde8b62da8c7b578f0d"),
+    "barometer_off_the_sense_ticks": (
+        {"barometer.sample_rate": 40.0},
+        "67666f5e367127fbb435681d6b6db02931d7002cdc2a421072c60471f0044cad",
+        "529d07841b68bbcd8fd473afc6aaeb98180dc284000a57c4d9f869a10c4e9909",
+        "1dd00de1c5bf6311901ab44eca6b8c9edc238c7e2c49d9bc52921d1f1560e00e",
+        "6689451c1384b241349c15ec13df8af572110eb2a2523bf13eef015fd34a8694"),
+    "barometer_off_the_sense_ticks_10_ms": (
+        {"barometer.sample_rate": 30.0, "sim.dt": 0.01},
+        "48773c4fb35c9cf4361f57c951076ff092f50d90b2aa9ac3f368975eb2da7dbd",
+        "a96e149df86c8cfa09de7f81d9e94dbd096975e5b8c4ad31f6f8fa0e95a798aa",
+        "e8907403973e34e3cf251ce26afa66b27e1eff3f433677499ce41f9cb28e510f",
+        "b4a862468cd2f2059fda35ba293513864d41e20f41a756382b81198ccfec5a36"),
 }
 
 
@@ -116,7 +185,8 @@ def test_dead_pack_with_a_load_rests_and_matches_frozen_digest(monkeypatch):
     assert sha256(repr(result.events)) == events
     assert sha256(repr((result.verdict, result.charge_drawn))) == verdict
     # The load keeps the 30,000 ticks before the failure at 30 s busy;
-    # after it one tick in ten is, not all 85,337 ticks of the run.
+    # after it only the sense and telemetry ticks are, not all 85,337
+    # ticks of the run.
     assert 30_000 < busy < 40_000
 
 

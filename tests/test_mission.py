@@ -8,6 +8,7 @@ the sensed altitude inside the window, the rod takes 0.5 s, the door
 """
 
 import importlib.util
+import itertools
 import math
 import re
 import sys
@@ -33,7 +34,7 @@ from deploysim import (
 from deploysim import mission
 from deploysim.atmosphere import Barometer
 from deploysim.controller import (DeployPhase, DeploymentController,
-                                  task_period_ticks)
+                                  TaskSchedule, task_period_ticks)
 from deploysim.errors import DomainError, ScenarioError
 from deploysim.flight import PayloadState
 
@@ -241,21 +242,38 @@ def test_steppers_run_once_per_tick(monkeypatch):
     """The loop calls each stepper through its `deploysim.mission` name
     once per tick on which it is due, and decides the per-mission facts
     once: the rack is halted once, on entering SafeHold, and a jammed
-    door is never stepped.  The benchmark's per-layer spans hook those
-    names, so their call counts must stay truthful."""
+    door is never stepped.  One `step_vehicle` call flies a busy tick
+    and the rest ticks after it, up to a phase change, and one tick
+    while a payload flies; together its calls fly every tick once, in
+    order, and each busy tick begins one.  The pack is drained once per
+    busy tick.  The benchmark's per-layer spans hook those names, so
+    their call counts must stay truthful."""
     names = ("step_vehicle", "step_payload", "drain_battery", "step_door",
              "begin_push", "halt_carrier")
     calls = dict.fromkeys(names, 0)
+    stretches = []      # (first tick, ticks flown) per step_vehicle call
+    busy = []           # tick of every due_at_tick call
+
+    def due_at_tick(self, tick, _original=TaskSchedule.due_at_tick):
+        busy.append(tick)
+        return _original(self, tick)
+
+    monkeypatch.setattr(TaskSchedule, "due_at_tick", due_at_tick)
     for name in names:
         def counted(*args, _name=name, _original=getattr(mission, name)):
             calls[_name] += 1
-            return _original(*args)
+            result = _original(*args)
+            if _name == "step_vehicle":
+                stretches.append((args[-1], result))
+            return result
         monkeypatch.setattr(mission, name, counted)
     held = set()
     for deck in list_bundled():
         scenario = scenario_with(bundled_scenario(deck), {"sim.dt": 0.01})
         dt = scenario.dt
         calls.update(dict.fromkeys(names, 0))
+        stretches.clear()
+        busy.clear()
         result = run_mission(scenario)
         events = event_map(result)
         ticks = ticks_flown(result, scenario)
@@ -263,8 +281,12 @@ def test_steppers_run_once_per_tick(monkeypatch):
             payload_steps = ticks - round(events["ejected"].time / dt)
         else:
             payload_steps = 0
-        assert calls["step_vehicle"] == ticks, deck
-        assert calls["drain_battery"] == ticks, deck
+        assert sum(flown for _, flown in stretches) == ticks, deck
+        assert [first for first, _ in stretches] == list(itertools.accumulate(
+            [0] + [flown for _, flown in stretches[:-1]])), deck
+        assert busy == sorted(set(busy)), deck
+        assert set(busy) <= {first for first, _ in stretches}, deck
+        assert calls["drain_battery"] == len(busy), deck
         assert calls["step_payload"] == payload_steps, deck
         assert calls["begin_push"] == sum(
             command.name == "push" for command in result.commands), deck
@@ -281,21 +303,39 @@ def test_steppers_run_once_per_tick(monkeypatch):
     assert held == set(list_bundled()) - {"altair_nominal"}
 
 
+def logic_ticks_expected(result, absorbing, dt):
+    """The deploy-logic ticks a run must execute: the arming tick and
+    the next logic tick, which first weighs the window; then, while the
+    controller waits in AwaitWindow, only the sense ticks, whose new
+    reading is the only input that can change; then every logic tick
+    from the one that left AwaitWindow up to the absorbing one."""
+    sense, logic, _ = task_period_ticks(dt)
+    left = min([round(command.time / dt) for command in result.commands]
+               + [round(event.time / dt) for event in result.events
+                  if event.name == "safe_hold"])
+    waiting = [tick for tick in [logic] + list(range(sense, left, sense))
+               if tick < left]
+    return [0] + waiting + list(range(left, absorbing + 1, logic))
+
+
 def test_task_free_ticks_still_step_and_sample(monkeypatch):
-    """Task-free ticks skip the tasks and actuation but still sample the
-    barometer and step the vehicle, and deploy logic runs on every logic
-    tick until the phase is absorbing (SafeHold or Ejected), then never.
+    """Rest ticks skip the tasks and actuation but still sample the
+    barometer, once per tick and in order, and fly the vehicle.  Deploy
+    logic runs on the ticks `logic_ticks_expected` lists, then never.
     """
-    counts = {"step_vehicle": 0, "sample": 0}
+    flown = 0
+    sampled = []        # tick of every Barometer.sample call
     logic = []      # (tick, phase after the call) per update_phase call
 
     def step_vehicle(*args, _original=mission.step_vehicle):
-        counts["step_vehicle"] += 1
-        return _original(*args)
+        nonlocal flown
+        ticks = _original(*args)
+        flown += ticks
+        return ticks
 
-    def sample(self, *args, _original=Barometer.sample):
-        counts["sample"] += 1
-        return _original(self, *args)
+    def sample(self, altitude, tick, _original=Barometer.sample):
+        sampled.append(tick)
+        return _original(self, altitude, tick)
 
     def update_phase(self, door, carrier, battery, now,
                      _original=DeploymentController.update_phase):
@@ -310,17 +350,95 @@ def test_task_free_ticks_still_step_and_sample(monkeypatch):
     runs.append(("altair_nominal", 0.01))
     for deck, dt in runs:
         scenario = scenario_with(bundled_scenario(deck), {"sim.dt": dt})
-        counts.update(step_vehicle=0, sample=0)
+        flown = 0
+        sampled.clear()
         logic.clear()
         result = run_mission(scenario)
         ticks = ticks_flown(result, scenario)
-        assert counts == {"step_vehicle": ticks, "sample": ticks}, deck
+        assert flown == ticks, deck
+        assert sampled == list(range(ticks)), deck
         absorbing = [tick for tick, phase in logic
                      if phase in (DeployPhase.SAFE_HOLD, DeployPhase.EJECTED)]
         assert absorbing, deck
-        period = task_period_ticks(dt)[1]
-        assert [tick for tick, _ in logic] == list(
-            range(0, absorbing[0] + 1, period)), deck
+        assert [tick for tick, _ in logic] == logic_ticks_expected(
+            result, absorbing[0], dt), deck
+
+
+def record_stretches(monkeypatch):
+    """(first tick, ticks flown) of every `step_vehicle` call."""
+    stretches = []
+
+    def step_vehicle(*args, _original=mission.step_vehicle):
+        ticks = _original(*args)
+        stretches.append((args[-1], ticks))
+        return ticks
+
+    monkeypatch.setattr(mission, "step_vehicle", step_vehicle)
+    return stretches
+
+
+@pytest.mark.parametrize("fail_time, dt, fail_tick", [
+    (20.004, 0.001, 20_004), (5.005, 0.01, 501), (30.0, 0.001, 30_000)])
+def test_no_stretch_crosses_the_scheduled_battery_failure(
+        monkeypatch, fail_time, dt, fail_tick):
+    # The failure applies at the top of the first tick at or after it,
+    # so that tick begins a stretch.
+    stretches = record_stretches(monkeypatch)
+    run_mission(scenario_with(NOMINAL, {"faults.battery_fail_time": fail_time,
+                                        "sim.dt": dt}))
+    assert fail_tick in [first for first, _ in stretches]
+    assert not any(first < fail_tick < first + ticks
+                   for first, ticks in stretches)
+
+
+def test_settled_controller_rests_through_its_logic_ticks(monkeypatch):
+    # After SafeHold at 30 s only the sense (20-tick) and telemetry
+    # (50-tick) tasks begin a stretch, up to the one that lands.
+    stretches = record_stretches(monkeypatch)
+    result = run_mission(bundled_scenario("altair_battery_fail"))
+    landed = round(event_map(result)["vehicle_landed"].time / 0.001)
+    assert [first for first, _ in stretches if first >= 30_000] == [
+        tick for tick in range(30_000, landed)
+        if tick % 20 == 0 or tick % 50 == 0]
+
+
+def test_a_pack_that_dies_while_awaiting_the_window_is_seen_at_once(
+        monkeypatch):
+    # The always-on load empties the pack between the sense ticks at
+    # 20.000 and 20.020 s; the logic tick at 20.010 s, which an idle
+    # controller would rest through, must see it.
+    logic = []
+
+    def update_phase(self, door, carrier, battery, now,
+                     _original=DeploymentController.update_phase):
+        logic.append(round(now / 0.001))
+        return _original(self, door, carrier, battery, now)
+
+    monkeypatch.setattr(DeploymentController, "update_phase", update_phase)
+    result = run_mission(scenario_with(NOMINAL, {
+        "battery.quiescent_current": 0.5, "battery.capacity": 10.003}))
+    assert logic[-3:] == [19_980, 20_000, 20_010]
+    assert event_map(result)["safe_hold"] == (20.01, "safe_hold",
+                                              "battery-failure")
+
+
+def test_no_stretch_follows_the_tick_that_stops_the_run(monkeypatch):
+    # A sweep's run ends on the tick that enters SafeHold: the barometer
+    # and the vehicle see the 30,001 ticks up to it and not one more.
+    stretches = record_stretches(monkeypatch)
+    sampled = 0
+
+    def sample(self, *args, _original=Barometer.sample):
+        nonlocal sampled
+        sampled += 1
+        return _original(self, *args)
+
+    monkeypatch.setattr(Barometer, "sample", sample)
+    result = run_mission(bundled_scenario("altair_battery_fail"),
+                         stop_at_verdict=True)
+    assert result.verdict.outcome is Outcome.SAFE_HOLD
+    assert stretches[-1] == (30_000, 1)
+    assert sum(ticks for _, ticks in stretches) == sampled == 30_001
 
 
 def test_seed_changes_noise_not_verdict():
@@ -496,6 +614,20 @@ def test_flight_above_the_model_band_raises_mid_mission():
         "altitude 11001.4")
     assert isinstance(info.value.__cause__, DomainError)
     assert "at t=" not in str(info.value.__cause__)
+
+
+def test_flight_leaving_the_band_on_a_rest_tick_names_that_tick():
+    # 6.731 s is no task's tick: it lies inside a stretch of ticks that
+    # only the physics flies, so the error must name the tick that
+    # left the band, not the busy tick that began the stretch.
+    high = scenario_with(NOMINAL, {"vehicle.avg_thrust": 20500.0,
+                                   "vehicle.burn_time": 6.0})
+    with pytest.raises(DomainError) as info:
+        run_mission(high)
+    assert str(info.value) == (
+        "at t=6.731 s the vehicle left the 0-11 km atmosphere model band: "
+        "altitude 11000.25694480713 outside model band [0, 11000.0] m")
+    assert isinstance(info.value.__cause__, DomainError)
 
 
 def test_payload_above_the_model_band_is_named(monkeypatch):
