@@ -95,8 +95,8 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
     phase = start = state.phase
     if phase is _LANDED:
         return 1
-    # Ignition on the first step; unpowered specs go straight to coast.
     if phase is _PRELAUNCH:
+        # Ignition on the first step; unpowered specs go straight to coast.
         phase = _BOOST if spec.avg_thrust > 0.0 else _COAST
     thrust = 0.0
     if phase is _BOOST:
