@@ -162,7 +162,8 @@ class Barometer:
         self._ring[tick % self._size] = true_altitude
         if tick < self._next_tick:
             return None
-        delayed_altitude = self._ring[self._truth_tick % self._size]
+        truth = self._truth_tick
+        delayed_altitude = self._ring[truth % self._size]
 
         # Find the next reading and its truth tick, inline: at 10 ms this
         # runs on every other tick.
@@ -185,7 +186,7 @@ class Barometer:
             # The newest tick up to k that is `latency` old, unless that
             # is older than this truth tick; guess this reading's lag.
             target = now - self._latency + TIME_EPS
-            held = self._truth_tick
+            held = truth
             j = held + k - tick
             while j > held and j * dt > target:
                 j -= 1
@@ -195,7 +196,11 @@ class Barometer:
                 self._truth_tick = j
 
         model = self.model
-        pressure = pressure_at_altitude(model, delayed_altitude)
+        try:
+            pressure = pressure_at_altitude(model, delayed_altitude)
+        except DomainError as exc:
+            exc.tick = truth    # the tick whose altitude it quotes
+            raise
         sigma = self._sigma
         if sigma > 0.0:
             pressure += self._rng.normalvariate(0.0, sigma)

@@ -89,12 +89,11 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
     """Fly the vehicle up to `ticks` ticks from tick `first`, in place;
     return how many it flew.  The caller has sampled tick `first`; each
     later tick k first calls `sample(altitude, k)`.  It stops after the
-    first step that changes the phase, and a landed state stays as it
-    is for one tick.  A DomainError raised on tick k carries k as `tick`.
+    first step that changes the phase; the landing clamp keeps a landed
+    state bit for bit as it is.  A DomainError raised on tick k carries
+    k as `tick`, unless the barometer set the tick of its truth there.
     """
     phase = start = state.phase
-    if phase is _LANDED:
-        return 1
     if phase is _PRELAUNCH:
         # Ignition on the first step; unpowered specs go straight to coast.
         phase = _BOOST if spec.avg_thrust > 0.0 else _COAST
@@ -139,7 +138,7 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
             tick += 1
             sample(altitude, tick)
     except DomainError as exc:
-        exc.tick = tick
+        exc.tick = getattr(exc, "tick", tick)
         raise
 
     state.altitude, state.velocity = altitude, velocity

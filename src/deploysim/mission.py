@@ -3,12 +3,13 @@
 A busy tick runs, in order: barometer sampling (fed the tick index),
 the scheduled battery failure, the cooperative tasks that are due (sense
 and estimate at 50 Hz, deploy logic at 100 Hz), actuation, battery
-drain and telemetry (20 Hz), then the payload and vehicle truth steps.
-If nothing moves and the pack delivered no charge, the ticks up to the
-next task that can act rest: they only sample the barometer and step
-the truth, and unless a payload flies one `step_vehicle` call flies
-them.  Deploy logic cannot act while the phase is absorbing, nor between
-sense ticks while it waits in AwaitWindow on inputs it has weighed.
+drain and telemetry (20 Hz), then the vehicle step.  The push that
+releases the payload flies its whole descent, which nothing else reads;
+its landing sets the run's last tick.  If nothing moves and the pack
+delivered no charge, the ticks up to the next task that can act rest:
+one `step_vehicle` call per phase samples the barometer and flies them.
+Deploy logic cannot act while the phase is absorbing, nor between sense
+ticks while it waits in AwaitWindow on inputs it has weighed.
 Everything downstream of the scenario and seed is deterministic, so
 equal inputs give byte-identical telemetry.
 """
@@ -21,7 +22,7 @@ from typing import NamedTuple
 from .actuation import (BatteryState, CarrierState, DoorState, FaultPlan,
                         begin_push, carrier_drive, command_unlock,
                         drain_battery, halt_carrier, step_carrier, step_door)
-from .atmosphere import MODEL_CEILING, Barometer
+from .atmosphere import Barometer
 from .controller import DeploymentController, DeployPhase, TaskSchedule
 from .errors import DomainError, ScenarioError
 from .flight import (FlightPhase, FlightState, PayloadState, initial_state,
@@ -190,6 +191,7 @@ def run_mission(scenario: Scenario,
     telemetry: list[TelemetryRecord] = []
     commands: list[CommandLogEntry] = []
     events: list[Event] = []
+    descent: list[Event] = []   # the payload's, merged in after the loop
 
     # The first tick at or after the scheduled battery failure still due.
     fail_tick = n_ticks
@@ -204,7 +206,6 @@ def run_mission(scenario: Scenario,
     # Deploy logic cannot act before the next sense tick: the phase is
     # absorbing, or it stayed in AwaitWindow on the inputs it has.
     logic_idle = False
-    stop = False                # end the run after this tick's physics
     eject_altitude: float | None = None
     eject_time: float | None = None     # not None once released
     energy = 0.0
@@ -259,7 +260,8 @@ def run_mission(scenario: Scenario,
                         halt_carrier(carrier)
                         events.append(Event(now, "safe_hold",
                                             controller.safe_hold_reason.value))
-                        stop = stop_at_verdict
+                        if stop_at_verdict:
+                            n_ticks = fail_tick = tick + 1
 
             # Actuation over [now, now + dt).  A dead pack drives
             # neither the lock rod nor the rack; the door swings
@@ -290,7 +292,27 @@ def run_mission(scenario: Scenario,
                                     vehicle.velocity)
                     vehicle.mass -= payload.mass
                     events.append(Event(now, "ejected", eject_altitude))
-                    stop = stop_at_verdict
+                    if stop_at_verdict:
+                        n_ticks = tick + 1
+                    # Fly the whole descent now; its landing ends the run.
+                    try:
+                        for p in range(tick, n_ticks):
+                            previous = payload.state
+                            step_payload(payload, dt, eject_altitude,
+                                         atmosphere)
+                            if payload.state is previous:
+                                continue
+                            landed = payload.state is PayloadState.LANDED
+                            descent.append(Event(
+                                p * dt, "payload_landed" if landed
+                                else "payload_chute_open", payload.altitude))
+                            if landed:
+                                n_ticks = p + 1
+                                break
+                    except DomainError as exc:
+                        exc.tick, exc.body = p, "payload"
+                        raise
+                    fail_tick = min(fail_tick, n_ticks)
 
             # Battery: account by delivered charge, so the audit is exact.
             total_current = current + quiescent
@@ -315,32 +337,16 @@ def run_mission(scenario: Scenario,
             # that can act rest.
             end = tick + 1
             rest = quiet if logic_idle else free
-            if rest and not (delivered or stop or rod or swing or push):
+            if rest and not (delivered or rod or swing or push):
                 end = (tick + rest + 1 if tick + rest < fail_tick
                        else fail_tick)
 
-            # Fly the ticks [tick, end).  While a released payload flies
-            # (its landing ends the run), it and the vehicle step one tick
-            # per call; else one call flies the vehicle to its next phase
-            # change.  Vehicle events are stamped at the end of their tick.
+            # Fly the ticks [tick, end), one call from each phase change to
+            # the next.  Vehicle events are stamped at the end of their tick.
             while True:
-                ticks = end - tick
-                if eject_time is not None:
-                    ticks = 1
-                    previous = payload.state
-                    step_payload(payload, dt, eject_altitude, atmosphere)
-                    if payload.state is not previous:
-                        if payload.state is PayloadState.PARACHUTE_DESCENT:
-                            events.append(Event(tick * dt,
-                                                "payload_chute_open",
-                                                payload.altitude))
-                        else:
-                            events.append(Event(tick * dt, "payload_landed",
-                                                0.0))
-                            stop = True
                 previous_phase = vehicle.phase
                 tick += step_vehicle(vehicle_spec, vehicle, dt, atmosphere,
-                                     ticks, sample, tick)
+                                     end - tick, sample, tick)
                 if vehicle.phase is not previous_phase:
                     if vehicle.phase is FlightPhase.DROGUE_DESCENT:
                         events.append(Event(tick * dt, "apogee_truth",
@@ -348,20 +354,20 @@ def run_mission(scenario: Scenario,
                     elif vehicle.phase is FlightPhase.LANDED:
                         events.append(Event(tick * dt, "vehicle_landed", 0.0))
                         if eject_time is None:
-                            stop = True
-                if stop or tick == end:
+                            n_ticks = end = tick
+                if tick == end:
                     break
                 sample(vehicle.altitude, tick)
-            if stop:
-                break
     except DomainError as exc:
-        tick = getattr(exc, "tick", tick)   # as a stretch names it
-        # Only a payload under its chute reads the atmosphere.
-        body = ("payload" if payload.state is PayloadState.PARACHUTE_DESCENT
-                and not payload.altitude <= MODEL_CEILING else "vehicle")
+        # The tick, and the body if not the vehicle, as the raiser names.
+        tick = getattr(exc, "tick", tick)
+        body = getattr(exc, "body", "vehicle")
         raise DomainError(
             f"at t={tick * dt:.3f} s the {body} left the 0-11 km atmosphere "
             f"model band: {exc}") from exc
+    # Stable: a payload event follows the loop's events of its stamp.
+    events += descent
+    events.sort(key=lambda event: event.time)
 
     if eject_time is not None:
         in_window = (trigger.deploy_floor <= eject_altitude

@@ -126,9 +126,16 @@ def test_landed_is_absorbing():
     state = FlightState(altitude=0.0, velocity=0.0, mass=10.0,
                         phase=FlightPhase.LANDED)
     before = replace(state)
-    # It flies the tick it was called on and stops there.
-    assert step_vehicle(DRAG_FREE, state, 0.001, MODEL, 5, None, 0) == 1
+    sampled = []
+    # It flies every tick of the call, sampling each later one on the
+    # ground, and the landing clamp keeps the state as it was.
+    assert step_vehicle(DRAG_FREE, state, 0.001, MODEL, 5,
+                        lambda altitude, tick: sampled.append(
+                            (tick, altitude)), 0) == 5
+    assert sampled == [(1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0)]
     assert state == before
+    assert math.copysign(1.0, state.altitude) == 1.0
+    assert math.copysign(1.0, state.velocity) == 1.0
 
 
 def test_landing_clamps_altitude_and_velocity():
