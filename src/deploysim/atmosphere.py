@@ -114,16 +114,16 @@ class Barometer:
 
     Built for one run of `ticks` ticks of `dt` seconds.  Call
     `sample(altitude, tick)` on every tick, in order from tick 0; it
-    returns a reading on sample-rate boundaries and None otherwise, and
-    keeps the newest reading as `latest` (None before the first).  A
-    reading is due on the first tick k with `k*dt + TIME_EPS >=
-    index*period`, at most one per tick.  Latency is a fixed delay: the
-    reading reports the truth of the newest tick j <= k with `j*dt <=
-    k*dt - latency + TIME_EPS`, or of the tick the last reading reported
-    while no tick is that old (tick 0 at first).  Noise is gaussian on
-    pressure, drawn from the stdlib Mersenne Twister (`random.Random`,
-    `normalvariate`), so a given seed reproduces the same stream on any
-    platform.
+    returns a reading (pressure, altitude) on sample-rate boundaries and
+    None otherwise.  `latest` is the newest sensed altitude, NaN before
+    the first reading.  A reading is due on the first tick k with
+    `k*dt + TIME_EPS >= index*period`, at most one per tick.  Latency is
+    a fixed delay: the reading reports the truth of the newest tick
+    j <= k with `j*dt <= k*dt - latency + TIME_EPS`, or of the tick the
+    last reading reported while no tick is that old (tick 0 at first).
+    Noise is gaussian on pressure, drawn from the stdlib Mersenne
+    Twister (`random.Random`, `normalvariate`), so a given seed
+    reproduces the same stream on any platform.
 
     The altitudes live in a ring of ceil(latency/dt) + 1 floats (never
     more than `ticks`), indexed by tick, so a tick without a reading
@@ -135,7 +135,6 @@ class Barometer:
 
     def __init__(self, spec: BarometerSpec, model: AtmosphereModel,
                  dt: float, ticks: int) -> None:
-        self.spec = spec
         self.model = model
         self._rng = random.Random(spec.seed)
         self._dt = dt
@@ -155,7 +154,7 @@ class Barometer:
         self._size = max(1, min(ticks, math.ceil(
             min(spec.latency / dt, ticks)) + 1))
         self._ring = [0.0] * self._size
-        self.latest = None
+        self.latest = math.nan
 
     def sample(self, true_altitude: float, tick: int):
         """Feed the truth of `tick`; get (pressure, altitude) or None."""
@@ -215,5 +214,5 @@ class Barometer:
             pressure = model.sea_level_pressure
         elif pressure < model.min_pressure:
             pressure = model.min_pressure
-        self.latest = reading = pressure, _altitude_in_band(model, pressure)
-        return reading
+        self.latest = altitude = _altitude_in_band(model, pressure)
+        return pressure, altitude

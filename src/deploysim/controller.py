@@ -160,7 +160,9 @@ class DeploymentController:
         self.stroke = stroke
         self.phase = DeployPhase.LOCKED
         self.safe_hold_reason: SafeHoldReason | None = None
-        self.sensed_altitude: float | None = None
+        # NaN before the first reading: it fails every comparison, so
+        # no apogee is confirmed and deploy logic waits in AwaitWindow.
+        self.sensed_altitude = math.nan
         self.apogee_seen = False
         self._max_sensed = -math.inf
         # Start of the running timeout: the unlock command (door
@@ -169,16 +171,14 @@ class DeploymentController:
 
     # -- tasks, in schedule priority order ---------------------------------
 
-    def task_sense(self, sample) -> None:
-        """Latch the newest barometer reading."""
-        self.sensed_altitude = sample[1]
+    def task_sense(self, altitude: float) -> None:
+        """Latch the newest sensed altitude (`Barometer.latest`)."""
+        self.sensed_altitude = altitude
 
     def task_estimate(self) -> bool:
         """Track peak sensed altitude; True on the call that confirms
         apogee, a drop of `apogee_confirm_drop` below the peak."""
         altitude = self.sensed_altitude
-        if altitude is None:
-            return False
         if altitude > self._max_sensed:
             self._max_sensed = altitude
         elif (not self.apogee_seen
@@ -212,8 +212,6 @@ class DeploymentController:
             return self._hold(SafeHoldReason.BATTERY_FAILURE)
 
         altitude = self.sensed_altitude
-        if altitude is None:
-            return []
         trigger = self.trigger
 
         if phase is _AWAIT_WINDOW:

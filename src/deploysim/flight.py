@@ -84,8 +84,8 @@ def initial_state(spec: VehicleSpec, payload_mass: float = 0.0) -> FlightState:
 
 
 def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
-                 atmosphere: AtmosphereModel, ticks: int = 1,
-                 sample=None, first: int = 0) -> int:
+                 atmosphere: AtmosphereModel, ticks: int, sample,
+                 first: int) -> int:
     """Fly the vehicle up to `ticks` ticks from tick `first`, in place;
     return how many it flew.  The caller has sampled tick `first`; each
     later tick k first calls `sample(altitude, k)`.  It stops after the
@@ -149,10 +149,10 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
 
 @dataclass(slots=True)
 class PayloadBody:
-    """Free payload after ejection: ballistic fall, then parachute.
+    """A stowed payload until released: ballistic fall, then parachute.
 
     The parachute opens once the body has fallen
-    `parachute_open_altitude_loss` metres below its ejection altitude.
+    `parachute_open_altitude_loss` metres below its release altitude.
     """
 
     mass: float                             # kg
@@ -161,17 +161,22 @@ class PayloadBody:
     state: PayloadState = PayloadState.STOWED
     altitude: float = 0.0
     velocity: float = 0.0
+    release_altitude: float | None = None   # m, None while stowed
+    release_time: float | None = None       # s, None while stowed
 
 
-def release_payload(body: PayloadBody, altitude: float,
-                    velocity: float) -> None:
-    """Free a stowed payload in place with its state vector at ejection."""
+def release_payload(body: PayloadBody, vehicle: FlightState,
+                    time: float) -> None:
+    """Free a stowed payload in place at `time` with the vehicle's state
+    vector, and take its mass off the vehicle (see `initial_state`)."""
     body.state = _FREE_FALL
-    body.altitude = altitude
-    body.velocity = velocity
+    body.altitude = body.release_altitude = vehicle.altitude
+    body.velocity = vehicle.velocity
+    body.release_time = time
+    vehicle.mass -= body.mass
 
 
-def step_payload(body: PayloadBody, dt: float, ejection_altitude: float,
+def step_payload(body: PayloadBody, dt: float,
                  atmosphere: AtmosphereModel) -> None:
     """Advance a released payload that has not landed one step, in place.
 
@@ -199,8 +204,8 @@ def step_payload(body: PayloadBody, dt: float, ejection_altitude: float,
         body.altitude = 0.0
         body.velocity = 0.0
         return
-    if (state is _FREE_FALL
-            and ejection_altitude - altitude >= body.parachute_open_altitude_loss):
+    if (state is _FREE_FALL and body.release_altitude - altitude
+            >= body.parachute_open_altitude_loss):
         body.state = _PARACHUTE_DESCENT
     body.altitude = altitude
     body.velocity = velocity

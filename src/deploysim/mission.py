@@ -4,10 +4,11 @@ A busy tick runs, in order: barometer sampling (fed the tick index),
 the scheduled battery failure, the cooperative tasks that are due (sense
 and estimate at 50 Hz, deploy logic at 100 Hz), actuation, battery
 drain and telemetry (20 Hz), then the vehicle step.  The push that
-releases the payload flies its whole descent, which nothing else reads;
-its landing sets the run's last tick.  If nothing moves and the pack
-delivered no charge, the ticks up to the next task that can act rest:
-one `step_vehicle` call per phase samples the barometer and flies them.
+releases the payload records the release on the payload, where the
+verdict reads it, and flies the whole descent there; the landing sets
+the run's last tick.  If nothing moves and the pack delivered no
+charge, the ticks up to the next task that can act rest: one
+`step_vehicle` call per phase samples the barometer and flies them.
 Deploy logic cannot act while the phase is absorbing, nor between sense
 ticks while it waits in AwaitWindow on inputs it has weighed.
 Everything downstream of the scenario and seed is deterministic, so
@@ -88,6 +89,7 @@ class TelemetryRecord(NamedTuple):
 TELEMETRY_COLUMNS = TelemetryRecord._fields
 
 _SAFE_HOLD = DeployPhase.SAFE_HOLD
+_STOWED = PayloadState.STOWED
 
 
 def make_telemetry_record(now: float, vehicle: FlightState,
@@ -101,7 +103,6 @@ def make_telemetry_record(now: float, vehicle: FlightState,
     Labels are read with `_value_`: on Python 3.11 `Enum.value` is a
     Python-level property that costs about ten times as much.
     """
-    sensed = controller.sensed_altitude
     phase = controller.phase
     reason = controller.safe_hold_reason
     if phase is _SAFE_HOLD and reason is not None:
@@ -127,7 +128,7 @@ def make_telemetry_record(now: float, vehicle: FlightState,
         now,                                            # time_s
         vehicle.altitude,                               # truth_alt_m
         vehicle.velocity,                               # truth_vel_mps
-        sensed if sensed is not None else math.nan,     # sensed_alt_m
+        controller.sensed_altitude,                     # sensed_alt_m
         vehicle.phase._value_,                          # flight_phase
         deploy_phase,                                   # deploy_phase
         door.angle,                                     # door_angle_rad
@@ -206,8 +207,6 @@ def run_mission(scenario: Scenario,
     # Deploy logic cannot act before the next sense tick: the phase is
     # absorbing, or it stayed in AwaitWindow on the inputs it has.
     logic_idle = False
-    eject_altitude: float | None = None
-    eject_time: float | None = None     # not None once released
     energy = 0.0
     peak_current = 0.0
     charge_drawn = 0.0
@@ -235,7 +234,6 @@ def run_mission(scenario: Scenario,
             (sense_due, logic_due, telemetry_due, free,
              quiet) = schedule.due_at_tick(tick)
             if sense_due:
-                # Tick 0 always has a reading, so the barometer has one.
                 controller.task_sense(barometer.latest)
                 if controller.task_estimate():
                     events.append(Event(now, "apogee_sensed",
@@ -284,22 +282,18 @@ def run_mission(scenario: Scenario,
             push = powered and carrier.pushing
             if push:
                 current += step_carrier(carrier, dt, drive)[1]
-                if (eject_time is None
+                if (payload.state is _STOWED
                         and carrier.payload_displacement >= stroke):
-                    eject_altitude = vehicle.altitude
-                    eject_time = now
-                    release_payload(payload, vehicle.altitude,
-                                    vehicle.velocity)
-                    vehicle.mass -= payload.mass
-                    events.append(Event(now, "ejected", eject_altitude))
+                    release_payload(payload, vehicle, now)
+                    events.append(Event(now, "ejected",
+                                        payload.release_altitude))
                     if stop_at_verdict:
                         n_ticks = tick + 1
                     # Fly the whole descent now; its landing ends the run.
                     try:
                         for p in range(tick, n_ticks):
                             previous = payload.state
-                            step_payload(payload, dt, eject_altitude,
-                                         atmosphere)
+                            step_payload(payload, dt, atmosphere)
                             if payload.state is previous:
                                 continue
                             landed = payload.state is PayloadState.LANDED
@@ -353,7 +347,7 @@ def run_mission(scenario: Scenario,
                                             vehicle.altitude))
                     elif vehicle.phase is FlightPhase.LANDED:
                         events.append(Event(tick * dt, "vehicle_landed", 0.0))
-                        if eject_time is None:
+                        if payload.state is _STOWED:
                             n_ticks = end = tick
                 if tick == end:
                     break
@@ -369,8 +363,8 @@ def run_mission(scenario: Scenario,
     events += descent
     events.sort(key=lambda event: event.time)
 
-    if eject_time is not None:
-        in_window = (trigger.deploy_floor <= eject_altitude
+    if payload.state is not _STOWED:
+        in_window = (trigger.deploy_floor <= payload.release_altitude
                      <= trigger.deploy_ceiling + trigger.window_allowance)
         outcome = (Outcome.DEPLOYED_IN_WINDOW if in_window
                    else Outcome.DEPLOYED_OUT_OF_WINDOW)
@@ -385,8 +379,8 @@ def run_mission(scenario: Scenario,
     verdict = MissionVerdict(
         outcome=outcome,
         safe_hold_reason=reason.value if reason is not None else None,
-        deploy_altitude_truth=eject_altitude,
-        deploy_time=eject_time,
+        deploy_altitude_truth=payload.release_altitude,
+        deploy_time=payload.release_time,
         energy_used=energy,
         peak_current=peak_current,
     )

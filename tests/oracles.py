@@ -5,6 +5,7 @@ than imported, so a wrong constant or derived factor in the package
 shows up as a mismatch.  Call them inside their domain only: they do no
 range checks.  `DequeBarometer` is a reference of another kind: the
 straightforward implementation that the package's barometer replaced.
+`step_once` is plumbing, for tests that fly the vehicle tick by tick.
 """
 
 import math
@@ -13,6 +14,7 @@ from collections import deque
 
 from deploysim.atmosphere import (TIME_EPS, _altitude_in_band,
                                   pressure_at_altitude)
+from deploysim.flight import step_vehicle
 
 G = 9.81                        # m/s^2, flight and sizing gravity
 STANDARD_GRAVITY = 9.80665      # m/s^2, g0 of the barometric formula
@@ -32,6 +34,13 @@ def altitude_from_pressure(model, pressure):
     ratio = pressure / model.sea_level_pressure
     return model.sea_level_temperature / model.lapse_rate * (
         1.0 - ratio ** exponent)
+
+
+def step_once(spec, state, dt, model):
+    """Fly the vehicle one tick with a no-op sampler, which a single
+    tick never calls."""
+    return step_vehicle(spec, state, dt, model, 1,
+                        lambda altitude, tick: None, 0)
 
 
 def terminal_speed(mass, drag_area, rho):

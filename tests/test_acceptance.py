@@ -37,9 +37,9 @@ from deploysim.atmosphere import (_altitude_in_band, density_at_altitude,
                                   pressure_at_altitude)
 from deploysim.flight import (FlightPhase, FlightState, PayloadBody,
                               PayloadState, VehicleSpec, release_payload,
-                              step_payload, step_vehicle)
+                              step_payload)
 from conftest import record_criterion
-from oracles import terminal_speed
+from oracles import step_once, terminal_speed
 
 NOMINAL = bundled_scenario("altair_nominal")
 MODEL = NOMINAL.atmosphere
@@ -257,7 +257,7 @@ def test_c4_physics_oracles():
     state = FlightState(altitude=0.0, velocity=100.0, mass=10.0,
                         phase=FlightPhase.COAST)
     while state.velocity > 0.0:
-        step_vehicle(spec, state, 0.001, MODEL)
+        step_once(spec, state, 0.001, MODEL)
     expected = 100.0**2 / (2 * 9.81)
     if abs(state.altitude - expected) / expected > 1e-3:
         failures.append(f"apogee {state.altitude:.2f} vs {expected:.2f}")
@@ -265,10 +265,11 @@ def test_c4_physics_oracles():
     # Parachute descent vs sqrt(2mg / rho Cd A), checked at altitude.
     body = PayloadBody(mass=1.0, parachute_drag_area=0.45,
                        parachute_open_altitude_loss=40.0)
-    release_payload(body, 500.0, -10.0)
+    release_payload(body, FlightState(altitude=500.0, velocity=-10.0,
+                                      mass=10.0), 0.0)
     settled = False
     for _ in range(200000):
-        step_payload(body, 0.001, 500.0, MODEL)
+        step_payload(body, 0.001, MODEL)
         if body.state is PayloadState.LANDED:
             break
         if body.state is PayloadState.PARACHUTE_DESCENT and body.altitude < 380.0:

@@ -136,6 +136,21 @@ def test_sample_cadence_50hz():
     assert emitted == [0, 20, 40, 60, 80]
 
 
+def test_latest_is_the_newest_sensed_altitude():
+    baro = Barometer(_quiet_spec(noise_sigma=3.0, seed=7), MODEL, 0.001, 40)
+    assert math.isnan(baro.latest)
+    _, altitude = baro.sample(500.0, 0)
+    assert type(altitude) is float
+    assert baro.latest == altitude
+    # Held through the ticks without a reading, then replaced.
+    for tick in range(1, 20):
+        assert baro.sample(510.0, tick) is None
+        assert baro.latest == altitude
+    _, newer = baro.sample(520.0, 20)
+    assert newer != altitude
+    assert baro.latest == newer
+
+
 def test_noise_free_sample_reports_truth():
     baro = Barometer(_quiet_spec(), MODEL, 0.02, 1)
     pressure, altitude = baro.sample(1000.0, 0)

@@ -5,6 +5,7 @@ hand and the door/carrier/battery states are plain structs, so every
 transition lands on an exact, assertable logic tick.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -15,7 +16,8 @@ from deploysim.controller import (STABILIZE_DWELL_S, DeployPhase,
                                   DeploymentController, SafeHoldReason,
                                   TaskSchedule, task_period_ticks)
 from deploysim.flight import FlightPhase, FlightState
-from deploysim.mission import make_telemetry_record
+from deploysim.mission import (TELEMETRY_COLUMNS, make_telemetry_record,
+                               render_telemetry_csv)
 
 NOMINAL = build_scenario()
 MECH = NOMINAL.mechanism
@@ -38,7 +40,7 @@ def make_controller(**kwargs):
 
 def sense(ctl, altitude):
     """Feed one reading; True when it confirms apogee."""
-    ctl.task_sense((0.0, altitude))
+    ctl.task_sense(altitude)
     return ctl.task_estimate()
 
 
@@ -141,11 +143,20 @@ def test_first_tick_arms():
 
 def test_no_commands_before_any_sample():
     ctl = make_controller()
+    # No reading yet: the sensed altitude is NaN, which confirms no
+    # apogee, fires no command and renders as nan in telemetry.
+    assert math.isnan(ctl.sensed_altitude)
+    row = telemetry_row(ctl)
+    assert math.isnan(row.sensed_alt_m)
+    assert render_telemetry_csv([row]).splitlines()[2].split(",")[
+        TELEMETRY_COLUMNS.index("sensed_alt_m")] == "nan"
     ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.0)
     for k in range(1, 50):
+        assert ctl.task_estimate() is False
         assert ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY,
                                 k * 0.01) == []
     assert ctl.phase is DeployPhase.AWAIT_WINDOW
+    assert not ctl.apogee_seen
 
 
 def test_in_window_without_apogee_never_fires():

@@ -15,7 +15,7 @@ from deploysim.atmosphere import density_at_altitude
 from deploysim.flight import (FlightPhase, FlightState, PayloadBody,
                               PayloadState, VehicleSpec, initial_state,
                               release_payload, step_payload, step_vehicle)
-from oracles import terminal_speed
+from oracles import step_once, terminal_speed
 
 MODEL = build_scenario().atmosphere
 G = 9.81
@@ -32,7 +32,7 @@ def coast_from(velocity, dt=0.001, spec=DRAG_FREE, altitude=0.0):
                         propellant=0.0, phase=FlightPhase.COAST)
     history = [replace(state)]
     while state.velocity > 0.0:
-        step_vehicle(spec, state, dt, MODEL)
+        step_once(spec, state, dt, MODEL)
         history.append(replace(state))
     return history
 
@@ -75,13 +75,13 @@ def test_boost_accelerates_and_burns_mass():
     assert state.phase is FlightPhase.PRELAUNCH
     assert state.mass == pytest.approx(34.0)
 
-    step_vehicle(spec, state, 0.001, MODEL)
+    step_once(spec, state, 0.001, MODEL)
     assert state.phase is FlightPhase.BOOST
     assert state.velocity > 0.0
 
     steps = 1
     while state.phase is FlightPhase.BOOST:
-        step_vehicle(spec, state, 0.001, MODEL)
+        step_once(spec, state, 0.001, MODEL)
         steps += 1
     assert state.phase is FlightPhase.COAST
     assert state.propellant == 0.0
@@ -98,7 +98,7 @@ def test_phase_sequence_is_monotonic():
     state = initial_state(spec, payload_mass=1.0)
     seen = [state.phase]
     while state.phase is not FlightPhase.LANDED:
-        step_vehicle(spec, state, 0.001, MODEL)
+        step_once(spec, state, 0.001, MODEL)
         if state.phase is not seen[-1]:
             seen.append(state.phase)
     assert seen == order
@@ -110,10 +110,10 @@ def test_descent_switches_to_drogue_area():
                        drogue_drag_area=1.1)
     state = initial_state(spec, payload_mass=0.0)
     while state.phase is not FlightPhase.DROGUE_DESCENT:
-        step_vehicle(spec, state, 0.001, MODEL)
+        step_once(spec, state, 0.001, MODEL)
     # Give the drogue a few seconds to settle on terminal speed.
     for _ in range(8000):
-        step_vehicle(spec, state, 0.001, MODEL)
+        step_once(spec, state, 0.001, MODEL)
         if state.phase is FlightPhase.LANDED:
             break
     assert state.phase is not FlightPhase.LANDED, "drogue failed to slow it"
@@ -141,7 +141,7 @@ def test_landed_is_absorbing():
 def test_landing_clamps_altitude_and_velocity():
     state = FlightState(altitude=0.05, velocity=-30.0, mass=10.0,
                         phase=FlightPhase.DROGUE_DESCENT)
-    step_vehicle(DRAG_FREE, state, 0.01, MODEL)
+    step_once(DRAG_FREE, state, 0.01, MODEL)
     assert state.phase is FlightPhase.LANDED
     assert state.altitude == 0.0
     assert state.velocity == 0.0
@@ -150,7 +150,7 @@ def test_landing_clamps_altitude_and_velocity():
 def test_unpowered_spec_skips_boost():
     state = FlightState(altitude=100.0, velocity=10.0, mass=10.0,
                         phase=FlightPhase.PRELAUNCH)
-    step_vehicle(DRAG_FREE, state, 0.001, MODEL)
+    step_once(DRAG_FREE, state, 0.001, MODEL)
     assert state.phase is FlightPhase.COAST
 
 
@@ -172,18 +172,46 @@ def tumbling(mass=1.0, chute=0.45, loss=50.0):
                        parachute_open_altitude_loss=loss)
 
 
+def release(body, altitude, velocity, time=0.0):
+    """Release `body` from a vehicle flying at `altitude`, `velocity`."""
+    vehicle = FlightState(altitude=altitude, velocity=velocity,
+                          mass=10.0 + body.mass)
+    release_payload(body, vehicle, time)
+    return vehicle
+
+
+def test_release_takes_the_payload_mass_off_the_vehicle():
+    spec = VehicleSpec(dry_mass=25.0, propellant_mass=8.0, avg_thrust=1900.0,
+                       burn_time=3.0, drag_area_coast=0.006,
+                       drogue_drag_area=1.1)
+    body = tumbling(mass=2.5)
+    vehicle = initial_state(spec, body.mass)
+    for _ in range(500):
+        step_once(spec, vehicle, 0.001, MODEL)
+    assert 0.0 < vehicle.propellant < spec.propellant_mass
+    altitude, velocity = vehicle.altitude, vehicle.velocity
+    assert release_payload(body, vehicle, 0.5) is None
+    assert vehicle.mass == pytest.approx(
+        spec.dry_mass + vehicle.propellant, rel=1e-12)
+    assert (vehicle.altitude, vehicle.velocity) == (altitude, velocity)
+    assert body == replace(tumbling(mass=2.5), state=PayloadState.FREE_FALL,
+                           altitude=altitude, velocity=velocity,
+                           release_altitude=altitude, release_time=0.5)
+
+
 def test_chute_opens_after_configured_fall():
     body = tumbling(loss=50.0)
-    release_payload(body, 400.0, -5.0)
+    release(body, 400.0, -5.0, time=12.0)
+    assert (body.release_altitude, body.release_time) == (400.0, 12.0)
     opened_at = None
     for _ in range(60000):
-        step_payload(body, 0.001, 400.0, MODEL)
+        step_payload(body, 0.001, MODEL)
         if body.state is PayloadState.PARACHUTE_DESCENT:
             opened_at = body.altitude
             break
     assert opened_at is not None
     # One step of overshoot at most.
-    assert 400.0 - opened_at == pytest.approx(50.0, abs=0.05)
+    assert body.release_altitude - opened_at == pytest.approx(50.0, abs=0.05)
 
 
 def test_chute_descent_reaches_sized_speed():
@@ -191,10 +219,10 @@ def test_chute_descent_reaches_sized_speed():
     rho = density_at_altitude(MODEL, 300.0)
     sized = 2 * 1.0 * G / (rho * 5.0**2)
     body = tumbling(chute=sized, loss=50.0)
-    release_payload(body, 400.0, -15.0)
+    release(body, 400.0, -15.0)
     checked = False
     for _ in range(120000):
-        step_payload(body, 0.001, 400.0, MODEL)
+        step_payload(body, 0.001, MODEL)
         if body.state is PayloadState.LANDED:
             break
         if body.state is PayloadState.PARACHUTE_DESCENT and body.altitude <= 300.0:
@@ -209,41 +237,43 @@ def test_payload_lands_and_stays_landed():
     mission loop then stops stepping it, which
     `test_mission::test_steppers_run_once_per_tick` pins."""
     body = tumbling()
-    release_payload(body, 30.0, -20.0)
+    release(body, 30.0, -20.0, time=7.0)
     for _ in range(60000):
-        step_payload(body, 0.001, 30.0, MODEL)
+        step_payload(body, 0.001, MODEL)
         if body.state is PayloadState.LANDED:
             break
     assert body.state is PayloadState.LANDED
     assert body.altitude == 0.0
-    assert body == replace(tumbling(), state=PayloadState.LANDED)
+    assert body == replace(tumbling(), state=PayloadState.LANDED,
+                           release_altitude=30.0, release_time=7.0)
 
 
 def test_step_payload_moves_only_the_motion_fields():
     body = tumbling(chute=0.45, loss=5.0)
-    assert release_payload(body, 400.0, -20.0) is None
+    release(body, 400.0, -20.0, time=3.0)
     assert body == replace(tumbling(chute=0.45, loss=5.0),
                            state=PayloadState.FREE_FALL, altitude=400.0,
-                           velocity=-20.0)
+                           velocity=-20.0, release_altitude=400.0,
+                           release_time=3.0)
     for _ in range(2000):
         before = replace(body)
-        assert step_payload(body, 0.001, 400.0, MODEL) is None
+        assert step_payload(body, 0.001, MODEL) is None
         assert body.altitude < before.altitude
         assert body == replace(before, state=body.state,
                                altitude=body.altitude,
                                velocity=body.velocity)
     assert body.state is PayloadState.PARACHUTE_DESCENT
     landing = replace(body, altitude=0.0)
-    step_payload(landing, 0.001, 400.0, MODEL)
+    step_payload(landing, 0.001, MODEL)
     assert landing == replace(body, state=PayloadState.LANDED, altitude=0.0,
                               velocity=0.0)
 
 
 def test_free_fall_is_drag_free():
     body = tumbling(loss=1000.0)
-    release_payload(body, 5000.0, 0.0)
+    release(body, 5000.0, 0.0)
     for _ in range(1000):
-        step_payload(body, 0.001, 5000.0, MODEL)
+        step_payload(body, 0.001, MODEL)
     assert body.state is PayloadState.FREE_FALL
     assert body.velocity == pytest.approx(-G * 1.0, rel=1e-6)
 

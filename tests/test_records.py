@@ -119,7 +119,9 @@ def test_atmosphere_identity_is_its_three_inputs():
 
 # Motion and health state that every mission starts from.
 STATE_FIELDS = {("BatteryState", "failed"), ("PayloadBody", "state"),
-                ("PayloadBody", "altitude"), ("PayloadBody", "velocity")}
+                ("PayloadBody", "altitude"), ("PayloadBody", "velocity"),
+                ("PayloadBody", "release_altitude"),
+                ("PayloadBody", "release_time")}
 
 
 def test_no_record_default_repeats_a_schema_default():
