@@ -76,10 +76,12 @@ def pressure_at_altitude(model: AtmosphereModel, altitude: float) -> float:
 def density_at_altitude(model: AtmosphereModel, altitude: float) -> float:
     """Air density in kg/m^3 from the ideal gas law.
 
-    Called on every tick of a mission, so it inlines the band check and
-    the formula of `pressure_at_altitude`, with the same operations in
-    the same order, and the linear temperature profile.  Every caller
-    passes a float, so unlike `pressure_at_altitude` it converts nothing.
+    The reference formula: it inlines the band check and the formula of
+    `pressure_at_altitude`, with the same operations in the same order,
+    and the linear temperature profile.  The flight steppers inline it
+    in turn and call it only for an altitude outside the band, so it is
+    also the source of their band error.  Every caller passes a float,
+    so unlike `pressure_at_altitude` it converts nothing.
     """
     if not 0.0 <= altitude <= MODEL_CEILING:    # also rejects NaN
         raise DomainError(f"altitude {altitude!r} outside model band "

@@ -3,13 +3,20 @@
 Integration is semi-implicit Euler on a fixed step: velocity first,
 then position with the new velocity.  That keeps the drag-free energy
 drift second order in dt, which the test suite audits.
+
+Each stepper flies a stretch of ticks in one loop, up to the step that
+changes the phase or payload state, with the air density of
+`density_at_altitude` inlined: the same float operations in the same
+order, so a stretch is bit for bit a run of single steps.  An altitude
+outside the model band calls `density_at_altitude` for its error.
 """
 
 import enum
 import math
 from dataclasses import dataclass
 
-from .atmosphere import AtmosphereModel, density_at_altitude
+from .atmosphere import (GAS_CONSTANT, MODEL_CEILING, MOLAR_MASS_AIR,
+                         AtmosphereModel, density_at_altitude)
 from .errors import DomainError, ParameterError
 from .mechanism import GRAVITY
 
@@ -97,42 +104,59 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
     if phase is _PRELAUNCH:
         # Ignition on the first step; unpowered specs go straight to coast.
         phase = _BOOST if spec.avg_thrust > 0.0 else _COAST
+    boost, coast, landed = _BOOST, _COAST, _LANDED
     thrust = 0.0
-    if phase is _BOOST:
+    if phase is boost:
         burn = spec.propellant_mass / spec.burn_time * dt
         thrust = spec.avg_thrust
     # A step that changes the phase ends the call, and burnout keeps the
     # boost area, so one drag area serves every step.
     drag_area = (spec.drogue_drag_area if phase is _DROGUE_DESCENT
                  else spec.drag_area_coast)
+    dragged = drag_area > 0.0
+    lapse_rate = atmosphere.lapse_rate
+    sea_level_temperature = atmosphere.sea_level_temperature
+    sea_level_pressure = atmosphere.sea_level_pressure
+    exponent = atmosphere.exponent
+    molar_mass, gas_constant = MOLAR_MASS_AIR, GAS_CONSTANT
+    ceiling, gravity = MODEL_CEILING, GRAVITY
     altitude, velocity = state.altitude, state.velocity
     mass, propellant = state.mass, state.propellant
     tick, last = first, first + ticks - 1
     try:
         while True:
-            if phase is _BOOST:
+            if phase is boost:
                 burned = min(burn, propellant)
                 mass -= burned
                 propellant -= burned
                 if propellant <= 0.0:
                     propellant = 0.0
-                    phase = _COAST
+                    phase = coast
 
             drag = 0.0
-            if drag_area > 0.0 and velocity != 0.0:
-                rho = density_at_altitude(atmosphere, altitude)
-                drag = 0.5 * rho * velocity * abs(velocity) * drag_area
+            if dragged and velocity != 0.0:
+                if 0.0 <= altitude <= ceiling:
+                    drop = lapse_rate * altitude
+                    base = 1.0 - drop / sea_level_temperature
+                    rho = (sea_level_pressure * base ** exponent * molar_mass
+                           / (gas_constant * (sea_level_temperature - drop)))
+                else:
+                    rho = density_at_altitude(atmosphere, altitude)
+                if velocity > 0.0:
+                    drag = 0.5 * rho * velocity * velocity * drag_area
+                else:
+                    drag = 0.5 * rho * velocity * -velocity * drag_area
 
-            accel = (thrust - drag) / mass - GRAVITY
+            accel = (thrust - drag) / mass - gravity
             velocity = velocity + accel * dt
             altitude = altitude + velocity * dt
 
-            if phase is _COAST and velocity <= 0.0:
+            if phase is coast and velocity <= 0.0:
                 phase = _DROGUE_DESCENT
             if altitude <= 0.0:
                 altitude = 0.0
                 velocity = 0.0
-                phase = _LANDED
+                phase = landed
             if phase is not start or tick == last:
                 break
             tick += 1
@@ -176,36 +200,68 @@ def release_payload(body: PayloadBody, vehicle: FlightState,
     vehicle.mass -= body.mass
 
 
-def step_payload(body: PayloadBody, dt: float,
-                 atmosphere: AtmosphereModel) -> None:
-    """Advance a released payload that has not landed one step, in place.
+def step_payload(body: PayloadBody, dt: float, atmosphere: AtmosphereModel,
+                 ticks: int, first: int) -> int:
+    """Fly a released payload that has not landed up to `ticks` ticks
+    from tick `first`, in place; return how many it flew.  It stops
+    after the first step that changes the payload state.  A DomainError
+    raised on tick k carries k as `tick`.
 
     The chute drag is explicit, so for a light payload under a large
     chute one step of it can overshoot through zero speed.  A step that
     would turn a descent into a climb descends at the terminal speed of
     the current altitude instead.
     """
-    state = body.state
-    velocity = body.velocity
-    accel = -GRAVITY
-    if state is _PARACHUTE_DESCENT and velocity != 0.0:
-        rho = density_at_altitude(atmosphere, body.altitude)
-        drag = 0.5 * rho * velocity * abs(velocity) * body.parachute_drag_area
-        accel -= drag / body.mass
-    previous = velocity
-    velocity = velocity + accel * dt
-    if previous < 0.0 < velocity:       # only the chute drag does that
-        velocity = -math.sqrt(2.0 * body.mass * GRAVITY
-                              / (rho * body.parachute_drag_area))
-    altitude = body.altitude + velocity * dt
+    mass = body.mass
+    chute_area = body.parachute_drag_area
+    under_chute = body.state is _PARACHUTE_DESCENT
+    lapse_rate = atmosphere.lapse_rate
+    sea_level_temperature = atmosphere.sea_level_temperature
+    sea_level_pressure = atmosphere.sea_level_pressure
+    exponent = atmosphere.exponent
+    molar_mass, gas_constant = MOLAR_MASS_AIR, GAS_CONSTANT
+    ceiling, gravity = MODEL_CEILING, GRAVITY
+    release_altitude = body.release_altitude
+    open_loss = body.parachute_open_altitude_loss
+    altitude, velocity = body.altitude, body.velocity
+    tick, last = first, first + ticks - 1
+    try:
+        while True:
+            accel = -gravity
+            if under_chute and velocity != 0.0:
+                if 0.0 <= altitude <= ceiling:
+                    drop = lapse_rate * altitude
+                    base = 1.0 - drop / sea_level_temperature
+                    rho = (sea_level_pressure * base ** exponent * molar_mass
+                           / (gas_constant * (sea_level_temperature - drop)))
+                else:
+                    rho = density_at_altitude(atmosphere, altitude)
+                if velocity > 0.0:
+                    drag = 0.5 * rho * velocity * velocity * chute_area
+                else:
+                    drag = 0.5 * rho * velocity * -velocity * chute_area
+                accel -= drag / mass
+            previous = velocity
+            velocity = velocity + accel * dt
+            if previous < 0.0 < velocity:   # only the chute drag does that
+                velocity = -math.sqrt(2.0 * mass * gravity
+                                      / (rho * chute_area))
+            altitude = altitude + velocity * dt
 
-    if altitude <= 0.0:
-        body.state = _PAYLOAD_LANDED
-        body.altitude = 0.0
-        body.velocity = 0.0
-        return
-    if (state is _FREE_FALL and body.release_altitude - altitude
-            >= body.parachute_open_altitude_loss):
-        body.state = _PARACHUTE_DESCENT
-    body.altitude = altitude
-    body.velocity = velocity
+            if altitude <= 0.0:
+                body.state = _PAYLOAD_LANDED
+                altitude = velocity = 0.0
+                break
+            if (not under_chute
+                    and release_altitude - altitude >= open_loss):
+                body.state = _PARACHUTE_DESCENT
+                break
+            if tick == last:
+                break
+            tick += 1
+    except DomainError as exc:
+        exc.tick = tick
+        raise
+
+    body.altitude, body.velocity = altitude, velocity
+    return tick - first + 1

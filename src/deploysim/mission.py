@@ -5,10 +5,11 @@ the scheduled battery failure, the cooperative tasks that are due (sense
 and estimate at 50 Hz, deploy logic at 100 Hz), actuation, battery
 drain and telemetry (20 Hz), then the vehicle step.  The push that
 releases the payload records the release on the payload, where the
-verdict reads it, and flies the whole descent there; the landing sets
-the run's last tick.  If nothing moves and the pack delivered no
-charge, the ticks up to the next task that can act rest: one
-`step_vehicle` call per phase samples the barometer and flies them.
+verdict reads it, and flies the whole descent there, one `step_payload`
+call per payload state; the landing sets the run's last tick.  If
+nothing moves and the pack delivered no charge, the ticks up to the
+next task that can act rest: one `step_vehicle` call per phase samples
+the barometer and flies them.
 Deploy logic cannot act while the phase is absorbing, nor between sense
 ticks while it waits in AwaitWindow on inputs it has weighed.
 Everything downstream of the scenario and seed is deterministic, so
@@ -289,22 +290,25 @@ def run_mission(scenario: Scenario,
                                         payload.release_altitude))
                     if stop_at_verdict:
                         n_ticks = tick + 1
-                    # Fly the whole descent now; its landing ends the run.
+                    # Fly the whole descent now, one call per payload
+                    # state; its landing ends the run.
                     try:
-                        for p in range(tick, n_ticks):
+                        p = tick
+                        while p < n_ticks:
                             previous = payload.state
-                            step_payload(payload, dt, atmosphere)
+                            p += step_payload(payload, dt, atmosphere,
+                                              n_ticks - p, p)
                             if payload.state is previous:
-                                continue
+                                break
                             landed = payload.state is PayloadState.LANDED
                             descent.append(Event(
-                                p * dt, "payload_landed" if landed
+                                (p - 1) * dt, "payload_landed" if landed
                                 else "payload_chute_open", payload.altitude))
                             if landed:
-                                n_ticks = p + 1
+                                n_ticks = p
                                 break
                     except DomainError as exc:
-                        exc.tick, exc.body = p, "payload"
+                        exc.body = "payload"
                         raise
                     fail_tick = min(fail_tick, n_ticks)
 

@@ -257,7 +257,22 @@ def build_scenario(overrides: dict | None = None) -> Scenario:
 
     Only the overrides are checked: the defaults pass their own checks.
     """
-    values = dict(_DEFAULTS)
+    return _assemble(_DEFAULTS, overrides)
+
+
+def scenario_with(base: Scenario, overrides: dict) -> Scenario:
+    """Sibling scenario with a handful of keys replaced.
+
+    Only the overrides are checked, since the base's values passed
+    theirs; the checks that span keys run again on the whole.
+    """
+    return _assemble(base.values, overrides)
+
+
+def _assemble(checked: dict, overrides: dict | None) -> Scenario:
+    """Check each override onto a copy of the `checked` values, then
+    construct every component and run the checks that span keys."""
+    values = dict(checked)
     if overrides:
         for key, value in overrides.items():
             entry = SCHEMA.get(key)
@@ -296,11 +311,6 @@ def build_scenario(overrides: dict | None = None) -> Scenario:
                                         battery["capacity"]),
         quiescent_current=battery["quiescent_current"], dt=sim["dt"],
         max_sim_time=sim["max_sim_time"], values=values)
-
-
-def scenario_with(base: Scenario, overrides: dict) -> Scenario:
-    """Sibling scenario with a handful of keys replaced."""
-    return build_scenario({**base.values, **overrides})
 
 
 def _build_from_text(text: str, source: str) -> Scenario:

@@ -5,7 +5,11 @@ than imported, so a wrong constant or derived factor in the package
 shows up as a mismatch.  Call them inside their domain only: they do no
 range checks.  `DequeBarometer` is a reference of another kind: the
 straightforward implementation that the package's barometer replaced.
-`step_once` is plumbing, for tests that fly the vehicle tick by tick.
+`reference_vehicle_step` and `reference_payload_step` are the flight
+steppers one tick at a time, with the air density from the package's
+`density_at_altitude`: the references for the stretch loops, which
+inline it.  `step_once` is plumbing, for tests that fly the vehicle
+tick by tick.
 """
 
 import math
@@ -13,8 +17,8 @@ import random
 from collections import deque
 
 from deploysim.atmosphere import (TIME_EPS, _altitude_in_band,
-                                  pressure_at_altitude)
-from deploysim.flight import step_vehicle
+                                  density_at_altitude, pressure_at_altitude)
+from deploysim.flight import FlightPhase, PayloadState, step_vehicle
 
 G = 9.81                        # m/s^2, flight and sizing gravity
 STANDARD_GRAVITY = 9.80665      # m/s^2, g0 of the barometric formula
@@ -41,6 +45,63 @@ def step_once(spec, state, dt, model):
     tick never calls."""
     return step_vehicle(spec, state, dt, model, 1,
                         lambda altitude, tick: None, 0)
+
+
+def reference_vehicle_step(spec, state, dt, model):
+    """Fly the vehicle one tick, in place, with rho from
+    `density_at_altitude` and the drag as 0.5*rho*v*|v|*CdA."""
+    phase = state.phase
+    if phase is FlightPhase.PRELAUNCH:
+        phase = (FlightPhase.BOOST if spec.avg_thrust > 0.0
+                 else FlightPhase.COAST)
+    area = (spec.drogue_drag_area if phase is FlightPhase.DROGUE_DESCENT
+            else spec.drag_area_coast)
+    thrust = 0.0
+    if phase is FlightPhase.BOOST:
+        thrust = spec.avg_thrust
+        burned = min(spec.propellant_mass / spec.burn_time * dt,
+                     state.propellant)
+        state.mass -= burned
+        state.propellant -= burned
+        if state.propellant <= 0.0:
+            state.propellant = 0.0
+            phase = FlightPhase.COAST
+    drag = 0.0
+    if area > 0.0 and state.velocity != 0.0:
+        rho = density_at_altitude(model, state.altitude)
+        drag = 0.5 * rho * state.velocity * abs(state.velocity) * area
+    velocity = state.velocity + ((thrust - drag) / state.mass - G) * dt
+    altitude = state.altitude + velocity * dt
+    if phase is FlightPhase.COAST and velocity <= 0.0:
+        phase = FlightPhase.DROGUE_DESCENT
+    if altitude <= 0.0:
+        altitude = velocity = 0.0
+        phase = FlightPhase.LANDED
+    state.altitude, state.velocity, state.phase = altitude, velocity, phase
+
+
+def reference_payload_step(body, dt, model):
+    """Fly a released payload that has not landed one tick, in place,
+    with rho from `density_at_altitude`; a chute step that would turn the
+    descent into a climb descends at terminal speed instead."""
+    accel = -G
+    if (body.state is PayloadState.PARACHUTE_DESCENT
+            and body.velocity != 0.0):
+        rho = density_at_altitude(model, body.altitude)
+        accel -= (0.5 * rho * body.velocity * abs(body.velocity)
+                  * body.parachute_drag_area) / body.mass
+    velocity = body.velocity + accel * dt
+    if body.velocity < 0.0 < velocity:
+        velocity = -terminal_speed(body.mass, body.parachute_drag_area, rho)
+    altitude = body.altitude + velocity * dt
+    if altitude <= 0.0:
+        body.state = PayloadState.LANDED
+        altitude = velocity = 0.0
+    elif (body.state is PayloadState.FREE_FALL
+          and body.release_altitude - altitude
+          >= body.parachute_open_altitude_loss):
+        body.state = PayloadState.PARACHUTE_DESCENT
+    body.altitude, body.velocity = altitude, velocity
 
 
 def terminal_speed(mass, drag_area, rho):

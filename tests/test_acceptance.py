@@ -268,8 +268,8 @@ def test_c4_physics_oracles():
     release_payload(body, FlightState(altitude=500.0, velocity=-10.0,
                                       mass=10.0), 0.0)
     settled = False
-    for _ in range(200000):
-        step_payload(body, 0.001, MODEL)
+    for tick in range(200000):
+        step_payload(body, 0.001, MODEL, 1, tick)
         if body.state is PayloadState.LANDED:
             break
         if body.state is PayloadState.PARACHUTE_DESCENT and body.altitude < 380.0:

@@ -6,16 +6,18 @@ integrator at dt = 1 ms must land within 0.1% of it.
 """
 
 import math
+import random
 from dataclasses import replace
 
 import pytest
 
-from deploysim import ParameterError, build_scenario
-from deploysim.atmosphere import density_at_altitude
+from deploysim import DomainError, ParameterError, build_scenario
+from deploysim.atmosphere import AtmosphereModel, density_at_altitude
 from deploysim.flight import (FlightPhase, FlightState, PayloadBody,
                               PayloadState, VehicleSpec, initial_state,
                               release_payload, step_payload, step_vehicle)
-from oracles import step_once, terminal_speed
+from oracles import (reference_payload_step, reference_vehicle_step,
+                     step_once, terminal_speed)
 
 MODEL = build_scenario().atmosphere
 G = 9.81
@@ -203,15 +205,13 @@ def test_chute_opens_after_configured_fall():
     body = tumbling(loss=50.0)
     release(body, 400.0, -5.0, time=12.0)
     assert (body.release_altitude, body.release_time) == (400.0, 12.0)
-    opened_at = None
-    for _ in range(60000):
-        step_payload(body, 0.001, MODEL)
-        if body.state is PayloadState.PARACHUTE_DESCENT:
-            opened_at = body.altitude
-            break
-    assert opened_at is not None
+    # The free fall is one stretch, which ends on the step that opens
+    # the chute.
+    assert step_payload(body, 0.001, MODEL, 60000, 0) < 60000
+    assert body.state is PayloadState.PARACHUTE_DESCENT
     # One step of overshoot at most.
-    assert body.release_altitude - opened_at == pytest.approx(50.0, abs=0.05)
+    assert body.release_altitude - body.altitude == pytest.approx(
+        50.0, abs=0.05)
 
 
 def test_chute_descent_reaches_sized_speed():
@@ -220,9 +220,10 @@ def test_chute_descent_reaches_sized_speed():
     sized = 2 * 1.0 * G / (rho * 5.0**2)
     body = tumbling(chute=sized, loss=50.0)
     release(body, 400.0, -15.0)
+    step_payload(body, 0.001, MODEL, 120000, 0)
     checked = False
-    for _ in range(120000):
-        step_payload(body, 0.001, MODEL)
+    for tick in range(120000):
+        step_payload(body, 0.001, MODEL, 1, tick)
         if body.state is PayloadState.LANDED:
             break
         if body.state is PayloadState.PARACHUTE_DESCENT and body.altitude <= 300.0:
@@ -238,10 +239,8 @@ def test_payload_lands_and_stays_landed():
     `test_mission::test_steppers_run_once_per_tick` pins."""
     body = tumbling()
     release(body, 30.0, -20.0, time=7.0)
-    for _ in range(60000):
-        step_payload(body, 0.001, MODEL)
-        if body.state is PayloadState.LANDED:
-            break
+    # A fall too short to open the chute lands in one stretch.
+    assert step_payload(body, 0.001, MODEL, 60000, 0) < 60000
     assert body.state is PayloadState.LANDED
     assert body.altitude == 0.0
     assert body == replace(tumbling(), state=PayloadState.LANDED,
@@ -255,16 +254,16 @@ def test_step_payload_moves_only_the_motion_fields():
                            state=PayloadState.FREE_FALL, altitude=400.0,
                            velocity=-20.0, release_altitude=400.0,
                            release_time=3.0)
-    for _ in range(2000):
+    for tick in range(2000):
         before = replace(body)
-        assert step_payload(body, 0.001, MODEL) is None
+        assert step_payload(body, 0.001, MODEL, 1, tick) == 1
         assert body.altitude < before.altitude
         assert body == replace(before, state=body.state,
                                altitude=body.altitude,
                                velocity=body.velocity)
     assert body.state is PayloadState.PARACHUTE_DESCENT
     landing = replace(body, altitude=0.0)
-    step_payload(landing, 0.001, MODEL)
+    assert step_payload(landing, 0.001, MODEL, 5, 0) == 1
     assert landing == replace(body, state=PayloadState.LANDED, altitude=0.0,
                               velocity=0.0)
 
@@ -272,8 +271,7 @@ def test_step_payload_moves_only_the_motion_fields():
 def test_free_fall_is_drag_free():
     body = tumbling(loss=1000.0)
     release(body, 5000.0, 0.0)
-    for _ in range(1000):
-        step_payload(body, 0.001, MODEL)
+    assert step_payload(body, 0.001, MODEL, 1000, 0) == 1000
     assert body.state is PayloadState.FREE_FALL
     assert body.velocity == pytest.approx(-G * 1.0, rel=1e-6)
 
@@ -281,3 +279,121 @@ def test_free_fall_is_drag_free():
 def test_terminal_speed_formula():
     assert terminal_speed(1.0, 0.45, 1.225) == pytest.approx(
         math.sqrt(2 * 1.0 * G / (1.225 * 0.45)))
+
+
+# ---------------------------------------------------------------------------
+# Stretch loops against the per-tick references
+
+# Every constant off its default, so the inlined density cannot lean on
+# a default the goldens happen to fly.
+OFF_DEFAULT = AtmosphereModel(sea_level_pressure=98000.0,
+                              sea_level_temperature=296.5,
+                              lapse_rate=0.0071)
+CARRIER = VehicleSpec(dry_mass=25.0, propellant_mass=8.0, avg_thrust=1900.0,
+                      burn_time=3.0, drag_area_coast=0.006,
+                      drogue_drag_area=1.1)
+
+
+def bits(*values):
+    return tuple(value.hex() for value in values)
+
+
+@pytest.mark.parametrize("phase, altitude, velocity", [
+    (FlightPhase.COAST, 1500.0, 260.0),
+    (FlightPhase.DROGUE_DESCENT, 3200.0, -45.0)])
+def test_vehicle_stretch_matches_the_per_tick_reference(phase, altitude,
+                                                        velocity):
+    state = FlightState(altitude=altitude, velocity=velocity, mass=26.0,
+                        phase=phase)
+    sampled = []
+    assert step_vehicle(CARRIER, state, 0.001, OFF_DEFAULT, 2000,
+                        lambda altitude, tick: sampled.append(
+                            (tick, altitude.hex())), 7) == 2000
+    assert state.phase is phase
+    reference = FlightState(altitude=altitude, velocity=velocity, mass=26.0,
+                            phase=phase)
+    expected = []
+    for tick in range(8, 7 + 2000):
+        reference_vehicle_step(CARRIER, reference, 0.001, OFF_DEFAULT)
+        expected.append((tick, reference.altitude.hex()))
+    reference_vehicle_step(CARRIER, reference, 0.001, OFF_DEFAULT)
+    assert sampled == expected
+    assert bits(state.altitude, state.velocity) == bits(
+        reference.altitude, reference.velocity)
+
+
+def test_chute_descent_matches_the_per_tick_reference():
+    # Opened on the way up, so the drag acts on both signs of velocity.
+    body = tumbling(mass=2.0, chute=0.8)
+    release(body, 2500.0, 30.0)
+    body.state = PayloadState.PARACHUTE_DESCENT
+    reference = replace(body)
+    assert step_payload(body, 0.001, OFF_DEFAULT, 2000, 0) == 2000
+    for _ in range(2000):
+        reference_payload_step(reference, 0.001, OFF_DEFAULT)
+    assert body.state is reference.state is PayloadState.PARACHUTE_DESCENT
+    assert bits(body.altitude, body.velocity) == bits(reference.altitude,
+                                                      reference.velocity)
+    # The rest of the descent is one stretch up to the landing tick.
+    flown = step_payload(body, 0.001, OFF_DEFAULT, 1_000_000, 2000)
+    assert body.state is PayloadState.LANDED
+    for _ in range(flown - 1):
+        reference_payload_step(reference, 0.001, OFF_DEFAULT)
+        assert reference.state is PayloadState.PARACHUTE_DESCENT
+    reference_payload_step(reference, 0.001, OFF_DEFAULT)
+    assert reference == body
+
+
+def test_single_steps_match_the_reference_where_one_ulp_of_density_shows():
+    # At 1 ms the drag of one step is far below one ulp of the velocity,
+    # so a density off by an ulp rarely moves a stretch by a bit.  Coarse
+    # steps from varied states make it show in the velocity: each state
+    # is flown one tick by the stretch loop and by the reference.
+    rng = random.Random(19)
+    for _ in range(500):
+        dt = rng.uniform(0.05, 0.5)
+        altitude = rng.uniform(500.0, 10000.0)
+        phase = rng.choice([FlightPhase.COAST, FlightPhase.DROGUE_DESCENT])
+        velocity = (rng.uniform(20.0, 300.0) if phase is FlightPhase.COAST
+                    else rng.uniform(-80.0, -20.0))
+        state = FlightState(altitude=altitude, velocity=velocity, mass=26.0,
+                            phase=phase)
+        reference = replace(state)
+        step_vehicle(CARRIER, state, dt, OFF_DEFAULT, 1, None, 0)
+        reference_vehicle_step(CARRIER, reference, dt, OFF_DEFAULT)
+        assert bits(state.altitude, state.velocity) == bits(
+            reference.altitude, reference.velocity)
+
+        body = tumbling()
+        release(body, altitude, rng.uniform(-40.0, 40.0))
+        body.state = PayloadState.PARACHUTE_DESCENT
+        reference = replace(body)
+        step_payload(body, dt, OFF_DEFAULT, 1, 0)
+        reference_payload_step(reference, dt, OFF_DEFAULT)
+        assert bits(body.altitude, body.velocity) == bits(
+            reference.altitude, reference.velocity)
+
+
+def test_chute_stretch_names_the_tick_that_leaves_the_band():
+    above = tumbling()
+    release(above, 12000.0, -5.0)
+    above.state = PayloadState.PARACHUTE_DESCENT
+    with pytest.raises(DomainError, match="outside model band") as info:
+        step_payload(above, 0.001, MODEL, 100, 17)
+    assert info.value.tick == 17
+
+    # Thrown upwards under its chute from just below the ceiling: the
+    # first tick that reads the air above it raises.
+    leaving = tumbling()
+    release(leaving, 10999.9, 8.0)
+    leaving.state = PayloadState.PARACHUTE_DESCENT
+    reference = replace(leaving)
+    completed = 0
+    with pytest.raises(DomainError):
+        while True:
+            reference_payload_step(reference, 0.001, MODEL)
+            completed += 1
+    assert completed > 1
+    with pytest.raises(DomainError, match="outside model band") as info:
+        step_payload(leaving, 0.001, MODEL, 100, 17)
+    assert info.value.tick == 17 + completed

@@ -273,6 +273,45 @@ def test_scenario_with_rejects_unknown_key():
         scenario_with(build_scenario(), {"nope": 1.0})
 
 
+@pytest.mark.parametrize("deck", ["altair_nominal", "altair_door_jam"])
+@pytest.mark.parametrize("overrides", [
+    {}, {"payload.mass": 14.0}, {"mechanism.stroke": 0.090},
+    {"sim.dt": 0.01, "sim.seed": 7}, {"trigger.push_timeout": 2.5},
+    {"atmosphere.lapse_rate": 0.007, "faults.gear_slip_push": 2}])
+def test_scenario_with_equals_a_full_rebuild(deck, overrides):
+    base = bundled_scenario(deck)
+    sibling = scenario_with(base, overrides)
+    rebuilt = build_scenario({**base.values, **overrides})
+    for field in dataclasses.fields(Scenario):
+        assert getattr(sibling, field.name) == getattr(rebuilt, field.name), (
+            field.name)
+
+
+def test_scenario_with_checks_only_its_overrides(monkeypatch):
+    checked = []
+
+    def check(self, key, value, _original=SCHEMA["sim.dt"].check.__func__):
+        checked.append(key)
+        return _original(self, key, value)
+
+    base = build_scenario()
+    monkeypatch.setattr(type(SCHEMA["sim.dt"]), "check", check)
+    scenario_with(base, {"payload.mass": 2.0, "sim.seed": 3})
+    assert checked == ["payload.mass", "sim.seed"]
+
+
+def test_scenario_with_still_rejects_a_bad_override():
+    base = bundled_scenario("altair_nominal")
+    for overrides, message in [
+            ({"payload.mass": -1.0}, "payload.mass: must be > 0"),
+            ({"sim.seed": 1.5}, "sim.seed expects an integer"),
+            ({"trigger.deploy_floor": 500.0}, "deploy_floor"),
+            ({"sim.dt": 0.0007}, "dt"),
+            ({"servo.rated_speed": 5e-324}, "give a rack speed of 0")]:
+        with pytest.raises(ScenarioError, match=message):
+            scenario_with(base, overrides)
+
+
 def test_load_scenario_from_file(tmp_path):
     deck = tmp_path / "mission.scn"
     deck.write_text("payload.mass = 3.0\nsim.seed = 5\n", encoding="utf-8")
