@@ -74,23 +74,16 @@ def pressure_at_altitude(model: AtmosphereModel, altitude: float) -> float:
 
 
 def density_at_altitude(model: AtmosphereModel, altitude: float) -> float:
-    """Air density in kg/m^3 from the ideal gas law.
+    """Air density in kg/m^3 from the ideal gas law: the pressure of
+    `pressure_at_altitude` over the linear temperature profile.
 
-    The reference formula: it inlines the band check and the formula of
-    `pressure_at_altitude`, with the same operations in the same order,
-    and the linear temperature profile.  The flight steppers inline it
-    in turn and call it only for an altitude outside the band, so it is
-    also the source of their band error.  Every caller passes a float,
-    so unlike `pressure_at_altitude` it converts nothing.
+    The reference formula, and the source of the flight steppers' band
+    error: they inline it with the same float operations in the same
+    order and call it only for an altitude outside the band.
     """
-    if not 0.0 <= altitude <= MODEL_CEILING:    # also rejects NaN
-        raise DomainError(f"altitude {altitude!r} outside model band "
-                          f"[0, {MODEL_CEILING}] m")
-    drop = model.lapse_rate * altitude
-    base = 1.0 - drop / model.sea_level_temperature
-    pressure = model.sea_level_pressure * base ** model.exponent
-    temperature = model.sea_level_temperature - drop
-    return pressure * MOLAR_MASS_AIR / (GAS_CONSTANT * temperature)
+    return (pressure_at_altitude(model, altitude) * MOLAR_MASS_AIR
+            / (GAS_CONSTANT * (model.sea_level_temperature
+                               - model.lapse_rate * altitude)))
 
 
 def _altitude_in_band(model: AtmosphereModel, pressure: float) -> float:

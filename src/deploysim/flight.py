@@ -4,11 +4,11 @@ Integration is semi-implicit Euler on a fixed step: velocity first,
 then position with the new velocity.  That keeps the drag-free energy
 drift second order in dt, which the test suite audits.
 
-Each stepper flies a stretch of ticks in one loop, up to the step that
-changes the phase or payload state, with the air density of
-`density_at_altitude` inlined: the same float operations in the same
-order, so a stretch is bit for bit a run of single steps.  An altitude
-outside the model band calls `density_at_altitude` for its error.
+Each stepper flies a stretch of ticks in one loop, the vehicle's up to
+a phase change and the payload's up to its landing, with the air
+density of `density_at_altitude` inlined: the same float operations in
+the same order, so a stretch is bit for bit a run of single steps.  An
+altitude outside the model band calls `density_at_altitude` for its error.
 """
 
 import enum
@@ -187,6 +187,8 @@ class PayloadBody:
     velocity: float = 0.0
     release_altitude: float | None = None   # m, None while stowed
     release_time: float | None = None       # s, None while stowed
+    chute_altitude: float | None = None     # m, None until the chute opens
+    chute_time: float | None = None         # s, None until the chute opens
 
 
 def release_payload(body: PayloadBody, vehicle: FlightState,
@@ -204,8 +206,10 @@ def step_payload(body: PayloadBody, dt: float, atmosphere: AtmosphereModel,
                  ticks: int, first: int) -> int:
     """Fly a released payload that has not landed up to `ticks` ticks
     from tick `first`, in place; return how many it flew.  It stops
-    after the first step that changes the payload state.  A DomainError
-    raised on tick k carries k as `tick`.
+    after the landing step.  The step on tick k that opens the chute
+    records its altitude and k*dt on the body; the steps after it fly
+    under the chute.  A DomainError raised on tick k carries k as
+    `tick` and "payload" as `body`.
 
     The chute drag is explicit, so for a light payload under a large
     chute one step of it can overshoot through zero speed.  A step that
@@ -254,13 +258,14 @@ def step_payload(body: PayloadBody, dt: float, atmosphere: AtmosphereModel,
                 break
             if (not under_chute
                     and release_altitude - altitude >= open_loss):
+                under_chute = True
                 body.state = _PARACHUTE_DESCENT
-                break
+                body.chute_altitude, body.chute_time = altitude, tick * dt
             if tick == last:
                 break
             tick += 1
     except DomainError as exc:
-        exc.tick = tick
+        exc.tick, exc.body = tick, "payload"
         raise
 
     body.altitude, body.velocity = altitude, velocity

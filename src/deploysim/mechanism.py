@@ -63,8 +63,15 @@ class MechanismParams:
 
     def __post_init__(self) -> None:
         # Stored back as the checked floats: the sizing chain trusts them.
+        # A number is an int or a float, as in the schema; a bool is not.
         for name, (low, high, low_open) in LIMITS.items():
-            value = float(getattr(self, name))
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ParameterError(f"{name} must be a number, got {value!r}")
+            try:
+                value = float(value)
+            except OverflowError:   # an int beyond the float range
+                value = math.inf
             if not (math.isfinite(value)
                     and (value > low if low_open else value >= low)
                     and (high is None or value <= high)):

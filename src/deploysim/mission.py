@@ -4,12 +4,12 @@ A busy tick runs, in order: barometer sampling (fed the tick index),
 the scheduled battery failure, the cooperative tasks that are due (sense
 and estimate at 50 Hz, deploy logic at 100 Hz), actuation, battery
 drain and telemetry (20 Hz), then the vehicle step.  The push that
-releases the payload records the release on the payload, where the
-verdict reads it, and flies the whole descent there, one `step_payload`
-call per payload state; the landing sets the run's last tick.  If
-nothing moves and the pack delivered no charge, the ticks up to the
-next task that can act rest: one `step_vehicle` call per phase samples
-the barometer and flies them.
+releases the payload flies its whole descent there in one
+`step_payload` call; the release and the chute opening are recorded on
+the payload, and the landing sets the run's last tick.  If nothing
+moves and the pack delivered no charge, the ticks up to the next task
+that can act rest: one `step_vehicle` call per phase samples the
+barometer and flies them.
 Deploy logic cannot act while the phase is absorbing, nor between sense
 ticks while it waits in AwaitWindow on inputs it has weighed.
 Everything downstream of the scenario and seed is deterministic, so
@@ -193,7 +193,6 @@ def run_mission(scenario: Scenario,
     telemetry: list[TelemetryRecord] = []
     commands: list[CommandLogEntry] = []
     events: list[Event] = []
-    descent: list[Event] = []   # the payload's, merged in after the loop
 
     # The first tick at or after the scheduled battery failure still due.
     fail_tick = n_ticks
@@ -290,26 +289,11 @@ def run_mission(scenario: Scenario,
                                         payload.release_altitude))
                     if stop_at_verdict:
                         n_ticks = tick + 1
-                    # Fly the whole descent now, one call per payload
-                    # state; its landing ends the run.
-                    try:
-                        p = tick
-                        while p < n_ticks:
-                            previous = payload.state
-                            p += step_payload(payload, dt, atmosphere,
-                                              n_ticks - p, p)
-                            if payload.state is previous:
-                                break
-                            landed = payload.state is PayloadState.LANDED
-                            descent.append(Event(
-                                (p - 1) * dt, "payload_landed" if landed
-                                else "payload_chute_open", payload.altitude))
-                            if landed:
-                                n_ticks = p
-                                break
-                    except DomainError as exc:
-                        exc.body = "payload"
-                        raise
+                    # Fly the whole descent now; its landing ends the run.
+                    flown = step_payload(payload, dt, atmosphere,
+                                         n_ticks - tick, tick)
+                    if payload.state is PayloadState.LANDED:
+                        n_ticks = tick + flown
                     fail_tick = min(fail_tick, n_ticks)
 
             # Battery: account by delivered charge, so the audit is exact.
@@ -363,8 +347,14 @@ def run_mission(scenario: Scenario,
         raise DomainError(
             f"at t={tick * dt:.3f} s the {body} left the 0-11 km atmosphere "
             f"model band: {exc}") from exc
-    # Stable: a payload event follows the loop's events of its stamp.
-    events += descent
+    # The payload's events follow the loop's events of their stamp (the
+    # sort is stable).  Nothing shortens a run once its payload has
+    # landed, so it landed on the run's last tick.
+    if payload.chute_time is not None:
+        events.append(Event(payload.chute_time, "payload_chute_open",
+                            payload.chute_altitude))
+    if payload.state is PayloadState.LANDED:
+        events.append(Event((n_ticks - 1) * dt, "payload_landed", 0.0))
     events.sort(key=lambda event: event.time)
 
     if payload.state is not _STOWED:

@@ -6,6 +6,7 @@ M = 0.0289644, R = 8.31432, L = 0.0065, T0 = 288.15, p0 = 101325)
 before being frozen here.
 """
 
+import hashlib
 import math
 import random
 import statistics
@@ -51,8 +52,8 @@ def test_density_follows_ideal_gas():
 
 
 def test_density_is_bit_identical_to_the_component_formulas():
-    # density_at_altitude inlines pressure and temperature; it must
-    # reproduce their composition exactly, band edges included.
+    # density_at_altitude is the composition of pressure and
+    # temperature, exactly, band edges included.
     grid = [0.0, 11000.0, 1e-9, 10999.999999]
     grid += [h * 137.5 for h in range(81)]
     for h in grid:
@@ -65,6 +66,62 @@ def test_density_is_bit_identical_to_the_component_formulas():
         expected = (pressure_at_altitude(other, h) * 0.0289644
                     / (8.31432 * temperature_at_altitude(other, h)))
         assert density_at_altitude(other, h) == expected, h
+
+
+# Each formula's floats over a fixed grid, bit for bit, for the default
+# model and two off it.  At 1 ms the goldens barely see a one-ulp drift
+# in the air density (one step's drag is far below an ulp of the
+# velocity), so the reference formulas are pinned here directly.
+_PINNED_MODELS = {
+    "default": MODEL,
+    "warm_low_pressure": replace(MODEL, sea_level_pressure=98000.0,
+                                 sea_level_temperature=296.5,
+                                 lapse_rate=0.0071),
+    "cold_shallow_lapse": replace(MODEL, sea_level_pressure=103000.0,
+                                  sea_level_temperature=268.0,
+                                  lapse_rate=0.005),
+}
+_PINNED_DIGESTS = {
+    "default": (
+        "cfd6ebfe9e5acb7c7099daaf76393c84713103a74a87b17f7fb63287168fe908",
+        "0798f2e76bc9b9443437c21e02324f5744cf0c6508f67dd31e19ece2b31ee271",
+        "6d490b99bf4ee153ec0924923ff4efd3eab002090cc25159d3599dc186ffa9d2"),
+    "warm_low_pressure": (
+        "dc817eb020654457f49c316e554fd4093f8c28f0412ee422e1bf1a473eced883",
+        "a84f56aed339c5eb95bee89a96eefb1b7007dca840f25468fbcd1d4e3b0cc365",
+        "1b91f6236fdccccf82447b602fa97ee069e97fbf2d374018a472d8c0d4d6c7cc"),
+    "cold_shallow_lapse": (
+        "798a7407513297e4471a902b60103fa314574a6d550d21ee90f82c59ab92374d",
+        "42060755abfe0c5e0690cd944a57c152ff506ba43500a14a29adf21a5661ae75",
+        "b852d0541ffcd25eec9e859559cc284a8d51ece7a83452dcb2aa615d2954cedb"),
+}
+
+
+def _pinned_grid():
+    """4,004 altitudes in the band, its edges included, and 4,000
+    pressures inside the band of every pinned model."""
+    rng = random.Random(41)
+    altitudes = [0.0, 5e-324, math.nextafter(11000.0, 0.0), 11000.0]
+    altitudes += [rng.uniform(0.0, 11000.0) for _ in range(4000)]
+    pressures = [rng.uniform(24000.0, 98000.0) for _ in range(4000)]
+    return altitudes, pressures
+
+
+def _digest(values):
+    return hashlib.sha256(
+        "\n".join(value.hex() for value in values).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_MODELS))
+def test_reference_formulas_are_pinned_bit_for_bit(name):
+    model = _PINNED_MODELS[name]
+    altitudes, pressures = _pinned_grid()
+    assert (
+        _digest(density_at_altitude(model, h) for h in altitudes),
+        _digest(pressure_at_altitude(model, h) for h in altitudes),
+        _digest(_altitude_in_band(model, p) for p in
+                [model.min_pressure, model.sea_level_pressure, *pressures]),
+    ) == _PINNED_DIGESTS[name]
 
 
 def test_density_rejects_what_pressure_rejects():
@@ -253,6 +310,26 @@ def test_overflowing_reading_is_clamped_not_raised(kwargs):
         assert 0.0 <= altitude <= 11000.0
 
 
+def _fly_against_the_deque(spec, dt, stream):
+    """Feed the barometer on the tick grid and the deque reference the
+    same altitudes, one per tick, and assert that they emit on the same
+    ticks the same floats, bit for bit.  Return how many readings they
+    emitted, and the most truth each held at once."""
+    baro = Barometer(spec, MODEL, dt, len(stream))
+    reference = DequeBarometer(spec, MODEL)
+    emitted = 0
+    for tick, altitude in enumerate(stream):
+        got = baro.sample(altitude, tick)
+        want = reference.sample(altitude, tick * dt)
+        if want is None:
+            assert got is None, tick
+            continue
+        emitted += 1
+        assert got is not None, tick
+        assert [x.hex() for x in got] == [x.hex() for x in want], tick
+    return emitted, len(baro._ring), reference.peak
+
+
 @pytest.mark.parametrize("dt", [0.001, 0.01, 0.0003])
 @pytest.mark.parametrize("rate", [50.0, 30.0, 7.0, 333.0])
 def test_tick_grid_barometer_matches_the_deque_reference(dt, rate):
@@ -269,18 +346,25 @@ def test_tick_grid_barometer_matches_the_deque_reference(dt, rate):
     for latency in (0.0, period, 3 * period, 1e300):
         spec = _quiet_spec(sample_rate=rate, latency=latency,
                            noise_sigma=3.0, seed=5)
-        baro = Barometer(spec, MODEL, dt, ticks)
-        reference = DequeBarometer(spec, MODEL)
-        emitted = 0
-        for tick, altitude in enumerate(stream):
-            got = baro.sample(altitude, tick)
-            want = reference.sample(altitude, tick * dt)
-            if want is None:
-                assert got is None, (latency, tick)
-                continue
-            emitted += 1
-            assert got is not None, (latency, tick)
-            assert [x.hex() for x in got] == [x.hex() for x in want], (
-                latency, tick)
+        emitted, ring, peak = _fly_against_the_deque(spec, dt, stream)
         assert emitted >= 10, latency
-        assert len(baro._ring) <= reference.peak, latency
+        assert ring <= peak, latency
+
+
+def test_forward_truth_walk_matches_the_deque_reference():
+    """Each reading guesses its truth tick one period after the last
+    one's and walks from there.  With a latency a hair over 50 ticks of
+    1.25 ms, the guess falls one tick short once in 100,000 ticks: for
+    the reading on tick 51,232 it is tick 51,181, and the walk forward
+    moves it to 51,182, as the deque reference reports."""
+    dt = 0.00125
+    spec = _quiet_spec(sample_rate=50.0, latency=0.06250000099999443,
+                       noise_sigma=3.0, seed=5)
+    rng = random.Random(20)
+    stream = [rng.uniform(0.0, 11000.0) for _ in range(100_000)]
+    assert _fly_against_the_deque(spec, dt, stream)[0] == 6250
+    reference = DequeBarometer(spec, MODEL)
+    for tick, altitude in enumerate(stream[:51_233]):
+        reading = reference.sample(altitude, tick * dt)
+    assert reading is not None
+    assert reference._truth[0][0] == 51_182 * dt

@@ -1,7 +1,13 @@
 """Command-line interface tests: argument handling, files, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import deploysim
 from deploysim.cli import build_parser, main
 
 pytestmark = pytest.mark.usefixtures("isolated_out")
@@ -212,8 +218,37 @@ def test_run_rejects_unknown_fault(capsys):
 
 
 def test_run_rejects_malformed_fault(capsys):
-    assert main(["run", "--scenario", "altair_nominal",
-                 "--fault", "link_break:force=lots"]) == 64
+    for fault, message in [
+            ("link_break:force=lots",
+             "faults.link_break_force expects a number, got 'lots'"),
+            ("door_jam:x=1", "fault 'door_jam' takes no parameters"),
+            ("gear_slip", "fault 'gear_slip' needs push=VALUE"),
+            ("gear_slip:force=1",
+             "fault 'gear_slip' expects push=VALUE, got 'force=1'")]:
+        assert main(["run", "--scenario", "altair_nominal",
+                     "--fault", fault]) == 64, fault
+        assert message in capsys.readouterr().err, fault
+
+
+def test_run_rejects_a_missing_scenario_file(tmp_path, capsys):
+    missing = tmp_path / "none.scn"
+    assert main(["run", "--scenario", str(missing)]) == 64
+    assert capsys.readouterr().err == (
+        f"deploysim: error: scenario file not found: {missing}\n")
+
+
+def test_module_entry_point_runs_main(tmp_path, capsys):
+    # `python -m deploysim.cli` exits with main's code and prints its
+    # output.
+    assert main(["sizing", "--machine"]) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(deploysim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "deploysim.cli", "sizing", "--machine"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=False)
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
 
 def test_run_fault_value_parsed_as_its_scenario_key(capsys):

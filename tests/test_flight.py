@@ -205,13 +205,26 @@ def test_chute_opens_after_configured_fall():
     body = tumbling(loss=50.0)
     release(body, 400.0, -5.0, time=12.0)
     assert (body.release_altitude, body.release_time) == (400.0, 12.0)
-    # The free fall is one stretch, which ends on the step that opens
-    # the chute.
-    assert step_payload(body, 0.001, MODEL, 60000, 0) < 60000
-    assert body.state is PayloadState.PARACHUTE_DESCENT
+    assert (body.chute_altitude, body.chute_time) == (None, None)
+    # One call flies the whole descent and records the opening on the way.
+    flown = step_payload(body, 0.001, MODEL, 600000, 3)
+    assert body.state is PayloadState.LANDED
     # One step of overshoot at most.
-    assert body.release_altitude - body.altitude == pytest.approx(
+    assert body.release_altitude - body.chute_altitude == pytest.approx(
         50.0, abs=0.05)
+    # Stamped with the tick of the step that opened it.
+    opened = round(body.chute_time / 0.001)
+    assert body.chute_time == opened * 0.001
+    assert 3 < opened < 3 + flown - 1
+    probe = tumbling(loss=50.0)
+    release(probe, 400.0, -5.0, time=12.0)
+    assert step_payload(probe, 0.001, MODEL, opened - 3, 3) == opened - 3
+    assert probe.state is PayloadState.FREE_FALL
+    assert (probe.chute_altitude, probe.chute_time) == (None, None)
+    assert step_payload(probe, 0.001, MODEL, 1, opened) == 1
+    assert probe.state is PayloadState.PARACHUTE_DESCENT
+    assert (probe.chute_altitude, probe.chute_time) == (
+        body.chute_altitude, body.chute_time)
 
 
 def test_chute_descent_reaches_sized_speed():
@@ -220,7 +233,6 @@ def test_chute_descent_reaches_sized_speed():
     sized = 2 * 1.0 * G / (rho * 5.0**2)
     body = tumbling(chute=sized, loss=50.0)
     release(body, 400.0, -15.0)
-    step_payload(body, 0.001, MODEL, 120000, 0)
     checked = False
     for tick in range(120000):
         step_payload(body, 0.001, MODEL, 1, tick)
@@ -254,14 +266,24 @@ def test_step_payload_moves_only_the_motion_fields():
                            state=PayloadState.FREE_FALL, altitude=400.0,
                            velocity=-20.0, release_altitude=400.0,
                            release_time=3.0)
+    opened = None
     for tick in range(2000):
         before = replace(body)
         assert step_payload(body, 0.001, MODEL, 1, tick) == 1
         assert body.altitude < before.altitude
-        assert body == replace(before, state=body.state,
-                               altitude=body.altitude,
-                               velocity=body.velocity)
+        if body.state is not before.state:
+            # The opening step records the chute and nothing else.
+            assert opened is None
+            opened = tick
+            assert body == replace(
+                before, state=PayloadState.PARACHUTE_DESCENT,
+                altitude=body.altitude, velocity=body.velocity,
+                chute_altitude=body.altitude, chute_time=tick * 0.001)
+        else:
+            assert body == replace(before, altitude=body.altitude,
+                                   velocity=body.velocity)
     assert body.state is PayloadState.PARACHUTE_DESCENT
+    assert 0 < opened < 1999
     landing = replace(body, altitude=0.0)
     assert step_payload(landing, 0.001, MODEL, 5, 0) == 1
     assert landing == replace(body, state=PayloadState.LANDED, altitude=0.0,
@@ -344,6 +366,31 @@ def test_chute_descent_matches_the_per_tick_reference():
     assert reference == body
 
 
+def test_one_call_opens_the_chute_and_lands_as_the_per_tick_reference():
+    # Released on the way up: the free fall climbs, turns and falls
+    # 120 m below the release, then the chute flies it to the ground.
+    body = tumbling(mass=2.0, chute=0.8, loss=120.0)
+    release(body, 2500.0, 30.0, time=4.0)
+    reference = replace(body)
+    flown = step_payload(body, 0.001, OFF_DEFAULT, 10_000_000, 4000)
+    assert body.state is PayloadState.LANDED
+    opened = None
+    for tick in range(4000, 4000 + flown):
+        assert reference.state is not PayloadState.LANDED
+        state = reference.state
+        reference_payload_step(reference, 0.001, OFF_DEFAULT)
+        if (state is PayloadState.FREE_FALL
+                and reference.state is PayloadState.PARACHUTE_DESCENT):
+            opened = tick
+            reference.chute_altitude = reference.altitude
+            reference.chute_time = tick * 0.001
+    assert reference.state is PayloadState.LANDED
+    assert 4000 < opened < 4000 + flown - 1
+    assert bits(body.chute_altitude, body.chute_time) == bits(
+        reference.chute_altitude, reference.chute_time)
+    assert reference == body
+
+
 def test_single_steps_match_the_reference_where_one_ulp_of_density_shows():
     # At 1 ms the drag of one step is far below one ulp of the velocity,
     # so a density off by an ulp rarely moves a stretch by a bit.  Coarse
@@ -380,7 +427,7 @@ def test_chute_stretch_names_the_tick_that_leaves_the_band():
     above.state = PayloadState.PARACHUTE_DESCENT
     with pytest.raises(DomainError, match="outside model band") as info:
         step_payload(above, 0.001, MODEL, 100, 17)
-    assert info.value.tick == 17
+    assert (info.value.tick, info.value.body) == (17, "payload")
 
     # Thrown upwards under its chute from just below the ceiling: the
     # first tick that reads the air above it raises.
@@ -396,4 +443,4 @@ def test_chute_stretch_names_the_tick_that_leaves_the_band():
     assert completed > 1
     with pytest.raises(DomainError, match="outside model band") as info:
         step_payload(leaving, 0.001, MODEL, 100, 17)
-    assert info.value.tick == 17 + completed
+    assert (info.value.tick, info.value.body) == (17 + completed, "payload")

@@ -152,8 +152,10 @@ def test_bad_parameters_rejected(kwargs):
 
 
 def _probes(low, high):
-    """Each bound and one ulp either side of it, plus the usual suspects."""
-    probes = [0.0, -1.0, math.nan, math.inf]
+    """Each bound and one ulp either side of it, plus the usual suspects:
+    values that are not numbers, and an int beyond the float range."""
+    probes = [0.0, -1.0, math.nan, math.inf,
+              True, False, "0.05", "abc", None, 10**400, -10**400]
     for bound in (low, high):
         if bound is not None:
             probes += [math.nextafter(bound, -math.inf), float(bound),

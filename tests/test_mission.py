@@ -245,17 +245,16 @@ def test_steppers_run_once_per_tick(monkeypatch):
     door is never stepped.  One `step_vehicle` call flies a busy tick
     and the rest ticks after it, up to a phase change; together its
     calls fly every tick once, in order, and each busy tick begins one.
-    A released payload's descent is flown at its release, one
-    `step_payload` call per payload state: together they fly every tick
-    from the release up to the landing once, in order, and each but the
-    last ends on the step that changes the state.  The pack is drained
-    once per busy tick.  The benchmark's per-layer spans hook
+    A released payload's descent is flown at its release in one
+    `step_payload` call, which flies every tick from the release up to
+    the landing or the end of the clock once, in order.  The pack is
+    drained once per busy tick.  The benchmark's per-layer spans hook
     those names, so their call counts must stay truthful."""
     names = ("step_vehicle", "step_payload", "drain_battery", "step_door",
              "begin_push", "halt_carrier")
     calls = dict.fromkeys(names, 0)
     stretches = []      # (first tick, ticks flown) per step_vehicle call
-    descent = []        # (first tick, ticks flown, state before, after)
+    descent = []        # (first tick, ticks flown) per step_payload call
     busy = []           # tick of every due_at_tick call
 
     def due_at_tick(self, tick, _original=TaskSchedule.due_at_tick):
@@ -266,12 +265,11 @@ def test_steppers_run_once_per_tick(monkeypatch):
     for name in names:
         def counted(*args, _name=name, _original=getattr(mission, name)):
             calls[_name] += 1
-            before = args[0].state if _name == "step_payload" else None
             result = _original(*args)
             if _name == "step_vehicle":
                 stretches.append((args[-1], result))
             elif _name == "step_payload":
-                descent.append((args[-1], result, before, args[0].state))
+                descent.append((args[-1], result))
             return result
         monkeypatch.setattr(mission, name, counted)
     held = set()
@@ -285,25 +283,17 @@ def test_steppers_run_once_per_tick(monkeypatch):
         result = run_mission(scenario)
         events = event_map(result)
         ticks = ticks_flown(result, scenario)
-        if "ejected" in events:
-            released = round(events["ejected"].time / dt)
-            payload_steps = ticks - released
-        else:
-            released = payload_steps = 0
         assert sum(flown for _, flown in stretches) == ticks, deck
         assert [first for first, _ in stretches] == list(itertools.accumulate(
             [0] + [flown for _, flown in stretches[:-1]])), deck
         assert busy == sorted(set(busy)), deck
         assert set(busy) <= {first for first, _ in stretches}, deck
         assert calls["drain_battery"] == len(busy), deck
-        assert sum(flown for _, flown, _, _ in descent) == payload_steps, deck
-        assert [first for first, _, _, _ in descent] == list(
-            itertools.accumulate([released] + [
-                flown for _, flown, _, _ in descent]))[:-1], deck
-        states = [before for _, _, before, _ in descent]
-        assert len(states) == len(set(states)) <= 2, deck
-        assert all(before is not after
-                   for _, _, before, after in descent[:-1]), deck
+        if "ejected" in events:
+            released = round(events["ejected"].time / dt)
+            assert descent == [(released, ticks - released)], deck
+        else:
+            assert descent == [], deck
         assert calls["begin_push"] == sum(
             command.name == "push" for command in result.commands), deck
         if result.verdict.outcome is Outcome.SAFE_HOLD:
@@ -647,12 +637,12 @@ def test_flight_leaving_the_band_on_a_rest_tick_names_that_tick():
 
 
 def test_payload_above_the_model_band_is_named(monkeypatch):
-    # No chute step climbs any more, so lift the payload above the band
-    # by hand: its first step under the chute reads the atmosphere at
-    # 12 km while the vehicle descends near 300 m.
+    # No chute step climbs any more, so release the payload above the
+    # band by hand: it falls drag-free to 11.95 km, where its chute
+    # opens, and its first step under the chute reads the atmosphere
+    # there while the vehicle descends near 300 m.
     def step_payload(body, *args, _original=mission.step_payload):
-        if body.state is PayloadState.PARACHUTE_DESCENT:
-            body.altitude = 12000.0
+        body.altitude = body.release_altitude = 12000.0
         return _original(body, *args)
 
     monkeypatch.setattr(mission, "step_payload", step_payload)
@@ -660,7 +650,7 @@ def test_payload_above_the_model_band_is_named(monkeypatch):
         run_mission(NOMINAL)
     assert str(info.value).startswith(
         "at t=70.504 s the payload left the 0-11 km atmosphere model band: "
-        "altitude 12000.0")
+        "altitude 11949.")
     assert isinstance(info.value.__cause__, DomainError)
 
 
@@ -668,17 +658,16 @@ def test_light_payload_lands_below_its_ejection_altitude(monkeypatch):
     # A 1 g payload under the nominal chute: one explicit drag step
     # would reverse its descent, so the step descends at terminal speed
     # instead (about 0.19 m/s, so the landing needs the longer clock).
-    # The stretch is flown one tick per call, so the peak sees every tick.
+    # The descent is flown one tick per call, so the peak sees every tick.
     peak = -math.inf
 
     def step_payload(body, dt, atmosphere, ticks, first,
                      _original=mission.step_payload):
         nonlocal peak
-        state = body.state
         for tick in range(first, first + ticks):
             _original(body, dt, atmosphere, 1, tick)
             peak = max(peak, body.altitude)
-            if body.state is not state:
+            if body.state is PayloadState.LANDED:
                 break
         return tick - first + 1
 

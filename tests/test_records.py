@@ -121,7 +121,9 @@ def test_atmosphere_identity_is_its_three_inputs():
 STATE_FIELDS = {("BatteryState", "failed"), ("PayloadBody", "state"),
                 ("PayloadBody", "altitude"), ("PayloadBody", "velocity"),
                 ("PayloadBody", "release_altitude"),
-                ("PayloadBody", "release_time")}
+                ("PayloadBody", "release_time"),
+                ("PayloadBody", "chute_altitude"),
+                ("PayloadBody", "chute_time")}
 
 
 def test_no_record_default_repeats_a_schema_default():
