@@ -85,12 +85,15 @@ def _out_dir(args) -> Path:
 
 
 def _write_outputs(out_dir: Path, files: dict[str, str]) -> None:
-    """Write each named text into `out_dir`, creating it first.  A path
-    that cannot hold the outputs is a configuration error."""
+    """Write each named text into `out_dir`, creating it first, with
+    Unix line ends on every platform, so the bytes are the same
+    everywhere.  A path that cannot hold the outputs is a configuration
+    error."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            (out_dir / name).write_text(text, encoding="utf-8")
+            (out_dir / name).write_text(text, encoding="utf-8",
+                                        newline="\n")
     except OSError as exc:
         raise ScenarioError(f"cannot write outputs to {str(out_dir)!r}: "
                             f"{exc.strerror or exc}") from exc

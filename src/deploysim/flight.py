@@ -4,6 +4,9 @@ Integration is semi-implicit Euler on a fixed step: velocity first,
 then position with the new velocity.  That keeps the drag-free energy
 drift second order in dt, which the test suite audits.
 
+A payload's record is its flight state: its release, chute opening
+and landing each set their own fields.
+
 Each stepper flies a stretch of ticks in one loop, the vehicle's up to
 a phase change and the payload's up to its landing, with the air
 density of `density_at_altitude` inlined: the same float operations in
@@ -29,13 +32,6 @@ class FlightPhase(enum.Enum):
     LANDED = "Landed"
 
 
-class PayloadState(enum.Enum):
-    STOWED = "Stowed"
-    FREE_FALL = "FreeFall"
-    PARACHUTE_DESCENT = "ParachuteDescent"
-    LANDED = "Landed"
-
-
 # Members compared on every tick, bound once.  On Python 3.11 an
 # attribute of an Enum class is looked up through the slow path that
 # EnumType.__getattr__ imposes, about ten times the cost of a global.
@@ -44,9 +40,6 @@ _BOOST = FlightPhase.BOOST
 _COAST = FlightPhase.COAST
 _DROGUE_DESCENT = FlightPhase.DROGUE_DESCENT
 _LANDED = FlightPhase.LANDED
-_FREE_FALL = PayloadState.FREE_FALL
-_PARACHUTE_DESCENT = PayloadState.PARACHUTE_DESCENT
-_PAYLOAD_LANDED = PayloadState.LANDED
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,25 +170,27 @@ class PayloadBody:
 
     The parachute opens once the body has fallen
     `parachute_open_altitude_loss` metres below its release altitude.
+    The record says where the payload is: stowed while `release_time`
+    is None, under its chute once `chute_time` is set, landed once
+    `landing_time` is set.
     """
 
     mass: float                             # kg
     parachute_drag_area: float              # Cd*A, m^2
     parachute_open_altitude_loss: float     # m of fall before the chute opens
-    state: PayloadState = PayloadState.STOWED
     altitude: float = 0.0
     velocity: float = 0.0
     release_altitude: float | None = None   # m, None while stowed
     release_time: float | None = None       # s, None while stowed
     chute_altitude: float | None = None     # m, None until the chute opens
     chute_time: float | None = None         # s, None until the chute opens
+    landing_time: float | None = None       # s, None until it lands
 
 
 def release_payload(body: PayloadBody, vehicle: FlightState,
                     time: float) -> None:
     """Free a stowed payload in place at `time` with the vehicle's state
     vector, and take its mass off the vehicle (see `initial_state`)."""
-    body.state = _FREE_FALL
     body.altitude = body.release_altitude = vehicle.altitude
     body.velocity = vehicle.velocity
     body.release_time = time
@@ -206,10 +201,11 @@ def step_payload(body: PayloadBody, dt: float, atmosphere: AtmosphereModel,
                  ticks: int, first: int) -> int:
     """Fly a released payload that has not landed up to `ticks` ticks
     from tick `first`, in place; return how many it flew.  It stops
-    after the landing step.  The step on tick k that opens the chute
-    records its altitude and k*dt on the body; the steps after it fly
-    under the chute.  A DomainError raised on tick k carries k as
-    `tick` and "payload" as `body`.
+    after the landing step on tick k, which records k*dt as
+    `landing_time`.  The step on tick k that opens the chute records its
+    altitude and k*dt on the body; the steps after it fly under the
+    chute.  A DomainError raised on tick k carries k as `tick` and
+    "payload" as `body`.
 
     The chute drag is explicit, so for a light payload under a large
     chute one step of it can overshoot through zero speed.  A step that
@@ -218,7 +214,7 @@ def step_payload(body: PayloadBody, dt: float, atmosphere: AtmosphereModel,
     """
     mass = body.mass
     chute_area = body.parachute_drag_area
-    under_chute = body.state is _PARACHUTE_DESCENT
+    under_chute = body.chute_time is not None
     lapse_rate = atmosphere.lapse_rate
     sea_level_temperature = atmosphere.sea_level_temperature
     sea_level_pressure = atmosphere.sea_level_pressure
@@ -253,13 +249,12 @@ def step_payload(body: PayloadBody, dt: float, atmosphere: AtmosphereModel,
             altitude = altitude + velocity * dt
 
             if altitude <= 0.0:
-                body.state = _PAYLOAD_LANDED
+                body.landing_time = tick * dt
                 altitude = velocity = 0.0
                 break
             if (not under_chute
                     and release_altitude - altitude >= open_loss):
                 under_chute = True
-                body.state = _PARACHUTE_DESCENT
                 body.chute_altitude, body.chute_time = altitude, tick * dt
             if tick == last:
                 break

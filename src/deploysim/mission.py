@@ -5,11 +5,12 @@ the scheduled battery failure, the cooperative tasks that are due (sense
 and estimate at 50 Hz, deploy logic at 100 Hz), actuation, battery
 drain and telemetry (20 Hz), then the vehicle step.  The push that
 releases the payload flies its whole descent there in one
-`step_payload` call; the release and the chute opening are recorded on
-the payload, and the landing sets the run's last tick.  If nothing
-moves and the pack delivered no charge, the ticks up to the next task
-that can act rest: one `step_vehicle` call per phase samples the
-barometer and flies them.
+`step_payload` call; the release, the chute opening and the landing are
+recorded on the payload, and the landing sets the run's last tick.  If
+nothing moves and the pack delivered no charge, the ticks up to the
+next task that can act rest: one `step_vehicle` call samples the
+barometer and flies them, up to a phase change, from which the next
+pass of the loop carries on.
 Deploy logic cannot act while the phase is absorbing, nor between sense
 ticks while it waits in AwaitWindow on inputs it has weighed.
 Everything downstream of the scenario and seed is deterministic, so
@@ -27,8 +28,8 @@ from .actuation import (BatteryState, CarrierState, DoorState, FaultPlan,
 from .atmosphere import Barometer
 from .controller import DeploymentController, DeployPhase, TaskSchedule
 from .errors import DomainError, ScenarioError
-from .flight import (FlightPhase, FlightState, PayloadState, initial_state,
-                     release_payload, step_payload, step_vehicle)
+from .flight import (FlightPhase, FlightState, initial_state, release_payload,
+                     step_payload, step_vehicle)
 from .scenario import SCHEMA, Scenario, scenario_with
 
 TELEMETRY_SCHEMA = "deploysim.telemetry.v1"
@@ -90,7 +91,6 @@ class TelemetryRecord(NamedTuple):
 TELEMETRY_COLUMNS = TelemetryRecord._fields
 
 _SAFE_HOLD = DeployPhase.SAFE_HOLD
-_STOWED = PayloadState.STOWED
 
 
 def make_telemetry_record(now: float, vehicle: FlightState,
@@ -105,9 +105,8 @@ def make_telemetry_record(now: float, vehicle: FlightState,
     Python-level property that costs about ten times as much.
     """
     phase = controller.phase
-    reason = controller.safe_hold_reason
-    if phase is _SAFE_HOLD and reason is not None:
-        deploy_phase = f"SafeHold({reason._value_})"
+    if phase is _SAFE_HOLD:
+        deploy_phase = f"SafeHold({controller.safe_hold_reason._value_})"
     else:
         deploy_phase = phase._value_
     flags = []
@@ -217,9 +216,9 @@ def run_mission(scenario: Scenario,
     unlocking = DeployPhase.UNLOCKING
     ejected = DeployPhase.EJECTED
 
-    # Each iteration runs one busy tick, then flies it and the rest
-    # ticks after it.  Only the flight can leave the atmosphere band; say
-    # when, and which body.
+    # Each pass runs one busy tick, then flies it and the rest ticks
+    # after it, up to a phase change.  Only the flight can leave the
+    # atmosphere band; say when, and which body.
     tick = 0
     try:
         while tick < n_ticks:
@@ -282,7 +281,7 @@ def run_mission(scenario: Scenario,
             push = powered and carrier.pushing
             if push:
                 current += step_carrier(carrier, dt, drive)[1]
-                if (payload.state is _STOWED
+                if (payload.release_time is None
                         and carrier.payload_displacement >= stroke):
                     release_payload(payload, vehicle, now)
                     events.append(Event(now, "ejected",
@@ -292,7 +291,7 @@ def run_mission(scenario: Scenario,
                     # Fly the whole descent now; its landing ends the run.
                     flown = step_payload(payload, dt, atmosphere,
                                          n_ticks - tick, tick)
-                    if payload.state is PayloadState.LANDED:
+                    if payload.landing_time is not None:
                         n_ticks = tick + flown
                     fail_tick = min(fail_tick, n_ticks)
 
@@ -323,23 +322,22 @@ def run_mission(scenario: Scenario,
                 end = (tick + rest + 1 if tick + rest < fail_tick
                        else fail_tick)
 
-            # Fly the ticks [tick, end), one call from each phase change to
-            # the next.  Vehicle events are stamped at the end of their tick.
-            while True:
-                previous_phase = vehicle.phase
-                tick += step_vehicle(vehicle_spec, vehicle, dt, atmosphere,
-                                     end - tick, sample, tick)
-                if vehicle.phase is not previous_phase:
-                    if vehicle.phase is FlightPhase.DROGUE_DESCENT:
-                        events.append(Event(tick * dt, "apogee_truth",
-                                            vehicle.altitude))
-                    elif vehicle.phase is FlightPhase.LANDED:
-                        events.append(Event(tick * dt, "vehicle_landed", 0.0))
-                        if payload.state is _STOWED:
-                            n_ticks = end = tick
-                if tick == end:
-                    break
-                sample(vehicle.altitude, tick)
+            # Fly the ticks [tick, end) up to a phase change.  The next
+            # pass carries on from there inside the rest, where it only
+            # flies: no task that can act is due, the rod, the door and the
+            # carrier are idle, and the pack delivers nothing.  Vehicle
+            # events are stamped at the end of their tick.
+            previous_phase = vehicle.phase
+            tick += step_vehicle(vehicle_spec, vehicle, dt, atmosphere,
+                                 end - tick, sample, tick)
+            if vehicle.phase is not previous_phase:
+                if vehicle.phase is FlightPhase.DROGUE_DESCENT:
+                    events.append(Event(tick * dt, "apogee_truth",
+                                        vehicle.altitude))
+                elif vehicle.phase is FlightPhase.LANDED:
+                    events.append(Event(tick * dt, "vehicle_landed", 0.0))
+                    if payload.release_time is None:
+                        n_ticks = tick
     except DomainError as exc:
         # The tick, and the body if not the vehicle, as the raiser names.
         tick = getattr(exc, "tick", tick)
@@ -348,16 +346,15 @@ def run_mission(scenario: Scenario,
             f"at t={tick * dt:.3f} s the {body} left the 0-11 km atmosphere "
             f"model band: {exc}") from exc
     # The payload's events follow the loop's events of their stamp (the
-    # sort is stable).  Nothing shortens a run once its payload has
-    # landed, so it landed on the run's last tick.
+    # sort is stable).
     if payload.chute_time is not None:
         events.append(Event(payload.chute_time, "payload_chute_open",
                             payload.chute_altitude))
-    if payload.state is PayloadState.LANDED:
-        events.append(Event((n_ticks - 1) * dt, "payload_landed", 0.0))
+    if payload.landing_time is not None:
+        events.append(Event(payload.landing_time, "payload_landed", 0.0))
     events.sort(key=lambda event: event.time)
 
-    if payload.state is not _STOWED:
+    if payload.release_time is not None:
         in_window = (trigger.deploy_floor <= payload.release_altitude
                      <= trigger.deploy_ceiling + trigger.window_allowance)
         outcome = (Outcome.DEPLOYED_IN_WINDOW if in_window

@@ -18,7 +18,7 @@ from collections import deque
 
 from deploysim.atmosphere import (TIME_EPS, _altitude_in_band,
                                   density_at_altitude, pressure_at_altitude)
-from deploysim.flight import FlightPhase, PayloadState, step_vehicle
+from deploysim.flight import FlightPhase, step_vehicle
 
 G = 9.81                        # m/s^2, flight and sizing gravity
 STANDARD_GRAVITY = 9.80665      # m/s^2, g0 of the barometric formula
@@ -80,13 +80,14 @@ def reference_vehicle_step(spec, state, dt, model):
     state.altitude, state.velocity, state.phase = altitude, velocity, phase
 
 
-def reference_payload_step(body, dt, model):
-    """Fly a released payload that has not landed one tick, in place,
-    with rho from `density_at_altitude`; a chute step that would turn the
-    descent into a climb descends at terminal speed instead."""
+def reference_payload_step(body, dt, model, tick):
+    """Fly a released payload that has not landed through tick `tick`,
+    in place, with rho from `density_at_altitude`; a chute step that
+    would turn the descent into a climb descends at terminal speed
+    instead.  The step that opens the chute records its altitude and
+    tick*dt, and the landing step records tick*dt, as the package does."""
     accel = -G
-    if (body.state is PayloadState.PARACHUTE_DESCENT
-            and body.velocity != 0.0):
+    if body.chute_time is not None and body.velocity != 0.0:
         rho = density_at_altitude(model, body.altitude)
         accel -= (0.5 * rho * body.velocity * abs(body.velocity)
                   * body.parachute_drag_area) / body.mass
@@ -95,12 +96,12 @@ def reference_payload_step(body, dt, model):
         velocity = -terminal_speed(body.mass, body.parachute_drag_area, rho)
     altitude = body.altitude + velocity * dt
     if altitude <= 0.0:
-        body.state = PayloadState.LANDED
+        body.landing_time = tick * dt
         altitude = velocity = 0.0
-    elif (body.state is PayloadState.FREE_FALL
+    elif (body.chute_time is None
           and body.release_altitude - altitude
           >= body.parachute_open_altitude_loss):
-        body.state = PayloadState.PARACHUTE_DESCENT
+        body.chute_altitude, body.chute_time = altitude, tick * dt
     body.altitude, body.velocity = altitude, velocity
 
 

@@ -36,8 +36,7 @@ from deploysim.actuation import drain_battery
 from deploysim.atmosphere import (_altitude_in_band, density_at_altitude,
                                   pressure_at_altitude)
 from deploysim.flight import (FlightPhase, FlightState, PayloadBody,
-                              PayloadState, VehicleSpec, release_payload,
-                              step_payload)
+                              VehicleSpec, release_payload, step_payload)
 from conftest import record_criterion
 from oracles import step_once, terminal_speed
 
@@ -270,9 +269,9 @@ def test_c4_physics_oracles():
     settled = False
     for tick in range(200000):
         step_payload(body, 0.001, MODEL, 1, tick)
-        if body.state is PayloadState.LANDED:
+        if body.landing_time is not None:
             break
-        if body.state is PayloadState.PARACHUTE_DESCENT and body.altitude < 380.0:
+        if body.chute_time is not None and body.altitude < 380.0:
             rho = density_at_altitude(MODEL, body.altitude)
             target = terminal_speed(1.0, 0.45, rho)
             if abs(-body.velocity - target) / target > 5e-3:

@@ -14,8 +14,8 @@ import pytest
 from deploysim import DomainError, ParameterError, build_scenario
 from deploysim.atmosphere import AtmosphereModel, density_at_altitude
 from deploysim.flight import (FlightPhase, FlightState, PayloadBody,
-                              PayloadState, VehicleSpec, initial_state,
-                              release_payload, step_payload, step_vehicle)
+                              VehicleSpec, initial_state, release_payload,
+                              step_payload, step_vehicle)
 from oracles import (reference_payload_step, reference_vehicle_step,
                      step_once, terminal_speed)
 
@@ -182,6 +182,11 @@ def release(body, altitude, velocity, time=0.0):
     return vehicle
 
 
+def open_chute(body):
+    """Open the chute of a released `body` where it is, as on tick 0."""
+    body.chute_altitude, body.chute_time = body.altitude, 0.0
+
+
 def test_release_takes_the_payload_mass_off_the_vehicle():
     spec = VehicleSpec(dry_mass=25.0, propellant_mass=8.0, avg_thrust=1900.0,
                        burn_time=3.0, drag_area_coast=0.006,
@@ -196,9 +201,9 @@ def test_release_takes_the_payload_mass_off_the_vehicle():
     assert vehicle.mass == pytest.approx(
         spec.dry_mass + vehicle.propellant, rel=1e-12)
     assert (vehicle.altitude, vehicle.velocity) == (altitude, velocity)
-    assert body == replace(tumbling(mass=2.5), state=PayloadState.FREE_FALL,
-                           altitude=altitude, velocity=velocity,
-                           release_altitude=altitude, release_time=0.5)
+    assert body == replace(tumbling(mass=2.5), altitude=altitude,
+                           velocity=velocity, release_altitude=altitude,
+                           release_time=0.5)
 
 
 def test_chute_opens_after_configured_fall():
@@ -208,7 +213,7 @@ def test_chute_opens_after_configured_fall():
     assert (body.chute_altitude, body.chute_time) == (None, None)
     # One call flies the whole descent and records the opening on the way.
     flown = step_payload(body, 0.001, MODEL, 600000, 3)
-    assert body.state is PayloadState.LANDED
+    assert body.landing_time == (3 + flown - 1) * 0.001
     # One step of overshoot at most.
     assert body.release_altitude - body.chute_altitude == pytest.approx(
         50.0, abs=0.05)
@@ -219,10 +224,10 @@ def test_chute_opens_after_configured_fall():
     probe = tumbling(loss=50.0)
     release(probe, 400.0, -5.0, time=12.0)
     assert step_payload(probe, 0.001, MODEL, opened - 3, 3) == opened - 3
-    assert probe.state is PayloadState.FREE_FALL
-    assert (probe.chute_altitude, probe.chute_time) == (None, None)
+    assert (probe.chute_altitude, probe.chute_time,
+            probe.landing_time) == (None, None, None)
     assert step_payload(probe, 0.001, MODEL, 1, opened) == 1
-    assert probe.state is PayloadState.PARACHUTE_DESCENT
+    assert probe.landing_time is None
     assert (probe.chute_altitude, probe.chute_time) == (
         body.chute_altitude, body.chute_time)
 
@@ -236,9 +241,9 @@ def test_chute_descent_reaches_sized_speed():
     checked = False
     for tick in range(120000):
         step_payload(body, 0.001, MODEL, 1, tick)
-        if body.state is PayloadState.LANDED:
+        if body.landing_time is not None:
             break
-        if body.state is PayloadState.PARACHUTE_DESCENT and body.altitude <= 300.0:
+        if body.chute_time is not None and body.altitude <= 300.0:
             assert -body.velocity == pytest.approx(5.0, rel=0.02)
             checked = True
             break
@@ -252,18 +257,18 @@ def test_payload_lands_and_stays_landed():
     body = tumbling()
     release(body, 30.0, -20.0, time=7.0)
     # A fall too short to open the chute lands in one stretch.
-    assert step_payload(body, 0.001, MODEL, 60000, 0) < 60000
-    assert body.state is PayloadState.LANDED
+    flown = step_payload(body, 0.001, MODEL, 60000, 0)
+    assert flown < 60000
     assert body.altitude == 0.0
-    assert body == replace(tumbling(), state=PayloadState.LANDED,
-                           release_altitude=30.0, release_time=7.0)
+    assert body == replace(tumbling(), release_altitude=30.0,
+                           release_time=7.0,
+                           landing_time=(flown - 1) * 0.001)
 
 
 def test_step_payload_moves_only_the_motion_fields():
     body = tumbling(chute=0.45, loss=5.0)
     release(body, 400.0, -20.0, time=3.0)
-    assert body == replace(tumbling(chute=0.45, loss=5.0),
-                           state=PayloadState.FREE_FALL, altitude=400.0,
+    assert body == replace(tumbling(chute=0.45, loss=5.0), altitude=400.0,
                            velocity=-20.0, release_altitude=400.0,
                            release_time=3.0)
     opened = None
@@ -271,30 +276,30 @@ def test_step_payload_moves_only_the_motion_fields():
         before = replace(body)
         assert step_payload(body, 0.001, MODEL, 1, tick) == 1
         assert body.altitude < before.altitude
-        if body.state is not before.state:
+        if body.chute_time != before.chute_time:
             # The opening step records the chute and nothing else.
             assert opened is None
             opened = tick
             assert body == replace(
-                before, state=PayloadState.PARACHUTE_DESCENT,
-                altitude=body.altitude, velocity=body.velocity,
+                before, altitude=body.altitude, velocity=body.velocity,
                 chute_altitude=body.altitude, chute_time=tick * 0.001)
         else:
             assert body == replace(before, altitude=body.altitude,
                                    velocity=body.velocity)
-    assert body.state is PayloadState.PARACHUTE_DESCENT
+    assert body.landing_time is None
     assert 0 < opened < 1999
+    # The landing step records its tick and nothing else.
     landing = replace(body, altitude=0.0)
-    assert step_payload(landing, 0.001, MODEL, 5, 0) == 1
-    assert landing == replace(body, state=PayloadState.LANDED, altitude=0.0,
-                              velocity=0.0)
+    assert step_payload(landing, 0.001, MODEL, 5, 9) == 1
+    assert landing == replace(body, altitude=0.0, velocity=0.0,
+                              landing_time=9 * 0.001)
 
 
 def test_free_fall_is_drag_free():
     body = tumbling(loss=1000.0)
     release(body, 5000.0, 0.0)
     assert step_payload(body, 0.001, MODEL, 1000, 0) == 1000
-    assert body.state is PayloadState.FREE_FALL
+    assert (body.chute_time, body.landing_time) == (None, None)
     assert body.velocity == pytest.approx(-G * 1.0, rel=1e-6)
 
 
@@ -348,21 +353,21 @@ def test_chute_descent_matches_the_per_tick_reference():
     # Opened on the way up, so the drag acts on both signs of velocity.
     body = tumbling(mass=2.0, chute=0.8)
     release(body, 2500.0, 30.0)
-    body.state = PayloadState.PARACHUTE_DESCENT
+    open_chute(body)
     reference = replace(body)
     assert step_payload(body, 0.001, OFF_DEFAULT, 2000, 0) == 2000
-    for _ in range(2000):
-        reference_payload_step(reference, 0.001, OFF_DEFAULT)
-    assert body.state is reference.state is PayloadState.PARACHUTE_DESCENT
+    for tick in range(2000):
+        reference_payload_step(reference, 0.001, OFF_DEFAULT, tick)
+    assert body.landing_time is reference.landing_time is None
     assert bits(body.altitude, body.velocity) == bits(reference.altitude,
                                                       reference.velocity)
     # The rest of the descent is one stretch up to the landing tick.
     flown = step_payload(body, 0.001, OFF_DEFAULT, 1_000_000, 2000)
-    assert body.state is PayloadState.LANDED
-    for _ in range(flown - 1):
-        reference_payload_step(reference, 0.001, OFF_DEFAULT)
-        assert reference.state is PayloadState.PARACHUTE_DESCENT
-    reference_payload_step(reference, 0.001, OFF_DEFAULT)
+    assert body.landing_time is not None
+    for tick in range(2000, 2000 + flown - 1):
+        reference_payload_step(reference, 0.001, OFF_DEFAULT, tick)
+        assert reference.landing_time is None
+    reference_payload_step(reference, 0.001, OFF_DEFAULT, 2000 + flown - 1)
     assert reference == body
 
 
@@ -373,22 +378,38 @@ def test_one_call_opens_the_chute_and_lands_as_the_per_tick_reference():
     release(body, 2500.0, 30.0, time=4.0)
     reference = replace(body)
     flown = step_payload(body, 0.001, OFF_DEFAULT, 10_000_000, 4000)
-    assert body.state is PayloadState.LANDED
     opened = None
     for tick in range(4000, 4000 + flown):
-        assert reference.state is not PayloadState.LANDED
-        state = reference.state
-        reference_payload_step(reference, 0.001, OFF_DEFAULT)
-        if (state is PayloadState.FREE_FALL
-                and reference.state is PayloadState.PARACHUTE_DESCENT):
+        assert reference.landing_time is None
+        closed = reference.chute_time is None
+        reference_payload_step(reference, 0.001, OFF_DEFAULT, tick)
+        if closed and reference.chute_time is not None:
             opened = tick
-            reference.chute_altitude = reference.altitude
-            reference.chute_time = tick * 0.001
-    assert reference.state is PayloadState.LANDED
     assert 4000 < opened < 4000 + flown - 1
-    assert bits(body.chute_altitude, body.chute_time) == bits(
-        reference.chute_altitude, reference.chute_time)
+    assert bits(body.chute_altitude, body.chute_time,
+                body.landing_time) == bits(reference.chute_altitude,
+                                           reference.chute_time,
+                                           reference.landing_time)
     assert reference == body
+
+
+@pytest.mark.parametrize("dt, first, altitude", [
+    (0.01, 6874, 325.69),       # under its chute, at the 10 ms clock
+    (0.001, 68744, 30.0)])      # before its chute opens
+def test_landing_time_is_the_landing_tick_of_the_per_tick_reference(
+        dt, first, altitude):
+    body = tumbling(mass=2.0, chute=0.8)
+    release(body, altitude, -19.5, time=first * dt)
+    reference = replace(body)
+    flown = step_payload(body, dt, OFF_DEFAULT, 10_000_000, first)
+    tick = first
+    while reference.landing_time is None:
+        reference_payload_step(reference, dt, OFF_DEFAULT, tick)
+        tick += 1
+    assert tick == first + flown
+    assert (body.chute_time is None) == (altitude < 50.0)
+    assert bits(body.landing_time) == bits(reference.landing_time) == bits(
+        (tick - 1) * dt)
 
 
 def test_single_steps_match_the_reference_where_one_ulp_of_density_shows():
@@ -413,10 +434,10 @@ def test_single_steps_match_the_reference_where_one_ulp_of_density_shows():
 
         body = tumbling()
         release(body, altitude, rng.uniform(-40.0, 40.0))
-        body.state = PayloadState.PARACHUTE_DESCENT
+        open_chute(body)
         reference = replace(body)
         step_payload(body, dt, OFF_DEFAULT, 1, 0)
-        reference_payload_step(reference, dt, OFF_DEFAULT)
+        reference_payload_step(reference, dt, OFF_DEFAULT, 0)
         assert bits(body.altitude, body.velocity) == bits(
             reference.altitude, reference.velocity)
 
@@ -424,7 +445,7 @@ def test_single_steps_match_the_reference_where_one_ulp_of_density_shows():
 def test_chute_stretch_names_the_tick_that_leaves_the_band():
     above = tumbling()
     release(above, 12000.0, -5.0)
-    above.state = PayloadState.PARACHUTE_DESCENT
+    open_chute(above)
     with pytest.raises(DomainError, match="outside model band") as info:
         step_payload(above, 0.001, MODEL, 100, 17)
     assert (info.value.tick, info.value.body) == (17, "payload")
@@ -433,12 +454,12 @@ def test_chute_stretch_names_the_tick_that_leaves_the_band():
     # first tick that reads the air above it raises.
     leaving = tumbling()
     release(leaving, 10999.9, 8.0)
-    leaving.state = PayloadState.PARACHUTE_DESCENT
+    open_chute(leaving)
     reference = replace(leaving)
     completed = 0
     with pytest.raises(DomainError):
         while True:
-            reference_payload_step(reference, 0.001, MODEL)
+            reference_payload_step(reference, 0.001, MODEL, 17 + completed)
             completed += 1
     assert completed > 1
     with pytest.raises(DomainError, match="outside model band") as info:

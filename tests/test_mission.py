@@ -36,7 +36,6 @@ from deploysim.atmosphere import Barometer
 from deploysim.controller import (DeployPhase, DeploymentController,
                                   TaskSchedule, task_period_ticks)
 from deploysim.errors import DomainError, ScenarioError
-from deploysim.flight import PayloadState
 
 NOMINAL = bundled_scenario("altair_nominal")
 
@@ -159,6 +158,39 @@ def test_payload_lands_after_deploy(nominal_result):
     assert nominal_result.telemetry[-1].time_s >= ev["payload_landed"].time - 0.05
 
 
+def record_payloads(monkeypatch):
+    """The payload record of every `step_payload` call."""
+    bodies = []
+
+    def step_payload(body, *args, _original=mission.step_payload):
+        bodies.append(body)
+        return _original(body, *args)
+
+    monkeypatch.setattr(mission, "step_payload", step_payload)
+    return bodies
+
+
+def test_payload_events_are_stamped_from_its_record(monkeypatch):
+    bodies = record_payloads(monkeypatch)
+    result = run_mission(NOMINAL)
+    [body] = bodies
+    ev = event_map(result)
+    assert ev["payload_chute_open"] == (body.chute_time, "payload_chute_open",
+                                        body.chute_altitude)
+    assert ev["payload_landed"] == (body.landing_time, "payload_landed", 0.0)
+    assert round(body.chute_time / NOMINAL.dt) == 70_503
+    assert round(body.landing_time / NOMINAL.dt) == 115_624
+
+
+def test_a_run_stopped_at_its_ejection_records_no_landing(monkeypatch):
+    bodies = record_payloads(monkeypatch)
+    result = run_mission(NOMINAL, stop_at_verdict=True)
+    [body] = bodies
+    assert body.release_time == result.verdict.deploy_time is not None
+    assert (body.chute_time, body.landing_time) == (None, None)
+    assert "payload_landed" not in event_map(result)
+
+
 def test_sixty_second_cap_times_out_with_1200_rows():
     sc = scenario_with(NOMINAL, {"sim.max_sim_time": 60.0})
     res = run_mission(sc)
@@ -242,23 +274,24 @@ def test_steppers_run_once_per_tick(monkeypatch):
     """The loop calls each stepper through its `deploysim.mission` name
     once per tick on which it is due, and decides the per-mission facts
     once: the rack is halted once, on entering SafeHold, and a jammed
-    door is never stepped.  One `step_vehicle` call flies a busy tick
-    and the rest ticks after it, up to a phase change; together its
-    calls fly every tick once, in order, and each busy tick begins one.
-    A released payload's descent is flown at its release in one
-    `step_payload` call, which flies every tick from the release up to
-    the landing or the end of the clock once, in order.  The pack is
-    drained once per busy tick.  The benchmark's per-layer spans hook
-    those names, so their call counts must stay truthful."""
+    door is never stepped.  Each pass of the loop asks the schedule once
+    and makes one `step_vehicle` call, which flies the pass's tick and
+    the rest ticks after it, up to a phase change; together its calls
+    fly every tick once, in order.  A released payload's descent is
+    flown at its release in one `step_payload` call, which flies every
+    tick from the release up to the landing or the end of the clock
+    once, in order.  The pack is drained once per pass.  The benchmark's
+    per-layer spans hook those names, so their call counts must stay
+    truthful."""
     names = ("step_vehicle", "step_payload", "drain_battery", "step_door",
              "begin_push", "halt_carrier")
     calls = dict.fromkeys(names, 0)
     stretches = []      # (first tick, ticks flown) per step_vehicle call
     descent = []        # (first tick, ticks flown) per step_payload call
-    busy = []           # tick of every due_at_tick call
+    passes = []         # tick of every due_at_tick call
 
     def due_at_tick(self, tick, _original=TaskSchedule.due_at_tick):
-        busy.append(tick)
+        passes.append(tick)
         return _original(self, tick)
 
     monkeypatch.setattr(TaskSchedule, "due_at_tick", due_at_tick)
@@ -279,16 +312,15 @@ def test_steppers_run_once_per_tick(monkeypatch):
         calls.update(dict.fromkeys(names, 0))
         stretches.clear()
         descent.clear()
-        busy.clear()
+        passes.clear()
         result = run_mission(scenario)
         events = event_map(result)
         ticks = ticks_flown(result, scenario)
         assert sum(flown for _, flown in stretches) == ticks, deck
         assert [first for first, _ in stretches] == list(itertools.accumulate(
             [0] + [flown for _, flown in stretches[:-1]])), deck
-        assert busy == sorted(set(busy)), deck
-        assert set(busy) <= {first for first, _ in stretches}, deck
-        assert calls["drain_battery"] == len(busy), deck
+        assert passes == [first for first, _ in stretches], deck
+        assert calls["drain_battery"] == len(passes), deck
         if "ejected" in events:
             released = round(events["ejected"].time / dt)
             assert descent == [(released, ticks - released)], deck
@@ -667,7 +699,7 @@ def test_light_payload_lands_below_its_ejection_altitude(monkeypatch):
         for tick in range(first, first + ticks):
             _original(body, dt, atmosphere, 1, tick)
             peak = max(peak, body.altitude)
-            if body.state is PayloadState.LANDED:
+            if body.landing_time is not None:
                 break
         return tick - first + 1
 

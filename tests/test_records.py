@@ -118,12 +118,13 @@ def test_atmosphere_identity_is_its_three_inputs():
 
 
 # Motion and health state that every mission starts from.
-STATE_FIELDS = {("BatteryState", "failed"), ("PayloadBody", "state"),
+STATE_FIELDS = {("BatteryState", "failed"),
                 ("PayloadBody", "altitude"), ("PayloadBody", "velocity"),
                 ("PayloadBody", "release_altitude"),
                 ("PayloadBody", "release_time"),
                 ("PayloadBody", "chute_altitude"),
-                ("PayloadBody", "chute_time")}
+                ("PayloadBody", "chute_time"),
+                ("PayloadBody", "landing_time")}
 
 
 def test_no_record_default_repeats_a_schema_default():
