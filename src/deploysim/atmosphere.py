@@ -8,6 +8,7 @@ closed-form, so pressure -> altitude round-trips to machine precision.
 import math
 import random
 from dataclasses import dataclass, field
+from math import log as _log
 
 from .errors import DomainError, ParameterError
 
@@ -87,7 +88,11 @@ def density_at_altitude(model: AtmosphereModel, altitude: float) -> float:
 
 
 def _altitude_in_band(model: AtmosphereModel, pressure: float) -> float:
-    """The inverse for a pressure already inside the model band."""
+    """The inverse for a pressure already inside the model band.
+
+    The reference inverse: `Barometer.sample` inlines it with the same
+    float operations in the same order.
+    """
     ratio = pressure / model.sea_level_pressure
     return model._temperature_scale * (
         1.0 - ratio ** model._inverse_exponent)
@@ -116,22 +121,32 @@ class Barometer:
     a fixed delay: the reading reports the truth of the newest tick
     j <= k with `j*dt <= k*dt - latency + TIME_EPS`, or of the tick the
     last reading reported while no tick is that old (tick 0 at first).
-    Noise is gaussian on pressure, drawn from the stdlib Mersenne
-    Twister (`random.Random`, `normalvariate`), so a given seed
-    reproduces the same stream on any platform.
+    Noise is gaussian on pressure: the Kinderman-Monahan loop of the
+    stdlib `random.normalvariate`, vendored here with the same float
+    operations over `random.Random(seed).random()`, the Mersenne
+    Twister, so a given seed reproduces the same stream whatever
+    `random.py` ships.
 
     The altitudes live in a ring of ceil(latency/dt) + 1 floats (never
     more than `ticks`), indexed by tick, so a tick without a reading
     stores one float and compares one int.  Each reading finds the next
     one and its truth tick, one period later on both, and walks from
     there where dt does not divide the period or the delay is still
-    filling.
+    filling.  An in-band reading runs in this one frame: the pressure
+    formula, the noise and the inverse are inlined, with the same float
+    operations in the same order as `pressure_at_altitude`,
+    `random.normalvariate` and `_altitude_in_band`.  The reference
+    `pressure_at_altitude` raises the band error.
     """
 
     def __init__(self, spec: BarometerSpec, model: AtmosphereModel,
                  dt: float, ticks: int) -> None:
         self.model = model
-        self._rng = random.Random(spec.seed)
+        self._random = random.Random(spec.seed).random
+        # The model's figures that a reading uses, in unpacking order.
+        self._air = (model.sea_level_pressure, model.sea_level_temperature,
+                     model.lapse_rate, model.exponent, model.min_pressure,
+                     model._temperature_scale, model._inverse_exponent)
         self._dt = dt
         self._ticks = ticks
         # A reading due later than this falls outside the run.
@@ -189,15 +204,31 @@ class Barometer:
                     j += 1
                 self._truth_tick = j
 
-        model = self.model
-        try:
-            pressure = pressure_at_altitude(model, delayed_altitude)
-        except DomainError as exc:
-            exc.tick = truth    # the tick whose altitude it quotes
-            raise
+        if not 0.0 <= delayed_altitude <= MODEL_CEILING:  # and NaN
+            try:
+                pressure_at_altitude(self.model, delayed_altitude)
+            except DomainError as exc:
+                exc.tick = truth    # the tick whose altitude it quotes
+                raise
+        (sea_level_pressure, sea_level_temperature, lapse_rate, exponent,
+         min_pressure, temperature_scale, inverse_exponent) = self._air
+        pressure = sea_level_pressure * (
+            1.0 - lapse_rate * delayed_altitude / sea_level_temperature
+        ) ** exponent
         sigma = self._sigma
         if sigma > 0.0:
-            pressure += self._rng.normalvariate(0.0, sigma)
+            # random.normalvariate(0.0, sigma), whose constant
+            # NV_MAGICCONST = 4 * exp(-0.5) / sqrt(2.0) is written out.
+            # Its `0.0 + z * sigma` drops the `0.0 +`, which only turns
+            # -0.0 into 0.0, and a pressure in the band is never zero.
+            random = self._random
+            while True:
+                u1 = random()
+                u2 = 1.0 - random()
+                z = 1.7155277699214135 * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -_log(u2):
+                    break
+            pressure += z * sigma
         quantum = self._quantum
         if quantum > 0.0:
             steps = pressure / quantum
@@ -205,9 +236,10 @@ class Barometer:
                 pressure = round(steps) * quantum
         # Clamp into the invertible band, which makes a range check on
         # the inverse redundant and bounds an infinite reading.
-        if pressure > model.sea_level_pressure:
-            pressure = model.sea_level_pressure
-        elif pressure < model.min_pressure:
-            pressure = model.min_pressure
-        self.latest = altitude = _altitude_in_band(model, pressure)
+        if pressure > sea_level_pressure:
+            pressure = sea_level_pressure
+        elif pressure < min_pressure:
+            pressure = min_pressure
+        self.latest = altitude = temperature_scale * (
+            1.0 - (pressure / sea_level_pressure) ** inverse_exponent)
         return pressure, altitude

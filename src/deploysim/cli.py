@@ -144,6 +144,8 @@ def _cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
         raise ScenarioError(f"bad sweep values {args.values!r}") from None
+    if not values:
+        raise ScenarioError(f"empty sweep value list {args.values!r}")
     table = sweep(scenario, args.key, values)
     lines = [f"{args.key},outcome,safe_hold_reason,deploy_altitude_m"]
     for value, verdict in table:

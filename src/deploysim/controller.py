@@ -132,17 +132,28 @@ class TaskSchedule:
         cycle = math.lcm(*period_ticks)
         self._cycle = cycle
         pattern = []
-        free = quiet = 0    # slot 0, which follows the last, is always due
+        # Slot 0, which follows the last, is always due, so no sense
+        # tick before it latches for a later telemetry tick.
+        free = quiet = unread = 0
+        latches = False     # the next sense tick latches for telemetry
         for tick in reversed(range(cycle)):
-            due = tuple(tick % p == 0 for p in period_ticks)
-            pattern.append((*due, free, quiet))
+            sense, logic, telemetry = due = tuple(
+                tick % p == 0 for p in period_ticks)
+            pattern.append((*due, free, quiet, unread))
             free = 0 if any(due) else free + 1
-            quiet = 0 if due[0] or due[2] else quiet + 1
+            quiet = 0 if sense or telemetry else quiet + 1
+            unread = 0 if telemetry or sense and latches else unread + 1
+            if sense or telemetry:
+                latches = telemetry and not sense
         self._pattern = tuple(reversed(pattern))
 
-    def due_at_tick(self, tick: int) -> tuple[bool, bool, bool, int, int]:
-        """Due flags (sense, logic, telemetry), then the task-free ticks
-        after, and the ticks after on which no task but logic is due."""
+    def due_at_tick(self, tick: int) -> tuple[bool, bool, bool, int, int,
+                                             int]:
+        """Due flags (sense, logic, telemetry), then three counts of the
+        ticks after: those on which no task is due, those on which no
+        task but logic is due, and those whose tasks no telemetry row
+        reads.  A row reads only its own tick and the sense tick that
+        latched the altitude it prints, the last one at or before it."""
         return self._pattern[tick % self._cycle]
 
 

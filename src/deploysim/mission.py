@@ -12,7 +12,10 @@ next task that can act rest: one `step_vehicle` call samples the
 barometer and flies them, up to a phase change, from which the next
 pass of the loop carries on.
 Deploy logic cannot act while the phase is absorbing, nor between sense
-ticks while it waits in AwaitWindow on inputs it has weighed.
+ticks while it waits in AwaitWindow on inputs it has weighed.  Once the
+phase is absorbing and apogee is sensed, a sense task only latches the
+altitude telemetry prints, so the rest runs up to the next telemetry
+tick or the sense tick that latches for it.
 Everything downstream of the scenario and seed is deterministic, so
 equal inputs give byte-identical telemetry.
 """
@@ -230,8 +233,8 @@ def run_mission(scenario: Scenario,
                 logic_idle = settled
                 fail_tick = n_ticks
 
-            (sense_due, logic_due, telemetry_due, free,
-             quiet) = schedule.due_at_tick(tick)
+            (sense_due, logic_due, telemetry_due, free, quiet,
+             unread) = schedule.due_at_tick(tick)
             if sense_due:
                 controller.task_sense(barometer.latest)
                 if controller.task_estimate():
@@ -315,9 +318,16 @@ def run_mission(scenario: Scenario,
 
             # Only a task starts the rod, the door or a push: if none moved
             # and the pack delivered nothing, the ticks up to the next task
-            # that can act rest.
+            # that can act rest.  Once settled past a sensed apogee, a sense
+            # task only latches the altitude telemetry prints, so only the
+            # telemetry ticks and the sense ticks that latch for them act.
             end = tick + 1
-            rest = quiet if logic_idle else free
+            if not logic_idle:
+                rest = free
+            elif settled and controller.apogee_seen:
+                rest = unread
+            else:
+                rest = quiet
             if rest and not (delivered or rod or swing or push):
                 end = (tick + rest + 1 if tick + rest < fail_tick
                        else fail_tick)

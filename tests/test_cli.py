@@ -295,6 +295,17 @@ def test_sweep_rejects_bad_values(capsys):
                  "--key", "payload.mass", "--values", "a,b"]) == 64
 
 
+@pytest.mark.parametrize("values", [",", "", " , "])
+def test_sweep_rejects_an_empty_value_list(tmp_path, capsys, values):
+    assert main(["sweep", "--scenario", "altair_nominal",
+                 "--key", "payload.mass", "--values", values,
+                 "--out", str(tmp_path / "sw")]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"empty sweep value list {values!r}" in captured.err
+    assert not (tmp_path / "sw").exists()
+
+
 def test_sweep_rejects_a_cross_field_value_before_any_row(tmp_path, capsys):
     assert main(["sweep", "--scenario", "altair_nominal",
                  "--key", "trigger.deploy_floor", "--values", "150,200,500",

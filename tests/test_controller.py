@@ -54,22 +54,25 @@ def arm_with_apogee(ctl, peak=500.0, now=0.0):
 
 # ---------------------------------------------------------------------------
 # Task schedule: (sense, deploy logic, telemetry) due flags, then the
-# number of task-free ticks that follow, and the number that follow with
-# no task but deploy logic due.
+# number of task-free ticks that follow, the number that follow with no
+# task but deploy logic due, and the number that follow before the next
+# telemetry tick or the sense tick that latches for it.
 
 
 def test_all_tasks_due_at_time_zero():
     schedule = TaskSchedule(0.001)
-    assert schedule.due_at_tick(0) == (True, True, True, 9, 19)
+    assert schedule.due_at_tick(0) == (True, True, True, 9, 19, 39)
 
 
 def test_dueness_at_sample_times():
+    # At 1 ms the telemetry rows of a 100-tick cycle read ticks 0, 40
+    # (the sense tick before the row at 50) and 50.
     schedule = TaskSchedule(0.001)
-    assert schedule.due_at_tick(20) == (True, True, False, 9, 19)
-    assert schedule.due_at_tick(30) == (False, True, False, 9, 9)
-    assert schedule.due_at_tick(40) == (True, True, False, 9, 9)
-    assert schedule.due_at_tick(50) == (False, True, True, 9, 9)
-    assert schedule.due_at_tick(13) == (False, False, False, 6, 6)
+    assert schedule.due_at_tick(20) == (True, True, False, 9, 19, 19)
+    assert schedule.due_at_tick(30) == (False, True, False, 9, 9, 9)
+    assert schedule.due_at_tick(40) == (True, True, False, 9, 9, 9)
+    assert schedule.due_at_tick(50) == (False, True, True, 9, 9, 49)
+    assert schedule.due_at_tick(13) == (False, False, False, 6, 6, 26)
 
 
 def test_rates_actually_hit():
@@ -103,6 +106,26 @@ def test_quiet_count_is_the_run_of_ticks_without_sense_or_telemetry(dt):
         while not loud[tick + 1 + run]:
             run += 1
         assert schedule.due_at_tick(tick)[4] == run, tick
+
+
+@pytest.mark.parametrize("dt", [0.0005, 0.001, 0.002, 0.005, 0.01])
+def test_unread_count_runs_to_the_next_tick_a_telemetry_row_reads(dt):
+    # A row reads its own tick and the last sense tick at or before it,
+    # whose latched altitude it prints.  Checked over two cycles.
+    schedule = TaskSchedule(dt)
+    sense, _, telemetry = task_period_ticks(dt)
+    cycle = math.lcm(sense, telemetry)
+    read = set()
+    for row in range(0, 3 * cycle + 1, telemetry):
+        read.update((row, row - row % sense))
+    for tick in range(2 * cycle):
+        run = 0
+        while tick + 1 + run not in read:
+            run += 1
+        assert schedule.due_at_tick(tick)[5] == run, tick
+    # Three ticks in each 100 ms cycle: two rows, and the sense tick
+    # before the row that falls between sense ticks.
+    assert len(read & set(range(cycle))) == 3
 
 
 def test_every_sense_tick_is_a_logic_tick():

@@ -27,15 +27,23 @@ enter SafeHold on the first logic tick that can see the dead pack.  A
 40 Hz or 30 Hz barometer emits readings on rest ticks, and the next
 sense tick must still take the newest of them.
 
+Once the controller has settled (SafeHold or Ejected) past a sensed
+apogee, a run rests up to the next telemetry tick or the sense tick
+that latches the altitude it prints.  An 80 Hz barometer with a 35 ms
+delay emits between the sense ticks of that settled stretch, so each
+row must still print the reading of the sense tick before it, not a
+newer one.
+
 Where each digest was computed: those of the 10 ms cases, the drained
 packs and the slower barometers from the tree that ran every logic tick
-and flew each rest tick with its own vehicle step; those of the failure
-inside a stretch and the sweep verdicts from the tree that still tested the
-failure, the sweep's stop and the landings on every tick; those of the
-dead-pack case from the tree whose stretch still needed a zero
-quiescent current, which kept every tick of that run busy; those of the
-other `altair_nominal` cases from the tree before the stretch existed,
-when every tick ran the whole loop.
+and flew each rest tick with its own vehicle step; those of the 80 Hz
+barometer from the tree whose settled runs still ran every sense tick;
+those of the failure inside a stretch and the sweep verdicts from the
+tree that still tested the failure, the sweep's stop and the landings
+on every tick; those of the dead-pack case from the tree whose stretch
+still needed a zero quiescent current, which kept every tick of that
+run busy; those of the other `altair_nominal` cases from the tree
+before the stretch existed, when every tick ran the whole loop.
 """
 
 import hashlib
@@ -141,6 +149,12 @@ CASES = {
         "a96e149df86c8cfa09de7f81d9e94dbd096975e5b8c4ad31f6f8fa0e95a798aa",
         "e8907403973e34e3cf251ce26afa66b27e1eff3f433677499ce41f9cb28e510f",
         "b4a862468cd2f2059fda35ba293513864d41e20f41a756382b81198ccfec5a36"),
+    "barometer_80_hz_settled": (
+        {"barometer.sample_rate": 80.0, "barometer.latency": 0.035},
+        "5ca270f4142740b7a33160e40e52ec7e8d72c0e020fd7212726a1b1f9020fc91",
+        "9c90fc39bdc7d3ba66b3905363a176eebb645a7fcc37b38e6b22b1e726764a0d",
+        "99d5f07fd3239a51731a152637b2368c35d42fded7d92f2e01bbadfb92adddc8",
+        "f32280560c0c4d785a74eacff644d3a06b4827d7e9527da6c41a386cd67f89aa"),
 }
 
 

@@ -430,14 +430,49 @@ def test_no_stretch_crosses_the_scheduled_battery_failure(
 
 
 def test_settled_controller_rests_through_its_logic_ticks(monkeypatch):
-    # After SafeHold at 30 s only the sense (20-tick) and telemetry
-    # (50-tick) tasks begin a stretch, up to the one that lands.
+    # After SafeHold at 30 s, past the sensed apogee, only the telemetry
+    # ticks (every 50) and the sense tick that latches for the row at 50
+    # (40) begin a stretch, up to the one that lands.
     stretches = record_stretches(monkeypatch)
     result = run_mission(bundled_scenario("altair_battery_fail"))
+    assert event_map(result)["apogee_sensed"].time < 30.0
     landed = round(event_map(result)["vehicle_landed"].time / 0.001)
     assert [first for first, _ in stretches if first >= 30_000] == [
-        tick for tick in range(30_000, landed)
-        if tick % 20 == 0 or tick % 50 == 0]
+        tick for tick in range(30_000, landed) if tick % 100 in (0, 40, 50)]
+
+
+class TaskScheduleWithoutSettledRest(TaskSchedule):
+    """A schedule whose settled rest is the quiet one: a settled
+    controller rests only up to the next sense or telemetry tick."""
+
+    def due_at_tick(self, tick):
+        *head, quiet, _ = super().due_at_tick(tick)
+        return (*head, quiet, quiet)
+
+
+def run_outputs(scenario):
+    result = run_mission(scenario)
+    return (render_telemetry_csv(result.telemetry),
+            render_commands_csv(result.commands), repr(result.events),
+            repr((result.verdict, result.charge_drawn)))
+
+
+SETTLED_REST_RUNS = (
+    [(deck, {"sim.dt": dt}) for deck in list_bundled()
+     for dt in (0.001, 0.01)]
+    + [("altair_nominal", {"barometer.sample_rate": 80.0,
+                           "barometer.latency": 0.035})])
+
+
+@pytest.mark.parametrize("deck, overrides", SETTLED_REST_RUNS)
+def test_settled_rest_changes_no_output_byte(monkeypatch, deck, overrides):
+    # The rest through the sense ticks no telemetry row reads, against
+    # a run that stops on every sense tick once settled.
+    scenario = scenario_with(bundled_scenario(deck), overrides)
+    rested = run_outputs(scenario)
+    monkeypatch.setattr(mission, "TaskSchedule",
+                        TaskScheduleWithoutSettledRest)
+    assert run_outputs(scenario) == rested
 
 
 def test_a_pack_that_dies_while_awaiting_the_window_is_seen_at_once(
