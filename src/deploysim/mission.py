@@ -3,19 +3,24 @@
 A busy tick runs, in order: barometer sampling (fed the tick index),
 the scheduled battery failure, the cooperative tasks that are due (sense
 and estimate at 50 Hz, deploy logic at 100 Hz), actuation, battery
-drain and telemetry (20 Hz), then the vehicle step.  The push that
-releases the payload flies its whole descent there in one
-`step_payload` call; the release, the chute opening and the landing are
-recorded on the payload, and the landing sets the run's last tick.  If
-nothing moves and the pack delivered no charge, the ticks up to the
-next task that can act rest: one `step_vehicle` call samples the
-barometer and flies them, up to a phase change, from which the next
-pass of the loop carries on.
+drain (only of current drawn from a live pack) and telemetry (20 Hz),
+then the vehicle step.  The push that releases the payload flies its
+whole descent there in one `step_payload` call; the release, the chute
+opening and the landing are recorded on the payload, and the landing
+sets the run's last tick.  The ticks up to the next task that can act
+rest: one `step_vehicle` call samples the barometer and flies them, up
+to a phase change, from which the next pass of the loop carries on.
+If the rod, the door or the carrier moved or the pack delivered charge
+on the busy tick, the same code then steps them and drains the pack
+one tick at a time over the rest ticks the vehicle flew, so a landing
+with the payload aboard ends that too.  No rest is taken while a push
+could reach the stroke in it, so the release falls on a busy tick.
 Deploy logic cannot act while the phase is absorbing, nor between sense
-ticks while it waits in AwaitWindow on inputs it has weighed.  Once the
-phase is absorbing and apogee is sensed, a sense task only latches the
-altitude telemetry prints, so the rest runs up to the next telemetry
-tick or the sense tick that latches for it.
+ticks while it waits in AwaitWindow on inputs it has weighed, unless
+the pack dies: a pack that delivers charge rests only up to the next
+logic tick.  Once the phase is absorbing and apogee is sensed, a sense
+task only latches the altitude telemetry prints, so the rest runs up to
+the next telemetry tick or the sense tick that latches for it.
 Everything downstream of the scenario and seed is deterministic, so
 equal inputs give byte-identical telemetry.
 """
@@ -204,6 +209,10 @@ def run_mission(scenario: Scenario,
             fail_tick += 1
 
     sample = barometer.sample
+    actuator_current = door_spec.actuator_current
+    max_open = door_spec.max_open
+    travel = drive.rack_speed * dt      # m, the most a push tick carries
+    near_stroke = stroke - 1e-9         # m
     phase = controller.phase    # as of the last tick; update_phase moves it
     settled = False             # phase is SafeHold or Ejected, both absorbing
     # Deploy logic cannot act before the next sense tick: the phase is
@@ -263,91 +272,118 @@ def run_mission(scenario: Scenario,
                         if stop_at_verdict:
                             n_ticks = fail_tick = tick + 1
 
-            # Actuation over [now, now + dt).  A dead pack drives
-            # neither the lock rod nor the rack; the door swings
-            # unpowered, unless it is jammed.
-            powered = not battery.failed
-            current = 0.0
-            rod = powered and phase is unlocking and door.locked
-            if rod:
-                command_unlock(door, door_spec, dt)
-                current += door_spec.actuator_current
-                if not door.locked:
-                    events.append(Event(now, "door_unlocked", 0.0))
-            swing = (not door_jam and not door.locked
-                     and door.angle < door_spec.max_open)
-            if swing:
-                was_open = door.open
-                step_door(door, door_spec, dt)
-                if door.open and not was_open:
-                    events.append(Event(now, "door_open", door.angle))
-            push = powered and carrier.pushing
-            if push:
-                current += step_carrier(carrier, dt, drive)[1]
-                if (payload.release_time is None
-                        and carrier.payload_displacement >= stroke):
-                    release_payload(payload, vehicle, now)
-                    events.append(Event(now, "ejected",
-                                        payload.release_altitude))
-                    if stop_at_verdict:
-                        n_ticks = tick + 1
-                    # Fly the whole descent now; its landing ends the run.
-                    flown = step_payload(payload, dt, atmosphere,
-                                         n_ticks - tick, tick)
-                    if payload.landing_time is not None:
-                        n_ticks = tick + flown
-                    fail_tick = min(fail_tick, n_ticks)
+            # Actuation, one tick k at a time over [k*dt, (k+1)*dt): the
+            # busy tick, then, once the vehicle has flown them, the rest
+            # ticks after it, if anything moved or the pack delivered on
+            # the busy tick (only a task starts the rod, the door or a
+            # push).  A dead pack drives neither the lock rod nor the
+            # rack; the door swings unpowered, unless it is jammed.
+            k = tick
+            stop = tick + 1
+            while k < stop:
+                powered = not battery.failed
+                current = 0.0
+                rod = powered and phase is unlocking and door.locked
+                if rod:
+                    command_unlock(door, door_spec, dt)
+                    current += actuator_current
+                    if not door.locked:
+                        events.append(Event(k * dt, "door_unlocked", 0.0))
+                swing = (not door_jam and not door.locked
+                         and door.angle < max_open)
+                if swing:
+                    was_open = door.open
+                    step_door(door, door_spec, dt)
+                    if door.open and not was_open:
+                        events.append(Event(k * dt, "door_open", door.angle))
+                push = powered and carrier.pushing
+                if push:
+                    current += step_carrier(carrier, dt, drive)[1]
+                    # No rest reaches the stroke, so this is a busy tick.
+                    if (payload.release_time is None
+                            and carrier.payload_displacement >= stroke):
+                        release_payload(payload, vehicle, now)
+                        events.append(Event(now, "ejected",
+                                            payload.release_altitude))
+                        if stop_at_verdict:
+                            n_ticks = tick + 1
+                        # Fly the whole descent now; its landing ends the
+                        # run.
+                        descent = step_payload(payload, dt, atmosphere,
+                                               n_ticks - tick, tick)
+                        if payload.landing_time is not None:
+                            n_ticks = tick + descent
+                        fail_tick = min(fail_tick, n_ticks)
 
-            # Battery: account by delivered charge, so the audit is exact.
-            total_current = current + quiescent
-            pre_voltage = battery.voltage
-            delivered = drain_battery(battery, total_current, dt)
-            if delivered > 0.0:
-                charge_drawn += delivered
-                energy += pre_voltage * delivered
-                if total_current > peak_current:
-                    peak_current = total_current
-                if battery.failed:      # the pack died on this tick
-                    logic_idle = settled
+                # Battery: drained on a tick that draws current from a
+                # live pack, and accounted by delivered charge, so the
+                # audit is exact.
+                total_current = current + quiescent
+                delivered = 0.0
+                if powered and total_current:
+                    pre_voltage = battery.voltage
+                    delivered = drain_battery(battery, total_current, dt)
+                    if delivered > 0.0:
+                        charge_drawn += delivered
+                        energy += pre_voltage * delivered
+                        if total_current > peak_current:
+                            peak_current = total_current
+                        if battery.failed:      # the pack died on this tick
+                            logic_idle = settled
 
-            # Telemetry (lowest priority) reads no payload field.
-            if telemetry_due:
-                telemetry.append(make_telemetry_record(
-                    now, vehicle, controller, door, carrier, battery,
-                    delivered / dt, faults))
+                if k == tick:
+                    # Telemetry (lowest priority) reads no payload field.
+                    if telemetry_due:
+                        telemetry.append(make_telemetry_record(
+                            now, vehicle, controller, door, carrier, battery,
+                            delivered / dt, faults))
 
-            # Only a task starts the rod, the door or a push: if none moved
-            # and the pack delivered nothing, the ticks up to the next task
-            # that can act rest.  Once settled past a sensed apogee, a sense
-            # task only latches the altitude telemetry prints, so only the
-            # telemetry ticks and the sense ticks that latch for them act.
-            end = tick + 1
-            if not logic_idle:
-                rest = free
-            elif settled and controller.apogee_seen:
-                rest = unread
-            else:
-                rest = quiet
-            if rest and not (delivered or rod or swing or push):
-                end = (tick + rest + 1 if tick + rest < fail_tick
-                       else fail_tick)
+                    # The ticks up to the next task that can act rest.
+                    # While deploy logic is live, or the mechanism moves
+                    # (the pack may die in the rest) and the controller
+                    # has not settled, that is the next logic tick.  Once
+                    # settled past a sensed apogee, a sense task only
+                    # latches the altitude telemetry prints, so only the
+                    # telemetry ticks and the sense ticks that latch for
+                    # them act.  A push that could reach the stroke in
+                    # the rest, by one tick's travel more than it can
+                    # carry and a margin for rounding, takes none.
+                    moving = delivered or rod or swing or push
+                    if not logic_idle or moving and not settled:
+                        rest = free
+                    elif settled and controller.apogee_seen:
+                        rest = unread
+                    else:
+                        rest = quiet
+                    if (push and payload.release_time is None
+                            and carrier.payload_displacement
+                            + (rest + 1) * travel >= near_stroke):
+                        rest = 0
+                    end = (tick + rest + 1 if tick + rest < fail_tick
+                           else fail_tick)
 
-            # Fly the ticks [tick, end) up to a phase change.  The next
-            # pass carries on from there inside the rest, where it only
-            # flies: no task that can act is due, the rod, the door and the
-            # carrier are idle, and the pack delivers nothing.  Vehicle
-            # events are stamped at the end of their tick.
-            previous_phase = vehicle.phase
-            tick += step_vehicle(vehicle_spec, vehicle, dt, atmosphere,
-                                 end - tick, sample, tick)
-            if vehicle.phase is not previous_phase:
-                if vehicle.phase is FlightPhase.DROGUE_DESCENT:
-                    events.append(Event(tick * dt, "apogee_truth",
-                                        vehicle.altitude))
-                elif vehicle.phase is FlightPhase.LANDED:
-                    events.append(Event(tick * dt, "vehicle_landed", 0.0))
-                    if payload.release_time is None:
-                        n_ticks = tick
+                    # Fly the ticks [tick, end) up to a phase change; the
+                    # mechanism then steps the rest ticks the vehicle
+                    # flew.  The next pass carries on from there inside
+                    # the rest, where no task that can act is due.
+                    # Vehicle events are stamped at the end of their tick.
+                    previous_phase = vehicle.phase
+                    end = tick + step_vehicle(vehicle_spec, vehicle, dt,
+                                              atmosphere, end - tick, sample,
+                                              tick)
+                    if vehicle.phase is not previous_phase:
+                        if vehicle.phase is FlightPhase.DROGUE_DESCENT:
+                            events.append(Event(end * dt, "apogee_truth",
+                                                vehicle.altitude))
+                        elif vehicle.phase is FlightPhase.LANDED:
+                            events.append(Event(end * dt, "vehicle_landed",
+                                                0.0))
+                            if payload.release_time is None:
+                                n_ticks = end
+                    if moving:
+                        stop = end
+                k += 1
+            tick = end
     except DomainError as exc:
         # The tick, and the body if not the vehicle, as the raiser names.
         tick = getattr(exc, "tick", tick)

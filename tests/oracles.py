@@ -8,8 +8,10 @@ straightforward implementation that the package's barometer replaced.
 `reference_vehicle_step` and `reference_payload_step` are the flight
 steppers one tick at a time, with the air density from the package's
 `density_at_altitude`: the references for the stretch loops, which
-inline it.  `step_once` is plumbing, for tests that fly the vehicle
-tick by tick.
+inline it.  `NoRestSchedule` is the task schedule with no rest after
+any tick, so the mission loop runs every tick as its own pass: the
+reference for the rests.  `step_once` is plumbing, for tests that fly
+the vehicle tick by tick.
 """
 
 import math
@@ -18,6 +20,7 @@ from collections import deque
 
 from deploysim.atmosphere import (TIME_EPS, _altitude_in_band,
                                   density_at_altitude, pressure_at_altitude)
+from deploysim.controller import TaskSchedule
 from deploysim.flight import FlightPhase, step_vehicle
 
 G = 9.81                        # m/s^2, flight and sizing gravity
@@ -45,6 +48,15 @@ def step_once(spec, state, dt, model):
     tick never calls."""
     return step_vehicle(spec, state, dt, model, 1,
                         lambda altitude, tick: None, 0)
+
+
+class NoRestSchedule(TaskSchedule):
+    """The package's task schedule with all three rest counts 0: the
+    same due flags, and no tick after any tick rests."""
+
+    def due_at_tick(self, tick):
+        sense, logic, telemetry, *_ = super().due_at_tick(tick)
+        return sense, logic, telemetry, 0, 0, 0
 
 
 def reference_vehicle_step(spec, state, dt, model):

@@ -1,17 +1,23 @@
 """Frozen output digests at the edges of a stretch of rest ticks.
 
 At dt = 1 ms a task is due on one tick in ten, and a tick on which no
-task is due and nothing actuates runs only the physics; once deploy
-logic cannot act, the logic ticks rest too, up to the next sense or
-telemetry tick.  These runs of `altair_nominal` sit on the edges of
-those stretches: a battery failure that falls on a task-free tick, with
-and without a jammed door; an always-on load that keeps every tick
-busy; and the half- and double-millisecond clocks, whose stretches are
-19 and 4 ticks long.  `altair_battery_fail` with an always-on load
-rests once the pack is dead: the load draws until the failure and
-nothing after it.  Each case pins the telemetry, the command log, the
-event list, and the verdict with the charge drawn: an always-on load
-drained only on busy ticks would show in the last alone.
+task is due rests: it runs the physics and, while anything moves or
+the pack delivers, the mechanism and the pack; once deploy logic cannot
+act, the logic ticks rest too, up to the next sense or telemetry tick.
+These runs of `altair_nominal` sit on the edges of those stretches: a
+battery failure that falls on a task-free tick, with and without a
+jammed door; an always-on load drained on every tick; and the half-
+and double-millisecond clocks, whose stretches are 19 and 4 ticks long.
+`altair_battery_fail` with an always-on load rests once the pack is
+dead: the load draws until the failure and nothing after it.  Each
+case pins the telemetry, the command log, the event list, and the
+verdict with the charge drawn: an always-on load drained only on busy
+ticks would show in the last alone.
+
+A 15 kg payload stalls the rack, which draws stall current through
+rest ticks until the push watchdog trips.  Armed on the pad, with a
+10 m to 2 km window, the rod, the door and the push run during the
+boost and coast, and the ejection falls on the way up.
 
 A battery failure at 20.004 s falls inside a stretch: the stretch ends
 before it, and the logic tick at 20.010 s enters SafeHold.  The two
@@ -42,8 +48,10 @@ those of the failure inside a stretch and the sweep verdicts from the
 tree that still tested the failure, the sweep's stop and the landings
 on every tick; those of the dead-pack case from the tree whose stretch
 still needed a zero quiescent current, which kept every tick of that
-run busy; those of the other `altair_nominal` cases from the tree
-before the stretch existed, when every tick ran the whole loop.
+run busy; those of the stalled push and the early arming from the tree
+whose rests still needed the rod, the door and the carrier idle and no
+charge delivered; those of the other `altair_nominal` cases from the
+tree before the stretch existed, when every tick ran the whole loop.
 """
 
 import hashlib
@@ -149,6 +157,19 @@ CASES = {
         "a96e149df86c8cfa09de7f81d9e94dbd096975e5b8c4ad31f6f8fa0e95a798aa",
         "e8907403973e34e3cf251ce26afa66b27e1eff3f433677499ce41f9cb28e510f",
         "b4a862468cd2f2059fda35ba293513864d41e20f41a756382b81198ccfec5a36"),
+    "stalled_push": (
+        {"payload.mass": 15.0, "battery.capacity": 30.0},
+        "1dedf7be8b25727845baa3fd6da144a00324dd161517fe524b8979dad440eeed",
+        "84b84d51468a49f5451ee4746d806173077d576458f9ef48929e7b9f87f0f9da",
+        "5a2630b59979db27a679610de3afdaf0f503f14b5d23f12697de9e9479b84ee4",
+        "a2d44ad1d1aa621ed7046933e784a16746b9ea20174b8145436a949fa3a444a5"),
+    "armed_before_apogee": (
+        {"trigger.arm_after_apogee": False, "trigger.deploy_floor": 10.0,
+         "trigger.deploy_ceiling": 2000.0},
+        "e2bb38c3b16a0670a3115204ca003b85e62df1c3c536db9270a96162eef710bc",
+        "3c4b1514fea0936fd15b196bf659fbbc4cfc4670cd21a104133a495799e064da",
+        "403e66b950b9db85ffca93fde37f04c5a75f6afaed801a0bb091ce194104331e",
+        "186d60e2bf1489661a34bd9752090c2ccf9d7a8423a2b521ad1442b97da70be2"),
     "barometer_80_hz_settled": (
         {"barometer.sample_rate": 80.0, "barometer.latency": 0.035},
         "5ca270f4142740b7a33160e40e52ec7e8d72c0e020fd7212726a1b1f9020fc91",
@@ -198,10 +219,11 @@ def test_dead_pack_with_a_load_rests_and_matches_frozen_digest(monkeypatch):
     assert sha256(render_commands_csv(result.commands)) == commands
     assert sha256(repr(result.events)) == events
     assert sha256(repr((result.verdict, result.charge_drawn))) == verdict
-    # The load keeps the 30,000 ticks before the failure at 30 s busy;
-    # after it only the sense and telemetry ticks are, not all 85,337
-    # ticks of the run.
-    assert 30_000 < busy < 40_000
+    # The load keeps the 3,000 logic ticks before the failure at 30 s
+    # busy, while the pack it drains could die between them; after it
+    # only the 1,660 telemetry ticks and the sense ticks that latch for
+    # them are, not all 85,337 ticks of the run.
+    assert 4_600 < busy < 4_700
 
 
 SWEEP_VERDICTS = [

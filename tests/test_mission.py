@@ -7,6 +7,8 @@ the sensed altitude inside the window, the rod takes 0.5 s, the door
 0.283 s, the settle delay 2.0 s and the push 0.955 s.
 """
 
+import collections
+import functools
 import importlib.util
 import itertools
 import math
@@ -36,6 +38,7 @@ from deploysim.atmosphere import Barometer
 from deploysim.controller import (DeployPhase, DeploymentController,
                                   TaskSchedule, task_period_ticks)
 from deploysim.errors import DomainError, ScenarioError
+from oracles import NoRestSchedule
 
 NOMINAL = bundled_scenario("altair_nominal")
 
@@ -270,75 +273,136 @@ def ticks_flown(result, scenario):
     return ticks
 
 
-def test_steppers_run_once_per_tick(monkeypatch):
-    """The loop calls each stepper through its `deploysim.mission` name
-    once per tick on which it is due, and decides the per-mission facts
-    once: the rack is halted once, on entering SafeHold, and a jammed
-    door is never stepped.  Each pass of the loop asks the schedule once
-    and makes one `step_vehicle` call, which flies the pass's tick and
-    the rest ticks after it, up to a phase change; together its calls
-    fly every tick once, in order.  A released payload's descent is
-    flown at its release in one `step_payload` call, which flies every
-    tick from the release up to the landing or the end of the clock
-    once, in order.  The pack is drained once per pass.  The benchmark's
-    per-layer spans hook those names, so their call counts must stay
-    truthful."""
-    names = ("step_vehicle", "step_payload", "drain_battery", "step_door",
-             "begin_push", "halt_carrier")
-    calls = dict.fromkeys(names, 0)
-    stretches = []      # (first tick, ticks flown) per step_vehicle call
-    descent = []        # (first tick, ticks flown) per step_payload call
-    passes = []         # tick of every due_at_tick call
+STEPPER_RUNS = (
+    [(deck, {"sim.dt": dt}) for deck in list_bundled()
+     for dt in (0.001, 0.01)]
+    + [("altair_battery_fail", {"battery.quiescent_current": 0.05})])
+MECHANISM = ("command_unlock", "step_door", "step_carrier", "drain_battery")
+
+
+def record_steppers(monkeypatch):
+    """Wrap each stepper the loop calls through its `deploysim.mission`
+    name.  Each call appends (name, tick of the pass, what it did): the
+    flights their first tick and ticks flown, the mechanism's steppers a
+    copy of the record they were given, `drain_battery` with its current
+    and `step_carrier` with whether the carrier still pushes after it.
+    `due_at_tick` appends the tick of each pass."""
+    calls, passes = [], []
 
     def due_at_tick(self, tick, _original=TaskSchedule.due_at_tick):
         passes.append(tick)
         return _original(self, tick)
 
+    def counted(*args, _name, _original):
+        found = replace(args[0]) if _name in MECHANISM else None
+        result = _original(*args)
+        if _name in ("step_vehicle", "step_payload"):
+            found = (args[-1], result)          # (first tick, ticks flown)
+        elif _name == "drain_battery":
+            found = (found, args[1])
+        elif _name == "step_carrier":
+            found = (found, result[0].pushing)
+        calls.append((_name, passes[-1], found))
+        return result
+
     monkeypatch.setattr(TaskSchedule, "due_at_tick", due_at_tick)
-    for name in names:
-        def counted(*args, _name=name, _original=getattr(mission, name)):
-            calls[_name] += 1
-            result = _original(*args)
-            if _name == "step_vehicle":
-                stretches.append((args[-1], result))
-            elif _name == "step_payload":
-                descent.append((args[-1], result))
-            return result
-        monkeypatch.setattr(mission, name, counted)
-    held = set()
-    for deck in list_bundled():
-        scenario = scenario_with(bundled_scenario(deck), {"sim.dt": 0.01})
-        dt = scenario.dt
-        calls.update(dict.fromkeys(names, 0))
-        stretches.clear()
-        descent.clear()
-        passes.clear()
-        result = run_mission(scenario)
-        events = event_map(result)
-        ticks = ticks_flown(result, scenario)
-        assert sum(flown for _, flown in stretches) == ticks, deck
-        assert [first for first, _ in stretches] == list(itertools.accumulate(
-            [0] + [flown for _, flown in stretches[:-1]])), deck
-        assert passes == [first for first, _ in stretches], deck
-        assert calls["drain_battery"] == len(passes), deck
-        if "ejected" in events:
-            released = round(events["ejected"].time / dt)
-            assert descent == [(released, ticks - released)], deck
-        else:
-            assert descent == [], deck
-        assert calls["begin_push"] == sum(
-            command.name == "push" for command in result.commands), deck
-        if result.verdict.outcome is Outcome.SAFE_HOLD:
-            held.add(deck)
-            assert calls["halt_carrier"] == 1, deck
-        else:
-            assert calls["halt_carrier"] == 0, deck
-        if scenario.faults.door_jam:
-            assert "door_unlocked" in events
-            assert calls["step_door"] == 0, deck
-        else:
-            assert (calls["step_door"] > 0) == ("door_unlocked" in events)
-    assert held == set(list_bundled()) - {"altair_nominal"}
+    for name in MECHANISM + ("step_vehicle", "step_payload", "begin_push",
+                             "halt_carrier"):
+        monkeypatch.setattr(mission, name, functools.partial(
+            counted, _name=name, _original=getattr(mission, name)))
+    return calls, passes
+
+
+@pytest.mark.parametrize("deck, overrides", STEPPER_RUNS)
+def test_steppers_run_once_per_tick(monkeypatch, deck, overrides):
+    """The loop calls each stepper through its `deploysim.mission` name
+    once per tick on which it is due; the benchmark's per-layer spans
+    hook those names, so their call counts must stay truthful.
+
+    Each pass of the loop asks the schedule once and makes one
+    `step_vehicle` call, which flies the pass's tick and the rest ticks
+    after it, up to a phase change; together its calls fly every tick
+    once, in order.  A released payload's descent is flown at its
+    release in one `step_payload` call, which flies every tick from the
+    release up to the landing or the end of the clock once, in order.
+    The rod, the door, the carrier and the pack step as they do when
+    every tick is its own pass (`NoRestSchedule`): the same calls, in
+    the same order, on the same records.  There each call's tick is
+    known: a stepper runs at most once a tick, the pack is drained on
+    exactly the ticks that draw current from a live pack, and the
+    carrier steps on each tick from a push command up to the end of its
+    retraction, the SafeHold that halts it or the death of the pack.
+    The per-mission facts are decided once: the rack is halted once, on
+    entering SafeHold, and a jammed door is never stepped."""
+    scenario = scenario_with(bundled_scenario(deck), overrides)
+    dt = scenario.dt
+    calls, passes = record_steppers(monkeypatch)
+    result = run_mission(scenario)
+    events = event_map(result)
+    ticks = ticks_flown(result, scenario)
+    stretches = [found for name, _, found in calls if name == "step_vehicle"]
+    assert sum(flown for _, flown in stretches) == ticks
+    assert [first for first, _ in stretches] == list(itertools.accumulate(
+        [0] + [flown for _, flown in stretches[:-1]]))
+    assert passes == [first for first, _ in stretches]
+    descent = [found for name, _, found in calls if name == "step_payload"]
+    if "ejected" in events:
+        released = round(events["ejected"].time / dt)
+        assert descent == [(released, ticks - released)]
+    else:
+        assert descent == []
+    count = collections.Counter(name for name, _, _ in calls)
+    assert count["begin_push"] == sum(
+        command.name == "push" for command in result.commands)
+    assert count["halt_carrier"] == (
+        result.verdict.outcome is Outcome.SAFE_HOLD)
+    if scenario.faults.door_jam:
+        assert "door_unlocked" in events
+        assert count["step_door"] == 0
+    else:
+        assert (count["step_door"] > 0) == ("door_unlocked" in events)
+    rested = [(name, found) for name, _, found in calls if name in MECHANISM]
+
+    calls.clear()
+    monkeypatch.setattr(mission, "TaskSchedule", NoRestSchedule)
+    run_mission(scenario)
+    assert [(name, found) for name, _, found in calls
+            if name in MECHANISM] == rested
+    on = {name: [tick for called, tick, _ in calls if called == name]
+          for name in MECHANISM}
+    for name, stepped in on.items():
+        assert len(set(stepped)) == len(stepped), name
+    drains = [found for name, _, found in calls if name == "drain_battery"]
+    assert all(current > 0.0 and not battery.failed
+               for battery, current in drains)
+    # The pack is dead from the scheduled failure on, or from the tick
+    # after the drain that empties it.
+    dead = ticks
+    fail_time = scenario.faults.battery_fail_time
+    if fail_time is not None:
+        dead = min(dead, next(tick for tick in itertools.count(
+            round(fail_time / dt) - 1) if tick * dt >= fail_time))
+    if result.battery_final.charge == 0.0:
+        dead = min(dead, on["drain_battery"][-1] + 1)
+    if scenario.quiescent_current:
+        # Every tick with a live pack draws current.
+        assert on["drain_battery"] == list(range(dead))
+    else:
+        assert on["drain_battery"] == sorted(
+            on["command_unlock"] + on["step_carrier"])
+    stopped = min([round(event.time / dt) for event in result.events
+                   if event.name == "safe_hold"] + [dead])
+    pushing_after = {tick: found[1] for name, tick, found in calls
+                     if name == "step_carrier"}
+    expected = []
+    for command in result.commands:
+        tick = round(command.time / dt)
+        while command.name == "push" and tick < stopped:
+            expected.append(tick)
+            if not pushing_after.get(tick):
+                break
+            tick += 1
+    assert on["step_carrier"] == expected
 
 
 def logic_ticks_expected(result, absorbing, dt):
@@ -454,7 +518,8 @@ def run_outputs(scenario):
     result = run_mission(scenario)
     return (render_telemetry_csv(result.telemetry),
             render_commands_csv(result.commands), repr(result.events),
-            repr((result.verdict, result.charge_drawn)))
+            repr((result.verdict, result.charge_drawn)),
+            repr(result.battery_final))
 
 
 SETTLED_REST_RUNS = (
@@ -472,6 +537,42 @@ def test_settled_rest_changes_no_output_byte(monkeypatch, deck, overrides):
     rested = run_outputs(scenario)
     monkeypatch.setattr(mission, "TaskSchedule",
                         TaskScheduleWithoutSettledRest)
+    assert run_outputs(scenario) == rested
+
+
+REST_RUNS = (
+    [(deck, {"sim.dt": dt}) for deck in list_bundled()
+     for dt in (0.001, 0.01)]
+    + [("altair_nominal", overrides) for overrides in (
+        # An always-on load empties the pack while awaiting the window.
+        {"battery.quiescent_current": 0.5, "battery.capacity": 10.003},
+        # A stalled push; with the smaller pack it dies in the stall.
+        {"payload.mass": 15.0, "battery.capacity": 30.0},
+        {"payload.mass": 15.0, "battery.capacity": 8.0},
+        # The pack dies while the rod retracts, and during the push.
+        {"battery.capacity": 0.2},
+        {"battery.capacity": 0.7},
+        # Armed on the pad: the push ejects on the way up.
+        {"trigger.arm_after_apogee": False, "trigger.deploy_floor": 10.0,
+         "trigger.deploy_ceiling": 2000.0},
+        # The vehicle lands with the payload aboard while the rod
+        # retracts (5 m), the door swings (20 m), the settle delay runs
+        # (40 m) and the carrier pushes (62 m).
+        *({"trigger.deploy_floor": 0.0, "trigger.deploy_ceiling": ceiling}
+          for ceiling in (5.0, 20.0, 40.0, 62.0)),
+        # The ejection falls on other ticks of the rest cycle.
+        *({"mechanism.stroke": stroke}
+          for stroke in (0.0301, 0.0457, 0.0613, 0.0799, 0.1003)),
+        {"barometer.sample_rate": 80.0, "barometer.latency": 0.035},
+    )])
+
+
+@pytest.mark.parametrize("deck, overrides", REST_RUNS)
+def test_rests_change_no_output_byte(monkeypatch, deck, overrides):
+    # Every rest, against the loop that runs each tick as its own pass.
+    scenario = scenario_with(bundled_scenario(deck), overrides)
+    rested = run_outputs(scenario)
+    monkeypatch.setattr(mission, "TaskSchedule", NoRestSchedule)
     assert run_outputs(scenario) == rested
 
 
