@@ -274,8 +274,7 @@ def ticks_flown(result, scenario):
 
 
 STEPPER_RUNS = (
-    [(deck, {"sim.dt": dt}) for deck in list_bundled()
-     for dt in (0.001, 0.01)]
+    [(deck, {"sim.dt": 0.001}) for deck in list_bundled()]
     + [("altair_battery_fail", {"battery.quiescent_current": 0.05})])
 MECHANISM = ("command_unlock", "step_door", "step_carrier", "drain_battery")
 
@@ -313,8 +312,7 @@ def record_steppers(monkeypatch):
     return calls, passes
 
 
-@pytest.mark.parametrize("deck, overrides", STEPPER_RUNS)
-def test_steppers_run_once_per_tick(monkeypatch, deck, overrides):
+def check_steppers(deck, overrides):
     """The loop calls each stepper through its `deploysim.mission` name
     once per tick on which it is due; the benchmark's per-layer spans
     hook those names, so their call counts must stay truthful.
@@ -334,6 +332,11 @@ def test_steppers_run_once_per_tick(monkeypatch, deck, overrides):
     retraction, the SafeHold that halts it or the death of the pack.
     The per-mission facts are decided once: the rack is halted once, on
     entering SafeHold, and a jammed door is never stepped."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        check_steppers_in(monkeypatch, deck, overrides)
+
+
+def check_steppers_in(monkeypatch, deck, overrides):
     scenario = scenario_with(bundled_scenario(deck), overrides)
     dt = scenario.dt
     calls, passes = record_steppers(monkeypatch)
@@ -403,6 +406,19 @@ def test_steppers_run_once_per_tick(monkeypatch, deck, overrides):
                 break
             tick += 1
     assert on["step_carrier"] == expected
+
+
+def test_steppers_run_once_per_tick():
+    """Every bundled deck at 10 ms meets `check_steppers`."""
+    for deck in list_bundled():
+        check_steppers(deck, {"sim.dt": 0.01})
+
+
+@pytest.mark.parametrize("deck, overrides", STEPPER_RUNS)
+def test_steppers_run_once_per_tick_at_1ms_and_under_load(deck, overrides):
+    """Every bundled deck at 1 ms, and a pack under an always-on load,
+    meet `check_steppers`."""
+    check_steppers(deck, overrides)
 
 
 def logic_ticks_expected(result, absorbing, dt):
