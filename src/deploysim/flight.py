@@ -89,17 +89,11 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
     """Fly the vehicle up to `ticks` ticks from tick `first`, in place;
     return how many it flew.  The caller has sampled tick `first`; each
     later tick k first calls `sample(altitude, k)`.  It stops after the
-    first step that changes the phase.  A landed vehicle is on the
-    ground, where the landing clamp left it and keeps it bit for bit, so
-    its ticks only sample the ground.  A DomainError raised on tick k
-    carries k as `tick`, unless the barometer set the tick of its truth
-    there.
+    first step that changes the phase; the landing clamp keeps a landed
+    state bit for bit as it is.  A DomainError raised on tick k carries
+    k as `tick`, unless the barometer set the tick of its truth there.
     """
     phase = start = state.phase
-    if phase is _LANDED:
-        for tick in range(first + 1, first + ticks):
-            sample(0.0, tick)
-        return ticks
     if phase is _PRELAUNCH:
         # Ignition on the first step; unpowered specs go straight to coast.
         phase = _BOOST if spec.avg_thrust > 0.0 else _COAST

@@ -331,9 +331,10 @@ def check_steppers(deck, overrides):
     carrier steps on each tick from a push command up to the end of its
     retraction, the SafeHold that halts it or the death of the pack.
     The per-mission facts are decided once: the rack is halted once, on
-    entering SafeHold, and a jammed door is never stepped."""
+    entering SafeHold, and a jammed door is never stepped.  Returns the
+    run's outcome."""
     with pytest.MonkeyPatch.context() as monkeypatch:
-        check_steppers_in(monkeypatch, deck, overrides)
+        return check_steppers_in(monkeypatch, deck, overrides)
 
 
 def check_steppers_in(monkeypatch, deck, overrides):
@@ -406,12 +407,16 @@ def check_steppers_in(monkeypatch, deck, overrides):
                 break
             tick += 1
     assert on["step_carrier"] == expected
+    return result.verdict.outcome
 
 
 def test_steppers_run_once_per_tick():
-    """Every bundled deck at 10 ms meets `check_steppers`."""
-    for deck in list_bundled():
-        check_steppers(deck, {"sim.dt": 0.01})
+    """Every bundled deck at 10 ms meets `check_steppers`, and every deck
+    but `altair_nominal` ends in SafeHold there, so the halt is
+    exercised."""
+    held = {deck for deck in list_bundled()
+            if check_steppers(deck, {"sim.dt": 0.01}) is Outcome.SAFE_HOLD}
+    assert held == set(list_bundled()) - {"altair_nominal"}
 
 
 @pytest.mark.parametrize("deck, overrides", STEPPER_RUNS)
