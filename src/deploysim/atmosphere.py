@@ -7,6 +7,7 @@ closed-form, so pressure -> altitude round-trips to machine precision.
 
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from math import log as _log
 
@@ -109,6 +110,89 @@ class BarometerSpec:
     seed: int               # of the noise stream
 
 
+class _ReadingSchedule:
+    """Where the readings of one clock fall: reading n is due on tick
+    `ticks[n]` and reports the truth of tick `truths[n]`.  A tick equal
+    to the run's length marks that no reading is left in the run.
+
+    The schedule depends on the clock alone, never on the flight, so
+    every barometer built on the same clock reads the same one.  It
+    starts with reading 0 (tick 0, truth of tick 0) and is extended one
+    reading at a time by `extend`, only as far as some barometer has
+    read, at 8 bytes a reading (16 in a run of 2**31 ticks or more).
+    """
+
+    __slots__ = ("key", "ticks", "truths", "_dt", "_period", "_latency",
+                 "_run", "_end", "_stride")
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+        dt, period, latency, run = key
+        self._dt = dt
+        self._period = period
+        self._latency = latency
+        self._run = run
+        # A reading due later than this falls outside the run.
+        self._end = (run - 1) * dt + TIME_EPS
+        # Ticks between readings when dt divides the period; a guess.
+        self._stride = max(1, round(min(period / dt, run)))
+        # 4 bytes a tick while every tick of the run fits, else 8.
+        code = "i" if run < 2 ** 31 else "q"
+        self.ticks = array(code, (0,))
+        self.truths = array(code, (0,))
+
+    def extend(self) -> None:
+        """Append the next reading: it and its truth tick lie one period
+        after the last reading's, and the walks start there and move
+        where dt does not divide the period or the delay is still
+        filling."""
+        tick = self.ticks[-1]
+        truth = self.truths[-1]
+        due = len(self.ticks) * self._period
+        if due > self._end:
+            self.ticks.append(self._run)        # none left in the run
+            self.truths.append(truth)
+            return
+        dt = self._dt
+        # The first later tick whose time reaches `due`.
+        k = tick + self._stride
+        while k > tick + 1 and (k - 1) * dt + TIME_EPS >= due:
+            k -= 1
+        now = k * dt
+        while now + TIME_EPS < due:
+            k += 1
+            now = k * dt
+        # The newest tick up to k that is `latency` old, unless that is
+        # older than the last truth tick, which is then held; guess this
+        # reading's lag.
+        target = now - self._latency + TIME_EPS
+        j = truth + k - tick
+        while j > truth and j * dt > target:
+            j -= 1
+        if j > truth:
+            while j < k and (j + 1) * dt <= target:
+                j += 1
+        self.ticks.append(k)
+        self.truths.append(j)
+
+
+# The one schedule kept: that of the clock the newest barometer was
+# built on.  A barometer on another clock replaces it, so a process
+# holds one schedule besides those of barometers still flying.  It is
+# process-local and not locked, like the single-threaded tick loop.
+_schedule: _ReadingSchedule | None = None
+
+
+def _schedule_for(dt: float, period: float, latency: float,
+                  run: int) -> _ReadingSchedule:
+    """The reading schedule of this clock, shared while it is kept."""
+    global _schedule
+    key = (dt, period, latency, run)
+    if _schedule is None or _schedule.key != key:
+        _schedule = _ReadingSchedule(key)
+    return _schedule
+
+
 class Barometer:
     """Simulated pressure altimeter with noise, quantization and latency.
 
@@ -129,14 +213,17 @@ class Barometer:
 
     The altitudes live in a ring of ceil(latency/dt) + 1 floats (never
     more than `ticks`), indexed by tick, so a tick without a reading
-    stores one float and compares one int.  Each reading finds the next
-    one and its truth tick, one period later on both, and walks from
-    there where dt does not divide the period or the delay is still
-    filling.  An in-band reading runs in this one frame: the pressure
-    formula, the noise and the inverse are inlined, with the same float
-    operations in the same order as `pressure_at_altitude`,
-    `random.normalvariate` and `_altitude_in_band`.  The reference
-    `pressure_at_altitude` raises the band error.
+    stores one float and compares one int.  The ticks of the readings
+    and of their truth depend only on the clock, keyed
+    `(dt, 1/sample_rate, latency, ticks)`.  The barometers of a process
+    share one reading schedule of the newest clock built, filled as far
+    as they have read; a new clock replaces it.  The schedule is
+    process-local and unlocked: barometers are for one thread.  An
+    in-band reading runs in this one frame: the pressure formula, the
+    noise and the inverse are inlined, with the same float operations in
+    the same order as `pressure_at_altitude`, `random.normalvariate` and
+    `_altitude_in_band`.  The reference `pressure_at_altitude` raises
+    the band error.
     """
 
     def __init__(self, spec: BarometerSpec, model: AtmosphereModel,
@@ -147,19 +234,14 @@ class Barometer:
         self._air = (model.sea_level_pressure, model.sea_level_temperature,
                      model.lapse_rate, model.exponent, model.min_pressure,
                      model._temperature_scale, model._inverse_exponent)
-        self._dt = dt
-        self._ticks = ticks
-        # A reading due later than this falls outside the run.
-        self._end = (ticks - 1) * dt + TIME_EPS
-        self._period = 1.0 / spec.sample_rate
-        self._latency = spec.latency
         self._sigma = spec.noise_sigma
         self._quantum = spec.quantization
-        # Ticks between readings when dt divides the period; a guess.
-        self._stride = max(1, round(min(self._period / dt, ticks)))
+        self._schedule = schedule = _schedule_for(
+            dt, 1.0 / spec.sample_rate, spec.latency, ticks)
+        self._reading_ticks = schedule.ticks
+        self._truths = schedule.truths
         self._next_index = 0            # index of the next reading
         self._next_tick = 0             # its tick
-        self._truth_tick = 0            # the tick whose altitude it reports
         # Truth is at most ceil(latency/dt) ticks older than its reading.
         self._size = max(1, min(ticks, math.ceil(
             min(spec.latency / dt, ticks)) + 1))
@@ -171,38 +253,17 @@ class Barometer:
         self._ring[tick % self._size] = true_altitude
         if tick < self._next_tick:
             return None
-        truth = self._truth_tick
+        # This reading's truth tick and the next reading's tick, from the
+        # shared schedule; the first barometer to need them finds them.
+        index = self._next_index
+        truth = self._truths[index]
         delayed_altitude = self._ring[truth % self._size]
-
-        # Find the next reading and its truth tick, inline: at 10 ms this
-        # runs on every other tick.
-        index = self._next_index + 1
+        index += 1
         self._next_index = index
-        due = index * self._period
-        if due > self._end:
-            self._next_tick = self._ticks       # none left in the run
-        else:
-            dt = self._dt
-            # The first later tick whose time reaches `due`.
-            k = tick + self._stride
-            while k > tick + 1 and (k - 1) * dt + TIME_EPS >= due:
-                k -= 1
-            now = k * dt
-            while now + TIME_EPS < due:
-                k += 1
-                now = k * dt
-            self._next_tick = k
-            # The newest tick up to k that is `latency` old, unless that
-            # is older than this truth tick; guess this reading's lag.
-            target = now - self._latency + TIME_EPS
-            held = truth
-            j = held + k - tick
-            while j > held and j * dt > target:
-                j -= 1
-            if j > held:
-                while j < k and (j + 1) * dt <= target:
-                    j += 1
-                self._truth_tick = j
+        reading_ticks = self._reading_ticks
+        if index == len(reading_ticks):
+            self._schedule.extend()
+        self._next_tick = reading_ticks[index]
 
         if not 0.0 <= delayed_altitude <= MODEL_CEILING:  # and NaN
             try:

@@ -7,6 +7,7 @@ before being frozen here.
 """
 
 import hashlib
+import itertools
 import math
 import random
 import statistics
@@ -14,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from deploysim import DomainError, build_scenario
+from deploysim import DomainError, atmosphere, build_scenario
 from deploysim.atmosphere import (Barometer, _altitude_in_band,
                                   density_at_altitude, pressure_at_altitude)
 from oracles import (DequeBarometer, altitude_from_pressure,
@@ -326,6 +327,13 @@ def test_overflowing_reading_is_clamped_not_raised(kwargs):
         assert 0.0 <= altitude <= 11000.0
 
 
+@pytest.fixture
+def cold_schedule(monkeypatch):
+    """Start the test from no shared reading schedule, so the walk that
+    fills it runs here whatever ran before."""
+    monkeypatch.setattr(atmosphere, "_schedule", None)
+
+
 def _fly_against_the_deque(spec, dt, stream):
     """Feed the barometer on the tick grid and the deque reference the
     same altitudes, one per tick, and assert that they emit on the same
@@ -348,7 +356,8 @@ def _fly_against_the_deque(spec, dt, stream):
 
 @pytest.mark.parametrize("dt", [0.001, 0.01, 0.0003])
 @pytest.mark.parametrize("rate", [50.0, 30.0, 7.0, 333.0])
-def test_tick_grid_barometer_matches_the_deque_reference(dt, rate):
+def test_tick_grid_barometer_matches_the_deque_reference(cold_schedule, dt,
+                                                         rate):
     """Fed the same altitudes, the barometer on the tick grid emits on
     the same ticks and returns the same floats, bit for bit, as the
     deque barometer fed the tick time, and never holds more truth than
@@ -367,7 +376,7 @@ def test_tick_grid_barometer_matches_the_deque_reference(dt, rate):
         assert ring <= peak, latency
 
 
-def test_forward_truth_walk_matches_the_deque_reference():
+def test_forward_truth_walk_matches_the_deque_reference(cold_schedule):
     """Each reading guesses its truth tick one period after the last
     one's and walks from there.  With a latency a hair over 50 ticks of
     1.25 ms, the guess falls one tick short once in 100,000 ticks: for
@@ -384,3 +393,129 @@ def test_forward_truth_walk_matches_the_deque_reference():
         reading = reference.sample(altitude, tick * dt)
     assert reading is not None
     assert reference._truth[0][0] == 51_182 * dt
+
+
+def _schedule_by_definition(dt, rate, latency, ticks):
+    """(tick, truth tick) of each reading of a run, read off the
+    definition by plain scans: reading n is due on the first tick k
+    after the last reading's with `k*dt + 1e-9 >= n * (1/rate)`, and
+    reports the newest tick j with `j*dt <= k*dt - latency + 1e-9`, or
+    the last reading's truth tick (tick 0 at first) while none is."""
+    period = 1.0 / rate
+    readings = []
+    k = -1
+    truth = 0
+    for n in itertools.count():
+        k += 1
+        while k < ticks and k * dt + 1e-9 < n * period:
+            k += 1
+        if k == ticks:
+            return readings
+        target = k * dt - latency + 1e-9
+        j = k
+        while j >= 0 and j * dt > target:
+            j -= 1
+        if j >= 0:
+            truth = j
+        readings.append((k, truth))
+
+
+def _altitude_of(tick):
+    """A truth that names its tick to a noise-free reading: 0.1 m a
+    tick, within the band up to 110,000 ticks."""
+    return tick * 0.1
+
+
+def _fly_schedule(dt, rate, latency, ticks):
+    """Fly a noise-free barometer for a run and return the (tick, truth
+    tick) of each reading, the truth tick read back from the altitude."""
+    barometer = _flying(dt, rate, latency, ticks)
+    return list(itertools.chain.from_iterable(barometer))
+
+
+def _flying(dt, rate, latency, ticks):
+    """A barometer's run as a generator: each step feeds one tick and
+    yields [(tick, truth tick)] on a reading, [] otherwise."""
+    baro = Barometer(_quiet_spec(sample_rate=rate, latency=latency), MODEL,
+                     dt, ticks)
+    for tick in range(ticks):
+        reading = baro.sample(_altitude_of(tick), tick)
+        yield [] if reading is None else [(tick, round(reading[1] * 10.0))]
+
+
+SCHEDULE_CLOCKS = {
+    "10ms_50hz_20ms": (0.01, 50.0, 0.02, 4_000),
+    "1ms_defaults": (0.001, 50.0, 0.02, 20_000),
+    "1ms_80hz_35ms": (0.001, 80.0, 0.035, 20_000),
+    "1.25ms_80hz_62.5ms": (0.00125, 80.0, 0.06250000099999443, 100_000),
+    "1.25ms_50hz_62.5ms": (0.00125, 50.0, 0.06250000099999443, 100_000),
+    "no_latency": (0.001, 30.0, 0.0, 5_000),
+    "latency_past_the_run": (0.01, 7.0, 12.0, 1_000),
+    # Reading 2 is due at 0.9995 s, between the last tick and the end.
+    "last_reading_past_the_run": (0.001, 2.0 / 0.9995, 0.0, 1_000),
+}
+
+
+@pytest.mark.parametrize("clock", sorted(SCHEDULE_CLOCKS))
+def test_reading_schedule_matches_its_definition(cold_schedule, clock):
+    """Each reading's tick and truth tick match the definition when the
+    schedule is cold, when it is warm, and after another clock evicted
+    it; a cold schedule is filled only as far as the run read."""
+    dt, rate, latency, ticks = SCHEDULE_CLOCKS[clock]
+    want = _schedule_by_definition(dt, rate, latency, ticks)
+    assert _fly_schedule(dt, rate, latency, ticks) == want      # cold
+    schedule = atmosphere._schedule
+    assert list(schedule.ticks) == [k for k, _ in want] + [ticks]
+    assert schedule.ticks.itemsize == schedule.truths.itemsize == 4
+    assert _fly_schedule(dt, rate, latency, ticks) == want      # warm
+    assert atmosphere._schedule is schedule
+    # A clock that differs in latency alone is another clock.
+    other = (dt, rate, latency + 0.01, ticks)
+    assert _fly_schedule(*other) == _schedule_by_definition(*other)
+    assert atmosphere._schedule is not schedule
+    assert _fly_schedule(dt, rate, latency, ticks) == want      # evicted
+
+
+def test_a_barometer_keeps_its_schedule_when_another_clock_evicts_it(
+        cold_schedule):
+    """Barometers of two clocks flown in turn, some built while others
+    fly, all read the schedule of their own clock."""
+    clock = SCHEDULE_CLOCKS["1ms_80hz_35ms"]
+    other = SCHEDULE_CLOCKS["10ms_50hz_20ms"]
+    runs = {"first": _flying(*clock), "evictor": _flying(*other),
+            "ahead": _flying(*clock), "later": _flying(*clock)}
+    got = {name: [] for name in runs}
+
+    def fly(name, steps):
+        for step in itertools.islice(runs[name], steps):
+            got[name] += step
+
+    fly("first", 10_000)    # fills a schedule half way
+    fly("evictor", 4_000)   # replaces it
+    fly("ahead", 1_000)     # replaces that with a new one of `clock`
+    for _ in range(10_000):
+        # `later` reads what `ahead` filled, and `first` flies on in the
+        # schedule it was built with.
+        fly("later", 1)
+        fly("ahead", 1)
+        fly("first", 1)
+    for name in runs:
+        fly(name, None)
+    want = _schedule_by_definition(*clock)
+    assert got["first"] == got["ahead"] == got["later"] == want
+    assert got["evictor"] == _schedule_by_definition(*other)
+
+
+def test_a_schedule_past_32_bit_ticks_stores_8_bytes_a_tick():
+    # Ticks of a run of 2**31 ticks or more do not fit in 4 bytes; its
+    # schedule holds the same readings as a shorter run's at 8 bytes.
+    short = atmosphere._ReadingSchedule((0.001, 0.02, 0.035, 2 ** 31 - 1))
+    long = atmosphere._ReadingSchedule((0.001, 0.02, 0.035, 2 ** 31))
+    for _ in range(100):
+        short.extend()
+        long.extend()
+    assert (short.ticks.itemsize, long.ticks.itemsize) == (4, 8)
+    assert (short.truths.itemsize, long.truths.itemsize) == (4, 8)
+    assert list(long.ticks) == list(short.ticks)
+    assert list(long.truths) == list(short.truths)
+    assert long.ticks[-1] == 2_000 and long.truths[-1] == 1_965

@@ -33,7 +33,7 @@ from deploysim import (
     sweep,
     verdict_lines,
 )
-from deploysim import mission
+from deploysim import atmosphere, mission
 from deploysim.atmosphere import Barometer
 from deploysim.controller import (DeployPhase, DeploymentController,
                                   TaskSchedule, task_period_ticks)
@@ -559,6 +559,31 @@ def test_settled_rest_changes_no_output_byte(monkeypatch, deck, overrides):
     monkeypatch.setattr(mission, "TaskSchedule",
                         TaskScheduleWithoutSettledRest)
     assert run_outputs(scenario) == rested
+
+
+
+@pytest.mark.parametrize("overrides", [
+    {"sim.dt": 0.01},
+    {"barometer.sample_rate": 80.0, "barometer.latency": 0.035},
+], ids=["10ms", "1ms_80hz_35ms"])
+def test_outputs_do_not_depend_on_the_shared_reading_schedule(monkeypatch,
+                                                               overrides):
+    # The same bytes from a cold schedule, a warm one, one another clock
+    # evicted, and one a stop_at_verdict run filled only part way.
+    scenario = scenario_with(bundled_scenario("altair_nominal"), overrides)
+    monkeypatch.setattr(atmosphere, "_schedule", None)
+    cold = run_outputs(scenario)
+    schedule = atmosphere._schedule
+    filled = len(schedule.ticks)
+    assert run_outputs(scenario) == cold
+    assert atmosphere._schedule is schedule
+    run_mission(scenario_with(scenario, {"barometer.latency": 0.05}))
+    assert atmosphere._schedule is not schedule
+    assert run_outputs(scenario) == cold
+    monkeypatch.setattr(atmosphere, "_schedule", None)
+    run_mission(scenario, stop_at_verdict=True)
+    assert len(atmosphere._schedule.ticks) < filled
+    assert run_outputs(scenario) == cold
 
 
 REST_RUNS = (
