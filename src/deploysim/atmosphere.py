@@ -5,6 +5,7 @@ linear temperature lapse, valid from sea level to 11 km.  Its inverse is
 closed-form, so pressure -> altitude round-trips to machine precision.
 """
 
+import functools
 import math
 import random
 from array import array
@@ -110,52 +111,43 @@ class BarometerSpec:
     seed: int               # of the noise stream
 
 
-class _ReadingSchedule:
-    """Where the readings of one clock fall: reading n is due on tick
-    `ticks[n]` and reports the truth of tick `truths[n]`.  A tick equal
-    to the run's length marks that no reading is left in the run.
+@functools.lru_cache(maxsize=1)
+def _reading_schedule(dt: float, period: float, latency: float, run: int):
+    """Where the readings of a run of `run` ticks of `dt` seconds fall:
+    reading n is due on tick `ticks[n]` and reports the truth of tick
+    `truths[n]`.  A tick equal to `run` marks that no reading is left.
 
-    The schedule depends on the clock alone, never on the flight, so
-    every barometer built on the same clock reads the same one.  It
-    starts with reading 0 (tick 0, truth of tick 0) and is extended one
-    reading at a time by `extend`, only as far as some barometer has
-    read, at 8 bytes a reading (16 in a run of 2**31 ticks or more).
+    Returns `(ticks, truths, extend)`.  The arrays start with reading 0
+    (tick 0, truth of tick 0) and `extend()` appends the next reading,
+    so they are filled only as far as some barometer has read, at 8
+    bytes a reading (16 in a run of 2**31 ticks or more).  They depend
+    on the clock alone, so every barometer on the newest clock shares
+    them; one on another clock replaces them in the cache, while one
+    still flying keeps its own.  The cache is process-local and not
+    locked, like the single-threaded tick loop.
     """
+    # A reading due later than this falls outside the run.
+    end = (run - 1) * dt + TIME_EPS
+    # Ticks between readings when dt divides the period; a guess.
+    stride = max(1, round(min(period / dt, run)))
+    # 4 bytes a tick while every tick of the run fits, else 8.
+    code = "i" if run < 2 ** 31 else "q"
+    ticks = array(code, (0,))
+    truths = array(code, (0,))
 
-    __slots__ = ("key", "ticks", "truths", "_dt", "_period", "_latency",
-                 "_run", "_end", "_stride")
-
-    def __init__(self, key: tuple) -> None:
-        self.key = key
-        dt, period, latency, run = key
-        self._dt = dt
-        self._period = period
-        self._latency = latency
-        self._run = run
-        # A reading due later than this falls outside the run.
-        self._end = (run - 1) * dt + TIME_EPS
-        # Ticks between readings when dt divides the period; a guess.
-        self._stride = max(1, round(min(period / dt, run)))
-        # 4 bytes a tick while every tick of the run fits, else 8.
-        code = "i" if run < 2 ** 31 else "q"
-        self.ticks = array(code, (0,))
-        self.truths = array(code, (0,))
-
-    def extend(self) -> None:
-        """Append the next reading: it and its truth tick lie one period
-        after the last reading's, and the walks start there and move
-        where dt does not divide the period or the delay is still
-        filling."""
-        tick = self.ticks[-1]
-        truth = self.truths[-1]
-        due = len(self.ticks) * self._period
-        if due > self._end:
-            self.ticks.append(self._run)        # none left in the run
-            self.truths.append(truth)
+    def extend() -> None:
+        # The next reading and its truth tick lie one period after the
+        # last reading's; the walks start there and move where dt does
+        # not divide the period or the delay is still filling.
+        tick = ticks[-1]
+        truth = truths[-1]
+        due = len(ticks) * period
+        if due > end:
+            ticks.append(run)       # none left in the run
+            truths.append(truth)
             return
-        dt = self._dt
         # The first later tick whose time reaches `due`.
-        k = tick + self._stride
+        k = tick + stride
         while k > tick + 1 and (k - 1) * dt + TIME_EPS >= due:
             k -= 1
         now = k * dt
@@ -165,32 +157,17 @@ class _ReadingSchedule:
         # The newest tick up to k that is `latency` old, unless that is
         # older than the last truth tick, which is then held; guess this
         # reading's lag.
-        target = now - self._latency + TIME_EPS
+        target = now - latency + TIME_EPS
         j = truth + k - tick
         while j > truth and j * dt > target:
             j -= 1
         if j > truth:
             while j < k and (j + 1) * dt <= target:
                 j += 1
-        self.ticks.append(k)
-        self.truths.append(j)
+        ticks.append(k)
+        truths.append(j)
 
-
-# The one schedule kept: that of the clock the newest barometer was
-# built on.  A barometer on another clock replaces it, so a process
-# holds one schedule besides those of barometers still flying.  It is
-# process-local and not locked, like the single-threaded tick loop.
-_schedule: _ReadingSchedule | None = None
-
-
-def _schedule_for(dt: float, period: float, latency: float,
-                  run: int) -> _ReadingSchedule:
-    """The reading schedule of this clock, shared while it is kept."""
-    global _schedule
-    key = (dt, period, latency, run)
-    if _schedule is None or _schedule.key != key:
-        _schedule = _ReadingSchedule(key)
-    return _schedule
+    return ticks, truths, extend
 
 
 class Barometer:
@@ -214,14 +191,12 @@ class Barometer:
     The altitudes live in a ring of ceil(latency/dt) + 1 floats (never
     more than `ticks`), indexed by tick, so a tick without a reading
     stores one float and compares one int.  The ticks of the readings
-    and of their truth depend only on the clock, keyed
-    `(dt, 1/sample_rate, latency, ticks)`.  The barometers of a process
-    share one reading schedule of the newest clock built, filled as far
-    as they have read; a new clock replaces it.  The schedule is
-    process-local and unlocked: barometers are for one thread.  An
-    in-band reading runs in this one frame: the pressure formula, the
-    noise and the inverse are inlined, with the same float operations in
-    the same order as `pressure_at_altitude`, `random.normalvariate` and
+    and of their truth depend only on the clock, so they come from the
+    cached `_reading_schedule(dt, 1/sample_rate, latency, ticks)`, and
+    barometers are for one thread.  An in-band reading runs in this one
+    frame: the pressure formula, the noise and the inverse are inlined,
+    with the same float operations in the same order as
+    `pressure_at_altitude`, `random.normalvariate` and
     `_altitude_in_band`.  The reference `pressure_at_altitude` raises
     the band error.
     """
@@ -236,10 +211,8 @@ class Barometer:
                      model._temperature_scale, model._inverse_exponent)
         self._sigma = spec.noise_sigma
         self._quantum = spec.quantization
-        self._schedule = schedule = _schedule_for(
+        self._reading_ticks, self._truths, self._extend = _reading_schedule(
             dt, 1.0 / spec.sample_rate, spec.latency, ticks)
-        self._reading_ticks = schedule.ticks
-        self._truths = schedule.truths
         self._next_index = 0            # index of the next reading
         self._next_tick = 0             # its tick
         # Truth is at most ceil(latency/dt) ticks older than its reading.
@@ -262,7 +235,7 @@ class Barometer:
         self._next_index = index
         reading_ticks = self._reading_ticks
         if index == len(reading_ticks):
-            self._schedule.extend()
+            self._extend()
         self._next_tick = reading_ticks[index]
 
         if not 0.0 <= delayed_altitude <= MODEL_CEILING:  # and NaN

@@ -295,6 +295,11 @@ def _assemble(checked: dict, overrides: dict | None) -> Scenario:
         task_period_ticks(sim["dt"])
     except ParameterError as exc:
         raise ScenarioError(str(exc)) from exc
+    # run_mission flies round(max_sim_time / dt) ticks.
+    if round(sim["max_sim_time"] / sim["dt"]) == 0:
+        raise ScenarioError(f"sim.max_sim_time {sim['max_sim_time']!r} s is "
+                            f"at most half a tick of sim.dt {sim['dt']!r} s, "
+                            f"so the run would fly no tick")
     # Each factor passes its own check, but their product can underflow.
     mechanism = records["mechanism"]
     speed = rack_speed(records["servo"], mechanism.pinion_pitch_diameter)

@@ -328,10 +328,10 @@ def test_overflowing_reading_is_clamped_not_raised(kwargs):
 
 
 @pytest.fixture
-def cold_schedule(monkeypatch):
-    """Start the test from no shared reading schedule, so the walk that
+def cold_schedule():
+    """Start the test from no cached reading schedule, so the walk that
     fills it runs here whatever ran before."""
-    monkeypatch.setattr(atmosphere, "_schedule", None)
+    atmosphere._reading_schedule.cache_clear()
 
 
 def _fly_against_the_deque(spec, dt, stream):
@@ -462,18 +462,25 @@ def test_reading_schedule_matches_its_definition(cold_schedule, clock):
     schedule is cold, when it is warm, and after another clock evicted
     it; a cold schedule is filled only as far as the run read."""
     dt, rate, latency, ticks = SCHEDULE_CLOCKS[clock]
+    cached = atmosphere._reading_schedule
+    key = (dt, 1.0 / rate, latency, ticks)
     want = _schedule_by_definition(dt, rate, latency, ticks)
     assert _fly_schedule(dt, rate, latency, ticks) == want      # cold
-    schedule = atmosphere._schedule
-    assert list(schedule.ticks) == [k for k, _ in want] + [ticks]
-    assert schedule.ticks.itemsize == schedule.truths.itemsize == 4
+    schedule = cached(*key)
+    assert cached.cache_info().misses == 1      # the run's, found again
+    reading_ticks, truths, _ = schedule
+    assert list(reading_ticks) == [k for k, _ in want] + [ticks]
+    assert list(truths) == [j for _, j in want] + [want[-1][1]]
+    assert reading_ticks.itemsize == truths.itemsize == 4
     assert _fly_schedule(dt, rate, latency, ticks) == want      # warm
-    assert atmosphere._schedule is schedule
+    assert cached(*key) is schedule
+    assert cached.cache_info().misses == 1
     # A clock that differs in latency alone is another clock.
     other = (dt, rate, latency + 0.01, ticks)
     assert _fly_schedule(*other) == _schedule_by_definition(*other)
-    assert atmosphere._schedule is not schedule
+    assert cached.cache_info().misses == 2
     assert _fly_schedule(dt, rate, latency, ticks) == want      # evicted
+    assert cached.cache_info().misses == 3
 
 
 def test_a_barometer_keeps_its_schedule_when_another_clock_evicts_it(
@@ -493,6 +500,7 @@ def test_a_barometer_keeps_its_schedule_when_another_clock_evicts_it(
     fly("first", 10_000)    # fills a schedule half way
     fly("evictor", 4_000)   # replaces it
     fly("ahead", 1_000)     # replaces that with a new one of `clock`
+    assert atmosphere._reading_schedule.cache_info().misses == 3
     for _ in range(10_000):
         # `later` reads what `ahead` filled, and `first` flies on in the
         # schedule it was built with.
@@ -504,18 +512,23 @@ def test_a_barometer_keeps_its_schedule_when_another_clock_evicts_it(
     want = _schedule_by_definition(*clock)
     assert got["first"] == got["ahead"] == got["later"] == want
     assert got["evictor"] == _schedule_by_definition(*other)
+    # `later` found the schedule of `ahead`; nothing else was built.
+    assert atmosphere._reading_schedule.cache_info()[:2] == (1, 3)
 
 
 def test_a_schedule_past_32_bit_ticks_stores_8_bytes_a_tick():
     # Ticks of a run of 2**31 ticks or more do not fit in 4 bytes; its
     # schedule holds the same readings as a shorter run's at 8 bytes.
-    short = atmosphere._ReadingSchedule((0.001, 0.02, 0.035, 2 ** 31 - 1))
-    long = atmosphere._ReadingSchedule((0.001, 0.02, 0.035, 2 ** 31))
+    # The function is called uncached, so the cache is left as it was.
+    walk = atmosphere._reading_schedule.__wrapped__
+    short_ticks, short_truths, short_extend = walk(0.001, 0.02, 0.035,
+                                                   2 ** 31 - 1)
+    long_ticks, long_truths, long_extend = walk(0.001, 0.02, 0.035, 2 ** 31)
     for _ in range(100):
-        short.extend()
-        long.extend()
-    assert (short.ticks.itemsize, long.ticks.itemsize) == (4, 8)
-    assert (short.truths.itemsize, long.truths.itemsize) == (4, 8)
-    assert list(long.ticks) == list(short.ticks)
-    assert list(long.truths) == list(short.truths)
-    assert long.ticks[-1] == 2_000 and long.truths[-1] == 1_965
+        short_extend()
+        long_extend()
+    assert (short_ticks.itemsize, long_ticks.itemsize) == (4, 8)
+    assert (short_truths.itemsize, long_truths.itemsize) == (4, 8)
+    assert list(long_ticks) == list(short_ticks)
+    assert list(long_truths) == list(short_truths)
+    assert long_ticks[-1] == 2_000 and long_truths[-1] == 1_965

@@ -172,6 +172,7 @@ def test_run_flight_above_model_band_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("text, key", [
     ("sim.dt = 1e-300\n", "sim.dt"),
     ("sim.dt = 0.0001\nsim.max_sim_time = 1e308\n", "sim.max_sim_time"),
+    ("sim.dt = 0.01\nsim.max_sim_time = 0.004\n", "sim.max_sim_time"),
 ])
 def test_run_rejects_unbounded_clock(tmp_path, capsys, text, key):
     deck = tmp_path / "clock.scn"

@@ -566,23 +566,30 @@ def test_settled_rest_changes_no_output_byte(monkeypatch, deck, overrides):
     {"sim.dt": 0.01},
     {"barometer.sample_rate": 80.0, "barometer.latency": 0.035},
 ], ids=["10ms", "1ms_80hz_35ms"])
-def test_outputs_do_not_depend_on_the_shared_reading_schedule(monkeypatch,
-                                                               overrides):
+def test_outputs_do_not_depend_on_the_shared_reading_schedule(overrides):
     # The same bytes from a cold schedule, a warm one, one another clock
     # evicted, and one a stop_at_verdict run filled only part way.
     scenario = scenario_with(bundled_scenario("altair_nominal"), overrides)
-    monkeypatch.setattr(atmosphere, "_schedule", None)
+    cached = atmosphere._reading_schedule
+    clock = (scenario.dt, 1.0 / scenario.barometer.sample_rate,
+             scenario.barometer.latency,
+             round(scenario.max_sim_time / scenario.dt))
+    cached.cache_clear()
     cold = run_outputs(scenario)
-    schedule = atmosphere._schedule
-    filled = len(schedule.ticks)
+    schedule = cached(*clock)
+    assert cached.cache_info().misses == 1      # the run's, found again
+    filled = len(schedule[0])
     assert run_outputs(scenario) == cold
-    assert atmosphere._schedule is schedule
+    assert cached(*clock) is schedule
+    assert cached.cache_info().misses == 1
     run_mission(scenario_with(scenario, {"barometer.latency": 0.05}))
-    assert atmosphere._schedule is not schedule
+    assert cached.cache_info().misses == 2
     assert run_outputs(scenario) == cold
-    monkeypatch.setattr(atmosphere, "_schedule", None)
+    assert cached.cache_info().misses == 3
+    cached.cache_clear()
     run_mission(scenario, stop_at_verdict=True)
-    assert len(atmosphere._schedule.ticks) < filled
+    assert len(cached(*clock)[0]) < filled
+    assert cached.cache_info().misses == 1
     assert run_outputs(scenario) == cold
 
 
@@ -755,6 +762,7 @@ def test_sweep_coerces_integer_keys():
 @pytest.mark.parametrize("key, values, bad", [
     ("trigger.deploy_floor", [150.0, 200.0, 500.0], "500.0"),
     ("payload.mass", [1.0, 2.0, -1.0], "-1.0"),
+    ("sim.max_sim_time", [1.0, 0.0004], "0.0004"),   # no tick at 1 ms
 ])
 def test_sweep_builds_every_scenario_before_any_run(monkeypatch, key,
                                                     values, bad):
@@ -769,6 +777,19 @@ def test_sweep_builds_every_scenario_before_any_run(monkeypatch, key,
                        match=rf"^sweep {re.escape(key)} = {re.escape(bad)}: "):
         sweep(NOMINAL, key, values)
     assert runs == []
+
+
+def test_a_sweep_that_changes_the_clock_on_every_row_matches_fresh_runs():
+    # Each row's latency is another clock than the row before it, so
+    # each row replaces the reading schedule the last one left.
+    values = [0.02, 0.035, 0.02]
+    table = sweep(NOMINAL, "barometer.latency", values)
+    assert [latency for latency, _ in table] == values
+    for latency, verdict in table:
+        sibling = scenario_with(NOMINAL, {"barometer.latency": latency})
+        atmosphere._reading_schedule.cache_clear()
+        assert verdict == run_mission(sibling, stop_at_verdict=True).verdict
+    assert table[0] == table[2]
 
 
 def test_sweep_rejects_unknown_key():

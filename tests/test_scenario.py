@@ -14,6 +14,7 @@ from deploysim import (
     bundled_scenario,
     list_bundled,
     load_scenario,
+    run_mission,
     scenario_with,
 )
 from deploysim.actuation import rack_speed
@@ -207,6 +208,17 @@ def test_build_bounds_the_clock():
     assert build_scenario({"sim.dt": 1e-6}).dt == 1e-6
     longest = build_scenario({"sim.max_sim_time": 86400.0})
     assert longest.max_sim_time == 86400.0
+
+
+def test_build_rejects_a_run_of_half_a_tick_or_less():
+    # run_mission flies round(max_sim_time / dt) ticks, and 0.5 rounds
+    # to even, so half a tick is no tick either.
+    for max_sim_time in (0.004, 0.005):
+        with pytest.raises(ScenarioError, match=r"sim\.max_sim_time .* "
+                           r"at most half a tick of sim\.dt "):
+            build_scenario({"sim.dt": 0.01, "sim.max_sim_time": max_sim_time})
+    shortest = build_scenario({"sim.dt": 0.01, "sim.max_sim_time": 0.006})
+    assert len(run_mission(shortest).telemetry) == 1
 
 
 def test_build_rejects_a_rack_speed_that_underflows():
