@@ -1,10 +1,11 @@
 """Door, push-carrier and battery models plus the fault catalog.
 
 The carrier is a servo-speed-limited kinematic stage: the rack moves at
-the no-load rack speed whenever the effective tangential force covers
-the payload load (friction plus the sizing acceleration), and stalls at
-stall current otherwise.  Matching the go/no-go threshold to the sizing
-chain keeps the stall boundary exactly at the computed payload limit.
+the no-load rack speed whenever the payload is no heavier than the
+sizing chain's `max_payload_mass` for the surface's friction, and
+stalls at stall current otherwise.  Reading the limit itself, not a
+restated load inequality, keeps the stall boundary exactly at the
+computed payload limit, to the last float.
 
 The bay door is passive once unlocked: a linear actuator retracts the
 lock rod over a fixed travel time, then the door swings open at a
@@ -15,9 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ContractViolationError, ParameterError
-from .mechanism import (GRAVITY, MechanismParams, required_acceleration,
-                        tangential_force)
+from .errors import (ContractViolationError, ParameterError,
+                     SingularConfigurationError)
+from .mechanism import (GRAVITY, MechanismParams, max_payload_mass,
+                        required_acceleration, tangential_force)
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,25 +159,31 @@ def carrier_drive(servo: ServoSpec, params: MechanismParams,
                   faults: FaultPlan, payload_mass: float) -> CarrierDrive:
     """The carrier's figures and go/no-go decisions, computed once.
 
-    The load is friction plus the sizing acceleration, so the stall
-    boundary sits exactly at the computed payload limit.  Deciding the
-    stall and the link break once per mission is sound: the stowed
-    payload's mass is fixed, and after the release the carrier only
-    retracts, which ignores the load.
+    The carrier stalls on a payload heavier than `max_payload_mass` at
+    the surface's friction, so the stall boundary is the sizing chain's
+    payload limit exactly.  A drivetrain with no finite limit moves any
+    payload.  The load, friction plus the sizing acceleration, decides
+    the link break.  Deciding both once per mission is sound: the
+    stowed payload's mass is fixed, and after the release the carrier
+    only retracts, which ignores the load.
     """
     mu_eff = params.friction_coefficient * faults.surface_friction_scale
     accel = required_acceleration(params.stroke, 0.0,
                                   params.deployment_time_budget)
-    load = payload_mass * (mu_eff * GRAVITY + accel)
     force = tangential_force(params.servo_stall_torque,
                              params.pinion_pitch_diameter,
                              params.drivetrain_efficiency)
+    try:
+        stalls = payload_mass > max_payload_mass(force, mu_eff, accel)
+    except SingularConfigurationError:
+        stalls = False
+    load = payload_mass * (mu_eff * GRAVITY + accel)
     link_limit = faults.link_break_force
     slip_push = faults.gear_slip_push
     return CarrierDrive(
         rack_speed=rack_speed(servo, params.pinion_pitch_diameter),
         stroke=params.stroke,
-        stalls=force < load,
+        stalls=stalls,
         breaks_link=link_limit is not None and load > link_limit,
         slips_from=math.inf if slip_push is None else slip_push - 1,
         running_current=servo.running_current_max,

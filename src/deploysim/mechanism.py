@@ -15,8 +15,11 @@ The sizing chain is:
     payload limit      m  = F / (mu*g + a)
 
 The payload limit is where the carrier transitions from moving the
-payload to stalling against it, so the same expression doubles as the
-go/no-go threshold in the actuation model.
+payload to stalling against it: the actuation model's carrier reads
+`max_payload_mass` for its go/no-go threshold.
+
+`check_number` is the one rule for a number: `MechanismParams` and the
+scenario schema both call it, so they accept, store and reject alike.
 
 The flight hardware cuts a module-2, 10-tooth pinion against a 66.48 mm
 rack at a 14.5 degree pressure angle; only the pitch diameter and the
@@ -46,6 +49,34 @@ LIMITS = {
 }
 
 
+def check_number(name: str, value, kind: type, low, high, low_open: bool):
+    """`value` as a checked `kind`, int or float: the one number rule.
+
+    A float takes an int or a float, an int only an int, and neither a
+    bool; a float must be finite, and both must lie at or above `low`
+    (above it if `low_open`) and at or below `high`.  Raises
+    ParameterError naming `name` otherwise.
+    """
+    if type(value) is not kind:
+        # bool is a subclass of int, and no number key means True.
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float) if kind is float else int):
+            expects = "a number" if kind is float else "an integer"
+            raise ParameterError(f"{name} expects {expects}, got {value!r}")
+        try:
+            value = kind(value)
+        except OverflowError:   # an int beyond the float range
+            value = math.inf
+    if kind is float and not math.isfinite(value):
+        raise ParameterError(f"{name}: value must be finite, got {value!r}")
+    if low is not None and (value <= low if low_open else value < low):
+        raise ParameterError(f"{name}: must be {'>' if low_open else '>='} "
+                             f"{low}, got {value}")
+    if high is not None and value > high:
+        raise ParameterError(f"{name}: must be <= {high}, got {value}")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class MechanismParams:
     """Physical parameters of the deployment drivetrain.
@@ -63,23 +94,9 @@ class MechanismParams:
 
     def __post_init__(self) -> None:
         # Stored back as the checked floats: the sizing chain trusts them.
-        # A number is an int or a float, as in the schema; a bool is not.
-        for name, (low, high, low_open) in LIMITS.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ParameterError(f"{name} must be a number, got {value!r}")
-            try:
-                value = float(value)
-            except OverflowError:   # an int beyond the float range
-                value = math.inf
-            if not (math.isfinite(value)
-                    and (value > low if low_open else value >= low)
-                    and (high is None or value <= high)):
-                opening = "(" if low_open else "["
-                closing = "inf)" if high is None else f"{high}]"
-                raise ParameterError(f"{name} must be in {opening}{low}, "
-                                     f"{closing}, got {value}")
-            object.__setattr__(self, name, value)
+        for name, limits in LIMITS.items():
+            object.__setattr__(self, name, check_number(
+                name, getattr(self, name), float, *limits))
 
 
 @dataclass(frozen=True, slots=True)

@@ -432,8 +432,9 @@ def sweep(base: Scenario, key: str, values) -> list[tuple[float, MissionVerdict]
     The swept key must exist in the schema and be numeric.  Every
     scenario is built before the first run, so a bad value fails before
     any run, naming the value.  An int key takes integral floats, which
-    is how the CLI parses values.  Each run stops as soon as its verdict
-    is decided, since the sweep output is just the table.
+    is how the CLI parses values; the schema rejects any other float.
+    Each run stops as soon as its verdict is decided, since the sweep
+    output is just the table.
     """
     entry = SCHEMA.get(key)
     if entry is None:
@@ -442,10 +443,8 @@ def sweep(base: Scenario, key: str, values) -> list[tuple[float, MissionVerdict]
         raise ScenarioError(f"sweep key {key!r} is not numeric")
     siblings = []
     for value in values:
-        if entry.kind is int and isinstance(value, float):
-            if not value.is_integer():
-                raise ScenarioError(f"sweep key {key!r} expects integers, "
-                                    f"got {value!r}")
+        if (entry.kind is int and isinstance(value, float)
+                and value.is_integer()):
             value = int(value)
         try:
             siblings.append(scenario_with(base, {key: value}))

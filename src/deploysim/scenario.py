@@ -6,7 +6,8 @@ below is the single source of truth for keys, types, ranges and
 defaults; the README points users at it.  The `mechanism.*` entries
 read their defaults from the public `MechanismParams` and their ranges
 from `mechanism.LIMITS`; the other records a scenario builds carry no
-defaults.
+defaults.  Every number key is checked by `mechanism.check_number`,
+the rule `MechanismParams` applies too.
 """
 
 import math
@@ -20,10 +21,7 @@ from .atmosphere import AtmosphereModel, BarometerSpec
 from .controller import TriggerConfig, task_period_ticks
 from .errors import ParameterError, ScenarioError
 from .flight import PayloadBody, VehicleSpec
-from .mechanism import LIMITS, MechanismParams
-
-
-_EXPECTS = {bool: "true/false", int: "an integer", float: "a number"}
+from .mechanism import LIMITS, MechanismParams, check_number
 
 
 class _Key(NamedTuple):
@@ -37,38 +35,20 @@ class _Key(NamedTuple):
     doc: str = ""
 
     def check(self, key: str, value):
-        """The value as stored: a bool for bool keys, an int for int
-        keys, a float for float keys, None only where that is the
-        default.  Raises ScenarioError naming the key otherwise."""
-        kind = self.kind
-        if type(value) is not kind:
-            if value is None and self.default is None:
-                return None
-            # bool is a subclass of int, and no number key means True.
-            if (kind is bool or isinstance(value, bool)
-                    or not isinstance(value, (int, float) if kind is float
-                                      else int)):
-                raise ScenarioError(f"{key} expects {_EXPECTS[kind]}, "
-                                    f"got {value!r}")
-            if kind is float:
-                try:
-                    value = float(value)
-                except OverflowError:   # an int beyond the float range
-                    value = math.inf
-        if kind is bool:
-            return value
-        if kind is float and not math.isfinite(value):
-            raise ScenarioError(f"{key}: value must be finite, got {value!r}")
-        if self.low is not None:
-            if self.low_open and value <= self.low:
-                raise ScenarioError(f"{key}: must be > {self.low}, "
-                                    f"got {value}")
-            if not self.low_open and value < self.low:
-                raise ScenarioError(f"{key}: must be >= {self.low}, "
-                                    f"got {value}")
-        if self.high is not None and value > self.high:
-            raise ScenarioError(f"{key}: must be <= {self.high}, got {value}")
-        return value
+        """The value as stored: a bool for bool keys, None only where
+        that is the default, else what `check_number` makes of it.
+        Raises ScenarioError naming the key otherwise."""
+        if self.kind is bool:
+            if type(value) is bool:
+                return value
+            raise ScenarioError(f"{key} expects true/false, got {value!r}")
+        if value is None and self.default is None:
+            return None
+        try:
+            return check_number(key, value, self.kind, self.low, self.high,
+                                self.low_open)
+        except ParameterError as exc:
+            raise ScenarioError(str(exc)) from None
 
 
 def _pos(kind, default, doc=""):
@@ -219,8 +199,7 @@ def _parse_value(key: str, raw: str, where: str):
     try:
         value = int(raw, 10) if entry.kind is int else float(raw)
     except ValueError:
-        raise ScenarioError(f"{where}: {key} expects {_EXPECTS[entry.kind]}, "
-                            f"got {raw!r}") from None
+        value = raw     # the check names the key and the type it expects
     try:
         return entry.check(key, value)
     except ScenarioError as exc:

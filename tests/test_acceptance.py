@@ -101,8 +101,22 @@ def test_c2_mass_sweep_flips_at_the_limit():
         failures.append(f"first refusal at {flip} kg, wanted 14.0")
     if elapsed >= 30.0:
         failures.append(f"sweep took {elapsed:.1f} s (budget 30 s)")
+    # The limit itself deploys and one float above it stalls, at the
+    # nominal friction and at one where a restated load inequality put
+    # the boundary a float low.
+    for base in (NOMINAL, scenario_with(NOMINAL, {"mechanism.friction": 0.9})):
+        edge = sizing_report(base.mechanism).max_payload_mass
+        above = math.nextafter(edge, math.inf)
+        for mass, verdict in sweep(base, "payload.mass", [edge, above]):
+            got = (verdict.outcome, verdict.safe_hold_reason)
+            expected = ((Outcome.DEPLOYED_IN_WINDOW, None) if mass == edge
+                        else (Outcome.SAFE_HOLD, "push-timeout"))
+            if got != expected:
+                failures.append(f"{mass!r} kg at the limit {edge!r} -> "
+                                f"{verdict.outcome.value}")
     conclude("C2 mass sweep flips at the computed limit", failures,
-             f"39 runs, flip at {flip} kg, {elapsed:.1f} s")
+             f"39 runs, flip at {flip} kg, {elapsed:.1f} s; the limit "
+             f"exact to the float at mu 0.61 and 0.9")
 
 
 # ---------------------------------------------------------------------------

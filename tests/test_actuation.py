@@ -13,6 +13,7 @@ import pytest
 
 from deploysim import (
     ContractViolationError,
+    MechanismParams,
     ParameterError,
     build_scenario,
     bundled_scenario,
@@ -136,6 +137,30 @@ def test_friction_scale_shrinks_the_limit():
     assert carrier.stalled
     assert moved == 0.0
     assert set(currents) == {SERVO.stall_current}
+
+
+def test_stall_boundary_is_the_sizing_limit_to_the_float():
+    # A payload of exactly the limit the sizing chain reports moves and
+    # one float above it stalls, on any drivetrain and surface.
+    rng = random.Random(26)
+    for _ in range(2000):
+        params = MechanismParams(
+            servo_stall_torque=rng.uniform(0.1, 3.0),
+            pinion_pitch_diameter=rng.uniform(0.005, 0.05),
+            drivetrain_efficiency=rng.uniform(0.3, 1.0),
+            friction_coefficient=rng.uniform(0.0, 1.5),
+            stroke=rng.uniform(0.01, 0.2),
+            deployment_time_budget=rng.uniform(0.5, 10.0))
+        scale = rng.choice((1.0, rng.uniform(0.0, 4.0)))
+        faults = replace(NO_FAULTS, surface_friction_scale=scale)
+        limit = sizing_report(replace(
+            params, friction_coefficient=params.friction_coefficient * scale)
+        ).max_payload_mass
+        above = math.nextafter(limit, math.inf)
+        assert not carrier_drive(SERVO, params, faults, limit).stalls, (
+            params, scale)
+        assert carrier_drive(SERVO, params, faults, above).stalls, (
+            params, scale)
 
 
 def test_gear_slip_completes_cycle_without_motion():

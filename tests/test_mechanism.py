@@ -19,9 +19,10 @@ from deploysim import (
     build_scenario,
     sizing_report,
 )
-from deploysim.mechanism import (LIMITS, max_payload_mass,
-                                 required_acceleration, tangential_force)
-from deploysim.scenario import SCHEMA, _MECHANISM_FIELDS
+from deploysim.mechanism import (max_payload_mass, required_acceleration,
+                                 tangential_force)
+from deploysim.scenario import _MECHANISM_FIELDS
+from test_override_fuzz import _candidates
 
 NOMINAL = MechanismParams()
 
@@ -151,41 +152,36 @@ def test_bad_parameters_rejected(kwargs):
         MechanismParams(**kwargs)
 
 
-def _probes(low, high):
-    """Each bound and one ulp either side of it, plus the usual suspects:
-    values that are not numbers, and an int beyond the float range."""
-    probes = [0.0, -1.0, math.nan, math.inf,
-              True, False, "0.05", "abc", None, 10**400, -10**400]
-    for bound in (low, high):
-        if bound is not None:
-            probes += [math.nextafter(bound, -math.inf), float(bound),
-                       math.nextafter(bound, math.inf)]
-    return probes
-
-
-def _accepts(gate, error):
+def _gate(build, error, name):
+    """('stored', value) or ('rejected', the reason after `name`)."""
     try:
-        gate()
-    except error:
-        return False
-    return True
+        return "stored", build()
+    except error as exc:
+        message = str(exc)
+        assert message.startswith(name), message
+        return "rejected", message[len(name):]
 
 
 @pytest.mark.parametrize("key", sorted(_MECHANISM_FIELDS))
 def test_schema_and_params_gates_agree(key):
-    # Both gates read `LIMITS`; a value passes one exactly when it
-    # passes the other.  The schema entry is probed on its own too,
-    # since `build_scenario` also runs `MechanismParams`.
+    # Both gates call `check_number` with the `LIMITS` row: they accept
+    # the same values, store the same float, and give the same reason
+    # after the name for the rest.  The values are the override fuzz's,
+    # plus a bool and the ints beyond the float range.
     field = _MECHANISM_FIELDS[key]
-    low, high, _ = LIMITS[field]
-    for value in _probes(low, high):
-        verdicts = {
-            _accepts(lambda: MechanismParams(**{field: value}),
-                     ParameterError),
-            _accepts(lambda: SCHEMA[key].check(key, value), ScenarioError),
-            _accepts(lambda: build_scenario({key: value}), ScenarioError),
-        }
-        assert len(verdicts) == 1, (key, value)
+
+    def schema_value(value):
+        scenario = build_scenario({key: value})
+        assert getattr(scenario.mechanism, field) == scenario.values[key]
+        return scenario.values[key]
+
+    for value in _candidates(key) + [False, 10**400, -10**400]:
+        params = _gate(lambda: getattr(MechanismParams(**{field: value}),
+                                       field), ParameterError, field)
+        schema = _gate(lambda: schema_value(value), ScenarioError, key)
+        assert params == schema, (key, value)
+        if params[0] == "stored":
+            assert type(params[1]) is float and type(schema[1]) is float
 
 
 def test_time_budget_is_bounded_like_the_clock():

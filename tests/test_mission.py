@@ -763,6 +763,7 @@ def test_sweep_coerces_integer_keys():
     ("trigger.deploy_floor", [150.0, 200.0, 500.0], "500.0"),
     ("payload.mass", [1.0, 2.0, -1.0], "-1.0"),
     ("sim.max_sim_time", [1.0, 0.0004], "0.0004"),   # no tick at 1 ms
+    ("faults.gear_slip_push", [1, 2.5], "2.5"),
 ])
 def test_sweep_builds_every_scenario_before_any_run(monkeypatch, key,
                                                     values, bad):

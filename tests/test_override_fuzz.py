@@ -36,6 +36,9 @@ REPRODUCERS = [
     ({"servo.rated_speed": 5e-324}, "servo.rated_speed"),
     ({"mechanism.time_budget": 1e-300}, "mechanism.time_budget"),
     ({"mechanism.time_budget": 1e300}, "mechanism.time_budget"),
+    # No finite payload limit: mu*g + a is 0, and the carrier moves any
+    # payload rather than asking the sizing chain for one.
+    ({"mechanism.friction": 0.0, "mechanism.stroke": 5e-324}, None),
 ]
 
 
@@ -80,8 +83,9 @@ def _fly(overrides):
 
 
 @pytest.mark.parametrize("overrides,key", REPRODUCERS,
-                         ids=[f"{key}={value!r}" for case in REPRODUCERS
-                              for key, value in case[0].items()])
+                         ids=[",".join(f"{key}={value!r}"
+                                       for key, value in case[0].items())
+                              for case in REPRODUCERS])
 def test_reproducers_end_in_a_verdict_or_name_their_key(overrides, key):
     outcome = _fly({**CLOCK, **overrides})
     if key is None:
