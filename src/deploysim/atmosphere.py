@@ -173,11 +173,13 @@ def _reading_schedule(dt: float, period: float, latency: float, run: int):
 class Barometer:
     """Simulated pressure altimeter with noise, quantization and latency.
 
-    Built for one run of `ticks` ticks of `dt` seconds.  Call
+    Built for one run of `ticks` ticks of `dt` seconds, read by a
+    controller that senses every `sense_period` ticks.  Call
     `sample(altitude, tick)` on every tick, in order from tick 0; it
     returns a reading (pressure, altitude) on sample-rate boundaries and
-    None otherwise.  `latest` is the newest sensed altitude, NaN before
-    the first reading.  A reading is due on the first tick k with
+    None otherwise, or True on the tick the armed wake falls on.
+    `latest` is the newest sensed altitude, NaN before the first
+    reading.  A reading is due on the first tick k with
     `k*dt + TIME_EPS >= index*period`, at most one per tick.  Latency is
     a fixed delay: the reading reports the truth of the newest tick
     j <= k with `j*dt <= k*dt - latency + TIME_EPS`, or of the tick the
@@ -199,10 +201,21 @@ class Barometer:
     `pressure_at_altitude`, `random.normalvariate` and
     `_altitude_in_band`.  The reference `pressure_at_altitude` raises
     the band error.
+
+    The controller latches `latest` on its sense ticks, the multiples
+    of `sense_period`, so a reading is latched by the first sense tick
+    at or after it unless the next reading comes first; that too
+    depends on the clock alone.  `wake` is None, disarmed, or
+    `(low, high, drop)`, as `DeploymentController.wakes_on()` gives it.
+    While it is armed, `peak` is the highest latched reading (-inf
+    before the first), and a latched reading r with `low <= r <= high`
+    or `peak - r >= drop` wakes the loop: `sample` returns True, in
+    place of the reading or None, on the sense tick that latches it.
+    The wake test runs on reading ticks only.
     """
 
     def __init__(self, spec: BarometerSpec, model: AtmosphereModel,
-                 dt: float, ticks: int) -> None:
+                 dt: float, ticks: int, sense_period: int = 1) -> None:
         self.model = model
         self._random = random.Random(spec.seed).random
         # The model's figures that a reading uses, in unpacking order.
@@ -219,24 +232,31 @@ class Barometer:
         self._size = max(1, min(ticks, math.ceil(
             min(spec.latency / dt, ticks)) + 1))
         self._ring = [0.0] * self._size
+        self._sense_period = sense_period
         self.latest = math.nan
+        self.peak = -math.inf
+        self.wake = None
 
     def sample(self, true_altitude: float, tick: int):
-        """Feed the truth of `tick`; get (pressure, altitude) or None."""
+        """Feed the truth of `tick`; get (pressure, altitude), None, or
+        True on a wake."""
         self._ring[tick % self._size] = true_altitude
         if tick < self._next_tick:
             return None
+        index = self._next_index
+        reading_ticks = self._reading_ticks
+        if tick < reading_ticks[index]:     # a wake on its latching tick
+            self._next_tick = reading_ticks[index]
+            return True
         # This reading's truth tick and the next reading's tick, from the
         # shared schedule; the first barometer to need them finds them.
-        index = self._next_index
         truth = self._truths[index]
         delayed_altitude = self._ring[truth % self._size]
         index += 1
         self._next_index = index
-        reading_ticks = self._reading_ticks
         if index == len(reading_ticks):
             self._extend()
-        self._next_tick = reading_ticks[index]
+        self._next_tick = next_tick = reading_ticks[index]
 
         if not 0.0 <= delayed_altitude <= MODEL_CEILING:  # and NaN
             try:
@@ -276,4 +296,18 @@ class Barometer:
             pressure = min_pressure
         self.latest = altitude = temperature_scale * (
             1.0 - (pressure / sea_level_pressure) ** inverse_exponent)
+        wake = self.wake
+        if wake is not None:
+            # The first sense tick from here latches it, unless the next
+            # reading comes first.
+            latch = tick + -tick % self._sense_period
+            if latch < next_tick:
+                low, high, drop = wake
+                peak = self.peak
+                if altitude > peak:
+                    self.peak = peak = altitude
+                if low <= altitude <= high or peak - altitude >= drop:
+                    if latch == tick:
+                        return True
+                    self._next_tick = latch
         return pressure, altitude

@@ -134,26 +134,26 @@ class TaskSchedule:
         pattern = []
         # Slot 0, which follows the last, is always due, so no sense
         # tick before it latches for a later telemetry tick.
-        free = quiet = unread = 0
+        free = unread = 0
         latches = False     # the next sense tick latches for telemetry
         for tick in reversed(range(cycle)):
             sense, logic, telemetry = due = tuple(
                 tick % p == 0 for p in period_ticks)
-            pattern.append((*due, free, quiet, unread))
+            pattern.append((*due, free, unread))
             free = 0 if any(due) else free + 1
-            quiet = 0 if sense or telemetry else quiet + 1
             unread = 0 if telemetry or sense and latches else unread + 1
             if sense or telemetry:
                 latches = telemetry and not sense
         self._pattern = tuple(reversed(pattern))
 
-    def due_at_tick(self, tick: int) -> tuple[bool, bool, bool, int, int,
-                                             int]:
-        """Due flags (sense, logic, telemetry), then three counts of the
-        ticks after: those on which no task is due, those on which no
-        task but logic is due, and those whose tasks no telemetry row
-        reads.  A row reads only its own tick and the sense tick that
-        latched the altitude it prints, the last one at or before it."""
+    def due_at_tick(self, tick: int) -> tuple[bool, bool, bool, int, int]:
+        """Due flags (sense, logic, telemetry), then two counts of the
+        ticks after: those on which no task is due, and those whose
+        tasks no telemetry row reads.  A row reads only its own tick and
+        the sense tick that latched the altitude it prints, the last one
+        at or before it.  Idle deploy logic rests by the second count:
+        the sense ticks it skips latch readings that cannot move it, or
+        the barometer wakes the loop on the one that can."""
         return self._pattern[tick % self._cycle]
 
 
@@ -174,30 +174,47 @@ class DeploymentController:
         # NaN before the first reading: it fails every comparison, so
         # no apogee is confirmed and deploy logic waits in AwaitWindow.
         self.sensed_altitude = math.nan
+        self.sensed_peak = -math.inf
         self.apogee_seen = False
-        self._max_sensed = -math.inf
         # Start of the running timeout: the unlock command (door
         # timeout), the door reading open (settle dwell), the last push.
         self._since: float | None = None
 
     # -- tasks, in schedule priority order ---------------------------------
 
-    def task_sense(self, altitude: float) -> None:
-        """Latch the newest sensed altitude (`Barometer.latest`)."""
+    def task_sense(self, altitude: float, peak: float) -> None:
+        """Latch the newest sensed altitude and the highest latched one
+        (`Barometer.latest` and `Barometer.peak`)."""
         self.sensed_altitude = altitude
+        self.sensed_peak = peak
 
     def task_estimate(self) -> bool:
-        """Track peak sensed altitude; True on the call that confirms
-        apogee, a drop of `apogee_confirm_drop` below the peak."""
-        altitude = self.sensed_altitude
-        if altitude > self._max_sensed:
-            self._max_sensed = altitude
-        elif (not self.apogee_seen
-              and self._max_sensed - altitude
-              >= self.trigger.apogee_confirm_drop):
+        """True on the call that confirms apogee: the latched altitude
+        is `apogee_confirm_drop` (positive) or more below the peak."""
+        if (not self.apogee_seen
+                and self.sensed_peak - self.sensed_altitude
+                >= self.trigger.apogee_confirm_drop):
             self.apogee_seen = True
             return True
         return False
+
+    def wakes_on(self) -> tuple[float, float, float] | None:
+        """`(low, high, drop)`, the latched readings r that can move
+        deploy logic while it is idle (`Barometer.wake`): `low <= r <=
+        high`, or r `drop` or more below the peak.  Until apogee is
+        sensed, the drop that confirms it; in AwaitWindow, the window
+        once armed, with no floor after apogee, when a reading below it
+        misses the window.  None once apogee is sensed outside
+        AwaitWindow: no reading can move it, and the peak is not read
+        again."""
+        trigger = self.trigger
+        seen = self.apogee_seen
+        drop = math.inf if seen else trigger.apogee_confirm_drop
+        if self.phase is _AWAIT_WINDOW and (
+                seen or not trigger.arm_after_apogee):
+            return (-math.inf if seen else trigger.deploy_floor,
+                    trigger.deploy_ceiling, drop)
+        return None if seen else (math.inf, -math.inf, drop)
 
     def _hold(self, reason: SafeHoldReason) -> list[Command]:
         self.phase = DeployPhase.SAFE_HOLD

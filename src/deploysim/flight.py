@@ -89,9 +89,11 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
     """Fly the vehicle up to `ticks` ticks from tick `first`, in place;
     return how many it flew.  The caller has sampled tick `first`; each
     later tick k first calls `sample(altitude, k)`.  It stops after the
-    first step that changes the phase; the landing clamp keeps a landed
-    state bit for bit as it is.  A DomainError raised on tick k carries
-    k as `tick`, unless the barometer set the tick of its truth there.
+    first step that changes the phase, and before tick k when that call
+    returns True: a barometer's wake, which leaves tick k sampled and
+    unflown.  The landing clamp keeps a landed state bit for bit as it
+    is.  A DomainError raised on tick k carries k as `tick`, unless the
+    barometer set the tick of its truth there.
     """
     phase = start = state.phase
     if phase is _PRELAUNCH:
@@ -115,7 +117,7 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
     ceiling, gravity = MODEL_CEILING, GRAVITY
     altitude, velocity = state.altitude, state.velocity
     mass, propellant = state.mass, state.propellant
-    tick, last = first, first + ticks - 1
+    tick, end = first, first + ticks
     try:
         while True:
             if phase is boost:
@@ -150,10 +152,10 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
                 altitude = 0.0
                 velocity = 0.0
                 phase = landed
-            if phase is not start or tick == last:
-                break
             tick += 1
-            sample(altitude, tick)
+            if (phase is not start or tick == end
+                    or sample(altitude, tick) is True):
+                break
     except DomainError as exc:
         exc.tick = getattr(exc, "tick", tick)
         raise
@@ -161,7 +163,7 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
     state.altitude, state.velocity = altitude, velocity
     state.mass, state.propellant = mass, propellant
     state.phase = phase
-    return tick - first + 1
+    return tick - first
 
 
 @dataclass(slots=True)

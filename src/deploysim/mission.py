@@ -9,18 +9,22 @@ whole descent there in one `step_payload` call; the release, the chute
 opening and the landing are recorded on the payload, and the landing
 sets the run's last tick.  The ticks up to the next task that can act
 rest: one `step_vehicle` call samples the barometer and flies them, up
-to a phase change, from which the next pass of the loop carries on.
-If the rod, the door or the carrier moved or the pack delivered charge
-on the busy tick, the same code then steps them and drains the pack
-one tick at a time over the rest ticks the vehicle flew, so a landing
-with the payload aboard ends that too.  No rest is taken while a push
-could reach the stroke in it, so the release falls on a busy tick.
-Deploy logic cannot act while the phase is absorbing, nor between sense
-ticks while it waits in AwaitWindow on inputs it has weighed, unless
-the pack dies: a pack that delivers charge rests only up to the next
-logic tick.  Once the phase is absorbing and apogee is sensed, a sense
-task only latches the altitude telemetry prints, so the rest runs up to
-the next telemetry tick or the sense tick that latches for it.
+to a phase change or a wake, from which the next pass of the loop
+carries on.  If the rod, the door or the carrier moved or the pack
+delivered charge on the busy tick, the same code then steps them and
+drains the pack one tick at a time over the rest ticks the vehicle
+flew, so a landing with the payload aboard ends that too.  No rest is
+taken while a push could reach the stroke in it, so the release falls
+on a busy tick.  Deploy logic is idle while the phase is absorbing, or
+while it waits in AwaitWindow on inputs it has weighed, unless the
+pack dies: a pack that delivers charge rests only up to the next logic
+tick.  Idle, a sense task only latches the altitude telemetry prints,
+unless it latches a reading that can move the controller
+(`DeploymentController.wakes_on`), so the rest runs up to the next
+telemetry tick or the sense tick that latches for it, and the
+barometer wakes the loop on such a reading: the stretch stops before
+the sense tick that latches it, which the next pass starts on, already
+sampled.
 Everything downstream of the scenario and seed is deterministic, so
 equal inputs give byte-identical telemetry.
 """
@@ -34,7 +38,8 @@ from .actuation import (BatteryState, CarrierState, DoorState, FaultPlan,
                         begin_push, carrier_drive, command_unlock,
                         drain_battery, halt_carrier, step_carrier, step_door)
 from .atmosphere import Barometer
-from .controller import DeploymentController, DeployPhase, TaskSchedule
+from .controller import (DeploymentController, DeployPhase, TaskSchedule,
+                         task_period_ticks)
 from .errors import DomainError, ScenarioError
 from .flight import (FlightPhase, FlightState, initial_state, release_payload,
                      step_payload, step_vehicle)
@@ -188,7 +193,9 @@ def run_mission(scenario: Scenario,
                           scenario.payload.mass)
     stroke = drive.stroke
     controller = DeploymentController(trigger, stroke)
-    barometer = Barometer(scenario.barometer, atmosphere, dt, n_ticks)
+    barometer = Barometer(scenario.barometer, atmosphere, dt, n_ticks,
+                          task_period_ticks(dt)[0])
+    barometer.wake = controller.wakes_on()
     vehicle = initial_state(vehicle_spec, scenario.payload.mass)
     door = DoorState()
     carrier = CarrierState()
@@ -215,9 +222,11 @@ def run_mission(scenario: Scenario,
     near_stroke = stroke - 1e-9         # m
     phase = controller.phase    # as of the last tick; update_phase moves it
     settled = False             # phase is SafeHold or Ejected, both absorbing
-    # Deploy logic cannot act before the next sense tick: the phase is
-    # absorbing, or it stayed in AwaitWindow on the inputs it has.
+    # Deploy logic cannot act before a latched reading wakes it: the
+    # phase is absorbing, or it stayed in AwaitWindow on the inputs it
+    # has.
     logic_idle = False
+    woke = False        # the last stretch stopped on a wake at `tick`
     energy = 0.0
     peak_current = 0.0
     charge_drawn = 0.0
@@ -234,7 +243,8 @@ def run_mission(scenario: Scenario,
     tick = 0
     try:
         while tick < n_ticks:
-            sample(vehicle.altitude, tick)
+            if not woke:        # a wake has sampled its tick
+                sample(vehicle.altitude, tick)
             now = tick * dt
             if tick == fail_tick:       # no stretch crosses it
                 battery.voltage = 0.0
@@ -242,13 +252,14 @@ def run_mission(scenario: Scenario,
                 logic_idle = settled
                 fail_tick = n_ticks
 
-            (sense_due, logic_due, telemetry_due, free, quiet,
+            (sense_due, logic_due, telemetry_due, free,
              unread) = schedule.due_at_tick(tick)
             if sense_due:
-                controller.task_sense(barometer.latest)
+                controller.task_sense(barometer.latest, barometer.peak)
                 if controller.task_estimate():
                     events.append(Event(now, "apogee_sensed",
                                         controller.sensed_altitude))
+                    barometer.wake = controller.wakes_on()
             # Idle in AwaitWindow, deploy logic runs again on a sense tick,
             # the only one with a new input; the pack resets the idle flag.
             if logic_due and (not logic_idle or sense_due and not settled):
@@ -263,6 +274,7 @@ def run_mission(scenario: Scenario,
                     phase = controller.phase
                     settled = phase is safe_hold or phase is ejected
                     logic_idle = settled
+                    barometer.wake = controller.wakes_on()
                     if phase is safe_hold:
                         # Safing de-energizes the rack once; SafeHold never
                         # drives the lock rod or commands a push again.
@@ -341,20 +353,18 @@ def run_mission(scenario: Scenario,
                     # The ticks up to the next task that can act rest.
                     # While deploy logic is live, or the mechanism moves
                     # (the pack may die in the rest) and the controller
-                    # has not settled, that is the next logic tick.  Once
-                    # settled past a sensed apogee, a sense task only
-                    # latches the altitude telemetry prints, so only the
-                    # telemetry ticks and the sense ticks that latch for
-                    # them act.  A push that could reach the stroke in
-                    # the rest, by one tick's travel more than it can
-                    # carry and a margin for rounding, takes none.
+                    # has not settled, that is the next logic tick.
+                    # While it is idle, a sense task only latches the
+                    # altitude telemetry prints, unless the reading it
+                    # latches wakes the loop (`Barometer.wake`), so the
+                    # rest runs to the next telemetry tick or the sense
+                    # tick that latches for it, and the stretch stops
+                    # early on a wake.  A push that could reach the
+                    # stroke in the rest, by one tick's travel more than
+                    # it can carry and a margin for rounding, takes none.
                     moving = delivered or rod or swing or push
-                    if not logic_idle or moving and not settled:
-                        rest = free
-                    elif settled and controller.apogee_seen:
-                        rest = unread
-                    else:
-                        rest = quiet
+                    rest = (free if not logic_idle or moving and not settled
+                            else unread)
                     if (push and payload.release_time is None
                             and carrier.payload_displacement
                             + (rest + 1) * travel >= near_stroke):
@@ -368,9 +378,12 @@ def run_mission(scenario: Scenario,
                     # the rest, where no task that can act is due.
                     # Vehicle events are stamped at the end of their tick.
                     previous_phase = vehicle.phase
-                    end = tick + step_vehicle(vehicle_spec, vehicle, dt,
-                                              atmosphere, end - tick, sample,
-                                              tick)
+                    flown = step_vehicle(vehicle_spec, vehicle, dt,
+                                         atmosphere, end - tick, sample, tick)
+                    # Short of `end` with the phase unchanged: a wake.
+                    woke = (tick + flown < end
+                            and vehicle.phase is previous_phase)
+                    end = tick + flown
                     if vehicle.phase is not previous_phase:
                         if vehicle.phase is FlightPhase.DROGUE_DESCENT:
                             events.append(Event(end * dt, "apogee_truth",

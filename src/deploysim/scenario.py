@@ -286,9 +286,17 @@ def _assemble(checked: dict, overrides: dict | None) -> Scenario:
         raise ScenarioError("servo.rated_speed and mechanism.pitch_diameter "
                             "give a rack speed of 0 m/s")
     # Three push cycles at the no-load speed; `values` keeps the None.
+    # One that overflows would switch the push watchdog off.
     if records["trigger"].push_timeout is None:
-        records["trigger"] = replace(records["trigger"], push_timeout=(
-            3.0 * (2.0 * mechanism.stroke / speed)))
+        timeout = 3.0 * (2.0 * mechanism.stroke / speed)
+        if not math.isfinite(timeout):
+            raise ScenarioError(
+                f"the default trigger.push_timeout, three push cycles of "
+                f"mechanism.stroke {mechanism.stroke!r} m at the rack speed "
+                f"servo.rated_speed and mechanism.pitch_diameter give, "
+                f"{speed!r} m/s, is not finite; set trigger.push_timeout")
+        records["trigger"] = replace(records["trigger"],
+                                     push_timeout=timeout)
 
     return Scenario(
         **records, battery=BatteryState(battery["voltage"],

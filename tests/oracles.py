@@ -51,12 +51,12 @@ def step_once(spec, state, dt, model):
 
 
 class NoRestSchedule(TaskSchedule):
-    """The package's task schedule with all three rest counts 0: the
-    same due flags, and no tick after any tick rests."""
+    """The package's task schedule with both rest counts 0: the same
+    due flags, and no tick after any tick rests."""
 
     def due_at_tick(self, tick):
         sense, logic, telemetry, *_ = super().due_at_tick(tick)
-        return sense, logic, telemetry, 0, 0, 0
+        return sense, logic, telemetry, 0, 0
 
 
 def reference_vehicle_step(spec, state, dt, model):

@@ -209,6 +209,64 @@ def test_latest_is_the_newest_sensed_altitude():
     assert baro.latest == newer
 
 
+@pytest.mark.parametrize("dt, rate, sense_period", [
+    (0.001, 50.0, 20), (0.01, 50.0, 2), (0.001, 80.0, 20),
+    (0.00125, 80.0, 16), (0.001, 30.0, 20)],
+    ids=["1ms_50hz", "10ms_50hz", "1ms_80hz", "1.25ms_80hz", "1ms_30hz"])
+def test_peak_and_wake_follow_the_latched_readings(dt, rate, sense_period):
+    """A reading is latched by the first sense tick at or after it
+    unless the next reading comes first.  `peak` is the highest latched
+    reading; an armed wake returns True, in place of the reading or
+    None, on the sense tick that latches a reading it names."""
+    ticks = 3_000
+    rng = random.Random(11)
+    stream = [rng.uniform(0.0, 11000.0) for _ in range(ticks)]
+    spec = _quiet_spec(sample_rate=rate, latency=0.035, noise_sigma=3.0,
+                       seed=5)
+    plain = Barometer(spec, MODEL, dt, ticks)
+    readings = {}
+    for tick, altitude in enumerate(stream):
+        reading = plain.sample(altitude, tick)
+        if reading is not None:
+            readings[tick] = reading
+    reading_ticks = sorted(readings) + [ticks]
+    latched = {}        # latching sense tick -> reading tick
+    for tick, after in zip(reading_ticks, reading_ticks[1:]):
+        latch = -(-tick // sense_period) * sense_period
+        if latch < after:
+            latched[latch] = tick
+    low, high, drop = wake = (4000.0, 6000.0, 3000.0)
+    expected_wakes, peak = [], -math.inf
+    for latch, tick in sorted(latched.items()):
+        altitude = readings[tick][1]
+        peak = max(peak, altitude)
+        if low <= altitude <= high or peak - altitude >= drop:
+            expected_wakes.append(latch)
+
+    baro = Barometer(spec, MODEL, dt, ticks, sense_period)
+    baro.wake = wake
+    wakes, peak = [], -math.inf
+    for tick, altitude in enumerate(stream):
+        got = baro.sample(altitude, tick)
+        if got is True:
+            wakes.append(tick)
+        else:
+            assert got == readings.get(tick), tick
+        if tick in readings:
+            assert baro.latest == readings[tick][1], tick
+        if tick in latched:
+            peak = max(peak, readings[latched[tick]][1])
+        if tick % sense_period == 0:
+            assert baro.peak == peak, tick
+    assert wakes == expected_wakes
+    assert len(wakes) > 10
+    # At 80 Hz some readings are never latched; at 80 and 30 Hz some
+    # are latched on a later tick than their own.
+    assert (len(latched) < len(readings)) == (rate == 80.0)
+    assert any(tick not in readings for tick in wakes) == (
+        rate in (80.0, 30.0))
+
+
 def test_noise_free_sample_reports_truth():
     baro = Barometer(_quiet_spec(), MODEL, 0.02, 1)
     pressure, altitude = baro.sample(1000.0, 0)

@@ -135,6 +135,21 @@ def test_run_out_that_is_a_file_is_config_error(tmp_path, capsys, out):
     assert "Traceback" not in captured.err
 
 
+def test_run_with_an_unbounded_push_timeout_is_config_error(tmp_path,
+                                                           capsys):
+    deck = tmp_path / "tiny.scn"
+    deck.write_text("mechanism.pitch_diameter = 5e-324\n", encoding="utf-8")
+    assert main(["run", "--scenario", str(deck),
+                 "--out", str(tmp_path / "o")]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("deploysim: error: ")
+    for name in ("tiny.scn", "mechanism.pitch_diameter", "servo.rated_speed",
+                 "trigger.push_timeout"):
+        assert name in err, name
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_non_utf8_scenario_file_is_config_error(tmp_path, capsys):
     deck = tmp_path / "bad.scn"
     deck.write_bytes(b"payload.mass = 2.0 \xff\n")

@@ -6,6 +6,7 @@ transition lands on an exact, assertable logic tick.
 """
 
 import math
+from copy import deepcopy
 from dataclasses import replace
 
 import pytest
@@ -39,8 +40,9 @@ def make_controller(**kwargs):
 
 
 def sense(ctl, altitude):
-    """Feed one reading; True when it confirms apogee."""
-    ctl.task_sense(altitude)
+    """Latch one reading, and the peak with it, as the barometer keeps
+    it; True when it confirms apogee."""
+    ctl.task_sense(altitude, max(ctl.sensed_peak, altitude))
     return ctl.task_estimate()
 
 
@@ -54,25 +56,24 @@ def arm_with_apogee(ctl, peak=500.0, now=0.0):
 
 # ---------------------------------------------------------------------------
 # Task schedule: (sense, deploy logic, telemetry) due flags, then the
-# number of task-free ticks that follow, the number that follow with no
-# task but deploy logic due, and the number that follow before the next
-# telemetry tick or the sense tick that latches for it.
+# number of task-free ticks that follow and the number that follow
+# before the next telemetry tick or the sense tick that latches for it.
 
 
 def test_all_tasks_due_at_time_zero():
     schedule = TaskSchedule(0.001)
-    assert schedule.due_at_tick(0) == (True, True, True, 9, 19, 39)
+    assert schedule.due_at_tick(0) == (True, True, True, 9, 39)
 
 
 def test_dueness_at_sample_times():
     # At 1 ms the telemetry rows of a 100-tick cycle read ticks 0, 40
     # (the sense tick before the row at 50) and 50.
     schedule = TaskSchedule(0.001)
-    assert schedule.due_at_tick(20) == (True, True, False, 9, 19, 19)
-    assert schedule.due_at_tick(30) == (False, True, False, 9, 9, 9)
-    assert schedule.due_at_tick(40) == (True, True, False, 9, 9, 9)
-    assert schedule.due_at_tick(50) == (False, True, True, 9, 9, 49)
-    assert schedule.due_at_tick(13) == (False, False, False, 6, 6, 26)
+    assert schedule.due_at_tick(20) == (True, True, False, 9, 19)
+    assert schedule.due_at_tick(30) == (False, True, False, 9, 9)
+    assert schedule.due_at_tick(40) == (True, True, False, 9, 9)
+    assert schedule.due_at_tick(50) == (False, True, True, 9, 49)
+    assert schedule.due_at_tick(13) == (False, False, False, 6, 26)
 
 
 def test_rates_actually_hit():
@@ -96,18 +97,6 @@ def test_free_count_is_the_run_of_task_free_ticks_that_follows(dt):
         assert schedule.due_at_tick(tick)[3] == run, tick
 
 
-@pytest.mark.parametrize("dt", [0.001, 0.0005, 0.002, 0.01])
-def test_quiet_count_is_the_run_of_ticks_without_sense_or_telemetry(dt):
-    schedule = TaskSchedule(dt)
-    horizon = 1000
-    loud = [any(schedule.due_at_tick(tick)[0:3:2]) for tick in range(horizon)]
-    for tick in range(horizon - 100):
-        run = 0
-        while not loud[tick + 1 + run]:
-            run += 1
-        assert schedule.due_at_tick(tick)[4] == run, tick
-
-
 @pytest.mark.parametrize("dt", [0.0005, 0.001, 0.002, 0.005, 0.01])
 def test_unread_count_runs_to_the_next_tick_a_telemetry_row_reads(dt):
     # A row reads its own tick and the last sense tick at or before it,
@@ -122,7 +111,7 @@ def test_unread_count_runs_to_the_next_tick_a_telemetry_row_reads(dt):
         run = 0
         while tick + 1 + run not in read:
             run += 1
-        assert schedule.due_at_tick(tick)[5] == run, tick
+        assert schedule.due_at_tick(tick)[4] == run, tick
     # Three ticks in each 100 ms cycle: two rows, and the sense tick
     # before the row that falls between sense ticks.
     assert len(read & set(range(cycle))) == 3
@@ -243,6 +232,56 @@ def test_apogee_confirm_drop_threshold():
     assert sense(ctl, 495.0)        # 5.0 m drop: confirmed on this call
     assert ctl.apogee_seen
     assert not sense(ctl, 480.0)    # reported once only
+
+
+def _idle_controllers():
+    """Controllers whose deploy logic rests idle, each with the peak of
+    its latched readings at 600 m or 500 m."""
+    pre = make_controller()
+    pre.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.0)
+    sense(pre, 600.0)
+    armed = make_controller(arm_after_apogee=False)
+    armed.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.0)
+    sense(armed, 600.0)
+    post = make_controller()
+    arm_with_apogee(post)
+    held_pre = make_controller()
+    held_pre.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, 0.0)
+    sense(held_pre, 600.0)
+    held_pre.update_phase(LOCKED_DOOR, IDLE_CARRIER, DEAD_BATTERY, 0.01)
+    held_post = make_controller()
+    arm_with_apogee(held_post)
+    held_post.update_phase(LOCKED_DOOR, IDLE_CARRIER, DEAD_BATTERY, 0.03)
+    return {"awaiting": pre, "armed_before_apogee": armed,
+            "awaiting_after_apogee": post, "held_before_apogee": held_pre,
+            "held_after_apogee": held_post}
+
+
+@pytest.mark.parametrize("name", sorted(_idle_controllers()))
+def test_wakes_on_names_exactly_the_readings_that_move_it(name):
+    # A sense tick latches the reading and the peak, estimates, then
+    # runs deploy logic: the controller moves (confirms apogee, changes
+    # phase or commands) on exactly the readings `wakes_on` names.
+    ctl = _idle_controllers()[name]
+    wake = ctl.wakes_on()
+    assert (wake is None) == (name == "held_after_apogee")
+    low, high, drop = wake or (math.inf, -math.inf, math.inf)
+    readings = [0.0, 100.0, 149.9, 150.0, 150.1, 300.0, 399.9, 400.0,
+                400.1, 494.9, 495.0, 495.1, 500.0, 594.9, 595.0, 595.1,
+                600.0, 700.0]
+    moved = []
+    for altitude in readings:
+        probe = deepcopy(ctl)
+        before = (probe.phase, probe.apogee_seen)
+        peak = max(probe.sensed_peak, altitude)
+        confirmed = sense(probe, altitude)
+        out = probe.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, 1.0)
+        assert confirmed == (probe.apogee_seen and not before[1])
+        if out or (probe.phase, probe.apogee_seen) != before:
+            moved.append(altitude)
+        assert (altitude in moved) == (low <= altitude <= high
+                                       or peak - altitude >= drop), altitude
+    assert (moved == []) == (name == "held_after_apogee")
 
 
 def test_door_timeout_from_unlock_command():

@@ -167,11 +167,13 @@ def test_schema_and_params_gates_agree(key):
     # Both gates call `check_number` with the `LIMITS` row: they accept
     # the same values, store the same float, and give the same reason
     # after the name for the rest.  The values are the override fuzz's,
-    # plus a bool and the ints beyond the float range.
+    # plus a bool and the ints beyond the float range.  The scenario
+    # sets its push timeout, whose default from the stroke and the pitch
+    # diameter the scenario checks across keys.
     field = _MECHANISM_FIELDS[key]
 
     def schema_value(value):
-        scenario = build_scenario({key: value})
+        scenario = build_scenario({key: value, "trigger.push_timeout": 1.0})
         assert getattr(scenario.mechanism, field) == scenario.values[key]
         return scenario.values[key]
 

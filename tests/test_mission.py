@@ -39,6 +39,7 @@ from deploysim.controller import (DeployPhase, DeploymentController,
                                   TaskSchedule, task_period_ticks)
 from deploysim.errors import DomainError, ScenarioError
 from oracles import NoRestSchedule
+from test_acceptance import fuzz_profile
 
 NOMINAL = bundled_scenario("altair_nominal")
 
@@ -429,15 +430,21 @@ def test_steppers_run_once_per_tick_at_1ms_and_under_load(deck, overrides):
 def logic_ticks_expected(result, absorbing, dt):
     """The deploy-logic ticks a run must execute: the arming tick and
     the next logic tick, which first weighs the window; then, while the
-    controller waits in AwaitWindow, only the sense ticks, whose new
-    reading is the only input that can change; then every logic tick
-    from the one that left AwaitWindow up to the absorbing one."""
-    sense, logic, _ = task_period_ticks(dt)
+    controller waits in AwaitWindow, only the sense ticks that begin a
+    pass: those that latch the altitude a telemetry row prints, and the
+    one whose reading confirms apogee and wakes it; then every logic
+    tick from the one that left AwaitWindow, woken by its reading or by
+    the pack, up to the absorbing one."""
+    sense, logic, telemetry = task_period_ticks(dt)
     left = min([round(command.time / dt) for command in result.commands]
                + [round(event.time / dt) for event in result.events
                   if event.name == "safe_hold"])
-    waiting = [tick for tick in [logic] + list(range(sense, left, sense))
-               if tick < left]
+    weighed = {logic} | {row - row % sense
+                         for row in range(0, left + telemetry, telemetry)}
+    sensed = event_map(result).get("apogee_sensed")
+    if sensed is not None:
+        weighed.add(round(sensed.time / dt))
+    waiting = sorted(tick for tick in weighed if 0 < tick < left)
     return [0] + waiting + list(range(left, absorbing + 1, logic))
 
 
@@ -514,6 +521,27 @@ def test_no_stretch_crosses_the_scheduled_battery_failure(
                    for first, ticks in stretches)
 
 
+def test_idle_controller_rests_to_the_next_telemetry_row(monkeypatch):
+    # At 10 ms, from the sensed apogee to the unlock, only the telemetry
+    # ticks (0 and 5 of each 10), the sense tick that latches for the
+    # row at 5 (4) and the tick whose reading, at or below the ceiling,
+    # wakes deploy logic begin a stretch.  Before it, the apogee wake
+    # and the two stretches a flight phase change ends add to those.
+    stretches = record_stretches(monkeypatch)
+    result = run_mission(scenario_with(NOMINAL, {"sim.dt": 0.01}))
+    sensed = round(event_map(result)["apogee_sensed"].time / 0.01)
+    unlock = result.commands[0]
+    assert unlock.name == "unlock"
+    unlocked = round(unlock.time / 0.01)
+    starts = [first for first, _ in stretches]
+    assert [first for first in starts if sensed < first <= unlocked] == [
+        tick for tick in range(sensed + 1, unlocked)
+        if tick % 10 in (0, 4, 5)] + [unlocked]
+    off = [first for first in starts if 1 < first <= sensed
+           and first % 10 not in (0, 4, 5)]
+    assert len(off) == 3 and off[-1] == sensed
+
+
 def test_settled_controller_rests_through_its_logic_ticks(monkeypatch):
     # After SafeHold at 30 s, past the sensed apogee, only the telemetry
     # ticks (every 50) and the sense tick that latches for the row at 50
@@ -526,13 +554,17 @@ def test_settled_controller_rests_through_its_logic_ticks(monkeypatch):
         tick for tick in range(30_000, landed) if tick % 100 in (0, 40, 50)]
 
 
-class TaskScheduleWithoutSettledRest(TaskSchedule):
-    """A schedule whose settled rest is the quiet one: a settled
-    controller rests only up to the next sense or telemetry tick."""
+class TaskScheduleWithoutUnreadRest(TaskSchedule):
+    """A schedule whose second rest count runs only up to the next sense
+    or telemetry tick: an idle or settled controller then stops on every
+    sense tick and weighs every latched reading, with no wake needed."""
 
     def due_at_tick(self, tick):
-        *head, quiet, _ = super().due_at_tick(tick)
-        return (*head, quiet, quiet)
+        sense, logic, telemetry, free, _ = super().due_at_tick(tick)
+        quiet = 0
+        while not any(super().due_at_tick(tick + 1 + quiet)[0:3:2]):
+            quiet += 1
+        return sense, logic, telemetry, free, quiet
 
 
 def run_outputs(scenario):
@@ -552,12 +584,12 @@ SETTLED_REST_RUNS = (
 
 @pytest.mark.parametrize("deck, overrides", SETTLED_REST_RUNS)
 def test_settled_rest_changes_no_output_byte(monkeypatch, deck, overrides):
-    # The rest through the sense ticks no telemetry row reads, against
-    # a run that stops on every sense tick once settled.
+    # The rest through the sense ticks no telemetry row reads, idle or
+    # settled, against a run that stops on every sense tick.
     scenario = scenario_with(bundled_scenario(deck), overrides)
     rested = run_outputs(scenario)
     monkeypatch.setattr(mission, "TaskSchedule",
-                        TaskScheduleWithoutSettledRest)
+                        TaskScheduleWithoutUnreadRest)
     assert run_outputs(scenario) == rested
 
 
@@ -617,6 +649,31 @@ REST_RUNS = (
         *({"mechanism.stroke": stroke}
           for stroke in (0.0301, 0.0457, 0.0613, 0.0799, 0.1003)),
         {"barometer.sample_rate": 80.0, "barometer.latency": 0.035},
+        # Readings that no sense tick latches, and wakes on a sense tick
+        # after their reading: at 1 ms with the window crossed on the
+        # way up and met on the way down, and at 1.25 ms.
+        {"barometer.sample_rate": 80.0, "barometer.latency": 0.035,
+         "trigger.arm_after_apogee": False, "trigger.deploy_floor": 300.0,
+         "trigger.deploy_ceiling": 300.5},
+        {"sim.dt": 0.00125, "barometer.sample_rate": 80.0},
+        # The least confirming drop the schema allows, the smallest
+        # positive float: apogee on the first latched reading below the
+        # peak, and none on one equal to it (with the default noise, a
+        # reading on the pad).  And a 50 m drop.
+        {"trigger.apogee_confirm_drop": 5e-324},
+        {"trigger.apogee_confirm_drop": 5e-324, "barometer.noise_sigma": 0.0},
+        {"trigger.apogee_confirm_drop": 50.0},
+        # A ceiling above apogee: the apogee wake also unlocks.
+        {"trigger.deploy_ceiling": 5000.0},
+        # Armed on the pad, the window woken on the way up, and a window
+        # of 1 m crossed on the way up between sense ticks.
+        {"trigger.arm_after_apogee": False},
+        {"trigger.arm_after_apogee": False, "trigger.deploy_floor": 300.0,
+         "trigger.deploy_ceiling": 301.0},
+        {"barometer.noise_sigma": 5.0, "barometer.quantization": 0.0},
+        # A window of 0.1 m that no latched reading falls in: the first
+        # one below it, off the telemetry ticks, misses the window.
+        {"trigger.deploy_floor": 300.0, "trigger.deploy_ceiling": 300.1},
     )])
 
 
@@ -627,6 +684,16 @@ def test_rests_change_no_output_byte(monkeypatch, deck, overrides):
     rested = run_outputs(scenario)
     monkeypatch.setattr(mission, "TaskSchedule", NoRestSchedule)
     assert run_outputs(scenario) == rested
+
+
+def test_rests_change_no_output_byte_on_fuzzed_profiles(monkeypatch):
+    # The first 40 C3 profiles at 10 ms, against the loop that runs each
+    # tick as its own pass.
+    scenarios = [fuzz_profile(k)[0] for k in range(40)]
+    rested = [run_outputs(scenario) for scenario in scenarios]
+    monkeypatch.setattr(mission, "TaskSchedule", NoRestSchedule)
+    for k, scenario in enumerate(scenarios):
+        assert run_outputs(scenario) == rested[k], k
 
 
 def test_a_pack_that_dies_while_awaiting_the_window_is_seen_at_once(

@@ -262,6 +262,27 @@ def test_explicit_push_timeout_wins():
     assert sc.values["trigger.push_timeout"] == 1.5
 
 
+def test_a_default_push_timeout_that_is_not_finite_is_refused():
+    # A legal pitch diameter whose rack speed is 1.5e-323 m/s, or a legal
+    # stroke of 1e308 m, would give an infinite default timeout: a push
+    # watchdog that never fires.
+    message = (r"default trigger\.push_timeout, .* mechanism\.stroke .* "
+               r"servo\.rated_speed and mechanism\.pitch_diameter .* "
+               r"is not finite")
+    for overflow in ({"mechanism.pitch_diameter": 5e-324},
+                     {"mechanism.stroke": 1e308}):
+        with pytest.raises(ScenarioError, match=message):
+            build_scenario(overflow)
+        with pytest.raises(ScenarioError, match=message):
+            scenario_with(build_scenario(), overflow)
+        # An explicit timeout still builds.
+        explicit = build_scenario({**overflow, "trigger.push_timeout": 2.0})
+        assert explicit.trigger.push_timeout == 2.0
+    # A slow rack whose default stays finite.
+    slow = build_scenario({"mechanism.pitch_diameter": 1e-300})
+    assert math.isfinite(slow.trigger.push_timeout)
+
+
 def test_sibling_resolves_the_push_timeout_again():
     base = build_scenario()
     longer = scenario_with(base, {"mechanism.stroke": 0.090})
