@@ -56,6 +56,13 @@ class AtmosphereModel:
         if self.sea_level_temperature - self.lapse_rate * MODEL_CEILING <= 0.0:
             raise ParameterError("lapse_rate drives temperature below zero "
                                  "inside the model band")
+        # And it must be steep enough for the formula to resolve
+        # altitude: a step of 2**-53 in `1 - L*h/T` is 2**-53 * T/L
+        # metres, 0.1 mm at this bound, where a noise-free run at 10 ms
+        # still senses the truth to within 1 mm of its sample lag.
+        if self.lapse_rate < 1e-12 * self.sea_level_temperature:
+            raise ParameterError("lapse_rate / sea_level_temperature below "
+                                 "1e-12 per metre cannot resolve altitude")
         object.__setattr__(self, "exponent", (
             STANDARD_GRAVITY * MOLAR_MASS_AIR
             / (GAS_CONSTANT * self.lapse_rate)))
@@ -178,9 +185,10 @@ class Barometer:
     `sample(altitude, tick)` on every tick, in order from tick 0; it
     returns a reading (pressure, altitude) on sample-rate boundaries and
     None otherwise, or True on the tick the armed wake falls on.
-    `latest` is the newest sensed altitude, NaN before the first
-    reading.  A reading is due on the first tick k with
-    `k*dt + TIME_EPS >= index*period`, at most one per tick.  Latency is
+    `latched` is the newest reading that a sense tick at or before the
+    current tick has latched, NaN before the first.  A reading is due on
+    the first tick k with `k*dt + TIME_EPS >= index*period`, at most one
+    per tick.  Latency is
     a fixed delay: the reading reports the truth of the newest tick
     j <= k with `j*dt <= k*dt - latency + TIME_EPS`, or of the tick the
     last reading reported while no tick is that old (tick 0 at first).
@@ -202,16 +210,19 @@ class Barometer:
     `_altitude_in_band`.  The reference `pressure_at_altitude` raises
     the band error.
 
-    The controller latches `latest` on its sense ticks, the multiples
-    of `sense_period`, so a reading is latched by the first sense tick
-    at or after it unless the next reading comes first; that too
-    depends on the clock alone.  `wake` is None, disarmed, or
-    `(low, high, drop)`, as `DeploymentController.wakes_on()` gives it.
-    While it is armed, `peak` is the highest latched reading (-inf
+    A sense tick, a multiple of `sense_period`, latches the newest
+    reading, so a reading is latched by the first sense tick at or after
+    it unless the next reading comes first; that too depends on the
+    clock alone.  The barometer owns the latch: `sample` sets `latched`
+    on the latching tick itself, at once for a reading on a sense tick,
+    else from the pending reading when its latch tick comes, and the
+    controller and telemetry read it there.  `wake` is None, disarmed,
+    or `(low, high, drop)`, as `DeploymentController.wakes_on()` gives
+    it.  While it is armed, `peak` is the highest latched reading (-inf
     before the first), and a latched reading r with `low <= r <= high`
     or `peak - r >= drop` wakes the loop: `sample` returns True, in
     place of the reading or None, on the sense tick that latches it.
-    The wake test runs on reading ticks only.
+    The wake test runs where a reading is latched, and only there.
     """
 
     def __init__(self, spec: BarometerSpec, model: AtmosphereModel,
@@ -233,7 +244,9 @@ class Barometer:
             min(spec.latency / dt, ticks)) + 1))
         self._ring = [0.0] * self._size
         self._sense_period = sense_period
-        self.latest = math.nan
+        # NaN until a reading is latched; `_pending` is a reading that
+        # awaits its latch tick.
+        self.latched = self._pending = math.nan
         self.peak = -math.inf
         self.wake = None
 
@@ -245,69 +258,76 @@ class Barometer:
             return None
         index = self._next_index
         reading_ticks = self._reading_ticks
-        if tick < reading_ticks[index]:     # a wake on its latching tick
+        if tick < reading_ticks[index]:     # a pending reading's latch
             self._next_tick = reading_ticks[index]
-            return True
-        # This reading's truth tick and the next reading's tick, from the
-        # shared schedule; the first barometer to need them finds them.
-        truth = self._truths[index]
-        delayed_altitude = self._ring[truth % self._size]
-        index += 1
-        self._next_index = index
-        if index == len(reading_ticks):
-            self._extend()
-        self._next_tick = next_tick = reading_ticks[index]
+            reading, altitude = None, self._pending
+        else:
+            # This reading's truth tick and the next reading's tick, from
+            # the shared schedule; the first barometer to need them finds
+            # them.
+            truth = self._truths[index]
+            delayed_altitude = self._ring[truth % self._size]
+            index += 1
+            self._next_index = index
+            if index == len(reading_ticks):
+                self._extend()
+            self._next_tick = next_tick = reading_ticks[index]
 
-        if not 0.0 <= delayed_altitude <= MODEL_CEILING:  # and NaN
-            try:
-                pressure_at_altitude(self.model, delayed_altitude)
-            except DomainError as exc:
-                exc.tick = truth    # the tick whose altitude it quotes
-                raise
-        (sea_level_pressure, sea_level_temperature, lapse_rate, exponent,
-         min_pressure, temperature_scale, inverse_exponent) = self._air
-        pressure = sea_level_pressure * (
-            1.0 - lapse_rate * delayed_altitude / sea_level_temperature
-        ) ** exponent
-        sigma = self._sigma
-        if sigma > 0.0:
-            # random.normalvariate(0.0, sigma), whose constant
-            # NV_MAGICCONST = 4 * exp(-0.5) / sqrt(2.0) is written out.
-            # Its `0.0 + z * sigma` drops the `0.0 +`, which only turns
-            # -0.0 into 0.0, and a pressure in the band is never zero.
-            random = self._random
-            while True:
-                u1 = random()
-                u2 = 1.0 - random()
-                z = 1.7155277699214135 * (u1 - 0.5) / u2
-                if z * z / 4.0 <= -_log(u2):
-                    break
-            pressure += z * sigma
-        quantum = self._quantum
-        if quantum > 0.0:
-            steps = pressure / quantum
-            if math.isfinite(steps):
-                pressure = round(steps) * quantum
-        # Clamp into the invertible band, which makes a range check on
-        # the inverse redundant and bounds an infinite reading.
-        if pressure > sea_level_pressure:
-            pressure = sea_level_pressure
-        elif pressure < min_pressure:
-            pressure = min_pressure
-        self.latest = altitude = temperature_scale * (
-            1.0 - (pressure / sea_level_pressure) ** inverse_exponent)
-        wake = self.wake
-        if wake is not None:
+            if not 0.0 <= delayed_altitude <= MODEL_CEILING:  # and NaN
+                try:
+                    pressure_at_altitude(self.model, delayed_altitude)
+                except DomainError as exc:
+                    exc.tick = truth    # the tick whose altitude it quotes
+                    raise
+            (sea_level_pressure, sea_level_temperature, lapse_rate, exponent,
+             min_pressure, temperature_scale, inverse_exponent) = self._air
+            pressure = sea_level_pressure * (
+                1.0 - lapse_rate * delayed_altitude / sea_level_temperature
+            ) ** exponent
+            sigma = self._sigma
+            if sigma > 0.0:
+                # random.normalvariate(0.0, sigma), whose constant
+                # NV_MAGICCONST = 4 * exp(-0.5) / sqrt(2.0) is written
+                # out.  Its `0.0 + z * sigma` drops the `0.0 +`, which
+                # only turns -0.0 into 0.0, and a pressure in the band is
+                # never zero.
+                random = self._random
+                while True:
+                    u1 = random()
+                    u2 = 1.0 - random()
+                    z = 1.7155277699214135 * (u1 - 0.5) / u2
+                    if z * z / 4.0 <= -_log(u2):
+                        break
+                pressure += z * sigma
+            quantum = self._quantum
+            if quantum > 0.0:
+                steps = pressure / quantum
+                if math.isfinite(steps):
+                    pressure = round(steps) * quantum
+            # Clamp into the invertible band, which makes a range check
+            # on the inverse redundant and bounds an infinite reading.
+            if pressure > sea_level_pressure:
+                pressure = sea_level_pressure
+            elif pressure < min_pressure:
+                pressure = min_pressure
+            altitude = temperature_scale * (
+                1.0 - (pressure / sea_level_pressure) ** inverse_exponent)
+            reading = pressure, altitude
             # The first sense tick from here latches it, unless the next
             # reading comes first.
             latch = tick + -tick % self._sense_period
-            if latch < next_tick:
-                low, high, drop = wake
-                peak = self.peak
-                if altitude > peak:
-                    self.peak = peak = altitude
-                if low <= altitude <= high or peak - altitude >= drop:
-                    if latch == tick:
-                        return True
+            if latch != tick:
+                if latch < next_tick:
+                    self._pending = altitude
                     self._next_tick = latch
-        return pressure, altitude
+                return reading
+        self.latched = altitude
+        wake = self.wake
+        if wake is not None:
+            low, high, drop = wake
+            peak = self.peak
+            if altitude > peak:
+                self.peak = peak = altitude
+            if low <= altitude <= high or peak - altitude >= drop:
+                return True
+        return reading

@@ -132,28 +132,22 @@ class TaskSchedule:
         cycle = math.lcm(*period_ticks)
         self._cycle = cycle
         pattern = []
-        # Slot 0, which follows the last, is always due, so no sense
-        # tick before it latches for a later telemetry tick.
-        free = unread = 0
-        latches = False     # the next sense tick latches for telemetry
+        free = 0        # slot 0, which follows the last, is due
         for tick in reversed(range(cycle)):
-            sense, logic, telemetry = due = tuple(
-                tick % p == 0 for p in period_ticks)
-            pattern.append((*due, free, unread))
+            due = tuple(tick % p == 0 for p in period_ticks)
+            # Its last count: the ticks before the next telemetry tick.
+            pattern.append((*due, free, -(tick + 1) % period_ticks[2]))
             free = 0 if any(due) else free + 1
-            unread = 0 if telemetry or sense and latches else unread + 1
-            if sense or telemetry:
-                latches = telemetry and not sense
         self._pattern = tuple(reversed(pattern))
 
     def due_at_tick(self, tick: int) -> tuple[bool, bool, bool, int, int]:
         """Due flags (sense, logic, telemetry), then two counts of the
-        ticks after: those on which no task is due, and those whose
-        tasks no telemetry row reads.  A row reads only its own tick and
-        the sense tick that latched the altitude it prints, the last one
-        at or before it.  Idle deploy logic rests by the second count:
-        the sense ticks it skips latch readings that cannot move it, or
-        the barometer wakes the loop on the one that can."""
+        ticks after: those on which no task is due, and those before the
+        next telemetry tick.  A row reads only its own tick: the altitude
+        it prints is the one the barometer latched (`Barometer.latched`).
+        Idle deploy logic rests by the second count: the sense ticks it
+        skips latch readings that cannot move it, or the barometer wakes
+        the loop on the one that can."""
         return self._pattern[tick % self._cycle]
 
 
@@ -183,8 +177,9 @@ class DeploymentController:
     # -- tasks, in schedule priority order ---------------------------------
 
     def task_sense(self, altitude: float, peak: float) -> None:
-        """Latch the newest sensed altitude and the highest latched one
-        (`Barometer.latest` and `Barometer.peak`)."""
+        """Take the altitude the barometer latched on this sense tick
+        and the highest latched one (`Barometer.latched` and
+        `Barometer.peak`)."""
         self.sensed_altitude = altitude
         self.sensed_peak = peak
 

@@ -18,13 +18,13 @@ taken while a push could reach the stroke in it, so the release falls
 on a busy tick.  Deploy logic is idle while the phase is absorbing, or
 while it waits in AwaitWindow on inputs it has weighed, unless the
 pack dies: a pack that delivers charge rests only up to the next logic
-tick.  Idle, a sense task only latches the altitude telemetry prints,
-unless it latches a reading that can move the controller
-(`DeploymentController.wakes_on`), so the rest runs up to the next
-telemetry tick or the sense tick that latches for it, and the
-barometer wakes the loop on such a reading: the stretch stops before
-the sense tick that latches it, which the next pass starts on, already
-sampled.
+tick.  The barometer latches the altitude on each sense tick itself,
+and telemetry prints it from there, so an idle controller needs only
+the sense ticks that latch a reading that can move it
+(`DeploymentController.wakes_on`): the rest runs up to the next
+telemetry tick, and the barometer wakes the loop on such a reading:
+the stretch stops before the sense tick that latches it, which the
+next pass starts on, already sampled.
 Everything downstream of the scenario and seed is deterministic, so
 equal inputs give byte-identical telemetry.
 """
@@ -109,10 +109,13 @@ _SAFE_HOLD = DeployPhase.SAFE_HOLD
 def make_telemetry_record(now: float, vehicle: FlightState,
                           controller: DeploymentController, door: DoorState,
                           carrier: CarrierState, battery: BatteryState,
-                          current: float,
+                          sensed_altitude: float, current: float,
                           faults: FaultPlan) -> TelemetryRecord:
-    """One telemetry row.  SafeHold carries its reason in `deploy_phase`;
-    `fault_flags` joins the active faults with "+", or is "-".
+    """One telemetry row.  `sensed_altitude` is the altitude the
+    barometer latched (`Barometer.latched`), `current` the pack's
+    current on the tick.  SafeHold carries its reason in
+    `deploy_phase`; `fault_flags` joins the active faults with "+", or
+    is "-".
 
     Labels are read with `_value_`: on Python 3.11 `Enum.value` is a
     Python-level property that costs about ten times as much.
@@ -141,7 +144,7 @@ def make_telemetry_record(now: float, vehicle: FlightState,
         now,                                            # time_s
         vehicle.altitude,                               # truth_alt_m
         vehicle.velocity,                               # truth_vel_mps
-        controller.sensed_altitude,                     # sensed_alt_m
+        sensed_altitude,                                # sensed_alt_m
         vehicle.phase._value_,                          # flight_phase
         deploy_phase,                                   # deploy_phase
         door.angle,                                     # door_angle_rad
@@ -255,7 +258,7 @@ def run_mission(scenario: Scenario,
             (sense_due, logic_due, telemetry_due, free,
              unread) = schedule.due_at_tick(tick)
             if sense_due:
-                controller.task_sense(barometer.latest, barometer.peak)
+                controller.task_sense(barometer.latched, barometer.peak)
                 if controller.task_estimate():
                     events.append(Event(now, "apogee_sensed",
                                         controller.sensed_altitude))
@@ -348,18 +351,17 @@ def run_mission(scenario: Scenario,
                     if telemetry_due:
                         telemetry.append(make_telemetry_record(
                             now, vehicle, controller, door, carrier, battery,
-                            delivered / dt, faults))
+                            barometer.latched, delivered / dt, faults))
 
                     # The ticks up to the next task that can act rest.
                     # While deploy logic is live, or the mechanism moves
                     # (the pack may die in the rest) and the controller
                     # has not settled, that is the next logic tick.
-                    # While it is idle, a sense task only latches the
-                    # altitude telemetry prints, unless the reading it
-                    # latches wakes the loop (`Barometer.wake`), so the
-                    # rest runs to the next telemetry tick or the sense
-                    # tick that latches for it, and the stretch stops
-                    # early on a wake.  A push that could reach the
+                    # While it is idle, it needs a sense tick only when
+                    # the reading the barometer latches there wakes the
+                    # loop (`Barometer.wake`), so the rest runs to the
+                    # next telemetry tick, and the stretch stops early
+                    # on a wake.  A push that could reach the
                     # stroke in the rest, by one tick's travel more than
                     # it can carry and a margin for rounding, takes none.
                     moving = delivered or rod or swing or push

@@ -10,14 +10,17 @@ steppers one tick at a time, with the air density from the package's
 `density_at_altitude`: the references for the stretch loops, which
 inline it.  `NoRestSchedule` is the task schedule with no rest after
 any tick, so the mission loop runs every tick as its own pass: the
-reference for the rests.  `step_once` is plumbing, for tests that fly
-the vehicle tick by tick.
+reference for the rests.  `reference_run` flies a whole mission with
+all of these in place of the package's shortcuts.  `step_once` is
+plumbing, for tests that fly the vehicle tick by tick.
 """
 
 import math
 import random
 from collections import deque
+from unittest import mock
 
+from deploysim import mission
 from deploysim.atmosphere import (TIME_EPS, _altitude_in_band,
                                   density_at_altitude, pressure_at_altitude)
 from deploysim.controller import TaskSchedule
@@ -169,3 +172,60 @@ class DequeBarometer:
         elif pressure < model.min_pressure:
             pressure = model.min_pressure
         return pressure, _altitude_in_band(model, pressure)
+
+
+class LatchingBarometer:
+    """`DequeBarometer` fed the tick time, with a plain latch in the
+    package barometer's place: every sense tick latches the newest
+    reading into `latched` and raises `peak` to it.  It never wakes the
+    loop; a loop that runs every tick as its own pass needs no wake."""
+
+    def __init__(self, spec, model, dt, ticks, sense_period):
+        self._reference = DequeBarometer(spec, model)
+        self._dt = dt
+        self._sense_period = sense_period
+        self._newest = math.nan
+        self.latched = math.nan
+        self.peak = -math.inf
+        self.wake = None
+
+    def sample(self, true_altitude, tick):
+        reading = self._reference.sample(true_altitude, tick * self._dt)
+        if reading is not None:
+            self._newest = reading[1]
+        if tick % self._sense_period == 0:
+            self.latched = self._newest
+            self.peak = max(self.peak, self.latched)
+        return reading
+
+
+def _reference_vehicle_steps(spec, state, dt, model, ticks, sample, first):
+    """`step_vehicle` as one `reference_vehicle_step`: without rests
+    every stretch is the one busy tick, which samples nothing more."""
+    assert ticks == 1
+    reference_vehicle_step(spec, state, dt, model)
+    return 1
+
+
+def _reference_payload_steps(body, dt, model, ticks, first):
+    """`step_payload` as `reference_payload_step` tick by tick, up to
+    the landing."""
+    for tick in range(first, first + ticks):
+        reference_payload_step(body, dt, model, tick)
+        if body.landing_time is not None:
+            return tick - first + 1
+    return ticks
+
+
+def reference_run(scenario):
+    """`run_mission(scenario)` with every shortcut replaced by its
+    reference: `NoRestSchedule` for the rests, the per-tick flight
+    steppers for the stretches and their inlined density, and
+    `LatchingBarometer` for the barometer's shared schedule, one-frame
+    reading, vendored noise, latch and wake.  The loop body (the task
+    order, the mechanism and the telemetry) is the package's own."""
+    with mock.patch.multiple(mission, TaskSchedule=NoRestSchedule,
+                             Barometer=LatchingBarometer,
+                             step_vehicle=_reference_vehicle_steps,
+                             step_payload=_reference_payload_steps):
+        return mission.run_mission(scenario)

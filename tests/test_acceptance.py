@@ -11,6 +11,7 @@ asserts.  Criteria:
   C5  every fault deck ends in SafeHold, silent from entry on
   C6  nominal mission deploys in window with the budgeted timings
   C7  same scenario and seed reproduce byte-identical telemetry
+  C12 every shortcut of the tick loop matches the reference mission
 """
 
 import math
@@ -25,6 +26,7 @@ from deploysim import (
     Outcome,
     build_scenario,
     bundled_scenario,
+    list_bundled,
     render_commands_csv,
     render_telemetry_csv,
     run_mission,
@@ -38,7 +40,7 @@ from deploysim.atmosphere import (_altitude_in_band, density_at_altitude,
 from deploysim.flight import (FlightPhase, FlightState, PayloadBody,
                               VehicleSpec, release_payload, step_payload)
 from conftest import record_criterion
-from oracles import step_once, terminal_speed
+from oracles import reference_run, step_once, terminal_speed
 
 NOMINAL = bundled_scenario("altair_nominal")
 MODEL = NOMINAL.atmosphere
@@ -407,3 +409,44 @@ def test_c7_reruns_are_byte_identical():
         failures.append("seed change left telemetry identical")
     conclude("C7 byte-identical replays per seed", failures,
              f"{len(telemetry_a)} telemetry bytes compared")
+
+
+# ---------------------------------------------------------------------------
+# C12
+
+OUTPUT_FIELDS = ("telemetry", "commands", "events", "verdict",
+                 "charge_drawn", "battery_final")
+
+
+def mission_outputs(result):
+    """The outputs C12 compares, in `OUTPUT_FIELDS` order, as text."""
+    return (render_telemetry_csv(result.telemetry),
+            render_commands_csv(result.commands), repr(result.events),
+            repr(result.verdict), repr(result.charge_drawn),
+            repr(result.battery_final))
+
+
+def test_c12_shortcuts_match_the_reference_mission():
+    # Every bundled deck at 1 ms and 10 ms, the nominal deck cut short by
+    # the clock (the only way a run reads the barometer's last reading),
+    # and the first 20 C3 profiles: the package against
+    # `oracles.reference_run`, which flies each tick as its own pass with
+    # the per-tick steppers and the deque barometer.
+    cases = [(f"{deck} at {dt * 1000:g} ms",
+              scenario_with(bundled_scenario(deck), {"sim.dt": dt}))
+             for deck in list_bundled() for dt in (0.001, 0.01)]
+    cases += [(f"altair_nominal to 20 s at {dt * 1000:g} ms",
+               scenario_with(NOMINAL, {"sim.dt": dt,
+                                       "sim.max_sim_time": 20.0}))
+              for dt in (0.001, 0.01)]
+    cases += [(f"C3 profile {k}", fuzz_profile(k)[0]) for k in range(20)]
+    failures = []
+    for name, scenario in cases:
+        package = mission_outputs(run_mission(scenario))
+        reference = mission_outputs(reference_run(scenario))
+        differ = [field for field, got, want
+                  in zip(OUTPUT_FIELDS, package, reference) if got != want]
+        if differ:
+            failures.append(f"{name}: {', '.join(differ)} differ")
+    conclude("C12 shortcuts match the reference mission", failures,
+             f"{len(cases)} missions byte-equal")

@@ -194,19 +194,21 @@ def test_sample_cadence_50hz():
     assert emitted == [0, 20, 40, 60, 80]
 
 
-def test_latest_is_the_newest_sensed_altitude():
+def test_latched_is_the_newest_sensed_altitude():
+    # Sensed on every tick (the default sense period), each reading is
+    # latched on its own tick.
     baro = Barometer(_quiet_spec(noise_sigma=3.0, seed=7), MODEL, 0.001, 40)
-    assert math.isnan(baro.latest)
+    assert math.isnan(baro.latched)
     _, altitude = baro.sample(500.0, 0)
     assert type(altitude) is float
-    assert baro.latest == altitude
+    assert baro.latched == altitude
     # Held through the ticks without a reading, then replaced.
     for tick in range(1, 20):
         assert baro.sample(510.0, tick) is None
-        assert baro.latest == altitude
+        assert baro.latched == altitude
     _, newer = baro.sample(520.0, 20)
     assert newer != altitude
-    assert baro.latest == newer
+    assert baro.latched == newer
 
 
 @pytest.mark.parametrize("dt, rate, sense_period", [
@@ -215,9 +217,11 @@ def test_latest_is_the_newest_sensed_altitude():
     ids=["1ms_50hz", "10ms_50hz", "1ms_80hz", "1.25ms_80hz", "1ms_30hz"])
 def test_peak_and_wake_follow_the_latched_readings(dt, rate, sense_period):
     """A reading is latched by the first sense tick at or after it
-    unless the next reading comes first.  `peak` is the highest latched
-    reading; an armed wake returns True, in place of the reading or
-    None, on the sense tick that latches a reading it names."""
+    unless the next reading comes first.  `latched` is the reading the
+    last sense tick at or before the current tick latched, and `peak`
+    the highest latched reading; an armed wake returns True, in place of
+    the reading or None, on the sense tick that latches a reading it
+    names."""
     ticks = 3_000
     rng = random.Random(11)
     stream = [rng.uniform(0.0, 11000.0) for _ in range(ticks)]
@@ -245,17 +249,18 @@ def test_peak_and_wake_follow_the_latched_readings(dt, rate, sense_period):
 
     baro = Barometer(spec, MODEL, dt, ticks, sense_period)
     baro.wake = wake
-    wakes, peak = [], -math.inf
+    assert math.isnan(baro.latched)
+    wakes, peak, newest = [], -math.inf, math.nan
     for tick, altitude in enumerate(stream):
         got = baro.sample(altitude, tick)
         if got is True:
             wakes.append(tick)
         else:
             assert got == readings.get(tick), tick
-        if tick in readings:
-            assert baro.latest == readings[tick][1], tick
         if tick in latched:
-            peak = max(peak, readings[latched[tick]][1])
+            newest = readings[latched[tick]][1]
+            peak = max(peak, newest)
+        assert baro.latched == newest, tick
         if tick % sense_period == 0:
             assert baro.peak == peak, tick
     assert wakes == expected_wakes

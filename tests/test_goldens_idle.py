@@ -34,11 +34,11 @@ enter SafeHold on the first logic tick that can see the dead pack.  A
 sense tick must still take the newest of them.
 
 Once the controller has settled (SafeHold or Ejected) past a sensed
-apogee, a run rests up to the next telemetry tick or the sense tick
-that latches the altitude it prints.  An 80 Hz barometer with a 35 ms
-delay emits between the sense ticks of that settled stretch, so each
-row must still print the reading of the sense tick before it, not a
-newer one.
+apogee, a run rests up to the next telemetry tick, whose row prints
+the altitude the barometer latched on the sense tick before it.  An
+80 Hz barometer with a 35 ms delay emits between the sense ticks of
+that settled stretch, so each row must still print the reading of the
+sense tick before it, not a newer one.
 
 Where each digest was computed: those of the 10 ms cases, the drained
 packs and the slower barometers from the tree that ran every logic tick
@@ -221,9 +221,9 @@ def test_dead_pack_with_a_load_rests_and_matches_frozen_digest(monkeypatch):
     assert sha256(repr((result.verdict, result.charge_drawn))) == verdict
     # The load keeps the 3,000 logic ticks before the failure at 30 s
     # busy, while the pack it drains could die between them; after it
-    # only the 1,660 telemetry ticks and the sense ticks that latch for
-    # them are, not all 85,337 ticks of the run.
-    assert 4_600 < busy < 4_700
+    # only the 1,107 telemetry ticks are, not all 85,337 ticks of the
+    # run.
+    assert 4_100 < busy < 4_120
 
 
 SWEEP_VERDICTS = [

@@ -431,16 +431,15 @@ def logic_ticks_expected(result, absorbing, dt):
     """The deploy-logic ticks a run must execute: the arming tick and
     the next logic tick, which first weighs the window; then, while the
     controller waits in AwaitWindow, only the sense ticks that begin a
-    pass: those that latch the altitude a telemetry row prints, and the
-    one whose reading confirms apogee and wakes it; then every logic
-    tick from the one that left AwaitWindow, woken by its reading or by
-    the pack, up to the absorbing one."""
+    pass: those that are telemetry ticks too, and the one whose reading
+    confirms apogee and wakes it; then every logic tick from the one
+    that left AwaitWindow, woken by its reading or by the pack, up to
+    the absorbing one."""
     sense, logic, telemetry = task_period_ticks(dt)
     left = min([round(command.time / dt) for command in result.commands]
                + [round(event.time / dt) for event in result.events
                   if event.name == "safe_hold"])
-    weighed = {logic} | {row - row % sense
-                         for row in range(0, left + telemetry, telemetry)}
+    weighed = {logic, *range(0, left, math.lcm(sense, telemetry))}
     sensed = event_map(result).get("apogee_sensed")
     if sensed is not None:
         weighed.add(round(sensed.time / dt))
@@ -523,10 +522,10 @@ def test_no_stretch_crosses_the_scheduled_battery_failure(
 
 def test_idle_controller_rests_to_the_next_telemetry_row(monkeypatch):
     # At 10 ms, from the sensed apogee to the unlock, only the telemetry
-    # ticks (0 and 5 of each 10), the sense tick that latches for the
-    # row at 5 (4) and the tick whose reading, at or below the ceiling,
-    # wakes deploy logic begin a stretch.  Before it, the apogee wake
-    # and the two stretches a flight phase change ends add to those.
+    # ticks (0 and 5 of each 10) and the tick whose reading, at or below
+    # the ceiling, wakes deploy logic begin a stretch.  Before it, the
+    # apogee wake and the two stretches a flight phase change ends add
+    # to those.
     stretches = record_stretches(monkeypatch)
     result = run_mission(scenario_with(NOMINAL, {"sim.dt": 0.01}))
     sensed = round(event_map(result)["apogee_sensed"].time / 0.01)
@@ -536,22 +535,21 @@ def test_idle_controller_rests_to_the_next_telemetry_row(monkeypatch):
     starts = [first for first, _ in stretches]
     assert [first for first in starts if sensed < first <= unlocked] == [
         tick for tick in range(sensed + 1, unlocked)
-        if tick % 10 in (0, 4, 5)] + [unlocked]
+        if tick % 10 in (0, 5)] + [unlocked]
     off = [first for first in starts if 1 < first <= sensed
-           and first % 10 not in (0, 4, 5)]
+           and first % 10 not in (0, 5)]
     assert len(off) == 3 and off[-1] == sensed
 
 
 def test_settled_controller_rests_through_its_logic_ticks(monkeypatch):
     # After SafeHold at 30 s, past the sensed apogee, only the telemetry
-    # ticks (every 50) and the sense tick that latches for the row at 50
-    # (40) begin a stretch, up to the one that lands.
+    # ticks (every 50) begin a stretch, up to the one that lands.
     stretches = record_stretches(monkeypatch)
     result = run_mission(bundled_scenario("altair_battery_fail"))
     assert event_map(result)["apogee_sensed"].time < 30.0
     landed = round(event_map(result)["vehicle_landed"].time / 0.001)
     assert [first for first, _ in stretches if first >= 30_000] == [
-        tick for tick in range(30_000, landed) if tick % 100 in (0, 40, 50)]
+        tick for tick in range(30_000, landed) if tick % 50 == 0]
 
 
 class TaskScheduleWithoutUnreadRest(TaskSchedule):
@@ -584,8 +582,8 @@ SETTLED_REST_RUNS = (
 
 @pytest.mark.parametrize("deck, overrides", SETTLED_REST_RUNS)
 def test_settled_rest_changes_no_output_byte(monkeypatch, deck, overrides):
-    # The rest through the sense ticks no telemetry row reads, idle or
-    # settled, against a run that stops on every sense tick.
+    # The rest through the sense ticks, idle or settled, against a run
+    # that stops on every sense tick.
     scenario = scenario_with(bundled_scenario(deck), overrides)
     rested = run_outputs(scenario)
     monkeypatch.setattr(mission, "TaskSchedule",

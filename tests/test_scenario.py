@@ -283,6 +283,31 @@ def test_a_default_push_timeout_that_is_not_finite_is_refused():
     assert math.isfinite(slow.trigger.push_timeout)
 
 
+def test_an_atmosphere_too_flat_to_resolve_altitude_is_refused():
+    # A legal lapse rate of 1e-20 K/m, or a legal sea-level temperature
+    # of 1e20 K, rounds `1 - L*h/T` to 1 at every altitude in the band:
+    # the barometer would sense sea level for the whole flight.
+    message = r"lapse_rate / sea_level_temperature below 1e-12 per metre"
+    for flat in ({"atmosphere.lapse_rate": 1e-20},
+                 {"atmosphere.sea_level_temperature": 1e20}):
+        with pytest.raises(ScenarioError, match=message):
+            build_scenario(flat)
+        with pytest.raises(ScenarioError, match=message):
+            scenario_with(build_scenario(), flat)
+    # At the bound a noise-free run at 10 ms still senses the truth as
+    # the standard atmosphere does: to within 1 mm of its sample lag.
+    worst = []
+    for lapse in (0.0065, 1e-12 * 288.15):
+        result = run_mission(build_scenario({
+            "atmosphere.lapse_rate": lapse, "barometer.noise_sigma": 0.0,
+            "barometer.quantization": 0.0, "barometer.latency": 0.0,
+            "sim.dt": 0.01, "sim.max_sim_time": 10.0}))
+        worst.append(max(abs(row.sensed_alt_m - row.truth_alt_m)
+                         for row in result.telemetry))
+    assert worst[0] > 1.0
+    assert worst[1] == pytest.approx(worst[0], abs=1e-3)
+
+
 def test_sibling_resolves_the_push_timeout_again():
     base = build_scenario()
     longer = scenario_with(base, {"mechanism.stroke": 0.090})
