@@ -135,19 +135,22 @@ class TaskSchedule:
         free = 0        # slot 0, which follows the last, is due
         for tick in reversed(range(cycle)):
             due = tuple(tick % p == 0 for p in period_ticks)
-            # Its last count: the ticks before the next telemetry tick.
-            pattern.append((*due, free, -(tick + 1) % period_ticks[2]))
+            pattern.append((*due, free, math.inf))
             free = 0 if any(due) else free + 1
         self._pattern = tuple(reversed(pattern))
 
-    def due_at_tick(self, tick: int) -> tuple[bool, bool, bool, int, int]:
+    def due_at_tick(self, tick: int) -> tuple[bool, bool, bool, int, float]:
         """Due flags (sense, logic, telemetry), then two counts of the
-        ticks after: those on which no task is due, and those before the
-        next telemetry tick.  A row reads only its own tick: the altitude
-        it prints is the one the barometer latched (`Barometer.latched`).
-        Idle deploy logic rests by the second count: the sense ticks it
-        skips latch readings that cannot move it, or the barometer wakes
-        the loop on the one that can."""
+        ticks after: those on which no task is due, and those idle
+        deploy logic rests through, which is all of them (`math.inf`).
+        The sense ticks it skips latch readings that cannot move it, or
+        the barometer wakes the loop on the one that can, and a row
+        reads only its own tick (the altitude it prints is the one the
+        barometer latched, `Barometer.latched`), so the rest writes the
+        rows that fall inside it (`step_vehicle`).  The mission loop
+        bounds a settled rest in which the mechanism still moves by the
+        next telemetry tick as well.  A schedule that returns a smaller
+        second count bounds both rests by it."""
         return self._pattern[tick % self._cycle]
 
 

@@ -21,10 +21,15 @@ pack dies: a pack that delivers charge rests only up to the next logic
 tick.  The barometer latches the altitude on each sense tick itself,
 and telemetry prints it from there, so an idle controller needs only
 the sense ticks that latch a reading that can move it
-(`DeploymentController.wakes_on`): the rest runs up to the next
-telemetry tick, and the barometer wakes the loop on such a reading:
-the stretch stops before the sense tick that latches it, which the
-next pass starts on, already sampled.
+(`DeploymentController.wakes_on`), and the barometer wakes the loop on
+such a reading: the stretch stops before the sense tick that latches
+it, which the next pass starts on, already sampled.  If nothing moved
+on the busy tick either, the rest runs on to the wake, a flight phase
+change, the battery failure or the end of the run, and the stretch
+writes the telemetry rows that fall inside it: there only the time,
+the vehicle's state and the latched altitude change from row to row.
+A settled mechanism that still moves rests up to the next telemetry
+tick, whose row prints its state.
 Everything downstream of the scenario and seed is deterministic, so
 equal inputs give byte-identical telemetry.
 """
@@ -102,6 +107,9 @@ class TelemetryRecord(NamedTuple):
 
 
 TELEMETRY_COLUMNS = TelemetryRecord._fields
+# A record from a tuple of its fields in `TELEMETRY_COLUMNS` order, at
+# about half the cost of the NamedTuple's own constructor.
+_make_record = TelemetryRecord._make
 
 _SAFE_HOLD = DeployPhase.SAFE_HOLD
 
@@ -116,6 +124,22 @@ def make_telemetry_record(now: float, vehicle: FlightState,
     current on the tick.  SafeHold carries its reason in
     `deploy_phase`; `fault_flags` joins the active faults with "+", or
     is "-".
+    """
+    return _make_record((
+        now,                                            # time_s
+        vehicle.altitude,                               # truth_alt_m
+        vehicle.velocity,                               # truth_vel_mps
+        sensed_altitude,                                # sensed_alt_m
+    ) + _row_status(vehicle.phase, controller, door, carrier, battery,
+                    current, faults))
+
+
+def _row_status(flight_phase: FlightPhase, controller: DeploymentController,
+                door: DoorState, carrier: CarrierState, battery: BatteryState,
+                current: float, faults: FaultPlan) -> tuple:
+    """The fields of a telemetry row from `flight_phase` on, in
+    `TELEMETRY_COLUMNS` order: those a stretch in which nothing moves
+    holds fixed (`make_telemetry_record`).
 
     Labels are read with `_value_`: on Python 3.11 `Enum.value` is a
     Python-level property that costs about ten times as much.
@@ -138,14 +162,8 @@ def make_telemetry_record(now: float, vehicle: FlightState,
         flags.append("stall")
     if faults.surface_friction_scale != 1.0:
         flags.append("friction_scaled")
-    # Positional, in `TELEMETRY_COLUMNS` order: a NamedTuple built from
-    # keywords costs about twice as much.
-    return TelemetryRecord(
-        now,                                            # time_s
-        vehicle.altitude,                               # truth_alt_m
-        vehicle.velocity,                               # truth_vel_mps
-        sensed_altitude,                                # sensed_alt_m
-        vehicle.phase._value_,                          # flight_phase
+    return (
+        flight_phase._value_,                           # flight_phase
         deploy_phase,                                   # deploy_phase
         door.angle,                                     # door_angle_rad
         carrier.rack_extension,                         # rack_ext_m
@@ -196,8 +214,9 @@ def run_mission(scenario: Scenario,
                           scenario.payload.mass)
     stroke = drive.stroke
     controller = DeploymentController(trigger, stroke)
+    sense_period, _, row_period = task_period_ticks(dt)
     barometer = Barometer(scenario.barometer, atmosphere, dt, n_ticks,
-                          task_period_ticks(dt)[0])
+                          sense_period)
     barometer.wake = controller.wakes_on()
     vehicle = initial_state(vehicle_spec, scenario.payload.mass)
     door = DoorState()
@@ -210,6 +229,16 @@ def run_mission(scenario: Scenario,
     telemetry: list[TelemetryRecord] = []
     commands: list[CommandLogEntry] = []
     events: list[Event] = []
+
+    # The rows of a stretch in which deploy logic is idle and nothing
+    # moves: only the time, the vehicle's state and the latched altitude
+    # change there, so the rest of each row is `status`, taken on the
+    # busy tick that begins the stretch.
+    status = ()
+
+    def write_row(k, altitude, velocity):
+        telemetry.append(_make_record(
+            (k * dt, altitude, velocity, barometer.latched) + status))
 
     # The first tick at or after the scheduled battery failure still due.
     fail_tick = n_ticks
@@ -256,7 +285,7 @@ def run_mission(scenario: Scenario,
                 fail_tick = n_ticks
 
             (sense_due, logic_due, telemetry_due, free,
-             unread) = schedule.due_at_tick(tick)
+             idle_rest) = schedule.due_at_tick(tick)
             if sense_due:
                 controller.task_sense(barometer.latched, barometer.peak)
                 if controller.task_estimate():
@@ -359,14 +388,25 @@ def run_mission(scenario: Scenario,
                     # has not settled, that is the next logic tick.
                     # While it is idle, it needs a sense tick only when
                     # the reading the barometer latches there wakes the
-                    # loop (`Barometer.wake`), so the rest runs to the
-                    # next telemetry tick, and the stretch stops early
-                    # on a wake.  A push that could reach the
+                    # loop (`Barometer.wake`), and the stretch stops
+                    # early on a wake.  If nothing moves, the rest runs
+                    # on, and the stretch writes the rows that fall
+                    # inside it; if the settled mechanism still moves,
+                    # the rest ends at the next telemetry tick, whose
+                    # row prints its state.  A push that could reach the
                     # stroke in the rest, by one tick's travel more than
                     # it can carry and a margin for rounding, takes none.
                     moving = delivered or rod or swing or push
-                    rest = (free if not logic_idle or moving and not settled
-                            else unread)
+                    row = None
+                    if not logic_idle or moving and not settled:
+                        rest = free
+                    elif moving:
+                        rest = min(idle_rest, -(tick + 1) % row_period)
+                    else:
+                        rest = idle_rest
+                        status = _row_status(vehicle.phase, controller, door,
+                                             carrier, battery, 0.0, faults)
+                        row = write_row
                     if (push and payload.release_time is None
                             and carrier.payload_displacement
                             + (rest + 1) * travel >= near_stroke):
@@ -381,7 +421,8 @@ def run_mission(scenario: Scenario,
                     # Vehicle events are stamped at the end of their tick.
                     previous_phase = vehicle.phase
                     flown = step_vehicle(vehicle_spec, vehicle, dt,
-                                         atmosphere, end - tick, sample, tick)
+                                         atmosphere, end - tick, sample, tick,
+                                         row, row_period)
                     # Short of `end` with the phase unchanged: a wake.
                     woke = (tick + flown < end
                             and vehicle.phase is previous_phase)

@@ -11,6 +11,7 @@ the rule `MechanismParams` applies too.
 """
 
 import math
+import re
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import NamedTuple
@@ -157,6 +158,18 @@ _MECHANISM_FIELDS = {"mechanism.stall_torque": "servo_stall_torque",
 _FIELDS = {key: (key.partition(".")[0],
                  _MECHANISM_FIELDS.get(key, key.partition(".")[2]))
            for key in SCHEMA}
+# (section, record field) -> key
+_KEYS = {field: key for key, field in _FIELDS.items()}
+
+
+def _keyed_error(exc: ParameterError, section: str) -> ScenarioError:
+    """The error a record of `section` raised on a rule spanning its
+    fields, with each field it names written as the scenario key the
+    user sets it with: `lapse_rate` becomes `atmosphere.lapse_rate`."""
+    return ScenarioError(re.sub(
+        r"(?<![.\w])\w+",
+        lambda word: _KEYS.get((section, word[0]), word[0]), str(exc)))
+
 
 _TRUE_WORDS = {"true", "yes", "on", "1"}
 _FALSE_WORDS = {"false", "no", "off", "0"}
@@ -267,13 +280,17 @@ def _assemble(checked: dict, overrides: dict | None) -> Scenario:
     sim = sections.pop("sim")
     sections["barometer"]["seed"] = sim["seed"]
 
+    records = {}
+    for section, fields in sections.items():
+        try:
+            records[section] = _RECORDS[section](**fields)
+        except ParameterError as exc:
+            raise _keyed_error(exc, section) from exc
     try:
-        records = {section: _RECORDS[section](**fields)
-                   for section, fields in sections.items()}
         # dt must land every scheduled task on an exact tick.
         task_period_ticks(sim["dt"])
     except ParameterError as exc:
-        raise ScenarioError(str(exc)) from exc
+        raise _keyed_error(exc, "sim") from exc
     # run_mission flies round(max_sim_time / dt) ticks.
     if round(sim["max_sim_time"] / sim["dt"]) == 0:
         raise ScenarioError(f"sim.max_sim_time {sim['max_sim_time']!r} s is "

@@ -199,9 +199,11 @@ class LatchingBarometer:
         return reading
 
 
-def _reference_vehicle_steps(spec, state, dt, model, ticks, sample, first):
+def _reference_vehicle_steps(spec, state, dt, model, ticks, sample, first,
+                             row=None, row_period=1):
     """`step_vehicle` as one `reference_vehicle_step`: without rests
-    every stretch is the one busy tick, which samples nothing more."""
+    every stretch is the one busy tick, which samples nothing more and
+    has no tick inside it to write a row on."""
     assert ticks == 1
     reference_vehicle_step(spec, state, dt, model)
     return 1

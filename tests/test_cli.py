@@ -158,7 +158,8 @@ def test_run_with_an_atmosphere_too_flat_to_sense_is_config_error(tmp_path,
                  "--out", str(tmp_path / "o")]) == 64
     err = capsys.readouterr().err
     assert err.startswith("deploysim: error: ")
-    for name in ("flat.scn", "lapse_rate", "sea_level_temperature"):
+    for name in ("flat.scn", "atmosphere.lapse_rate",
+                 "atmosphere.sea_level_temperature"):
         assert name in err, name
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()

@@ -56,24 +56,24 @@ def arm_with_apogee(ctl, peak=500.0, now=0.0):
 
 # ---------------------------------------------------------------------------
 # Task schedule: (sense, deploy logic, telemetry) due flags, then the
-# number of task-free ticks that follow and the number that follow
-# before the next telemetry tick.
+# number of task-free ticks that follow and the number that idle deploy
+# logic rests through, all of them.
 
 
 def test_all_tasks_due_at_time_zero():
     schedule = TaskSchedule(0.001)
-    assert schedule.due_at_tick(0) == (True, True, True, 9, 49)
+    assert schedule.due_at_tick(0) == (True, True, True, 9, math.inf)
 
 
 def test_dueness_at_sample_times():
     # At 1 ms the telemetry rows of a 100-tick cycle fall on ticks 0
     # and 50.
     schedule = TaskSchedule(0.001)
-    assert schedule.due_at_tick(20) == (True, True, False, 9, 29)
-    assert schedule.due_at_tick(30) == (False, True, False, 9, 19)
-    assert schedule.due_at_tick(40) == (True, True, False, 9, 9)
-    assert schedule.due_at_tick(50) == (False, True, True, 9, 49)
-    assert schedule.due_at_tick(13) == (False, False, False, 6, 36)
+    assert schedule.due_at_tick(20) == (True, True, False, 9, math.inf)
+    assert schedule.due_at_tick(30) == (False, True, False, 9, math.inf)
+    assert schedule.due_at_tick(40) == (True, True, False, 9, math.inf)
+    assert schedule.due_at_tick(50) == (False, True, True, 9, math.inf)
+    assert schedule.due_at_tick(13) == (False, False, False, 6, math.inf)
 
 
 def test_rates_actually_hit():
@@ -98,21 +98,17 @@ def test_free_count_is_the_run_of_task_free_ticks_that_follows(dt):
 
 
 @pytest.mark.parametrize("dt", [0.0005, 0.001, 0.002, 0.005, 0.01])
-def test_unread_count_runs_to_the_next_tick_a_telemetry_row_reads(dt):
-    # A row reads only its own tick: the altitude it prints is the one
-    # the barometer latched (`Barometer.latched`).  Checked over two
+def test_idle_rest_count_is_unbounded(dt):
+    # Idle deploy logic needs no tick: the barometer wakes the loop on
+    # the reading that can move it, and a row reads only its own tick
+    # (the altitude it prints is the one the barometer latched,
+    # `Barometer.latched`), so the rest writes it.  Checked over two
     # cycles.
     schedule = TaskSchedule(dt)
     sense, _, telemetry = task_period_ticks(dt)
     cycle = math.lcm(sense, telemetry)
-    read = set(range(0, 3 * cycle + 1, telemetry))
     for tick in range(2 * cycle):
-        run = 0
-        while tick + 1 + run not in read:
-            run += 1
-        assert schedule.due_at_tick(tick)[4] == run, tick
-    # Two ticks in each 100 ms cycle, the two rows.
-    assert len(read & set(range(cycle))) == 2
+        assert schedule.due_at_tick(tick)[4] == math.inf, tick
 
 
 def test_every_sense_tick_is_a_logic_tick():

@@ -38,7 +38,7 @@ from deploysim.atmosphere import Barometer
 from deploysim.controller import (DeployPhase, DeploymentController,
                                   TaskSchedule, task_period_ticks)
 from deploysim.errors import DomainError, ScenarioError
-from oracles import NoRestSchedule
+from oracles import NoRestSchedule, reference_run
 from test_acceptance import fuzz_profile
 
 NOMINAL = bundled_scenario("altair_nominal")
@@ -278,6 +278,9 @@ STEPPER_RUNS = (
     [(deck, {"sim.dt": 0.001}) for deck in list_bundled()]
     + [("altair_battery_fail", {"battery.quiescent_current": 0.05})])
 MECHANISM = ("command_unlock", "step_door", "step_carrier", "drain_battery")
+# Where each flight stepper takes its first tick: `step_vehicle` takes
+# optional arguments after it.
+FIRST_TICK = {"step_vehicle": 6, "step_payload": 4}
 
 
 def record_steppers(monkeypatch):
@@ -296,8 +299,8 @@ def record_steppers(monkeypatch):
     def counted(*args, _name, _original):
         found = replace(args[0]) if _name in MECHANISM else None
         result = _original(*args)
-        if _name in ("step_vehicle", "step_payload"):
-            found = (args[-1], result)          # (first tick, ticks flown)
+        if _name in FIRST_TICK:
+            found = (args[FIRST_TICK[_name]], result)   # (first, flown)
         elif _name == "drain_battery":
             found = (found, args[1])
         elif _name == "step_carrier":
@@ -430,16 +433,16 @@ def test_steppers_run_once_per_tick_at_1ms_and_under_load(deck, overrides):
 def logic_ticks_expected(result, absorbing, dt):
     """The deploy-logic ticks a run must execute: the arming tick and
     the next logic tick, which first weighs the window; then, while the
-    controller waits in AwaitWindow, only the sense ticks that begin a
-    pass: those that are telemetry ticks too, and the one whose reading
-    confirms apogee and wakes it; then every logic tick from the one
-    that left AwaitWindow, woken by its reading or by the pack, up to
-    the absorbing one."""
-    sense, logic, telemetry = task_period_ticks(dt)
+    controller waits in AwaitWindow, only the sense tick whose reading
+    confirms apogee and wakes it, as the rest writes the telemetry rows
+    (in these runs no flight phase change ends a stretch on a sense
+    tick); then every logic tick from the one that left AwaitWindow,
+    woken by its reading or by the pack, up to the absorbing one."""
+    logic = task_period_ticks(dt)[1]
     left = min([round(command.time / dt) for command in result.commands]
                + [round(event.time / dt) for event in result.events
                   if event.name == "safe_hold"])
-    weighed = {logic, *range(0, left, math.lcm(sense, telemetry))}
+    weighed = {logic}
     sensed = event_map(result).get("apogee_sensed")
     if sensed is not None:
         weighed.add(round(sensed.time / dt))
@@ -499,7 +502,7 @@ def record_stretches(monkeypatch):
 
     def step_vehicle(*args, _original=mission.step_vehicle):
         ticks = _original(*args)
-        stretches.append((args[-1], ticks))
+        stretches.append((args[FIRST_TICK["step_vehicle"]], ticks))
         return ticks
 
     monkeypatch.setattr(mission, "step_vehicle", step_vehicle)
@@ -520,36 +523,131 @@ def test_no_stretch_crosses_the_scheduled_battery_failure(
                    for first, ticks in stretches)
 
 
-def test_idle_controller_rests_to_the_next_telemetry_row(monkeypatch):
-    # At 10 ms, from the sensed apogee to the unlock, only the telemetry
-    # ticks (0 and 5 of each 10) and the tick whose reading, at or below
-    # the ceiling, wakes deploy logic begin a stretch.  Before it, the
-    # apogee wake and the two stretches a flight phase change ends add
-    # to those.
+def test_idle_controller_rests_to_its_wake(monkeypatch):
+    # At 10 ms deploy logic first weighs the window on tick 1 and then
+    # waits, idle, on readings that cannot move it.  Only a flight phase
+    # change (burnout, then the true apogee) and a wake (the reading
+    # that confirms apogee, then the one at or below the ceiling that
+    # unlocks) end a stretch; the stretches write the rows between.
     stretches = record_stretches(monkeypatch)
     result = run_mission(scenario_with(NOMINAL, {"sim.dt": 0.01}))
-    sensed = round(event_map(result)["apogee_sensed"].time / 0.01)
+    events = event_map(result)
+    apogee = round(events["apogee_truth"].time / 0.01)
+    sensed = round(events["apogee_sensed"].time / 0.01)
     unlock = result.commands[0]
     assert unlock.name == "unlock"
     unlocked = round(unlock.time / 0.01)
-    starts = [first for first, _ in stretches]
-    assert [first for first in starts if sensed < first <= unlocked] == [
-        tick for tick in range(sensed + 1, unlocked)
-        if tick % 10 in (0, 5)] + [unlocked]
-    off = [first for first in starts if 1 < first <= sensed
-           and first % 10 not in (0, 5)]
-    assert len(off) == 3 and off[-1] == sensed
+    starts = [first for first, _ in stretches if first <= unlocked]
+    assert starts[:2] == [0, 1] and len(starts) == 6
+    assert starts[3:] == [apogee, sensed, unlocked]
+    # The AwaitWindow stretch from the sensed apogee spans 935 rows.
+    rows = [round(record.time_s / 0.01) for record in result.telemetry]
+    assert len([tick for tick in rows if sensed < tick < unlocked]) == 935
 
 
 def test_settled_controller_rests_through_its_logic_ticks(monkeypatch):
-    # After SafeHold at 30 s, past the sensed apogee, only the telemetry
-    # ticks (every 50) begin a stretch, up to the one that lands.
+    # After SafeHold at 30 s, past the sensed apogee, the dead pack moves
+    # nothing, so one stretch flies to the landing and writes every
+    # telemetry row (every 50 ticks) on the way.
     stretches = record_stretches(monkeypatch)
     result = run_mission(bundled_scenario("altair_battery_fail"))
     assert event_map(result)["apogee_sensed"].time < 30.0
     landed = round(event_map(result)["vehicle_landed"].time / 0.001)
-    assert [first for first, _ in stretches if first >= 30_000] == [
-        tick for tick in range(30_000, landed) if tick % 50 == 0]
+    assert [(first, first + flown) for first, flown in stretches
+            if first >= 30_000] == [(30_000, landed)]
+    assert [round(record.time_s / 0.001) for record in result.telemetry
+            if record.time_s >= 30.0] == list(range(30_000, landed, 50))
+
+
+def record_busy_rows(monkeypatch):
+    """The time of every row a busy pass writes (`make_telemetry_record`);
+    a stretch writes the others itself."""
+    busy = []
+
+    def make_telemetry_record(now, *args,
+                              _original=mission.make_telemetry_record):
+        busy.append(now)
+        return _original(now, *args)
+
+    monkeypatch.setattr(mission, "make_telemetry_record",
+                        make_telemetry_record)
+    return busy
+
+
+@pytest.mark.parametrize("overrides, tick", [
+    # The reading that unlocks is latched on tick 6550, a telemetry tick.
+    ({}, 6550),
+    # Burnout on tick 299 ends the stretch before the row of tick 300.
+    ({"vehicle.burn_time": 2.99}, 300),
+    # The pack fails on tick 2000, a telemetry tick inside the wait for
+    # the window.
+    ({"faults.battery_fail_time": 20.0}, 2000),
+], ids=["wake", "phase_change", "battery_failure"])
+def test_a_stretch_ending_on_a_telemetry_tick_leaves_its_row_to_the_busy_pass(
+        monkeypatch, overrides, tick):
+    # At 10 ms a stretch of idle deploy logic that a wake, a flight
+    # phase change or the battery failure ends on a telemetry tick
+    # stops before it, and the busy pass there writes its row, once.
+    # Rows every 5 ticks, each once and byte for byte as when every
+    # tick is its own pass.
+    scenario = scenario_with(NOMINAL, {"sim.dt": 0.01, **overrides})
+    stretches = record_stretches(monkeypatch)
+    busy = record_busy_rows(monkeypatch)
+    result = run_mission(scenario)
+    ends = {first + flown: first for first, flown in stretches}
+    assert tick - ends[tick] > 10       # the stretch spans rows
+    rows = [round(record.time_s / 0.01) for record in result.telemetry]
+    assert rows == list(range(0, rows[-1] + 1, 5))
+    assert [round(now / 0.01) for now in busy].count(tick) == 1
+    assert len(busy) < len(rows) / 10
+    rested = run_outputs(scenario)
+    monkeypatch.setattr(mission, "TaskSchedule", NoRestSchedule)
+    assert run_outputs(scenario) == rested
+
+
+def test_leaving_the_band_deep_in_an_idle_stretch_names_that_tick(
+        monkeypatch):
+    # At 10 ms a 16 kN, 6 s burn coasts past 11 km at 7.88 s, 188 ticks
+    # and 37 rows into the stretch that burnout began, while deploy
+    # logic waits idle for apogee.  The error names that tick, as when
+    # every tick is its own pass.
+    high = scenario_with(NOMINAL, {"sim.dt": 0.01,
+                                   "vehicle.avg_thrust": 16000.0,
+                                   "vehicle.burn_time": 6.0})
+    starts = []
+
+    def step_vehicle(*args, _original=mission.step_vehicle):
+        starts.append(args[FIRST_TICK["step_vehicle"]])
+        return _original(*args)
+
+    monkeypatch.setattr(mission, "step_vehicle", step_vehicle)
+    with pytest.raises(DomainError) as info:
+        run_mission(high)
+    assert str(info.value).startswith(
+        "at t=7.880 s the vehicle left the 0-11 km atmosphere model band: "
+        "altitude 11010.766349276504")
+    assert starts[-1] == 600
+    starts.clear()
+    monkeypatch.setattr(mission, "TaskSchedule", NoRestSchedule)
+    with pytest.raises(DomainError) as reference:
+        run_mission(high)
+    assert starts == list(range(789))
+    assert str(info.value) == str(reference.value)
+
+
+def test_the_reference_mission_makes_one_pass_per_tick(monkeypatch):
+    # Gate C12 means something only while its reference rests nowhere:
+    # every tick is a pass of its own, so no stretch writes a row.
+    passes = []
+
+    def due_at_tick(self, tick, _original=TaskSchedule.due_at_tick):
+        passes.append(tick)
+        return _original(self, tick)
+
+    monkeypatch.setattr(TaskSchedule, "due_at_tick", due_at_tick)
+    scenario = scenario_with(NOMINAL, {"sim.dt": 0.01})
+    result = reference_run(scenario)
+    assert passes == list(range(ticks_flown(result, scenario)))
 
 
 class TaskScheduleWithoutUnreadRest(TaskSchedule):

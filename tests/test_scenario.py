@@ -120,14 +120,24 @@ def test_build_rejects_unknown_override():
 
 def test_build_rejects_cross_field_violations():
     # Individually legal values that violate a rule spanning two keys.
+    # The error names the scenario keys, not the record's fields.
+    floor = (r"^trigger\.deploy_floor \(\S+\) must be below "
+             r"trigger\.deploy_ceiling \(")
+    thrust = (r"^vehicle\.avg_thrust and vehicle\.burn_time must both be "
+              r"positive or both zero$")
     for overrides, message in [
-            ({"trigger.deploy_floor": 500.0}, "deploy_floor"),
-            ({"trigger.deploy_floor": 400.0}, "deploy_floor"),
-            ({"vehicle.burn_time": 0.0}, "avg_thrust and burn_time"),
-            ({"vehicle.avg_thrust": 0.0}, "avg_thrust and burn_time"),
-            ({"servo.running_current_max": 2.5}, "running_current_max"),
-            ({"door.open_threshold": 1.6}, "open_threshold"),
-            ({"atmosphere.lapse_rate": 0.03}, "below zero")]:
+            ({"trigger.deploy_floor": 500.0}, floor),
+            ({"trigger.deploy_floor": 400.0}, floor),
+            ({"vehicle.burn_time": 0.0}, thrust),
+            ({"vehicle.avg_thrust": 0.0}, thrust),
+            ({"servo.running_current_max": 2.5},
+             r"^servo\.running_current_max cannot exceed "
+             r"servo\.stall_current$"),
+            ({"door.open_threshold": 1.6},
+             r"^door\.open_threshold cannot exceed door\.max_open$"),
+            ({"atmosphere.lapse_rate": 0.03},
+             r"^atmosphere\.lapse_rate drives temperature below zero"),
+            ({"sim.dt": 0.003}, r"^sim\.dt=0\.003 does not divide")]:
         with pytest.raises(ScenarioError, match=message):
             build_scenario(overrides)
 
@@ -287,7 +297,8 @@ def test_an_atmosphere_too_flat_to_resolve_altitude_is_refused():
     # A legal lapse rate of 1e-20 K/m, or a legal sea-level temperature
     # of 1e20 K, rounds `1 - L*h/T` to 1 at every altitude in the band:
     # the barometer would sense sea level for the whole flight.
-    message = r"lapse_rate / sea_level_temperature below 1e-12 per metre"
+    message = (r"^atmosphere\.lapse_rate / atmosphere\.sea_level_temperature "
+               r"below 1e-12 per metre")
     for flat in ({"atmosphere.lapse_rate": 1e-20},
                  {"atmosphere.sea_level_temperature": 1e20}):
         with pytest.raises(ScenarioError, match=message):
@@ -397,7 +408,8 @@ def test_load_scenario_range_error_names_file_and_line(tmp_path):
 def test_load_scenario_cross_field_error_names_file(tmp_path):
     deck = tmp_path / "window.scn"
     deck.write_text("trigger.deploy_floor = 400\n", encoding="utf-8")
-    with pytest.raises(ScenarioError, match=r"window\.scn: deploy_floor"):
+    with pytest.raises(ScenarioError,
+                       match=r"window\.scn: trigger\.deploy_floor \("):
         load_scenario(deck)
 
 
