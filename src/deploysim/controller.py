@@ -123,35 +123,23 @@ class TaskSchedule:
     """The fixed-priority rate table `TASK_RATES` on the logical clock.
 
     Tasks due on the same tick run in priority order, each to
-    completion.  dt must divide every task period (`task_period_ticks`).
+    completion.  dt must divide every task period (`task_period_ticks`);
+    the sense and telemetry periods are then multiples of the logic
+    period, so every tick a task is due on is a logic tick.
     """
 
     def __init__(self, dt: float) -> None:
-        period_ticks = task_period_ticks(dt)
-        # Due-ness repeats with the period lcm; precompute one cycle.
-        cycle = math.lcm(*period_ticks)
-        self._cycle = cycle
-        pattern = []
-        free = 0        # slot 0, which follows the last, is due
-        for tick in reversed(range(cycle)):
-            due = tuple(tick % p == 0 for p in period_ticks)
-            pattern.append((*due, free, math.inf))
-            free = 0 if any(due) else free + 1
-        self._pattern = tuple(reversed(pattern))
+        self.period_ticks = task_period_ticks(dt)
 
     def due_at_tick(self, tick: int) -> tuple[bool, bool, bool, int, float]:
         """Due flags (sense, logic, telemetry), then two counts of the
         ticks after: those on which no task is due, and those idle
-        deploy logic rests through, which is all of them (`math.inf`).
-        The sense ticks it skips latch readings that cannot move it, or
-        the barometer wakes the loop on the one that can, and a row
-        reads only its own tick (the altitude it prints is the one the
-        barometer latched, `Barometer.latched`), so the rest writes the
-        rows that fall inside it (`step_vehicle`).  The mission loop
-        bounds a settled rest in which the mechanism still moves by the
-        next telemetry tick as well.  A schedule that returns a smaller
-        second count bounds both rests by it."""
-        return self._pattern[tick % self._cycle]
+        deploy logic rests through, which is all of them (`math.inf`)."""
+        sense, logic, telemetry = self.period_ticks
+        if tick % logic:
+            return False, False, False, -(tick + 1) % logic, math.inf
+        return (tick % sense == 0, True, tick % telemetry == 0, logic - 1,
+                math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ then the vehicle step.  The push that releases the payload flies its
 whole descent there in one `step_payload` call; the release, the chute
 opening and the landing are recorded on the payload, and the landing
 sets the run's last tick.  The ticks up to the next task that can act
-rest: one `step_vehicle` call samples the barometer and flies them, up
-to a phase change or a wake, from which the next pass of the loop
-carries on.  If the rod, the door or the carrier moved or the pack
+rest: one `step_vehicle` call samples the barometer and flies the busy
+tick and its rest, a stretch that ends at the rest's end, the scheduled
+battery failure or the run's last tick, whichever comes first, or
+sooner at a phase change or a wake, from which the next pass of the
+loop carries on.  If the rod, the door or the carrier moved or the pack
 delivered charge on the busy tick, the same code then steps them and
 drains the pack one tick at a time over the rest ticks the vehicle
 flew, so a landing with the payload aboard ends that too.  No rest is
@@ -43,8 +45,7 @@ from .actuation import (BatteryState, CarrierState, DoorState, FaultPlan,
                         begin_push, carrier_drive, command_unlock,
                         drain_battery, halt_carrier, step_carrier, step_door)
 from .atmosphere import Barometer
-from .controller import (DeploymentController, DeployPhase, TaskSchedule,
-                         task_period_ticks)
+from .controller import DeploymentController, DeployPhase, TaskSchedule
 from .errors import DomainError, ScenarioError
 from .flight import (FlightPhase, FlightState, initial_state, release_payload,
                      step_payload, step_vehicle)
@@ -214,7 +215,7 @@ def run_mission(scenario: Scenario,
                           scenario.payload.mass)
     stroke = drive.stroke
     controller = DeploymentController(trigger, stroke)
-    sense_period, _, row_period = task_period_ticks(dt)
+    sense_period, _, row_period = schedule.period_ticks
     barometer = Barometer(scenario.barometer, atmosphere, dt, n_ticks,
                           sense_period)
     barometer.wake = controller.wakes_on()
@@ -314,7 +315,7 @@ def run_mission(scenario: Scenario,
                         events.append(Event(now, "safe_hold",
                                             controller.safe_hold_reason.value))
                         if stop_at_verdict:
-                            n_ticks = fail_tick = tick + 1
+                            n_ticks = tick + 1
 
             # Actuation, one tick k at a time over [k*dt, (k+1)*dt): the
             # busy tick, then, once the vehicle has flown them, the rest
@@ -357,7 +358,6 @@ def run_mission(scenario: Scenario,
                                                n_ticks - tick, tick)
                         if payload.landing_time is not None:
                             n_ticks = tick + descent
-                        fail_tick = min(fail_tick, n_ticks)
 
                 # Battery: drained on a tick that draws current from a
                 # live pack, and accounted by delivered charge, so the
@@ -389,13 +389,19 @@ def run_mission(scenario: Scenario,
                     # While it is idle, it needs a sense tick only when
                     # the reading the barometer latches there wakes the
                     # loop (`Barometer.wake`), and the stretch stops
-                    # early on a wake.  If nothing moves, the rest runs
-                    # on, and the stretch writes the rows that fall
-                    # inside it; if the settled mechanism still moves,
-                    # the rest ends at the next telemetry tick, whose
-                    # row prints its state.  A push that could reach the
-                    # stroke in the rest, by one tick's travel more than
-                    # it can carry and a margin for rounding, takes none.
+                    # early on a wake: the sense ticks it skips latch
+                    # readings that cannot move it.  If nothing moves,
+                    # the rest runs on, and the stretch writes the rows
+                    # that fall inside it, since a row reads only its
+                    # own tick (the altitude it prints is the one the
+                    # barometer latched, `Barometer.latched`); if the
+                    # settled mechanism still moves, the rest ends at
+                    # the next telemetry tick, whose row prints its
+                    # state.  A schedule whose `idle_rest` is smaller
+                    # than `math.inf` bounds both idle rests by it.  A
+                    # push that could reach the stroke in the rest, by
+                    # one tick's travel more than it can carry and a
+                    # margin for rounding, takes none.
                     moving = delivered or rod or swing or push
                     row = None
                     if not logic_idle or moving and not settled:
@@ -411,8 +417,7 @@ def run_mission(scenario: Scenario,
                             and carrier.payload_displacement
                             + (rest + 1) * travel >= near_stroke):
                         rest = 0
-                    end = (tick + rest + 1 if tick + rest < fail_tick
-                           else fail_tick)
+                    end = min(tick + rest + 1, fail_tick, n_ticks)
 
                     # Fly the ticks [tick, end) up to a phase change; the
                     # mechanism then steps the rest ticks the vehicle

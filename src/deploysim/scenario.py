@@ -128,10 +128,12 @@ SCHEMA: dict[str, _Key] = {
     "faults.battery_fail_time": _nonneg(float, None, "s"),
     "faults.door_jam": _Key(bool, False),
     # Simulation
-    # Bounded so the task pattern table stays small (at most 100,000
-    # entries at 1 us) and the tick count stays a finite int.
+    # Bounded so the tick count stays a finite int: at most 8.64e10
+    # ticks over the longest run, 86,400 s.
     "sim.dt": _Key(float, 0.001, low=1e-6, doc="s"),
-    "sim.seed": _Key(int, 42),
+    # random.Random seeds with the absolute value of an int, so a
+    # negative seed would repeat the noise stream of its positive twin.
+    "sim.seed": _nonneg(int, 42),
     "sim.max_sim_time": _Key(float, 400.0, low=0, low_open=True,
                              high=86400.0, doc="s"),
 }

@@ -214,6 +214,17 @@ def test_run_rejects_unbounded_clock(tmp_path, capsys, text, key):
     assert not (tmp_path / "o").exists()
 
 
+def test_run_rejects_a_negative_seed(tmp_path, capsys):
+    # A negative seed would repeat the noise of its positive twin.
+    code = main(["run", "--scenario", "altair_nominal", "--seed", "-7",
+                 "--out", str(tmp_path / "o")])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("deploysim: error: ")
+    assert "sim.seed: must be >= 0, got -7" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_fault_injection_exit_code(tmp_path, capsys):
     code = main(["run", "--scenario", "altair_nominal",
                  "--fault", "door_jam", "--out", str(tmp_path / "o")])

@@ -6,6 +6,7 @@ transition lands on an exact, assertable logic tick.
 """
 
 import math
+import tracemalloc
 from copy import deepcopy
 from dataclasses import replace
 
@@ -14,8 +15,9 @@ import pytest
 from deploysim import ParameterError, build_scenario
 from deploysim.actuation import CarrierState, DoorState
 from deploysim.controller import (STABILIZE_DWELL_S, DeployPhase,
-                                  DeploymentController, SafeHoldReason,
-                                  TaskSchedule, task_period_ticks)
+                                  TASK_RATES, DeploymentController,
+                                  SafeHoldReason, TaskSchedule,
+                                  task_period_ticks)
 from deploysim.flight import FlightPhase, FlightState
 from deploysim.mission import (TELEMETRY_COLUMNS, make_telemetry_record,
                                render_telemetry_csv)
@@ -85,19 +87,38 @@ def test_rates_actually_hit():
     assert counts == [50, 100, 20]
 
 
-@pytest.mark.parametrize("dt", [0.001, 0.0005, 0.002, 0.01])
+@pytest.mark.parametrize("dt", [0.001, 0.0005, 0.002, 0.01, 1e-5, 1e-6])
 def test_free_count_is_the_run_of_task_free_ticks_that_follows(dt):
+    # Each task is due on the ticks whose time is a whole number of its
+    # periods.  Over 0.2 s, ten sense periods, counted back from its
+    # end, on which every task is due.
     schedule = TaskSchedule(dt)
-    horizon = 1000
-    busy = [any(schedule.due_at_tick(tick)[:3]) for tick in range(horizon)]
-    for tick in range(horizon - 100):
-        run = 0
-        while not busy[tick + 1 + run]:
-            run += 1
-        assert schedule.due_at_tick(tick)[3] == run, tick
+    horizon = round(0.2 / dt)
+    run = 0
+    for tick in reversed(range(horizon + 1)):
+        due = schedule.due_at_tick(tick)
+        periods = [tick * dt * rate for rate in TASK_RATES]
+        assert due[:3] == tuple(abs(n - round(n)) < 1e-6
+                                for n in periods), tick
+        if tick < horizon:
+            assert due[3] == run, tick
+        run = 0 if any(due[:3]) else run + 1
 
 
-@pytest.mark.parametrize("dt", [0.0005, 0.001, 0.002, 0.005, 0.01])
+def test_the_schedule_holds_no_per_tick_table():
+    # At the 1 us floor of `sim.dt` one cycle of the three periods is
+    # 100,000 ticks; the schedule answers from the periods alone.
+    tracemalloc.start()
+    try:
+        TaskSchedule(1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("dt", [0.0005, 0.001, 0.002, 0.005, 0.01,
+                                1e-5, 1e-6])
 def test_idle_rest_count_is_unbounded(dt):
     # Idle deploy logic needs no tick: the barometer wakes the loop on
     # the reading that can move it, and a row reads only its own tick
@@ -113,11 +134,18 @@ def test_idle_rest_count_is_unbounded(dt):
 
 def test_every_sense_tick_is_a_logic_tick():
     # A controller waiting on unchanged inputs may skip the logic ticks
-    # between sense ticks only because every input change lands on one.
-    for dt in (0.001, 0.0005, 0.002, 0.01):
-        schedule = TaskSchedule(dt)
-        assert all(schedule.due_at_tick(tick)[1] for tick in range(1000)
-                   if schedule.due_at_tick(tick)[0]), dt
+    # between sense ticks only because every input change lands on one,
+    # and the ticks up to the next logic tick are free only because
+    # every telemetry tick is one too.  Every dt that divides the task
+    # periods is 0.01 s / n; down to 10 us, the sense and telemetry
+    # periods are 2 and 5 logic periods.
+    for n in range(1, 1001):
+        schedule = TaskSchedule(0.01 / n)
+        sense, logic, telemetry = schedule.period_ticks
+        assert (sense, telemetry) == (2 * logic, 5 * logic), n
+        for period in (sense, telemetry):
+            assert all(schedule.due_at_tick(tick)[1]
+                       for tick in range(0, 20 * logic, period)), (n, period)
 
 
 def test_no_tick_is_free_at_10_ms():

@@ -831,6 +831,24 @@ def test_no_stretch_follows_the_tick_that_stops_the_run(monkeypatch):
     assert sum(ticks for _, ticks in stretches) == sampled == 30_001
 
 
+def test_a_sweep_run_ends_at_its_ejection_before_a_later_battery_failure(
+        monkeypatch):
+    # The nominal push releases the payload on tick 68,744, between
+    # logic ticks, and a sweep's run ends right after it: the pack,
+    # scheduled to fail at 70 s, is still alive, and the stretch of the
+    # release tick ends at the run's last tick, not at the next logic
+    # tick or the failure.
+    stretches = record_stretches(monkeypatch)
+    result = run_mission(
+        scenario_with(NOMINAL, {"faults.battery_fail_time": 70.0}),
+        stop_at_verdict=True)
+    ejected = round(result.verdict.deploy_time / NOMINAL.dt)
+    assert ejected == 68_744
+    assert not result.battery_final.failed
+    assert stretches[-1] == (ejected, 1)
+    assert sum(ticks for _, ticks in stretches) == ejected + 1
+
+
 def test_seed_changes_noise_not_verdict():
     fast = {"sim.dt": 0.005}
     verdicts = set()

@@ -16,6 +16,7 @@ from deploysim import (
     load_scenario,
     run_mission,
     scenario_with,
+    sweep,
 )
 from deploysim.actuation import rack_speed
 from deploysim.scenario import SCHEMA, parse_scenario_text
@@ -405,6 +406,23 @@ def test_load_scenario_range_error_names_file_and_line(tmp_path):
         load_scenario(deck)
 
 
+def test_a_negative_seed_is_refused_at_every_entry(tmp_path):
+    # random.Random seeds with the absolute value of an int, so a
+    # negative seed would fly the noise of its positive twin.
+    deck = tmp_path / "twin.scn"
+    deck.write_text("sim.seed = -7\n", encoding="utf-8")
+    with pytest.raises(ScenarioError,
+                       match=r"twin\.scn:1: sim\.seed: must be >= 0, got -7"):
+        load_scenario(deck)
+    with pytest.raises(ScenarioError,
+                       match=r"^sim\.seed: must be >= 0, got -7$"):
+        build_scenario({"sim.seed": -7})
+    with pytest.raises(ScenarioError,
+                       match=r"^sweep sim\.seed = -7: sim\.seed: must be >= 0"):
+        sweep(build_scenario(), "sim.seed", [7, -7])
+    assert build_scenario({"sim.seed": 0}).barometer.seed == 0
+
+
 def test_load_scenario_cross_field_error_names_file(tmp_path):
     deck = tmp_path / "window.scn"
     deck.write_text("trigger.deploy_floor = 400\n", encoding="utf-8")
@@ -514,6 +532,7 @@ def test_removed_keys_are_unknown(key, tmp_path):
     ("sim.seed", 2.0, ScenarioError),
     ("sim.seed", True, ScenarioError),
     ("sim.seed", None, ScenarioError),
+    ("sim.seed", -1, ScenarioError),
     ("faults.gear_slip_push", 2.7, ScenarioError),
     ("payload.mass", True, ScenarioError),
     ("payload.mass", "2", ScenarioError),
