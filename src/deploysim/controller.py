@@ -164,6 +164,11 @@ class DeploymentController:
         # Start of the running timeout: the unlock command (door
         # timeout), the door reading open (settle dwell), the last push.
         self._since: float | None = None
+        # The limit of the timeout that runs in each timed phase, s.
+        door = trigger.door_open_timeout
+        self._limits = {_UNLOCKING: door, _DOOR_OPEN_WAIT: door,
+                        _STABILIZE_DELAY: STABILIZE_DWELL_S,
+                        **dict.fromkeys(_PUSH_INDEX, trigger.push_timeout)}
 
     # -- tasks, in schedule priority order ---------------------------------
 
@@ -190,17 +195,45 @@ class DeploymentController:
         high`, or r `drop` or more below the peak.  Until apogee is
         sensed, the drop that confirms it; in AwaitWindow, the window
         once armed, with no floor after apogee, when a reading below it
-        misses the window.  None once apogee is sensed outside
-        AwaitWindow: no reading can move it, and the peak is not read
-        again."""
+        misses the window; from Unlocking up to the ejection, a reading
+        below the floor, which aborts (r < floor is r <= the float just
+        below it).  None once apogee is sensed in any other phase: no
+        reading can move it, and the peak is not read again."""
         trigger = self.trigger
         seen = self.apogee_seen
         drop = math.inf if seen else trigger.apogee_confirm_drop
-        if self.phase is _AWAIT_WINDOW and (
+        phase = self.phase
+        if phase is _AWAIT_WINDOW and (
                 seen or not trigger.arm_after_apogee):
             return (-math.inf if seen else trigger.deploy_floor,
                     trigger.deploy_ceiling, drop)
+        if phase in self._limits:
+            return (-math.inf,
+                    math.nextafter(trigger.deploy_floor, -math.inf), drop)
         return None if seen else (math.inf, -math.inf, drop)
+
+    def _timed_out(self, now: float) -> bool:
+        """The running timeout of a timed phase has expired at `now`."""
+        return now - self._since >= self._limits[self.phase] - TIME_EPS
+
+    def deadline_tick(self, tick: int, dt: float, logic: int,
+                      ticks: int) -> int:
+        """The first logic tick after `tick` (ticks of `dt` s, logic
+        every `logic` ticks) on which the running timeout fires by
+        `update_phase`'s own test: the door timeout, the end of the
+        settle dwell or the push timeout.  `ticks`, the run's tick
+        count, if no timeout runs or none fires before it."""
+        if self.phase not in self._limits or not self._timed_out(
+                (ticks - 1) * dt):
+            return ticks
+        # From one logic period before the estimate, as the mission
+        # finds the tick of the battery failure.
+        estimate = (math.ceil((self._since + self._limits[self.phase])
+                              / dt / logic) - 1) * logic
+        tick = max(tick + logic - tick % logic, estimate)
+        while not self._timed_out(tick * dt):
+            tick += logic
+        return min(tick, ticks)
 
     def _hold(self, reason: SafeHoldReason) -> list[Command]:
         self.phase = DeployPhase.SAFE_HOLD
@@ -245,7 +278,7 @@ class DeploymentController:
         if phase is _UNLOCKING:
             if not door.locked:
                 self.phase = _DOOR_OPEN_WAIT
-            elif now - self._since >= trigger.door_open_timeout - TIME_EPS:
+            elif self._timed_out(now):
                 return self._hold(SafeHoldReason.DOOR_TIMEOUT)
             return []
 
@@ -253,12 +286,12 @@ class DeploymentController:
             if door.open:
                 self.phase = _STABILIZE_DELAY
                 self._since = now
-            elif now - self._since >= trigger.door_open_timeout - TIME_EPS:
+            elif self._timed_out(now):
                 return self._hold(SafeHoldReason.DOOR_TIMEOUT)
             return []
 
         if phase is _STABILIZE_DELAY:
-            if now - self._since >= STABILIZE_DWELL_S - TIME_EPS:
+            if self._timed_out(now):
                 self.phase = DeployPhase.PUSH_1
                 self._since = now
                 return [Command("push", 1.0)]
@@ -276,6 +309,6 @@ class DeploymentController:
                 return [Command("push", float(push_index + 1))]
             # All pushes spent without ejection: give up, stay safe.
             return self._hold(SafeHoldReason.PUSHES_EXHAUSTED)
-        if now - self._since >= trigger.push_timeout - TIME_EPS:
+        if self._timed_out(now):
             return self._hold(SafeHoldReason.PUSH_TIMEOUT)
         return []

@@ -7,31 +7,33 @@ drain (only of current drawn from a live pack) and telemetry (20 Hz),
 then the vehicle step.  The push that releases the payload flies its
 whole descent there in one `step_payload` call; the release, the chute
 opening and the landing are recorded on the payload, and the landing
-sets the run's last tick.  The ticks up to the next task that can act
-rest: one `step_vehicle` call samples the barometer and flies the busy
-tick and its rest, a stretch that ends at the rest's end, the scheduled
-battery failure or the run's last tick, whichever comes first, or
-sooner at a phase change or a wake, from which the next pass of the
-loop carries on.  If the rod, the door or the carrier moved or the pack
-delivered charge on the busy tick, the same code then steps them and
-drains the pack one tick at a time over the rest ticks the vehicle
-flew, so a landing with the payload aboard ends that too.  No rest is
-taken while a push could reach the stroke in it, so the release falls
-on a busy tick.  Deploy logic is idle while the phase is absorbing, or
-while it waits in AwaitWindow on inputs it has weighed, unless the
-pack dies: a pack that delivers charge rests only up to the next logic
-tick.  The barometer latches the altitude on each sense tick itself,
-and telemetry prints it from there, so an idle controller needs only
-the sense ticks that latch a reading that can move it
-(`DeploymentController.wakes_on`), and the barometer wakes the loop on
-such a reading: the stretch stops before the sense tick that latches
-it, which the next pass starts on, already sampled.  If nothing moved
-on the busy tick either, the rest runs on to the wake, a flight phase
-change, the battery failure or the end of the run, and the stretch
-writes the telemetry rows that fall inside it: there only the time,
-the vehicle's state and the latched altitude change from row to row.
-A settled mechanism that still moves rests up to the next telemetry
-tick, whose row prints its state.
+sets the run's last tick.  The ticks after a busy tick rest: one
+`step_vehicle` call samples the barometer and flies the busy tick and
+its rest, and stops sooner at a flight phase change or a wake, from
+which the next pass of the loop carries on.  If the rod, the door or
+the carrier moved or the pack delivered charge on the busy tick, the
+same code then steps them and drains the pack one tick at a time over
+the rest ticks the vehicle flew, so a landing with the payload aboard
+ends that too.
+
+Deploy logic is live on the logic tick after its phase changes, the
+pack dies, or the mechanism changes a field it reads (the rod
+unlocking, the door reading open, the rack at either end of its
+stroke, where the payload is released).  Otherwise it is idle until its
+deadline (`DeploymentController.deadline_tick`: the door timeout, the
+end of the settle dwell or the push timeout) or a latched reading that
+can move it (`DeploymentController.wakes_on`), on whose sense tick the
+barometer wakes the loop.  One rule sets each rest: it runs up to the
+earliest of the schedule's bound (up to the next logic tick while
+deploy logic is live), the deadline, the scheduled battery failure and
+the run's last tick; and, while the mechanism moves or the pack
+delivers, the next telemetry tick, whose row prints them, and, unless
+deploy logic has settled, the first tick whose step could change a
+field it reads, from closed-form bounds on the rod, the swing, the
+rack and the charge, so such a change, the release among them, falls
+on a busy tick.  A rest in which nothing moves writes the telemetry
+rows inside it: there only the time, the vehicle's state and the
+latched altitude change from row to row.
 Everything downstream of the scenario and seed is deterministic, so
 equal inputs give byte-identical telemetry.
 """
@@ -175,6 +177,17 @@ def _row_status(flight_phase: FlightPhase, controller: DeploymentController,
     )
 
 
+def _quiet(rest, distance: float, step: float, scale: float):
+    """The smaller of `rest` and the number of ticks that surely keep a
+    running sum short of `distance` when each tick moves it by at most
+    `step`.  The distance is cut, and the step grown, by 1e-12 of
+    `scale`, the largest magnitude the sum takes, which covers the
+    rounding of its floats."""
+    slack = 1e-12 * scale
+    ticks = (distance - slack) / (step + slack)
+    return max(0, int(ticks)) if ticks < rest else rest
+
+
 @dataclass(frozen=True, slots=True)
 class MissionVerdict:
     outcome: Outcome
@@ -215,7 +228,7 @@ def run_mission(scenario: Scenario,
                           scenario.payload.mass)
     stroke = drive.stroke
     controller = DeploymentController(trigger, stroke)
-    sense_period, _, row_period = schedule.period_ticks
+    sense_period, logic_period, row_period = schedule.period_ticks
     barometer = Barometer(scenario.barometer, atmosphere, dt, n_ticks,
                           sense_period)
     barometer.wake = controller.wakes_on()
@@ -251,14 +264,20 @@ def run_mission(scenario: Scenario,
     sample = barometer.sample
     actuator_current = door_spec.actuator_current
     max_open = door_spec.max_open
-    travel = drive.rack_speed * dt      # m, the most a push tick carries
-    near_stroke = stroke - 1e-9         # m
+    open_threshold = door_spec.open_threshold
+    # The most each step moves the rod, the door and the rack, as the
+    # steppers compute it.
+    rod_step = dt / door_spec.rod_travel_time
+    swing_step = max_open / door_spec.open_time * dt
+    travel = drive.rack_speed * dt
     phase = controller.phase    # as of the last tick; update_phase moves it
     settled = False             # phase is SafeHold or Ejected, both absorbing
-    # Deploy logic cannot act before a latched reading wakes it: the
-    # phase is absorbing, or it stayed in AwaitWindow on the inputs it
-    # has.
+    # Deploy logic cannot act before its deadline, a latched reading
+    # that wakes it, or a mechanism event; it is live (False) on the
+    # next logic tick after its phase changes, the pack dies or the
+    # mechanism changes what it reads.
     logic_idle = False
+    deadline = n_ticks  # the logic tick on which the running timeout fires
     woke = False        # the last stretch stopped on a wake at `tick`
     energy = 0.0
     peak_current = 0.0
@@ -266,7 +285,6 @@ def run_mission(scenario: Scenario,
     # Members compared on every tick, bound once: attribute access on an
     # Enum class is slow on Python 3.11 (see flight.py).
     safe_hold = _SAFE_HOLD
-    await_window = DeployPhase.AWAIT_WINDOW
     unlocking = DeployPhase.UNLOCKING
     ejected = DeployPhase.EJECTED
 
@@ -293,20 +311,23 @@ def run_mission(scenario: Scenario,
                     events.append(Event(now, "apogee_sensed",
                                         controller.sensed_altitude))
                     barometer.wake = controller.wakes_on()
-            # Idle in AwaitWindow, deploy logic runs again on a sense tick,
-            # the only one with a new input; the pack resets the idle flag.
-            if logic_due and (not logic_idle or sense_due and not settled):
+            # Idle deploy logic runs again on its deadline, or on a sense
+            # tick, the only one with a new input.
+            if logic_due and (not logic_idle or tick >= deadline
+                              or sense_due and not settled):
                 for cmd in controller.update_phase(door, carrier, battery,
                                                    now):
                     commands.append(CommandLogEntry(
                         now, cmd.name, cmd.value, vehicle.altitude))
                     if cmd.name == "push":
                         begin_push(carrier, door.open)
-                logic_idle = phase is await_window
+                logic_idle = True
                 if controller.phase is not phase:
                     phase = controller.phase
                     settled = phase is safe_hold or phase is ejected
                     logic_idle = settled
+                    deadline = controller.deadline_tick(tick, dt,
+                                                        logic_period, n_ticks)
                     barometer.wake = controller.wakes_on()
                     if phase is safe_hold:
                         # Safing de-energizes the rack once; SafeHold never
@@ -322,7 +343,9 @@ def run_mission(scenario: Scenario,
             # ticks after it, if anything moved or the pack delivered on
             # the busy tick (only a task starts the rod, the door or a
             # push).  A dead pack drives neither the lock rod nor the
-            # rack; the door swings unpowered, unless it is jammed.
+            # rack; the door swings unpowered, unless it is jammed.  A
+            # change of what deploy logic reads makes it live; the rest
+            # rule below keeps each such change on a busy tick.
             k = tick
             stop = tick + 1
             while k < stop:
@@ -334,6 +357,7 @@ def run_mission(scenario: Scenario,
                     current += actuator_current
                     if not door.locked:
                         events.append(Event(k * dt, "door_unlocked", 0.0))
+                        logic_idle = settled
                 swing = (not door_jam and not door.locked
                          and door.angle < max_open)
                 if swing:
@@ -341,10 +365,16 @@ def run_mission(scenario: Scenario,
                     step_door(door, door_spec, dt)
                     if door.open and not was_open:
                         events.append(Event(k * dt, "door_open", door.angle))
+                        logic_idle = settled
                 push = powered and carrier.pushing
                 if push:
+                    retracting = carrier.retracting
                     current += step_carrier(carrier, dt, drive)[1]
-                    # No rest reaches the stroke, so this is a busy tick.
+                    # The rack reached the stroke (one more push counted)
+                    # or retracted (the cycle ended).
+                    if carrier.retracting is not retracting:
+                        logic_idle = settled
+                    # The rest rule keeps the release on a busy tick.
                     if (payload.release_time is None
                             and carrier.payload_displacement >= stroke):
                         release_payload(payload, vehicle, now)
@@ -382,42 +412,44 @@ def run_mission(scenario: Scenario,
                             now, vehicle, controller, door, carrier, battery,
                             barometer.latched, delivered / dt, faults))
 
-                    # The ticks up to the next task that can act rest.
-                    # While deploy logic is live, or the mechanism moves
-                    # (the pack may die in the rest) and the controller
-                    # has not settled, that is the next logic tick.
-                    # While it is idle, it needs a sense tick only when
-                    # the reading the barometer latches there wakes the
-                    # loop (`Barometer.wake`), and the stretch stops
-                    # early on a wake: the sense ticks it skips latch
-                    # readings that cannot move it.  If nothing moves,
-                    # the rest runs on, and the stretch writes the rows
-                    # that fall inside it, since a row reads only its
-                    # own tick (the altitude it prints is the one the
-                    # barometer latched, `Barometer.latched`); if the
-                    # settled mechanism still moves, the rest ends at
-                    # the next telemetry tick, whose row prints its
-                    # state.  A schedule whose `idle_rest` is smaller
-                    # than `math.inf` bounds both idle rests by it.  A
-                    # push that could reach the stroke in the rest, by
-                    # one tick's travel more than it can carry and a
-                    # margin for rounding, takes none.
+                    # The rest rule (see the module docstring): up to
+                    # the schedule's bound, the deadline, the battery
+                    # failure and the run's end; while the mechanism
+                    # moves or the pack delivers, also up to the next
+                    # telemetry tick, whose row prints them, and, unless
+                    # deploy logic has settled, before the first tick
+                    # whose step could change what it reads.  A rest in
+                    # which nothing moves writes the rows inside it.
                     moving = delivered or rod or swing or push
+                    rest = idle_rest if logic_idle else free
                     row = None
-                    if not logic_idle or moving and not settled:
-                        rest = free
-                    elif moving:
-                        rest = min(idle_rest, -(tick + 1) % row_period)
+                    if moving:
+                        rest = min(rest, -(tick + 1) % row_period)
                     else:
-                        rest = idle_rest
                         status = _row_status(vehicle.phase, controller, door,
                                              carrier, battery, 0.0, faults)
                         row = write_row
-                    if (push and payload.release_time is None
-                            and carrier.payload_displacement
-                            + (rest + 1) * travel >= near_stroke):
-                        rest = 0
-                    end = min(tick + rest + 1, fail_tick, n_ticks)
+                    if moving and not settled:
+                        if rod and door.locked:
+                            rest = _quiet(rest, door.rod_travel, rod_step, 1.0)
+                        if swing and not door.open:
+                            rest = _quiet(rest, open_threshold - door.angle,
+                                          swing_step, max_open)
+                        # A push carries the payload the whole stroke with
+                        # the rack or not at all (a slipped gear, a broken
+                        # link), and a halted push is the last, so the
+                        # payload reaches the stroke no sooner than the rack.
+                        if push and carrier.pushing:
+                            extension = carrier.rack_extension
+                            if carrier.retracting:
+                                rest = _quiet(rest, extension, travel, stroke)
+                            elif not drive.stalls:
+                                rest = _quiet(rest, stroke - extension,
+                                              travel, stroke)
+                        if delivered and not battery.failed:
+                            rest = _quiet(rest, battery.charge,
+                                          total_current * dt, battery.charge)
+                    end = min(tick + rest + 1, deadline, fail_tick, n_ticks)
 
                     # Fly the ticks [tick, end) up to a phase change; the
                     # mechanism then steps the rest ticks the vehicle

@@ -306,6 +306,119 @@ def test_wakes_on_names_exactly_the_readings_that_move_it(name):
     assert (moved == []) == (name == "held_after_apogee")
 
 
+# The mechanism state that holds each phase from Unlocking to Push(3),
+# and the state that moves it on (the end of the dwell does that).
+HOLDING = {
+    DeployPhase.UNLOCKING: (LOCKED_DOOR, IDLE_CARRIER),
+    DeployPhase.DOOR_OPEN_WAIT: (UNLOCKED_DOOR, IDLE_CARRIER),
+    DeployPhase.STABILIZE_DELAY: (OPEN_DOOR, IDLE_CARRIER),
+    DeployPhase.PUSH_1: (OPEN_DOOR, CarrierState(pushing=True)),
+    DeployPhase.PUSH_2: (OPEN_DOOR, CarrierState(pushing=True,
+                                                 push_count=1)),
+    DeployPhase.PUSH_3: (OPEN_DOOR, CarrierState(pushing=True,
+                                                 push_count=2)),
+}
+ADVANCING = {
+    DeployPhase.UNLOCKING: (UNLOCKED_DOOR, IDLE_CARRIER),
+    DeployPhase.DOOR_OPEN_WAIT: (OPEN_DOOR, IDLE_CARRIER),
+    DeployPhase.STABILIZE_DELAY: (OPEN_DOOR, IDLE_CARRIER),
+    DeployPhase.PUSH_1: (OPEN_DOOR, CarrierState(push_count=1)),
+    DeployPhase.PUSH_2: (OPEN_DOOR, CarrierState(push_count=2)),
+    DeployPhase.PUSH_3: (OPEN_DOOR, CarrierState(push_count=3)),
+}
+
+
+def deploying(dt):
+    """{phase: (controller, tick)}: a copy of the controller as it
+    enters each phase from Unlocking to Push(3) on a logic tick of `dt`
+    s, and that tick.  It unlocks on logic tick 6,500, and each phase
+    moves on 37 logic ticks after it began, the dwell at its end."""
+    logic = task_period_ticks(dt)[1]
+    ctl = make_controller()
+    arm_with_apogee(ctl)
+    sense(ctl, 399.0)
+    tick = 6_500 * logic
+    ctl.update_phase(LOCKED_DOOR, IDLE_CARRIER, GOOD_BATTERY, tick * dt)
+    entered = {}
+    while ctl.phase in HOLDING:
+        phase = ctl.phase
+        entered[phase] = (deepcopy(ctl), tick)
+        tick += 37 * logic
+        while True:
+            ctl.update_phase(*ADVANCING[phase], GOOD_BATTERY, tick * dt)
+            if ctl.phase is not phase:
+                break
+            tick += logic
+    assert ctl.safe_hold_reason is SafeHoldReason.PUSHES_EXHAUSTED
+    assert list(entered) == list(HOLDING)
+    return entered
+
+
+def test_wakes_on_a_reading_below_the_floor_from_unlocking_to_the_ejection():
+    # Past AwaitWindow a latched reading below the floor aborts: the
+    # float just below it wakes the loop and holds, the floor itself
+    # does neither.
+    for phase, (ctl, tick) in deploying(0.01).items():
+        low, high, drop = ctl.wakes_on()
+        floor = ctl.trigger.deploy_floor
+        below = math.nextafter(floor, -math.inf)
+        assert low <= below <= high, phase
+        assert not low <= floor <= high, phase
+        assert drop == math.inf, phase      # apogee is sensed
+        for altitude in (below, floor):
+            probe = deepcopy(ctl)
+            sense(probe, altitude)
+            probe.update_phase(*HOLDING[phase], GOOD_BATTERY,
+                               (tick + 1) * 0.01)
+            held = probe.safe_hold_reason is SafeHoldReason.FLOOR_BREACHED
+            assert held == (altitude == below), (phase, altitude)
+
+
+def test_wakes_on_nothing_once_ejected_or_held():
+    # After a sensed apogee no reading moves an absorbing phase.
+    for phase, (ctl, tick) in deploying(0.01).items():
+        held = deepcopy(ctl)
+        held.update_phase(*HOLDING[phase], DEAD_BATTERY, (tick + 1) * 0.01)
+        assert held.phase is DeployPhase.SAFE_HOLD
+        assert held.wakes_on() is None, phase
+        if phase in (DeployPhase.PUSH_1, DeployPhase.PUSH_2,
+                     DeployPhase.PUSH_3):
+            ejected = CarrierState(pushing=True,
+                                   payload_displacement=MECH.stroke)
+            ctl.update_phase(OPEN_DOOR, ejected, GOOD_BATTERY,
+                             (tick + 1) * 0.01)
+            assert ctl.phase is DeployPhase.EJECTED
+            assert ctl.wakes_on() is None, phase
+
+
+@pytest.mark.parametrize("dt", [0.001, 0.00125, 0.01])
+def test_deadline_tick_is_the_logic_tick_update_phase_first_acts_on(dt):
+    # Held by the mechanism, each timed phase acts first when its
+    # timeout fires: the door timeout (from the unlock, in both door
+    # phases), the end of the settle dwell, the push timeout.
+    logic = task_period_ticks(dt)[1]
+    ticks = round(400.0 / dt)
+    for phase, (ctl, tick) in deploying(dt).items():
+        deadline = ctl.deadline_tick(tick, dt, logic, ticks)
+        assert deadline % logic == 0 and tick < deadline < ticks, phase
+        # A run that ends before it gets its tick count.
+        for end in (deadline - 1, deadline + 1):
+            assert ctl.deadline_tick(tick, dt, logic, end) == min(
+                deadline, end), phase
+        while ctl.phase is phase:
+            tick += logic
+            ctl.update_phase(*HOLDING[phase], GOOD_BATTERY, tick * dt)
+        assert tick == deadline, phase
+
+
+def test_deadline_tick_without_a_running_timeout_is_the_tick_count():
+    ctl = make_controller()
+    assert ctl.deadline_tick(0, 0.001, 10, 400_000) == 400_000
+    arm_with_apogee(ctl)
+    assert ctl.phase is DeployPhase.AWAIT_WINDOW
+    assert ctl.deadline_tick(10, 0.001, 10, 400_000) == 400_000
+
+
 def test_door_timeout_from_unlock_command():
     ctl = make_controller()
     arm_with_apogee(ctl)

@@ -2,10 +2,11 @@
 
 At dt = 1 ms a task is due on one tick in ten, and a tick on which no
 task is due rests: it runs the physics and, while anything moves or
-the pack delivers, the mechanism and the pack; once deploy logic cannot
-act, the logic ticks rest too: up to the next telemetry tick while the
-mechanism moves, else up to the reading that wakes it, and the stretch
-writes the rows between.
+the pack delivers, the mechanism and the pack; while deploy logic
+cannot act before its deadline, a reading that wakes it or a mechanism
+event, the logic ticks rest too, up to the first of those and, while
+the mechanism moves, the next telemetry tick; a stretch in which
+nothing moves writes the rows between.
 These runs of `altair_nominal` sit on the edges of those stretches: a
 battery failure that falls on a task-free tick, with and without a
 jammed door; an always-on load drained on every tick; and the half-
@@ -221,12 +222,14 @@ def test_dead_pack_with_a_load_rests_and_matches_frozen_digest(monkeypatch):
     assert sha256(render_commands_csv(result.commands)) == commands
     assert sha256(repr(result.events)) == events
     assert sha256(repr((result.verdict, result.charge_drawn))) == verdict
-    # The load keeps the 3,000 logic ticks before the failure at 30 s
-    # busy, while the pack it drains could die between them, and three
-    # flight phase changes begin a pass each; from it one stretch flies
-    # to the landing and writes the 1,107 rows on the way: 3,004 passes,
-    # not all 85,337 ticks of the run.
-    assert 3_000 < busy < 3_010
+    # The load keeps the 600 telemetry ticks before the failure at 30 s
+    # busy, since their rows print the current it draws (the pack it
+    # drains cannot die before then).  The logic tick after arming,
+    # three flight phase changes and the wake that confirms apogee begin
+    # a pass each, and from the failure one stretch flies to the landing
+    # and writes the 1,107 rows on the way: 606 passes, not all 85,337
+    # ticks of the run.
+    assert 600 < busy < 610
 
 
 SWEEP_VERDICTS = [

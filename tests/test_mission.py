@@ -430,15 +430,79 @@ def test_steppers_run_once_per_tick_at_1ms_and_under_load(deck, overrides):
     check_steppers(deck, overrides)
 
 
-def logic_ticks_expected(result, absorbing, dt):
+def mechanism_facts(scenario):
+    """Facts of a run in which every tick is its own pass
+    (`NoRestSchedule`): the ticks on which deploy logic changed phase,
+    the ticks whose mechanism step changed what deploy logic reads (the
+    rod unlocking, the door reading open, the carrier's pushing flag or
+    push count, the payload at the stroke, the pack dead, which the
+    scheduled failure makes it at the top of its tick, as of the tick
+    before), and the ticks on which the rod, the door or the rack moved
+    or the pack delivered charge.  Each pass snapshots the records as
+    the tick before left them."""
+    dt = scenario.dt
+    stroke = scenario.mechanism.stroke
+    records, read, held = {}, [], []
+    changes = []
+
+    def capture(make):
+        def made(*args, **kwargs):
+            record = make(*args, **kwargs)
+            records[type(record).__name__] = record
+            return record
+        return made
+
+    def due_at_tick(self, tick, _original=TaskSchedule.due_at_tick):
+        door, carrier, battery = (records[name] for name in (
+            "DoorState", "CarrierState", "BatteryState"))
+        read.append((door.locked, door.open, carrier.pushing,
+                     carrier.push_count,
+                     carrier.payload_displacement >= stroke, battery.failed))
+        held.append((door.rod_travel, door.angle, carrier.rack_extension,
+                     battery.charge))
+        return _original(self, tick)
+
+    def update_phase(self, door, carrier, battery, now,
+                     _original=DeploymentController.update_phase):
+        before = self.phase
+        commands = _original(self, door, carrier, battery, now)
+        if self.phase is not before:
+            changes.append(round(now / dt))
+        return commands
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name in ("DoorState", "CarrierState", "replace"):
+            monkeypatch.setattr(mission, name,
+                                capture(getattr(mission, name)))
+        monkeypatch.setattr(TaskSchedule, "due_at_tick", due_at_tick)
+        monkeypatch.setattr(DeploymentController, "update_phase",
+                            update_phase)
+        monkeypatch.setattr(mission, "TaskSchedule", NoRestSchedule)
+        run_mission(scenario)
+    events = [tick for tick in range(len(read) - 1)
+              if read[tick + 1] != read[tick]]
+    moved = {tick for tick in range(len(read) - 1)
+             if (read[tick + 1], held[tick + 1]) != (read[tick], held[tick])}
+    return changes, events, moved
+
+
+def logic_ticks_expected(result, scenario, absorbing):
     """The deploy-logic ticks a run must execute: the arming tick and
     the next logic tick, which first weighs the window; then, while the
     controller waits in AwaitWindow, only the sense tick whose reading
     confirms apogee and wakes it, as the rest writes the telemetry rows
     (in these runs no flight phase change ends a stretch on a sense
-    tick); then every logic tick from the one that left AwaitWindow,
-    woken by its reading or by the pack, up to the absorbing one."""
-    logic = task_period_ticks(dt)[1]
+    tick); then, from the tick that left AwaitWindow, woken by its
+    reading or by the pack, up to the absorbing one (`mechanism_facts`):
+    - each phase change, which every deadline (the end of the settle
+      dwell, a timeout) falls on, and the logic tick after it;
+    - each tick whose mechanism step changes what deploy logic reads, if
+      it is a sense tick, and the logic tick after it;
+    - each sense tick that is a telemetry tick and ends a moving rest,
+      that is, follows a tick on which the mechanism moved (in these
+      runs no moving rest stops moving before its telemetry tick)."""
+    dt = scenario.dt
+    sense, logic, telemetry = task_period_ticks(dt)
     left = min([round(command.time / dt) for command in result.commands]
                + [round(event.time / dt) for event in result.events
                   if event.name == "safe_hold"])
@@ -446,8 +510,19 @@ def logic_ticks_expected(result, absorbing, dt):
     sensed = event_map(result).get("apogee_sensed")
     if sensed is not None:
         weighed.add(round(sensed.time / dt))
-    waiting = sorted(tick for tick in weighed if 0 < tick < left)
-    return [0] + waiting + list(range(left, absorbing + 1, logic))
+    expected = {0} | {tick for tick in weighed if 0 < tick < left}
+    changes, events, moved = mechanism_facts(scenario)
+    expected |= {tick + after for tick in changes if tick >= left
+                 for after in (0, logic)}
+    for tick in events:
+        if left <= tick < absorbing:
+            expected.add(tick + logic - tick % logic)
+            if tick % sense == 0:
+                expected.add(tick)
+    rows = math.lcm(sense, telemetry)
+    expected |= {tick for tick in range(left + rows - left % rows, absorbing,
+                                        rows) if tick - 1 in moved}
+    return sorted(tick for tick in expected if tick <= absorbing)
 
 
 def test_task_free_ticks_still_step_and_sample(monkeypatch):
@@ -493,7 +568,7 @@ def test_task_free_ticks_still_step_and_sample(monkeypatch):
                      if phase in (DeployPhase.SAFE_HOLD, DeployPhase.EJECTED)]
         assert absorbing, deck
         assert [tick for tick, _ in logic] == logic_ticks_expected(
-            result, absorbing[0], dt), deck
+            result, scenario, absorbing[0]), deck
 
 
 def record_stretches(monkeypatch):
@@ -543,6 +618,30 @@ def test_idle_controller_rests_to_its_wake(monkeypatch):
     # The AwaitWindow stretch from the sensed apogee spans 935 rows.
     rows = [round(record.time_s / 0.01) for record in result.telemetry]
     assert len([tick for tick in rows if sensed < tick < unlocked]) == 935
+
+
+def test_timed_deploy_phases_rest_to_their_next_event(monkeypatch):
+    # At 10 ms, from the unlock to the ejection, a stretch starts only on
+    # a telemetry tick while the rod, the door or the rack moves, on the
+    # tick of a mechanism event (the rod unlocking, the door reading
+    # open, the rack at the stroke), on the logic tick after an event or
+    # a phase change, and on the dwell's end.  Once the door is fully
+    # open nothing moves, so the settle dwell is one stretch.
+    stretches = record_stretches(monkeypatch)
+    result = run_mission(scenario_with(NOMINAL, {"sim.dt": 0.01}))
+    events = event_map(result)
+    unlock, push = (round(command.time / 0.01) for command in result.commands)
+    unlocked, opened, ejected = (round(events[name].time / 0.01) for name
+                                 in ("door_unlocked", "door_open", "ejected"))
+    expected = {unlock, unlock + 1, push, push + 1}
+    for event in (unlocked, opened, ejected):
+        expected |= {event, event + 1, event + 2}
+    expected |= set(range(unlock + 5 - unlock % 5, opened, 5))
+    expected |= set(range(push + 5 - push % 5, ejected, 5))
+    assert [first for first, _ in stretches
+            if unlock <= first <= ejected + 1] == sorted(
+                tick for tick in expected if tick <= ejected + 1)
+    assert dict(stretches)[opened + 2] == push - opened - 2
 
 
 def test_settled_controller_rests_through_its_logic_ticks(monkeypatch):
@@ -770,7 +869,31 @@ REST_RUNS = (
         # A window of 0.1 m that no latched reading falls in: the first
         # one below it, off the telemetry ticks, misses the window.
         {"trigger.deploy_floor": 300.0, "trigger.deploy_ceiling": 300.1},
-    )])
+        # The floor breached at 1 ms during the settle dwell (67.02 s),
+        # and during the push (68.30 s): the floor wake ends the rest.
+        {"trigger.deploy_floor": 360.0},
+        {"trigger.deploy_floor": 335.0},
+        # The door timeout while the door still swings (rod 0.5 s, door
+        # 0.3 s), at 1 ms and 10 ms.
+        {"trigger.door_open_timeout": 0.6},
+        {"trigger.door_open_timeout": 0.6, "sim.dt": 0.01},
+        # At 10 ms the rod unlocks on the tick after a telemetry tick,
+        # and the door timeout fires two ticks later, in DoorOpenWait.
+        {"sim.dt": 0.01, "door.rod_travel_time": 0.47,
+         "trigger.door_open_timeout": 0.48},
+        # An always-on load that the pack outlasts, through the whole
+        # deploy sequence.
+        {"battery.quiescent_current": 0.05},
+        # At 10 ms, a pack that a load empties during the settle dwell
+        # (67.30 s), and one the push empties while the rack retracts
+        # after the ejection.
+        {"sim.dt": 0.01, "battery.quiescent_current": 0.1,
+         "battery.capacity": 6.98},
+        {"sim.dt": 0.01, "battery.capacity": 1.53},
+    )]
+    # At 10 ms, a pack the push empties while the slipping rack retracts,
+    # before deploy logic settles (SafeHold at 69.71 s).
+    + [("altair_gear_slip", {"sim.dt": 0.01, "battery.capacity": 1.53})])
 
 
 @pytest.mark.parametrize("deck, overrides", REST_RUNS)
@@ -795,8 +918,11 @@ def test_rests_change_no_output_byte_on_fuzzed_profiles(monkeypatch):
 def test_a_pack_that_dies_while_awaiting_the_window_is_seen_at_once(
         monkeypatch):
     # The always-on load empties the pack between the sense ticks at
-    # 20.000 and 20.020 s; the logic tick at 20.010 s, which an idle
-    # controller would rest through, must see it.
+    # 20.000 and 20.020 s.  The rests of the idle controller end on the
+    # telemetry ticks, whose rows print the current, and before the tick
+    # on which the pack can die, so it runs on the sense ticks among
+    # them (19.900 and 20.000 s); the logic tick at 20.010 s, which it
+    # would rest through, must see the dead pack.
     logic = []
 
     def update_phase(self, door, carrier, battery, now,
@@ -807,7 +933,7 @@ def test_a_pack_that_dies_while_awaiting_the_window_is_seen_at_once(
     monkeypatch.setattr(DeploymentController, "update_phase", update_phase)
     result = run_mission(scenario_with(NOMINAL, {
         "battery.quiescent_current": 0.5, "battery.capacity": 10.003}))
-    assert logic[-3:] == [19_980, 20_000, 20_010]
+    assert logic[-3:] == [19_900, 20_000, 20_010]
     assert event_map(result)["safe_hold"] == (20.01, "safe_hold",
                                               "battery-failure")
 
