@@ -101,23 +101,24 @@ class BatteryState:
     failed: bool = False
 
 
-def command_unlock(door: DoorState, spec: DoorSpec, dt: float) -> None:
-    """Retract the rod of a locked door one step, in place; the loop
-    drives it only while powered.  A door jam does not stop the rod."""
-    travel = door.rod_travel - dt / spec.rod_travel_time
+def command_unlock(door: DoorState, step: float) -> None:
+    """Retract the rod of a locked door one step, in place: `step` is
+    the fraction of its travel one tick retracts, dt over the door's
+    `rod_travel_time`.  The loop drives it only while powered.  A door
+    jam does not stop the rod."""
+    travel = door.rod_travel - step
     door.locked = travel > 0.0
     door.rod_travel = travel if door.locked else 0.0
 
 
-def step_door(door: DoorState, spec: DoorSpec, dt: float) -> None:
-    """Swing an unlocked, unjammed door toward full open at a constant
-    rate, in place.
+def step_door(door: DoorState, spec: DoorSpec, step: float) -> None:
+    """Swing an unlocked, unjammed door toward full open by `step` rad,
+    in place: one tick of the constant rate, `max_open / open_time * dt`.
 
     The door is unpowered, so it keeps opening even after a battery
     failure.
     """
-    angle = min(door.angle + spec.max_open / spec.open_time * dt,
-                spec.max_open)
+    angle = min(door.angle + step, spec.max_open)
     door.angle = angle
     door.open = angle >= spec.open_threshold
 
@@ -144,7 +145,8 @@ def halt_carrier(carrier: CarrierState) -> None:
 
 class CarrierDrive(NamedTuple):
     """Carrier figures and behaviour that stay fixed for a whole
-    mission: everything `step_carrier` reads."""
+    mission: the rack speed its travel comes from and everything else
+    `step_carrier` reads."""
 
     rack_speed: float       # m/s, no-load
     stroke: float           # m
@@ -190,17 +192,17 @@ def carrier_drive(servo: ServoSpec, params: MechanismParams,
         stall_current=servo.stall_current)
 
 
-def step_carrier(carrier: CarrierState, dt: float,
+def step_carrier(carrier: CarrierState, travel: float,
                  drive: CarrierDrive) -> tuple[CarrierState, float]:
-    """Advance a pushing, powered carrier one step, in place.
+    """Advance a pushing, powered carrier one step, in place; `travel`
+    is the rack's one-tick travel, `drive.rack_speed * dt`.
 
     Returns (carrier, current draw in A).  Extension against a load the
     servo cannot overcome holds the rack still at stall current.
     `drive` is `carrier_drive(...)`, computed once per mission.
     """
-    speed = drive.rack_speed
     if carrier.retracting:
-        extension = carrier.rack_extension - speed * dt
+        extension = carrier.rack_extension - travel
         if extension <= 0.0:
             extension = 0.0
             carrier.pushing = carrier.retracting = False
@@ -215,7 +217,7 @@ def step_carrier(carrier: CarrierState, dt: float,
     slipping = carrier.push_count >= drive.slips_from
     if slipping:
         carrier.slipped = True
-    advance = min(speed * dt, stroke - carrier.rack_extension)
+    advance = min(travel, stroke - carrier.rack_extension)
     if drive.breaks_link:
         carrier.link_broken = True
     elif not slipping:

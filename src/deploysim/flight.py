@@ -85,19 +85,19 @@ def initial_state(spec: VehicleSpec, payload_mass: float = 0.0) -> FlightState:
 
 def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
                  atmosphere: AtmosphereModel, ticks: int, sample,
-                 first: int, row=None, row_period: int = 1) -> int:
+                 first: int, row, row_period: int) -> int:
     """Fly the vehicle up to `ticks` ticks from tick `first`, in place;
     return how many it flew.  The caller has sampled tick `first`; each
     later tick k first calls `sample(altitude, k)`.  It stops after the
     first step that changes the phase, and before tick k when that call
     returns True: a barometer's wake, which leaves tick k sampled and
-    unflown.  With a `row` callback, each multiple k of `row_period`
-    after `first` and before the end, once sampled without a wake,
-    calls `row(k, altitude, velocity)` with the state at the start of
-    tick k: the telemetry rows of a stretch in which nothing else
-    changes.  The landing clamp keeps a landed state bit for bit as it
-    is.  A DomainError raised on tick k carries k as `tick`, unless the
-    barometer set the tick of its truth there.
+    unflown.  Each multiple k of `row_period` after `first` and before
+    the end, once sampled without a wake, calls `row(k, altitude,
+    velocity)` with the state at the start of tick k: the telemetry rows
+    of a stretch in which nothing else changes.  The landing clamp keeps
+    a landed state bit for bit as it is.  A DomainError raised on tick k
+    carries k as `tick`, unless the barometer set the tick of its truth
+    there.
     """
     phase = start = state.phase
     if phase is _PRELAUNCH:
@@ -124,9 +124,7 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
     tick, end = first, first + ticks
     # The next tick that ends the stretch or writes a row: one compare
     # serves both, so a tick with neither pays for no row.
-    stop = end
-    if row is not None:
-        stop = min(end, first + row_period - first % row_period)
+    stop = min(end, first + row_period - first % row_period)
     try:
         while True:
             if phase is boost:

@@ -31,9 +31,12 @@ delivers, the next telemetry tick, whose row prints them, and, unless
 deploy logic has settled, the first tick whose step could change a
 field it reads, from closed-form bounds on the rod, the swing, the
 rack and the charge, so such a change, the release among them, falls
-on a busy tick.  A rest in which nothing moves writes the telemetry
-rows inside it: there only the time, the vehicle's state and the
-latched altitude change from row to row.
+on a busy tick.  The loop computes the rod's, the swing's and the
+rack's step once per run and hands each to its stepper, so the bounds
+and the steps are the same floats.  A rest in which nothing moves
+writes the telemetry rows inside it: there only the time, the
+vehicle's state and the latched altitude change from row to row, and
+the other fields are those of the record built on the busy tick.
 Everything downstream of the scenario and seed is deterministic, so
 equal inputs give byte-identical telemetry.
 """
@@ -126,23 +129,8 @@ def make_telemetry_record(now: float, vehicle: FlightState,
     barometer latched (`Barometer.latched`), `current` the pack's
     current on the tick.  SafeHold carries its reason in
     `deploy_phase`; `fault_flags` joins the active faults with "+", or
-    is "-".
-    """
-    return _make_record((
-        now,                                            # time_s
-        vehicle.altitude,                               # truth_alt_m
-        vehicle.velocity,                               # truth_vel_mps
-        sensed_altitude,                                # sensed_alt_m
-    ) + _row_status(vehicle.phase, controller, door, carrier, battery,
-                    current, faults))
-
-
-def _row_status(flight_phase: FlightPhase, controller: DeploymentController,
-                door: DoorState, carrier: CarrierState, battery: BatteryState,
-                current: float, faults: FaultPlan) -> tuple:
-    """The fields of a telemetry row from `flight_phase` on, in
-    `TELEMETRY_COLUMNS` order: those a stretch in which nothing moves
-    holds fixed (`make_telemetry_record`).
+    is "-".  The fields from `flight_phase` on are those a stretch in
+    which nothing moves holds fixed.
 
     Labels are read with `_value_`: on Python 3.11 `Enum.value` is a
     Python-level property that costs about ten times as much.
@@ -165,8 +153,12 @@ def _row_status(flight_phase: FlightPhase, controller: DeploymentController,
         flags.append("stall")
     if faults.surface_friction_scale != 1.0:
         flags.append("friction_scaled")
-    return (
-        flight_phase._value_,                           # flight_phase
+    return _make_record((
+        now,                                            # time_s
+        vehicle.altitude,                               # truth_alt_m
+        vehicle.velocity,                               # truth_vel_mps
+        sensed_altitude,                                # sensed_alt_m
+        vehicle.phase._value_,                          # flight_phase
         deploy_phase,                                   # deploy_phase
         door.angle,                                     # door_angle_rad
         carrier.rack_extension,                         # rack_ext_m
@@ -174,7 +166,7 @@ def _row_status(flight_phase: FlightPhase, controller: DeploymentController,
         current,                                        # current_a
         battery.voltage,                                # battery_v
         "+".join(flags) if flags else "-",              # fault_flags
-    )
+    ))
 
 
 def _quiet(rest, distance: float, step: float, scale: float):
@@ -246,8 +238,9 @@ def run_mission(scenario: Scenario,
 
     # The rows of a stretch in which deploy logic is idle and nothing
     # moves: only the time, the vehicle's state and the latched altitude
-    # change there, so the rest of each row is `status`, taken on the
-    # busy tick that begins the stretch.
+    # change there, so the rest of each row is `status`, the fields from
+    # `flight_phase` on of the record built on the busy tick that begins
+    # the stretch.
     status = ()
 
     def write_row(k, altitude, velocity):
@@ -265,8 +258,8 @@ def run_mission(scenario: Scenario,
     actuator_current = door_spec.actuator_current
     max_open = door_spec.max_open
     open_threshold = door_spec.open_threshold
-    # The most each step moves the rod, the door and the rack, as the
-    # steppers compute it.
+    # What one tick moves the rod, the door and the rack: the steppers
+    # take these steps, and the rest rule bounds with them.
     rod_step = dt / door_spec.rod_travel_time
     swing_step = max_open / door_spec.open_time * dt
     travel = drive.rack_speed * dt
@@ -353,7 +346,7 @@ def run_mission(scenario: Scenario,
                 current = 0.0
                 rod = powered and phase is unlocking and door.locked
                 if rod:
-                    command_unlock(door, door_spec, dt)
+                    command_unlock(door, rod_step)
                     current += actuator_current
                     if not door.locked:
                         events.append(Event(k * dt, "door_unlocked", 0.0))
@@ -362,14 +355,14 @@ def run_mission(scenario: Scenario,
                          and door.angle < max_open)
                 if swing:
                     was_open = door.open
-                    step_door(door, door_spec, dt)
+                    step_door(door, door_spec, swing_step)
                     if door.open and not was_open:
                         events.append(Event(k * dt, "door_open", door.angle))
                         logic_idle = settled
                 push = powered and carrier.pushing
                 if push:
                     retracting = carrier.retracting
-                    current += step_carrier(carrier, dt, drive)[1]
+                    current += step_carrier(carrier, travel, drive)[1]
                     # The rack reached the stroke (one more push counted)
                     # or retracted (the cycle ended).
                     if carrier.retracting is not retracting:
@@ -407,28 +400,28 @@ def run_mission(scenario: Scenario,
 
                 if k == tick:
                     # Telemetry (lowest priority) reads no payload field.
-                    if telemetry_due:
-                        telemetry.append(make_telemetry_record(
+                    # A rest in which nothing moves writes the rows inside
+                    # it from this tick's record.
+                    moving = delivered or rod or swing or push
+                    if telemetry_due or not moving:
+                        record = make_telemetry_record(
                             now, vehicle, controller, door, carrier, battery,
-                            barometer.latched, delivered / dt, faults))
+                            barometer.latched, delivered / dt, faults)
+                        if telemetry_due:
+                            telemetry.append(record)
+                        status = record[4:]
 
                     # The rest rule (see the module docstring): up to
                     # the schedule's bound, the deadline, the battery
                     # failure and the run's end; while the mechanism
                     # moves or the pack delivers, also up to the next
-                    # telemetry tick, whose row prints them, and, unless
-                    # deploy logic has settled, before the first tick
-                    # whose step could change what it reads.  A rest in
-                    # which nothing moves writes the rows inside it.
-                    moving = delivered or rod or swing or push
+                    # telemetry tick, whose row prints them, so no row
+                    # falls inside the rest, and, unless deploy logic
+                    # has settled, before the first tick whose step
+                    # could change what it reads.
                     rest = idle_rest if logic_idle else free
-                    row = None
                     if moving:
                         rest = min(rest, -(tick + 1) % row_period)
-                    else:
-                        status = _row_status(vehicle.phase, controller, door,
-                                             carrier, battery, 0.0, faults)
-                        row = write_row
                     if moving and not settled:
                         if rod and door.locked:
                             rest = _quiet(rest, door.rod_travel, rod_step, 1.0)
@@ -459,7 +452,7 @@ def run_mission(scenario: Scenario,
                     previous_phase = vehicle.phase
                     flown = step_vehicle(vehicle_spec, vehicle, dt,
                                          atmosphere, end - tick, sample, tick,
-                                         row, row_period)
+                                         write_row, row_period)
                     # Short of `end` with the phase unchanged: a wake.
                     woke = (tick + flown < end
                             and vehicle.phase is previous_phase)

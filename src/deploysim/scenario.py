@@ -316,6 +316,19 @@ def _assemble(checked: dict, overrides: dict | None) -> Scenario:
                 f"{speed!r} m/s, is not finite; set trigger.push_timeout")
         records["trigger"] = replace(records["trigger"],
                                      push_timeout=timeout)
+    # A tick's step can underflow too: a door or a rack that a tick moves
+    # by 0 never opens or pushes, and the rest rule divides by the steps.
+    dt = sim["dt"]
+    door = records["door"]
+    if not door.max_open / door.open_time * dt > 0.0:
+        raise ScenarioError(
+            f"door.max_open, door.open_time and sim.dt swing the door 0 rad "
+            f"a tick ({door.max_open!r} rad over {door.open_time!r} s in "
+            f"ticks of {dt!r} s)")
+    if not speed * dt > 0.0:
+        raise ScenarioError(
+            f"servo.rated_speed, mechanism.pitch_diameter and sim.dt move "
+            f"the rack 0 m a tick ({speed!r} m/s in ticks of {dt!r} s)")
 
     return Scenario(
         **records, battery=BatteryState(battery["voltage"],

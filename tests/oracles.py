@@ -11,8 +11,9 @@ steppers one tick at a time, with the air density from the package's
 inline it.  `NoRestSchedule` is the task schedule with no rest after
 any tick, so the mission loop runs every tick as its own pass: the
 reference for the rests.  `reference_run` flies a whole mission with
-all of these in place of the package's shortcuts.  `step_once` is
-plumbing, for tests that fly the vehicle tick by tick.
+all of these in place of the package's shortcuts, and `rest_scenario`
+draws the seeded random missions it is checked on.  `step_once` and
+`no_row` are plumbing, for tests that fly the vehicle directly.
 """
 
 import math
@@ -20,7 +21,7 @@ import random
 from collections import deque
 from unittest import mock
 
-from deploysim import mission
+from deploysim import ScenarioError, build_scenario, mission
 from deploysim.atmosphere import (TIME_EPS, _altitude_in_band,
                                   density_at_altitude, pressure_at_altitude)
 from deploysim.controller import TaskSchedule
@@ -46,11 +47,15 @@ def altitude_from_pressure(model, pressure):
         1.0 - ratio ** exponent)
 
 
+def no_row(tick, altitude, velocity):
+    """A `step_vehicle` row writer that writes nothing."""
+
+
 def step_once(spec, state, dt, model):
-    """Fly the vehicle one tick with a no-op sampler, which a single
-    tick never calls."""
+    """Fly the vehicle one tick with a no-op sampler and row writer,
+    which a single tick never calls."""
     return step_vehicle(spec, state, dt, model, 1,
-                        lambda altitude, tick: None, 0)
+                        lambda altitude, tick: None, 0, no_row, 1)
 
 
 class NoRestSchedule(TaskSchedule):
@@ -200,7 +205,7 @@ class LatchingBarometer:
 
 
 def _reference_vehicle_steps(spec, state, dt, model, ticks, sample, first,
-                             row=None, row_period=1):
+                             row, row_period):
     """`step_vehicle` as one `reference_vehicle_step`: without rests
     every stretch is the one busy tick, which samples nothing more and
     has no tick inside it to write a row on."""
@@ -231,3 +236,50 @@ def reference_run(scenario):
                              step_vehicle=_reference_vehicle_steps,
                              step_payload=_reference_payload_steps):
         return mission.run_mission(scenario)
+
+
+REST_DTS = (0.001, 0.002, 0.0025, 0.005, 0.01, 0.01 / 3)
+
+
+def rest_scenario(k):
+    """Mission `k` of a seeded random family that drives the rests
+    through the timed deploy phases.  It draws the tick, the rod and
+    door times and the open threshold, the door and push timeouts, the
+    window's floor, always-on loads, small packs and scheduled
+    failures, the barometer's rate and latency, the stroke, the rack
+    speed, the payload mass and whether deploy logic arms on the pad,
+    under a motor that keeps the flight short.  A draw the schema
+    refuses is drawn again from the same stream, so the family is
+    deterministic in k."""
+    rng = random.Random(32_000 + k)
+    while True:
+        overrides = {
+            "sim.dt": rng.choice(REST_DTS),
+            "sim.seed": k,
+            "vehicle.avg_thrust": rng.uniform(1000.0, 1600.0),
+            "door.rod_travel_time": rng.uniform(0.01, 1.0),
+            "door.open_time": rng.uniform(0.01, 1.0),
+            # Above door.max_open, pi/2, is refused.
+            "door.open_threshold": rng.uniform(0.1, 1.7),
+            "trigger.door_open_timeout": rng.uniform(0.1, 3.0),
+            "trigger.deploy_floor": rng.uniform(0.0, 300.0),
+            "trigger.arm_after_apogee": rng.random() < 0.7,
+            "barometer.sample_rate": rng.choice((20.0, 50.0, 80.0, 200.0)),
+            "barometer.latency": rng.uniform(0.0, 0.06),
+            "mechanism.stroke": rng.uniform(0.005, 0.12),
+            "servo.rated_speed": rng.uniform(0.3, 3.0),
+            # Above the 13.9 kg limit the carrier stalls.
+            "payload.mass": rng.uniform(0.3, 16.0),
+        }
+        if rng.random() < 0.5:
+            overrides["trigger.push_timeout"] = rng.uniform(0.2, 6.0)
+        if rng.random() < 0.4:
+            overrides["battery.quiescent_current"] = rng.uniform(0.01, 1.0)
+        if rng.random() < 0.4:
+            overrides["battery.capacity"] = rng.uniform(0.05, 5.0)
+        if rng.random() < 0.3:
+            overrides["faults.battery_fail_time"] = rng.uniform(5.0, 25.0)
+        try:
+            return build_scenario(overrides)
+        except ScenarioError:
+            continue

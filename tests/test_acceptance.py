@@ -40,7 +40,7 @@ from deploysim.atmosphere import (_altitude_in_band, density_at_altitude,
 from deploysim.flight import (FlightPhase, FlightState, PayloadBody,
                               VehicleSpec, release_payload, step_payload)
 from conftest import record_criterion
-from oracles import reference_run, step_once, terminal_speed
+from oracles import reference_run, rest_scenario, step_once, terminal_speed
 
 NOMINAL = bundled_scenario("altair_nominal")
 MODEL = NOMINAL.atmosphere
@@ -429,7 +429,8 @@ def mission_outputs(result):
 def test_c12_shortcuts_match_the_reference_mission():
     # Every bundled deck at 1 ms and 10 ms, the nominal deck cut short by
     # the clock (the only way a run reads the barometer's last reading),
-    # and the first 20 C3 profiles: the package against
+    # the first 20 C3 profiles and the first 20 seeded rest scenarios
+    # (`tests/rest_differential.py` runs more): the package against
     # `oracles.reference_run`, which flies each tick as its own pass with
     # the per-tick steppers and the deque barometer.
     cases = [(f"{deck} at {dt * 1000:g} ms",
@@ -440,6 +441,7 @@ def test_c12_shortcuts_match_the_reference_mission():
                                        "sim.max_sim_time": 20.0}))
               for dt in (0.001, 0.01)]
     cases += [(f"C3 profile {k}", fuzz_profile(k)[0]) for k in range(20)]
+    cases += [(f"rest scenario {k}", rest_scenario(k)) for k in range(20)]
     failures = []
     for name, scenario in cases:
         package = mission_outputs(run_mission(scenario))

@@ -37,6 +37,10 @@ FULL_BATTERY = NOMINAL.battery
 DEAD_BATTERY = replace(FULL_BATTERY, voltage=0.0, charge=0.0, failed=True)
 DRIVE = carrier_drive(SERVO, MECH, NO_FAULTS, 1.0)
 DT = 0.001
+# The one-tick steps run_mission hands the steppers at 1 ms.
+ROD_STEP = DT / DOOR.rod_travel_time
+SWING = DOOR.max_open / DOOR.open_time * DT
+TRAVEL = DRIVE.rack_speed * DT
 
 
 def run_push_cycle(mass, faults=NO_FAULTS, carrier=None, max_steps=5000):
@@ -49,7 +53,7 @@ def run_push_cycle(mass, faults=NO_FAULTS, carrier=None, max_steps=5000):
     start = carrier.payload_displacement
     currents = []
     for step in range(1, max_steps + 1):
-        stepped, current = step_carrier(carrier, DT, drive)
+        stepped, current = step_carrier(carrier, TRAVEL, drive)
         assert stepped is carrier
         currents.append(current)
         if not carrier.pushing:
@@ -66,7 +70,7 @@ def test_full_stroke_takes_expected_time():
     begin_push(carrier, door_open=True)
     steps = 0
     while carrier.rack_extension < MECH.stroke:
-        step_carrier(carrier, DT, DRIVE)
+        step_carrier(carrier, TRAVEL, DRIVE)
         steps += 1
     # 0.060 / 0.062832 = 0.9549 s, quantized up to the next millisecond.
     assert steps == 955
@@ -205,7 +209,7 @@ def test_halt_carrier_freezes_cycle():
     carrier = CarrierState()
     begin_push(carrier, door_open=True)
     for _ in range(100):
-        step_carrier(carrier, DT, DRIVE)
+        step_carrier(carrier, TRAVEL, DRIVE)
     moving = replace(carrier)
     assert halt_carrier(carrier) is None
     assert carrier == replace(moving, pushing=False, retracting=False)
@@ -234,9 +238,9 @@ def test_begin_push_is_idempotent_while_cycling():
     assert carrier == started
     # Halfway back, a second push leaves the retraction running.
     while not carrier.retracting:
-        step_carrier(carrier, DT, DRIVE)
+        step_carrier(carrier, TRAVEL, DRIVE)
     for _ in range(400):
-        step_carrier(carrier, DT, DRIVE)
+        step_carrier(carrier, TRAVEL, DRIVE)
     retracting = replace(carrier)
     assert retracting.pushing and retracting.retracting
     assert 0.0 < retracting.rack_extension < MECH.stroke
@@ -261,7 +265,7 @@ def test_unlock_takes_rod_travel_time():
     door = DoorState()
     steps = 0
     while door.locked:
-        assert command_unlock(door, DOOR, DT) is None
+        assert command_unlock(door, ROD_STEP) is None
         steps += 1
     assert steps == 500  # 0.5 s at 1 ms
     assert door.rod_travel == 0.0
@@ -271,12 +275,12 @@ def test_door_swings_open_after_unlock():
     door = DoorState(locked=False, rod_travel=0.0)
     steps = 0
     while not door.open:
-        assert step_door(door, DOOR, DT) is None
+        assert step_door(door, DOOR, SWING) is None
         steps += 1
     # 85 deg of a 90 deg swing at 0.3 s full travel: 283.3 ms.
     assert steps == 284
     for _ in range(100):
-        step_door(door, DOOR, DT)
+        step_door(door, DOOR, SWING)
     assert door.angle == DOOR.max_open
 
 

@@ -150,6 +150,22 @@ def test_run_with_an_unbounded_push_timeout_is_config_error(tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+def test_run_with_a_door_swing_that_underflows_is_config_error(tmp_path,
+                                                               capsys):
+    # One tick swings the door 1e-320 / 1e10 * 0.01 rad, which is 0.
+    deck = tmp_path / "still.scn"
+    deck.write_text("door.max_open = 1e-320\ndoor.open_threshold = 1e-320\n"
+                    "door.open_time = 1e10\nsim.dt = 0.01\n", encoding="utf-8")
+    assert main(["run", "--scenario", str(deck),
+                 "--out", str(tmp_path / "o")]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("deploysim: error: ")
+    for name in ("still.scn", "door.max_open", "door.open_time", "sim.dt"):
+        assert name in err, name
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_with_an_atmosphere_too_flat_to_sense_is_config_error(tmp_path,
                                                                  capsys):
     deck = tmp_path / "flat.scn"

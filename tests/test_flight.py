@@ -16,7 +16,7 @@ from deploysim.atmosphere import AtmosphereModel, density_at_altitude
 from deploysim.flight import (FlightPhase, FlightState, PayloadBody,
                               VehicleSpec, initial_state, release_payload,
                               step_payload, step_vehicle)
-from oracles import (reference_payload_step, reference_vehicle_step,
+from oracles import (no_row, reference_payload_step, reference_vehicle_step,
                      step_once, terminal_speed)
 
 MODEL = build_scenario().atmosphere
@@ -133,7 +133,7 @@ def test_landed_is_absorbing():
     # ground, and the landing clamp keeps the state as it was.
     assert step_vehicle(DRAG_FREE, state, 0.001, MODEL, 5,
                         lambda altitude, tick: sampled.append(
-                            (tick, altitude)), 0) == 5
+                            (tick, altitude)), 0, no_row, 1) == 5
     assert sampled == [(1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0)]
     assert state == before
     assert math.copysign(1.0, state.altitude) == 1.0
@@ -335,7 +335,7 @@ def test_vehicle_stretch_matches_the_per_tick_reference(phase, altitude,
     sampled = []
     assert step_vehicle(CARRIER, state, 0.001, OFF_DEFAULT, 2000,
                         lambda altitude, tick: sampled.append(
-                            (tick, altitude.hex())), 7) == 2000
+                            (tick, altitude.hex())), 7, no_row, 1) == 2000
     assert state.phase is phase
     reference = FlightState(altitude=altitude, velocity=velocity, mass=26.0,
                             phase=phase)
@@ -427,7 +427,7 @@ def test_single_steps_match_the_reference_where_one_ulp_of_density_shows():
         state = FlightState(altitude=altitude, velocity=velocity, mass=26.0,
                             phase=phase)
         reference = replace(state)
-        step_vehicle(CARRIER, state, dt, OFF_DEFAULT, 1, None, 0)
+        step_vehicle(CARRIER, state, dt, OFF_DEFAULT, 1, None, 0, no_row, 1)
         reference_vehicle_step(CARRIER, reference, dt, OFF_DEFAULT)
         assert bits(state.altitude, state.velocity) == bits(
             reference.altitude, reference.velocity)

@@ -169,11 +169,14 @@ def test_schema_and_params_gates_agree(key):
     # after the name for the rest.  The values are the override fuzz's,
     # plus a bool and the ints beyond the float range.  The scenario
     # sets its push timeout, whose default from the stroke and the pitch
-    # diameter the scenario checks across keys.
+    # diameter the scenario checks across keys, and a servo fast enough
+    # that the least pitch diameter still moves the rack in a tick,
+    # which it checks across keys too.
     field = _MECHANISM_FIELDS[key]
 
     def schema_value(value):
-        scenario = build_scenario({key: value, "trigger.push_timeout": 1.0})
+        scenario = build_scenario({key: value, "trigger.push_timeout": 1.0,
+                                   "servo.rated_speed": 1000.0})
         assert getattr(scenario.mechanism, field) == scenario.values[key]
         return scenario.values[key]
 

@@ -7,6 +7,7 @@ the sensed altitude inside the window, the rod takes 0.5 s, the door
 0.283 s, the settle delay 2.0 s and the push 0.955 s.
 """
 
+import bisect
 import collections
 import functools
 import importlib.util
@@ -279,7 +280,7 @@ STEPPER_RUNS = (
     + [("altair_battery_fail", {"battery.quiescent_current": 0.05})])
 MECHANISM = ("command_unlock", "step_door", "step_carrier", "drain_battery")
 # Where each flight stepper takes its first tick: `step_vehicle` takes
-# optional arguments after it.
+# its row writer and row period after it.
 FIRST_TICK = {"step_vehicle": 6, "step_payload": 4}
 
 
@@ -659,14 +660,23 @@ def test_settled_controller_rests_through_its_logic_ticks(monkeypatch):
 
 
 def record_busy_rows(monkeypatch):
-    """The time of every row a busy pass writes (`make_telemetry_record`);
-    a stretch writes the others itself."""
-    busy = []
+    """`busy(result)`, the time of every row of `result` that a busy
+    pass built (`make_telemetry_record`) and appended; a stretch writes
+    the others itself.  A busy pass on which nothing moved also builds
+    a record when its row is not due, for the stretch after it; only the
+    records appended as rows count."""
+    built = []
 
-    def make_telemetry_record(now, *args,
-                              _original=mission.make_telemetry_record):
-        busy.append(now)
-        return _original(now, *args)
+    def make_telemetry_record(*args, _original=mission.make_telemetry_record):
+        record = _original(*args)
+        built.append(record)
+        return record
+
+    def busy(result):
+        # `built` holds every record, so no id is reused.
+        appended = {id(record) for record in built}
+        return [row.time_s for row in result.telemetry
+                if id(row) in appended]
 
     monkeypatch.setattr(mission, "make_telemetry_record",
                         make_telemetry_record)
@@ -693,6 +703,7 @@ def test_a_stretch_ending_on_a_telemetry_tick_leaves_its_row_to_the_busy_pass(
     stretches = record_stretches(monkeypatch)
     busy = record_busy_rows(monkeypatch)
     result = run_mission(scenario)
+    busy = busy(result)
     ends = {first + flown: first for first, flown in stretches}
     assert tick - ends[tick] > 10       # the stretch spans rows
     rows = [round(record.time_s / 0.01) for record in result.telemetry]
@@ -702,6 +713,73 @@ def test_a_stretch_ending_on_a_telemetry_tick_leaves_its_row_to_the_busy_pass(
     rested = run_outputs(scenario)
     monkeypatch.setattr(mission, "TaskSchedule", NoRestSchedule)
     assert run_outputs(scenario) == rested
+
+
+RECORD_RUNS = ([(deck, 0.01) for deck in list_bundled()]
+               + [("altair_nominal", 0.001), ("altair_battery_fail", 0.001)])
+
+
+def test_a_busy_pass_builds_at_most_one_record(monkeypatch):
+    # One on every telemetry tick, whose row it appends, and none on any
+    # rest tick.
+    passes = []     # (tick, telemetry due) of each pass
+    built = []      # the index in `passes` of the pass that built each
+
+    def due_at_tick(self, tick, _original=TaskSchedule.due_at_tick):
+        due = _original(self, tick)
+        passes.append((tick, due[2]))
+        return due
+
+    def make_telemetry_record(*args, _original=mission.make_telemetry_record):
+        built.append(len(passes) - 1)
+        return _original(*args)
+
+    monkeypatch.setattr(TaskSchedule, "due_at_tick", due_at_tick)
+    monkeypatch.setattr(mission, "make_telemetry_record",
+                        make_telemetry_record)
+    for deck, dt in RECORD_RUNS:
+        passes.clear()
+        built.clear()
+        run_mission(scenario_with(bundled_scenario(deck), {"sim.dt": dt}))
+        assert len(set(built)) == len(built), deck
+        assert {index for index, (_, due) in enumerate(passes)
+                if due} <= set(built), deck
+
+
+def test_a_stretch_writes_the_status_of_the_record_that_began_it(
+        monkeypatch):
+    # Each row a stretch writes holds, from `flight_phase` on, the
+    # fields of the record built on the busy tick that began the
+    # stretch, also where that tick is off the telemetry grid.
+    built = {}      # tick -> the record built on that busy tick
+    stretches = record_stretches(monkeypatch)
+
+    def make_telemetry_record(now, *args,
+                              _original=mission.make_telemetry_record):
+        record = _original(now, *args)
+        built[round(now / dt)] = record
+        return record
+
+    monkeypatch.setattr(mission, "make_telemetry_record",
+                        make_telemetry_record)
+    off_grid = 0
+    for deck, dt in RECORD_RUNS:
+        built.clear()
+        stretches.clear()
+        result = run_mission(scenario_with(bundled_scenario(deck),
+                                           {"sim.dt": dt}))
+        row_period = task_period_ticks(dt)[2]
+        busy = {id(record) for record in built.values()}
+        starts = [first for first, _ in stretches]
+        written = [row for row in result.telemetry if id(row) not in busy]
+        assert written, deck
+        for row in written:
+            tick = round(row.time_s / dt)
+            first = starts[bisect.bisect_left(starts, tick) - 1]
+            assert first in built, (deck, tick)
+            assert row[4:] == built[first][4:], (deck, tick)
+            off_grid += first % row_period != 0
+    assert off_grid
 
 
 def test_leaving_the_band_deep_in_an_idle_stretch_names_that_tick(

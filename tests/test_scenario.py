@@ -243,6 +243,32 @@ def test_build_rejects_a_rack_speed_that_underflows():
     assert build_scenario({"servo.rated_speed": 1e-100}).servo.rated_speed
 
 
+@pytest.mark.parametrize("overrides, message", [
+    # A door of 1e-320 rad that takes 1e10 s to open, at 1 ms and 10 ms.
+    *(({"door.max_open": 1e-320, "door.open_threshold": 1e-320,
+        "door.open_time": 1e10, "sim.dt": dt},
+       r"^door\.max_open, door\.open_time and sim\.dt swing the door 0 rad "
+       r"a tick") for dt in (0.001, 0.01)),
+    # A rack of 3e-323 m/s over a 1e-320 m stroke at 10 ms, and the
+    # slowest rack at 1 ms with an explicit push timeout.
+    ({"mechanism.stroke": 1e-320, "servo.rated_speed": 1e-300,
+      "mechanism.pitch_diameter": 1e-23, "sim.dt": 0.01},
+     r"^servo\.rated_speed, mechanism\.pitch_diameter and sim\.dt move the "
+     r"rack 0 m a tick"),
+    ({"mechanism.pitch_diameter": 5e-324, "trigger.push_timeout": 2.0},
+     r"^servo\.rated_speed, mechanism\.pitch_diameter and sim\.dt move the "
+     r"rack 0 m a tick"),
+])
+def test_build_rejects_a_step_that_underflows(overrides, message):
+    # Each factor passes its own check, but one tick's swing of the door
+    # or travel of the rack is 0: the door would never open, the rack
+    # never push, and the rest rule would divide by 0.
+    with pytest.raises(ScenarioError, match=message):
+        build_scenario(overrides)
+    with pytest.raises(ScenarioError, match=message):
+        scenario_with(build_scenario(), overrides)
+
+
 def test_the_seed_is_kept_once_in_the_barometer():
     assert "seed" not in {f.name for f in dataclasses.fields(Scenario)}
     sc = build_scenario({"sim.seed": 9})
@@ -286,9 +312,11 @@ def test_a_default_push_timeout_that_is_not_finite_is_refused():
             build_scenario(overflow)
         with pytest.raises(ScenarioError, match=message):
             scenario_with(build_scenario(), overflow)
-        # An explicit timeout still builds.
-        explicit = build_scenario({**overflow, "trigger.push_timeout": 2.0})
-        assert explicit.trigger.push_timeout == 2.0
+    # An explicit timeout still builds, where a tick moves the rack (see
+    # test_build_rejects_a_step_that_underflows).
+    explicit = build_scenario({"mechanism.stroke": 1e308,
+                               "trigger.push_timeout": 2.0})
+    assert explicit.trigger.push_timeout == 2.0
     # A slow rack whose default stays finite.
     slow = build_scenario({"mechanism.pitch_diameter": 1e-300})
     assert math.isfinite(slow.trigger.push_timeout)
