@@ -12,8 +12,9 @@ inline it.  `NoRestSchedule` is the task schedule with no rest after
 any tick, so the mission loop runs every tick as its own pass: the
 reference for the rests.  `reference_run` flies a whole mission with
 all of these in place of the package's shortcuts, and `rest_scenario`
-draws the seeded random missions it is checked on.  `step_once` and
-`no_row` are plumbing, for tests that fly the vehicle directly.
+draws the seeded random missions it is checked on, compared on
+`mission_outputs`.  `step_once` and `no_row` are plumbing, for tests
+that fly the vehicle directly.
 """
 
 import math
@@ -21,7 +22,8 @@ import random
 from collections import deque
 from unittest import mock
 
-from deploysim import ScenarioError, build_scenario, mission
+from deploysim import (ScenarioError, build_scenario, mission,
+                       render_commands_csv, render_telemetry_csv)
 from deploysim.atmosphere import (TIME_EPS, _altitude_in_band,
                                   density_at_altitude, pressure_at_altitude)
 from deploysim.controller import TaskSchedule
@@ -236,6 +238,19 @@ def reference_run(scenario):
                              step_vehicle=_reference_vehicle_steps,
                              step_payload=_reference_payload_steps):
         return mission.run_mission(scenario)
+
+
+OUTPUT_FIELDS = ("telemetry", "commands", "events", "verdict",
+                 "charge_drawn", "battery_final")
+
+
+def mission_outputs(result):
+    """The outputs a mission is compared on against `reference_run`, in
+    `OUTPUT_FIELDS` order, as text."""
+    return (render_telemetry_csv(result.telemetry),
+            render_commands_csv(result.commands), repr(result.events),
+            repr(result.verdict), repr(result.charge_drawn),
+            repr(result.battery_final))
 
 
 REST_DTS = (0.001, 0.002, 0.0025, 0.005, 0.01, 0.01 / 3)

@@ -4,8 +4,9 @@
 
 Flies `oracles.rest_scenario(k)` for k = 0 .. N-1 with `run_mission`
 and with `oracles.reference_run`, which runs every tick as its own pass,
-and compares the outputs C12 compares, byte for byte.  Gate C12 runs
-the first 20; this runs as many as asked.  Prints each scenario whose
+and compares their `oracles.mission_outputs` byte for byte.  Gate C12
+runs the first 20; this runs as many as asked.  It needs only the
+package and the standard library, not pytest.  Prints each scenario whose
 outputs differ and exits 1 if any does.
 """
 
@@ -16,8 +17,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from deploysim import run_mission  # noqa: E402
-from oracles import reference_run, rest_scenario  # noqa: E402
-from test_acceptance import OUTPUT_FIELDS, mission_outputs  # noqa: E402
+from oracles import (OUTPUT_FIELDS, mission_outputs, reference_run,  # noqa: E402
+                     rest_scenario)
 
 
 def main(argv=None) -> int:

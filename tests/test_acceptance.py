@@ -40,7 +40,8 @@ from deploysim.atmosphere import (_altitude_in_band, density_at_altitude,
 from deploysim.flight import (FlightPhase, FlightState, PayloadBody,
                               VehicleSpec, release_payload, step_payload)
 from conftest import record_criterion
-from oracles import reference_run, rest_scenario, step_once, terminal_speed
+from oracles import (OUTPUT_FIELDS, mission_outputs, reference_run,
+                     rest_scenario, step_once, terminal_speed)
 
 NOMINAL = bundled_scenario("altair_nominal")
 MODEL = NOMINAL.atmosphere
@@ -413,18 +414,6 @@ def test_c7_reruns_are_byte_identical():
 
 # ---------------------------------------------------------------------------
 # C12
-
-OUTPUT_FIELDS = ("telemetry", "commands", "events", "verdict",
-                 "charge_drawn", "battery_final")
-
-
-def mission_outputs(result):
-    """The outputs C12 compares, in `OUTPUT_FIELDS` order, as text."""
-    return (render_telemetry_csv(result.telemetry),
-            render_commands_csv(result.commands), repr(result.events),
-            repr(result.verdict), repr(result.charge_drawn),
-            repr(result.battery_final))
-
 
 def test_c12_shortcuts_match_the_reference_mission():
     # Every bundled deck at 1 ms and 10 ms, the nominal deck cut short by

@@ -21,6 +21,9 @@ from oracles import (no_row, reference_payload_step, reference_vehicle_step,
 
 MODEL = build_scenario().atmosphere
 G = 9.81
+# A row period longer than any call here: no tick of it is a row tick,
+# so every tick takes the row-free path of a stretch.
+ROWLESS = 10**9
 
 DRAG_FREE = VehicleSpec(dry_mass=10.0, propellant_mass=0.0, avg_thrust=0.0,
                         burn_time=0.0, drag_area_coast=0.0,
@@ -133,7 +136,7 @@ def test_landed_is_absorbing():
     # ground, and the landing clamp keeps the state as it was.
     assert step_vehicle(DRAG_FREE, state, 0.001, MODEL, 5,
                         lambda altitude, tick: sampled.append(
-                            (tick, altitude)), 0, no_row, 1) == 5
+                            (tick, altitude)), 0, no_row, ROWLESS) == 5
     assert sampled == [(1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0)]
     assert state == before
     assert math.copysign(1.0, state.altitude) == 1.0
@@ -330,23 +333,32 @@ def bits(*values):
     (FlightPhase.DROGUE_DESCENT, 3200.0, -45.0)])
 def test_vehicle_stretch_matches_the_per_tick_reference(phase, altitude,
                                                         velocity):
-    state = FlightState(altitude=altitude, velocity=velocity, mass=26.0,
-                        phase=phase)
-    sampled = []
-    assert step_vehicle(CARRIER, state, 0.001, OFF_DEFAULT, 2000,
-                        lambda altitude, tick: sampled.append(
-                            (tick, altitude.hex())), 7, no_row, 1) == 2000
-    assert state.phase is phase
-    reference = FlightState(altitude=altitude, velocity=velocity, mass=26.0,
+    # With no row tick in the call, and with a row every 100 ticks.
+    for row_period, row_count in ((ROWLESS, 0), (100, 20)):
+        state = FlightState(altitude=altitude, velocity=velocity, mass=26.0,
                             phase=phase)
-    expected = []
-    for tick in range(8, 7 + 2000):
+        sampled, rows = [], []
+        assert step_vehicle(CARRIER, state, 0.001, OFF_DEFAULT, 2000,
+                            lambda altitude, tick: sampled.append(
+                                (tick, altitude.hex())), 7,
+                            lambda tick, altitude, velocity: rows.append(
+                                (tick, altitude.hex(), velocity.hex())),
+                            row_period) == 2000
+        assert state.phase is phase
+        reference = FlightState(altitude=altitude, velocity=velocity,
+                                mass=26.0, phase=phase)
+        expected, expected_rows = [], []
+        for tick in range(8, 7 + 2000):
+            reference_vehicle_step(CARRIER, reference, 0.001, OFF_DEFAULT)
+            expected.append((tick, reference.altitude.hex()))
+            if tick % row_period == 0:
+                expected_rows.append((tick, reference.altitude.hex(),
+                                      reference.velocity.hex()))
         reference_vehicle_step(CARRIER, reference, 0.001, OFF_DEFAULT)
-        expected.append((tick, reference.altitude.hex()))
-    reference_vehicle_step(CARRIER, reference, 0.001, OFF_DEFAULT)
-    assert sampled == expected
-    assert bits(state.altitude, state.velocity) == bits(
-        reference.altitude, reference.velocity)
+        assert sampled == expected
+        assert rows == expected_rows and len(rows) == row_count
+        assert bits(state.altitude, state.velocity) == bits(
+            reference.altitude, reference.velocity)
 
 
 def test_chute_descent_matches_the_per_tick_reference():
