@@ -111,6 +111,17 @@ def command_unlock(door: DoorState, step: float) -> None:
     door.rod_travel = travel if door.locked else 0.0
 
 
+def _tick_steps(door: DoorSpec, speed: float,
+                dt: float) -> tuple[float, float, float]:
+    """What one tick of `dt` s moves the lock rod, the door and a rack
+    at `speed` m/s: the fraction of the rod's travel, the door's swing
+    in rad and the rack's travel in m.  `run_mission` hands these to the
+    steppers and bounds its rests with them; the scenario checks that
+    each is finite and > 0."""
+    return (dt / door.rod_travel_time, door.max_open / door.open_time * dt,
+            speed * dt)
+
+
 def step_door(door: DoorState, spec: DoorSpec, step: float) -> None:
     """Swing an unlocked, unjammed door toward full open by `step` rad,
     in place: one tick of the constant rate, `max_open / open_time * dt`.

@@ -32,9 +32,10 @@ deploy logic has settled, the first tick whose step could change a
 field it reads, from closed-form bounds on the rod, the swing, the
 rack and the charge, so such a change, the release among them, falls
 on a busy tick.  The loop computes the rod's, the swing's and the
-rack's step once per run and hands each to its stepper, so the bounds
-and the steps are the same floats.  A rest in which nothing moves
-writes the telemetry rows inside it: there only the time, the
+rack's step once per run, with `actuation._tick_steps`, whose floats
+the scenario checked finite and > 0, and hands each to its stepper, so
+the bounds and the steps are the same floats.  A rest in which nothing
+moves writes the telemetry rows inside it: there only the time, the
 vehicle's state and the latched altitude change from row to row, and
 the other fields are those of the record built on the busy tick.
 Everything downstream of the scenario and seed is deterministic, so
@@ -47,7 +48,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .actuation import (BatteryState, CarrierState, DoorState, FaultPlan,
-                        begin_push, carrier_drive, command_unlock,
+                        _tick_steps, begin_push, carrier_drive, command_unlock,
                         drain_battery, halt_carrier, step_carrier, step_door)
 from .atmosphere import Barometer
 from .controller import DeploymentController, DeployPhase, TaskSchedule
@@ -258,11 +259,10 @@ def run_mission(scenario: Scenario,
     actuator_current = door_spec.actuator_current
     max_open = door_spec.max_open
     open_threshold = door_spec.open_threshold
-    # What one tick moves the rod, the door and the rack: the steppers
-    # take these steps, and the rest rule bounds with them.
-    rod_step = dt / door_spec.rod_travel_time
-    swing_step = max_open / door_spec.open_time * dt
-    travel = drive.rack_speed * dt
+    # What one tick moves the rod, the door and the rack, by the formulas
+    # the scenario checked finite and > 0: the steppers take these
+    # steps, and the rest rule bounds with them.
+    rod_step, swing_step, travel = _tick_steps(door_spec, drive.rack_speed, dt)
     phase = controller.phase    # as of the last tick; update_phase moves it
     settled = False             # phase is SafeHold or Ejected, both absorbing
     # Deploy logic cannot act before its deadline, a latched reading

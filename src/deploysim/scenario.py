@@ -17,7 +17,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from .actuation import (BatteryState, DoorSpec, FaultPlan, ServoSpec,
-                        rack_speed)
+                        _tick_steps, rack_speed)
 from .atmosphere import AtmosphereModel, BarometerSpec
 from .controller import TriggerConfig, task_period_ticks
 from .errors import ParameterError, ScenarioError
@@ -263,9 +263,35 @@ def scenario_with(base: Scenario, overrides: dict) -> Scenario:
     return _assemble(base.values, overrides)
 
 
+# What one tick moves, in the order `actuation._tick_steps` returns it.
+_STEP_MESSAGES = (
+    "door.rod_travel_time and sim.dt give a lock-rod step of {!r} (a "
+    "fraction of its travel) a tick",
+    "door.max_open, door.open_time and sim.dt give a door swing of {!r} rad "
+    "a tick",
+    "servo.rated_speed, mechanism.pitch_diameter and sim.dt give a rack "
+    "travel of {!r} m a tick")
+
+
+def _derived(value: float, message: str) -> float:
+    """`value`, derived from several scenario keys, if it is finite and
+    > 0.  Raises ScenarioError otherwise, with `message`, which names
+    those keys, formatted with the value."""
+    if 0.0 < value < math.inf:
+        return value
+    raise ScenarioError(f"{message.format(value)}; it must be finite and > 0")
+
+
 def _assemble(checked: dict, overrides: dict | None) -> Scenario:
     """Check each override onto a copy of the `checked` values, then
-    construct every component and run the checks that span keys."""
+    construct every component and run the checks that span keys.
+
+    What the run derives from several keys must be finite and > 0: the
+    rack speed, the default push timeout (only when it is defaulted)
+    and what one tick moves the lock rod, the door and the rack, by the
+    formulas `run_mission` uses.  Each is checked in the order the next
+    derives from it, so the speed comes before the timeout that divides
+    by it, and an error names every key that feeds its value."""
     values = dict(checked)
     if overrides:
         for key, value in overrides.items():
@@ -298,37 +324,24 @@ def _assemble(checked: dict, overrides: dict | None) -> Scenario:
         raise ScenarioError(f"sim.max_sim_time {sim['max_sim_time']!r} s is "
                             f"at most half a tick of sim.dt {sim['dt']!r} s, "
                             f"so the run would fly no tick")
-    # Each factor passes its own check, but their product can underflow.
+    # Each key passes its own check, but a product or a quotient of
+    # several can still underflow to 0 or overflow to inf.
     mechanism = records["mechanism"]
-    speed = rack_speed(records["servo"], mechanism.pinion_pitch_diameter)
-    if not speed > 0.0:
-        raise ScenarioError("servo.rated_speed and mechanism.pitch_diameter "
-                            "give a rack speed of 0 m/s")
+    speed = _derived(
+        rack_speed(records["servo"], mechanism.pinion_pitch_diameter),
+        "servo.rated_speed and mechanism.pitch_diameter give a rack speed "
+        "of {!r} m/s")
     # Three push cycles at the no-load speed; `values` keeps the None.
-    # One that overflows would switch the push watchdog off.
     if records["trigger"].push_timeout is None:
-        timeout = 3.0 * (2.0 * mechanism.stroke / speed)
-        if not math.isfinite(timeout):
-            raise ScenarioError(
-                f"the default trigger.push_timeout, three push cycles of "
-                f"mechanism.stroke {mechanism.stroke!r} m at the rack speed "
-                f"servo.rated_speed and mechanism.pitch_diameter give, "
-                f"{speed!r} m/s, is not finite; set trigger.push_timeout")
-        records["trigger"] = replace(records["trigger"],
-                                     push_timeout=timeout)
-    # A tick's step can underflow too: a door or a rack that a tick moves
-    # by 0 never opens or pushes, and the rest rule divides by the steps.
-    dt = sim["dt"]
-    door = records["door"]
-    if not door.max_open / door.open_time * dt > 0.0:
-        raise ScenarioError(
-            f"door.max_open, door.open_time and sim.dt swing the door 0 rad "
-            f"a tick ({door.max_open!r} rad over {door.open_time!r} s in "
-            f"ticks of {dt!r} s)")
-    if not speed * dt > 0.0:
-        raise ScenarioError(
-            f"servo.rated_speed, mechanism.pitch_diameter and sim.dt move "
-            f"the rack 0 m a tick ({speed!r} m/s in ticks of {dt!r} s)")
+        records["trigger"] = replace(records["trigger"], push_timeout=_derived(
+            3.0 * (2.0 * mechanism.stroke / speed),
+            "mechanism.stroke, servo.rated_speed and mechanism.pitch_diameter "
+            "give a default trigger.push_timeout of {!r} s"))
+    # A part that a tick moves by 0 never moves; the rest rule divides
+    # by these steps.
+    for step, message in zip(_tick_steps(records["door"], speed, sim["dt"]),
+                             _STEP_MESSAGES):
+        _derived(step, message)
 
     return Scenario(
         **records, battery=BatteryState(battery["voltage"],

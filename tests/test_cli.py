@@ -150,6 +150,20 @@ def test_run_with_an_unbounded_push_timeout_is_config_error(tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+def test_run_with_an_infinite_rack_speed_is_config_error(tmp_path, capsys):
+    # 1e308 rev/s times pi * 0.02 m is inf m/s.
+    deck = tmp_path / "fast.scn"
+    deck.write_text("servo.rated_speed = 1e308\n", encoding="utf-8")
+    assert main(["run", "--scenario", str(deck),
+                 "--out", str(tmp_path / "o")]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("deploysim: error: ")
+    for name in ("fast.scn", "servo.rated_speed", "mechanism.pitch_diameter"):
+        assert name in err, name
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_with_a_door_swing_that_underflows_is_config_error(tmp_path,
                                                                capsys):
     # One tick swings the door 1e-320 / 1e10 * 0.01 rad, which is 0.

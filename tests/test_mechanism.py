@@ -170,13 +170,18 @@ def test_schema_and_params_gates_agree(key):
     # plus a bool and the ints beyond the float range.  The scenario
     # sets its push timeout, whose default from the stroke and the pitch
     # diameter the scenario checks across keys, and a servo fast enough
-    # that the least pitch diameter still moves the rack in a tick,
-    # which it checks across keys too.
+    # that the least pitch diameter still moves the rack in a tick and
+    # slow enough that the greatest gives a finite rack speed, which it
+    # checks across keys too.
     field = _MECHANISM_FIELDS[key]
 
     def schema_value(value):
+        speed = 1000.0
+        if (field == "pinion_pitch_diameter" and type(value) is float
+                and value > 0.0):
+            speed = min(speed, 1.0 / value)
         scenario = build_scenario({key: value, "trigger.push_timeout": 1.0,
-                                   "servo.rated_speed": 1000.0})
+                                   "servo.rated_speed": speed})
         assert getattr(scenario.mechanism, field) == scenario.values[key]
         return scenario.values[key]
 

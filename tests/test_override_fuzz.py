@@ -34,6 +34,8 @@ REPRODUCERS = [
     ({"barometer.quantization": 5e-324}, None),
     ({"barometer.noise_sigma": 1e308}, None),
     ({"servo.rated_speed": 5e-324}, "servo.rated_speed"),
+    # A rack speed of inf m/s, whose default push timeout was 0 s.
+    ({"servo.rated_speed": 1e308}, "servo.rated_speed"),
     ({"mechanism.time_budget": 1e-300}, "mechanism.time_budget"),
     ({"mechanism.time_budget": 1e300}, "mechanism.time_budget"),
     # No finite payload limit: mu*g + a is 0, and the carrier moves any
@@ -75,6 +77,8 @@ def _fly(overrides):
         scenario = build_scenario(overrides)
     except ScenarioError as exc:
         return str(exc)
+    # A resolved default keeps the schema's rule for a written timeout.
+    assert 0.0 < scenario.trigger.push_timeout < math.inf, overrides
     try:
         run_mission(scenario)
     except DomainError as exc:

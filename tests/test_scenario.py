@@ -247,22 +247,54 @@ def test_build_rejects_a_rack_speed_that_underflows():
     # A door of 1e-320 rad that takes 1e10 s to open, at 1 ms and 10 ms.
     *(({"door.max_open": 1e-320, "door.open_threshold": 1e-320,
         "door.open_time": 1e10, "sim.dt": dt},
-       r"^door\.max_open, door\.open_time and sim\.dt swing the door 0 rad "
-       r"a tick") for dt in (0.001, 0.01)),
+       r"^door\.max_open, door\.open_time and sim\.dt give a door swing of "
+       r"0\.0 rad a tick; it must be finite and > 0$")
+      for dt in (0.001, 0.01)),
     # A rack of 3e-323 m/s over a 1e-320 m stroke at 10 ms, and the
     # slowest rack at 1 ms with an explicit push timeout.
     ({"mechanism.stroke": 1e-320, "servo.rated_speed": 1e-300,
       "mechanism.pitch_diameter": 1e-23, "sim.dt": 0.01},
-     r"^servo\.rated_speed, mechanism\.pitch_diameter and sim\.dt move the "
-     r"rack 0 m a tick"),
+     r"^servo\.rated_speed, mechanism\.pitch_diameter and sim\.dt give a "
+     r"rack travel of 0\.0 m a tick; it must be finite and > 0$"),
     ({"mechanism.pitch_diameter": 5e-324, "trigger.push_timeout": 2.0},
-     r"^servo\.rated_speed, mechanism\.pitch_diameter and sim\.dt move the "
-     r"rack 0 m a tick"),
+     r"^servo\.rated_speed, mechanism\.pitch_diameter and sim\.dt give a "
+     r"rack travel of 0\.0 m a tick; it must be finite and > 0$"),
 ])
 def test_build_rejects_a_step_that_underflows(overrides, message):
     # Each factor passes its own check, but one tick's swing of the door
     # or travel of the rack is 0: the door would never open, the rack
     # never push, and the rest rule would divide by 0.
+    with pytest.raises(ScenarioError, match=message):
+        build_scenario(overrides)
+    with pytest.raises(ScenarioError, match=message):
+        scenario_with(build_scenario(), overrides)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # A rack speed of 1e308 rev/s times pi * 0.02 m overflows to inf, and
+    # its default push timeout would be 0 s, which the schema refuses
+    # when written; an explicit timeout does not hide the speed.
+    ({"servo.rated_speed": 1e308},
+     r"^servo\.rated_speed and mechanism\.pitch_diameter give a rack speed "
+     r"of inf m/s; it must be finite and > 0$"),
+    ({"servo.rated_speed": 1e308, "trigger.push_timeout": 1.0},
+     r"^servo\.rated_speed and mechanism\.pitch_diameter give a rack speed "
+     r"of inf m/s; it must be finite and > 0$"),
+    # A finite rack speed whose default timeout over a tiny stroke is 0 s.
+    ({"mechanism.stroke": 1e-300, "servo.rated_speed": 1e300},
+     r"^mechanism\.stroke, servo\.rated_speed and mechanism\.pitch_diameter "
+     r"give a default trigger\.push_timeout of 0\.0 s; it must be finite "
+     r"and > 0$"),
+    # What one tick moves the rod or the door overflows to inf.
+    ({"door.rod_travel_time": 5e-324},
+     r"^door\.rod_travel_time and sim\.dt give a lock-rod step of inf "),
+    ({"door.max_open": 1e308, "door.open_time": 1e-300},
+     r"^door\.max_open, door\.open_time and sim\.dt give a door swing of "
+     r"inf rad a tick; it must be finite and > 0$"),
+], ids=["speed", "speed-with-timeout", "timeout", "rod-step", "swing"])
+def test_build_rejects_a_derived_value_that_overflows(overrides, message):
+    # Each key passes its own check, but a value the run derives from
+    # several is inf, or a timeout divided by an overflowing speed is 0.
     with pytest.raises(ScenarioError, match=message):
         build_scenario(overrides)
     with pytest.raises(ScenarioError, match=message):
@@ -303,9 +335,9 @@ def test_a_default_push_timeout_that_is_not_finite_is_refused():
     # A legal pitch diameter whose rack speed is 1.5e-323 m/s, or a legal
     # stroke of 1e308 m, would give an infinite default timeout: a push
     # watchdog that never fires.
-    message = (r"default trigger\.push_timeout, .* mechanism\.stroke .* "
-               r"servo\.rated_speed and mechanism\.pitch_diameter .* "
-               r"is not finite")
+    message = (r"^mechanism\.stroke, servo\.rated_speed and "
+               r"mechanism\.pitch_diameter give a default "
+               r"trigger\.push_timeout of inf s; it must be finite and > 0$")
     for overflow in ({"mechanism.pitch_diameter": 5e-324},
                      {"mechanism.stroke": 1e308}):
         with pytest.raises(ScenarioError, match=message):
