@@ -212,6 +212,17 @@ class DeploymentController:
                     math.nextafter(trigger.deploy_floor, -math.inf), drop)
         return None if seen else (math.inf, -math.inf, drop)
 
+    def reads(self, door: DoorState, carrier: CarrierState,
+              battery: BatteryState) -> tuple:
+        """What `update_phase` branches on, other than the time: while
+        this is unchanged since the last `update_phase` call, another
+        call cannot act before the deadline (`deadline_tick`).  The
+        payload reaching the stroke is left out: that happens only on
+        the tick `push_count` rises."""
+        return (self.phase, self.sensed_altitude, self.apogee_seen,
+                battery.failed, door.locked, door.open, carrier.pushing,
+                carrier.push_count)
+
     def _timed_out(self, now: float) -> bool:
         """The running timeout of a timed phase has expired at `now`."""
         return now - self._since >= self._limits[self.phase] - TIME_EPS

@@ -16,30 +16,28 @@ same code then steps them and drains the pack one tick at a time over
 the rest ticks the vehicle flew, so a landing with the payload aboard
 ends that too.
 
-Deploy logic is live on the logic tick after its phase changes, the
-pack dies, or the mechanism changes a field it reads (the rod
-unlocking, the door reading open, the rack at either end of its
-stroke, where the payload is released).  Otherwise it is idle until its
+Deploy logic runs on a logic tick when what it reads
+(`DeploymentController.reads`) changed since it last ran, or on its
 deadline (`DeploymentController.deadline_tick`: the door timeout, the
-end of the settle dwell or the push timeout) or a latched reading that
-can move it (`DeploymentController.wakes_on`), on whose sense tick the
-barometer wakes the loop.  One rule sets each rest: it runs up to the
-earliest of the schedule's bound (up to the next logic tick while
-deploy logic is live), the deadline, the scheduled battery failure and
-the run's last tick; and, while the mechanism moves or the pack
-delivers, the next telemetry tick, whose row prints them, and, unless
-deploy logic has settled, the first tick whose step could change a
-field it reads, from closed-form bounds on the rod, the swing, the
-rack and the charge, so such a change, the release among them, falls
-on a busy tick.  The loop computes the rod's, the swing's and the
-rack's step once per run, with `actuation._tick_steps`, whose floats
-the scenario checked finite and > 0, and hands each to its stepper, so
-the bounds and the steps are the same floats.  A rest in which nothing
-moves writes the telemetry rows inside it: there only the time, the
-vehicle's state and the latched altitude change from row to row, and
-the other fields are those of the record built on the busy tick.
-Everything downstream of the scenario and seed is deterministic, so
-equal inputs give byte-identical telemetry.
+end of the settle dwell or the push timeout).  A latched reading that
+can move it (`DeploymentController.wakes_on`) makes the barometer wake
+the loop on its sense tick.  One rule sets each rest: it runs up to
+the earliest of the schedule's bound (up to the next logic tick while
+what deploy logic reads changed since it last ran), the deadline, the
+scheduled battery failure and the run's last tick; and, while the
+mechanism moves or the pack delivers, the next telemetry tick, whose
+row prints them, and, unless deploy logic has settled, the first tick
+whose step could change what it reads, from closed-form bounds on the
+rod, the swing, the rack and the charge, so such a change, the release
+among them, falls on a busy tick.  The loop computes the rod's, the
+swing's and the rack's step once per run, with `actuation._tick_steps`,
+whose floats the scenario checked finite and > 0, and hands each to
+its stepper, so the bounds and the steps are the same floats.  A rest
+in which nothing moves writes the telemetry rows inside it: there only
+the time, the vehicle's state and the latched altitude change from row
+to row, and the other fields are those of the record built on the busy
+tick.  Everything downstream of the scenario and seed is
+deterministic, so equal inputs give byte-identical telemetry.
 """
 
 import enum
@@ -50,7 +48,7 @@ from typing import NamedTuple
 from .actuation import (BatteryState, CarrierState, DoorState, FaultPlan,
                         _tick_steps, begin_push, carrier_drive, command_unlock,
                         drain_battery, halt_carrier, step_carrier, step_door)
-from .atmosphere import Barometer
+from .atmosphere import MODEL_CEILING, Barometer
 from .controller import DeploymentController, DeployPhase, TaskSchedule
 from .errors import DomainError, ScenarioError
 from .flight import (FlightPhase, FlightState, initial_state, release_payload,
@@ -265,11 +263,8 @@ def run_mission(scenario: Scenario,
     rod_step, swing_step, travel = _tick_steps(door_spec, drive.rack_speed, dt)
     phase = controller.phase    # as of the last tick; update_phase moves it
     settled = False             # phase is SafeHold or Ejected, both absorbing
-    # Deploy logic cannot act before its deadline, a latched reading
-    # that wakes it, or a mechanism event; it is live (False) on the
-    # next logic tick after its phase changes, the pack dies or the
-    # mechanism changes what it reads.
-    logic_idle = False
+    reads = controller.reads
+    seen = None         # what deploy logic read when it last ran
     deadline = n_ticks  # the logic tick on which the running timeout fires
     woke = False        # the last stretch stopped on a wake at `tick`
     energy = 0.0
@@ -293,7 +288,6 @@ def run_mission(scenario: Scenario,
             if tick == fail_tick:       # no stretch crosses it
                 battery.voltage = 0.0
                 battery.failed = True
-                logic_idle = settled
                 fail_tick = n_ticks
 
             (sense_due, logic_due, telemetry_due, free,
@@ -304,21 +298,20 @@ def run_mission(scenario: Scenario,
                     events.append(Event(now, "apogee_sensed",
                                         controller.sensed_altitude))
                     barometer.wake = controller.wakes_on()
-            # Idle deploy logic runs again on its deadline, or on a sense
-            # tick, the only one with a new input.
-            if logic_due and (not logic_idle or tick >= deadline
-                              or sense_due and not settled):
+            # Deploy logic runs when what it reads changed since it last
+            # ran, or on its deadline.
+            if logic_due and (tick >= deadline or not settled and reads(
+                    door, carrier, battery) != seen):
+                seen = reads(door, carrier, battery)
                 for cmd in controller.update_phase(door, carrier, battery,
                                                    now):
                     commands.append(CommandLogEntry(
                         now, cmd.name, cmd.value, vehicle.altitude))
                     if cmd.name == "push":
                         begin_push(carrier, door.open)
-                logic_idle = True
                 if controller.phase is not phase:
                     phase = controller.phase
                     settled = phase is safe_hold or phase is ejected
-                    logic_idle = settled
                     deadline = controller.deadline_tick(tick, dt,
                                                         logic_period, n_ticks)
                     barometer.wake = controller.wakes_on()
@@ -336,9 +329,9 @@ def run_mission(scenario: Scenario,
             # ticks after it, if anything moved or the pack delivered on
             # the busy tick (only a task starts the rod, the door or a
             # push).  A dead pack drives neither the lock rod nor the
-            # rack; the door swings unpowered, unless it is jammed.  A
-            # change of what deploy logic reads makes it live; the rest
-            # rule below keeps each such change on a busy tick.
+            # rack; the door swings unpowered, unless it is jammed.  The
+            # rest rule below keeps each change of what deploy logic
+            # reads on a busy tick.
             k = tick
             stop = tick + 1
             while k < stop:
@@ -350,7 +343,6 @@ def run_mission(scenario: Scenario,
                     current += actuator_current
                     if not door.locked:
                         events.append(Event(k * dt, "door_unlocked", 0.0))
-                        logic_idle = settled
                 swing = (not door_jam and not door.locked
                          and door.angle < max_open)
                 if swing:
@@ -358,15 +350,9 @@ def run_mission(scenario: Scenario,
                     step_door(door, door_spec, swing_step)
                     if door.open and not was_open:
                         events.append(Event(k * dt, "door_open", door.angle))
-                        logic_idle = settled
                 push = powered and carrier.pushing
                 if push:
-                    retracting = carrier.retracting
                     current += step_carrier(carrier, travel, drive)[1]
-                    # The rack reached the stroke (one more push counted)
-                    # or retracted (the cycle ended).
-                    if carrier.retracting is not retracting:
-                        logic_idle = settled
                     # The rest rule keeps the release on a busy tick.
                     if (payload.release_time is None
                             and carrier.payload_displacement >= stroke):
@@ -395,8 +381,6 @@ def run_mission(scenario: Scenario,
                         energy += pre_voltage * delivered
                         if total_current > peak_current:
                             peak_current = total_current
-                        if battery.failed:      # the pack died on this tick
-                            logic_idle = settled
 
                 if k == tick:
                     # Telemetry (lowest priority) reads no payload field.
@@ -419,7 +403,9 @@ def run_mission(scenario: Scenario,
                     # falls inside the rest, and, unless deploy logic
                     # has settled, before the first tick whose step
                     # could change what it reads.
-                    rest = idle_rest if logic_idle else free
+                    rest = (idle_rest if settled
+                            or reads(door, carrier, battery) == seen
+                            else free)
                     if moving:
                         rest = min(rest, -(tick + 1) % row_period)
                     if moving and not settled:
@@ -475,8 +461,9 @@ def run_mission(scenario: Scenario,
         tick = getattr(exc, "tick", tick)
         body = getattr(exc, "body", "vehicle")
         raise DomainError(
-            f"at t={tick * dt:.3f} s the {body} left the 0-11 km atmosphere "
-            f"model band: {exc}") from exc
+            f"at t={tick * dt:.3f} s the {body} left the "
+            f"0-{MODEL_CEILING / 1000:g} km atmosphere model band: {exc}"
+        ) from exc
     # The payload's events follow the loop's events of their stamp (the
     # sort is stable).
     if payload.chute_time is not None:

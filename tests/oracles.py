@@ -13,8 +13,9 @@ any tick, so the mission loop runs every tick as its own pass: the
 reference for the rests.  `reference_run` flies a whole mission with
 all of these in place of the package's shortcuts, and `rest_scenario`
 draws the seeded random missions it is checked on, compared on
-`mission_outputs`.  `step_once` and `no_row` are plumbing, for tests
-that fly the vehicle directly.
+`mission_outputs`.  `live_run` is the reference for when deploy logic
+runs: it runs on every logic tick.  `step_once` and `no_row` are
+plumbing, for tests that fly the vehicle directly.
 """
 
 import math
@@ -26,7 +27,7 @@ from deploysim import (ScenarioError, build_scenario, mission,
                        render_commands_csv, render_telemetry_csv)
 from deploysim.atmosphere import (TIME_EPS, _altitude_in_band,
                                   density_at_altitude, pressure_at_altitude)
-from deploysim.controller import TaskSchedule
+from deploysim.controller import DeploymentController, TaskSchedule
 from deploysim.flight import FlightPhase, step_vehicle
 
 G = 9.81                        # m/s^2, flight and sizing gravity
@@ -237,6 +238,16 @@ def reference_run(scenario):
                              Barometer=LatchingBarometer,
                              step_vehicle=_reference_vehicle_steps,
                              step_payload=_reference_payload_steps):
+        return mission.run_mission(scenario)
+
+
+def live_run(scenario):
+    """`run_mission(scenario)` with deploy logic live on every logic
+    tick until it settles: `DeploymentController.reads` returns a fresh
+    object on every call, so what it reads always differs from what it
+    last read.  The rests and the steppers are the package's own."""
+    with mock.patch.object(DeploymentController, "reads",
+                           lambda self, door, carrier, battery: object()):
         return mission.run_mission(scenario)
 
 

@@ -1,11 +1,13 @@
-"""The rests against the reference mission on many seeded scenarios.
+"""The rests and the deploy-logic gate against their references.
 
     PYTHONPATH=src python tests/rest_differential.py 400
 
-Flies `oracles.rest_scenario(k)` for k = 0 .. N-1 with `run_mission`
-and with `oracles.reference_run`, which runs every tick as its own pass,
+Flies `oracles.rest_scenario(k)` for k = 0 .. N-1 with `run_mission`,
+with `oracles.reference_run`, which runs every tick as its own pass, and
+with `oracles.live_run`, which runs deploy logic on every logic tick,
 and compares their `oracles.mission_outputs` byte for byte.  Gate C12
-runs the first 20; this runs as many as asked.  It needs only the
+runs the first 20 against `reference_run`, and `test_mission` the first
+40 against `live_run`; this runs as many as asked.  It needs only the
 package and the standard library, not pytest.  Prints each scenario whose
 outputs differ and exits 1 if any does.
 """
@@ -17,8 +19,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from deploysim import run_mission  # noqa: E402
-from oracles import (OUTPUT_FIELDS, mission_outputs, reference_run,  # noqa: E402
-                     rest_scenario)
+from oracles import (OUTPUT_FIELDS, live_run, mission_outputs,  # noqa: E402
+                     reference_run, rest_scenario)
 
 
 def main(argv=None) -> int:
@@ -30,9 +32,11 @@ def main(argv=None) -> int:
     for k in range(count):
         scenario = rest_scenario(k)
         package = mission_outputs(run_mission(scenario))
-        reference = mission_outputs(reference_run(scenario))
-        differ = [field for field, got, want
-                  in zip(OUTPUT_FIELDS, package, reference) if got != want]
+        differ = []
+        for reference in (reference_run, live_run):
+            outputs = mission_outputs(reference(scenario))
+            differ += [f"{field} ({reference.__name__})" for field, got, want
+                       in zip(OUTPUT_FIELDS, package, outputs) if got != want]
         if differ:
             differing += 1
             print(f"rest scenario {k}: {', '.join(differ)} differ")

@@ -13,7 +13,9 @@ from dataclasses import replace
 import pytest
 
 from deploysim import ParameterError, build_scenario
-from deploysim.actuation import CarrierState, DoorState
+from deploysim.actuation import (CarrierState, DoorState, begin_push,
+                                 carrier_drive, command_unlock, drain_battery,
+                                 step_carrier, step_door)
 from deploysim.controller import (STABILIZE_DWELL_S, DeployPhase,
                                   TASK_RATES, DeploymentController,
                                   SafeHoldReason, TaskSchedule,
@@ -304,6 +306,45 @@ def test_wakes_on_names_exactly_the_readings_that_move_it(name):
         assert (altitude in moved) == (low <= altitude <= high
                                        or peak - altitude >= drop), altitude
     assert (moved == []) == (name == "held_after_apogee")
+
+
+def test_reads_changes_on_each_input_deploy_logic_branches_on():
+    # The mission loop skips deploy logic up to its deadline while
+    # `reads` is what it was when deploy logic last ran, so each input
+    # `update_phase` branches on must change it.
+    ctl = make_controller()
+    door, carrier, battery = DoorState(), CarrierState(), replace(GOOD_BATTERY)
+    drive = carrier_drive(NOMINAL.servo, MECH, NO_FAULTS, NOMINAL.payload.mass)
+
+    def sense_apogee():
+        ctl.task_sense(494.0, 500.0)    # the same reading, a higher peak
+        assert ctl.task_estimate()
+
+    def reach_stroke():
+        step_carrier(carrier, MECH.stroke, drive)
+        assert carrier.payload_displacement >= MECH.stroke
+
+    def end_retract():
+        step_carrier(carrier, MECH.stroke, drive)
+        assert not carrier.pushing
+
+    changes = [
+        ("phase", lambda: ctl.update_phase(door, carrier, battery, 0.0)),
+        ("sensed altitude", lambda: ctl.task_sense(494.0, 494.0)),
+        ("apogee sensed", sense_apogee),
+        ("rod unlocked", lambda: command_unlock(door, 1.0)),
+        ("door open", lambda: step_door(door, NOMINAL.door,
+                                        NOMINAL.door.max_open)),
+        ("push begun", lambda: begin_push(carrier, door.open)),
+        ("push at the stroke", reach_stroke),
+        ("retract ended", end_retract),
+        ("pack failed", lambda: drain_battery(battery, battery.charge, 2.0)),
+    ]
+    for name, change in changes:
+        before = ctl.reads(door, carrier, battery)
+        change()
+        assert ctl.reads(door, carrier, battery) != before, name
+    assert battery.failed
 
 
 # The mechanism state that holds each phase from Unlocking to Push(3),

@@ -39,7 +39,8 @@ from deploysim.atmosphere import Barometer
 from deploysim.controller import (DeployPhase, DeploymentController,
                                   TaskSchedule, task_period_ticks)
 from deploysim.errors import DomainError, ScenarioError
-from oracles import NoRestSchedule, reference_run
+from oracles import (NoRestSchedule, live_run, mission_outputs,
+                     reference_run, rest_scenario)
 from test_acceptance import fuzz_profile
 
 NOMINAL = bundled_scenario("altair_nominal")
@@ -991,6 +992,29 @@ def test_rests_change_no_output_byte_on_fuzzed_profiles(monkeypatch):
     monkeypatch.setattr(mission, "TaskSchedule", NoRestSchedule)
     for k, scenario in enumerate(scenarios):
         assert run_outputs(scenario) == rested[k], k
+
+
+def test_deploy_logic_runs_on_every_logic_tick_it_could_act_on(monkeypatch):
+    # Every bundled deck at 1 ms and 10 ms and the first 40 seeded rest
+    # scenarios, against `oracles.live_run`, whose deploy logic runs on
+    # every logic tick; it must run more often, or the gate is untested.
+    scenarios = [scenario_with(bundled_scenario(deck), {"sim.dt": dt})
+                 for deck in list_bundled() for dt in (0.001, 0.01)]
+    scenarios += [rest_scenario(k) for k in range(40)]
+    calls = []      # update_phase calls per run
+
+    def update_phase(self, door, carrier, battery, now,
+                     _original=DeploymentController.update_phase):
+        calls[-1] += 1
+        return _original(self, door, carrier, battery, now)
+
+    monkeypatch.setattr(DeploymentController, "update_phase", update_phase)
+    for k, scenario in enumerate(scenarios):
+        calls.append(0)
+        gated = mission_outputs(run_mission(scenario))
+        calls.append(0)
+        assert mission_outputs(live_run(scenario)) == gated, k
+        assert calls[-1] > calls[-2], k
 
 
 def test_a_pack_that_dies_while_awaiting_the_window_is_seen_at_once(
