@@ -193,10 +193,18 @@ class Barometer:
     j <= k with `j*dt <= k*dt - latency + TIME_EPS`, or of the tick the
     last reading reported while no tick is that old (tick 0 at first).
     Noise is gaussian on pressure: the Kinderman-Monahan loop of the
-    stdlib `random.normalvariate`, vendored here with the same float
-    operations over `random.Random(seed).random()`, the Mersenne
-    Twister, so a given seed reproduces the same stream whatever
-    `random.py` ships.
+    stdlib `random.normalvariate`, vendored here over
+    `random.Random(seed).random()`, the Mersenne Twister, so a given
+    seed reproduces the same stream whatever `random.py` ships.  It
+    makes the same draws and accept decisions: `normalvariate` accepts
+    when `z*z/4 <= -log(u2)`, with `u2 = 1 - r2` exact for the second
+    draw r2, and as -log(1 - r2) >= r2 + r2*r2/2 the loop first tries
+    `z*z/4 <= r2`, without `log`, where r2 >= 2**-40 makes the margin
+    r2*r2/2 at least 2**10 units in the last place of the `log`.
+    Quantization gives `round(steps) * quantum`, steps = pressure /
+    quantum: below 2**51 in magnitude, `steps + 1.5 * 2**52` lies where
+    floats are one apart, so that sum rounds half to even as `round`
+    does, and taking 1.5 * 2**52 off again is exact.
 
     The altitudes live in a ring of ceil(latency/dt) + 1 floats (never
     more than `ticks`), indexed by tick, so a tick without a reading
@@ -204,11 +212,10 @@ class Barometer:
     and of their truth depend only on the clock, so they come from the
     cached `_reading_schedule(dt, 1/sample_rate, latency, ticks)`, and
     barometers are for one thread.  An in-band reading runs in this one
-    frame: the pressure formula, the noise and the inverse are inlined,
-    with the same float operations in the same order as
-    `pressure_at_altitude`, `random.normalvariate` and
-    `_altitude_in_band`.  The reference `pressure_at_altitude` raises
-    the band error.
+    frame: the pressure formula and the inverse are inlined, with the
+    same float operations in the same order as `pressure_at_altitude`
+    and `_altitude_in_band`, and so is the noise.  The reference
+    `pressure_at_altitude` raises the band error.
 
     A sense tick, a multiple of `sense_period`, latches the newest
     reading, so a reading is latched by the first sense tick at or after
@@ -291,18 +298,27 @@ class Barometer:
                 # out.  Its `0.0 + z * sigma` drops the `0.0 +`, which
                 # only turns -0.0 into 0.0, and a pressure in the band is
                 # never zero.
+                # The squeeze `zz <= r2` spares most `log` calls (see the
+                # class docstring).
                 random = self._random
                 while True:
                     u1 = random()
-                    u2 = 1.0 - random()
+                    r2 = random()
+                    u2 = 1.0 - r2
                     z = 1.7155277699214135 * (u1 - 0.5) / u2
-                    if z * z / 4.0 <= -_log(u2):
+                    zz = z * z / 4.0
+                    if zz <= r2 and r2 >= 2.0 ** -40 or zz <= -_log(u2):
                         break
                 pressure += z * sigma
             quantum = self._quantum
             if quantum > 0.0:
                 steps = pressure / quantum
-                if math.isfinite(steps):
+                # round(steps) * quantum (see the class docstring), but
+                # NaN and inf are skipped.
+                if -2.0 ** 51 < steps < 2.0 ** 51:
+                    pressure = (steps + 1.5 * 2.0 ** 52
+                                - 1.5 * 2.0 ** 52) * quantum
+                elif math.isfinite(steps):
                     pressure = round(steps) * quantum
             # Clamp into the invertible band, which makes a range check
             # on the inverse redundant and bounds an infinite reading.

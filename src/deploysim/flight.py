@@ -12,6 +12,8 @@ a phase change and the payload's up to its landing, with the air
 density of `density_at_altitude` inlined: the same float operations in
 the same order, so a stretch is bit for bit a run of single steps.  An
 altitude outside the model band calls `density_at_altitude` for its error.
+A stretch that starts landed flies no step at all: the landing clamp
+would keep its state bit for bit, so it only samples and writes rows.
 """
 
 import enum
@@ -126,6 +128,13 @@ def step_vehicle(spec: VehicleSpec, state: FlightState, dt: float,
     # serves both, so a tick with neither pays for no row.
     stop = min(end, first + row_period - first % row_period)
     try:
+        if start is landed:
+            for tick in range(first + 1, end):
+                if sample(altitude, tick) is True:
+                    return tick - first
+                if tick % row_period == 0:
+                    row(tick, altitude, velocity)
+            return ticks
         while True:
             if phase is boost:
                 burned = min(burn, propellant)

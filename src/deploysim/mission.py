@@ -41,6 +41,7 @@ deterministic, so equal inputs give byte-identical telemetry.
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -112,9 +113,10 @@ class TelemetryRecord(NamedTuple):
 
 
 TELEMETRY_COLUMNS = TelemetryRecord._fields
-# A record from a tuple of its fields in `TELEMETRY_COLUMNS` order, at
-# about half the cost of the NamedTuple's own constructor.
-_make_record = TelemetryRecord._make
+# A record from a tuple of its 12 fields in `TELEMETRY_COLUMNS` order:
+# `TelemetryRecord._make` without its Python frame and its length check
+# (every caller passes 12), under 60 % of the NamedTuple constructor's cost.
+_make_record = functools.partial(tuple.__new__, TelemetryRecord)
 
 _SAFE_HOLD = DeployPhase.SAFE_HOLD
 

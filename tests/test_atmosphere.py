@@ -335,6 +335,40 @@ def test_quantization_snaps_to_grid():
         assert pressure == round(pressure)
 
 
+def _reading_pressure(altitude, quantum, sea_level=1.0):
+    """The pressure a reading at `altitude` reports, quantized by
+    `quantum`, from air whose pressure formula gives exactly
+    `sea_level * (1 - altitude)` and whose clamp leaves every pressure
+    up to `sea_level` as it is, so that the quantization of any steps,
+    negative ones too, shows in the reading."""
+    baro = Barometer(_quiet_spec(quantization=quantum), MODEL, 0.02, 1)
+    # Sea-level pressure and temperature, lapse rate, exponent, minimum
+    # pressure, and the inverse's temperature scale and exponent.
+    baro._air = (sea_level, 1.0, 1.0, 1.0, -math.inf, 1.0, 1.0)
+    return baro.sample(altitude, 0)[0]
+
+
+def test_quantization_is_round_times_the_quantum():
+    # The fast path below 2**51 in magnitude (the half-integers from
+    # -1000.5 to 1000.5, and 2**51 - 0.5), the fallback to `round` above
+    # it (2**51 + 1 is where the fast path would round wrongly), and the
+    # skipped non-finite steps.
+    edges = [2.0 ** 51 - 0.5, 2.0 ** 51, 2.0 ** 51 + 1.0]
+    for steps in ([n + 0.5 for n in range(-1001, 1001)]
+                  + edges + [-x for x in edges] + [2.0 ** 53 + 2.0]):
+        quantum = 2.0 ** -math.frexp(steps)[1]  # |steps * quantum| < 1
+        altitude = 1.0 - steps * quantum
+        assert 1.0 - altitude == steps * quantum    # the pressure, exactly
+        got = _reading_pressure(altitude, quantum)
+        # `hex` tells -0.0 from the +0.0 that -0.5 and 0.5 must give.
+        assert got.hex() == (round(steps) * quantum).hex(), steps
+    # Over the smallest subnormal quantum, +-0.5 Pa is +-inf steps, and
+    # inf Pa over an infinite quantum NaN steps: all left as they are.
+    assert _reading_pressure(0.5, 5e-324) == 0.5
+    assert _reading_pressure(1.5, 5e-324) == -0.5
+    assert _reading_pressure(0.5, math.inf, sea_level=math.inf) == math.inf
+
+
 def test_latency_reports_stale_truth():
     """With a 20 ms delay the sensed altitude matches truth 20 ms ago."""
     spec = _quiet_spec(latency=0.02)
@@ -456,6 +490,48 @@ def test_forward_truth_walk_matches_the_deque_reference(cold_schedule):
         reading = reference.sample(altitude, tick * dt)
     assert reading is not None
     assert reference._truth[0][0] == 51_182 * dt
+
+
+def test_fine_quantization_matches_the_deque_reference(cold_schedule):
+    # At 1e-10 Pa a reading is about 1e15 steps, on the fast path below
+    # 2**51; at 1e-11 Pa about 1e16, on the fallback to `round`.  100 Pa
+    # covers the noise.
+    assert (MODEL.sea_level_pressure + 100.0) / 1e-10 < 2.0 ** 51
+    assert (MODEL.min_pressure - 100.0) / 1e-11 > 2.0 ** 51
+    rng = random.Random(20)
+    stream = [rng.uniform(0.0, 11000.0) for _ in range(3000)]
+    for quantization in (1e-10, 1e-11):
+        spec = _quiet_spec(noise_sigma=3.0, quantization=quantization,
+                           seed=5)
+        assert _fly_against_the_deque(spec, 0.01, stream)[0] == 1500
+
+
+def test_squeezed_noise_matches_normalvariate(cold_schedule):
+    """Over 200 seeds of 1,000 readings each, the barometer's noise is
+    `random.normalvariate`'s to the bit, at sigma 1, 3 and 5000 Pa.  A
+    replay of each seed's draws shows that the readings took all three
+    ways through the loop: accepted by the squeeze, accepted by `log`,
+    and rejected."""
+    rng = random.Random(21)
+    stream = [rng.uniform(0.0, 11000.0) for _ in range(1000)]
+    outcomes = dict.fromkeys(("squeeze", "log", "rejected"), 0)
+    for seed in range(200):
+        for sigma in (1.0, 3.0, 5000.0):
+            spec = _quiet_spec(noise_sigma=sigma, seed=seed)
+            assert _fly_against_the_deque(spec, 0.02, stream)[0] == 1000
+        draw = random.Random(seed).random
+        for _ in range(1000):
+            while True:
+                u1, r2 = draw(), draw()
+                z = random.NV_MAGICCONST * (u1 - 0.5) / (1.0 - r2)
+                if z * z / 4.0 <= r2 and r2 >= 2.0 ** -40:
+                    outcomes["squeeze"] += 1
+                    break
+                if z * z / 4.0 <= -math.log(1.0 - r2):
+                    outcomes["log"] += 1
+                    break
+                outcomes["rejected"] += 1
+    assert all(outcomes.values()), outcomes
 
 
 def _schedule_by_definition(dt, rate, latency, ticks):

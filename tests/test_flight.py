@@ -132,8 +132,8 @@ def test_landed_is_absorbing():
                         phase=FlightPhase.LANDED)
     before = replace(state)
     sampled = []
-    # It flies every tick of the call, sampling each later one on the
-    # ground, and the landing clamp keeps the state as it was.
+    # It samples each later tick of the call on the ground, and keeps
+    # the state as it was.
     assert step_vehicle(DRAG_FREE, state, 0.001, MODEL, 5,
                         lambda altitude, tick: sampled.append(
                             (tick, altitude)), 0, no_row, ROWLESS) == 5
@@ -359,6 +359,44 @@ def test_vehicle_stretch_matches_the_per_tick_reference(phase, altitude,
         assert rows == expected_rows and len(rows) == row_count
         assert bits(state.altitude, state.velocity) == bits(
             reference.altitude, reference.velocity)
+
+
+def test_landed_stretch_matches_the_per_tick_reference():
+    # A landed stretch flies no step; its samples and its rows, one
+    # every 7 ticks, are those of a per-tick reference that does.
+    landed = dict(altitude=0.0, velocity=0.0, mass=26.0,
+                  phase=FlightPhase.LANDED)
+    state = FlightState(**landed)
+    sampled, rows = [], []
+    assert step_vehicle(CARRIER, state, 0.001, OFF_DEFAULT, 1000,
+                        lambda altitude, tick: sampled.append(
+                            (tick, altitude.hex())), 3,
+                        lambda tick, altitude, velocity: rows.append(
+                            (tick, altitude.hex(), velocity.hex())),
+                        7) == 1000
+    assert state == FlightState(**landed)
+    assert bits(state.altitude, state.velocity) == bits(0.0, 0.0)
+    reference = FlightState(**landed)
+    expected, expected_rows = [], []
+    for tick in range(4, 3 + 1000):
+        reference_vehicle_step(CARRIER, reference, 0.001, OFF_DEFAULT)
+        expected.append((tick, reference.altitude.hex()))
+        if tick % 7 == 0:
+            expected_rows.append((tick, reference.altitude.hex(),
+                                  reference.velocity.hex()))
+    assert sampled == expected
+    assert rows == expected_rows and len(rows) == 143
+    # A wake on tick 500 leaves it sampled, and unflown: no row there.
+    sampled.clear()
+    rows.clear()
+    assert step_vehicle(CARRIER, state, 0.001, OFF_DEFAULT, 1000,
+                        lambda altitude, tick: sampled.append(tick)
+                        or tick == 500, 3,
+                        lambda tick, altitude, velocity: rows.append(tick),
+                        7) == 500 - 3
+    assert sampled == list(range(4, 501))
+    assert rows == list(range(7, 500, 7))
+    assert state == FlightState(**landed)
 
 
 def test_chute_descent_matches_the_per_tick_reference():

@@ -149,6 +149,15 @@ def test_nominal_telemetry_shape(nominal_result):
     assert all(r.fault_flags == "-" for r in rows)
 
 
+def test_a_record_built_from_its_fields_is_the_namedtuple(nominal_result):
+    # `_make_record` skips `TelemetryRecord._make`'s length check.
+    for row in nominal_result.telemetry[::500]:
+        fields = tuple(row)
+        record = mission._make_record(fields)
+        assert type(record) is mission.TelemetryRecord
+        assert record == mission.TelemetryRecord(*fields)
+
+
 def test_nominal_battery_audit(nominal_result):
     res = nominal_result
     assert res.battery_final.charge == pytest.approx(
