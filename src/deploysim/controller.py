@@ -128,18 +128,20 @@ class TaskSchedule:
     period, so every tick a task is due on is a logic tick.
     """
 
+    # The ticks after a busy tick that idle deploy logic rests through:
+    # all of them.
+    idle_rest = math.inf
+
     def __init__(self, dt: float) -> None:
         self.period_ticks = task_period_ticks(dt)
 
-    def due_at_tick(self, tick: int) -> tuple[bool, bool, bool, int, float]:
-        """Due flags (sense, logic, telemetry), then two counts of the
-        ticks after: those on which no task is due, and those idle
-        deploy logic rests through, which is all of them (`math.inf`)."""
+    def due_at_tick(self, tick: int) -> tuple[bool, bool, bool, int]:
+        """Due flags (sense, logic, telemetry), then the count of the
+        ticks after on which no task is due."""
         sense, logic, telemetry = self.period_ticks
         if tick % logic:
-            return False, False, False, -(tick + 1) % logic, math.inf
-        return (tick % sense == 0, True, tick % telemetry == 0, logic - 1,
-                math.inf)
+            return False, False, False, -(tick + 1) % logic
+        return tick % sense == 0, True, tick % telemetry == 0, logic - 1
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,7 @@ def run_mission(scenario: Scenario,
     stroke = drive.stroke
     controller = DeploymentController(trigger, stroke)
     sense_period, logic_period, row_period = schedule.period_ticks
+    idle_rest = schedule.idle_rest
     barometer = Barometer(scenario.barometer, atmosphere, dt, n_ticks,
                           sense_period)
     barometer.wake = controller.wakes_on()
@@ -292,8 +293,8 @@ def run_mission(scenario: Scenario,
                 battery.failed = True
                 fail_tick = n_ticks
 
-            (sense_due, logic_due, telemetry_due, free,
-             idle_rest) = schedule.due_at_tick(tick)
+            (sense_due, logic_due, telemetry_due,
+             free) = schedule.due_at_tick(tick)
             if sense_due:
                 controller.task_sense(barometer.latched, barometer.peak)
                 if controller.task_estimate():

@@ -324,6 +324,15 @@ def _assemble(checked: dict, overrides: dict | None) -> Scenario:
         raise ScenarioError(f"sim.max_sim_time {sim['max_sim_time']!r} s is "
                             f"at most half a tick of sim.dt {sim['dt']!r} s, "
                             f"so the run would fly no tick")
+    # From twice the sea-level pressure on, the noise-free readings at
+    # sea level and at the band's 11 km top both round to 0 Pa.
+    quantum = records["barometer"].quantization
+    sea_level = records["atmosphere"].sea_level_pressure
+    if quantum >= 2.0 * sea_level:
+        raise ScenarioError(
+            f"barometer.quantization {quantum!r} Pa is at least twice "
+            f"atmosphere.sea_level_pressure {sea_level!r} Pa, so a "
+            f"noise-free reading rounds to 0 Pa across the model band")
     # Each key passes its own check, but a product or a quotient of
     # several can still underflow to 0 or overflow to inf.
     mechanism = records["mechanism"]

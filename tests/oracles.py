@@ -11,11 +11,12 @@ steppers one tick at a time, with the air density from the package's
 inline it.  `NoRestSchedule` is the task schedule with no rest after
 any tick, so the mission loop runs every tick as its own pass: the
 reference for the rests.  `reference_run` flies a whole mission with
-all of these in place of the package's shortcuts, and `rest_scenario`
-draws the seeded random missions it is checked on, compared on
-`mission_outputs`.  `live_run` is the reference for when deploy logic
-runs: it runs on every logic tick.  `step_once` and `no_row` are
-plumbing, for tests that fly the vehicle directly.
+all of these in place of the package's shortcuts.  `live_run` is the
+reference for when deploy logic runs: it runs on every logic tick.
+`differential` compares the package with both on a mission, and
+`DIFFERENTIAL_MISSIONS` is the one table of missions it is run on.
+`step_once` and `no_row` are plumbing, for tests that fly the vehicle
+directly.
 """
 
 import math
@@ -23,8 +24,9 @@ import random
 from collections import deque
 from unittest import mock
 
-from deploysim import (ScenarioError, build_scenario, mission,
-                       render_commands_csv, render_telemetry_csv)
+from deploysim import (ScenarioError, build_scenario, bundled_scenario,
+                       list_bundled, mission, render_commands_csv,
+                       render_telemetry_csv, scenario_with)
 from deploysim.atmosphere import (TIME_EPS, _altitude_in_band,
                                   density_at_altitude, pressure_at_altitude)
 from deploysim.controller import DeploymentController, TaskSchedule
@@ -62,12 +64,13 @@ def step_once(spec, state, dt, model):
 
 
 class NoRestSchedule(TaskSchedule):
-    """The package's task schedule with both rest counts 0: the same
-    due flags, and no tick after any tick rests."""
+    """The package's task schedule with a free count of 0 and an idle
+    rest of 0: the same due flags, and no tick after any tick rests."""
+
+    idle_rest = 0
 
     def due_at_tick(self, tick):
-        sense, logic, telemetry, *_ = super().due_at_tick(tick)
-        return sense, logic, telemetry, 0, 0
+        return *super().due_at_tick(tick)[:3], 0
 
 
 def reference_vehicle_step(spec, state, dt, model):
@@ -309,3 +312,183 @@ def rest_scenario(k):
             return build_scenario(overrides)
         except ScenarioError:
             continue
+
+
+def fuzz_profile(k):
+    """One randomized vehicle/window/fault profile; deterministic in k."""
+    rng = random.Random(20_000 + k)
+    heavy = rng.random() < 0.18
+    payload = rng.uniform(14.5, 20.0) if heavy else rng.uniform(0.5, 3.0)
+    dry = rng.uniform(15.0, 30.0)
+    prop = rng.uniform(2.0, 8.0)
+    thrust_to_weight = rng.uniform(4.0, 7.0)
+    stack = dry + prop + payload
+    thrust = thrust_to_weight * stack * 9.81
+    burn = rng.uniform(2.0, 3.5)
+    accel = thrust / (stack - 0.5 * prop) - 9.81
+    burnout_speed = accel * burn
+    apogee_estimate = 0.72 * (0.5 * accel * burn**2
+                              + burnout_speed**2 / (2 * 9.81))
+    if k % 17 == 3:
+        # Window entirely above reach: the only correct move is refusal.
+        ceiling = apogee_estimate * 1.6
+        floor = apogee_estimate * 1.25
+    else:
+        ceiling = apogee_estimate * rng.uniform(0.30, 0.65)
+        floor = max(50.0, ceiling - rng.uniform(0.35, 0.6) * ceiling)
+    sigma = 0.0 if k % 2 == 0 else rng.uniform(1.0, 5.0)
+    overrides = {
+        "vehicle.dry_mass": dry,
+        "vehicle.propellant_mass": prop,
+        "vehicle.avg_thrust": thrust,
+        "vehicle.burn_time": burn,
+        "vehicle.drag_area_coast": rng.uniform(0.004, 0.012),
+        "vehicle.drogue_drag_area": rng.uniform(0.6, 1.6),
+        "payload.mass": payload,
+        "payload.parachute_drag_area": rng.uniform(0.2, 0.8),
+        "payload.parachute_open_altitude_loss": rng.uniform(20.0, 80.0),
+        "trigger.deploy_ceiling": ceiling,
+        "trigger.deploy_floor": floor,
+        "barometer.noise_sigma": sigma,
+        "sim.dt": 0.01,
+        "sim.seed": k,
+        "sim.max_sim_time": 300.0,
+    }
+    if rng.random() < 0.08:
+        overrides["faults.door_jam"] = True
+    if rng.random() < 0.10:
+        overrides["faults.gear_slip_push"] = rng.randint(1, 3)
+    if rng.random() < 0.10:
+        overrides["faults.link_break_force"] = rng.uniform(2.0, 8.0)
+    if rng.random() < 0.10:
+        overrides["faults.surface_friction_scale"] = float(rng.choice([2, 3]))
+    if rng.random() < 0.10:
+        overrides["faults.battery_fail_time"] = rng.uniform(15.0, 90.0)
+    return build_scenario(overrides), sigma
+
+
+# The nominal deck's overrides among the differential missions.
+NOMINAL_OVERRIDES = (
+    # An always-on load empties the pack while awaiting the window.
+    {"battery.quiescent_current": 0.5, "battery.capacity": 10.003},
+    # A stalled push; with the smaller pack it dies in the stall.
+    {"payload.mass": 15.0, "battery.capacity": 30.0},
+    {"payload.mass": 15.0, "battery.capacity": 8.0},
+    # The pack dies while the rod retracts, and during the push.
+    {"battery.capacity": 0.2},
+    {"battery.capacity": 0.7},
+    # Armed on the pad: the push ejects on the way up.
+    {"trigger.arm_after_apogee": False, "trigger.deploy_floor": 10.0,
+     "trigger.deploy_ceiling": 2000.0},
+    # The vehicle lands with the payload aboard while the rod
+    # retracts (5 m), the door swings (20 m), the settle delay runs
+    # (40 m) and the carrier pushes (62 m).
+    *({"trigger.deploy_floor": 0.0, "trigger.deploy_ceiling": ceiling}
+      for ceiling in (5.0, 20.0, 40.0, 62.0)),
+    # The ejection falls on other ticks of the rest cycle.
+    *({"mechanism.stroke": stroke}
+      for stroke in (0.0301, 0.0457, 0.0613, 0.0799, 0.1003)),
+    {"barometer.sample_rate": 80.0, "barometer.latency": 0.035},
+    # Readings that no sense tick latches, and wakes on a sense tick
+    # after their reading: at 1 ms with the window crossed on the
+    # way up and met on the way down, and at 1.25 ms.
+    {"barometer.sample_rate": 80.0, "barometer.latency": 0.035,
+     "trigger.arm_after_apogee": False, "trigger.deploy_floor": 300.0,
+     "trigger.deploy_ceiling": 300.5},
+    {"sim.dt": 0.00125, "barometer.sample_rate": 80.0},
+    # The least confirming drop the schema allows, the smallest
+    # positive float: apogee on the first latched reading below the
+    # peak, and none on one equal to it (with the default noise, a
+    # reading on the pad).  And a 50 m drop.
+    {"trigger.apogee_confirm_drop": 5e-324},
+    {"trigger.apogee_confirm_drop": 5e-324, "barometer.noise_sigma": 0.0},
+    {"trigger.apogee_confirm_drop": 50.0},
+    # A ceiling above apogee: the apogee wake also unlocks.
+    {"trigger.deploy_ceiling": 5000.0},
+    # Armed on the pad, the window woken on the way up, and a window
+    # of 1 m crossed on the way up between sense ticks.
+    {"trigger.arm_after_apogee": False},
+    {"trigger.arm_after_apogee": False, "trigger.deploy_floor": 300.0,
+     "trigger.deploy_ceiling": 301.0},
+    {"barometer.noise_sigma": 5.0, "barometer.quantization": 0.0},
+    # A window of 0.1 m that no latched reading falls in: the first
+    # one below it, off the telemetry ticks, misses the window.
+    {"trigger.deploy_floor": 300.0, "trigger.deploy_ceiling": 300.1},
+    # The floor breached at 1 ms during the settle dwell (67.02 s),
+    # and during the push (68.30 s): the floor wake ends the rest.
+    {"trigger.deploy_floor": 360.0},
+    {"trigger.deploy_floor": 335.0},
+    # The door timeout while the door still swings (rod 0.5 s, door
+    # 0.3 s), at 1 ms and 10 ms.
+    {"trigger.door_open_timeout": 0.6},
+    {"trigger.door_open_timeout": 0.6, "sim.dt": 0.01},
+    # At 10 ms the rod unlocks on the tick after a telemetry tick,
+    # and the door timeout fires two ticks later, in DoorOpenWait.
+    {"sim.dt": 0.01, "door.rod_travel_time": 0.47,
+     "trigger.door_open_timeout": 0.48},
+    # An always-on load that the pack outlasts, through the whole
+    # deploy sequence.
+    {"battery.quiescent_current": 0.05},
+    # At 10 ms, a pack that a load empties during the settle dwell
+    # (67.30 s), and one the push empties while the rack retracts
+    # after the ejection.
+    {"sim.dt": 0.01, "battery.quiescent_current": 0.1,
+     "battery.capacity": 6.98},
+    {"sim.dt": 0.01, "battery.capacity": 1.53},
+)
+
+# The bundled decks' differential missions, as (deck, overrides).
+DECK_RUNS = (
+    [(deck, {"sim.dt": dt}) for deck in list_bundled()
+     for dt in (0.001, 0.01)]
+    + [("altair_nominal", overrides) for overrides in NOMINAL_OVERRIDES]
+    # At 10 ms, a pack the push empties while the slipping rack retracts,
+    # before deploy logic settles (SafeHold at 69.71 s).
+    + [("altair_gear_slip", {"sim.dt": 0.01, "battery.capacity": 1.53})]
+    # The nominal deck cut short by the clock: the only way a run reads
+    # the barometer's last reading.
+    + [("altair_nominal", {"sim.dt": dt, "sim.max_sim_time": 20.0})
+       for dt in (0.001, 0.01)])
+
+
+def deck_run_name(deck, overrides):
+    """The name of `DIFFERENTIAL_MISSIONS` for a row of `DECK_RUNS`."""
+    return f"{deck} with " + ", ".join(f"{key}={value!r}"
+                                       for key, value in overrides.items())
+
+
+# Every mission each shortcut of the tick loop is checked on, by name:
+# `DECK_RUNS`, the first 40 C3 profiles and the first 40 rest scenarios.
+DIFFERENTIAL_MISSIONS = {
+    **{deck_run_name(deck, overrides):
+       scenario_with(bundled_scenario(deck), overrides)
+       for deck, overrides in DECK_RUNS},
+    **{f"C3 profile {k}": fuzz_profile(k)[0] for k in range(40)},
+    **{f"rest scenario {k}": rest_scenario(k) for k in range(40)},
+}
+
+
+def differential(scenario):
+    """Fly `scenario` with `run_mission`, `reference_run` and `live_run`
+    and name each field of `mission_outputs` that a reference does not
+    match byte for byte, and the `update_phase` calls if `live_run`
+    makes no more than the package, so it tested no skipped tick."""
+    calls = []      # update_phase calls per run
+
+    def update_phase(self, *args, _original=DeploymentController.update_phase):
+        calls[-1] += 1
+        return _original(self, *args)
+
+    differ = []
+    with mock.patch.object(DeploymentController, "update_phase",
+                           update_phase):
+        calls.append(0)
+        package = mission_outputs(mission.run_mission(scenario))
+        for reference in (reference_run, live_run):
+            calls.append(0)
+            outputs = mission_outputs(reference(scenario))
+            differ += [f"{field} ({reference.__name__})" for field, got, want
+                       in zip(OUTPUT_FIELDS, package, outputs) if got != want]
+    if calls[2] <= calls[0]:
+        differ.append("update_phase calls (live_run)")
+    return differ

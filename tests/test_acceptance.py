@@ -24,9 +24,7 @@ import pytest
 from deploysim import (
     MechanismParams,
     Outcome,
-    build_scenario,
     bundled_scenario,
-    list_bundled,
     render_commands_csv,
     render_telemetry_csv,
     run_mission,
@@ -40,8 +38,8 @@ from deploysim.atmosphere import (_altitude_in_band, density_at_altitude,
 from deploysim.flight import (FlightPhase, FlightState, PayloadBody,
                               VehicleSpec, release_payload, step_payload)
 from conftest import record_criterion
-from oracles import (OUTPUT_FIELDS, mission_outputs, reference_run,
-                     rest_scenario, step_once, terminal_speed)
+from oracles import (DIFFERENTIAL_MISSIONS, differential, fuzz_profile,
+                     step_once, terminal_speed)
 
 NOMINAL = bundled_scenario("altair_nominal")
 MODEL = NOMINAL.atmosphere
@@ -128,59 +126,6 @@ def test_c2_mass_sweep_flips_at_the_limit():
 
 SENSE_PERIOD = 0.02
 LOGIC_PERIOD = 0.01
-
-
-def fuzz_profile(k):
-    """One randomized vehicle/window/fault profile; deterministic in k."""
-    rng = random.Random(20_000 + k)
-    heavy = rng.random() < 0.18
-    payload = rng.uniform(14.5, 20.0) if heavy else rng.uniform(0.5, 3.0)
-    dry = rng.uniform(15.0, 30.0)
-    prop = rng.uniform(2.0, 8.0)
-    thrust_to_weight = rng.uniform(4.0, 7.0)
-    stack = dry + prop + payload
-    thrust = thrust_to_weight * stack * 9.81
-    burn = rng.uniform(2.0, 3.5)
-    accel = thrust / (stack - 0.5 * prop) - 9.81
-    burnout_speed = accel * burn
-    apogee_estimate = 0.72 * (0.5 * accel * burn**2
-                              + burnout_speed**2 / (2 * 9.81))
-    if k % 17 == 3:
-        # Window entirely above reach: the only correct move is refusal.
-        ceiling = apogee_estimate * 1.6
-        floor = apogee_estimate * 1.25
-    else:
-        ceiling = apogee_estimate * rng.uniform(0.30, 0.65)
-        floor = max(50.0, ceiling - rng.uniform(0.35, 0.6) * ceiling)
-    sigma = 0.0 if k % 2 == 0 else rng.uniform(1.0, 5.0)
-    overrides = {
-        "vehicle.dry_mass": dry,
-        "vehicle.propellant_mass": prop,
-        "vehicle.avg_thrust": thrust,
-        "vehicle.burn_time": burn,
-        "vehicle.drag_area_coast": rng.uniform(0.004, 0.012),
-        "vehicle.drogue_drag_area": rng.uniform(0.6, 1.6),
-        "payload.mass": payload,
-        "payload.parachute_drag_area": rng.uniform(0.2, 0.8),
-        "payload.parachute_open_altitude_loss": rng.uniform(20.0, 80.0),
-        "trigger.deploy_ceiling": ceiling,
-        "trigger.deploy_floor": floor,
-        "barometer.noise_sigma": sigma,
-        "sim.dt": 0.01,
-        "sim.seed": k,
-        "sim.max_sim_time": 300.0,
-    }
-    if rng.random() < 0.08:
-        overrides["faults.door_jam"] = True
-    if rng.random() < 0.10:
-        overrides["faults.gear_slip_push"] = rng.randint(1, 3)
-    if rng.random() < 0.10:
-        overrides["faults.link_break_force"] = rng.uniform(2.0, 8.0)
-    if rng.random() < 0.10:
-        overrides["faults.surface_friction_scale"] = float(rng.choice([2, 3]))
-    if rng.random() < 0.10:
-        overrides["faults.battery_fail_time"] = rng.uniform(15.0, 90.0)
-    return build_scenario(overrides), sigma
 
 
 def protocol_violations(scenario, sigma, result):
@@ -416,28 +361,13 @@ def test_c7_reruns_are_byte_identical():
 # C12
 
 def test_c12_shortcuts_match_the_reference_mission():
-    # Every bundled deck at 1 ms and 10 ms, the nominal deck cut short by
-    # the clock (the only way a run reads the barometer's last reading),
-    # the first 20 C3 profiles and the first 20 seeded rest scenarios
-    # (`tests/rest_differential.py` runs more): the package against
+    # Each mission of `oracles.DIFFERENTIAL_MISSIONS` against
     # `oracles.reference_run`, which flies each tick as its own pass with
-    # the per-tick steppers and the deque barometer.
-    cases = [(f"{deck} at {dt * 1000:g} ms",
-              scenario_with(bundled_scenario(deck), {"sim.dt": dt}))
-             for deck in list_bundled() for dt in (0.001, 0.01)]
-    cases += [(f"altair_nominal to 20 s at {dt * 1000:g} ms",
-               scenario_with(NOMINAL, {"sim.dt": dt,
-                                       "sim.max_sim_time": 20.0}))
-              for dt in (0.001, 0.01)]
-    cases += [(f"C3 profile {k}", fuzz_profile(k)[0]) for k in range(20)]
-    cases += [(f"rest scenario {k}", rest_scenario(k)) for k in range(20)]
-    failures = []
-    for name, scenario in cases:
-        package = mission_outputs(run_mission(scenario))
-        reference = mission_outputs(reference_run(scenario))
-        differ = [field for field, got, want
-                  in zip(OUTPUT_FIELDS, package, reference) if got != want]
-        if differ:
-            failures.append(f"{name}: {', '.join(differ)} differ")
+    # the per-tick steppers and the deque barometer, and `oracles.live_run`,
+    # whose deploy logic runs on every logic tick.
+    failures = [f"{name}: {', '.join(differ)} differ"
+                for name, scenario in DIFFERENTIAL_MISSIONS.items()
+                if (differ := differential(scenario))]
     conclude("C12 shortcuts match the reference mission", failures,
-             f"{len(cases)} missions byte-equal")
+             f"{len(DIFFERENTIAL_MISSIONS)} missions byte-equal to both "
+             f"references")

@@ -195,6 +195,21 @@ def test_run_with_an_atmosphere_too_flat_to_sense_is_config_error(tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+def test_run_with_a_quantum_too_coarse_to_sense_is_config_error(
+        tmp_path, capsys):
+    deck = tmp_path / "coarse.scn"
+    deck.write_text("barometer.quantization = 1e6\n", encoding="utf-8")
+    assert main(["run", "--scenario", str(deck),
+                 "--out", str(tmp_path / "o")]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("deploysim: error: ")
+    for name in ("coarse.scn", "barometer.quantization",
+                 "atmosphere.sea_level_pressure"):
+        assert name in err, name
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_non_utf8_scenario_file_is_config_error(tmp_path, capsys):
     deck = tmp_path / "bad.scn"
     deck.write_bytes(b"payload.mass = 2.0 \xff\n")

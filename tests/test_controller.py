@@ -60,24 +60,24 @@ def arm_with_apogee(ctl, peak=500.0, now=0.0):
 
 # ---------------------------------------------------------------------------
 # Task schedule: (sense, deploy logic, telemetry) due flags, then the
-# number of task-free ticks that follow and the number that idle deploy
-# logic rests through, all of them.
+# number of task-free ticks that follow.  Idle deploy logic rests through
+# all of them (`TaskSchedule.idle_rest`).
 
 
 def test_all_tasks_due_at_time_zero():
     schedule = TaskSchedule(0.001)
-    assert schedule.due_at_tick(0) == (True, True, True, 9, math.inf)
+    assert schedule.due_at_tick(0) == (True, True, True, 9)
 
 
 def test_dueness_at_sample_times():
     # At 1 ms the telemetry rows of a 100-tick cycle fall on ticks 0
     # and 50.
     schedule = TaskSchedule(0.001)
-    assert schedule.due_at_tick(20) == (True, True, False, 9, math.inf)
-    assert schedule.due_at_tick(30) == (False, True, False, 9, math.inf)
-    assert schedule.due_at_tick(40) == (True, True, False, 9, math.inf)
-    assert schedule.due_at_tick(50) == (False, True, True, 9, math.inf)
-    assert schedule.due_at_tick(13) == (False, False, False, 6, math.inf)
+    assert schedule.due_at_tick(20) == (True, True, False, 9)
+    assert schedule.due_at_tick(30) == (False, True, False, 9)
+    assert schedule.due_at_tick(40) == (True, True, False, 9)
+    assert schedule.due_at_tick(50) == (False, True, True, 9)
+    assert schedule.due_at_tick(13) == (False, False, False, 6)
 
 
 def test_rates_actually_hit():
@@ -119,19 +119,12 @@ def test_the_schedule_holds_no_per_tick_table():
     assert peak < 64 * 1024
 
 
-@pytest.mark.parametrize("dt", [0.0005, 0.001, 0.002, 0.005, 0.01,
-                                1e-5, 1e-6])
-def test_idle_rest_count_is_unbounded(dt):
+def test_idle_rest_count_is_unbounded():
     # Idle deploy logic needs no tick: the barometer wakes the loop on
     # the reading that can move it, and a row reads only its own tick
     # (the altitude it prints is the one the barometer latched,
-    # `Barometer.latched`), so the rest writes it.  Checked over two
-    # cycles.
-    schedule = TaskSchedule(dt)
-    sense, _, telemetry = task_period_ticks(dt)
-    cycle = math.lcm(sense, telemetry)
-    for tick in range(2 * cycle):
-        assert schedule.due_at_tick(tick)[4] == math.inf, tick
+    # `Barometer.latched`), so the rest writes it.
+    assert TaskSchedule.idle_rest == math.inf
 
 
 def test_every_sense_tick_is_a_logic_tick():

@@ -39,9 +39,9 @@ from deploysim.atmosphere import Barometer
 from deploysim.controller import (DeployPhase, DeploymentController,
                                   TaskSchedule, task_period_ticks)
 from deploysim.errors import DomainError, ScenarioError
-from oracles import (NoRestSchedule, live_run, mission_outputs,
+from oracles import (DIFFERENTIAL_MISSIONS, NOMINAL_OVERRIDES, NoRestSchedule,
+                     deck_run_name, fuzz_profile, mission_outputs,
                      reference_run, rest_scenario)
-from test_acceptance import fuzz_profile
 
 NOMINAL = bundled_scenario("altair_nominal")
 
@@ -720,9 +720,8 @@ def test_a_stretch_ending_on_a_telemetry_tick_leaves_its_row_to_the_busy_pass(
     assert rows == list(range(0, rows[-1] + 1, 5))
     assert [round(now / 0.01) for now in busy].count(tick) == 1
     assert len(busy) < len(rows) / 10
-    rested = run_outputs(scenario)
     monkeypatch.setattr(mission, "TaskSchedule", NoRestSchedule)
-    assert run_outputs(scenario) == rested
+    assert mission_outputs(run_mission(scenario)) == mission_outputs(result)
 
 
 RECORD_RUNS = ([(deck, 0.01) for deck in list_bundled()]
@@ -837,44 +836,25 @@ def test_the_reference_mission_makes_one_pass_per_tick(monkeypatch):
     assert passes == list(range(ticks_flown(result, scenario)))
 
 
-class TaskScheduleWithoutUnreadRest(TaskSchedule):
-    """A schedule whose second rest count runs only up to the next sense
-    or telemetry tick: an idle or settled controller then stops on every
-    sense tick and weighs every latched reading, with no wake needed."""
-
-    def due_at_tick(self, tick):
-        sense, logic, telemetry, free, _ = super().due_at_tick(tick)
-        quiet = 0
-        while not any(super().due_at_tick(tick + 1 + quiet)[0:3:2]):
-            quiet += 1
-        return sense, logic, telemetry, free, quiet
-
-
-def run_outputs(scenario):
-    result = run_mission(scenario)
-    return (render_telemetry_csv(result.telemetry),
-            render_commands_csv(result.commands), repr(result.events),
-            repr((result.verdict, result.charge_drawn)),
-            repr(result.battery_final))
-
-
-SETTLED_REST_RUNS = (
-    [(deck, {"sim.dt": dt}) for deck in list_bundled()
-     for dt in (0.001, 0.01)]
-    + [("altair_nominal", {"barometer.sample_rate": 80.0,
-                           "barometer.latency": 0.035})])
-
-
-@pytest.mark.parametrize("deck, overrides", SETTLED_REST_RUNS)
-def test_settled_rest_changes_no_output_byte(monkeypatch, deck, overrides):
-    # The rest through the sense ticks, idle or settled, against a run
-    # that stops on every sense tick.
-    scenario = scenario_with(bundled_scenario(deck), overrides)
-    rested = run_outputs(scenario)
-    monkeypatch.setattr(mission, "TaskSchedule",
-                        TaskScheduleWithoutUnreadRest)
-    assert run_outputs(scenario) == rested
-
+def test_the_differential_table_holds_every_mission_once():
+    # Gate C12's 129 missions, no two alike, each flying the scenario it
+    # is named for: every group of the five lists the table replaced.
+    table = DIFFERENTIAL_MISSIONS
+    assert len(NOMINAL_OVERRIDES) == 34
+    runs = [(deck, {"sim.dt": dt}) for deck in list_bundled()
+            for dt in (0.001, 0.01)]
+    runs += [("altair_nominal", overrides) for overrides in NOMINAL_OVERRIDES]
+    runs += [("altair_gear_slip", {"sim.dt": 0.01, "battery.capacity": 1.53})]
+    runs += [("altair_nominal", {"sim.dt": dt, "sim.max_sim_time": 20.0})
+             for dt in (0.001, 0.01)]
+    for deck, overrides in runs:
+        assert table[deck_run_name(deck, overrides)].values == scenario_with(
+            bundled_scenario(deck), overrides).values
+    for k in range(40):
+        assert table[f"C3 profile {k}"].values == fuzz_profile(k)[0].values
+        assert table[f"rest scenario {k}"].values == rest_scenario(k).values
+    assert len({frozenset(scenario.values.items())
+                for scenario in table.values()}) == len(table) == 129
 
 
 @pytest.mark.parametrize("overrides", [
@@ -890,140 +870,22 @@ def test_outputs_do_not_depend_on_the_shared_reading_schedule(overrides):
              scenario.barometer.latency,
              round(scenario.max_sim_time / scenario.dt))
     cached.cache_clear()
-    cold = run_outputs(scenario)
+    cold = mission_outputs(run_mission(scenario))
     schedule = cached(*clock)
     assert cached.cache_info().misses == 1      # the run's, found again
     filled = len(schedule[0])
-    assert run_outputs(scenario) == cold
+    assert mission_outputs(run_mission(scenario)) == cold
     assert cached(*clock) is schedule
     assert cached.cache_info().misses == 1
     run_mission(scenario_with(scenario, {"barometer.latency": 0.05}))
     assert cached.cache_info().misses == 2
-    assert run_outputs(scenario) == cold
+    assert mission_outputs(run_mission(scenario)) == cold
     assert cached.cache_info().misses == 3
     cached.cache_clear()
     run_mission(scenario, stop_at_verdict=True)
     assert len(cached(*clock)[0]) < filled
     assert cached.cache_info().misses == 1
-    assert run_outputs(scenario) == cold
-
-
-REST_RUNS = (
-    [(deck, {"sim.dt": dt}) for deck in list_bundled()
-     for dt in (0.001, 0.01)]
-    + [("altair_nominal", overrides) for overrides in (
-        # An always-on load empties the pack while awaiting the window.
-        {"battery.quiescent_current": 0.5, "battery.capacity": 10.003},
-        # A stalled push; with the smaller pack it dies in the stall.
-        {"payload.mass": 15.0, "battery.capacity": 30.0},
-        {"payload.mass": 15.0, "battery.capacity": 8.0},
-        # The pack dies while the rod retracts, and during the push.
-        {"battery.capacity": 0.2},
-        {"battery.capacity": 0.7},
-        # Armed on the pad: the push ejects on the way up.
-        {"trigger.arm_after_apogee": False, "trigger.deploy_floor": 10.0,
-         "trigger.deploy_ceiling": 2000.0},
-        # The vehicle lands with the payload aboard while the rod
-        # retracts (5 m), the door swings (20 m), the settle delay runs
-        # (40 m) and the carrier pushes (62 m).
-        *({"trigger.deploy_floor": 0.0, "trigger.deploy_ceiling": ceiling}
-          for ceiling in (5.0, 20.0, 40.0, 62.0)),
-        # The ejection falls on other ticks of the rest cycle.
-        *({"mechanism.stroke": stroke}
-          for stroke in (0.0301, 0.0457, 0.0613, 0.0799, 0.1003)),
-        {"barometer.sample_rate": 80.0, "barometer.latency": 0.035},
-        # Readings that no sense tick latches, and wakes on a sense tick
-        # after their reading: at 1 ms with the window crossed on the
-        # way up and met on the way down, and at 1.25 ms.
-        {"barometer.sample_rate": 80.0, "barometer.latency": 0.035,
-         "trigger.arm_after_apogee": False, "trigger.deploy_floor": 300.0,
-         "trigger.deploy_ceiling": 300.5},
-        {"sim.dt": 0.00125, "barometer.sample_rate": 80.0},
-        # The least confirming drop the schema allows, the smallest
-        # positive float: apogee on the first latched reading below the
-        # peak, and none on one equal to it (with the default noise, a
-        # reading on the pad).  And a 50 m drop.
-        {"trigger.apogee_confirm_drop": 5e-324},
-        {"trigger.apogee_confirm_drop": 5e-324, "barometer.noise_sigma": 0.0},
-        {"trigger.apogee_confirm_drop": 50.0},
-        # A ceiling above apogee: the apogee wake also unlocks.
-        {"trigger.deploy_ceiling": 5000.0},
-        # Armed on the pad, the window woken on the way up, and a window
-        # of 1 m crossed on the way up between sense ticks.
-        {"trigger.arm_after_apogee": False},
-        {"trigger.arm_after_apogee": False, "trigger.deploy_floor": 300.0,
-         "trigger.deploy_ceiling": 301.0},
-        {"barometer.noise_sigma": 5.0, "barometer.quantization": 0.0},
-        # A window of 0.1 m that no latched reading falls in: the first
-        # one below it, off the telemetry ticks, misses the window.
-        {"trigger.deploy_floor": 300.0, "trigger.deploy_ceiling": 300.1},
-        # The floor breached at 1 ms during the settle dwell (67.02 s),
-        # and during the push (68.30 s): the floor wake ends the rest.
-        {"trigger.deploy_floor": 360.0},
-        {"trigger.deploy_floor": 335.0},
-        # The door timeout while the door still swings (rod 0.5 s, door
-        # 0.3 s), at 1 ms and 10 ms.
-        {"trigger.door_open_timeout": 0.6},
-        {"trigger.door_open_timeout": 0.6, "sim.dt": 0.01},
-        # At 10 ms the rod unlocks on the tick after a telemetry tick,
-        # and the door timeout fires two ticks later, in DoorOpenWait.
-        {"sim.dt": 0.01, "door.rod_travel_time": 0.47,
-         "trigger.door_open_timeout": 0.48},
-        # An always-on load that the pack outlasts, through the whole
-        # deploy sequence.
-        {"battery.quiescent_current": 0.05},
-        # At 10 ms, a pack that a load empties during the settle dwell
-        # (67.30 s), and one the push empties while the rack retracts
-        # after the ejection.
-        {"sim.dt": 0.01, "battery.quiescent_current": 0.1,
-         "battery.capacity": 6.98},
-        {"sim.dt": 0.01, "battery.capacity": 1.53},
-    )]
-    # At 10 ms, a pack the push empties while the slipping rack retracts,
-    # before deploy logic settles (SafeHold at 69.71 s).
-    + [("altair_gear_slip", {"sim.dt": 0.01, "battery.capacity": 1.53})])
-
-
-@pytest.mark.parametrize("deck, overrides", REST_RUNS)
-def test_rests_change_no_output_byte(monkeypatch, deck, overrides):
-    # Every rest, against the loop that runs each tick as its own pass.
-    scenario = scenario_with(bundled_scenario(deck), overrides)
-    rested = run_outputs(scenario)
-    monkeypatch.setattr(mission, "TaskSchedule", NoRestSchedule)
-    assert run_outputs(scenario) == rested
-
-
-def test_rests_change_no_output_byte_on_fuzzed_profiles(monkeypatch):
-    # The first 40 C3 profiles at 10 ms, against the loop that runs each
-    # tick as its own pass.
-    scenarios = [fuzz_profile(k)[0] for k in range(40)]
-    rested = [run_outputs(scenario) for scenario in scenarios]
-    monkeypatch.setattr(mission, "TaskSchedule", NoRestSchedule)
-    for k, scenario in enumerate(scenarios):
-        assert run_outputs(scenario) == rested[k], k
-
-
-def test_deploy_logic_runs_on_every_logic_tick_it_could_act_on(monkeypatch):
-    # Every bundled deck at 1 ms and 10 ms and the first 40 seeded rest
-    # scenarios, against `oracles.live_run`, whose deploy logic runs on
-    # every logic tick; it must run more often, or the gate is untested.
-    scenarios = [scenario_with(bundled_scenario(deck), {"sim.dt": dt})
-                 for deck in list_bundled() for dt in (0.001, 0.01)]
-    scenarios += [rest_scenario(k) for k in range(40)]
-    calls = []      # update_phase calls per run
-
-    def update_phase(self, door, carrier, battery, now,
-                     _original=DeploymentController.update_phase):
-        calls[-1] += 1
-        return _original(self, door, carrier, battery, now)
-
-    monkeypatch.setattr(DeploymentController, "update_phase", update_phase)
-    for k, scenario in enumerate(scenarios):
-        calls.append(0)
-        gated = mission_outputs(run_mission(scenario))
-        calls.append(0)
-        assert mission_outputs(live_run(scenario)) == gated, k
-        assert calls[-1] > calls[-2], k
+    assert mission_outputs(run_mission(scenario)) == cold
 
 
 def test_a_pack_that_dies_while_awaiting_the_window_is_seen_at_once(

@@ -41,6 +41,9 @@ REPRODUCERS = [
     # No finite payload limit: mu*g + a is 0, and the carrier moves any
     # payload rather than asking the sizing chain for one.
     ({"mechanism.friction": 0.0, "mechanism.stroke": 5e-324}, None),
+    # Every noise-free reading rounded to 0 Pa, and the run flew to a
+    # verdict on a sensed 11 km.
+    ({"barometer.quantization": 1e6}, "atmosphere.sea_level_pressure"),
 ]
 
 

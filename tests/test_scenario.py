@@ -380,6 +380,20 @@ def test_an_atmosphere_too_flat_to_resolve_altitude_is_refused():
     assert worst[1] == pytest.approx(worst[0], abs=1e-3)
 
 
+def test_a_quantum_that_rounds_the_whole_band_to_0_pa_is_refused():
+    # From twice the sea-level pressure on, the noise-free readings at
+    # sea level and at 11 km both round to 0 Pa, which the clamp reads
+    # as 11 km: the nominal deck would land undeployed with no error.
+    # Just below it sea level reads p0 again, and the run flies.
+    with pytest.raises(ScenarioError, match=(
+            r"^barometer\.quantization 202650\.0 Pa is at least twice "
+            r"atmosphere\.sea_level_pressure 101325\.0 Pa")):
+        build_scenario({"barometer.quantization": 202650.0})
+    below = build_scenario({"barometer.quantization":
+                            math.nextafter(202650.0, 0.0)})
+    assert run_mission(below).verdict.safe_hold_reason == "window-missed"
+
+
 def test_sibling_resolves_the_push_timeout_again():
     base = build_scenario()
     longer = scenario_with(base, {"mechanism.stroke": 0.090})
