@@ -836,13 +836,32 @@ def test_the_reference_mission_makes_one_pass_per_tick(monkeypatch):
     assert passes == list(range(ticks_flown(result, scenario)))
 
 
+# Every bundled deck at 1 ms and 10 ms, and the nominal deck at 80 Hz.
+SETTLED_REST_RUNS = (
+    [(deck, {"sim.dt": dt}) for deck in list_bundled()
+     for dt in (0.001, 0.01)]
+    + [("altair_nominal", {"barometer.sample_rate": 80.0,
+                           "barometer.latency": 0.035})])
+
+
+@pytest.mark.parametrize("deck, overrides", SETTLED_REST_RUNS)
+def test_settled_rest_changes_no_output_byte(monkeypatch, deck, overrides):
+    # The rest through the sense ticks, idle or settled, alone: against a
+    # run with an idle rest of 0, whose idle or settled deploy logic stops
+    # on every logic tick, so on every sense tick, and weighs every
+    # latched reading with no wake needed.
+    scenario = scenario_with(bundled_scenario(deck), overrides)
+    rested = mission_outputs(run_mission(scenario))
+    monkeypatch.setattr(TaskSchedule, "idle_rest", 0)
+    assert mission_outputs(run_mission(scenario)) == rested
+
+
 def test_the_differential_table_holds_every_mission_once():
     # Gate C12's 129 missions, no two alike, each flying the scenario it
     # is named for: every group of the five lists the table replaced.
     table = DIFFERENTIAL_MISSIONS
     assert len(NOMINAL_OVERRIDES) == 34
-    runs = [(deck, {"sim.dt": dt}) for deck in list_bundled()
-            for dt in (0.001, 0.01)]
+    runs = list(SETTLED_REST_RUNS)
     runs += [("altair_nominal", overrides) for overrides in NOMINAL_OVERRIDES]
     runs += [("altair_gear_slip", {"sim.dt": 0.01, "battery.capacity": 1.53})]
     runs += [("altair_nominal", {"sim.dt": dt, "sim.max_sim_time": 20.0})
