@@ -29,6 +29,22 @@ MODEL_CEILING = 11000.0         # m, top of the linear-lapse band
 TIME_EPS = 1e-9
 
 
+def first_tick(reached, guess: int, step: int = 1) -> int:
+    """The first tick on the grid `guess + n*step` where `reached`
+    holds.  Its one precondition: along the grid `reached` stays true
+    once it holds, and is false somewhere below `guess` and true
+    somewhere above.  Walks back from `guess` while the tick before
+    also holds, then forward until the test holds, so a guess a tick
+    or two off, as a float quotient gives, costs a tick or two.
+    """
+    tick = guess
+    while reached(tick - step):
+        tick -= step
+    while not reached(tick):
+        tick += step
+    return tick
+
+
 @dataclass(frozen=True, slots=True)
 class AtmosphereModel:
     """Linear-lapse troposphere, queryable between 0 and 11 km.
@@ -144,35 +160,29 @@ def _reading_schedule(dt: float, period: float, latency: float, run: int):
 
     def extend() -> None:
         # The next reading and its truth tick lie one period after the
-        # last reading's; the walks start there and move where dt does
-        # not divide the period or the delay is still filling.
+        # last reading's: `first_tick` starts there and walks where dt
+        # does not divide the period or the delay is still filling.
+        # Each test below holds from some tick on, and its `> tick` or
+        # `> truth` clause bounds the walk back.
         tick = ticks[-1]
         truth = truths[-1]
         due = len(ticks) * period
+        # None left in the run.  Checked before the walk: the stride is
+        # capped at the run, so such a reading may lie far past its guess.
         if due > end:
-            ticks.append(run)       # none left in the run
+            ticks.append(run)
             truths.append(truth)
             return
         # The first later tick whose time reaches `due`.
-        k = tick + stride
-        while k > tick + 1 and (k - 1) * dt + TIME_EPS >= due:
-            k -= 1
-        now = k * dt
-        while now + TIME_EPS < due:
-            k += 1
-            now = k * dt
-        # The newest tick up to k that is `latency` old, unless that is
-        # older than the last truth tick, which is then held; guess this
-        # reading's lag.
-        target = now - latency + TIME_EPS
-        j = truth + k - tick
-        while j > truth and j * dt > target:
-            j -= 1
-        if j > truth:
-            while j < k and (j + 1) * dt <= target:
-                j += 1
+        k = first_tick(lambda k: k > tick and k * dt + TIME_EPS >= due,
+                       tick + stride)
+        # The newest tick that is `latency` old, unless that is older
+        # than the last truth tick, which is then held: one before the
+        # first later tick that is too young.
+        target = k * dt - latency + TIME_EPS
         ticks.append(k)
-        truths.append(j)
+        truths.append(first_tick(lambda j: j > truth and j * dt > target,
+                                 truth + k - tick) - 1)
 
     return ticks, truths, extend
 

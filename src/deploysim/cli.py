@@ -140,12 +140,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = _apply_run_options(_load(args.scenario), args)
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+    if not args.values.replace(",", "").strip():
+        raise ScenarioError(f"empty sweep value list {args.values!r}")
+    try:    # float('') raises, so a blank item is refused too
+        values = [float(v) for v in args.values.split(",")]
     except ValueError:
         raise ScenarioError(f"bad sweep values {args.values!r}") from None
-    if not values:
-        raise ScenarioError(f"empty sweep value list {args.values!r}")
     table = sweep(scenario, args.key, values)
     lines = [f"{args.key},outcome,safe_hold_reason,deploy_altitude_m"]
     for value, verdict in table:

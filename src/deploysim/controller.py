@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .actuation import BatteryState, CarrierState, DoorState
-from .atmosphere import TIME_EPS
+from .atmosphere import TIME_EPS, first_tick
 from .errors import ParameterError
 
 # Settle time between the door reading open and the first push.
@@ -236,17 +236,15 @@ class DeploymentController:
         `update_phase`'s own test: the door timeout, the end of the
         settle dwell or the push timeout.  `ticks`, the run's tick
         count, if no timeout runs or none fires before it."""
+        # A timeout that fires within the run keeps the estimate finite
+        # (a limit of 1e300 never does) and bounds the walk forward.
         if self.phase not in self._limits or not self._timed_out(
                 (ticks - 1) * dt):
             return ticks
-        # From one logic period before the estimate, as the mission
-        # finds the tick of the battery failure.
-        estimate = (math.ceil((self._since + self._limits[self.phase])
-                              / dt / logic) - 1) * logic
-        tick = max(tick + logic - tick % logic, estimate)
-        while not self._timed_out(tick * dt):
-            tick += logic
-        return min(tick, ticks)
+        return min(ticks, first_tick(
+            lambda k: k > tick and self._timed_out(k * dt),
+            math.ceil((self._since + self._limits[self.phase])
+                      / dt / logic) * logic, logic))
 
     def _hold(self, reason: SafeHoldReason) -> list[Command]:
         self.phase = DeployPhase.SAFE_HOLD

@@ -49,7 +49,7 @@ from typing import NamedTuple
 from .actuation import (BatteryState, CarrierState, DoorState, FaultPlan,
                         _tick_steps, begin_push, carrier_drive, command_unlock,
                         drain_battery, halt_carrier, step_carrier, step_door)
-from .atmosphere import MODEL_CEILING, Barometer
+from .atmosphere import MODEL_CEILING, Barometer, first_tick
 from .controller import DeploymentController, DeployPhase, TaskSchedule
 from .errors import DomainError, ScenarioError
 from .flight import (FlightPhase, FlightState, initial_state, release_payload,
@@ -252,9 +252,8 @@ def run_mission(scenario: Scenario,
     # The first tick at or after the scheduled battery failure still due.
     fail_tick = n_ticks
     if fail_time is not None and fail_time < n_ticks * dt:
-        fail_tick = max(0, math.ceil(fail_time / dt) - 1)
-        while fail_tick * dt < fail_time:
-            fail_tick += 1
+        fail_tick = first_tick(lambda k: k * dt >= fail_time,
+                               math.ceil(fail_time / dt))
 
     sample = barometer.sample
     actuator_current = door_spec.actuator_current

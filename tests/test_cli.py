@@ -377,9 +377,16 @@ def test_sweep_rejects_bad_key(tmp_path, capsys):
                  "--key", "nope", "--values", "1"]) == 64
 
 
-def test_sweep_rejects_bad_values(capsys):
+@pytest.mark.parametrize("values", ["a,b", "1,,2", "1,2,"])
+def test_sweep_rejects_bad_values(tmp_path, capsys, values):
+    # A blank item among values is refused, not dropped.
     assert main(["sweep", "--scenario", "altair_nominal",
-                 "--key", "payload.mass", "--values", "a,b"]) == 64
+                 "--key", "payload.mass", "--values", values,
+                 "--out", str(tmp_path / "sw")]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad sweep values {values!r}" in captured.err
+    assert not (tmp_path / "sw").exists()
 
 
 @pytest.mark.parametrize("values", [",", "", " , "])

@@ -425,7 +425,8 @@ def test_wakes_on_nothing_once_ejected_or_held():
             assert ctl.wakes_on() is None, phase
 
 
-@pytest.mark.parametrize("dt", [0.001, 0.00125, 0.01])
+# 0.01 / 3 is a clock off the decimal grid, where the search walks.
+@pytest.mark.parametrize("dt", [0.001, 0.00125, 0.01, 0.01 / 3])
 def test_deadline_tick_is_the_logic_tick_update_phase_first_acts_on(dt):
     # Held by the mechanism, each timed phase acts first when its
     # timeout fires: the door timeout (from the unlock, in both door
@@ -439,6 +440,10 @@ def test_deadline_tick_is_the_logic_tick_update_phase_first_acts_on(dt):
         for end in (deadline - 1, deadline + 1):
             assert ctl.deadline_tick(tick, dt, logic, end) == min(
                 deadline, end), phase
+        # Asked after it, the next logic tick.
+        late = deadline + logic + 1
+        assert ctl.deadline_tick(late, dt, logic, ticks) == (
+            late + logic - late % logic), phase
         while ctl.phase is phase:
             tick += logic
             ctl.update_phase(*HOLDING[phase], GOOD_BATTERY, tick * dt)

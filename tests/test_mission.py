@@ -596,7 +596,9 @@ def record_stretches(monkeypatch):
 
 
 @pytest.mark.parametrize("fail_time, dt, fail_tick", [
-    (20.004, 0.001, 20_004), (5.005, 0.01, 501), (30.0, 0.001, 30_000)])
+    (20.004, 0.001, 20_004), (5.005, 0.01, 501), (30.0, 0.001, 30_000),
+    # 0.07 / 0.01 rounds up past 7, so ceil overshoots the failure's tick.
+    (0.07, 0.01, 7)])
 def test_no_stretch_crosses_the_scheduled_battery_failure(
         monkeypatch, fail_time, dt, fail_tick):
     # The failure applies at the top of the first tick at or after it,
