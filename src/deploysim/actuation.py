@@ -101,14 +101,20 @@ class BatteryState:
     failed: bool = False
 
 
-def command_unlock(door: DoorState, step: float) -> None:
-    """Retract the rod of a locked door one step, in place: `step` is
-    the fraction of its travel one tick retracts, dt over the door's
-    `rod_travel_time`.  The loop drives it only while powered.  A door
-    jam does not stop the rod."""
-    travel = door.rod_travel - step
+def command_unlock(door: DoorState, step: float, ticks: int = 1) -> None:
+    """Retract the rod of a locked door `ticks` ticks, in place: `step`
+    is the fraction of its travel one tick retracts, dt over the door's
+    `rod_travel_time`.  One call gives the floats of `ticks` one-tick
+    calls.  The loop drives it only while powered.  A door jam does not
+    stop the rod."""
+    travel = door.rod_travel
+    for _ in range(ticks):
+        travel -= step
+        if travel <= 0.0:
+            travel = 0.0
+            break
     door.locked = travel > 0.0
-    door.rod_travel = travel if door.locked else 0.0
+    door.rod_travel = travel
 
 
 def _tick_steps(door: DoorSpec, speed: float,
@@ -122,14 +128,23 @@ def _tick_steps(door: DoorSpec, speed: float,
             speed * dt)
 
 
-def step_door(door: DoorState, spec: DoorSpec, step: float) -> None:
-    """Swing an unlocked, unjammed door toward full open by `step` rad,
-    in place: one tick of the constant rate, `max_open / open_time * dt`.
+def step_door(door: DoorState, spec: DoorSpec, step: float,
+              ticks: int = 1) -> None:
+    """Swing an unlocked, unjammed door toward full open `ticks` ticks
+    of `step` rad, in place: one tick of the constant rate is
+    `max_open / open_time * dt`, and the door stops at `max_open`.  One
+    call gives the floats of `ticks` one-tick calls.
 
     The door is unpowered, so it keeps opening even after a battery
     failure.
     """
-    angle = min(door.angle + step, spec.max_open)
+    angle = door.angle
+    max_open = spec.max_open
+    for _ in range(ticks):
+        angle += step
+        if angle >= max_open:
+            angle = max_open
+            break
     door.angle = angle
     door.open = angle >= spec.open_threshold
 
@@ -203,64 +218,94 @@ def carrier_drive(servo: ServoSpec, params: MechanismParams,
         stall_current=servo.stall_current)
 
 
-def step_carrier(carrier: CarrierState, travel: float,
-                 drive: CarrierDrive) -> tuple[CarrierState, float]:
-    """Advance a pushing, powered carrier one step, in place; `travel`
-    is the rack's one-tick travel, `drive.rack_speed * dt`.
+def step_carrier(carrier: CarrierState, travel: float, drive: CarrierDrive,
+                 ticks: int = 1) -> tuple[CarrierState, float]:
+    """Advance a pushing, powered carrier `ticks` ticks, in place;
+    `travel` is the rack's one-tick travel, `drive.rack_speed * dt`.
+    One call gives the floats of `ticks` one-tick calls.
 
-    Returns (carrier, current draw in A).  Extension against a load the
-    servo cannot overcome holds the rack still at stall current.
-    `drive` is `carrier_drive(...)`, computed once per mission.
+    Returns (carrier, current draw in A on the last tick).  Extension
+    against a load the servo cannot overcome holds the rack still at
+    stall current.  `drive` is `carrier_drive(...)`, computed once per
+    mission.
     """
-    if carrier.retracting:
-        extension = carrier.rack_extension - travel
-        if extension <= 0.0:
-            extension = 0.0
-            carrier.pushing = carrier.retracting = False
-        carrier.rack_extension = extension
-        return carrier, drive.running_current
-
-    if drive.stalls:
-        carrier.stalled = True
-        return carrier, drive.stall_current
-
     stroke = drive.stroke
-    slipping = carrier.push_count >= drive.slips_from
-    if slipping:
-        carrier.slipped = True
-    advance = min(travel, stroke - carrier.rack_extension)
-    if drive.breaks_link:
-        carrier.link_broken = True
-    elif not slipping:
-        # Contact is lost once the payload has travelled the full stroke.
-        transmitted = min(advance, stroke - carrier.payload_displacement)
-        if transmitted > 0.0:
-            carrier.payload_displacement += transmitted
+    for _ in range(ticks):
+        if carrier.retracting:
+            extension = carrier.rack_extension - travel
+            if extension <= 0.0:
+                extension = 0.0
+                carrier.pushing = carrier.retracting = False
+            carrier.rack_extension = extension
+            continue
 
-    extension = carrier.rack_extension + advance
-    if extension >= stroke:
-        extension = stroke
-        carrier.push_count += 1
-        carrier.retracting = True
-    carrier.rack_extension = extension
+        if drive.stalls:
+            # Every later tick holds the rack still as this one does.
+            carrier.stalled = True
+            return carrier, drive.stall_current
+
+        slipping = carrier.push_count >= drive.slips_from
+        if slipping:
+            carrier.slipped = True
+        advance = min(travel, stroke - carrier.rack_extension)
+        if drive.breaks_link:
+            carrier.link_broken = True
+        elif not slipping:
+            # Contact is lost once the payload has travelled the full
+            # stroke.
+            transmitted = min(advance, stroke - carrier.payload_displacement)
+            if transmitted > 0.0:
+                carrier.payload_displacement += transmitted
+
+        extension = carrier.rack_extension + advance
+        if extension >= stroke:
+            extension = stroke
+            carrier.push_count += 1
+            carrier.retracting = True
+        carrier.rack_extension = extension
     return carrier, drive.running_current
 
 
-def drain_battery(battery: BatteryState, current: float, dt: float) -> float:
-    """Coulomb-count the pack in place; return the charge delivered, C.
+def drain_battery(battery: BatteryState, current: float, dt: float,
+                  ticks: int = 1, audit: list | None = None) -> float:
+    """Coulomb-count the pack in place over `ticks` ticks of `dt` s at
+    `current` A; return the charge delivered on the last tick, C.  One
+    call gives the floats of `ticks` one-tick calls.
 
     Voltage steps to zero when the charge runs out, and the pack then
     delivers what it had left; a failed pack stays failed.  The
     scheduled failure of the fault plan is applied by the mission loop.
+    `audit`, if given, is the list [charge C, energy J, peak current A]
+    that each tick delivering charge updates in tick order: it adds its
+    charge, and that charge times the voltage before the tick, and
+    raises the peak to `current`.
     """
+    delivered = 0.0
     if battery.failed or current == 0.0:
-        return 0.0
+        return delivered
+    step = current * dt
+    voltage = battery.voltage
     charge = battery.charge
-    remaining = charge - current * dt
-    if remaining <= 0.0:
-        battery.voltage = 0.0
-        battery.charge = 0.0
-        battery.failed = True
-        return charge
-    battery.charge = remaining
-    return charge - remaining
+    drawn, energy, peak = (0.0, 0.0, 0.0) if audit is None else audit
+    for tick in range(ticks):
+        remaining = charge - step
+        empty = remaining <= 0.0
+        if empty:
+            remaining = 0.0
+        delivered = charge - remaining
+        charge = remaining
+        if delivered > 0.0:
+            drawn += delivered
+            energy += voltage * delivered
+            if current > peak:
+                peak = current
+        if empty:
+            battery.voltage = 0.0
+            battery.failed = True
+            if tick < ticks - 1:
+                delivered = 0.0     # the dead pack's later ticks
+            break
+    battery.charge = charge
+    if audit is not None:
+        audit[:] = drawn, energy, peak
+    return delivered

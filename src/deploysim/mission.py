@@ -12,9 +12,13 @@ sets the run's last tick.  The ticks after a busy tick rest: one
 its rest, and stops sooner at a flight phase change or a wake, from
 which the next pass of the loop carries on.  If the rod, the door or
 the carrier moved or the pack delivered charge on the busy tick, the
-same code then steps them and drains the pack one tick at a time over
-the rest ticks the vehicle flew, so a landing with the payload aboard
-ends that too.
+same code then steps them and drains the pack over the rest ticks the
+vehicle flew, so a landing with the payload aboard ends that too.  It
+does so in segments, the busy tick being the one-tick case: the rest
+rule's bounds on the rod, the swing, the rack and the charge give the
+ticks on which no flag, draw or event of the mechanism can change, and
+each stepper takes those in one call; a tick on which something may
+change steps alone, so each such change keeps its own tick.
 
 Deploy logic runs on a logic tick when what it reads
 (`DeploymentController.reads`) changed since it last ran, or on its
@@ -263,15 +267,42 @@ def run_mission(scenario: Scenario,
     # the scenario checked finite and > 0: the steppers take these
     # steps, and the rest rule bounds with them.
     rod_step, swing_step, travel = _tick_steps(door_spec, drive.rack_speed, dt)
+
+    def quiet(rest, rod, swing, push, draw):
+        """The smaller of `rest` and the number of ticks from now that
+        surely change no flag of the mechanism while the rod retracts
+        if `rod`, the door swings if `swing`, the rack moves if `push`
+        and the pack delivers `draw` A: the rod stays locked, the door
+        short of open, the rack short of the stroke or of 0 and the pack
+        alive, by the closed-form bounds of `_quiet`."""
+        if rod and door.locked:
+            rest = _quiet(rest, door.rod_travel, rod_step, 1.0)
+        if swing and not door.open:
+            rest = _quiet(rest, open_threshold - door.angle, swing_step,
+                          max_open)
+        # A push carries the payload the whole stroke with the rack or
+        # not at all (a slipped gear, a broken link), and a halted push
+        # is the last, so the payload reaches the stroke no sooner than
+        # the rack.
+        if push and carrier.pushing:
+            extension = carrier.rack_extension
+            if carrier.retracting:
+                rest = _quiet(rest, extension, travel, stroke)
+            elif not drive.stalls:
+                rest = _quiet(rest, stroke - extension, travel, stroke)
+        if draw and not battery.failed:
+            rest = _quiet(rest, battery.charge, draw * dt, battery.charge)
+        return rest
+
     phase = controller.phase    # as of the last tick; update_phase moves it
     settled = False             # phase is SafeHold or Ejected, both absorbing
     reads = controller.reads
     seen = None         # what deploy logic read when it last ran
     deadline = n_ticks  # the logic tick on which the running timeout fires
     woke = False        # the last stretch stopped on a wake at `tick`
-    energy = 0.0
-    peak_current = 0.0
-    charge_drawn = 0.0
+    # The charge (C) and energy (J) the pack delivered and its peak
+    # current (A), which `drain_battery` adds to tick by tick.
+    audit = [0.0, 0.0, 0.0]
     # Members compared on every tick, bound once: attribute access on an
     # Enum class is slow on Python 3.11 (see flight.py).
     safe_hold = _SAFE_HOLD
@@ -326,7 +357,7 @@ def run_mission(scenario: Scenario,
                         if stop_at_verdict:
                             n_ticks = tick + 1
 
-            # Actuation, one tick k at a time over [k*dt, (k+1)*dt): the
+            # Actuation over [k*dt, (k+n)*dt) for n ticks at a time: the
             # busy tick, then, once the vehicle has flown them, the rest
             # ticks after it, if anything moved or the pack delivered on
             # the busy tick (only a task starts the rod, the door or a
@@ -336,12 +367,25 @@ def run_mission(scenario: Scenario,
             # reads on a busy tick.
             k = tick
             stop = tick + 1
+            n = 1
             while k < stop:
                 powered = not battery.failed
-                current = 0.0
                 rod = powered and phase is unlocking and door.locked
+                push = powered and carrier.pushing
+                if k > tick:
+                    # A segment of the rest: the ticks up to the first
+                    # whose step could change a flag, a draw or an event
+                    # of the mechanism step in one call each, and that
+                    # tick steps alone.  The pack's draw is bounded with
+                    # the most a pushing carrier draws, stall current.
+                    n = quiet(stop - k, rod,
+                              not door_jam and not door.locked, push,
+                              (actuator_current if rod else 0.0)
+                              + (drive.stall_current if push else 0.0)
+                              + quiescent) or 1
+                current = 0.0
                 if rod:
-                    command_unlock(door, rod_step)
+                    command_unlock(door, rod_step, n)
                     current += actuator_current
                     if not door.locked:
                         events.append(Event(k * dt, "door_unlocked", 0.0))
@@ -349,12 +393,11 @@ def run_mission(scenario: Scenario,
                          and door.angle < max_open)
                 if swing:
                     was_open = door.open
-                    step_door(door, door_spec, swing_step)
+                    step_door(door, door_spec, swing_step, n)
                     if door.open and not was_open:
                         events.append(Event(k * dt, "door_open", door.angle))
-                push = powered and carrier.pushing
                 if push:
-                    current += step_carrier(carrier, travel, drive)[1]
+                    current += step_carrier(carrier, travel, drive, n)[1]
                     # The rest rule keeps the release on a busy tick.
                     if (payload.release_time is None
                             and carrier.payload_displacement >= stroke):
@@ -376,13 +419,8 @@ def run_mission(scenario: Scenario,
                 total_current = current + quiescent
                 delivered = 0.0
                 if powered and total_current:
-                    pre_voltage = battery.voltage
-                    delivered = drain_battery(battery, total_current, dt)
-                    if delivered > 0.0:
-                        charge_drawn += delivered
-                        energy += pre_voltage * delivered
-                        if total_current > peak_current:
-                            peak_current = total_current
+                    delivered = drain_battery(battery, total_current, dt, n,
+                                              audit)
 
                 if k == tick:
                     # Telemetry (lowest priority) reads no payload field.
@@ -411,25 +449,8 @@ def run_mission(scenario: Scenario,
                     if moving:
                         rest = min(rest, -(tick + 1) % row_period)
                     if moving and not settled:
-                        if rod and door.locked:
-                            rest = _quiet(rest, door.rod_travel, rod_step, 1.0)
-                        if swing and not door.open:
-                            rest = _quiet(rest, open_threshold - door.angle,
-                                          swing_step, max_open)
-                        # A push carries the payload the whole stroke with
-                        # the rack or not at all (a slipped gear, a broken
-                        # link), and a halted push is the last, so the
-                        # payload reaches the stroke no sooner than the rack.
-                        if push and carrier.pushing:
-                            extension = carrier.rack_extension
-                            if carrier.retracting:
-                                rest = _quiet(rest, extension, travel, stroke)
-                            elif not drive.stalls:
-                                rest = _quiet(rest, stroke - extension,
-                                              travel, stroke)
-                        if delivered and not battery.failed:
-                            rest = _quiet(rest, battery.charge,
-                                          total_current * dt, battery.charge)
+                        rest = quiet(rest, rod, swing, push,
+                                     delivered and total_current)
                     end = min(tick + rest + 1, deadline, fail_tick, n_ticks)
 
                     # Fly the ticks [tick, end) up to a phase change; the
@@ -456,7 +477,7 @@ def run_mission(scenario: Scenario,
                                 n_ticks = end
                     if moving:
                         stop = end
-                k += 1
+                k += n
             tick = end
     except DomainError as exc:
         # The tick, and the body if not the vehicle, as the raiser names.
@@ -493,12 +514,12 @@ def run_mission(scenario: Scenario,
         safe_hold_reason=reason.value if reason is not None else None,
         deploy_altitude_truth=payload.release_altitude,
         deploy_time=payload.release_time,
-        energy_used=energy,
-        peak_current=peak_current,
+        energy_used=audit[1],
+        peak_current=audit[2],
     )
     return MissionResult(verdict=verdict, telemetry=telemetry,
                          commands=commands, events=events,
-                         battery_final=battery, charge_drawn=charge_drawn)
+                         battery_final=battery, charge_drawn=audit[0])
 
 
 def sweep(base: Scenario, key: str, values) -> list[tuple[float, MissionVerdict]]:

@@ -5,6 +5,7 @@ Key frozen numbers: no-load rack speed 1 rev/s * pi * 0.020 m =
 drive force is 83.3 N against 5.9889 N/kg of payload load.
 """
 
+import collections
 import math
 import random
 from dataclasses import replace
@@ -22,10 +23,10 @@ from deploysim import (
     scenario_with,
     sizing_report,
 )
-from deploysim.actuation import (CarrierState, DoorState, begin_push,
-                                 carrier_drive, command_unlock, drain_battery,
-                                 halt_carrier, rack_speed, step_carrier,
-                                 step_door)
+from deploysim.actuation import (BatteryState, CarrierDrive, CarrierState,
+                                 DoorState, begin_push, carrier_drive,
+                                 command_unlock, drain_battery, halt_carrier,
+                                 rack_speed, step_carrier, step_door)
 from deploysim.mechanism import max_payload_mass
 
 NOMINAL = build_scenario()
@@ -337,6 +338,93 @@ def test_servo_current_ordering_enforced():
         replace(SERVO, running_current_max=2.5, stall_current=2.0)
     with pytest.raises(ParameterError):
         replace(SERVO, stall_current=0.1)
+
+
+# ---------------------------------------------------------------------------
+# Segments: the mission loop steps the ticks of a rest on which nothing
+# can change in one call per stepper.
+
+
+def one_call_and_tick_calls(step, record, ticks):
+    """Step one copy of `record` `ticks` ticks in one call of
+    `step(record, ticks)` and another in `ticks` one-tick calls, and
+    check that both leave the same floats, bit for bit.  Returns the
+    results of the one call and of the last one-tick call, and the
+    record the one-tick calls left."""
+    segment, each = replace(record), replace(record)
+    got = step(segment, ticks)
+    for _ in range(ticks):
+        want = step(each, 1)
+    assert repr(segment) == repr(each)
+    return got, want, each
+
+
+def test_one_call_of_n_ticks_is_n_one_tick_calls():
+    rng = random.Random(40)
+    seen = collections.Counter()
+    for _ in range(400):
+        ticks = rng.randint(1, 60)
+
+        rod_step = rng.uniform(1e-3, 0.05)
+        _, _, door = one_call_and_tick_calls(
+            lambda door, n: command_unlock(door, rod_step, n),
+            DoorState(rod_travel=rng.uniform(1e-3, 1.0)), ticks)
+        seen["unlocked"] += not door.locked
+
+        max_open = rng.uniform(0.5, 2.0)
+        spec = replace(DOOR, max_open=max_open,
+                       open_threshold=rng.uniform(0.1, max_open))
+        swing = rng.uniform(1e-3, 0.1)
+        _, _, door = one_call_and_tick_calls(
+            lambda door, n: step_door(door, spec, swing, n),
+            DoorState(locked=False, rod_travel=0.0,
+                      angle=rng.uniform(0.0, spec.max_open)), ticks)
+        seen["max_open"] += door.angle == spec.max_open
+
+        stroke = rng.uniform(0.01, 0.1)
+        drive = CarrierDrive(
+            rack_speed=rng.uniform(0.01, 0.1), stroke=stroke,
+            stalls=rng.random() < 0.2, breaks_link=rng.random() < 0.3,
+            slips_from=rng.choice((0, 1, 2, math.inf)),
+            running_current=rng.uniform(0.1, 1.0),
+            stall_current=rng.uniform(1.0, 2.0))
+        travel = rng.uniform(1e-4, stroke / 10)
+        carrier = CarrierState(
+            rack_extension=rng.uniform(0.0, stroke), pushing=True,
+            retracting=rng.random() < 0.5, push_count=rng.randint(0, 2),
+            payload_displacement=rng.uniform(0.0, stroke))
+        got, want, stepped = one_call_and_tick_calls(
+            lambda carrier, n: step_carrier(carrier, travel, drive, n),
+            carrier, ticks)
+        assert repr(got[1]) == repr(want[1])
+        seen["stroke"] += stepped.push_count > carrier.push_count
+        seen["zero"] += not stepped.pushing
+        seen["slipped"] += stepped.slipped
+        seen["link_broken"] += stepped.link_broken
+        seen["stalled"] += stepped.stalled
+
+        # Packs that die before, on or after the n-th tick, and drains
+        # that do not move a 1 kC charge.
+        current = rng.choice((rng.uniform(0.1, 3.0), 1e-13))
+        step = current * DT
+        charge = rng.choice((step * (ticks - 0.5), rng.uniform(0.0, 0.2),
+                             1000.0))
+        pack = BatteryState(voltage=7.4, charge=charge)
+        battery, each = replace(pack), replace(pack)
+        audit = [0.0, 0.5, rng.choice((0.0, 2.0))]
+        audit_each, audit_before = list(audit), list(audit)
+        got = drain_battery(battery, current, DT, ticks, audit)
+        for _ in range(ticks):
+            want = drain_battery(each, current, DT, 1, audit_each)
+        assert repr((battery, got, audit)) == repr((each, want, audit_each))
+        seen["dies_on_nth"] += (charge == step * (ticks - 0.5)
+                                and battery.failed and want > 0.0)
+        if battery.charge == charge == 1000.0:
+            # A tick that delivers 0.0 C leaves the audit, peak included,
+            # as it was.
+            assert want == 0.0 and audit == audit_before
+            seen["unmoved"] += 1
+    assert len(seen) == 9 and min(seen.values()) > 0, seen
 
 
 # ---------------------------------------------------------------------------

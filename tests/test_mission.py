@@ -289,17 +289,20 @@ STEPPER_RUNS = (
     [(deck, {"sim.dt": 0.001}) for deck in list_bundled()]
     + [("altair_battery_fail", {"battery.quiescent_current": 0.05})])
 MECHANISM = ("command_unlock", "step_door", "step_carrier", "drain_battery")
-# Where each flight stepper takes its first tick: `step_vehicle` takes
-# its row writer and row period after it.
+# Where each mechanism stepper takes its tick count, and each flight
+# stepper its first tick: `step_vehicle` takes its row writer and row
+# period after it.
+TICKS_ARG = {"command_unlock": 2, "step_door": 3, "step_carrier": 3,
+             "drain_battery": 3}
 FIRST_TICK = {"step_vehicle": 6, "step_payload": 4}
 
 
 def record_steppers(monkeypatch):
     """Wrap each stepper the loop calls through its `deploysim.mission`
     name.  Each call appends (name, tick of the pass, what it did): the
-    flights their first tick and ticks flown, the mechanism's steppers a
-    copy of the record they were given, `drain_battery` with its current
-    and `step_carrier` with whether the carrier still pushes after it.
+    flights their first tick and ticks flown, the mechanism's steppers
+    their tick count, a copy of the record they were given and one of
+    the record after the call, and `drain_battery` its current too.
     `due_at_tick` appends the tick of each pass."""
     calls, passes = [], []
 
@@ -308,14 +311,16 @@ def record_steppers(monkeypatch):
         return _original(self, tick)
 
     def counted(*args, _name, _original):
-        found = replace(args[0]) if _name in MECHANISM else None
+        given = replace(args[0]) if _name in MECHANISM else None
         result = _original(*args)
+        found = None
         if _name in FIRST_TICK:
             found = (args[FIRST_TICK[_name]], result)   # (first, flown)
-        elif _name == "drain_battery":
-            found = (found, args[1])
-        elif _name == "step_carrier":
-            found = (found, result[0].pushing)
+        elif _name in MECHANISM:
+            at = TICKS_ARG[_name]
+            found = (args[at] if len(args) > at else 1, given,
+                     replace(args[0]),
+                     args[1] if _name == "drain_battery" else None)
         calls.append((_name, passes[-1], found))
         return result
 
@@ -329,8 +334,9 @@ def record_steppers(monkeypatch):
 
 def check_steppers(deck, overrides):
     """The loop calls each stepper through its `deploysim.mission` name
-    once per tick on which it is due; the benchmark's per-layer spans
-    hook those names, so their call counts must stay truthful.
+    once per segment of ticks on which it is due; the benchmark's
+    per-layer spans hook those names, so their call counts must stay
+    truthful.
 
     Each pass of the loop asks the schedule once and makes one
     `step_vehicle` call, which flies the pass's tick and the rest ticks
@@ -339,15 +345,20 @@ def check_steppers(deck, overrides):
     release in one `step_payload` call, which flies every tick from the
     release up to the landing or the end of the clock once, in order.
     The rod, the door, the carrier and the pack step as they do when
-    every tick is its own pass (`NoRestSchedule`): the same calls, in
-    the same order, on the same records.  There each call's tick is
-    known: a stepper runs at most once a tick, the pack is drained on
-    exactly the ticks that draw current from a live pack, and the
-    carrier steps on each tick from a push command up to the end of its
-    retraction, the SafeHold that halts it or the death of the pack.
-    The per-mission facts are decided once: the rack is halted once, on
-    entering SafeHold, and a jammed door is never stepped.  Returns the
-    run's outcome."""
+    every tick is its own pass (`NoRestSchedule`), where each call steps
+    one tick: expanded, the ticks each stepper's calls cover are that
+    run's, each once and in order, a call covers consecutive ticks of
+    its own pass, the calls come in tick order and, on a tick, in the
+    loop's order, and each call is given the record that run's call on
+    its first tick is given and leaves the record that run's call on
+    its last tick leaves, and drains at that run's current.  There each
+    call's tick is known: a stepper runs at most once a tick, the pack
+    is drained on exactly the ticks that draw current from a live pack,
+    and the carrier steps on each tick from a push command up to the end
+    of its retraction, the SafeHold that halts it or the death of the
+    pack.  The per-mission facts are decided once: the rack is halted
+    once, on entering SafeHold, and a jammed door is never stepped.
+    Returns the run's outcome."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         return check_steppers_in(monkeypatch, deck, overrides)
 
@@ -364,6 +375,7 @@ def check_steppers_in(monkeypatch, deck, overrides):
     assert [first for first, _ in stretches] == list(itertools.accumulate(
         [0] + [flown for _, flown in stretches[:-1]]))
     assert passes == [first for first, _ in stretches]
+    pass_end = {first: first + flown for first, flown in stretches}
     descent = [found for name, _, found in calls if name == "step_payload"]
     if "ejected" in events:
         released = round(events["ejected"].time / dt)
@@ -380,18 +392,35 @@ def check_steppers_in(monkeypatch, deck, overrides):
         assert count["step_door"] == 0
     else:
         assert (count["step_door"] > 0) == ("door_unlocked" in events)
-    rested = [(name, found) for name, _, found in calls if name in MECHANISM]
+    rested = [(name, tick, found) for name, tick, found in calls
+              if name in MECHANISM]
 
     calls.clear()
     monkeypatch.setattr(mission, "TaskSchedule", NoRestSchedule)
     run_mission(scenario)
-    assert [(name, found) for name, _, found in calls
-            if name in MECHANISM] == rested
     on = {name: [tick for called, tick, _ in calls if called == name]
           for name in MECHANISM}
+    reference = {name: [found for called, _, found in calls if called == name]
+                 for name in MECHANISM}
+    assert all(found[0] == 1 for name, _, found in calls if name in MECHANISM)
+    covered = {name: 0 for name in MECHANISM}   # reference calls matched
+    order = []      # (first tick, loop order) of each rested call
+    for name, pass_tick, (n, given, left, current) in rested:
+        at = covered[name]
+        stepped = on[name][at:at + n]
+        assert n >= 1 and stepped == list(range(stepped[0], stepped[0] + n))
+        assert pass_tick <= stepped[0] and stepped[-1] < pass_end[pass_tick]
+        matched = reference[name][at:at + n]
+        assert given == matched[0][1] and left == matched[-1][2], name
+        assert all(found[3] == current for found in matched), name
+        order.append((stepped[0], MECHANISM.index(name)))
+        covered[name] = at + n
+    assert covered == {name: len(on[name]) for name in MECHANISM}
+    assert order == sorted(order)
     for name, stepped in on.items():
         assert len(set(stepped)) == len(stepped), name
-    drains = [found for name, _, found in calls if name == "drain_battery"]
+    drains = [(found[1], found[3]) for name, _, found in calls
+              if name == "drain_battery"]
     assert all(current > 0.0 and not battery.failed
                for battery, current in drains)
     # The pack is dead from the scheduled failure on, or from the tick
@@ -411,7 +440,7 @@ def check_steppers_in(monkeypatch, deck, overrides):
             on["command_unlock"] + on["step_carrier"])
     stopped = min([round(event.time / dt) for event in result.events
                    if event.name == "safe_hold"] + [dead])
-    pushing_after = {tick: found[1] for name, tick, found in calls
+    pushing_after = {tick: found[2].pushing for name, tick, found in calls
                      if name == "step_carrier"}
     expected = []
     for command in result.commands:
@@ -859,10 +888,10 @@ def test_settled_rest_changes_no_output_byte(monkeypatch, deck, overrides):
 
 
 def test_the_differential_table_holds_every_mission_once():
-    # Gate C12's 129 missions, no two alike, each flying the scenario it
+    # Gate C12's 130 missions, no two alike, each flying the scenario it
     # is named for: every group of the five lists the table replaced.
     table = DIFFERENTIAL_MISSIONS
-    assert len(NOMINAL_OVERRIDES) == 34
+    assert len(NOMINAL_OVERRIDES) == 35
     runs = list(SETTLED_REST_RUNS)
     runs += [("altair_nominal", overrides) for overrides in NOMINAL_OVERRIDES]
     runs += [("altair_gear_slip", {"sim.dt": 0.01, "battery.capacity": 1.53})]
@@ -875,7 +904,7 @@ def test_the_differential_table_holds_every_mission_once():
         assert table[f"C3 profile {k}"].values == fuzz_profile(k)[0].values
         assert table[f"rest scenario {k}"].values == rest_scenario(k).values
     assert len({frozenset(scenario.values.items())
-                for scenario in table.values()}) == len(table) == 129
+                for scenario in table.values()}) == len(table) == 130
 
 
 @pytest.mark.parametrize("overrides", [
