@@ -267,7 +267,7 @@ def step_carrier(carrier: CarrierState, travel: float, drive: CarrierDrive,
 
 
 def drain_battery(battery: BatteryState, current: float, dt: float,
-                  ticks: int = 1, audit: list | None = None) -> float:
+                  ticks: int, audit: list) -> float:
     """Coulomb-count the pack in place over `ticks` ticks of `dt` s at
     `current` A; return the charge delivered on the last tick, C.  One
     call gives the floats of `ticks` one-tick calls.
@@ -275,8 +275,8 @@ def drain_battery(battery: BatteryState, current: float, dt: float,
     Voltage steps to zero when the charge runs out, and the pack then
     delivers what it had left; a failed pack stays failed.  The
     scheduled failure of the fault plan is applied by the mission loop.
-    `audit`, if given, is the list [charge C, energy J, peak current A]
-    that each tick delivering charge updates in tick order: it adds its
+    `audit` is the run's list [charge C, energy J, peak current A],
+    which each tick delivering charge updates in tick order: it adds its
     charge, and that charge times the voltage before the tick, and
     raises the peak to `current`.
     """
@@ -286,7 +286,7 @@ def drain_battery(battery: BatteryState, current: float, dt: float,
     step = current * dt
     voltage = battery.voltage
     charge = battery.charge
-    drawn, energy, peak = (0.0, 0.0, 0.0) if audit is None else audit
+    drawn, energy, peak = audit
     for tick in range(ticks):
         remaining = charge - step
         empty = remaining <= 0.0
@@ -306,6 +306,5 @@ def drain_battery(battery: BatteryState, current: float, dt: float,
                 delivered = 0.0     # the dead pack's later ticks
             break
     battery.charge = charge
-    if audit is not None:
-        audit[:] = drawn, energy, peak
+    audit[:] = drawn, energy, peak
     return delivered

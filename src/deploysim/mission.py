@@ -1,24 +1,27 @@
 """Whole-mission simulation loop, verdicts, sweeps and CSV rendering.
 
-A busy tick runs, in order: barometer sampling (fed the tick index),
-the scheduled battery failure, the cooperative tasks that are due (sense
-and estimate at 50 Hz, deploy logic at 100 Hz), actuation, battery
-drain (only of current drawn from a live pack) and telemetry (20 Hz),
-then the vehicle step.  The push that releases the payload flies its
-whole descent there in one `step_payload` call; the release, the chute
-opening and the landing are recorded on the payload, and the landing
-sets the run's last tick.  The ticks after a busy tick rest: one
+Each pass of the tick loop runs one busy tick and the rest ticks after
+it, straight down: barometer sampling (fed the tick index), the
+scheduled battery failure, the cooperative tasks that are due (sense
+and estimate at 50 Hz, deploy logic at 100 Hz), one actuation step of
+the busy tick, telemetry (20 Hz) and the rest rule; then one
 `step_vehicle` call samples the barometer and flies the busy tick and
 its rest, and stops sooner at a flight phase change or a wake, from
-which the next pass of the loop carries on.  If the rod, the door or
-the carrier moved or the pack delivered charge on the busy tick, the
-same code then steps them and drains the pack over the rest ticks the
-vehicle flew, so a landing with the payload aboard ends that too.  It
-does so in segments, the busy tick being the one-tick case: the rest
-rule's bounds on the rod, the swing, the rack and the charge give the
-ticks on which no flag, draw or event of the mechanism can change, and
-each stepper takes those in one call; a tick on which something may
-change steps alone, so each such change keeps its own tick.
+which the next pass carries on; then, if the rod, the door or the
+carrier moved or the pack delivered charge on the busy tick, actuation
+steps over the rest ticks the vehicle flew, so a landing with the
+payload aboard ends those too.
+
+One actuation step steps the rod, the door and the carrier and drains
+the pack (only of current drawn from a live pack): over the busy tick,
+or over a segment of a rest, the ticks on which the rest rule's bounds
+on the rod, the swing, the rack and the charge show that no flag, draw
+or event of the mechanism can change, each stepper taking them in one
+call; a tick on which something may change steps alone, so each such
+change keeps its own tick.  The push that releases the payload flies
+its whole descent there in one `step_payload` call; the release, the
+chute opening and the landing are recorded on the payload, and the
+landing sets the run's last tick.
 
 Deploy logic runs on a logic tick when what it reads
 (`DeploymentController.reads`) changed since it last ran, or on its
@@ -32,11 +35,13 @@ scheduled battery failure and the run's last tick; and, while the
 mechanism moves or the pack delivers, the next telemetry tick, whose
 row prints them, and, unless deploy logic has settled, the first tick
 whose step could change what it reads, from closed-form bounds on the
-rod, the swing, the rack and the charge, so such a change, the release
-among them, falls on a busy tick.  The loop computes the rod's, the
-swing's and the rack's step once per run, with `actuation._tick_steps`,
-whose floats the scenario checked finite and > 0, and hands each to
-its stepper, so the bounds and the steps are the same floats.  A rest
+rod, the swing, the rack and the charge (under the load, plus the rod's
+current while it retracts and stall current while the carrier pushes),
+so such a change, the release among them, falls on a busy tick.  The
+loop computes the rod's, the swing's and the rack's step once per run,
+with `actuation._tick_steps`, whose floats the scenario checked finite
+and > 0, and hands each to its stepper, so the bounds and the steps are
+the same floats.  A rest
 in which nothing moves writes the telemetry rows inside it: there only
 the time, the vehicle's state and the latched altitude change from row
 to row, and the other fields are those of the record built on the busy
@@ -268,16 +273,17 @@ def run_mission(scenario: Scenario,
     # steps, and the rest rule bounds with them.
     rod_step, swing_step, travel = _tick_steps(door_spec, drive.rack_speed, dt)
 
-    def quiet(rest, rod, swing, push, draw):
+    def quiet(rest, rod, push):
         """The smaller of `rest` and the number of ticks from now that
         surely change no flag of the mechanism while the rod retracts
-        if `rod`, the door swings if `swing`, the rack moves if `push`
-        and the pack delivers `draw` A: the rod stays locked, the door
-        short of open, the rack short of the stroke or of 0 and the pack
-        alive, by the closed-form bounds of `_quiet`."""
+        if `rod` and the rack moves if `push`: the rod stays locked, an
+        unjammed, unlocked door short of open, the rack short of the
+        stroke or of 0 and the pack alive under the load, the rod's
+        current and, the most a pushing carrier draws, stall current,
+        by the closed-form bounds of `_quiet`."""
         if rod and door.locked:
             rest = _quiet(rest, door.rod_travel, rod_step, 1.0)
-        if swing and not door.open:
+        if not door_jam and not door.locked and not door.open:
             rest = _quiet(rest, open_threshold - door.angle, swing_step,
                           max_open)
         # A push carries the payload the whole stroke with the rack or
@@ -290,9 +296,58 @@ def run_mission(scenario: Scenario,
                 rest = _quiet(rest, extension, travel, stroke)
             elif not drive.stalls:
                 rest = _quiet(rest, stroke - extension, travel, stroke)
+        draw = ((actuator_current if rod else 0.0)
+                + (drive.stall_current if push else 0.0) + quiescent)
         if draw and not battery.failed:
             rest = _quiet(rest, battery.charge, draw * dt, battery.charge)
         return rest
+
+    def actuate(k, limit):
+        """Step the rod, the door and the carrier from tick `k`, and drain
+        the pack, over one tick if `limit` is 1, else over the ticks up
+        to `limit` that `quiet` allows, or the first alone.  A dead pack
+        drives neither the lock rod nor the rack; the door swings
+        unpowered, unless it is jammed.  Returns the ticks stepped,
+        whether the rod, the door and the rack moved, and the charge
+        delivered on the last tick."""
+        nonlocal n_ticks
+        powered = not battery.failed
+        rod = powered and phase is unlocking and door.locked
+        push = powered and carrier.pushing
+        n = (quiet(limit, rod, push) or 1) if limit > 1 else 1
+        current = 0.0
+        if rod:
+            command_unlock(door, rod_step, n)
+            current += actuator_current
+            if not door.locked:
+                events.append(Event(k * dt, "door_unlocked", 0.0))
+        swing = not door_jam and not door.locked and door.angle < max_open
+        if swing:
+            was_open = door.open
+            step_door(door, door_spec, swing_step, n)
+            if door.open and not was_open:
+                events.append(Event(k * dt, "door_open", door.angle))
+        if push:
+            current += step_carrier(carrier, travel, drive, n)[1]
+            if (payload.release_time is None
+                    and carrier.payload_displacement >= stroke):
+                release_payload(payload, vehicle, k * dt)
+                events.append(Event(k * dt, "ejected",
+                                    payload.release_altitude))
+                if stop_at_verdict:
+                    n_ticks = k + 1
+                # Fly the whole descent now; its landing ends the run.
+                descent = step_payload(payload, dt, atmosphere, n_ticks - k,
+                                       k)
+                if payload.landing_time is not None:
+                    n_ticks = k + descent
+        # Drained only of current drawn from a live pack, and accounted
+        # by delivered charge, so the audit is exact.
+        delivered = 0.0
+        if powered and current + quiescent:
+            delivered = drain_battery(battery, current + quiescent, dt, n,
+                                      audit)
+        return n, rod, swing, push, delivered
 
     phase = controller.phase    # as of the last tick; update_phase moves it
     settled = False             # phase is SafeHold or Ejected, both absorbing
@@ -357,127 +412,54 @@ def run_mission(scenario: Scenario,
                         if stop_at_verdict:
                             n_ticks = tick + 1
 
-            # Actuation over [k*dt, (k+n)*dt) for n ticks at a time: the
-            # busy tick, then, once the vehicle has flown them, the rest
-            # ticks after it, if anything moved or the pack delivered on
-            # the busy tick (only a task starts the rod, the door or a
-            # push).  A dead pack drives neither the lock rod nor the
-            # rack; the door swings unpowered, unless it is jammed.  The
-            # rest rule below keeps each change of what deploy logic
-            # reads on a busy tick.
-            k = tick
-            stop = tick + 1
-            n = 1
-            while k < stop:
-                powered = not battery.failed
-                rod = powered and phase is unlocking and door.locked
-                push = powered and carrier.pushing
-                if k > tick:
-                    # A segment of the rest: the ticks up to the first
-                    # whose step could change a flag, a draw or an event
-                    # of the mechanism step in one call each, and that
-                    # tick steps alone.  The pack's draw is bounded with
-                    # the most a pushing carrier draws, stall current.
-                    n = quiet(stop - k, rod,
-                              not door_jam and not door.locked, push,
-                              (actuator_current if rod else 0.0)
-                              + (drive.stall_current if push else 0.0)
-                              + quiescent) or 1
-                current = 0.0
-                if rod:
-                    command_unlock(door, rod_step, n)
-                    current += actuator_current
-                    if not door.locked:
-                        events.append(Event(k * dt, "door_unlocked", 0.0))
-                swing = (not door_jam and not door.locked
-                         and door.angle < max_open)
-                if swing:
-                    was_open = door.open
-                    step_door(door, door_spec, swing_step, n)
-                    if door.open and not was_open:
-                        events.append(Event(k * dt, "door_open", door.angle))
-                if push:
-                    current += step_carrier(carrier, travel, drive, n)[1]
-                    # The rest rule keeps the release on a busy tick.
-                    if (payload.release_time is None
-                            and carrier.payload_displacement >= stroke):
-                        release_payload(payload, vehicle, now)
-                        events.append(Event(now, "ejected",
-                                            payload.release_altitude))
-                        if stop_at_verdict:
-                            n_ticks = tick + 1
-                        # Fly the whole descent now; its landing ends the
-                        # run.
-                        descent = step_payload(payload, dt, atmosphere,
-                                               n_ticks - tick, tick)
-                        if payload.landing_time is not None:
-                            n_ticks = tick + descent
+            _, rod, swing, push, delivered = actuate(tick, 1)
+            moving = delivered or rod or swing or push
 
-                # Battery: drained on a tick that draws current from a
-                # live pack, and accounted by delivered charge, so the
-                # audit is exact.
-                total_current = current + quiescent
-                delivered = 0.0
-                if powered and total_current:
-                    delivered = drain_battery(battery, total_current, dt, n,
-                                              audit)
+            # Telemetry (lowest priority) reads no payload field.  A rest
+            # in which nothing moves writes the rows inside it from this
+            # tick's record.
+            if telemetry_due or not moving:
+                record = make_telemetry_record(
+                    now, vehicle, controller, door, carrier, battery,
+                    barometer.latched, delivered / dt, faults)
+                if telemetry_due:
+                    telemetry.append(record)
+                status = record[4:]
 
-                if k == tick:
-                    # Telemetry (lowest priority) reads no payload field.
-                    # A rest in which nothing moves writes the rows inside
-                    # it from this tick's record.
-                    moving = delivered or rod or swing or push
-                    if telemetry_due or not moving:
-                        record = make_telemetry_record(
-                            now, vehicle, controller, door, carrier, battery,
-                            barometer.latched, delivered / dt, faults)
-                        if telemetry_due:
-                            telemetry.append(record)
-                        status = record[4:]
+            # The rest rule (see the module docstring).
+            rest = (idle_rest if settled or reads(door, carrier, battery)
+                    == seen else free)
+            if moving:
+                rest = min(rest, -(tick + 1) % row_period)
+                if not settled:
+                    rest = quiet(rest, rod, push)
+            end = min(tick + rest + 1, deadline, fail_tick, n_ticks)
 
-                    # The rest rule (see the module docstring): up to
-                    # the schedule's bound, the deadline, the battery
-                    # failure and the run's end; while the mechanism
-                    # moves or the pack delivers, also up to the next
-                    # telemetry tick, whose row prints them, so no row
-                    # falls inside the rest, and, unless deploy logic
-                    # has settled, before the first tick whose step
-                    # could change what it reads.
-                    rest = (idle_rest if settled
-                            or reads(door, carrier, battery) == seen
-                            else free)
-                    if moving:
-                        rest = min(rest, -(tick + 1) % row_period)
-                    if moving and not settled:
-                        rest = quiet(rest, rod, swing, push,
-                                     delivered and total_current)
-                    end = min(tick + rest + 1, deadline, fail_tick, n_ticks)
+            # Fly the ticks [tick, end) up to a phase change.  The next
+            # pass carries on from there inside the rest, where no task
+            # that can act is due.  Vehicle events are stamped at the end
+            # of their tick.
+            previous_phase = vehicle.phase
+            flown = step_vehicle(vehicle_spec, vehicle, dt, atmosphere,
+                                 end - tick, sample, tick, write_row,
+                                 row_period)
+            # Short of `end` with the phase unchanged: a wake.
+            woke = tick + flown < end and vehicle.phase is previous_phase
+            end = tick + flown
+            if vehicle.phase is not previous_phase:
+                if vehicle.phase is FlightPhase.DROGUE_DESCENT:
+                    events.append(Event(end * dt, "apogee_truth",
+                                        vehicle.altitude))
+                elif vehicle.phase is FlightPhase.LANDED:
+                    events.append(Event(end * dt, "vehicle_landed", 0.0))
+                    if payload.release_time is None:
+                        n_ticks = end
 
-                    # Fly the ticks [tick, end) up to a phase change; the
-                    # mechanism then steps the rest ticks the vehicle
-                    # flew.  The next pass carries on from there inside
-                    # the rest, where no task that can act is due.
-                    # Vehicle events are stamped at the end of their tick.
-                    previous_phase = vehicle.phase
-                    flown = step_vehicle(vehicle_spec, vehicle, dt,
-                                         atmosphere, end - tick, sample, tick,
-                                         write_row, row_period)
-                    # Short of `end` with the phase unchanged: a wake.
-                    woke = (tick + flown < end
-                            and vehicle.phase is previous_phase)
-                    end = tick + flown
-                    if vehicle.phase is not previous_phase:
-                        if vehicle.phase is FlightPhase.DROGUE_DESCENT:
-                            events.append(Event(end * dt, "apogee_truth",
-                                                vehicle.altitude))
-                        elif vehicle.phase is FlightPhase.LANDED:
-                            events.append(Event(end * dt, "vehicle_landed",
-                                                0.0))
-                            if payload.release_time is None:
-                                n_ticks = end
-                    if moving:
-                        stop = end
-                k += n
+            # The mechanism steps the rest ticks the vehicle flew; only a
+            # task starts the rod, the door or a push.
+            k = tick + 1
+            while moving and k < end:
+                k += actuate(k, end - k)[0]
             tick = end
     except DomainError as exc:
         # The tick, and the body if not the vehicle, as the raiser names.

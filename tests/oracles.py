@@ -446,6 +446,10 @@ DECK_RUNS = (
     [(deck, {"sim.dt": dt}) for deck in list_bundled()
      for dt in (0.001, 0.01)]
     + [("altair_nominal", overrides) for overrides in NOMINAL_OVERRIDES]
+    # The fault decks with an always-on load: their rests deliver charge
+    # in the stall and in SafeHold.
+    + [(deck, {"battery.quiescent_current": 0.05}) for deck in list_bundled()
+       if deck != "altair_nominal"]
     # At 10 ms, a pack the push empties while the slipping rack retracts,
     # before deploy logic settles (SafeHold at 69.71 s).
     + [("altair_gear_slip", {"sim.dt": 0.01, "battery.capacity": 1.53})]

@@ -14,10 +14,12 @@ asserts.  Criteria:
   C12 every shortcut of the tick loop matches the reference mission
 """
 
+import importlib.util
 import math
 import random
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -128,19 +130,30 @@ SENSE_PERIOD = 0.02
 LOGIC_PERIOD = 0.01
 
 
+def _bench_fuzz():
+    """`bench/fuzz.py`, the profiles and protocol properties of the
+    benchmark's `fuzz_corpus` workload."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "fuzz.py"
+    spec = importlib.util.spec_from_file_location("bench_fuzz", path)
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    return fuzz
+
+
+protocol_problems = _bench_fuzz().protocol_problems
+
+
 def protocol_violations(scenario, sigma, result):
-    bad = []
+    """The problems the benchmark's `protocol_problems` finds, and the
+    checks it lacks: the unlock after truth apogee, the noise-free floor
+    and never leaving SafeHold."""
+    bad = protocol_problems(scenario, result, Outcome.DEPLOYED_IN_WINDOW)
     commands = result.commands
     unlocks = [c for c in commands if c.name == "unlock"]
-    pushes = [c for c in commands if c.name == "push"]
     events = {}
     for e in result.events:
         events.setdefault(e.name, e)
 
-    if len(unlocks) > 1:
-        bad.append(f"{len(unlocks)} unlock commands")
-    if len(pushes) > 3:
-        bad.append(f"{len(pushes)} push commands")
     if unlocks:
         if "apogee_truth" not in events:
             bad.append("unlock before the vehicle ever reached apogee")
@@ -157,28 +170,13 @@ def protocol_violations(scenario, sigma, result):
             if c.truth_altitude < floor - allowance:
                 bad.append(f"{c.name} at {c.truth_altitude:.1f} m, floor "
                            f"{floor:.1f} m")
-    if pushes and "door_open" in events:
-        dwell = pushes[0].time - events["door_open"].time
-        if not (2.0 - 1e-9 <= dwell <= 2.010 + 1e-9):
-            bad.append(f"settle delay {dwell:.4f} s")
     if "safe_hold" in events:
         hold_time = events["safe_hold"].time
-        if any(c.time > hold_time for c in commands):
-            bad.append("command after SafeHold")
-        if "ejected" in events and events["ejected"].time > hold_time:
-            bad.append("ejection after SafeHold")
         for row in result.telemetry:
             if row.time_s > hold_time and not row.deploy_phase.startswith(
                     "SafeHold"):
                 bad.append("left SafeHold")
                 break
-    verdict = result.verdict
-    if verdict.outcome is Outcome.DEPLOYED_IN_WINDOW:
-        low = scenario.trigger.deploy_floor
-        high = (scenario.trigger.deploy_ceiling
-                + scenario.trigger.window_allowance)
-        if not (low <= verdict.deploy_altitude_truth <= high):
-            bad.append("in-window verdict with out-of-window truth")
     return bad
 
 
@@ -261,7 +259,7 @@ def test_c4_physics_oracles():
     steps = []
     for amps in currents:
         before = battery.charge
-        drain_battery(battery, amps, 0.001)
+        drain_battery(battery, amps, 0.001, 1, [0.0, 0.0, 0.0])
         steps.append(before - battery.charge)
     audit_gap = abs(math.fsum(steps)
                     - math.fsum(a * 0.001 for a in currents))

@@ -292,7 +292,7 @@ def test_door_swings_open_after_unlock():
 def test_constant_draw_coulomb_count():
     battery = replace(FULL_BATTERY)
     for _ in range(5000):
-        drain_battery(battery, 0.9, DT)
+        drain_battery(battery, 0.9, DT, 1, [0.0, 0.0, 0.0])
     assert FULL_BATTERY.charge - battery.charge == pytest.approx(4.5)
     assert not battery.failed
 
@@ -305,7 +305,7 @@ def test_drain_audit_matches_fsum():
     drawn = []
     for i in currents:
         before = battery.charge
-        delivered = drain_battery(battery, i, DT)
+        delivered = drain_battery(battery, i, DT, 1, [0.0, 0.0, 0.0])
         assert delivered == before - battery.charge
         drawn.append(delivered)
     assert math.fsum(drawn) == pytest.approx(
@@ -314,7 +314,7 @@ def test_drain_audit_matches_fsum():
 
 def test_exhaustion_zeroes_voltage():
     battery = replace(FULL_BATTERY, charge=0.05)
-    assert drain_battery(battery, 2.0, 0.1) == 0.05
+    assert drain_battery(battery, 2.0, 0.1, 1, [0.0, 0.0, 0.0]) == 0.05
     assert battery.failed
     assert battery.voltage == 0.0
     assert battery.charge == 0.0
@@ -323,13 +323,13 @@ def test_exhaustion_zeroes_voltage():
 def test_failed_battery_is_absorbing():
     battery = replace(DEAD_BATTERY, charge=100.0)
     before = replace(battery)
-    assert drain_battery(battery, 1.0, DT) == 0.0
+    assert drain_battery(battery, 1.0, DT, 1, [0.0, 0.0, 0.0]) == 0.0
     assert battery == before
 
 
 def test_zero_draw_is_free():
     battery = replace(FULL_BATTERY)
-    assert drain_battery(battery, 0.0, DT) == 0.0
+    assert drain_battery(battery, 0.0, DT, 1, [0.0, 0.0, 0.0]) == 0.0
     assert battery == FULL_BATTERY
 
 

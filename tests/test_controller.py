@@ -331,7 +331,8 @@ def test_reads_changes_on_each_input_deploy_logic_branches_on():
         ("push begun", lambda: begin_push(carrier, door.open)),
         ("push at the stroke", reach_stroke),
         ("retract ended", end_retract),
-        ("pack failed", lambda: drain_battery(battery, battery.charge, 2.0)),
+        ("pack failed", lambda: drain_battery(battery, battery.charge, 2.0, 1,
+                                              [0.0, 0.0, 0.0])),
     ]
     for name, change in changes:
         before = ctl.reads(door, carrier, battery)

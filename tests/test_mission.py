@@ -888,12 +888,14 @@ def test_settled_rest_changes_no_output_byte(monkeypatch, deck, overrides):
 
 
 def test_the_differential_table_holds_every_mission_once():
-    # Gate C12's 130 missions, no two alike, each flying the scenario it
+    # Gate C12's 135 missions, no two alike, each flying the scenario it
     # is named for: every group of the five lists the table replaced.
     table = DIFFERENTIAL_MISSIONS
     assert len(NOMINAL_OVERRIDES) == 35
     runs = list(SETTLED_REST_RUNS)
     runs += [("altair_nominal", overrides) for overrides in NOMINAL_OVERRIDES]
+    runs += [(deck, {"battery.quiescent_current": 0.05})
+             for deck in list_bundled() if deck != "altair_nominal"]
     runs += [("altair_gear_slip", {"sim.dt": 0.01, "battery.capacity": 1.53})]
     runs += [("altair_nominal", {"sim.dt": dt, "sim.max_sim_time": 20.0})
              for dt in (0.001, 0.01)]
@@ -904,7 +906,7 @@ def test_the_differential_table_holds_every_mission_once():
         assert table[f"C3 profile {k}"].values == fuzz_profile(k)[0].values
         assert table[f"rest scenario {k}"].values == rest_scenario(k).values
     assert len({frozenset(scenario.values.items())
-                for scenario in table.values()}) == len(table) == 130
+                for scenario in table.values()}) == len(table) == 135
 
 
 @pytest.mark.parametrize("overrides", [
